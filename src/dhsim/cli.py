@@ -476,6 +476,13 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _nonnegative_int(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="dhsim",
@@ -487,14 +494,22 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="write the report to a file")
-    parser.add_argument("--ancillas", type=int, default=1,
+    parser.add_argument("--ancillas", type=_nonnegative_int, default=1,
                         help="ancilla budget for construct")
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_intermixed_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
 
-    cap = int(os.environ.get("DH_MAX_QUBITS", DEFAULT_MAX_QUBITS))
+    raw_cap = os.environ.get("DH_MAX_QUBITS")
+    try:
+        cap = DEFAULT_MAX_QUBITS if raw_cap is None else int(raw_cap)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        print(f"error: DH_MAX_QUBITS must be a positive integer, got {raw_cap!r}",
+              file=sys.stderr)
+        return EXIT_USAGE
     cfg = RunConfig(
         subcommand=args.subcommand,
         input_path=args.input,

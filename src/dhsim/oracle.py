@@ -5,6 +5,11 @@ cross-check the exact descriptor path: state vectors, unitary matrices,
 operator conjugation with projection back onto the Pauli basis, and
 conditional states via projection.
 
+The state of n qubits is a ``(2,)*n`` tensor; each gate multiplies its
+2x2 or 4x4 matrix into the operand axes at O(2^n) cost.  Dense 2^n x 2^n
+matrices exist only for ``conjugate`` and tests at small n, and are
+refused beyond ``DENSE_MAX_QUBITS`` qubits before they are allocated.
+
 Conventions, fixed once:
 
 * qubit 0 is the leftmost tensor factor (most significant bit of the
@@ -36,14 +41,23 @@ _SQ = {
     "T": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex),
 }
 
-_CNOT = np.array([[1, 0, 0, 0],
-                  [0, 1, 0, 0],
-                  [0, 0, 0, 1],
-                  [0, 0, 1, 0]], dtype=complex)
+# Gate kind -> matrix on its operands, the first operand leftmost.  BELL is
+# CNOT(a -> b) followed by H on a, the inverse of the Bell-pair preparation.
+_GATES = {name: _SQ[name] for name in "HXYZST"}
+_GATES["CNOT"] = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+_GATES["BELL"] = np.kron(_SQ["H"], _SQ["I"]) @ _GATES["CNOT"]
+
+# Largest register that gets a dense 2^n x 2^n matrix: 16 MiB at n = 10.
+DENSE_MAX_QUBITS = 10
 
 
 class OracleError(ValueError):
     pass
+
+
+def _check_dense(n: int) -> None:
+    if n > DENSE_MAX_QUBITS:
+        raise OracleError(f"{n} qubits exceed the dense limit of {DENSE_MAX_QUBITS}")
 
 
 def zero_state(n: int) -> np.ndarray:
@@ -56,6 +70,7 @@ def string_matrix(letters: tuple[int, ...] | str) -> np.ndarray:
     """Dense matrix of a bare letter sequence (qubit 0 leftmost)."""
     if not isinstance(letters, str):
         letters = "".join(LETTER_NAMES[l] for l in letters)
+    _check_dense(len(letters))
     m = np.eye(1, dtype=complex)
     for ch in letters:
         m = np.kron(m, _SQ[ch])
@@ -64,60 +79,45 @@ def string_matrix(letters: tuple[int, ...] | str) -> np.ndarray:
 
 def sum_matrix(s: PauliSum) -> np.ndarray:
     """Dense matrix of a Pauli sum."""
+    _check_dense(s.n)
     m = np.zeros((2 ** s.n, 2 ** s.n), dtype=complex)
     for letters, coef in s.terms():
         m += complex(coef) * string_matrix(letters)
     return m
 
 
+def _apply(psi: np.ndarray, matrix: np.ndarray,
+           operands: tuple[int, ...]) -> np.ndarray:
+    """Multiply a 2^k x 2^k matrix into the operand axes; batch axes follow."""
+    k = len(operands)
+    front = np.moveaxis(psi, operands, range(k))
+    out = (matrix @ front.reshape(2 ** k, -1)).reshape(front.shape)
+    return np.moveaxis(out, range(k), operands)
+
+
 def single_qubit_gate(name: str, n: int, qubit: int) -> np.ndarray:
-    m = np.eye(1, dtype=complex)
-    for q in range(n):
-        m = np.kron(m, _SQ[name] if q == qubit else _SQ["I"])
-    return m
+    """A one-qubit gate embedded in an n-qubit register."""
+    return gate_matrix(name, n, (qubit,))
 
 
 def cnot_gate(n: int, control: int, target: int) -> np.ndarray:
     """CNOT embedded in an n-qubit register."""
-    dim = 2 ** n
-    m = np.zeros((dim, dim), dtype=complex)
-    for idx in range(dim):
-        bits = [(idx >> (n - 1 - q)) & 1 for q in range(n)]
-        if bits[control]:
-            bits[target] ^= 1
-        out = 0
-        for b in bits:
-            out = (out << 1) | b
-        m[out, idx] = 1.0
-    return m
+    return gate_matrix("CNOT", n, (control, target))
 
 
 def bell_gate(n: int, a: int, b: int) -> np.ndarray:
-    """Rotation of a pair into the computational basis of Bell labels.
-
-    Defined as CNOT(a -> b) followed by H on a (the inverse of the usual
-    Bell-pair preparation).
-    """
-    return single_qubit_gate("H", n, a) @ cnot_gate(n, a, b)
+    """Rotation of a pair into the computational basis of Bell labels."""
+    return gate_matrix("BELL", n, (a, b))
 
 
 def gate_matrix(kind: str, n: int, operands: tuple[int, ...]) -> np.ndarray:
-    kind = kind.upper()
-    if kind in ("H", "X", "Y", "Z", "S", "T"):
-        return single_qubit_gate(kind, n, operands[0])
-    if kind == "CNOT":
-        return cnot_gate(n, operands[0], operands[1])
-    if kind == "BELL":
-        return bell_gate(n, operands[0], operands[1])
-    raise OracleError(f"unknown gate kind {kind!r}")
+    return circuit_unitary(n, [(kind, operands)])
 
 
 def circuit_unitary(n: int, steps) -> np.ndarray:
     """U = U_k ... U_0 for gate steps in time order."""
-    u = np.eye(2 ** n, dtype=complex)
-    for kind, operands in steps:
-        u = gate_matrix(kind, n, tuple(operands)) @ u
-    return u
+    _check_dense(n)
+    return apply_circuit(n, steps, np.eye(2 ** n, dtype=complex))
 
 
 def _check_unitary(u: np.ndarray) -> None:
@@ -223,11 +223,17 @@ def expectation_dense(state: np.ndarray, p: PauliSum) -> complex:
 
 
 def apply_circuit(n: int, steps, state: np.ndarray | None = None) -> np.ndarray:
-    """Evolve |0...0> (or a given state) through gate steps in time order."""
+    """Evolve |0...0> (or a given state, or a 2-d batch of column states)
+    through gate steps in time order."""
     psi = zero_state(n) if state is None else state.astype(complex)
+    shape = psi.shape
+    psi = psi.reshape((2,) * n + (-1,))
     for kind, operands in steps:
-        psi = gate_matrix(kind, n, tuple(operands)) @ psi
-    return psi
+        matrix = _GATES.get(kind.upper())
+        if matrix is None:
+            raise OracleError(f"unknown gate kind {kind!r}")
+        psi = _apply(psi, matrix, tuple(operands))
+    return psi.reshape(shape)
 
 
 def conditional_state(state: np.ndarray, qubits: list[int],
@@ -238,17 +244,10 @@ def conditional_state(state: np.ndarray, qubits: list[int],
     probability.  Zero-probability outcomes raise.
     """
     n = int(round(np.log2(state.shape[0])))
-    rest = [q for q in range(n) if q not in qubits]
-    amps = np.zeros(2 ** len(rest), dtype=complex)
-    want = dict(zip(qubits, outcome))
-    for idx in range(state.shape[0]):
-        bits = [(idx >> (n - 1 - q)) & 1 for q in range(n)]
-        if any(bits[q] != want[q] for q in qubits):
-            continue
-        out = 0
-        for q in rest:
-            out = (out << 1) | bits[q]
-        amps[out] = state[idx]
+    index = [slice(None)] * n
+    for q, bit in zip(qubits, outcome):
+        index[q] = int(bit)
+    amps = state.reshape((2,) * n)[tuple(index)].reshape(-1).astype(complex)
     prob = float(np.sum(np.abs(amps) ** 2))
     if prob <= 1e-12:
         raise OracleError(f"outcome {outcome} has zero probability")

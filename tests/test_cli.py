@@ -191,6 +191,21 @@ class TestMainEntry:
         assert main(["run", str(path)]) == EXIT_USAGE
         assert "exceeds cap" in capsys.readouterr().err
 
+    def test_verify_before_input(self, bell_file, capsys):
+        assert main(["run", "--verify", bell_file]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["sections"]["verified"] is True
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", ""])
+    def test_bad_env_cap(self, bell_file, capsys, monkeypatch, value):
+        monkeypatch.setenv("DH_MAX_QUBITS", value)
+        assert main(["run", bell_file]) == EXIT_USAGE
+        assert "DH_MAX_QUBITS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "x"])
+    def test_bad_ancilla_budget(self, bell_file, capsys, value):
+        assert main(["construct", bell_file, "--ancillas", value]) == EXIT_USAGE
+        assert "--ancillas" in capsys.readouterr().err
+
     def test_console_script(self, bell_file):
         proc = subprocess.run(
             [sys.executable, "-m", "dhsim.cli", "run", bell_file, "--verify"],

@@ -1,8 +1,61 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dhsim import oracle
-from dhsim.pauli import parse_sum
+from dhsim.pauli import PauliSum, parse_sum
+
+ONE_QUBIT = ("H", "X", "Y", "Z", "S", "T")
+
+
+# Explicit dense definitions, kept as the reference for the tensor kernel:
+# a kron chain for one-qubit gates and a basis permutation for CNOT.
+def kron_gate(name, n, qubit):
+    m = np.eye(1, dtype=complex)
+    for q in range(n):
+        m = np.kron(m, oracle._SQ[name] if q == qubit else np.eye(2))
+    return m
+
+
+def permutation_cnot(n, control, target):
+    m = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for idx in range(2 ** n):
+        bits = [(idx >> (n - 1 - q)) & 1 for q in range(n)]
+        if bits[control]:
+            bits[target] ^= 1
+        m[int("".join(map(str, bits)), 2), idx] = 1.0
+    return m
+
+
+def reference_gate(kind, n, operands):
+    if kind == "CNOT":
+        return permutation_cnot(n, *operands)
+    if kind == "BELL":
+        return kron_gate("H", n, operands[0]) @ permutation_cnot(n, *operands)
+    return kron_gate(kind, n, operands[0])
+
+
+def all_gates(n):
+    for kind in ONE_QUBIT:
+        for q in range(n):
+            yield kind, (q,)
+    for kind in ("CNOT", "BELL"):
+        for pair in itertools.permutations(range(n), 2):
+            yield kind, pair
+
+
+def random_steps(rng, n, depth):
+    """Seeded random steps with every gate kind the register allows."""
+    kinds = ONE_QUBIT + (("CNOT", "BELL") if n >= 2 else ())
+    picks = list(kinds) + [kinds[i] for i in rng.integers(len(kinds), size=depth)]
+    rng.shuffle(picks)
+    steps = []
+    for kind in picks:
+        arity = 2 if kind in ("CNOT", "BELL") else 1
+        steps.append((kind, tuple(int(q) for q in rng.permutation(n)[:arity])))
+    return steps
 
 
 class TestConjugate:
@@ -91,3 +144,90 @@ class TestReducedDensity:
         psi = oracle.apply_circuit(2, [("H", (0,)), ("CNOT", (0, 1))])
         rho = oracle.reduced_density(psi, [0])
         assert np.allclose(rho, np.eye(2) / 2)
+
+
+class TestTensorKernel:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gate_matrix_matches_explicit_definitions(self, n):
+        for kind, operands in all_gates(n):
+            want = reference_gate(kind, n, operands)
+            assert np.allclose(oracle.gate_matrix(kind, n, operands), want,
+                               atol=1e-12), (kind, operands)
+            if kind == "BELL":
+                assert np.allclose(oracle.bell_gate(n, *operands), want,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_apply_circuit_matches_dense_product(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            steps = random_steps(rng, n, 3 * n)
+            dense = np.eye(2 ** n, dtype=complex)
+            for kind, operands in steps:
+                dense = reference_gate(kind, n, operands) @ dense
+            unitary = oracle.circuit_unitary(n, steps)
+            assert np.max(np.abs(unitary - dense)) < 1e-12
+
+            psi = oracle.apply_circuit(n, steps)
+            assert np.max(np.abs(psi - unitary @ oracle.zero_state(n))) < 1e-12
+
+            state = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+            state /= np.linalg.norm(state)
+            kept = state.copy()
+            psi = oracle.apply_circuit(n, steps, state=state)
+            assert psi.shape == state.shape
+            assert np.max(np.abs(psi - dense @ state)) < 1e-12
+            assert np.array_equal(state, kept)
+
+    def test_unknown_gate_kind(self):
+        with pytest.raises(oracle.OracleError):
+            oracle.apply_circuit(2, [("SWAP", (0, 1))])
+
+    def test_wide_register_needs_no_dense_matrix(self):
+        n = 16
+        steps = [("H", (0,))] + [("CNOT", (q, q + 1)) for q in range(n - 1)]
+        tracemalloc.start()
+        try:
+            psi = oracle.apply_circuit(n, steps)
+            with pytest.raises(oracle.OracleError):
+                oracle.gate_matrix("H", n, (0,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert abs(psi[0] - 2 ** -0.5) < 1e-12
+        assert abs(psi[-1] - 2 ** -0.5) < 1e-12
+
+    def test_dense_builders_refuse_oversized_registers(self):
+        n = oracle.DENSE_MAX_QUBITS + 1
+        for build in (lambda: oracle.circuit_unitary(n, []),
+                      lambda: oracle.string_matrix("Z" * n),
+                      lambda: oracle.sum_matrix(PauliSum.single(n, 0, 3))):
+            with pytest.raises(oracle.OracleError):
+                build()
+        assert oracle.string_matrix("Z" * (n - 1)).shape == (2 ** (n - 1),) * 2
+
+
+def loop_conditional_state(state, qubits, outcome):
+    """Index-by-index projection, the reference for the tensor version."""
+    n = int(round(np.log2(state.shape[0])))
+    rest = [q for q in range(n) if q not in qubits]
+    amps = np.zeros(2 ** len(rest), dtype=complex)
+    for idx in range(state.shape[0]):
+        bits = [(idx >> (n - 1 - q)) & 1 for q in range(n)]
+        if all(bits[q] == b for q, b in zip(qubits, outcome)):
+            amps[int("".join(str(bits[q]) for q in rest) or "0", 2)] = state[idx]
+    prob = float(np.sum(np.abs(amps) ** 2))
+    return amps / np.sqrt(prob), prob
+
+
+@pytest.mark.parametrize("qubits", [[0], [2], [3, 1], [0, 1, 2, 3]])
+def test_conditional_state_matches_loop(qubits):
+    rng = np.random.default_rng(len(qubits))
+    state = rng.normal(size=16) + 1j * rng.normal(size=16)
+    state /= np.linalg.norm(state)
+    for outcome in itertools.product((0, 1), repeat=len(qubits)):
+        got, prob = oracle.conditional_state(state, qubits, list(outcome))
+        want, want_prob = loop_conditional_state(state, qubits, outcome)
+        assert prob == want_prob
+        assert np.array_equal(got, want)
