@@ -9,7 +9,7 @@ and cross-checks everything against a dense Schrodinger-picture oracle.
 from .pauli import (
     I, X, Y, Z,
     ComplexDyadic, DimensionError, PauliString, PauliSum,
-    hs_inner, parse_sum, string_mul, sum_mul, support, vacuum_expectation,
+    hs_inner, parse_sum, string_mul, sum_mul, vacuum_expectation,
 )
 from .engine import (
     AddAncilla, Circuit, Descriptor, DescriptorSet, Gate, GateError,
@@ -20,8 +20,7 @@ from .engine import (
 __all__ = [
     "I", "X", "Y", "Z",
     "ComplexDyadic", "DimensionError", "PauliString", "PauliSum",
-    "hs_inner", "parse_sum", "string_mul", "sum_mul", "support",
-    "vacuum_expectation",
+    "hs_inner", "parse_sum", "string_mul", "sum_mul", "vacuum_expectation",
     "AddAncilla", "Circuit", "Descriptor", "DescriptorSet", "Gate",
     "GateError", "add_ancilla", "apply_gate", "evolve_circuit",
     "expectation", "heisenberg_image", "initial_set",

@@ -30,7 +30,7 @@ from fractions import Fraction
 from .pauli import I, X, Y, Z, ComplexDyadic, PauliSum
 from .engine import (
     AddAncilla, Circuit, DescriptorSet, Gate,
-    evolve_circuit, expectation, gate_steps,
+    evolve_circuit, expectation, gate_steps, step_label,
 )
 from .density import (
     density_report, diagonal_probabilities, expectation_table,
@@ -56,6 +56,8 @@ EXIT_VERIFY = 2
 EXIT_INTERNAL = 3
 
 DEFAULT_MAX_QUBITS = 10
+# The exact diagonal's cost grows as 4^n; `run` reports it up to this size.
+DIAGONAL_MAX_QUBITS = 8
 
 
 class ParseError(ValueError):
@@ -190,14 +192,15 @@ def _singles_rows(set_: DescriptorSet) -> list[dict]:
 
 
 def _history_rows(set_: DescriptorSet) -> list[str]:
-    rows = []
-    for step in set_.history:
-        if isinstance(step, AddAncilla):
-            rows.append("ancilla")
-        else:
-            rows.append(step.kind.lower() + " "
-                        + " ".join(str(q + 1) for q in step.operands))
-    return rows
+    return [step_label(step) for step in set_.history]
+
+
+def _oracle_average(psi, letters: tuple[int, ...]) -> complex:
+    """Oracle average of one Pauli string; the identity string gives 1."""
+    if not any(letters):
+        return 1.0
+    return oracle.expectation_dense(
+        psi, PauliSum(len(letters), {letters: ComplexDyadic.of(1)}))
 
 
 def _verify_set(set_: DescriptorSet, seed: int, samples: int = 200) -> bool:
@@ -214,12 +217,9 @@ def _verify_set(set_: DescriptorSet, seed: int, samples: int = 200) -> bool:
         for _ in range(set_.n):
             idx.append(v % 4)
             v //= 4
-        got = complex(expectation(set_, tuple(idx)))
         letters = tuple(idx)
-        want = oracle.expectation_dense(
-            psi, PauliSum(set_.n, {letters: ComplexDyadic.of(1)})
-        ) if any(letters) else 1.0
-        if abs(got - want) > oracle.ATOL:
+        got = complex(expectation(set_, letters))
+        if abs(got - _oracle_average(psi, letters)) > oracle.ATOL:
             return False
     return True
 
@@ -241,11 +241,14 @@ def _cmd_run(cfg: RunConfig) -> dict:
         "descriptors": _descriptor_rows(set_),
         "singles": _singles_rows(set_),
     }
-    if set_.n <= 8:
+    if set_.n <= DIAGONAL_MAX_QUBITS:
         probs = diagonal_probabilities(set_, range(set_.n))
         sections["diagonal"] = [
             {"bitstring": format(k, f"0{set_.n}b"), "probability": _num(p)}
             for k, p in enumerate(probs)]
+    else:
+        print(f"note: diagonal omitted for the {set_.n}-qubit register "
+              f"(computed up to {DIAGONAL_MAX_QUBITS} qubits)", file=sys.stderr)
     if set_.n == 2:
         sections["pair_analysis"] = density_report(set_, [0, 1])
     if cfg.verify:
@@ -291,10 +294,7 @@ def _cmd_symmetries(cfg: RunConfig) -> dict:
         ok = _verify_set(set_, cfg.seed)
         for candidate in sets:
             for idx, val in expectation_table(candidate, [0, 1]).items():
-                want = (oracle.expectation_dense(
-                    psi, PauliSum(2, {idx: ComplexDyadic.of(1)}))
-                    if any(idx) else 1.0)
-                if abs(complex(val) - want) > oracle.ATOL:
+                if abs(complex(val) - _oracle_average(psi, idx)) > oracle.ATOL:
                     ok = False
         out["verified"] = ok
     return out

@@ -18,7 +18,7 @@ from .pauli import (
     I, X, Y, Z,
     ComplexDyadic, PauliSum, sum_mul, vacuum_expectation,
 )
-from .engine import Descriptor, DescriptorSet
+from .engine import Descriptor, DescriptorSet, component_product
 from . import oracle
 
 EIG_TOL = 1e-9
@@ -26,44 +26,23 @@ EIG_TOL = 1e-9
 MultiIndex = tuple[int, ...]
 
 
-class NotReducibleType:
-    """Returned when a descriptor has support outside the requested factor."""
+class Sentinel:
+    """A named falsy marker returned where a result does not exist."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, name: str):
+        self.name = name
 
     def __repr__(self) -> str:
-        return "NotReducible"
+        return self.name
 
     def __bool__(self) -> bool:
         return False
 
 
-NotReducible = NotReducibleType()
-
-
-class InfeasibleType:
-    """Returned when no mixture weights reproduce the target table."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Infeasible"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-Infeasible = InfeasibleType()
+# A descriptor has support outside the requested factor.
+NotReducible = Sentinel("NotReducible")
+# No mixture weights reproduce the target table.
+Infeasible = Sentinel("Infeasible")
 
 
 def expectation_table(set_: DescriptorSet, qubits: Sequence[int]) -> dict[MultiIndex, ComplexDyadic]:
@@ -74,12 +53,11 @@ def expectation_table(set_: DescriptorSet, qubits: Sequence[int]) -> dict[MultiI
     """
     qubits = list(qubits)
     table: dict[MultiIndex, ComplexDyadic] = {}
+    index = [I] * set_.n
     for combo in itertools.product((I, X, Y, Z), repeat=len(qubits)):
-        product = PauliSum.identity(set_.n)
         for qubit, which in zip(qubits, combo):
-            if which != I:
-                product = sum_mul(product, set_.component(qubit, which))
-        table[combo] = vacuum_expectation(product)
+            index[qubit] = which
+        table[combo] = vacuum_expectation(component_product(set_, index))
     return table
 
 

@@ -214,10 +214,10 @@ def initial_set(n: int) -> DescriptorSet:
 def _rewrite_two(set_: DescriptorSet, kind: str, operands: tuple[int, ...],
                  pos: int, letter: int) -> PauliSum:
     sign, factors = _TWO_RULES[kind][pos, letter]
-    out = PauliSum.identity(set_.n).scale(sign)
+    index = [I] * set_.n
     for fpos, fletter in factors:
-        out = sum_mul(out, set_.component(operands[fpos], fletter))
-    return out
+        index[operands[fpos]] = fletter
+    return component_product(set_, index).scale(sign)
 
 
 def apply_gate(set_: DescriptorSet, gate: Gate) -> DescriptorSet:
@@ -264,32 +264,27 @@ def add_ancilla(set_: DescriptorSet) -> DescriptorSet:
     return DescriptorSet(n, tuple(descs), set_.history + (AddAncilla(),))
 
 
-def expectation(set_: DescriptorSet, indices: Sequence[int]) -> ComplexDyadic:
-    """Vacuum expectation of the ordered product of chosen components.
+def component_product(set_: DescriptorSet, indices: Sequence[int]) -> PauliSum:
+    """Ordered product of chosen components (identity for index 0).
 
     ``indices`` has one entry per qubit: 0 selects the identity factor,
-    X/Y/Z select that descriptor component.
+    X/Y/Z select that descriptor component.  Components of different
+    qubits commute, so taking the factors in qubit order loses nothing.
     """
     if len(indices) != set_.n:
         raise DimensionError(f"need {set_.n} component indices, got {len(indices)}")
-    product = PauliSum.identity(set_.n)
+    product = None
     for qubit, which in enumerate(indices):
         if which == I:
             continue
-        product = sum_mul(product, set_.component(qubit, which))
-    return vacuum_expectation(product)
+        component = set_.component(qubit, which)
+        product = component if product is None else sum_mul(product, component)
+    return PauliSum.identity(set_.n) if product is None else product
 
 
-def component_product(set_: DescriptorSet, indices: Sequence[int]) -> PauliSum:
-    """Ordered product of chosen components (identity for index 0)."""
-    if len(indices) != set_.n:
-        raise DimensionError(f"need {set_.n} component indices, got {len(indices)}")
-    product = PauliSum.identity(set_.n)
-    for qubit, which in enumerate(indices):
-        if which == I:
-            continue
-        product = sum_mul(product, set_.component(qubit, which))
-    return product
+def expectation(set_: DescriptorSet, indices: Sequence[int]) -> ComplexDyadic:
+    """Vacuum expectation of the ordered product of chosen components."""
+    return vacuum_expectation(component_product(set_, indices))
 
 
 def heisenberg_image(set_: DescriptorSet, operator: PauliSum) -> PauliSum:
@@ -303,11 +298,7 @@ def heisenberg_image(set_: DescriptorSet, operator: PauliSum) -> PauliSum:
         raise DimensionError("operator width does not match register")
     out = PauliSum.zero(set_.n)
     for letters, coef in operator.terms():
-        image = PauliSum.identity(set_.n)
-        for qubit, letter in enumerate(letters):
-            if letter != I:
-                image = sum_mul(image, set_.component(qubit, letter))
-        out = out + image.scale(coef)
+        out = out + component_product(set_, letters).scale(coef)
     return out
 
 
@@ -326,10 +317,17 @@ def evolve_circuit(circuit: Circuit) -> DescriptorSet:
 
 
 def gate_steps(set_: DescriptorSet) -> list[tuple[str, tuple[int, ...]]]:
-    """History as (kind, operands) pairs, expanding BELL for the dense oracle."""
+    """Gate history as (kind, operands) pairs for the dense oracle, ancillas dropped."""
     steps: list[tuple[str, tuple[int, ...]]] = []
     for entry in set_.history:
         if isinstance(entry, AddAncilla):
             continue
         steps.append((entry.kind, entry.operands))
     return steps
+
+
+def step_label(step: Gate | AddAncilla) -> str:
+    """History text of one step with 1-based labels, e.g. ``cnot 1 2``."""
+    if isinstance(step, AddAncilla):
+        return "ancilla"
+    return f"{step.kind.lower()} " + " ".join(str(q + 1) for q in step.operands)

@@ -262,24 +262,6 @@ class PauliSum:
         """True when every folded coefficient is real."""
         return all(c.is_real for c in self._terms.values())
 
-    def is_single_string(self) -> bool:
-        return len(self._terms) == 1
-
-    def as_signed_string(self) -> tuple[int, Letters]:
-        """Return (sign, letters) for a +/-1-weighted single string.
-
-        Raises ValueError when the sum is not exactly one string with
-        coefficient +1 or -1.
-        """
-        if len(self._terms) != 1:
-            raise ValueError("not a single string")
-        (letters, coef), = self._terms.items()
-        if coef == ONE:
-            return 1, letters
-        if coef == -ONE:
-            return -1, letters
-        raise ValueError(f"coefficient {coef} is not a unit sign")
-
     # -- algebra ----------------------------------------------------------
 
     def _require_same_n(self, other: "PauliSum") -> None:
@@ -335,19 +317,6 @@ class PauliSum:
             else:
                 terms.pop(sub, None)
         return PauliSum(len(keep), terms)
-
-    def embed(self, n: int, positions: Iterable[int]) -> "PauliSum":
-        """Place this sum into an n-qubit register at the given slots."""
-        pos = list(positions)
-        if len(pos) != self.n:
-            raise DimensionError("position count must match qubit count")
-        terms: dict[Letters, ComplexDyadic] = {}
-        for letters, coef in self._terms.items():
-            full = [I] * n
-            for p, l in zip(pos, letters):
-                full[p] = l
-            terms[tuple(full)] = coef
-        return PauliSum(n, terms)
 
     def extended(self, extra: int) -> "PauliSum":
         """Append ``extra`` identity slots."""
@@ -467,30 +436,9 @@ def vacuum_expectation(s: PauliSum) -> ComplexDyadic:
     return total
 
 
-def support(s: PauliSum) -> set[int]:
-    """Qubit indices where the sum acts non-trivially."""
-    return s.support()
-
-
 def z_projector(n: int, qubit: int, outcome: int) -> PauliSum:
     """(1 +/- sigma_z)/2 on one slot: the computational outcome projector."""
     sign = 1 if outcome == 0 else -1
     return (PauliSum.identity(n)
             + PauliSum.single(n, qubit, Z, sign)).scale(HALF)
 
-
-def bitstring_expectation(s: PauliSum, bits: Iterable[int]) -> ComplexDyadic:
-    """<b| s |b> for a computational basis state b (I -> 1, Z -> (-1)**bit)."""
-    bits = tuple(bits)
-    total = ZERO
-    for letters, coef in s._terms.items():
-        val = 1
-        for l, b in zip(letters, bits):
-            if l == X or l == Y:
-                val = 0
-                break
-            if l == Z and b:
-                val = -val
-        if val:
-            total = total + (coef if val > 0 else -coef)
-    return total

@@ -16,6 +16,7 @@ from .pauli import I, X, Y, Z, vacuum_expectation
 from .engine import (
     AddAncilla, Circuit, Descriptor, DescriptorSet, Gate,
     add_ancilla, apply_gate, evolve_circuit, expectation, initial_set,
+    step_label,
 )
 from .density import (
     DensityMatrix, diagonal_probabilities, purity_condition,
@@ -23,7 +24,7 @@ from .density import (
 )
 from .relative import (
     RelativeContext, conditional_restriction, measure,
-    relative_descriptor, relative_descriptor_pair, ultimate_state_chain,
+    relative_descriptor, ultimate_state_chain,
 )
 from .uniqueness import validate_basis
 
@@ -45,12 +46,6 @@ class DependencyReport:
 def _supports(set_: DescriptorSet) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(set_.descriptor(q).support()))
                  for q in range(set_.n))
-
-
-def _step_label(step) -> str:
-    if isinstance(step, AddAncilla):
-        return "ancilla"
-    return f"{step.kind.lower()} " + " ".join(str(q + 1) for q in step.operands)
 
 
 def dependency_trace(target: DescriptorSet | Circuit) -> DependencyReport:
@@ -79,7 +74,7 @@ def dependency_trace(target: DescriptorSet | Circuit) -> DependencyReport:
                     raise AssertionError(f"locality violated for bystander {q + 1}")
                 if q in step.operands and not after <= reachable:
                     raise AssertionError(f"locality violated for operand {q + 1}")
-        steps.append((_step_label(step), _supports(set_)))
+        steps.append((step_label(step), _supports(set_)))
     return DependencyReport(_supports(set_), tuple(steps))
 
 
@@ -132,8 +127,8 @@ def _swap_relative_outcomes(set_: DescriptorSet) -> tuple[RelativeBellOutcome, .
     diag = diagonal_probabilities(set_, [4, 5])
     for k, bits in enumerate(itertools.product((0, 1), repeat=2)):
         ctx = RelativeContext.pair_computational((4, 5), bits)
-        cond1 = relative_descriptor_pair(set_, 0, ctx)
-        cond4 = relative_descriptor_pair(set_, 3, ctx)
+        cond1 = relative_descriptor(set_, 0, ctx)
+        cond4 = relative_descriptor(set_, 3, ctx)
         red1 = Descriptor(*(conditional_restriction(set_, c, (0, 3), ctx)
                             for c in set_.descriptor(0).components()))
         red4 = Descriptor(*(conditional_restriction(set_, c, (0, 3), ctx)

@@ -4,10 +4,11 @@ A two-qubit state rarely admits more than one descriptor set; extra sets
 exist exactly when the density matrix has symmetries.  Here a symmetry is
 a relabeling of component roles (the same permutation of x/y/z on both
 qubits) optionally composed with a qubit swap, applied with whatever
-component sign flips keep the full expectation table fixed.  Sign flips
-alone never produce a new set: flipping x on both qubits (or z on both)
-preserves every product average, so such variants are collapsed to one
-canonical representative.
+component sign flips keep the full expectation table fixed.  Flipping x
+on both qubits (or z on both) negates every average with an odd number of
+flipped factors, so it yields a sign variant of the same set only where
+those averages vanish; such variants are collapsed to one canonical
+representative, and a flip that would change the table is not applied.
 
 Two independent routes produce the equivalence class of a state: applying
 the discovered symmetry group to a seed, and brute-force enumeration over
@@ -26,32 +27,16 @@ from .pauli import (
     ComplexDyadic, PauliSum, hs_inner, letters_commute, letters_mul,
     sum_mul,
 )
-from .engine import Descriptor, DescriptorSet
-from .density import DensityMatrix, MultiIndex, expectation_table
+from .engine import Descriptor, DescriptorSet, component_product
+from .density import DensityMatrix, MultiIndex, Sentinel, expectation_table
 
 COMPONENTS = (X, Y, Z)
 
 _ONE = ComplexDyadic.of(1)
 
 
-class NotFoundType:
-    """Returned when no descriptor set exists within the search budget."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NotFound"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-NotFound = NotFoundType()
+# No descriptor set exists within the search budget.
+NotFound = Sentinel("NotFound")
 
 
 @dataclass(frozen=True)
@@ -85,14 +70,8 @@ def validate_basis(set_: DescriptorSet) -> BasisReport:
         raise ValueError("basis validation is defined for two-qubit sets")
     violations: list[str] = []
     comps = {(a, i): set_.component(a, i) for a in (0, 1) for i in COMPONENTS}
-    ident = PauliSum.identity(2)
-
-    products: list[tuple[tuple[int, int], PauliSum]] = []
-    for i in (I,) + COMPONENTS:
-        left = ident if i == I else comps[0, i]
-        for j in (I,) + COMPONENTS:
-            right = ident if j == I else comps[1, j]
-            products.append(((i, j), sum_mul(left, right)))
+    products = [(key, component_product(set_, key))
+                for key in itertools.product((I,) + COMPONENTS, repeat=2)]
 
     distinct: list[PauliSum] = []
     for _, p in products:
@@ -313,17 +292,27 @@ def _leading_sign(s: PauliSum) -> int:
 def canonical_signs(set_: DescriptorSet) -> DescriptorSet:
     """Collapse the sign-variant freedom to one representative.
 
-    Flipping x (or z) on both qubits at once never changes an average, so
-    the representative fixes positive leading coefficients on qubit 1's x
-    and z components, adjusting qubit 2 to compensate.
+    The representative aims for positive leading coefficients on qubit 1's
+    x and z components by flipping x (or z) on both qubits at once.  Such a
+    flip negates the averages with an odd number of flipped factors, so the
+    whole flip, else its x half, else its z half, is applied only when it
+    leaves the expectation table unchanged; otherwise the set is returned
+    as it is.
     """
     if set_.n != 2:
         raise ValueError("sign canonicalization is defined for two-qubit sets")
-    d1 = set_.descriptor(0)
+    d1, d2 = set_.descriptors
     sx = _leading_sign(d1.qx)
     sz = _leading_sign(d1.qz)
-    return DescriptorSet(2, (d1.scale_xz(sx, sz),
-                             set_.descriptor(1).scale_xz(sx, sz)))
+    if sx == sz == 1:
+        return set_
+    table = _set_table(set_)
+    halves = [(sx, 1), (1, sz)] if sx == sz == -1 else []
+    for fx, fz in [(sx, sz)] + halves:
+        candidate = DescriptorSet(2, (d1.scale_xz(fx, fz), d2.scale_xz(fx, fz)))
+        if _set_table(candidate) == table:
+            return candidate
+    return set_
 
 
 def set_render_key(set_: DescriptorSet) -> tuple[str, ...]:

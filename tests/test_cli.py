@@ -213,3 +213,39 @@ class TestMainEntry:
         assert proc.returncode == EXIT_OK
         report = json.loads(proc.stdout)
         assert report["sections"]["verified"] is True
+
+
+# Preparations of the six single-qubit stabilizer states from |0>.
+_PRODUCT_PREPS = {"0": (), "1": ("x",), "+": ("h",), "-": ("x", "h"),
+                  "+i": ("h", "s"), "-i": ("x", "h", "s")}
+
+
+class TestProductStateSymmetries:
+    @pytest.mark.parametrize("first,second", [
+        (a, b) for a in _PRODUCT_PREPS for b in _PRODUCT_PREPS])
+    def test_symmetries_verify(self, tmp_path, first, second):
+        lines = ["qubits 2"]
+        lines += [f"{g} 1" for g in _PRODUCT_PREPS[first]]
+        lines += [f"{g} 2" for g in _PRODUCT_PREPS[second]]
+        path = tmp_path / "product.dh"
+        path.write_text("\n".join(lines) + "\n")
+        code, report = run_report(RunConfig("symmetries", str(path), verify=True))
+        assert code == EXIT_OK
+        assert report["sections"]["verified"] is True
+
+
+class TestOmittedDiagonal:
+    def test_nine_qubits_note_on_stderr(self, tmp_path, capsys):
+        path = tmp_path / "nine.dh"
+        path.write_text("qubits 9\nh 1\ncnot 1 9\n")
+        assert main(["run", str(path)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "diagonal" not in json.loads(captured.out)["sections"]
+        assert captured.err == ("note: diagonal omitted for the 9-qubit "
+                                "register (computed up to 8 qubits)\n")
+
+    def test_small_register_prints_no_note(self, bell_file, capsys):
+        assert main(["run", bell_file]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "diagonal" in json.loads(captured.out)["sections"]
+        assert captured.err == ""
