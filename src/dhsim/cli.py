@@ -56,7 +56,8 @@ EXIT_VERIFY = 2
 EXIT_INTERNAL = 3
 
 DEFAULT_MAX_QUBITS = 10
-# The exact diagonal's cost grows as 4^n; `run` reports it up to this size.
+# `run` reports the exact diagonal up to this size.  It costs 2^n Pauli
+# products plus n 2^n exact additions; a larger cap changes the reports.
 DIAGONAL_MAX_QUBITS = 8
 
 

@@ -129,29 +129,39 @@ def reconstruct_density(set_: DescriptorSet, qubits: Sequence[int]) -> DensityMa
 def diagonal_probabilities(set_: DescriptorSet, qubits: Sequence[int]) -> list[Fraction]:
     """Computational-basis outcome probabilities for a subset.
 
-    Entry b is the vacuum average of the product of per-qubit outcome
-    projectors (1 +/- q_z)/2 built from the evolved descriptors.
+    Entry b (``qubits[0]`` the most significant bit) is
+    p(b) = 2^-k sum_S (-1)^(b.S) <prod_{q in S} q_z>, over the 2^k subsets S
+    of the k qubits.  The subset products are built by doubling, one
+    ``sum_mul`` each (q_z of different qubits commute, so factor order is
+    free), and their vacuum averages go through an in-place Walsh-Hadamard
+    transform of k 2^k exact additions.  Every entry is checked to be real
+    and nonnegative, and the entries to sum to exactly 1.
     """
     qubits = list(qubits)
     if not qubits:
         raise ValueError("subset must be nonempty")
-    projectors = {}
-    for qubit in qubits:
+    # Subset mask bit j is qubits[k-1-j]: the last qubit is bit 0.
+    products = [PauliSum.identity(set_.n)]
+    for qubit in reversed(qubits):
         qz = set_.component(qubit, Z)
-        ident = PauliSum.identity(set_.n)
-        projectors[qubit, 0] = (ident + qz).scale(Fraction(1, 2))
-        projectors[qubit, 1] = (ident - qz).scale(Fraction(1, 2))
+        products += [sum_mul(p, qz) for p in products]
+    values = [vacuum_expectation(p) for p in products]
+    size = len(values)
+    half = 1
+    while half < size:
+        for start in range(0, size, 2 * half):
+            for i in range(start, start + half):
+                a, b = values[i], values[i + half]
+                values[i], values[i + half] = a + b, a - b
+        half *= 2
     probs: list[Fraction] = []
-    for bits in itertools.product((0, 1), repeat=len(qubits)):
-        product = PauliSum.identity(set_.n)
-        for qubit, bit in zip(qubits, bits):
-            product = sum_mul(product, projectors[qubit, bit])
-        value = vacuum_expectation(product)
+    for value in values:
         if not value.is_real:
             raise ValueError("probability came out complex")
-        if value.re < 0:
-            raise ValueError(f"negative probability {value.re}")
-        probs.append(value.re)
+        prob = value.re / size
+        if prob < 0:
+            raise ValueError(f"negative probability {prob}")
+        probs.append(prob)
     if sum(probs) != 1:
         raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
     return probs

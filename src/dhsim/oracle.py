@@ -22,6 +22,7 @@ Conventions, fixed once:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -136,25 +137,40 @@ def _snap_fraction(x: float, max_den: int = 2 ** 40) -> Fraction:
     return frac
 
 
+# i**k for k = 0..3: the phase a string's Y letters contribute to its entries.
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+@functools.lru_cache(maxsize=8)
+def _columns(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Basis indices 0..2^n-1 and the bit parity of each, read-only."""
+    cols = np.arange(2 ** n)
+    parity = np.zeros(2 ** n, dtype=np.int8)
+    for bitpos in range(n):
+        parity ^= ((cols >> bitpos) & 1).astype(np.int8)
+    cols.flags.writeable = False
+    parity.flags.writeable = False
+    return cols, parity
+
+
 def _string_column_entries(letters: tuple[int, ...], n: int) -> tuple[int, np.ndarray]:
     """x-mask and per-column entries of a Pauli string.
 
-    A string has exactly one nonzero per column: P[col ^ xmask, col].
+    A string has exactly one nonzero per column: P[col ^ xmask, col], equal
+    to i^(#Y) (-1)^(parity of col & zmask), where zmask covers the Y and Z
+    slots (Y = i XZ acting on |b> gives i (-1)^b |1-b>).
     """
-    dim = 2 ** n
-    xmask = 0
-    entries = np.ones(dim, dtype=complex)
+    xmask = zmask = ys = 0
     for q, letter in enumerate(letters):
-        bitpos = n - 1 - q
-        bits = (np.arange(dim) >> bitpos) & 1
-        if letter == 1:          # X
-            xmask |= 1 << bitpos
-        elif letter == 2:        # Y
-            xmask |= 1 << bitpos
-            entries = entries * np.where(bits == 0, 1j, -1j)
-        elif letter == 3:        # Z
-            entries = entries * np.where(bits == 0, 1.0, -1.0)
-    return xmask, entries
+        bit = 1 << (n - 1 - q)
+        if letter in (1, 2):     # X, Y
+            xmask |= bit
+        if letter in (2, 3):     # Y, Z
+            zmask |= bit
+        ys += letter == 2
+    cols, parity = _columns(n)
+    signs = 1 - 2 * parity[cols & zmask]
+    return xmask, _I_POWERS[ys % 4] * signs
 
 
 def conjugate(u: np.ndarray, p: PauliSum) -> PauliSum:
@@ -173,7 +189,7 @@ def conjugate(u: np.ndarray, p: PauliSum) -> PauliSum:
 
     # Strings with x-mask m live on the anti-diagonal band row = col ^ m;
     # only masks carrying weight in the dense matrix need projecting.
-    cols = np.arange(dim)
+    cols, _ = _columns(n)
     masks = set()
     rows, cs = np.nonzero(np.abs(dense) > ATOL / dim)
     for r, c in zip(rows, cs):
@@ -213,7 +229,7 @@ def expectation_dense(state: np.ndarray, p: PauliSum) -> complex:
     dim = 2 ** n
     if state.shape[0] != dim:
         raise OracleError("state dimension does not match operator")
-    cols = np.arange(dim)
+    cols, _ = _columns(n)
     total = 0j
     for letters, coef in p.terms():
         xmask, entries = _string_column_entries(letters, n)

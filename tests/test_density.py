@@ -5,10 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dhsim import oracle
-from dhsim.pauli import I, X, Y, Z, parse_sum
+from dhsim import density, oracle
+from dhsim.pauli import (
+    I, X, Y, Z, ComplexDyadic, PauliSum, parse_sum, sum_mul,
+    vacuum_expectation, z_projector,
+)
 from dhsim.engine import (
-    Circuit, Gate, apply_gate, evolve_circuit, gate_steps, initial_set,
+    Circuit, Descriptor, DescriptorSet, Gate, apply_gate, evolve_circuit,
+    gate_steps, initial_set,
 )
 from dhsim.density import (
     Infeasible, NotReducible, diagonal_probabilities, expectation_table,
@@ -18,6 +22,45 @@ from dhsim.density import (
 from conftest import random_circuit
 
 HALF = Fraction(1, 2)
+
+
+def projector_diagonal(set_, qubits):
+    """Reference diagonal: the vacuum average of prod (1 +/- q_z)/2 for
+    every bitstring, expanded term by term (4^k work)."""
+    qubits = list(qubits)
+    ident = PauliSum.identity(set_.n)
+    probs = []
+    for bits in itertools.product((0, 1), repeat=len(qubits)):
+        product = ident
+        for qubit, bit in zip(qubits, bits):
+            qz = set_.component(qubit, Z)
+            projector = (ident + qz if bit == 0 else ident - qz).scale(HALF)
+            product = sum_mul(product, projector)
+        value = vacuum_expectation(product)
+        assert value.is_real
+        probs.append(value.re)
+    return probs
+
+
+def ccz_conjugated(set_):
+    """Every component conjugated by CCZ on qubits 0-2, i.e. CCZ applied to
+    the vacuum before the circuit.  CCZ fixes |0...0>, so every average
+    (and the diagonal) is unchanged, while q_z components become
+    multi-term sums."""
+    n = set_.n
+    corner = PauliSum.identity(n)
+    for qubit in range(3):
+        corner = corner * z_projector(n, qubit, 1)
+    ccz = PauliSum.identity(n) - corner.scale(2)
+    return DescriptorSet(n, tuple(
+        Descriptor(*(ccz * c * ccz for c in d.components()))
+        for d in set_.descriptors))
+
+
+def z_only_set(qz):
+    """One-qubit set with a hand-built q_z (q_x, q_y left as X, Y)."""
+    return DescriptorSet(1, (Descriptor(
+        PauliSum.single(1, 0, X), PauliSum.single(1, 0, Y), qz),))
 
 
 class TestReconstructDensity:
@@ -82,6 +125,87 @@ class TestDiagonalProbabilities:
             probs = diagonal_probabilities(s, range(n))
             dense = np.abs(psi) ** 2
             assert np.allclose([float(p) for p in probs], dense, atol=1e-12)
+
+    def test_matches_dense_diagonal_wide(self):
+        rng = random.Random(27)
+        for n in (7, 8):
+            s = evolve_circuit(random_circuit(rng, n, 40))
+            psi = oracle.apply_circuit(n, gate_steps(s))
+            probs = diagonal_probabilities(s, range(n))
+            assert np.allclose([float(p) for p in probs], np.abs(psi) ** 2,
+                               atol=1e-12)
+
+    def test_equals_projector_expansion(self):
+        rng = random.Random(41)
+        for n in range(1, 7):
+            for _ in range(3):
+                s = evolve_circuit(random_circuit(rng, n, 6 * n))
+                subsets = [list(range(n)),
+                           rng.sample(range(n), rng.randint(1, n))]
+                for qubits in subsets:
+                    assert diagonal_probabilities(s, qubits) == \
+                        projector_diagonal(s, qubits)
+
+    def test_qubit_order_sets_bit_significance(self):
+        # |100>: the first listed qubit is the most significant bit.
+        s = apply_gate(initial_set(3), Gate("X", (0,)))
+        assert diagonal_probabilities(s, [2, 0]) == [0, 1, 0, 0]
+        assert diagonal_probabilities(s, [0, 2]) == [0, 0, 1, 0]
+        assert diagonal_probabilities(s, [2, 0]) == projector_diagonal(s, [2, 0])
+
+    def test_measured_sets_equal_projector_expansion(self):
+        from dhsim.relative import measure
+        rng = random.Random(43)
+        for n in (2, 3):
+            s = evolve_circuit(random_circuit(rng, n, 10))
+            m = measure(measure(s, 0), n - 1)
+            qubits = [m.n - 1, 0, n - 1, m.n - 2]
+            assert diagonal_probabilities(m, qubits) == \
+                projector_diagonal(m, qubits)
+
+    def test_multi_term_qz(self):
+        rng = random.Random(47)
+        for n in (3, 4):
+            circuit = random_circuit(rng, n, 4 * n)
+            base = apply_gate(initial_set(n), Gate("H", (0,)))
+            for qubit in range(1, n):
+                base = apply_gate(base, Gate("H", (qubit,)))
+            s = ccz_conjugated(base)
+            for gate in circuit.steps:
+                base = apply_gate(base, gate)
+                s = apply_gate(s, gate)
+            assert max(len(s.component(q, Z)) for q in range(n)) > 1
+            qubits = rng.sample(range(n), n)
+            probs = diagonal_probabilities(s, qubits)
+            assert probs == projector_diagonal(s, qubits)
+            assert probs == diagonal_probabilities(base, qubits)
+            psi = oracle.apply_circuit(n, gate_steps(base))
+            dense = np.abs(psi.reshape((2,) * n).transpose(qubits)) ** 2
+            assert np.allclose([float(p) for p in probs], dense.reshape(-1),
+                               atol=1e-12)
+
+    def test_subset_products_not_projector_products(self, monkeypatch):
+        # 2^k subset products; the projector expansion needs k 2^k.
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return sum_mul(a, b)
+
+        monkeypatch.setattr(density, "sum_mul", counting)
+        s = evolve_circuit(random_circuit(random.Random(5), 6, 30))
+        diagonal_probabilities(s, range(6))
+        assert 0 < len(calls) <= 2 ** 6
+
+    def test_negative_probability_rejected(self):
+        s = z_only_set(PauliSum.single(1, 0, Z, 2))
+        with pytest.raises(ValueError, match="negative probability"):
+            diagonal_probabilities(s, [0])
+
+    def test_complex_probability_rejected(self):
+        s = z_only_set(PauliSum.single(1, 0, Z, ComplexDyadic(0, 1)))
+        with pytest.raises(ValueError, match="came out complex"):
+            diagonal_probabilities(s, [0])
 
     def test_matches_reconstructed_density_diagonal(self):
         rng = random.Random(19)
