@@ -86,6 +86,11 @@ _GATE_ARITY = {"h": 1, "x": 1, "y": 1, "z": 1, "s": 1, "cnot": 2, "bell": 2}
 _TOKEN = re.compile(r"\S+")
 
 
+def _ascii_digits(text: str) -> bool:
+    """0-9 only; str.isdigit also takes superscripts, which int() rejects."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_circuit(text: str, max_qubits: int | None = None) -> Circuit:
     """Line-oriented circuit parser with located errors."""
     cap = max_qubits if max_qubits is not None else DEFAULT_MAX_QUBITS
@@ -107,7 +112,7 @@ def parse_circuit(text: str, max_qubits: int | None = None) -> Circuit:
             if len(tokens) != 2:
                 raise ParseError(lineno, col0, "qubits takes one count")
             col, value = tokens[1]
-            if not value.isdigit() or int(value) < 1:
+            if not _ascii_digits(value) or int(value) < 1:
                 raise ParseError(lineno, col, f"bad qubit count {value!r}")
             n = initial_n = int(value)
             if n > cap:
@@ -139,7 +144,7 @@ def parse_circuit(text: str, max_qubits: int | None = None) -> Circuit:
                              f"got {len(tokens) - 1}")
         operands = []
         for col, value in tokens[1:]:
-            if not value.isdigit():
+            if not _ascii_digits(value):
                 raise ParseError(lineno, col, f"bad qubit label {value!r}")
             label = int(value)
             if not 1 <= label <= n:
@@ -230,8 +235,17 @@ def _verify_set(set_: DescriptorSet, seed: int, samples: int = 200) -> bool:
 def _load_circuit(cfg: RunConfig) -> Circuit:
     if not cfg.input_path:
         raise ParseError(0, 0, f"{cfg.subcommand} requires a circuit file")
-    with open(cfg.input_path, "r", encoding="utf-8") as handle:
-        return parse_circuit(handle.read(), cfg.max_qubits)
+    with open(cfg.input_path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The text before the bad byte decodes; a sentinel stands in for the
+        # byte so the last line's length is its column.
+        lines = (data[:exc.start].decode("utf-8") + "\0").splitlines()
+        raise ParseError(len(lines), len(lines[-1]),
+                         f"invalid UTF-8 byte 0x{data[exc.start]:02x}") from None
+    return parse_circuit(text, cfg.max_qubits)
 
 
 def _cmd_run(cfg: RunConfig) -> dict:
@@ -478,7 +492,7 @@ def render_text(report: dict) -> str:
 
 
 def _nonnegative_int(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):
+    if not _ascii_digits(text):
         raise argparse.ArgumentTypeError(
             f"expected a nonnegative integer, got {text!r}")
     return int(text)

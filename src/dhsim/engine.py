@@ -99,17 +99,9 @@ class Gate:
                 raise GateError(f"operand {q} out of range for {n} qubits")
 
 
+@dataclass(frozen=True)
 class AddAncilla:
     """Directive allocating one fresh |0> qubit at the end of the register."""
-
-    def __repr__(self) -> str:
-        return "AddAncilla()"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, AddAncilla)
-
-    def __hash__(self) -> int:
-        return hash(AddAncilla)
 
 
 @dataclass(frozen=True)

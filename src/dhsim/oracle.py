@@ -96,21 +96,6 @@ def _apply(psi: np.ndarray, matrix: np.ndarray,
     return np.moveaxis(out, range(k), operands)
 
 
-def single_qubit_gate(name: str, n: int, qubit: int) -> np.ndarray:
-    """A one-qubit gate embedded in an n-qubit register."""
-    return gate_matrix(name, n, (qubit,))
-
-
-def cnot_gate(n: int, control: int, target: int) -> np.ndarray:
-    """CNOT embedded in an n-qubit register."""
-    return gate_matrix("CNOT", n, (control, target))
-
-
-def bell_gate(n: int, a: int, b: int) -> np.ndarray:
-    """Rotation of a pair into the computational basis of Bell labels."""
-    return gate_matrix("BELL", n, (a, b))
-
-
 def gate_matrix(kind: str, n: int, operands: tuple[int, ...]) -> np.ndarray:
     return circuit_unitary(n, [(kind, operands)])
 

@@ -13,6 +13,9 @@ representative, and a flip that would change the table is not applied.
 Two independent routes produce the equivalence class of a state: applying
 the discovered symmetry group to a seed, and brute-force enumeration over
 signed Pauli-string components.  The test suite insists the routes agree.
+Enumeration and direct construction from a density share one search,
+``_system_triples``; the symmetry search and ``apply_transform`` share one
+sign search, ``_transform_signs``.
 """
 
 from __future__ import annotations
@@ -178,44 +181,37 @@ class SymmetryTransform:
         return "".join(cycles) if cycles else "()"
 
 
-def _table_data(rho: DensityMatrix):
-    a = {i: rho.single(0, i) for i in COMPONENTS}
-    b = {j: rho.single(1, j) for j in COMPONENTS}
-    t = {(i, j): rho.coefficient((i, j)) for i in COMPONENTS for j in COMPONENTS}
+def _table_data(coefficient):
+    """Single averages of each qubit and the pair table, keyed by role."""
+    a = {i: coefficient((i, I)) for i in COMPONENTS}
+    b = {j: coefficient((I, j)) for j in COMPONENTS}
+    t = {(i, j): coefficient((i, j)) for i in COMPONENTS for j in COMPONENTS}
     return a, b, t
 
 
-def _transform_feasible(transform: SymmetryTransform, rho: DensityMatrix) -> bool:
-    """Does some sign assignment make the permuted set reproduce rho?"""
-    a, b, t = _table_data(rho)
+def _transform_signs(transform: SymmetryTransform, a, b, t):
+    """The first (s1x, s1z, s2x, s2z) making the permuted table equal a, b, t.
+
+    Signs run +1 before -1 with s1x outermost; None if no assignment works.
+    """
     eps = transform.orientation()
     src_a, src_b = (b, a) if transform.swap else (a, b)
 
-    def src_pair(i: int, j: int) -> Fraction:
+    def src_pair(i: int, j: int):
         pi, pj = transform.source(i), transform.source(j)
-        if transform.swap:
-            return t[pj, pi]
-        return t[pi, pj]
+        return t[pj, pi] if transform.swap else t[pi, pj]
 
-    for s1x, s1z, s2x, s2z in itertools.product((1, -1), repeat=4):
+    for signs in itertools.product((1, -1), repeat=4):
+        s1x, s1z, s2x, s2z = signs
         eff1 = {X: s1x, Y: s1x * s1z * eps, Z: s1z}
         eff2 = {X: s2x, Y: s2x * s2z * eps, Z: s2z}
-        ok = True
-        for i in COMPONENTS:
-            if eff1[i] * src_a[transform.source(i)] != a[i]:
-                ok = False
-                break
-            if eff2[i] * src_b[transform.source(i)] != b[i]:
-                ok = False
-                break
-        if ok:
-            for i, j in itertools.product(COMPONENTS, repeat=2):
-                if eff1[i] * eff2[j] * src_pair(i, j) != t[i, j]:
-                    ok = False
-                    break
-        if ok:
-            return True
-    return False
+        if (all(src_a[transform.source(i)] * eff1[i] == a[i]
+                and src_b[transform.source(i)] * eff2[i] == b[i]
+                for i in COMPONENTS)
+                and all(src_pair(i, j) * (eff1[i] * eff2[j]) == t[i, j]
+                        for i, j in itertools.product(COMPONENTS, repeat=2))):
+            return signs
+    return None
 
 
 def density_symmetries(rho: DensityMatrix) -> list[SymmetryTransform]:
@@ -228,11 +224,12 @@ def density_symmetries(rho: DensityMatrix) -> list[SymmetryTransform]:
     """
     if rho.n != 2:
         raise ValueError("symmetry search is defined for two-qubit densities")
+    table = _table_data(rho.coefficient)
     found = []
     for perm in itertools.permutations(COMPONENTS):
         for swap in (False, True):
             transform = SymmetryTransform(tuple(perm), swap)
-            if _transform_feasible(transform, rho):
+            if _transform_signs(transform, *table) is not None:
                 found.append(transform)
     members = set(found)
     if SymmetryTransform.identity() not in members:
@@ -248,13 +245,6 @@ def _set_table(set_: DescriptorSet) -> dict[MultiIndex, ComplexDyadic]:
     return expectation_table(set_, range(set_.n))
 
 
-def _rho_table(rho: DensityMatrix) -> dict[MultiIndex, ComplexDyadic]:
-    out = {}
-    for index in itertools.product((I,) + COMPONENTS, repeat=rho.n):
-        out[index] = ComplexDyadic.of(rho.coefficient(index))
-    return out
-
-
 def apply_transform(set_: DescriptorSet, transform: SymmetryTransform
                     ) -> DescriptorSet:
     """Permute a two-qubit set and repair signs to preserve its table.
@@ -266,15 +256,15 @@ def apply_transform(set_: DescriptorSet, transform: SymmetryTransform
     if set_.n != 2:
         raise ValueError("transforms act on two-qubit sets")
     target = _set_table(set_)
-    sources = {}
-    for a in (0, 1):
-        src_q = 1 - a if transform.swap else a
-        for r in (X, Z):
-            sources[a, r] = set_.component(src_q, transform.source(r))
-    for s1x, s1z, s2x, s2z in itertools.product((1, -1), repeat=4):
-        d1 = Descriptor.from_xz(sources[0, X].scale(s1x), sources[0, Z].scale(s1z))
-        d2 = Descriptor.from_xz(sources[1, X].scale(s2x), sources[1, Z].scale(s2z))
-        candidate = DescriptorSet(2, (d1, d2))
+    signs = _transform_signs(transform, *_table_data(target.__getitem__))
+    if signs is not None:
+        descriptors = []
+        for a, sx, sz in ((0, *signs[:2]), (1, *signs[2:])):
+            src_q = 1 - a if transform.swap else a
+            descriptors.append(Descriptor.from_xz(
+                set_.component(src_q, transform.source(X)).scale(sx),
+                set_.component(src_q, transform.source(Z)).scale(sz)))
+        candidate = DescriptorSet(2, tuple(descriptors))
         if _set_table(candidate) == target:
             return candidate
     raise ValueError(
@@ -332,7 +322,8 @@ def generate_equivalent_sets(seed: DescriptorSet, rho: DensityMatrix
     if seed.n != 2:
         raise ValueError("equivalence classes are generated for two-qubit sets")
     seed_table = _set_table(seed)
-    if seed_table != _rho_table(rho):
+    if any(value != ComplexDyadic.of(rho.coefficient(index))
+           for index, value in seed_table.items()):
         raise ValueError("seed does not reproduce the density")
     report = validate_basis(seed)
     if not report.well_formed:
@@ -361,20 +352,8 @@ def _vac(letters: Letters) -> int:
     return 1 if all(l in (I, Z) for l in letters) else 0
 
 
-def _signed_vac(sign: int, phase_k: int, letters: Letters) -> ComplexDyadic:
-    if not _vac(letters):
-        return ComplexDyadic.of(0)
-    return ComplexDyadic.i_power(phase_k) * sign
-
-
-def _singles_ok(sign: int, letters: Letters, want: Fraction) -> bool:
-    return _signed_vac(sign, 0, letters) == ComplexDyadic.of(want)
-
-
 def _component_triple(sx: int, px: Letters, sz: int, pz: Letters):
-    """(sign, letters) triples for x, y = i x z, z; None if y is not Hermitian."""
-    if letters_commute(px, pz):
-        return None
+    """(sign, letters) pairs for x, y = i x z and z; x and z anticommute."""
     k, py = letters_mul(px, pz)
     phase = ComplexDyadic.i_power(k + 1)
     sy = sx * sz * (1 if phase == _ONE else -1)
@@ -384,75 +363,106 @@ def _component_triple(sx: int, px: Letters, sz: int, pz: Letters):
 def _pair_value(c1, c2) -> ComplexDyadic:
     (s1, p1), (s2, p2) = c1, c2
     k, prod = letters_mul(p1, p2)
-    return _signed_vac(s1 * s2, k, prod)
+    if not _vac(prod):
+        return ComplexDyadic.of(0)
+    return ComplexDyadic.i_power(k) * (s1 * s2)
+
+
+def _feasible(letters: Letters, want: Fraction) -> bool:
+    """Can +/- this string have vacuum average ``want``?"""
+    if want == 0:
+        return _vac(letters) == 0
+    return _vac(letters) == 1 and abs(want) == 1
+
+
+def _qubit_candidates(rho: DensityMatrix, a: int, strings: list[Letters]):
+    """(x, z) string pairs for qubit a, each with its signed triples that
+    give the qubit's single averages, in string order then sign order."""
+    want = {w: rho.single(a, w) for w in COMPONENTS}
+    xs = [p for p in strings if _feasible(p, want[X])]
+    zs = [p for p in strings if _feasible(p, want[Z])]
+    out = []
+    for px, pz in itertools.product(xs, zs):
+        if letters_commute(px, pz):
+            continue
+        triples = []
+        for sx, sz in itertools.product((1, -1), repeat=2):
+            triple = _component_triple(sx, px, sz, pz)
+            if all(sc * _vac(pc) == want[w]
+                   for (sc, pc), w in zip(triple, COMPONENTS)):
+                triples.append(triple)
+        if triples:
+            out.append(((px, pz), triples))
+    return out
+
+
+def _pairs_ok(rho: DensityMatrix, placed: tuple, triple) -> bool:
+    """Do the products with every placed qubit give rho's pair averages?"""
+    a = len(placed)
+    for b, prev in enumerate(placed):
+        for (i, c1), (j, c2) in itertools.product(zip(COMPONENTS, prev),
+                                                  zip(COMPONENTS, triple)):
+            index = [I] * rho.n
+            index[b], index[a] = i, j
+            want = ComplexDyadic.of(rho.coefficient(tuple(index)))
+            if _pair_value(c1, c2) != want:
+                return False
+    return True
+
+
+def _system_triples(rho: DensityMatrix, total: int):
+    """Every tuple of signed-string triples, one per system qubit of rho,
+    that reproduces rho's single and pair averages on a total-qubit register.
+
+    Qubits are placed one at a time.  Each takes anticommuting x and z
+    strings (y = i x z) that commute with every string already placed, the
+    stabilizer conditions of quant-ph/0406196.  Solutions come in a fixed
+    order: by qubit, strings before signs, +1 before -1.
+    """
+    strings = _all_strings(total)
+    candidates = [_qubit_candidates(rho, a, strings) for a in range(rho.n)]
+
+    def place(placed: tuple):
+        if len(placed) == rho.n:
+            yield placed
+            return
+        for pair, triples in candidates[len(placed)]:
+            if not all(letters_commute(p, q) for p in pair
+                       for prev in placed for _, q in prev):
+                continue
+            for triple in triples:
+                if _pairs_ok(rho, placed, triple):
+                    yield from place(placed + (triple,))
+
+    return place(())
+
+
+def _triples_set(n: int, triples) -> DescriptorSet:
+    """The descriptor set whose components are the given signed strings."""
+    return DescriptorSet(n, tuple(
+        Descriptor(*(PauliSum(n, {p: ComplexDyadic.of(s)}) for s, p in triple))
+        for triple in triples))
 
 
 def enumerate_valid_sets(rho: DensityMatrix) -> list[DescriptorSet]:
     """Brute-force search for every two-qubit set reproducing a density.
 
     Components are signed single Pauli strings with y derived from x and z;
-    sign variants collapse to canonical representatives.  This is the
-    independent route against which the symmetry-generated class is tested.
+    each string choice keeps its first sign assignment, and sign variants
+    collapse to canonical representatives.  This is the independent route
+    against which the symmetry-generated class is tested.
     """
     if rho.n != 2:
         raise ValueError("enumeration is defined for two-qubit densities")
-    a, b, t = _table_data(rho)
-
-    def feasible(p: Letters, want: Fraction) -> bool:
-        if want == 0:
-            return _vac(p) == 0
-        return _vac(p) == 1 and abs(want) == 1
-
-    strings = _all_strings(2)
+    first: dict[tuple, tuple] = {}
+    for triples in _system_triples(rho, 2):
+        first.setdefault(tuple(p for triple in triples for _, p in triple),
+                         triples)
     outputs: dict[tuple[str, ...], DescriptorSet] = {}
-    x1s = [p for p in strings if feasible(p, a[X])]
-    z1s = [p for p in strings if feasible(p, a[Z])]
-    x2s = [p for p in strings if feasible(p, b[X])]
-    z2s = [p for p in strings if feasible(p, b[Z])]
-    for p1x, p1z in itertools.product(x1s, z1s):
-        if p1x == p1z or letters_commute(p1x, p1z):
-            continue
-        for p2x, p2z in itertools.product(x2s, z2s):
-            if p2x == p2z or letters_commute(p2x, p2z):
-                continue
-            if len({p1x, p1z, p2x, p2z}) != 4:
-                continue
-            found = None
-            for s1x, s1z, s2x, s2z in itertools.product((1, -1), repeat=4):
-                one = _component_triple(s1x, p1x, s1z, p1z)
-                two = _component_triple(s2x, p2x, s2z, p2z)
-                if one is None or two is None:
-                    break
-                if not all(_singles_ok(*c, a[w]) for c, w in zip(one, COMPONENTS)):
-                    continue
-                if not all(_singles_ok(*c, b[w]) for c, w in zip(two, COMPONENTS)):
-                    continue
-                if any(_pair_value(one[ci], two[cj])
-                       != ComplexDyadic.of(t[COMPONENTS[ci], COMPONENTS[cj]])
-                       for ci in range(3) for cj in range(3)):
-                    continue
-                found = (one, two)
-                break
-            if found is None:
-                continue
-            set_ = DescriptorSet(2, tuple(
-                Descriptor(*(PauliSum(2, {p: ComplexDyadic.of(s)})
-                             for s, p in triple))
-                for triple in found))
-            if not validate_basis(set_).well_formed:
-                continue
-            set_ = canonical_signs(set_)
-            outputs.setdefault(set_render_key(set_), set_)
+    for triples in first.values():
+        set_ = canonical_signs(_triples_set(2, triples))
+        outputs.setdefault(set_render_key(set_), set_)
     return [outputs[key] for key in sorted(outputs)]
-
-
-def _completion_pairs(n: int, chosen: list[tuple[int, Letters]]):
-    """Anticommuting string pairs commuting with everything chosen so far."""
-    strings = [p for p in _all_strings(n)
-               if all(letters_commute(p, q) for _, q in chosen)]
-    for px, pz in itertools.permutations(strings, 2):
-        if not letters_commute(px, pz):
-            yield px, pz
 
 
 def construct_from_density(rho: DensityMatrix, ancilla_budget: int = 0):
@@ -463,90 +473,33 @@ def construct_from_density(rho: DensityMatrix, ancilla_budget: int = 0):
     components are signed single Pauli strings; system qubits occupy the
     leading slots and any ancillas are completed with compatible
     descriptors of their own (their choice cannot affect the system table).
+    The search is the one ``enumerate_valid_sets`` walks.
     """
     if rho.n not in (1, 2):
         raise ValueError("direct construction covers 1- or 2-qubit systems")
     if ancilla_budget < 0:
         raise ValueError("ancilla budget must be nonnegative")
     for total in range(rho.n, rho.n + ancilla_budget + 1):
-        found = _construct_at_size(rho, total)
-        if found is not None:
-            return found
+        for triples in _system_triples(rho, total):
+            completed = _complete_register(total, triples)
+            if completed is not None:
+                return completed
     return NotFound
 
 
-def _construct_at_size(rho: DensityMatrix, total: int):
-    strings = _all_strings(total)
-    if rho.n == 1:
-        want = {w: rho.single(0, w) for w in COMPONENTS}
-        for p1x, p1z in itertools.permutations(strings, 2):
-            if letters_commute(p1x, p1z):
-                continue
-            for s1x, s1z in itertools.product((1, -1), repeat=2):
-                triple = _component_triple(s1x, p1x, s1z, p1z)
-                if not all(_singles_ok(*c, want[w])
-                           for c, w in zip(triple, COMPONENTS)):
-                    continue
-                chosen = [(s, p) for s, p in triple]
-                completed = _complete_register(total, [triple], chosen)
-                if completed is not None:
-                    return completed
-        return None
-
-    a, b, t = _table_data(rho)
-    for p1x, p1z in itertools.permutations(strings, 2):
-        if letters_commute(p1x, p1z):
-            continue
-        for s1x, s1z in itertools.product((1, -1), repeat=2):
-            one = _component_triple(s1x, p1x, s1z, p1z)
-            if not all(_singles_ok(*c, a[w]) for c, w in zip(one, COMPONENTS)):
-                continue
-            for p2x, p2z in itertools.permutations(strings, 2):
-                if letters_commute(p2x, p2z):
-                    continue
-                if len({p1x, p1z, p2x, p2z}) != 4:
-                    continue
-                for s2x, s2z in itertools.product((1, -1), repeat=2):
-                    two = _component_triple(s2x, p2x, s2z, p2z)
-                    if not all(_singles_ok(*c, b[w])
-                               for c, w in zip(two, COMPONENTS)):
-                        continue
-                    if any(not letters_commute(pc, qc)
-                           for _, pc in one for _, qc in two):
-                        continue
-                    if any(_pair_value(one[ci], two[cj])
-                           != ComplexDyadic.of(t[COMPONENTS[ci], COMPONENTS[cj]])
-                           for ci in range(3) for cj in range(3)):
-                        continue
-                    chosen = [(s, p) for s, p in one] + [(s, p) for s, p in two]
-                    completed = _complete_register(total, [one, two], chosen)
-                    if completed is not None:
-                        return completed
-    return None
-
-
-def _complete_register(total: int, system_triples: list,
-                       chosen: list[tuple[int, Letters]]):
-    """Extend system descriptors with compatible ancilla descriptors."""
-    triples = list(system_triples)
-    picked = list(chosen)
-    for _ in range(total - len(system_triples)):
-        extended = None
-        for px, pz in _completion_pairs(total, picked):
-            triple = _component_triple(1, px, 1, pz)
-            if triple is None:
-                continue
-            extended = triple
-            break
-        if extended is None:
+def _complete_register(total: int, triples: tuple) -> DescriptorSet | None:
+    """Extend system triples with ancilla triples commuting with them."""
+    triples = list(triples)
+    while len(triples) < total:
+        placed = [p for triple in triples for _, p in triple]
+        free = [p for p in _all_strings(total)
+                if all(letters_commute(p, q) for q in placed)]
+        pair = next(((px, pz) for px, pz in itertools.permutations(free, 2)
+                     if not letters_commute(px, pz)), None)
+        if pair is None:
             return None
-        triples.append(extended)
-        picked.extend((s, p) for s, p in extended)
-    descriptors = tuple(
-        Descriptor(*(PauliSum(total, {p: ComplexDyadic.of(s)})
-                     for s, p in triple))
-        for triple in triples)
-    return DescriptorSet(total, descriptors)
+        triples.append(_component_triple(1, pair[0], 1, pair[1]))
+    return _triples_set(total, triples)
 
 
 # -- reference comparison -------------------------------------------------

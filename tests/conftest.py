@@ -1,8 +1,22 @@
+import os
 import random
 
 import pytest
 
 from dhsim.engine import GATE_KINDS, Circuit, Gate, apply_gate, initial_set
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def src_on_subprocess_path():
+    """pyproject.toml's pythonpath puts src/ on this process's path only;
+    tests that start `python -m dhsim.cli` need it in the environment too."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        yield
 
 
 def random_gate(rng: random.Random, n: int) -> Gate:

@@ -249,3 +249,26 @@ class TestOmittedDiagonal:
         captured = capsys.readouterr()
         assert "diagonal" in json.loads(captured.out)["sections"]
         assert captured.err == ""
+
+
+class TestNonAsciiInput:
+    @pytest.mark.parametrize("text,where", [
+        ("qubits ²\n", "line 1, col 8: bad qubit count '²'"),
+        ("qubits 1\nh ¹\n", "line 2, col 3: bad qubit label '¹'"),
+    ])
+    def test_superscript_digits_are_located(self, tmp_path, capsys, text, where):
+        path = tmp_path / "super.dh"
+        path.write_text(text, encoding="utf-8")
+        assert main(["run", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {where}\n"
+
+    @pytest.mark.parametrize("data,where", [
+        (b"\xff\xfe", "line 1, col 1"),
+        (b"qubits 1\r\nh \xff\n", "line 2, col 3"),
+    ])
+    def test_non_utf8_file_is_located(self, tmp_path, capsys, data, where):
+        path = tmp_path / "bytes.dh"
+        path.write_bytes(data)
+        assert main(["run", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {where}: invalid UTF-8 byte 0xff\n")
