@@ -550,11 +550,15 @@ def main(argv: list[str] | None = None) -> int:
 
     rendered = (render_json(report) if cfg.output_format == "json"
                 else render_text(report))
-    if cfg.out_path:
+    if not cfg.out_path:
+        sys.stdout.write(rendered)
+        return code
+    try:
         with open(cfg.out_path, "w", encoding="utf-8") as handle:
             handle.write(rendered)
-    else:
-        sys.stdout.write(rendered)
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

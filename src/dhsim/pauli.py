@@ -7,8 +7,11 @@ exist only in the dense oracle.
 
 Letters are encoded as integers 0..3 for I, X, Y, Z and a string's phase as
 an exponent k of i (i**k, k mod 4).  Coefficient arithmetic lives in
-:class:`ComplexDyadic`, whose real and imaginary parts are dyadic rationals
-(integer numerator over a power-of-two denominator).
+:class:`ComplexDyadic`, whose real and imaginary parts are dyadic rationals.
+It stores integers (re, im, e) for (re + i*im) / 2**e with e == 0 or one
+numerator odd, so sums, products and the i**k of a string product are
+integer shifts, products and quarter turns; no Fraction is built on the
+product path.
 """
 
 from __future__ import annotations
@@ -31,96 +34,164 @@ _LETTER_MUL: dict[tuple[int, int], tuple[int, int]] = {
     (Z, I): (0, Z), (Z, X): (1, Y), (Z, Y): (3, X), (Z, Z): (0, I),
 }
 
-_I_POWERS_RE = (1, 0, -1, 0)
-_I_POWERS_IM = (0, 1, 0, -1)
-
 
 class DimensionError(ValueError):
     """Raised when operands act on registers of different sizes."""
 
 
-def _is_dyadic(x: Fraction) -> bool:
-    d = x.denominator
-    return d & (d - 1) == 0
-
-
 _Scalar = Union["ComplexDyadic", Fraction, int]
 
 
-@dataclass(frozen=True)
+def _dyadic_parts(x: object) -> tuple[int, int | None]:
+    """Return (numerator, e) with x = numerator / 2**e; e is None if x is not dyadic."""
+    if type(x) is int:
+        return x, 0
+    f = Fraction(x)
+    d = f.denominator
+    return f.numerator, (None if d & (d - 1) else d.bit_length() - 1)
+
+
 class ComplexDyadic:
-    """Exact complex number with dyadic-rational real and imaginary parts.
+    """Exact complex number (re + i*im) / 2**e with integer re, im and e.
 
     Dyadic rationals (p / 2**k) are closed under addition, multiplication
     and negation, which is all the engine ever needs: every coefficient on
-    a Clifford path is a signed sum of powers of one half.
+    a Clifford path is a signed sum of powers of one half.  The value is
+    kept normalised (e == 0, or re or im odd), so equal values have equal
+    fields and arithmetic needs only integer shifts and products.
+    Instances are immutable; ``re`` and ``im`` read back as Fractions.
     """
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("_re", "_im", "_e")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
-        if not (_is_dyadic(self.re) and _is_dyadic(self.im)):
-            raise ValueError(f"non-dyadic value {self.re}+{self.im}i")
+    def __init__(self, re: Fraction | int = 0, im: Fraction | int = 0) -> None:
+        (nr, er), (ni, ei) = _dyadic_parts(re), _dyadic_parts(im)
+        if er is None or ei is None:
+            raise ValueError(f"non-dyadic value {Fraction(re)}+{Fraction(im)}i")
+        e = max(er, ei)
+        _set_re(self, nr << (e - er))
+        _set_im(self, ni << (e - ei))
+        _set_e(self, e)
+
+    @staticmethod
+    def _make(re: int, im: int, e: int) -> "ComplexDyadic":
+        """Build from numerators over 2**e, normalising the exponent."""
+        if e:
+            low = (re | im) & -(re | im)   # lowest set bit of either; 0 if both are 0
+            if low != 1:
+                shift = min(low.bit_length() - 1, e) if low else e
+                re >>= shift
+                im >>= shift
+                e -= shift
+        out = _new(ComplexDyadic)
+        _set_re(out, re)
+        _set_im(out, im)
+        _set_e(out, e)
+        return out
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return ComplexDyadic, (self.re, self.im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._re, 1 << self._e)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._im, 1 << self._e)
 
     @staticmethod
     def of(value: _Scalar) -> "ComplexDyadic":
         if isinstance(value, ComplexDyadic):
             return value
-        return ComplexDyadic(Fraction(value))
+        return ComplexDyadic(value)
 
     @staticmethod
     def i_power(k: int) -> "ComplexDyadic":
         """Return i**k as an exact value."""
-        k %= 4
-        return ComplexDyadic(Fraction(_I_POWERS_RE[k]), Fraction(_I_POWERS_IM[k]))
+        return ONE._times_i(k)
+
+    def _times_i(self, k: int) -> "ComplexDyadic":
+        """Return self * i**k: a quarter turn of the numerators per step."""
+        re, im = self._re, self._im
+        if k & 2:
+            re, im = -re, -im
+        if k & 1:
+            re, im = -im, re
+        return ComplexDyadic._make(re, im, self._e)
 
     def __add__(self, other: _Scalar) -> "ComplexDyadic":
-        o = ComplexDyadic.of(other)
-        return ComplexDyadic(self.re + o.re, self.im + o.im)
+        o = other if type(other) is ComplexDyadic else ComplexDyadic.of(other)
+        e = max(self._e, o._e)
+        sa, sb = e - self._e, e - o._e
+        return ComplexDyadic._make((self._re << sa) + (o._re << sb),
+                                   (self._im << sa) + (o._im << sb), e)
 
     __radd__ = __add__
 
     def __sub__(self, other: _Scalar) -> "ComplexDyadic":
-        o = ComplexDyadic.of(other)
-        return ComplexDyadic(self.re - o.re, self.im - o.im)
+        return self + -ComplexDyadic.of(other)
 
     def __mul__(self, other: _Scalar) -> "ComplexDyadic":
-        o = ComplexDyadic.of(other)
-        return ComplexDyadic(self.re * o.re - self.im * o.im,
-                             self.re * o.im + self.im * o.re)
+        o = other if type(other) is ComplexDyadic else ComplexDyadic.of(other)
+        ar, ai, br, bi = self._re, self._im, o._re, o._im
+        return ComplexDyadic._make(ar * br - ai * bi, ar * bi + ai * br,
+                                   self._e + o._e)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "ComplexDyadic":
-        return ComplexDyadic(-self.re, -self.im)
+        return ComplexDyadic._make(-self._re, -self._im, self._e)
 
     def conjugate(self) -> "ComplexDyadic":
-        return ComplexDyadic(self.re, -self.im)
+        return ComplexDyadic._make(self._re, -self._im, self._e)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._re or self._im)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ComplexDyadic:
+            return NotImplemented
+        return (self._re == other._re and self._im == other._im
+                and self._e == other._e)
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._im == 0
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        d = 1 << self._e
+        return complex(self._re / d, self._im / d)
 
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}i)"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"({re}{sign}{abs(im)}i)"
 
+    def __repr__(self) -> str:
+        return f"ComplexDyadic(re={self.re!r}, im={self.im!r})"
+
+
+_new = object.__new__
+_set_re = ComplexDyadic._re.__set__
+_set_im = ComplexDyadic._im.__set__
+_set_e = ComplexDyadic._e.__set__
 
 ZERO = ComplexDyadic()
-ONE = ComplexDyadic(Fraction(1))
+ONE = ComplexDyadic(1)
 HALF = ComplexDyadic(Fraction(1, 2))
 
 
@@ -194,6 +265,18 @@ def letters_commute(a: Letters, b: Letters) -> bool:
     return anti % 2 == 0
 
 
+def _accumulate(terms: dict[Letters, ComplexDyadic], letters: Letters,
+                coef: ComplexDyadic) -> None:
+    """Add a nonzero coef to terms[letters], dropping the term if it cancels."""
+    acc = terms.get(letters)
+    if acc is None:
+        terms[letters] = coef
+    elif acc := acc + coef:
+        terms[letters] = acc
+    else:
+        del terms[letters]
+
+
 class PauliSum:
     """Finite linear combination of Pauli strings, in canonical form.
 
@@ -214,6 +297,14 @@ class PauliSum:
                 if coef:
                     canon[letters] = ComplexDyadic.of(coef)
         self._terms = canon
+
+    @staticmethod
+    def _canonical(n: int, terms: dict[Letters, ComplexDyadic]) -> "PauliSum":
+        """Wrap a term map that is already canonical, without re-checking it."""
+        out = _new(PauliSum)
+        out.n = n
+        out._terms = terms
+        return out
 
     # -- constructors ---------------------------------------------------
 
@@ -272,12 +363,8 @@ class PauliSum:
         self._require_same_n(other)
         terms = dict(self._terms)
         for letters, coef in other._terms.items():
-            acc = terms.get(letters, ZERO) + coef
-            if acc:
-                terms[letters] = acc
-            else:
-                terms.pop(letters, None)
-        return PauliSum(self.n, terms)
+            _accumulate(terms, letters, coef)
+        return PauliSum._canonical(self.n, terms)
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + (-other)
@@ -289,14 +376,16 @@ class PauliSum:
         f = ComplexDyadic.of(factor)
         if not f:
             return PauliSum.zero(self.n)
-        return PauliSum(self.n, {ls: c * f for ls, c in self._terms.items()})
+        return PauliSum._canonical(self.n,
+                                   {ls: c * f for ls, c in self._terms.items()})
 
     def __mul__(self, other: "PauliSum") -> "PauliSum":
         return sum_mul(self, other)
 
     def adjoint(self) -> "PauliSum":
         """Hermitian adjoint (letters are self-adjoint, so only conjugate)."""
-        return PauliSum(self.n, {ls: c.conjugate() for ls, c in self._terms.items()})
+        return PauliSum._canonical(
+            self.n, {ls: c.conjugate() for ls, c in self._terms.items()})
 
     def support(self) -> set[int]:
         """Qubit slots where some term carries a non-identity letter."""
@@ -310,19 +399,14 @@ class PauliSum:
         keep = sorted(qubits)
         terms: dict[Letters, ComplexDyadic] = {}
         for letters, coef in self._terms.items():
-            sub = tuple(letters[q] for q in keep)
-            acc = terms.get(sub, ZERO) + coef
-            if acc:
-                terms[sub] = acc
-            else:
-                terms.pop(sub, None)
-        return PauliSum(len(keep), terms)
+            _accumulate(terms, tuple(letters[q] for q in keep), coef)
+        return PauliSum._canonical(len(keep), terms)
 
     def extended(self, extra: int) -> "PauliSum":
         """Append ``extra`` identity slots."""
         pad = (I,) * extra
-        return PauliSum(self.n + extra,
-                        {ls + pad: c for ls, c in self._terms.items()})
+        return PauliSum._canonical(self.n + extra,
+                                   {ls + pad: c for ls, c in self._terms.items()})
 
     # -- rendering ---------------------------------------------------------
 
@@ -400,13 +484,8 @@ def sum_mul(a: PauliSum, b: PauliSum) -> PauliSum:
     for la, ca in a._terms.items():
         for lb, cb in b._terms.items():
             k, lc = letters_mul(la, lb)
-            coef = ca * cb * ComplexDyadic.i_power(k)
-            acc = terms.get(lc, ZERO) + coef
-            if acc:
-                terms[lc] = acc
-            else:
-                terms.pop(lc, None)
-    return PauliSum(a.n, terms)
+            _accumulate(terms, lc, (ca * cb)._times_i(k))
+    return PauliSum._canonical(a.n, terms)
 
 
 def hs_inner(a: PauliSum, b: PauliSum) -> ComplexDyadic:

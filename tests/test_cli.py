@@ -184,6 +184,15 @@ class TestMainEntry:
         report = json.loads(target.read_text())
         assert report["subcommand"] == "run"
 
+    def test_out_in_missing_directory(self, bell_file, tmp_path, capsys):
+        target = tmp_path / "nodir" / "x.json"
+        assert main(["run", bell_file, "--out", str(target)]) == EXIT_USAGE
+        assert str(target) in capsys.readouterr().err
+
+    def test_out_is_a_directory(self, bell_file, tmp_path, capsys):
+        assert main(["run", bell_file, "--out", str(tmp_path)]) == EXIT_USAGE
+        assert str(tmp_path) in capsys.readouterr().err
+
     def test_env_cap(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("DH_MAX_QUBITS", "1")
         path = tmp_path / "two.dh"

@@ -1,15 +1,18 @@
+import copy
 import itertools
+import pickle
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dhsim import oracle
+from dhsim import oracle, pauli
 from dhsim.pauli import (
     I, X, Y, Z,
     ComplexDyadic, DimensionError, PauliString, PauliSum,
-    hs_inner, letters_commute, parse_sum, string_mul,
+    hs_inner, letters_commute, parse_sum, string_mul, sum_mul,
     vacuum_expectation, z_projector,
 )
 
@@ -243,3 +246,115 @@ class TestAlgebraProperties:
     def test_roundtrip(self, a):
         if a:
             assert parse_sum(a.render()) == a
+
+
+# -- ComplexDyadic against a reference made of two Fractions ---------------
+
+dyadic_st = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(lambda n, e: Fraction(n, 2 ** e),
+              st.integers(-2 ** 70, 2 ** 70), st.integers(0, 200)),
+)
+pair_st = st.tuples(dyadic_st, dyadic_st)
+
+
+def ref_str(re, im):
+    """Reference str of a value held as two Fractions; reports carry these bytes."""
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}i"
+    sign = "+" if im > 0 else "-"
+    return f"({re}{sign}{abs(im)}i)"
+
+
+def ref_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+I_POWERS = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
+            (Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1))]
+
+
+def assert_matches(got, want):
+    re, im = want
+    assert (got.re, got.im) == (re, im)
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    # normalised: equal values have equal integer fields
+    assert got._e == 0 or got._re % 2 or got._im % 2
+    assert bool(got) == bool(re or im)
+    assert got.is_real == (im == 0)
+    assert str(got) == ref_str(re, im)
+    assert repr(got) == f"ComplexDyadic(re={re!r}, im={im!r})"
+    assert hash(got) == hash((re, im))
+    assert got == ComplexDyadic(re, im)
+
+
+class TestComplexDyadicDifferential:
+    @settings(max_examples=200, deadline=None)
+    @given(a=pair_st, b=pair_st, k=st.integers(-5, 9))
+    def test_matches_fraction_pair(self, a, b, k):
+        ca, cb = ComplexDyadic(*a), ComplexDyadic(*b)
+        assert_matches(ca, a)
+        assert_matches(ca + cb, (a[0] + b[0], a[1] + b[1]))
+        assert_matches(ca - cb, (a[0] - b[0], a[1] - b[1]))
+        assert_matches(ca * cb, ref_mul(a, b))
+        assert_matches(-ca, (-a[0], -a[1]))
+        assert_matches(ca.conjugate(), (a[0], -a[1]))
+        assert_matches(ComplexDyadic.i_power(k), I_POWERS[k % 4])
+        assert_matches(ca * ComplexDyadic.i_power(k), ref_mul(a, I_POWERS[k % 4]))
+        assert_matches(ca._times_i(k), ref_mul(a, I_POWERS[k % 4]))
+        assert (ca == cb) == (a == b)
+        assert complex(ca) == complex(float(a[0]), float(a[1]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=pair_st, n=st.integers(-2 ** 40, 2 ** 40))
+    def test_mixed_scalars(self, a, n):
+        ca = ComplexDyadic(*a)
+        assert_matches(ca + n, (a[0] + n, a[1]))
+        assert_matches(n + ca, (a[0] + n, a[1]))
+        assert_matches(ca * a[0], (a[0] * a[0], a[1] * a[0]))
+        assert_matches(ComplexDyadic.of(a[1]), (a[1], Fraction(0)))
+
+    def test_immutable(self):
+        c = ComplexDyadic(Fraction(1, 2), 3)
+        for name in ("re", "im", "_re", "_im", "_e", "other"):
+            with pytest.raises(AttributeError):
+                setattr(c, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(c, name)
+        assert c == ComplexDyadic(Fraction(1, 2), 3)
+        assert pickle.loads(pickle.dumps(c)) == c
+        assert copy.deepcopy(c) == c
+
+    @pytest.mark.parametrize("re, im", [
+        (Fraction(1, 3), 0), (0, Fraction(5, 6)), (Fraction(1, 2), Fraction(1, 12)),
+        ("1/3", 0),
+    ])
+    def test_non_dyadic_rejected(self, re, im):
+        with pytest.raises(ValueError, match="non-dyadic"):
+            ComplexDyadic(re, im)
+
+    def test_other_types_never_equal(self):
+        assert ComplexDyadic.of(1) != 1
+        assert ComplexDyadic.of(1) != Fraction(1)
+
+
+def test_sum_mul_builds_no_fraction(monkeypatch):
+    # Coefficient arithmetic in the product loop is integer-only.
+    rng = random.Random(8)
+    coefs = [ComplexDyadic(1), ComplexDyadic(0, -1), ComplexDyadic(Fraction(-1, 2)),
+             ComplexDyadic(Fraction(1, 2), Fraction(1, 2)),
+             ComplexDyadic(3, Fraction(1, 8))]
+    sums = [PauliSum(10, {tuple(rng.randrange(4) for _ in range(10)): rng.choice(coefs)})
+            for _ in range(40)]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return Fraction(*args, **kwargs)
+
+    monkeypatch.setattr(pauli, "Fraction", counting)
+    products = [sum_mul(a, b) for a, b in zip(sums, sums[1:])]
+    assert not calls
+    assert all(len(p) == 1 for p in products)
