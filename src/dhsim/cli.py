@@ -26,8 +26,9 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
-from .pauli import I, X, Y, Z, ComplexDyadic, PauliSum
+from .pauli import I, X, Y, Z, ComplexDyadic
 from .engine import (
     AddAncilla, Circuit, DescriptorSet, Gate,
     evolve_circuit, expectation, gate_steps, step_label,
@@ -201,33 +202,29 @@ def _history_rows(set_: DescriptorSet) -> list[str]:
     return [step_label(step) for step in set_.history]
 
 
-def _oracle_average(psi, letters: tuple[int, ...]) -> complex:
-    """Oracle average of one Pauli string; the identity string gives 1."""
-    if not any(letters):
-        return 1.0
-    return oracle.expectation_dense(
-        psi, PauliSum(len(letters), {letters: ComplexDyadic.of(1)}))
+def _verify_set(set_: DescriptorSet, seed: int, samples: int = 200,
+                checks: Iterable[tuple[tuple[int, ...], ComplexDyadic]] = ()) -> bool:
+    """Sampled picture-equivalence check of a descriptor set.
 
-
-def _verify_set(set_: DescriptorSet, seed: int, samples: int = 200) -> bool:
-    """Sampled picture-equivalence check of a descriptor set."""
-    psi = oracle.apply_circuit(set_.n, gate_steps(set_))
+    The engine's averages of ``samples`` seeded random strings (base-4
+    digits of a pick, qubit 0 lowest), and each (string, exact average)
+    pair in ``checks``, are compared with the oracle's averages on the
+    circuit's state, all taken in one ``oracle.string_averages`` call.
+    """
     rng = random.Random(seed)
     space = 4 ** set_.n
     count = min(samples, space)
     picks = rng.sample(range(space), count) if space <= 10 ** 6 else [
         rng.randrange(space) for _ in range(count)]
-    for pick in picks:
-        idx = []
-        v = pick
-        for _ in range(set_.n):
-            idx.append(v % 4)
-            v //= 4
-        letters = tuple(idx)
-        got = complex(expectation(set_, letters))
-        if abs(got - _oracle_average(psi, letters)) > oracle.ATOL:
-            return False
-    return True
+    strings = [tuple(pick >> 2 * q & 3 for q in range(set_.n)) for pick in picks]
+    exact = [expectation(set_, letters) for letters in strings]
+    for letters, value in checks:
+        strings.append(letters)
+        exact.append(value)
+    psi = oracle.apply_circuit(set_.n, gate_steps(set_))
+    averages = oracle.string_averages(psi, strings)
+    return all(abs(complex(value) - average) <= oracle.ATOL
+               for value, average in zip(exact, averages))
 
 
 # -- subcommand implementations -------------------------------------------
@@ -305,13 +302,9 @@ def _cmd_symmetries(cfg: RunConfig) -> dict:
         "sets": [_descriptor_rows(s) for s in sets],
     }
     if cfg.verify:
-        psi = oracle.apply_circuit(2, gate_steps(set_))
-        ok = _verify_set(set_, cfg.seed)
-        for candidate in sets:
-            for idx, val in expectation_table(candidate, [0, 1]).items():
-                if abs(complex(val) - _oracle_average(psi, idx)) > oracle.ATOL:
-                    ok = False
-        out["verified"] = ok
+        tables = [entry for candidate in sets
+                  for entry in expectation_table(candidate, [0, 1]).items()]
+        out["verified"] = _verify_set(set_, cfg.seed, checks=tables)
     return out
 
 

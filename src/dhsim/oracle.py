@@ -124,38 +124,49 @@ def _snap_fraction(x: float, max_den: int = 2 ** 40) -> Fraction:
 
 # i**k for k = 0..3: the phase a string's Y letters contribute to its entries.
 _I_POWERS = np.array([1, 1j, -1, -1j])
+# Letter (I, X, Y, Z) -> whether it flips the bit (X, Y) or signs it (Y, Z).
+_X_BIT = np.array([0, 1, 1, 0])
+_Z_BIT = np.array([0, 0, 1, 1])
 
 
 @functools.lru_cache(maxsize=8)
 def _columns(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis indices 0..2^n-1 and the bit parity of each, read-only."""
+    """Basis indices 0..2^n-1 and (-1)^(bit parity) of each, read-only."""
     cols = np.arange(2 ** n)
-    parity = np.zeros(2 ** n, dtype=np.int8)
+    parity = np.zeros(2 ** n, dtype=np.int64)
     for bitpos in range(n):
-        parity ^= ((cols >> bitpos) & 1).astype(np.int8)
+        parity ^= (cols >> bitpos) & 1
+    sign = 1.0 - 2.0 * parity
     cols.flags.writeable = False
-    parity.flags.writeable = False
-    return cols, parity
+    sign.flags.writeable = False
+    return cols, sign
 
 
-def _string_column_entries(letters: tuple[int, ...], n: int) -> tuple[int, np.ndarray]:
-    """x-mask and per-column entries of a Pauli string.
+def _string_masks(strings, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x-masks, z-masks and Y phases i^(#Y) of bare letter sequences.
 
     A string has exactly one nonzero per column: P[col ^ xmask, col], equal
     to i^(#Y) (-1)^(parity of col & zmask), where zmask covers the Y and Z
     slots (Y = i XZ acting on |b> gives i (-1)^b |1-b>).
     """
-    xmask = zmask = ys = 0
-    for q, letter in enumerate(letters):
-        bit = 1 << (n - 1 - q)
-        if letter in (1, 2):     # X, Y
-            xmask |= bit
-        if letter in (2, 3):     # Y, Z
-            zmask |= bit
-        ys += letter == 2
-    cols, parity = _columns(n)
-    signs = 1 - 2 * parity[cols & zmask]
-    return xmask, _I_POWERS[ys % 4] * signs
+    letters = np.array(strings, dtype=np.int64)
+    if len(strings) and letters.shape != (len(strings), n):
+        raise OracleError(f"strings of shape {letters.shape} on {n} qubits")
+    letters = letters.reshape(len(strings), n)
+    if letters.size and (letters.min() < 0 or letters.max() > 3):
+        raise OracleError("letters must be 0..3 (I, X, Y, Z)")
+    bits = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)   # qubit 0 is the MSB
+    xmask = _X_BIT[letters] @ bits
+    zmask = _Z_BIT[letters] @ bits
+    phase = _I_POWERS[np.count_nonzero(letters == 2, axis=1) % 4]
+    return xmask, zmask, phase
+
+
+def _string_column_entries(letters: tuple[int, ...], n: int) -> tuple[int, np.ndarray]:
+    """x-mask and per-column entries of one Pauli string."""
+    (xmask,), (zmask,), (phase,) = _string_masks([letters], n)
+    cols, sign = _columns(n)
+    return int(xmask), phase * sign[cols & zmask]
 
 
 def conjugate(u: np.ndarray, p: PauliSum) -> PauliSum:
@@ -208,19 +219,41 @@ def conjugate(u: np.ndarray, p: PauliSum) -> PauliSum:
     return PauliSum(n, terms)
 
 
+# Strings per vectorised step of string_averages: its temporaries hold about
+# AVERAGE_CHUNK * 2^n values, 128 KiB each at n = 10.
+AVERAGE_CHUNK = 8
+
+
+def string_averages(state: np.ndarray, strings) -> np.ndarray:
+    """<psi| P |psi> for each bare letter sequence P, as one complex array.
+
+    Works through the strings AVERAGE_CHUNK at a time, so memory stays at a
+    few chunk-sized arrays whatever the number of strings.
+    """
+    dim = state.shape[0]
+    n = dim.bit_length() - 1
+    if dim != 2 ** n:
+        raise OracleError(f"state of length {dim} is not a register of qubits")
+    xmask, zmask, phase = _string_masks(strings, n)
+    cols, sign = _columns(n)
+    bra = np.conj(state)
+    out = np.empty(len(xmask), dtype=complex)
+    for lo in range(0, len(out), AVERAGE_CHUNK):
+        hi = lo + AVERAGE_CHUNK
+        amps = bra[cols ^ xmask[lo:hi, None]]
+        amps *= sign[cols & zmask[lo:hi, None]]   # in place: one chunk array
+        out[lo:hi] = phase[lo:hi] * (amps @ state)
+    return out
+
+
 def expectation_dense(state: np.ndarray, p: PauliSum) -> complex:
-    """<psi| P |psi> for a dense state, term by term without dense matrices."""
-    n = p.n
-    dim = 2 ** n
-    if state.shape[0] != dim:
+    """<psi| P |psi> for a dense state: coefficient-weighted string averages."""
+    if state.shape[0] != 2 ** p.n:
         raise OracleError("state dimension does not match operator")
-    cols, _ = _columns(n)
-    total = 0j
-    for letters, coef in p.terms():
-        xmask, entries = _string_column_entries(letters, n)
-        total += complex(coef) * complex(
-            np.conj(state[cols ^ xmask]) @ (entries * state))
-    return total
+    terms = list(p.terms())
+    averages = string_averages(state, [letters for letters, _ in terms])
+    return complex(sum(complex(coef) * avg
+                       for (_, coef), avg in zip(terms, averages)))
 
 
 def apply_circuit(n: int, steps, state: np.ndarray | None = None) -> np.ndarray:

@@ -5,17 +5,31 @@ complex dyadic-rational coefficients, so every Clifford-reachable quantity
 is represented exactly.  No floating point appears in this module; floats
 exist only in the dense oracle.
 
-Letters are encoded as integers 0..3 for I, X, Y, Z and a string's phase as
-an exponent k of i (i**k, k mod 4).  Coefficient arithmetic lives in
-:class:`ComplexDyadic`, whose real and imaginary parts are dyadic rationals.
-It stores integers (re, im, e) for (re + i*im) / 2**e with e == 0 or one
-numerator odd, so sums, products and the i**k of a string product are
-integer shifts, products and quarter turns; no Fraction is built on the
-product path.
+At the interface, letters are integers 0..3 for I, X, Y, Z and a string's
+phase is an exponent k of i (i**k, k mod 4).  Inside :class:`PauliSum` a
+bare letter sequence is one packed int key: bit 2q holds x_q and bit 2q+1
+holds z_q, so X = 0b01, Z = 0b10 and Y = 0b11 on slot q.  The letters of a
+product are ``ka ^ kb`` and its i-exponent is
+
+    y(a) + y(b) - y(a ^ b) + 2 * popcount(z_a & x_b)   (mod 4),
+
+with y(k) = popcount(k & k >> 1 & M), the number of Y slots, and M the
+0b0101... mask of x bits.  This follows from Y = i XZ and Z X = -X Z.  The
+vacuum keeps exactly the keys with no x bit.  Letter tuples are built only
+at the boundary (construction, ``coefficient``, ``terms``, rendering,
+parsing and hashing), so sort order, text and hashes do not depend on the
+key layout.
+
+Coefficient arithmetic lives in :class:`ComplexDyadic`, whose real and
+imaginary parts are dyadic rationals.  It stores integers (re, im, e) for
+(re + i*im) / 2**e with e == 0 or one numerator odd, so sums, products and
+the i**k of a string product are integer shifts, products and quarter
+turns; no Fraction is built on the product path.
 """
 
 from __future__ import annotations
 
+import functools
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -208,6 +222,7 @@ class PauliString:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "phase_k", self.phase_k % 4)
+        _pack(self.letters)   # rejects letters outside 0..3
 
     @staticmethod
     def identity(n: int) -> "PauliString":
@@ -265,41 +280,82 @@ def letters_commute(a: Letters, b: Letters) -> bool:
     return anti % 2 == 0
 
 
-def _accumulate(terms: dict[Letters, ComplexDyadic], letters: Letters,
+# Letter <-> 2-bit slot code (x in the low bit, z in the high bit).  The map
+# swaps Y and Z and is its own inverse.
+_CODE = {I: 0b00, X: 0b01, Y: 0b11, Z: 0b10}
+_LETTER_OF_CODE = (I, X, Z, Y)
+
+
+def _pack(letters: Letters) -> int:
+    """Packed key of a bare letter sequence; raises on a letter outside 0..3."""
+    key = 0
+    for q, letter in enumerate(letters):
+        code = _CODE.get(letter)
+        if code is None:
+            raise ValueError(f"letter {letter!r} at slot {q} is not one of "
+                             f"0..3 (I, X, Y, Z)")
+        key |= code << 2 * q
+    return key
+
+
+# The letters of every byte of a key: four slots, lowest slot first.
+_BYTE_LETTERS = [tuple(_LETTER_OF_CODE[b >> s & 3] for s in (0, 2, 4, 6))
+                 for b in range(256)]
+
+
+def _unpack(key: int, n: int) -> Letters:
+    letters: Letters = ()
+    for s in range(0, 2 * n, 8):
+        letters += _BYTE_LETTERS[key >> s & 255]
+    return letters[:n]
+
+
+@functools.lru_cache(maxsize=128)
+def _x_mask(n: int) -> int:
+    """M = 0b0101...01 with n ones: the x bit of every slot."""
+    return (4 ** n - 1) // 3
+
+
+def _accumulate(terms: dict[int, ComplexDyadic], key: int,
                 coef: ComplexDyadic) -> None:
-    """Add a nonzero coef to terms[letters], dropping the term if it cancels."""
-    acc = terms.get(letters)
+    """Add a nonzero coef to terms[key], dropping the term if it cancels."""
+    acc = terms.get(key)
     if acc is None:
-        terms[letters] = coef
+        terms[key] = coef
     elif acc := acc + coef:
-        terms[letters] = acc
+        terms[key] = acc
     else:
-        del terms[letters]
+        del terms[key]
 
 
 class PauliSum:
     """Finite linear combination of Pauli strings, in canonical form.
 
     Canonical form stores one coefficient per bare letter sequence (string
-    phases folded into coefficients) and never keeps a zero term.  Values
-    are immutable; all operations return new sums.
+    phases folded into coefficients), keyed by its packed int, and never
+    keeps a zero term.  Values are immutable; all operations return new
+    sums.
     """
 
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: Mapping[Letters, ComplexDyadic] | None = None):
         self.n = n
-        canon: dict[Letters, ComplexDyadic] = {}
+        canon: dict[int, ComplexDyadic] = {}
         if terms:
             for letters, coef in terms.items():
-                if len(letters) != n:
-                    raise DimensionError(f"term of length {len(letters)} in {n}-qubit sum")
+                key = self._key(letters)
                 if coef:
-                    canon[letters] = ComplexDyadic.of(coef)
+                    canon[key] = ComplexDyadic.of(coef)
         self._terms = canon
 
+    def _key(self, letters: Letters) -> int:
+        if len(letters) != self.n:
+            raise DimensionError(f"term of length {len(letters)} in {self.n}-qubit sum")
+        return _pack(letters)
+
     @staticmethod
-    def _canonical(n: int, terms: dict[Letters, ComplexDyadic]) -> "PauliSum":
+    def _canonical(n: int, terms: dict[int, ComplexDyadic]) -> "PauliSum":
         """Wrap a term map that is already canonical, without re-checking it."""
         out = _new(PauliSum)
         out.n = n
@@ -310,11 +366,11 @@ class PauliSum:
 
     @staticmethod
     def zero(n: int) -> "PauliSum":
-        return PauliSum(n)
+        return PauliSum._canonical(n, {})
 
     @staticmethod
     def identity(n: int) -> "PauliSum":
-        return PauliSum(n, {(I,) * n: ONE})
+        return PauliSum._canonical(n, {0: ONE})
 
     @staticmethod
     def from_string(s: PauliString, coef: _Scalar = 1) -> "PauliSum":
@@ -328,10 +384,12 @@ class PauliSum:
     # -- inspection ------------------------------------------------------
 
     def terms(self) -> Iterator[tuple[Letters, ComplexDyadic]]:
-        return iter(sorted(self._terms.items()))
+        """(letters, coefficient) pairs in lexicographic letter order."""
+        n = self.n
+        return iter(sorted((_unpack(key, n), coef) for key, coef in self._terms.items()))
 
     def coefficient(self, letters: Letters) -> ComplexDyadic:
-        return self._terms.get(letters, ZERO)
+        return self._terms.get(self._key(letters), ZERO)
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -345,8 +403,7 @@ class PauliSum:
         return self.n == other.n and self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash((self.n, tuple(sorted(self._terms.items(),
-                                          key=lambda kv: kv[0]))))
+        return hash((self.n, tuple(self.terms())))
 
     @property
     def is_hermitian(self) -> bool:
@@ -389,24 +446,28 @@ class PauliSum:
 
     def support(self) -> set[int]:
         """Qubit slots where some term carries a non-identity letter."""
-        out: set[int] = set()
-        for letters in self._terms:
-            out.update(q for q, l in enumerate(letters) if l != I)
-        return out
+        used = 0
+        for key in self._terms:
+            used |= key
+        return {q for q in range(self.n) if used >> 2 * q & 3}
 
     def restrict(self, qubits: Iterable[int]) -> "PauliSum":
         """Drop all slots outside ``qubits`` (callers must check support)."""
         keep = sorted(qubits)
-        terms: dict[Letters, ComplexDyadic] = {}
-        for letters, coef in self._terms.items():
-            _accumulate(terms, tuple(letters[q] for q in keep), coef)
-        return PauliSum._canonical(len(keep), terms)
+        if keep and not (0 <= keep[0] and keep[-1] < self.n):
+            raise IndexError(f"slots {keep} are not all in a {self.n}-qubit sum")
+        moves = list(enumerate(keep))
+        terms: dict[int, ComplexDyadic] = {}
+        for key, coef in self._terms.items():
+            kept = 0
+            for j, q in moves:
+                kept |= (key >> 2 * q & 3) << 2 * j
+            _accumulate(terms, kept, coef)
+        return PauliSum._canonical(len(moves), terms)
 
     def extended(self, extra: int) -> "PauliSum":
-        """Append ``extra`` identity slots."""
-        pad = (I,) * extra
-        return PauliSum._canonical(self.n + extra,
-                                   {ls + pad: c for ls, c in self._terms.items()})
+        """Append ``extra`` identity slots (zero bits, so the keys stay)."""
+        return PauliSum._canonical(self.n + extra, dict(self._terms))
 
     # -- rendering ---------------------------------------------------------
 
@@ -419,7 +480,7 @@ class PauliSum:
         if not self._terms:
             return "0"
         parts = []
-        for letters, coef in sorted(self._terms.items()):
+        for letters, coef in self.terms():
             body = "⊗".join(LETTER_NAMES[l] for l in letters)
             parts.append(f"{coef} * {body}")
         return " + ".join(parts)
@@ -478,13 +539,32 @@ def parse_sum(text: str, n: int | None = None) -> PauliSum:
 
 
 def sum_mul(a: PauliSum, b: PauliSum) -> PauliSum:
-    """Bilinear product of two sums, phases folded into coefficients."""
+    """Bilinear product of two sums, phases folded into coefficients.
+
+    Each pair of terms multiplies by XOR of the keys; the i-exponent comes
+    from popcounts (see the module docstring) and turns the coefficient
+    product as in ``ComplexDyadic._times_i``, inlined here because this is
+    the engine's innermost loop.
+    """
     a._require_same_n(b)
-    terms: dict[Letters, ComplexDyadic] = {}
-    for la, ca in a._terms.items():
-        for lb, cb in b._terms.items():
-            k, lc = letters_mul(la, lb)
-            _accumulate(terms, lc, (ca * cb)._times_i(k))
+    m = _x_mask(a.n)
+    make = ComplexDyadic._make
+    terms: dict[int, ComplexDyadic] = {}
+    for ka, ca in a._terms.items():
+        ya = (ka & ka >> 1 & m).bit_count()
+        za = ka >> 1 & m
+        ar, ai, ae = ca._re, ca._im, ca._e
+        for kb, cb in b._terms.items():
+            kc = ka ^ kb
+            k = (ya + (kb & kb >> 1 & m).bit_count() - (kc & kc >> 1 & m).bit_count()
+                 + 2 * (za & kb).bit_count())
+            br, bi = cb._re, cb._im
+            re, im = ar * br - ai * bi, ar * bi + ai * br
+            if k & 2:
+                re, im = -re, -im
+            if k & 1:
+                re, im = -im, re
+            _accumulate(terms, kc, make(re, im, ae + cb._e))
     return PauliSum._canonical(a.n, terms)
 
 
@@ -508,9 +588,10 @@ def hs_inner(a: PauliSum, b: PauliSum) -> ComplexDyadic:
 
 def vacuum_expectation(s: PauliSum) -> ComplexDyadic:
     """<0...0| s |0...0>: per term, I and Z slots give 1, X and Y give 0."""
+    m = _x_mask(s.n)
     total = ZERO
-    for letters, coef in s._terms.items():
-        if all(l == I or l == Z for l in letters):
+    for key, coef in s._terms.items():
+        if not key & m:
             total = total + coef
     return total
 

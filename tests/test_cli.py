@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
 from dhsim.cli import (
@@ -128,15 +129,58 @@ class TestRunReport:
         assert [o["sign_z"] for o in bell] == [1, -1, 1, -1]
 
 
+WIDE = "qubits 5\nh 1\ncnot 1 2\ns 2\nbell 2 3\nh 4\ncnot 4 5\ny 5\n"
+
+
 class TestVerificationFailurePath:
     def test_exit_two_when_oracle_disagrees(self, bell_file, monkeypatch):
         from dhsim import cli as cli_mod
 
-        def broken(state, p):
-            return 123.0
+        def broken(state, strings):
+            return np.full(len(strings), 123.0, dtype=complex)
 
-        monkeypatch.setattr(cli_mod.oracle, "expectation_dense", broken)
+        monkeypatch.setattr(cli_mod.oracle, "string_averages", broken)
         code, report = run_report(RunConfig("run", bell_file, verify=True))
+        assert code == EXIT_VERIFY
+        assert report["sections"]["verified"] is False
+
+    @staticmethod
+    def _corrupt_one(monkeypatch, position):
+        """Shift one oracle average by far more than ATOL; record call sizes."""
+        from dhsim import cli as cli_mod
+        real = cli_mod.oracle.string_averages
+        sizes = []
+
+        def corrupted(state, strings):
+            out = real(state, strings)
+            out[position] += 1e-6
+            sizes.append(len(strings))
+            return out
+
+        monkeypatch.setattr(cli_mod.oracle, "string_averages", corrupted)
+        return sizes
+
+    @pytest.mark.parametrize("position", [0, 117, 199])
+    def test_one_corrupted_sample_of_200(self, tmp_path, monkeypatch, position):
+        path = tmp_path / "wide.dh"
+        path.write_text(WIDE)
+        cfg = RunConfig("run", str(path), verify=True)
+        assert run_report(cfg)[0] == EXIT_OK
+        sizes = self._corrupt_one(monkeypatch, position)
+        code, report = run_report(cfg)
+        assert sizes == [200]
+        assert code == EXIT_VERIFY
+        assert report["sections"]["verified"] is False
+
+    def test_one_corrupted_symmetry_table_entry(self, bell_file, monkeypatch):
+        cfg = RunConfig("symmetries", bell_file, verify=True)
+        code, report = run_report(cfg)
+        assert code == EXIT_OK
+        # 16 sampled strings, then 16 table entries for each equivalent set
+        strings = 16 + 16 * report["sections"]["set_count"]
+        sizes = self._corrupt_one(monkeypatch, -1)
+        code, report = run_report(cfg)
+        assert sizes == [strings]
         assert code == EXIT_VERIFY
         assert report["sections"]["verified"] is False
 

@@ -1,0 +1,43 @@
+"""Source-level guards on who may know which format.
+
+The packed Pauli key layout lives behind `dhsim.pauli`: no other module
+reads a sum's term map or calls the key helpers.  The dense oracle is the
+independent ground truth, so it uses only the public Pauli API (letter
+tuples and coefficients) and never a private name of `dhsim.pauli`.
+"""
+
+import ast
+import pathlib
+import re
+
+import pytest
+
+SRC = pathlib.Path(__file__).parent.parent / "src" / "dhsim"
+MODULES = sorted(SRC.glob("*.py"))
+KEY_FORMAT = re.compile(r"\._terms\b"
+                        r"|\b(_pack|_unpack|_x_mask|_CODE|_LETTER_OF_CODE|_BYTE_LETTERS)\b")
+
+
+def test_sources_found():
+    assert SRC / "pauli.py" in MODULES and SRC / "oracle.py" in MODULES
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "pauli.py"],
+                         ids=lambda p: p.name)
+def test_key_format_stays_in_pauli(path):
+    hits = [f"{path.name}:{k}: {line.strip()}"
+            for k, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if KEY_FORMAT.search(line)]
+    assert not hits
+
+
+def test_oracle_uses_no_private_pauli_name():
+    tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("pauli"):
+            private += [a.name for a in node.names if a.name.startswith("_")]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "pauli" and node.attr.startswith("_")):
+            private.append(node.attr)
+    assert not private

@@ -108,6 +108,68 @@ class TestExpectationDense:
         assert abs(val - 1) < 1e-12
 
 
+def random_state(rng, n):
+    psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    return psi / np.linalg.norm(psi)
+
+
+class TestStringAverages:
+    CHUNK = oracle.AVERAGE_CHUNK
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_string_matrix(self, n):
+        rng = np.random.default_rng(n)
+        psi = random_state(rng, n)
+        lengths = [0, 1, self.CHUNK - 1, self.CHUNK, self.CHUNK + 1,
+                   2 * self.CHUNK + 1]
+        for count in lengths:
+            strings = [tuple(int(v) for v in rng.integers(0, 4, size=n))
+                       for _ in range(count)]
+            if count:
+                strings[0] = (0,) * n      # the identity string
+            got = oracle.string_averages(psi, strings)
+            assert got.shape == (count,)
+            want = [np.vdot(psi, oracle.string_matrix(s) @ psi) for s in strings]
+            assert np.allclose(got, want, atol=1e-12, rtol=0)
+            if count:
+                assert abs(got[0] - 1) < 1e-12
+
+    def test_every_string_on_two_qubits(self):
+        psi = random_state(np.random.default_rng(7), 2)
+        strings = list(itertools.product(range(4), repeat=2))
+        want = [np.vdot(psi, oracle.string_matrix(s) @ psi) for s in strings]
+        assert np.allclose(oracle.string_averages(psi, strings), want,
+                           atol=1e-12, rtol=0)
+
+    def test_expectation_dense_is_the_weighted_sum(self):
+        psi = random_state(np.random.default_rng(3), 3)
+        p = parse_sum("(1/2-1/4i) * X⊗Y⊗Z + -3/8 * I⊗I⊗I + 1 * Z⊗Z⊗X")
+        want = np.vdot(psi, oracle.sum_matrix(p) @ psi)
+        assert abs(oracle.expectation_dense(psi, p) - want) < 1e-12
+
+    @pytest.mark.parametrize("strings", [[(1, 2)], [(1, 2, 3, 0)],
+                                         [(1, 2, 4)], [(0, -1, 0)]])
+    def test_rejects_malformed_strings(self, strings):
+        psi = oracle.zero_state(3)
+        with pytest.raises(oracle.OracleError):
+            oracle.string_averages(psi, strings)
+
+    def test_temporaries_stay_chunk_sized(self):
+        n = 14
+        psi = random_state(np.random.default_rng(5), n)
+        rng = np.random.default_rng(6)
+        strings = [tuple(int(v) for v in rng.integers(0, 4, size=n))
+                   for _ in range(200)]
+        tracemalloc.start()
+        try:
+            oracle.string_averages(psi, strings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One 200 x 2^n complex array alone would be 52 MB.
+        assert peak < 16 * 2 ** 20
+
+
 class TestConditionalState:
     def test_bell_branch(self):
         psi = oracle.apply_circuit(2, [("H", (0,)), ("CNOT", (0, 1))])

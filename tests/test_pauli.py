@@ -358,3 +358,132 @@ def test_sum_mul_builds_no_fraction(monkeypatch):
     products = [sum_mul(a, b) for a, b in zip(sums, sums[1:])]
     assert not calls
     assert all(len(p) == 1 for p in products)
+
+
+# -- letters outside 0..3 ----------------------------------------------------
+
+class TestBadLetters:
+    @pytest.mark.parametrize("letters", [(-1,), (5,), (0, 4), (X, -2, Z)])
+    def test_sum_constructor_rejects(self, letters):
+        bad = next(l for l in letters if not 0 <= l <= 3)
+        with pytest.raises(ValueError, match=f"letter {bad} "):
+            PauliSum(len(letters), {letters: 1})
+
+    @pytest.mark.parametrize("letters", [(-1,), (4,)])
+    def test_coefficient_rejects(self, letters):
+        with pytest.raises(ValueError, match=f"letter {letters[0]} "):
+            PauliSum.identity(1).coefficient(letters)
+
+    @pytest.mark.parametrize("letters", [(-1,), (7, I)])
+    def test_string_rejects(self, letters):
+        with pytest.raises(ValueError, match=f"letter {letters[0]} "):
+            PauliString(0, letters)
+
+    def test_coefficient_checks_the_width(self):
+        with pytest.raises(DimensionError):
+            PauliSum.identity(2).coefficient((I,))
+
+    @pytest.mark.parametrize("keep", [[2], [-1, 0], [0, 5]])
+    def test_restrict_rejects_slots_outside_the_sum(self, keep):
+        with pytest.raises(IndexError):
+            S("1 * X⊗Z").restrict(keep)
+
+
+# -- packed keys against a reference on letter tuples ------------------------
+#
+# The reference keeps a dict from letter tuples to (re, im) Fraction pairs
+# and multiplies strings slot by slot through letters_mul, that is through
+# the _LETTER_MUL table; it never sees a packed key.
+
+WIDTHS = (1, 2, 5, 15, 16, 40)
+
+
+def ref_add(terms, letters, value):
+    re, im = terms.get(letters, (Fraction(0), Fraction(0)))
+    re, im = re + value[0], im + value[1]
+    if re or im:
+        terms[letters] = (re, im)
+    else:
+        terms.pop(letters, None)
+
+
+def ref_sum(terms):
+    out = {}
+    for letters, value in terms.items():
+        ref_add(out, letters, value)
+    return out
+
+
+def ref_sum_mul(a, b):
+    out = {}
+    for la, ca in a.items():
+        for lb, cb in b.items():
+            k, lc = pauli.letters_mul(la, lb)
+            ref_add(out, lc, ref_mul(ref_mul(ca, cb), I_POWERS[k]))
+    return out
+
+
+def ref_render(terms):
+    if not terms:
+        return "0"
+    return " + ".join(f"{ref_str(*c)} * " + "⊗".join("IXYZ"[l] for l in ls)
+                      for ls, c in sorted(terms.items()))
+
+
+def packed(n, terms):
+    return PauliSum(n, {ls: ComplexDyadic(*c) for ls, c in terms.items()})
+
+
+def assert_same(got, n, terms):
+    want = sorted((ls, ComplexDyadic(*c)) for ls, c in terms.items())
+    assert got.n == n and len(got) == len(want)
+    assert list(got.terms()) == want
+    assert got.render() == ref_render(terms)
+    assert hash(got) == hash((n, tuple(want)))
+    assert got == packed(n, terms)
+    for ls, c in want:
+        assert got.coefficient(ls) == c
+
+
+@st.composite
+def ref_terms(draw, n):
+    # Letters drawn mostly from a small pool, so products collide and cancel.
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=3))
+    letters = st.one_of(st.sampled_from(pool), st.tuples(*[st.integers(0, 3)] * n))
+    return draw(st.dictionaries(letters, pair_st, min_size=1, max_size=4))
+
+
+class TestPackedKeysDifferential:
+    @pytest.mark.parametrize("n", WIDTHS)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_letter_reference(self, n, data):
+        raw_a, raw_b = data.draw(ref_terms(n)), data.draw(ref_terms(n))
+        a, b = packed(n, raw_a), packed(n, raw_b)   # zero coefficients drop here
+        ra, rb = ref_sum(raw_a), ref_sum(raw_b)
+        assert_same(a, n, ra)
+        assert_same(sum_mul(a, b), n, ref_sum_mul(ra, rb))
+        assert_same(sum_mul(a, a), n, ref_sum_mul(ra, ra))
+        both = dict(ra)
+        for ls, c in rb.items():
+            ref_add(both, ls, c)
+        assert_same(a + b, n, both)
+        assert_same(sum_mul(a + b, a), n, ref_sum_mul(both, ra))
+        assert a.support() == {q for ls in ra for q, l in enumerate(ls) if l != I}
+        keep = data.draw(st.sets(st.integers(0, n - 1)))
+        restricted = {}
+        for ls, c in ra.items():
+            ref_add(restricted, tuple(ls[q] for q in sorted(keep)), c)
+        assert_same(a.restrict(keep), len(keep), restricted)
+        extra = data.draw(st.integers(0, 3))
+        assert_same(a.extended(extra), n + extra,
+                    {ls + (I,) * extra: c for ls, c in ra.items()})
+        vac = (sum((c[0] for ls, c in ra.items() if set(ls) <= {I, Z}), Fraction(0)),
+               sum((c[1] for ls, c in ra.items() if set(ls) <= {I, Z}), Fraction(0)))
+        assert vacuum_expectation(a) == ComplexDyadic(*vac)
+        inner = (Fraction(0), Fraction(0))
+        for ls, ca in ra.items():
+            if ls in rb:
+                term = ref_mul((ca[0], -ca[1]), rb[ls])
+                inner = (inner[0] + term[0], inner[1] + term[1])
+        assert hs_inner(a, b) == ComplexDyadic(*inner)
