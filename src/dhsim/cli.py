@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 usage or parse error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -27,6 +28,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
+
+import numpy as np
 
 from .pauli import I, X, Y, Z, ComplexDyadic
 from .engine import (
@@ -203,13 +206,15 @@ def _history_rows(set_: DescriptorSet) -> list[str]:
 
 
 def _verify_set(set_: DescriptorSet, seed: int, samples: int = 200,
-                checks: Iterable[tuple[tuple[int, ...], ComplexDyadic]] = ()) -> bool:
+                checks: Iterable[tuple[tuple[int, ...], ComplexDyadic]] = (),
+                psi: np.ndarray | None = None) -> bool:
     """Sampled picture-equivalence check of a descriptor set.
 
     The engine's averages of ``samples`` seeded random strings (base-4
     digits of a pick, qubit 0 lowest), and each (string, exact average)
     pair in ``checks``, are compared with the oracle's averages on the
-    circuit's state, all taken in one ``oracle.string_averages`` call.
+    circuit's state ``psi`` (evolved here when not given), all taken in
+    one ``oracle.string_averages`` call.
     """
     rng = random.Random(seed)
     space = 4 ** set_.n
@@ -221,7 +226,8 @@ def _verify_set(set_: DescriptorSet, seed: int, samples: int = 200,
     for letters, value in checks:
         strings.append(letters)
         exact.append(value)
-    psi = oracle.apply_circuit(set_.n, gate_steps(set_))
+    if psi is None:
+        psi = oracle.apply_circuit(set_.n, gate_steps(set_))
     averages = oracle.string_averages(psi, strings)
     return all(abs(complex(value) - average) <= oracle.ATOL
                for value, average in zip(exact, averages))
@@ -362,7 +368,7 @@ def _cmd_swap_demo(cfg: RunConfig) -> dict:
     }
     if cfg.verify:
         psi = oracle.apply_circuit(set_.n, gate_steps(set_))
-        ok = _verify_set(set_, cfg.seed)
+        ok = _verify_set(set_, cfg.seed, psi=psi)
         for o in outcomes:
             rem, prob = oracle.conditional_state(psi, [4, 5], list(o.bits))
             if abs(prob - float(o.probability)) > oracle.ATOL:
@@ -491,7 +497,9 @@ def _nonnegative_int(text: str) -> int:
     return int(text)
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="dhsim",
         description="Heisenberg-picture descriptor engine for Clifford circuits")
@@ -504,8 +512,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=None, help="write the report to a file")
     parser.add_argument("--ancillas", type=_nonnegative_int, default=1,
                         help="ancilla budget for construct")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_intermixed_args(argv)
+        args = _parser().parse_intermixed_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
 

@@ -18,7 +18,7 @@ from .pauli import (
     I, X, Y, Z,
     ComplexDyadic, PauliSum, sum_mul, vacuum_expectation,
 )
-from .engine import Descriptor, DescriptorSet, component_product
+from .engine import Descriptor, DescriptorSet, expectation
 from . import oracle
 
 EIG_TOL = 1e-9
@@ -57,7 +57,7 @@ def expectation_table(set_: DescriptorSet, qubits: Sequence[int]) -> dict[MultiI
     for combo in itertools.product((I, X, Y, Z), repeat=len(qubits)):
         for qubit, which in zip(qubits, combo):
             index[qubit] = which
-        table[combo] = vacuum_expectation(component_product(set_, index))
+        table[combo] = expectation(set_, index)
     return table
 
 

@@ -206,10 +206,9 @@ def initial_set(n: int) -> DescriptorSet:
 def _rewrite_two(set_: DescriptorSet, kind: str, operands: tuple[int, ...],
                  pos: int, letter: int) -> PauliSum:
     sign, factors = _TWO_RULES[kind][pos, letter]
-    index = [I] * set_.n
-    for fpos, fletter in factors:
-        index[operands[fpos]] = fletter
-    return component_product(set_, index).scale(sign)
+    chosen = [set_.component(operands[fpos], fletter) for fpos, fletter in factors]
+    product = chosen[0] if len(chosen) == 1 else sum_mul(*chosen)
+    return product if sign == 1 else -product
 
 
 def apply_gate(set_: DescriptorSet, gate: Gate) -> DescriptorSet:
@@ -226,7 +225,8 @@ def apply_gate(set_: DescriptorSet, gate: Gate) -> DescriptorSet:
         new = {}
         for letter in (X, Y, Z):
             sign, src = rule[letter]
-            new[letter] = set_.component(q, src).scale(sign)
+            component = set_.component(q, src)
+            new[letter] = component if sign == 1 else -component
         descs[q] = Descriptor(new[X], new[Y], new[Z])
     else:
         new_ops = {}
@@ -256,6 +256,15 @@ def add_ancilla(set_: DescriptorSet) -> DescriptorSet:
     return DescriptorSet(n, tuple(descs), set_.history + (AddAncilla(),))
 
 
+def _chosen(set_: DescriptorSet, indices: Sequence[int]) -> list[PauliSum]:
+    """The components ``indices`` selects, in qubit order (index 0 skipped)."""
+    if len(indices) != set_.n:
+        raise DimensionError(f"need {set_.n} component indices, got {len(indices)}")
+    descs = set_.descriptors
+    return [descs[qubit].component(which)
+            for qubit, which in enumerate(indices) if which != I]
+
+
 def component_product(set_: DescriptorSet, indices: Sequence[int]) -> PauliSum:
     """Ordered product of chosen components (identity for index 0).
 
@@ -263,20 +272,17 @@ def component_product(set_: DescriptorSet, indices: Sequence[int]) -> PauliSum:
     X/Y/Z select that descriptor component.  Components of different
     qubits commute, so taking the factors in qubit order loses nothing.
     """
-    if len(indices) != set_.n:
-        raise DimensionError(f"need {set_.n} component indices, got {len(indices)}")
-    product = None
-    for qubit, which in enumerate(indices):
-        if which == I:
-            continue
-        component = set_.component(qubit, which)
-        product = component if product is None else sum_mul(product, component)
-    return PauliSum.identity(set_.n) if product is None else product
+    chosen = _chosen(set_, indices)
+    return sum_mul(*chosen) if chosen else PauliSum.identity(set_.n)
 
 
 def expectation(set_: DescriptorSet, indices: Sequence[int]) -> ComplexDyadic:
-    """Vacuum expectation of the ordered product of chosen components."""
-    return vacuum_expectation(component_product(set_, indices))
+    """Vacuum expectation of the ordered product of chosen components.
+
+    A product of single strings with an x bit averages to zero before any
+    product is formed (see ``pauli.vacuum_expectation``).
+    """
+    return vacuum_expectation(*_chosen(set_, indices))
 
 
 def heisenberg_image(set_: DescriptorSet, operator: PauliSum) -> PauliSum:

@@ -15,10 +15,18 @@ product are ``ka ^ kb`` and its i-exponent is
 
 with y(k) = popcount(k & k >> 1 & M), the number of Y slots, and M the
 0b0101... mask of x bits.  This follows from Y = i XZ and Z X = -X Z.  The
-vacuum keeps exactly the keys with no x bit.  Letter tuples are built only
-at the boundary (construction, ``coefficient``, ``terms``, rendering,
-parsing and hashing), so sort order, text and hashes do not depend on the
-key layout.
+vacuum keeps exactly the keys with no x bit.
+
+``sum_mul`` and ``vacuum_expectation`` take an ordered product of any
+number of sums.  On a Clifford circuit every descriptor component is one
+signed string, and a product of such factors is folded in one pass (the
+rule above telescopes over the factors) into one coefficient and one sum.
+Its vacuum average is zero when the XOR of the keys has an x bit, which
+is known before any phase or coefficient is computed.
+
+Letter tuples are built only at the boundary (construction,
+``coefficient``, ``terms``, rendering, parsing and hashing), so sort
+order, text and hashes do not depend on the key layout.
 
 Coefficient arithmetic lives in :class:`ComplexDyadic`, whose real and
 imaginary parts are dyadic rationals.  It stores integers (re, im, e) for
@@ -427,7 +435,7 @@ class PauliSum:
         return self + (-other)
 
     def __neg__(self) -> "PauliSum":
-        return self.scale(-1)
+        return PauliSum._canonical(self.n, {ls: -c for ls, c in self._terms.items()})
 
     def scale(self, factor: _Scalar) -> "PauliSum":
         f = ComplexDyadic.of(factor)
@@ -538,34 +546,64 @@ def parse_sum(text: str, n: int | None = None) -> PauliSum:
     return PauliSum(width, terms)
 
 
-def sum_mul(a: PauliSum, b: PauliSum) -> PauliSum:
-    """Bilinear product of two sums, phases folded into coefficients.
+def sum_mul(first: PauliSum, *rest: PauliSum) -> PauliSum:
+    """Ordered product of one or more sums, phases folded into coefficients.
 
-    Each pair of terms multiplies by XOR of the keys; the i-exponent comes
-    from popcounts (see the module docstring) and turns the coefficient
-    product as in ``ComplexDyadic._times_i``, inlined here because this is
-    the engine's innermost loop.
+    When every factor is one signed string, the product is folded in one
+    pass: the keys XOR together, the i-exponent is the sum of the factors'
+    Y counts minus that of the result plus twice the z-before-x overlaps
+    (the pairwise rule of the module docstring, telescoped), and the
+    integer numerators multiply, so one ``ComplexDyadic`` and one sum are
+    built at the end.  Otherwise the factors are multiplied left to right,
+    each pair of terms by XOR of the keys with the pairwise rule; the i**k
+    turn of the coefficient product is inlined as in
+    ``ComplexDyadic._times_i`` because this is the engine's innermost loop.
     """
-    a._require_same_n(b)
-    m = _x_mask(a.n)
-    make = ComplexDyadic._make
-    terms: dict[int, ComplexDyadic] = {}
-    for ka, ca in a._terms.items():
-        ya = (ka & ka >> 1 & m).bit_count()
-        za = ka >> 1 & m
-        ar, ai, ae = ca._re, ca._im, ca._e
-        for kb, cb in b._terms.items():
-            kc = ka ^ kb
-            k = (ya + (kb & kb >> 1 & m).bit_count() - (kc & kc >> 1 & m).bit_count()
-                 + 2 * (za & kb).bit_count())
+    n = first.n
+    m = _x_mask(n)
+    if len(first._terms) == 1:
+        ((key, c),) = first._terms.items()
+        re, im, e = c._re, c._im, c._e
+        ys, overlap = (key & key >> 1 & m).bit_count(), 0
+        for f in rest:
+            if f.n != n or len(f._terms) != 1:
+                break
+            ((kb, cb),) = f._terms.items()
+            overlap += (key >> 1 & m & kb).bit_count()
+            ys += (kb & kb >> 1 & m).bit_count()
+            key ^= kb
             br, bi = cb._re, cb._im
-            re, im = ar * br - ai * bi, ar * bi + ai * br
+            re, im = re * br - im * bi, re * bi + im * br
+            e += cb._e
+        else:
+            k = ys - (key & key >> 1 & m).bit_count() + 2 * overlap
             if k & 2:
                 re, im = -re, -im
             if k & 1:
                 re, im = -im, re
-            _accumulate(terms, kc, make(re, im, ae + cb._e))
-    return PauliSum._canonical(a.n, terms)
+            return PauliSum._canonical(n, {key: ComplexDyadic._make(re, im, e)})
+    make = ComplexDyadic._make
+    product = first
+    for b in rest:
+        first._require_same_n(b)
+        terms: dict[int, ComplexDyadic] = {}
+        for ka, ca in product._terms.items():
+            ya = (ka & ka >> 1 & m).bit_count()
+            za = ka >> 1 & m
+            ar, ai, ae = ca._re, ca._im, ca._e
+            for kb, cb in b._terms.items():
+                kc = ka ^ kb
+                k = (ya + (kb & kb >> 1 & m).bit_count()
+                     - (kc & kc >> 1 & m).bit_count() + 2 * (za & kb).bit_count())
+                br, bi = cb._re, cb._im
+                re, im = ar * br - ai * bi, ar * bi + ai * br
+                if k & 2:
+                    re, im = -re, -im
+                if k & 1:
+                    re, im = -im, re
+                _accumulate(terms, kc, make(re, im, ae + cb._e))
+        product = PauliSum._canonical(n, terms)
+    return product
 
 
 def hs_inner(a: PauliSum, b: PauliSum) -> ComplexDyadic:
@@ -586,9 +624,28 @@ def hs_inner(a: PauliSum, b: PauliSum) -> ComplexDyadic:
     return total
 
 
-def vacuum_expectation(s: PauliSum) -> ComplexDyadic:
-    """<0...0| s |0...0>: per term, I and Z slots give 1, X and Y give 0."""
+def vacuum_expectation(*factors: PauliSum) -> ComplexDyadic:
+    """<0...0| f1 f2 ... |0...0> of the ordered product (ONE for no factors).
+
+    Per term, I and Z slots give 1 and X and Y give 0.  A product of
+    single strings is one string, the XOR of the keys, so when that XOR
+    has an x bit the average is zero and no product is formed.
+    """
+    if not factors:
+        return ONE
+    s = factors[0]
     m = _x_mask(s.n)
+    if len(factors) > 1:
+        key = 0
+        for f in factors:
+            if f.n != s.n or len(f._terms) != 1:
+                break
+            (kb,) = f._terms
+            key ^= kb
+        else:
+            if key & m:
+                return ZERO
+        s = sum_mul(*factors)
     total = ZERO
     for key, coef in s._terms.items():
         if not key & m:

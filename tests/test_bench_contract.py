@@ -49,3 +49,22 @@ def test_install_then_uninstall_restores(spans):
     for module, saved in zip(modules, before):
         for attr, value in saved.items():
             assert getattr(module, attr) is value, f"{module.__name__}.{attr}"
+
+
+def test_sum_mul_wrapper_passes_nary_calls(spans):
+    pauli = importlib.import_module("dhsim.pauli")
+    single = [pauli.PauliSum.single(3, q, letter)
+              for q, letter in enumerate((pauli.X, pauli.Y, pauli.Z))]
+    mixed = single + [pauli.parse_sum("1 * X⊗I⊗I + 1/2 * Z⊗Z⊗I")]
+    want = [pauli.sum_mul(*single), pauli.sum_mul(*mixed)]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        got = [pauli.sum_mul(*single), pauli.sum_mul(*mixed)]
+    finally:
+        tracer.uninstall()
+    assert got == want
+    assert [len(p) for p in want] == [1, 2]
+    assert tracer.counts["pauli.sum_mul.calls"] == 2
+    assert tracer.counts["pauli.sum_mul.terms_out"] == 3
+    assert tracer.peak_terms == 2

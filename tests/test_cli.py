@@ -185,6 +185,21 @@ class TestVerificationFailurePath:
         assert report["sections"]["verified"] is False
 
 
+def test_swap_demo_verify_evolves_the_oracle_state_once(monkeypatch):
+    from dhsim import cli as cli_mod
+    real = cli_mod.oracle.apply_circuit
+    sizes = []
+
+    def counting(n, steps, state=None):
+        sizes.append(n)
+        return real(n, steps, state)
+
+    monkeypatch.setattr(cli_mod.oracle, "apply_circuit", counting)
+    code, report = run_report(RunConfig("swap-demo", verify=True))
+    assert code == EXIT_OK and report["sections"]["verified"] is True
+    assert sizes == [6]
+
+
 class TestDeterminism:
     def test_json_byte_stable(self, bell_file):
         reports = []
@@ -258,6 +273,14 @@ class TestMainEntry:
     def test_bad_ancilla_budget(self, bell_file, capsys, value):
         assert main(["construct", bell_file, "--ancillas", value]) == EXIT_USAGE
         assert "--ancillas" in capsys.readouterr().err
+
+    def test_usage_error_then_run_in_one_process(self, bell_file, capsys):
+        # The parser is built once per process; a failed parse must not
+        # leave it changed for the next call.
+        assert main(["run", bell_file, "--bogus"]) == EXIT_USAGE
+        assert "--bogus" in capsys.readouterr().err
+        assert main(["run", "--verify", bell_file]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["sections"]["verified"] is True
 
     def test_console_script(self, bell_file):
         proc = subprocess.run(

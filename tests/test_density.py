@@ -11,8 +11,8 @@ from dhsim.pauli import (
     vacuum_expectation, z_projector,
 )
 from dhsim.engine import (
-    Circuit, Descriptor, DescriptorSet, Gate, apply_gate, evolve_circuit,
-    gate_steps, initial_set,
+    Circuit, Descriptor, DescriptorSet, Gate, apply_gate, component_product,
+    evolve_circuit, expectation, gate_steps, initial_set,
 )
 from dhsim.density import (
     Infeasible, NotReducible, diagonal_probabilities, expectation_table,
@@ -183,6 +183,22 @@ class TestDiagonalProbabilities:
             dense = np.abs(psi.reshape((2,) * n).transpose(qubits)) ** 2
             assert np.allclose([float(p) for p in probs], dense.reshape(-1),
                                atol=1e-12)
+
+    def test_multi_term_expectation(self):
+        # engine.expectation on multi-term components equals the vacuum
+        # average of the component product and of a pairwise fold.
+        rng = random.Random(48)
+        for n in (3, 4):
+            s = ccz_conjugated(evolve_circuit(random_circuit(rng, n, 4 * n)))
+            assert max(len(c) for d in s.descriptors for c in d.components()) > 1
+            for indices in itertools.product((I, X, Y, Z), repeat=n):
+                chosen = [s.component(q, w) for q, w in enumerate(indices) if w != I]
+                fold = PauliSum.identity(n)
+                for c in chosen:
+                    fold = sum_mul(fold, c)
+                product = component_product(s, indices)
+                assert product == fold
+                assert expectation(s, indices) == vacuum_expectation(product)
 
     def test_subset_products_not_projector_products(self, monkeypatch):
         # 2^k subset products; the projector expansion needs k 2^k.

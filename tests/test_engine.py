@@ -169,6 +169,28 @@ class TestStructuralInvariants:
         prod = component_product(bell_set, (X, X))
         assert vacuum_expectation(prod) == expectation(bell_set, (X, X))
 
+    def test_zero_average_builds_at_most_one_sum(self, monkeypatch):
+        # Eight single-string factors whose product has an x bit: the average
+        # is 0 without a chain of intermediate products.
+        from dhsim.pauli import vacuum_expectation
+        rng = random.Random(10)
+        s = evolve_circuit(random_circuit(rng, 10, 24))
+        while True:
+            indices = [rng.choice((X, Y, Z)) for _ in range(8)] + [I, I]
+            rng.shuffle(indices)
+            if not vacuum_expectation(component_product(s, indices)):
+                break
+        built = []
+        canonical = PauliSum._canonical
+
+        def counting(n, terms):
+            built.append(n)
+            return canonical(n, terms)
+
+        monkeypatch.setattr(PauliSum, "_canonical", staticmethod(counting))
+        assert expectation(s, indices) == ComplexDyadic.of(0)
+        assert len(built) <= 1
+
 
 class TestPictureEquivalence:
     def test_random_circuits_small(self):

@@ -487,3 +487,66 @@ class TestPackedKeysDifferential:
                 term = ref_mul((ca[0], -ca[1]), rb[ls])
                 inner = (inner[0] + term[0], inner[1] + term[1])
         assert hs_inner(a, b) == ComplexDyadic(*inner)
+
+
+# -- n-ary products ------------------------------------------------------------
+# sum_mul(*factors) and vacuum_expectation(*factors) against a left-to-right
+# fold of the two-sum letter reference above.
+
+NARY_COEFS = [(Fraction(1), Fraction(0)), (Fraction(-1), Fraction(0)),
+              (Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1)),
+              (Fraction(0), Fraction(-1, 2)), (Fraction(1, 2), Fraction(1, 2))]
+
+
+@st.composite
+def nary_factors(draw, n):
+    """1-6 reference term maps: all single strings, or a mix that also holds
+    multi-term and zero sums.  Letters come mostly from a small pool and from
+    I/Z-only strings, so products often cancel to a nonzero vacuum average."""
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=3))
+    letters = st.one_of(st.sampled_from(pool),
+                        st.tuples(*[st.sampled_from([I, Z])] * n),
+                        st.tuples(*[st.integers(0, 3)] * n))
+    coef = st.sampled_from(NARY_COEFS)
+    single = st.builds(lambda ls, c: {ls: c}, letters, coef)
+    kinds = [single]
+    if not draw(st.booleans()):
+        kinds += [st.dictionaries(letters, coef, min_size=2, max_size=4), st.just({})]
+    return draw(st.lists(st.one_of(*kinds), min_size=1, max_size=6))
+
+
+class TestNaryProducts:
+    @pytest.mark.parametrize("n", (1, 5, 40))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_pairwise_fold(self, n, data):
+        raws = [ref_sum(t) for t in data.draw(nary_factors(n))]
+        factors = [packed(n, t) for t in raws]
+        want = raws[0]
+        for raw in raws[1:]:
+            want = ref_sum_mul(want, raw)
+        assert_same(sum_mul(*factors), n, want)
+        vac = [Fraction(0), Fraction(0)]
+        for ls, (re, im) in want.items():
+            if set(ls) <= {I, Z}:
+                vac[0] += re
+                vac[1] += im
+        assert vacuum_expectation(*factors) == ComplexDyadic(*vac)
+        wide = PauliSum.identity(n + 1)
+        for at in (0, len(factors)):
+            mismatched = factors[:at] + [wide] + factors[at:]
+            with pytest.raises(DimensionError):
+                sum_mul(*mismatched)
+            with pytest.raises(DimensionError):
+                vacuum_expectation(*mismatched)
+
+    def test_empty_product_averages_to_one(self):
+        assert vacuum_expectation() == ONE
+        with pytest.raises(TypeError):
+            sum_mul()
+
+    def test_single_factor_is_its_own_product(self):
+        a = S("1/2 * X⊗Z + 1i * Y⊗I")
+        assert sum_mul(a) == a
+        assert sum_mul(S("-1 * Y⊗Z")) == S("-1 * Y⊗Z")
+        assert vacuum_expectation(S("1/2 * Z⊗I + 1i * X⊗I")) == ComplexDyadic(Fraction(1, 2))
