@@ -214,7 +214,8 @@ def _verify_set(set_: DescriptorSet, seed: int, samples: int = 200,
     digits of a pick, qubit 0 lowest), and each (string, exact average)
     pair in ``checks``, are compared with the oracle's averages on the
     circuit's state ``psi`` (evolved here when not given), all taken in
-    one ``oracle.string_averages`` call.
+    one ``oracle.string_averages`` call.  A check string already in the
+    call is not sent again; its value is compared with that average.
     """
     rng = random.Random(seed)
     space = 4 ** set_.n
@@ -222,15 +223,18 @@ def _verify_set(set_: DescriptorSet, seed: int, samples: int = 200,
     picks = rng.sample(range(space), count) if space <= 10 ** 6 else [
         rng.randrange(space) for _ in range(count)]
     strings = [tuple(pick >> 2 * q & 3 for q in range(set_.n)) for pick in picks]
-    exact = [expectation(set_, letters) for letters in strings]
+    pairs = [(k, expectation(set_, letters)) for k, letters in enumerate(strings)]
+    position = {letters: k for k, letters in enumerate(strings)}
     for letters, value in checks:
-        strings.append(letters)
-        exact.append(value)
+        if letters not in position:
+            position[letters] = len(strings)
+            strings.append(letters)
+        pairs.append((position[letters], value))
     if psi is None:
         psi = oracle.apply_circuit(set_.n, gate_steps(set_))
     averages = oracle.string_averages(psi, strings)
-    return all(abs(complex(value) - average) <= oracle.ATOL
-               for value, average in zip(exact, averages))
+    return all(abs(complex(value) - averages[k]) <= oracle.ATOL
+               for k, value in pairs)
 
 
 # -- subcommand implementations -------------------------------------------

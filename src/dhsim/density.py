@@ -1,13 +1,16 @@
 """Density reconstruction and state diagnostics from descriptor averages.
 
-Coefficient-level quantities (expectation tables, diagonal probabilities,
-purity sums, Schmidt combinations) stay exact; only the dense matrix view
-and its eigenvalue check use floating point, with tolerance 1e-9.
+Every check here is exact: expectation tables, diagonal probabilities,
+purity sums, Schmidt combinations and the positivity of a density
+(``is_positive``, fraction-free elimination over the Gaussian integers).
+Floats appear only in the dense matrix view ``DensityMatrix.dense`` and
+in ``mixture_representation``'s least-squares fit, with tolerance 1e-9.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -22,6 +25,8 @@ from .engine import Descriptor, DescriptorSet, expectation
 from . import oracle
 
 EIG_TOL = 1e-9
+# Widest operator ``is_positive`` decides: a 2^10 x 2^10 matrix.
+POSITIVE_MAX_QUBITS = 10
 
 MultiIndex = tuple[int, ...]
 
@@ -43,6 +48,65 @@ class Sentinel:
 NotReducible = Sentinel("NotReducible")
 # No mixture weights reproduce the target table.
 Infeasible = Sentinel("Infeasible")
+
+
+def is_positive(k: int, coeffs: Mapping[MultiIndex, Fraction]) -> bool:
+    """Whether sum_I coeffs[I] P_I, over k qubits, is positive semidefinite.
+
+    Decided exactly.  The real coefficients are scaled by their common
+    denominator to a Hermitian Gaussian-integer matrix (qubit 0 the most
+    significant bit of the row index), which is eliminated fraction-free
+    (Bareiss, Math. Comp. 22, 1968) with diagonal pivots taken in order.
+    Every entry stays a Gaussian integer, a minor of the matrix, and each
+    pivot has the sign of the Schur-complement pivot it stands for.  A
+    negative pivot means "not positive"; a zero pivot needs the rest of
+    its row to be zero and then drops out.  Raises ValueError above
+    POSITIVE_MAX_QUBITS qubits, before any matrix is built.
+    """
+    if k > POSITIVE_MAX_QUBITS:
+        raise ValueError(f"positivity of a {k}-qubit operator is decided up "
+                         f"to {POSITIVE_MAX_QUBITS} qubits")
+    dim = 1 << k
+    scale = math.lcm(*(Fraction(c).denominator for c in coeffs.values()))
+    re = [[0] * dim for _ in range(dim)]
+    im = [[0] * dim for _ in range(dim)]
+    for index, coef in coeffs.items():
+        if len(index) != k:
+            raise ValueError(f"index {index} does not cover {k} qubits")
+        value = Fraction(coef)
+        if not value:
+            continue
+        # P|c> = i**ys (-1)**popcount(c & zbits) |c ^ xbits>
+        xbits = zbits = ys = 0
+        for letter in index:
+            xbits = xbits << 1 | (letter in (X, Y))
+            zbits = zbits << 1 | (letter in (Y, Z))
+            ys += letter == Y
+        num = value.numerator * (scale // value.denominator)
+        if ys & 2:
+            num = -num
+        part = im if ys & 1 else re
+        for c in range(dim):
+            part[c ^ xbits][c] += -num if (c & zbits).bit_count() & 1 else num
+    prev = 1
+    for p in range(dim):
+        pivot, row_re, row_im = re[p][p], re[p], im[p]
+        if pivot < 0:
+            return False
+        if pivot == 0:
+            if any(row_re[p + 1:]) or any(row_im[p + 1:]):
+                return False
+            continue
+        for i in range(p + 1, dim):
+            # a_ip = conj(a_pi); only the upper triangle j >= i is kept
+            ar, ai = row_re[i], -row_im[i]
+            out_re, out_im = re[i], im[i]
+            for j in range(i, dim):
+                br, bi = row_re[j], row_im[j]
+                out_re[j] = (pivot * out_re[j] - (ar * br - ai * bi)) // prev
+                out_im[j] = (pivot * out_im[j] - (ar * bi + ai * br)) // prev
+        prev = pivot
+    return True
 
 
 def expectation_table(set_: DescriptorSet, qubits: Sequence[int]) -> dict[MultiIndex, ComplexDyadic]:
@@ -93,13 +157,10 @@ class DensityMatrix:
         return out / dim
 
     def validate(self) -> None:
-        """Hermiticity and near-positivity of the dense view."""
-        m = self.dense()
-        if not np.allclose(m, m.conj().T, atol=EIG_TOL):
-            raise ValueError("density is not Hermitian")
-        eigs = np.linalg.eigvalsh(m)
-        if eigs.min() < -EIG_TOL:
-            raise ValueError(f"density has eigenvalue {eigs.min():.3e} < -1e-9")
+        """Exact positivity (``is_positive``); real coefficients make the
+        density Hermitian by construction."""
+        if not is_positive(self.n, self.coeffs):
+            raise ValueError("density is not positive semidefinite")
 
     def purity_trace(self) -> Fraction:
         """Tr rho^2, exactly, from the coefficient tensor."""
@@ -114,14 +175,18 @@ def reconstruct_density(set_: DescriptorSet, qubits: Sequence[int]) -> DensityMa
     qubits = list(qubits)
     if not qubits:
         raise ValueError("subset must be nonempty")
-    table = expectation_table(set_, qubits)
+    return _table_density(len(qubits), expectation_table(set_, qubits))
+
+
+def _table_density(k: int, table: Mapping[MultiIndex, ComplexDyadic]) -> DensityMatrix:
+    """The checked density whose coefficients are a k-qubit table's averages."""
     coeffs: dict[MultiIndex, Fraction] = {}
     for index, value in table.items():
         if not value.is_real:
             raise ValueError(f"non-real coefficient {value} at {index}")
         if value.re:
             coeffs[index] = value.re
-    rho = DensityMatrix(len(qubits), coeffs)
+    rho = DensityMatrix(k, coeffs)
     rho.validate()
     return rho
 
@@ -181,7 +246,7 @@ def purity_condition(set_: DescriptorSet, pair: Sequence[int]) -> tuple[Fraction
         total += table[I, i].re ** 2
         for j in (X, Y, Z):
             total += table[i, j].re ** 2
-    rho = reconstruct_density(set_, [a, b])
+    rho = _table_density(2, table)
     if rho.purity_trace() != (1 + total) / 4:
         raise AssertionError("purity sum does not match Tr rho^2")
     return total, total < 3

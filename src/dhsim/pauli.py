@@ -41,7 +41,7 @@ import functools
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 I, X, Y, Z = range(4)
 LETTER_NAMES = "IXYZ"
@@ -457,7 +457,14 @@ class PauliSum:
         used = 0
         for key in self._terms:
             used |= key
-        return {q for q in range(self.n) if used >> 2 * q & 3}
+        # One bit per non-identity slot, at its x position; then walk the set bits.
+        used = (used | used >> 1) & _x_mask(self.n)
+        slots = set()
+        while used:
+            low = used & -used
+            slots.add(low.bit_length() >> 1)
+            used ^= low
+        return slots
 
     def restrict(self, qubits: Iterable[int]) -> "PauliSum":
         """Drop all slots outside ``qubits`` (callers must check support)."""
@@ -622,6 +629,28 @@ def hs_inner(a: PauliSum, b: PauliSum) -> ComplexDyadic:
         if ca and cb:
             total = total + ca.conjugate() * cb
     return total
+
+
+def inner_products(sums: Sequence[PauliSum]) -> dict[tuple[int, int], ComplexDyadic]:
+    """Every nonzero ``hs_inner(sums[a], sums[b])`` with a <= b, keyed (a, b).
+
+    An index from each key to the (sum, coefficient) pairs holding it
+    finds the pairs that share a term; no other pair has a nonzero inner
+    product, so no other pair is visited.
+    """
+    holders: dict[int, list[tuple[int, ComplexDyadic]]] = {}
+    for a, s in enumerate(sums):
+        sums[0]._require_same_n(s)
+        for key, coef in s._terms.items():
+            holders.setdefault(key, []).append((a, coef))
+    out: dict[tuple[int, int], ComplexDyadic] = {}
+    for pairs in holders.values():
+        for x, (a, ca) in enumerate(pairs):
+            ca = ca.conjugate()
+            for b, cb in pairs[x:]:
+                acc = out.get((a, b))
+                out[a, b] = ca * cb if acc is None else acc + ca * cb
+    return {ab: value for ab, value in out.items() if value}
 
 
 def vacuum_expectation(*factors: PauliSum) -> ComplexDyadic:

@@ -53,29 +53,31 @@ def dependency_trace(target: DescriptorSet | Circuit) -> DependencyReport:
 
     For a circuit the locality rule is asserted along the way: a gate can
     only change the support of its own operands, and only by pulling in
-    factors the operands already touched.
+    factors the operands already touched.  Each step's supports are
+    computed once and serve as the next step's "before".
     """
     if isinstance(target, DescriptorSet):
         return DependencyReport(_supports(target))
     set_ = initial_set(target.initial_qubits)
-    steps = [("initial", _supports(set_))]
+    supports = _supports(set_)
+    steps = [("initial", supports)]
     for step in target.steps:
-        before = {q: set(set_.descriptor(q).support()) for q in range(set_.n)}
         if isinstance(step, AddAncilla):
             set_ = add_ancilla(set_)
+            supports = _supports(set_)
         else:
             set_ = apply_gate(set_, step)
-            reachable: set[int] = set()
+            before, supports = supports, _supports(set_)
+            reachable = set(step.operands)
             for q in step.operands:
-                reachable |= before[q] | {q}
-            for q in range(set_.n):
-                after = set(set_.descriptor(q).support())
+                reachable.update(before[q])
+            for q, after in enumerate(supports):
                 if q not in step.operands and after != before[q]:
                     raise AssertionError(f"locality violated for bystander {q + 1}")
-                if q in step.operands and not after <= reachable:
+                if q in step.operands and not reachable.issuperset(after):
                     raise AssertionError(f"locality violated for operand {q + 1}")
-        steps.append((step_label(step), _supports(set_)))
-    return DependencyReport(_supports(set_), tuple(steps))
+        steps.append((step_label(step), supports))
+    return DependencyReport(supports, tuple(steps))
 
 
 def swap_circuit() -> Circuit:

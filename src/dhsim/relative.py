@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .pauli import (
     I, X, Y, Z,
     PauliSum, sum_mul, vacuum_expectation,
@@ -24,7 +22,7 @@ from .engine import (
     AddAncilla, Descriptor, DescriptorSet, Gate,
     add_ancilla, apply_gate, component_product,
 )
-from . import oracle
+from .density import is_positive
 
 MultiIndex = tuple[int, ...]
 
@@ -65,15 +63,10 @@ class RelativeContext:
         self._validate_state()
 
     def _validate_state(self) -> None:
-        """The table, with the identity average, must be a valid (sub)state."""
+        """The table, with the identity average, must be a valid (sub)state,
+        which ``density.is_positive`` decides exactly."""
         k = len(self.target_qubits)
-        dim = 2 ** k
-        m = np.zeros((dim, dim), dtype=complex)
-        m += float(self.weight) * np.eye(dim)
-        for index, value in self.table.items():
-            m += float(value) * oracle.string_matrix(index)
-        eigs = np.linalg.eigvalsh(m / dim)
-        if eigs.min() < -1e-9:
+        if not is_positive(k, {(I,) * k: self.weight, **self.table}):
             raise ContextError("context is not a positive (sub)state")
 
     # -- constructors ----------------------------------------------------

@@ -12,10 +12,18 @@ representative, and a flip that would change the table is not applied.
 
 Two independent routes produce the equivalence class of a state: applying
 the discovered symmetry group to a seed, and brute-force enumeration over
-signed Pauli-string components.  The test suite insists the routes agree.
+signed Pauli-string components.  The tests check that the first route's
+sets are among the second's for the Bell pair (12 of 48), but the routes
+do not agree on product states: there a flip of one qubit's x (or z) alone
+keeps the table and ``canonical_signs`` does not collapse it, so for |10>
+two of the four symmetry-route sets are enumerated only with other signs
+(ROADMAP item 3 replaces both routes by the vacuum-gauge orbit).
 Enumeration and direct construction from a density share one search,
 ``_system_triples``; the symmetry search and ``apply_transform`` share one
-sign search, ``_transform_signs``.
+sign search, ``_transform_signs``.  ``generate_equivalent_sets`` builds
+each set's expectation table once and hands it along, and
+``validate_basis`` takes all its inner products from one
+``pauli.inner_products`` pass over the sixteen products.
 """
 
 from __future__ import annotations
@@ -26,8 +34,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .pauli import (
-    I, X, Y, Z, LETTER_NAMES, Letters,
-    ComplexDyadic, PauliSum, hs_inner, letters_commute, letters_mul,
+    I, X, Y, Z, LETTER_NAMES, ZERO, Letters,
+    ComplexDyadic, PauliSum, inner_products, letters_commute, letters_mul,
     sum_mul,
 )
 from .engine import Descriptor, DescriptorSet, component_product
@@ -67,40 +75,44 @@ def validate_basis(set_: DescriptorSet) -> BasisReport:
     ``independent_count`` is the number of pairwise-distinct operators among
     the sixteen products (phase differences count as distinct operators);
     a proper basis has all sixteen distinct, mutually orthogonal, of unit
-    norm, Hermitian, with traceless non-identity components.
+    norm, Hermitian, with traceless non-identity components.  Distinctness,
+    the norms and the first non-orthogonal pair all come from the nonzero
+    inner products ``pauli.inner_products`` returns.
     """
     if set_.n != 2:
         raise ValueError("basis validation is defined for two-qubit sets")
     violations: list[str] = []
     comps = {(a, i): set_.component(a, i) for a in (0, 1) for i in COMPONENTS}
-    products = [(key, component_product(set_, key))
-                for key in itertools.product((I,) + COMPONENTS, repeat=2)]
-
-    distinct: list[PauliSum] = []
-    for _, p in products:
-        if p not in distinct:
-            distinct.append(p)
-    independent_count = len(distinct)
+    keys = list(itertools.product((I,) + COMPONENTS, repeat=2))
+    products = [component_product(set_, key) for key in keys]
+    inner = inner_products(products)
+    norms = [inner.get((k, k), ZERO) for k in range(16)]
+    # Equal products share a key or are both zero; pa == pb exactly when
+    # <pa,pa> = <pb,pb> = <pa,pb>, as |pa - pb|^2 = <pa,pa> + <pb,pb> - 2 Re <pa,pb>.
+    equal = {(a, b) for (a, b), value in inner.items()
+             if a < b and norms[a] == norms[b] == value}
+    equal.update(itertools.combinations(
+        [k for k, norm in enumerate(norms) if not norm], 2))
+    independent_count = 16 - len({b for _, b in equal})
     distinct_ok = independent_count == 16
     if not distinct_ok:
         violations.append(
             f"only {independent_count} of 16 products are distinct")
 
-    hermitian = all(p.is_hermitian for _, p in products)
+    hermitian = all(p.is_hermitian for p in products)
     if not hermitian:
         violations.append("some products are not Hermitian")
 
-    complete = all(hs_inner(p, p) == _ONE for _, p in products)
+    complete = all(norm == _ONE for norm in norms)
     if not complete:
         violations.append("some products do not have unit norm")
 
     orthogonal = True
-    for (ka, pa), (kb, pb) in itertools.combinations(products, 2):
-        if pa == pb:
-            continue
-        if hs_inner(pa, pb):
+    for a, b in sorted(inner):
+        if a < b and (a, b) not in equal:
             orthogonal = False
-            violations.append(f"products {ka} and {kb} are not orthogonal")
+            violations.append(
+                f"products {keys[a]} and {keys[b]} are not orthogonal")
             break
 
     traceless_ok = True
@@ -255,8 +267,12 @@ def apply_transform(set_: DescriptorSet, transform: SymmetryTransform
     """
     if set_.n != 2:
         raise ValueError("transforms act on two-qubit sets")
-    target = _set_table(set_)
-    signs = _transform_signs(transform, *_table_data(target.__getitem__))
+    return _apply_transform(set_, _set_table(set_), transform)[0]
+
+
+def _apply_transform(set_: DescriptorSet, table, transform: SymmetryTransform):
+    """``apply_transform`` on a set whose table is given: (result, its table)."""
+    signs = _transform_signs(transform, *_table_data(table.__getitem__))
     if signs is not None:
         descriptors = []
         for a, sx, sz in ((0, *signs[:2]), (1, *signs[2:])):
@@ -265,8 +281,9 @@ def apply_transform(set_: DescriptorSet, transform: SymmetryTransform
                 set_.component(src_q, transform.source(X)).scale(sx),
                 set_.component(src_q, transform.source(Z)).scale(sz)))
         candidate = DescriptorSet(2, tuple(descriptors))
-        if _set_table(candidate) == target:
-            return candidate
+        candidate_table = _set_table(candidate)
+        if candidate_table == table:
+            return candidate, candidate_table
     raise ValueError(
         f"transform {transform.slot_cycles()} does not preserve this set's table")
 
@@ -291,18 +308,26 @@ def canonical_signs(set_: DescriptorSet) -> DescriptorSet:
     """
     if set_.n != 2:
         raise ValueError("sign canonicalization is defined for two-qubit sets")
+    return _canonical_signs(set_, None)[0]
+
+
+def _canonical_signs(set_: DescriptorSet, table):
+    """``canonical_signs`` on a set whose table is given (None: not yet
+    built): (result, its table, or None when still not built)."""
     d1, d2 = set_.descriptors
     sx = _leading_sign(d1.qx)
     sz = _leading_sign(d1.qz)
     if sx == sz == 1:
-        return set_
-    table = _set_table(set_)
+        return set_, table
+    if table is None:
+        table = _set_table(set_)
     halves = [(sx, 1), (1, sz)] if sx == sz == -1 else []
     for fx, fz in [(sx, sz)] + halves:
         candidate = DescriptorSet(2, (d1.scale_xz(fx, fz), d2.scale_xz(fx, fz)))
-        if _set_table(candidate) == table:
-            return candidate
-    return set_
+        candidate_table = _set_table(candidate)
+        if candidate_table == table:
+            return candidate, candidate_table
+    return set_, table
 
 
 def set_render_key(set_: DescriptorSet) -> tuple[str, ...]:
@@ -330,11 +355,12 @@ def generate_equivalent_sets(seed: DescriptorSet, rho: DensityMatrix
         raise ValueError(f"seed is not a proper basis: {report.violations}")
     outputs: dict[tuple[str, ...], DescriptorSet] = {}
     for transform in density_symmetries(rho):
-        candidate = canonical_signs(apply_transform(seed, transform))
+        candidate, table = _canonical_signs(
+            *_apply_transform(seed, seed_table, transform))
         if not validate_basis(candidate).well_formed:
             raise AssertionError(
                 f"transform {transform.slot_cycles()} produced an invalid set")
-        if _set_table(candidate) != seed_table:
+        if table != seed_table:
             raise AssertionError(
                 f"transform {transform.slot_cycles()} changed the table")
         outputs.setdefault(set_render_key(candidate), candidate)

@@ -176,13 +176,34 @@ class TestVerificationFailurePath:
         cfg = RunConfig("symmetries", bell_file, verify=True)
         code, report = run_report(cfg)
         assert code == EXIT_OK
-        # 16 sampled strings, then 16 table entries for each equivalent set
-        strings = 16 + 16 * report["sections"]["set_count"]
+        # All 16 strings are sampled; every set's table entries are
+        # compared with those 16 averages, not sent again.
         sizes = self._corrupt_one(monkeypatch, -1)
         code, report = run_report(cfg)
-        assert sizes == [strings]
+        assert sizes == [16]
         assert code == EXIT_VERIFY
         assert report["sections"]["verified"] is False
+
+
+@pytest.mark.parametrize("frame", ["", "x 1\n", "z 1\ny 2\n", "y 1\nx 2\n"])
+def test_symmetries_builds_at_most_40_tables(tmp_path, monkeypatch, frame):
+    """Each set's table is built once: the seed's, each transformed
+    candidate's, the sign-flipped ones tried, and one per set for --verify."""
+    from dhsim import cli as cli_mod, density, uniqueness
+    real = density.expectation_table
+    calls = []
+
+    def counting(set_, qubits):
+        calls.append(tuple(qubits))
+        return real(set_, qubits)
+
+    for module in (cli_mod, density, uniqueness):
+        monkeypatch.setattr(module, "expectation_table", counting)
+    path = tmp_path / "bell.dh"
+    path.write_text(BELL + frame)
+    code, report = run_report(RunConfig("symmetries", str(path), verify=True))
+    assert code == EXIT_OK and report["sections"]["set_count"] == 12
+    assert len(calls) <= 40
 
 
 def test_swap_demo_verify_evolves_the_oracle_state_once(monkeypatch):

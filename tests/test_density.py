@@ -15,11 +15,12 @@ from dhsim.engine import (
     evolve_circuit, expectation, gate_steps, initial_set,
 )
 from dhsim.density import (
-    Infeasible, NotReducible, diagonal_probabilities, expectation_table,
-    mixture_representation, purity_condition, reconstruct_density,
-    schmidt_coefficients, simply_reduce,
+    DensityMatrix, Infeasible, NotReducible, diagonal_probabilities,
+    expectation_table, is_positive, mixture_representation, purity_condition,
+    reconstruct_density, schmidt_coefficients, simply_reduce,
 )
 from conftest import random_circuit
+from test_uniqueness_pins import stabilizer_states
 
 HALF = Fraction(1, 2)
 
@@ -99,6 +100,80 @@ class TestReconstructDensity:
             dense = rho.dense()
             assert abs(np.trace(dense) - 1) < 1e-12
             assert np.linalg.eigvalsh(dense).min() > -1e-9
+
+
+def dense_operator(coeffs):
+    """sum_I coeffs[I] P_I as a numpy matrix (test-side reference)."""
+    return sum(float(c) * oracle.string_matrix(index)
+               for index, c in coeffs.items())
+
+
+class TestIsPositive:
+    def test_agrees_with_eigvalsh(self):
+        """Random dyadic tables on 1-3 qubits whose least eigenvalue is
+        clearly away from zero, so the float reference is unambiguous."""
+        rng = random.Random(11)
+        decided = rejected = 0
+        while decided < 600:
+            k = rng.randint(1, 3)
+            indices = list(itertools.product(range(4), repeat=k))
+            coeffs = {indices[0]: Fraction(rng.randint(0, 8), 4)}
+            for index in rng.sample(indices[1:], rng.randint(0, len(indices) - 1)):
+                coeffs[index] = Fraction(rng.randint(-4, 4), 2 ** rng.randint(0, 3))
+            least = np.linalg.eigvalsh(dense_operator(coeffs)).min()
+            if abs(least) < 1e-7:
+                continue
+            assert is_positive(k, coeffs) == (least > 0), coeffs
+            decided += 1
+            rejected += least < 0
+        assert 100 < rejected < 550
+
+    def test_every_two_qubit_stabilizer_density_accepted(self):
+        """Rank one: the least eigenvalue is exactly 0."""
+        states = stabilizer_states(2)
+        assert len(states) == 60
+        for set_ in states.values():
+            rho = reconstruct_density(set_, [0, 1])
+            assert is_positive(2, rho.coeffs)
+            assert abs(np.linalg.eigvalsh(rho.dense()).min()) < 1e-12
+
+    def test_rank_deficient_mixtures_accepted(self):
+        """(I + Z)/2 on one qubit, and the identity padded by zero terms."""
+        assert is_positive(1, {(I,): Fraction(1), (Z,): Fraction(1)})
+        assert is_positive(2, {(I, I): 1, (Z, I): -1, (I, Z): 1, (Z, Z): -1})
+        assert is_positive(2, {(I, I): 1, (X, X): 0})
+        assert is_positive(1, {})
+
+    def test_i_plus_x_plus_z_rejected(self):
+        coeffs = {(I,): Fraction(1), (X,): Fraction(1), (Z,): Fraction(1)}
+        assert not is_positive(1, coeffs)
+        with pytest.raises(ValueError, match="not positive"):
+            DensityMatrix(1, coeffs).validate()
+
+    def test_zero_pivot_with_nonzero_row_rejected(self):
+        """X alone: zero diagonal, nonzero off-diagonal."""
+        assert not is_positive(1, {(X,): Fraction(1)})
+
+    def test_non_dyadic_coefficients(self):
+        third = Fraction(1, 3)
+        assert is_positive(1, {(I,): 1, (X,): third, (Y,): third, (Z,): third})
+        # Bloch vector (2/3, 1/3, 2/3) has length exactly 1: eigenvalue 0.
+        assert is_positive(1, {(I,): 1, (X,): 2 * third, (Y,): third,
+                               (Z,): 2 * third})
+        assert not is_positive(1, {(I,): 1, (X,): 2 * third, (Y,): 2 * third,
+                                   (Z,): 2 * third})
+
+    def test_eleven_qubits_refused_before_building(self):
+        class Unread(dict):
+            def items(self):
+                raise AssertionError("coefficients read before the size check")
+
+            values = __iter__ = items
+
+        with pytest.raises(ValueError, match="up to 10 qubits"):
+            is_positive(11, Unread({(I,) * 11: Fraction(1)}))
+        with pytest.raises(ValueError, match="up to 10 qubits"):
+            DensityMatrix(11, {(I,) * 11: Fraction(1)}).validate()
 
 
 class TestDiagonalProbabilities:
@@ -255,6 +330,18 @@ class TestPurityCondition:
             rho = reconstruct_density(s, pair)
             assert rho.purity_trace() == (1 + total) / 4
             assert mixed == (total < 3)
+
+    def test_builds_one_table(self, bell_set, monkeypatch):
+        calls = []
+        real = density.expectation_table
+
+        def counting(set_, qubits):
+            calls.append(tuple(qubits))
+            return real(set_, qubits)
+
+        monkeypatch.setattr(density, "expectation_table", counting)
+        assert purity_condition(bell_set, (0, 1)) == (3, False)
+        assert calls == [(0, 1)]
 
 
 class TestSchmidtCoefficients:

@@ -4,6 +4,8 @@ The packed Pauli key layout lives behind `dhsim.pauli`: no other module
 reads a sum's term map or calls the key helpers.  The dense oracle is the
 independent ground truth, so it uses only the public Pauli API (letter
 tuples and coefficients) and never a private name of `dhsim.pauli`.
+Floats decide nothing outside the oracle: only `oracle.py` calls an
+eigenvalue routine, and `relative.py` imports neither numpy nor the oracle.
 """
 
 import ast
@@ -41,3 +43,22 @@ def test_oracle_uses_no_private_pauli_name():
               and node.value.id == "pauli" and node.attr.startswith("_")):
             private.append(node.attr)
     assert not private
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "oracle.py"],
+                         ids=lambda p: p.name)
+def test_no_eigvalsh_outside_oracle(path):
+    assert "eigvalsh" not in path.read_text(encoding="utf-8")
+
+
+def test_relative_imports_neither_numpy_nor_oracle():
+    tree = ast.parse((SRC / "relative.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append(node.module or "")
+            imported += [f"{node.module or ''}.{a.name}" for a in node.names]
+    assert not [name for name in imported
+                if name.split(".")[0] == "numpy" or "oracle" in name.split(".")]

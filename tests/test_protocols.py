@@ -47,6 +47,21 @@ class TestDependencyTrace:
             circuit = random_circuit(rng, n, 20)
             dependency_trace(circuit)  # raises on any locality violation
 
+    def test_each_support_computed_once_per_step(self, monkeypatch):
+        from dhsim import engine
+        real = engine.Descriptor.support
+        calls = []
+
+        def counting(self):
+            calls.append(self)
+            return real(self)
+
+        monkeypatch.setattr(engine.Descriptor, "support", counting)
+        circuit = random_circuit(random.Random(5), 10, 24)
+        report = dependency_trace(circuit)
+        assert len(report.per_step) == 25
+        assert len(calls) <= 10 * 25
+
     def test_per_step_log(self):
         report = dependency_trace(swap_circuit())
         assert report.per_step[0][0] == "initial"

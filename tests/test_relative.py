@@ -274,6 +274,16 @@ class TestContextValidation:
         with pytest.raises(ContextError):
             RelativeContext.bloch(0, 1, 1, 1)
 
+    def test_bloch_outside_the_ball_rejected_exactly(self):
+        # |(1, 1, 0)| = sqrt 2: eigenvalues (1 -/+ sqrt 2) / 2
+        with pytest.raises(ContextError):
+            RelativeContext.bloch(0, 1, 1, 0)
+
+    def test_pure_and_boundary_contexts_accepted(self):
+        RelativeContext.bloch(0, Fraction(3, 5), 0, Fraction(4, 5))
+        RelativeContext.pair_computational((0, 1), (1, 0))
+        RelativeContext((0, 1), {(X, X): 1, (Y, Y): -1, (Z, Z): 1})
+
     def test_pair_table_must_be_positive(self):
         with pytest.raises(ContextError):
             RelativeContext((0, 1), {(Z, Z): Fraction(2)})

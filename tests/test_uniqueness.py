@@ -4,18 +4,22 @@ from fractions import Fraction
 
 import pytest
 
-from dhsim.pauli import I, X, Y, Z, ComplexDyadic, parse_sum
+from dhsim.pauli import (
+    I, X, Y, Z, LETTER_NAMES, ComplexDyadic, PauliSum, hs_inner, parse_sum,
+)
 from dhsim.engine import (
-    Descriptor, DescriptorSet, Gate, apply_gate, initial_set,
+    Descriptor, DescriptorSet, Gate, apply_gate, component_product,
+    initial_set,
 )
 from dhsim.density import DensityMatrix, expectation_table, reconstruct_density
 from dhsim.uniqueness import (
     NotFound, SymmetryTransform, apply_transform, canonical_signs,
     classify_against_reference, construct_from_density, density_symmetries,
     enumerate_valid_sets, generate_equivalent_sets, set_render_key,
-    validate_basis,
+    BasisReport, validate_basis,
 )
 from conftest import random_circuit
+from test_uniqueness_pins import stabilizer_states
 
 
 def degenerate_set():
@@ -56,6 +60,96 @@ class TestValidateBasis:
     def test_wrong_size_rejected(self):
         with pytest.raises(ValueError):
             validate_basis(initial_set(3))
+
+
+def reference_validate_basis(set_):
+    """The basis checks by pairwise comparison and ``hs_inner`` of all
+    sixteen products, as a test-side reference."""
+    components = (X, Y, Z)
+    violations = []
+    products = [(key, component_product(set_, key))
+                for key in itertools.product((I,) + components, repeat=2)]
+    distinct = []
+    for _, p in products:
+        if p not in distinct:
+            distinct.append(p)
+    count = len(distinct)
+    if count != 16:
+        violations.append(f"only {count} of 16 products are distinct")
+    hermitian = all(p.is_hermitian for _, p in products)
+    if not hermitian:
+        violations.append("some products are not Hermitian")
+    complete = all(hs_inner(p, p) == ComplexDyadic.of(1) for _, p in products)
+    if not complete:
+        violations.append("some products do not have unit norm")
+    orthogonal = True
+    for (ka, pa), (kb, pb) in itertools.combinations(products, 2):
+        if pa != pb and hs_inner(pa, pb):
+            orthogonal = False
+            violations.append(f"products {ka} and {kb} are not orthogonal")
+            break
+    traceless = True
+    for a in (0, 1):
+        for i in components:
+            if set_.component(a, i).coefficient((I, I)):
+                traceless = False
+                violations.append(
+                    f"component ({a + 1},{LETTER_NAMES[i]}) has a trace")
+    return BasisReport(count, orthogonal, complete, hermitian, traceless,
+                       count == 16, tuple(violations))
+
+
+def _with_component(set_, qubit, which, value):
+    comps = list(set_.descriptor(qubit).components())
+    comps[which - X] = value
+    descs = list(set_.descriptors)
+    descs[qubit] = Descriptor(*comps)
+    return DescriptorSet(2, tuple(descs))
+
+
+def controlled_s_conjugated(set_):
+    """Every component conjugated by controlled-S on (0, 1): a dyadic,
+    non-Clifford unitary, so the components become multi-term sums while
+    every algebraic relation between them is kept."""
+    ident = PauliSum.identity(2)
+    z0, z1 = PauliSum.single(2, 0, Z), PauliSum.single(2, 1, Z)
+    half = Fraction(1, 2)
+    s_gate = (ident.scale(ComplexDyadic(half, half))
+              + z1.scale(ComplexDyadic(half, -half)))
+    cs = (ident + z0).scale(half) + (ident - z0).scale(half) * s_gate
+    return DescriptorSet(2, tuple(
+        Descriptor(*(cs.adjoint() * c * cs for c in d.components()))
+        for d in set_.descriptors))
+
+
+def _basis_cases(bell_set, swap_result):
+    cases = list(stabilizer_states(2).values())
+    cases.append(degenerate_set())
+    qx = bell_set.component(0, X)
+    cases.append(_with_component(bell_set, 0, X, qx.scale(2)))
+    cases.append(_with_component(bell_set, 0, X, qx.scale(ComplexDyadic(0, 1))))
+    cases.append(_with_component(bell_set, 1, Z, PauliSum.zero(2)))
+    both = _with_component(bell_set, 0, X, PauliSum.zero(2))
+    cases.append(_with_component(both, 0, Z, PauliSum.zero(2)))
+    cases.append(_with_component(bell_set, 0, X, qx + bell_set.component(1, X)))
+    for outcome in swap_result.relative_bell:
+        cases.append(DescriptorSet(2, (outcome.reduced_1, outcome.reduced_4)))
+    cases.append(controlled_s_conjugated(bell_set))
+    cases.append(controlled_s_conjugated(degenerate_set()))
+    return cases
+
+
+class TestValidateBasisAgainstReference:
+    def test_reports_identical(self, bell_set, swap_result):
+        cases = _basis_cases(bell_set, swap_result)
+        assert all(len(c) > 1 for c in cases[-2].descriptor(1).components())
+        for set_ in cases:
+            assert validate_basis(set_) == reference_validate_basis(set_)
+        reports = [validate_basis(set_) for set_ in cases]
+        assert sum(r.well_formed for r in reports) == 65
+        assert {r.independent_count for r in reports} >= {8, 16}
+        assert any(not r.orthogonal for r in reports)
+        assert any(not r.complete for r in reports)
 
 
 class TestSymmetryTransform:
