@@ -52,10 +52,9 @@ def main():
             if b:
                 s = apply_gate(s, Gate("X", (q,)))
         dictionary.append(s)
-    weights, residual = mixture_representation(target, dictionary)
-    print(f"  its table is the uniform mixture of the four basis tables: "
-          f"weights {[round(float(w), 6) for w in weights]} "
-          f"(residual {residual:.1e})")
+    weights = mixture_representation(target, dictionary)
+    print(f"  its table is exactly the uniform mixture of the four basis "
+          f"tables: weights {[str(w) for w in weights]}")
     wide = [sorted(c.support()) for c
             in swap.final_set.descriptor(0).components()]
     print(f"  yet its descriptors keep support {wide} -- a representation, "

@@ -14,6 +14,9 @@ labels::
 
 Exit codes: 0 success, 1 usage or parse error, 2 verification failure,
 3 internal error.  DH_MAX_QUBITS (default 10) caps the register size.
+
+Reports are exact and need no floats; the dense oracle, and numpy with
+it, is imported only where ``--verify`` uses it.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-import numpy as np
-
 from .pauli import I, X, Y, Z, ComplexDyadic
 from .engine import (
     AddAncilla, Circuit, DescriptorSet, Gate,
@@ -41,15 +42,14 @@ from .density import (
     reconstruct_density,
 )
 from .uniqueness import (
-    NotFound, construct_from_density, density_symmetries,
-    generate_equivalent_sets, canonical_signs, validate_basis,
+    NotFound, _generate_equivalent_sets, canonical_signs,
+    construct_from_density, density_symmetries, validate_basis,
 )
 from .protocols import (
     PAIRS_1BASED, dependency_trace, run_entanglement_swap,
     run_generalized_measurement_demo, run_ultimate_chain_demo,
     swap_relative_bell,
 )
-from . import oracle
 
 SUBCOMMANDS = ("run", "validate", "symmetries", "construct",
                "swap-demo", "measure-demo", "chain-demo", "trace")
@@ -207,7 +207,7 @@ def _history_rows(set_: DescriptorSet) -> list[str]:
 
 def _verify_set(set_: DescriptorSet, seed: int, samples: int = 200,
                 checks: Iterable[tuple[tuple[int, ...], ComplexDyadic]] = (),
-                psi: np.ndarray | None = None) -> bool:
+                psi: numpy.ndarray | None = None) -> bool:
     """Sampled picture-equivalence check of a descriptor set.
 
     The engine's averages of ``samples`` seeded random strings (base-4
@@ -217,6 +217,7 @@ def _verify_set(set_: DescriptorSet, seed: int, samples: int = 200,
     one ``oracle.string_averages`` call.  A check string already in the
     call is not sent again; its value is compared with that average.
     """
+    from . import oracle
     rng = random.Random(seed)
     space = 4 ** set_.n
     count = min(samples, space)
@@ -304,7 +305,7 @@ def _cmd_symmetries(cfg: RunConfig) -> dict:
         raise ParseError(0, 0, "symmetries needs a two-qubit circuit")
     rho = reconstruct_density(set_, [0, 1])
     transforms = density_symmetries(rho)
-    sets = generate_equivalent_sets(canonical_signs(set_), rho)
+    sets = _generate_equivalent_sets(canonical_signs(set_), rho, transforms)
     out = {
         "transform_count": len(transforms),
         "transforms": sorted(t.slot_cycles() for t in transforms),
@@ -371,6 +372,7 @@ def _cmd_swap_demo(cfg: RunConfig) -> dict:
             for o in outcomes],
     }
     if cfg.verify:
+        from . import oracle
         psi = oracle.apply_circuit(set_.n, gate_steps(set_))
         ok = _verify_set(set_, cfg.seed, psi=psi)
         for o in outcomes:

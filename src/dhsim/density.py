@@ -1,10 +1,11 @@
 """Density reconstruction and state diagnostics from descriptor averages.
 
-Every check here is exact: expectation tables, diagonal probabilities,
-purity sums, Schmidt combinations and the positivity of a density
-(``is_positive``, fraction-free elimination over the Gaussian integers).
-Floats appear only in the dense matrix view ``DensityMatrix.dense`` and
-in ``mixture_representation``'s least-squares fit, with tolerance 1e-9.
+Everything here is exact, with no floats: expectation tables, diagonal
+probabilities, purity sums, Schmidt combinations, the positivity of a
+density (``is_positive``, fraction-free elimination over the Gaussian
+integers) and mixture weights (``mixture_representation``, Gaussian
+elimination over the rationals).  A pair's density, purity sum and
+Schmidt coefficients all derive from one expectation table.
 """
 
 from __future__ import annotations
@@ -15,16 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .pauli import (
     I, X, Y, Z,
     ComplexDyadic, PauliSum, sum_mul, vacuum_expectation,
 )
 from .engine import Descriptor, DescriptorSet, expectation
-from . import oracle
 
-EIG_TOL = 1e-9
 # Widest operator ``is_positive`` decides: a 2^10 x 2^10 matrix.
 POSITIVE_MAX_QUBITS = 10
 
@@ -148,14 +145,6 @@ class DensityMatrix:
         idx[qubit] = which
         return self.coefficient(tuple(idx))
 
-    def dense(self) -> np.ndarray:
-        dim = 2 ** self.n
-        out = np.zeros((dim, dim), dtype=complex)
-        for index, coef in self.coeffs.items():
-            if coef:
-                out += float(coef) * oracle.string_matrix(index)
-        return out / dim
-
     def validate(self) -> None:
         """Exact positivity (``is_positive``); real coefficients make the
         density Hermitian by construction."""
@@ -240,13 +229,18 @@ def purity_condition(set_: DescriptorSet, pair: Sequence[int]) -> tuple[Fraction
     """
     a, b = pair
     table = expectation_table(set_, [a, b])
+    return _purity_sum(table, _table_density(2, table))
+
+
+def _purity_sum(table: Mapping[MultiIndex, ComplexDyadic],
+                rho: DensityMatrix) -> tuple[Fraction, bool]:
+    """``purity_condition`` of a pair table and its checked density."""
     total = Fraction(0)
     for i in (X, Y, Z):
         total += table[i, I].re ** 2
         total += table[I, i].re ** 2
         for j in (X, Y, Z):
             total += table[i, j].re ** 2
-    rho = _table_density(2, table)
     if rho.purity_trace() != (1 + total) / 4:
         raise AssertionError("purity sum does not match Tr rho^2")
     return total, total < 3
@@ -271,10 +265,15 @@ def schmidt_coefficients(set_: DescriptorSet, pair: Sequence[int]) -> SchmidtCoe
     Requires a pure pair whose diagonal correlation basis is computational;
     the normalization a^2 + b^2 + c^2 + d^2 = 1 is verified exactly.
     """
-    total, mixed = purity_condition(set_, pair)
+    table = expectation_table(set_, list(pair))
+    total, mixed = _purity_sum(table, _table_density(2, table))
     if mixed:
         raise ValueError(f"pair {tuple(pair)} is mixed (purity sum {total} < 3)")
-    t = expectation_table(set_, list(pair))
+    return _table_schmidt(table)
+
+
+def _table_schmidt(t: Mapping[MultiIndex, ComplexDyadic]) -> SchmidtCoefficients:
+    """``schmidt_coefficients`` of a pure pair's table."""
 
     def real(i: int, j: int) -> Fraction:
         value = t[i, j]
@@ -316,9 +315,11 @@ def simply_reduce(value: Descriptor | PauliSum, subset: Iterable[int]):
 
 def density_report(set_: DescriptorSet, qubits: Sequence[int]) -> dict:
     """JSON-ready analysis of a subset: sparse coefficients, diagonal,
-    and for pairs the purity sum plus Schmidt coefficients when defined."""
+    and for pairs the purity sum plus Schmidt coefficients when defined,
+    all from one expectation table."""
     qubits = list(qubits)
-    rho = reconstruct_density(set_, qubits)
+    table = expectation_table(set_, qubits)
+    rho = _table_density(len(qubits), table)
     letters = "IXYZ"
     report: dict = {
         "qubits": [q + 1 for q in qubits],
@@ -328,12 +329,12 @@ def density_report(set_: DescriptorSet, qubits: Sequence[int]) -> dict:
         "diagonal": [str(p) for p in diagonal_probabilities(set_, qubits)],
     }
     if len(qubits) == 2:
-        total, mixed = purity_condition(set_, qubits)
+        total, mixed = _purity_sum(table, rho)
         report["purity_sum"] = str(total)
         report["mixed"] = mixed
         if not mixed:
             try:
-                sc = schmidt_coefficients(set_, qubits)
+                sc = _table_schmidt(table)
                 report["schmidt"] = [str(v) for v
                                      in (sc.a, sc.b, sc.c, sc.d)]
             except ValueError:
@@ -343,34 +344,51 @@ def density_report(set_: DescriptorSet, qubits: Sequence[int]) -> dict:
 
 def mixture_representation(target: Mapping[MultiIndex, Fraction | ComplexDyadic],
                            dictionary: Sequence[DescriptorSet]):
-    """Weights writing a target expectation table as a mixture of pure tables.
+    """Exact weights writing a target expectation table as a mixture of
+    the dictionary's tables.
 
-    Solves the least-squares system over the dictionary's tables; returns
-    (weights, residual) or Infeasible when the residual exceeds 1e-9.
-    Dictionaries may be over- or under-complete, hence least squares
-    rather than exact solving.
+    Solves sum_j w_j T_j[I] = target[I] over all 4^k indices I by
+    Gauss-Jordan elimination over the rationals, and returns the weights
+    as a tuple of Fractions in dictionary order, or Infeasible when no
+    weights reproduce the target exactly.  When the dictionary's tables
+    are linearly dependent the system is underdetermined: the weight of
+    every column without a pivot (a dependent table) is then 0 and the
+    pivot columns carry the whole target.
     """
     if not dictionary:
         raise ValueError("dictionary must not be empty")
     k = dictionary[0].n
-    indices = sorted(itertools.product((I, X, Y, Z), repeat=k))
-    rhs = []
-    for index in indices:
+    tables = []
+    for entry in dictionary:
+        if entry.n != k:
+            raise ValueError("dictionary entries must share the subset size")
+        tables.append(expectation_table(entry, range(k)))
+    rows = []
+    for index in itertools.product((I, X, Y, Z), repeat=k):
         value = target.get(index, Fraction(0))
         if isinstance(value, ComplexDyadic):
             if not value.is_real:
                 raise ValueError("target table must be real")
             value = value.re
-        rhs.append(float(value))
-    columns = []
-    for entry in dictionary:
-        if entry.n != k:
-            raise ValueError("dictionary entries must share the subset size")
-        table = expectation_table(entry, range(k))
-        columns.append([float(table[index].re) for index in indices])
-    matrix = np.array(columns, dtype=float).T
-    weights, *_ = np.linalg.lstsq(matrix, np.array(rhs), rcond=None)
-    residual = float(np.linalg.norm(matrix @ weights - np.array(rhs)))
-    if residual > EIG_TOL:
+        rows.append([table[index].re for table in tables] + [Fraction(value)])
+    m = len(tables)
+    pivots: list[int] = []
+    for col in range(m):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        pivot = rows[r][col]
+        rows[r] = [v / pivot for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                factor = row[col]
+                rows[i] = [a - factor * b for a, b in zip(row, rows[r])]
+        pivots.append(col)
+    if any(row[m] for row in rows[len(pivots):]):
         return Infeasible
-    return weights, residual
+    weights = [Fraction(0)] * m
+    for r, col in enumerate(pivots):
+        weights[col] = rows[r][m]
+    return tuple(weights)

@@ -19,12 +19,13 @@ from .engine import (
     step_label,
 )
 from .density import (
-    DensityMatrix, diagonal_probabilities, purity_condition,
-    reconstruct_density,
+    DensityMatrix, _purity_sum, _table_density, diagonal_probabilities,
+    expectation_table, purity_condition, reconstruct_density,
 )
 from .relative import (
-    RelativeContext, conditional_restriction, measure,
-    relative_descriptor, ultimate_state_chain,
+    RelativeContext, _context_factor, _inverse_weight, _reduce, _relative,
+    conditional_restriction, measure, relative_descriptor,
+    ultimate_state_chain,
 )
 from .uniqueness import validate_basis
 
@@ -124,17 +125,25 @@ class SwapResult:
 
 
 def _swap_relative_outcomes(set_: DescriptorSet) -> tuple[RelativeBellOutcome, ...]:
+    """The four record outcomes, each context's factor and weight built once.
+
+    ``conditional_restriction`` of a component reduces the component times
+    the factor, which is the conditioned component already built here, so
+    the reductions start from those.
+    """
     base: dict[tuple[int, int], tuple[Descriptor, Descriptor]] = {}
     outcomes = []
     diag = diagonal_probabilities(set_, [4, 5])
     for k, bits in enumerate(itertools.product((0, 1), repeat=2)):
-        ctx = RelativeContext.pair_computational((4, 5), bits)
-        cond1 = relative_descriptor(set_, 0, ctx)
-        cond4 = relative_descriptor(set_, 3, ctx)
-        red1 = Descriptor(*(conditional_restriction(set_, c, (0, 3), ctx)
-                            for c in set_.descriptor(0).components()))
-        red4 = Descriptor(*(conditional_restriction(set_, c, (0, 3), ctx)
-                            for c in set_.descriptor(3).components()))
+        factor = _context_factor(
+            set_, RelativeContext.pair_computational((4, 5), bits))
+        inverse = _inverse_weight(factor)
+        cond1 = _relative(set_, 0, factor)
+        cond4 = _relative(set_, 3, factor)
+        red1 = Descriptor(*(_reduce(c, (0, 3), inverse)
+                            for c in cond1.components()))
+        red4 = Descriptor(*(_reduce(c, (0, 3), inverse)
+                            for c in cond4.components()))
         if bits == (0, 0):
             base[0, 0] = (red1, red4)
         ref1, ref4 = base[0, 0]
@@ -159,9 +168,9 @@ def run_entanglement_swap() -> SwapResult:
     densities = {}
     purities = {}
     for pair in PAIRS_1BASED:
-        zero_based = (pair[0] - 1, pair[1] - 1)
-        densities[pair] = reconstruct_density(set_, zero_based)
-        purities[pair] = purity_condition(set_, zero_based)
+        table = expectation_table(set_, (pair[0] - 1, pair[1] - 1))
+        densities[pair] = _table_density(2, table)
+        purities[pair] = _purity_sum(table, densities[pair])
     return SwapResult(
         final_set=set_,
         pair_densities=densities,

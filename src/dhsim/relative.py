@@ -149,9 +149,13 @@ def relative_descriptor(set_: DescriptorSet, qubit: int,
     single-qubit outcome factors.  No normalization by the outcome
     probability is applied.
     """
-    factor = _context_factor(set_, ctx)
-    d = set_.descriptor(qubit)
-    return Descriptor(*(sum_mul(c, factor) for c in d.components()))
+    return _relative(set_, qubit, _context_factor(set_, ctx))
+
+
+def _relative(set_: DescriptorSet, qubit: int, factor: PauliSum) -> Descriptor:
+    """``relative_descriptor`` for a context factor already built."""
+    return Descriptor(*(sum_mul(c, factor)
+                        for c in set_.descriptor(qubit).components()))
 
 
 # The benchmark's tracer (bench/spans.py) still looks the function up by this name.
@@ -242,20 +246,31 @@ def conditional_restriction(set_: DescriptorSet, operator: PauliSum,
     the small descriptor of the surviving subsystem once the measurement
     record (the z components of the measured qubits) has been consumed.
     """
-    keep = sorted(keep)
-    complement = [q for q in range(set_.n) if q not in keep]
     factor = _context_factor(set_, ctx)
+    return _reduce(sum_mul(operator, factor), keep, _inverse_weight(factor))
+
+
+def _inverse_weight(factor: PauliSum) -> Fraction:
+    """1 / <factor>, checked to be a positive real with a dyadic inverse."""
     norm = vacuum_expectation(factor)
     if not norm.is_real or norm.re <= 0:
         raise ContextError("context has zero weight")
-    conditioned = sum_mul(operator, factor)
+    inv = Fraction(1) / norm.re
+    if inv.denominator & (inv.denominator - 1):
+        raise ContextError(f"context weight {norm.re} has no dyadic inverse")
+    return inv
+
+
+def _reduce(conditioned: PauliSum, keep: Sequence[int], inverse: Fraction
+            ) -> PauliSum:
+    """A conditioned operator evaluated in the universal state off ``keep``
+    and scaled by the inverse context weight (``conditional_restriction``)."""
+    keep = sorted(keep)
+    complement = [q for q in range(conditioned.n) if q not in keep]
     out = PauliSum.zero(len(keep))
     for letters, coef in conditioned.terms():
         if any(letters[q] in (X, Y) for q in complement):
             continue
         kept = tuple(letters[q] for q in keep)
         out = out + PauliSum(len(keep), {kept: coef})
-    inv = Fraction(1) / norm.re
-    if inv.denominator & (inv.denominator - 1):
-        raise ContextError(f"context weight {norm.re} has no dyadic inverse")
-    return out.scale(inv)
+    return out.scale(inverse)

@@ -21,7 +21,8 @@ two of the four symmetry-route sets are enumerated only with other signs
 Enumeration and direct construction from a density share one search,
 ``_system_triples``; the symmetry search and ``apply_transform`` share one
 sign search, ``_transform_signs``.  ``generate_equivalent_sets`` builds
-each set's expectation table once and hands it along, and
+each set's expectation table once and hands it along (its private form
+takes the symmetries a caller has already found), and
 ``validate_basis`` takes all its inner products from one
 ``pauli.inner_products`` pass over the sixteen products.
 """
@@ -346,6 +347,13 @@ def generate_equivalent_sets(seed: DescriptorSet, rho: DensityMatrix
     """
     if seed.n != 2:
         raise ValueError("equivalence classes are generated for two-qubit sets")
+    return _generate_equivalent_sets(seed, rho, density_symmetries(rho))
+
+
+def _generate_equivalent_sets(seed: DescriptorSet, rho: DensityMatrix,
+                              transforms: Sequence[SymmetryTransform]
+                              ) -> list[DescriptorSet]:
+    """``generate_equivalent_sets`` with rho's symmetries already found."""
     seed_table = _set_table(seed)
     if any(value != ComplexDyadic.of(rho.coefficient(index))
            for index, value in seed_table.items()):
@@ -354,7 +362,7 @@ def generate_equivalent_sets(seed: DescriptorSet, rho: DensityMatrix
     if not report.well_formed:
         raise ValueError(f"seed is not a proper basis: {report.violations}")
     outputs: dict[tuple[str, ...], DescriptorSet] = {}
-    for transform in density_symmetries(rho):
+    for transform in transforms:
         candidate, table = _canonical_signs(
             *_apply_transform(seed, seed_table, transform))
         if not validate_basis(candidate).well_formed:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dhsim import oracle
 from dhsim.engine import GATE_KINDS, Circuit, Gate, apply_gate, initial_set
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -17,6 +18,17 @@ def src_on_subprocess_path():
         mp.setenv("PYTHONPATH", os.pathsep.join(
             p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
         yield
+
+
+def dense_operator(coeffs):
+    """sum_I coeffs[I] P_I as a numpy matrix (test-side reference)."""
+    return sum(float(c) * oracle.string_matrix(index)
+               for index, c in coeffs.items())
+
+
+def dense_density(rho):
+    """A DensityMatrix as the numpy matrix (1/2^n) sum_I a_I P_I."""
+    return dense_operator(rho.coeffs) / 2 ** rho.n
 
 
 def random_gate(rng: random.Random, n: int) -> Gate:

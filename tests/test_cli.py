@@ -134,12 +134,12 @@ WIDE = "qubits 5\nh 1\ncnot 1 2\ns 2\nbell 2 3\nh 4\ncnot 4 5\ny 5\n"
 
 class TestVerificationFailurePath:
     def test_exit_two_when_oracle_disagrees(self, bell_file, monkeypatch):
-        from dhsim import cli as cli_mod
+        from dhsim import oracle
 
         def broken(state, strings):
             return np.full(len(strings), 123.0, dtype=complex)
 
-        monkeypatch.setattr(cli_mod.oracle, "string_averages", broken)
+        monkeypatch.setattr(oracle, "string_averages", broken)
         code, report = run_report(RunConfig("run", bell_file, verify=True))
         assert code == EXIT_VERIFY
         assert report["sections"]["verified"] is False
@@ -147,8 +147,8 @@ class TestVerificationFailurePath:
     @staticmethod
     def _corrupt_one(monkeypatch, position):
         """Shift one oracle average by far more than ATOL; record call sizes."""
-        from dhsim import cli as cli_mod
-        real = cli_mod.oracle.string_averages
+        from dhsim import oracle
+        real = oracle.string_averages
         sizes = []
 
         def corrupted(state, strings):
@@ -157,7 +157,7 @@ class TestVerificationFailurePath:
             sizes.append(len(strings))
             return out
 
-        monkeypatch.setattr(cli_mod.oracle, "string_averages", corrupted)
+        monkeypatch.setattr(oracle, "string_averages", corrupted)
         return sizes
 
     @pytest.mark.parametrize("position", [0, 117, 199])
@@ -207,18 +207,63 @@ def test_symmetries_builds_at_most_40_tables(tmp_path, monkeypatch, frame):
 
 
 def test_swap_demo_verify_evolves_the_oracle_state_once(monkeypatch):
-    from dhsim import cli as cli_mod
-    real = cli_mod.oracle.apply_circuit
+    from dhsim import oracle
+    real = oracle.apply_circuit
     sizes = []
 
     def counting(n, steps, state=None):
         sizes.append(n)
         return real(n, steps, state)
 
-    monkeypatch.setattr(cli_mod.oracle, "apply_circuit", counting)
+    monkeypatch.setattr(oracle, "apply_circuit", counting)
     code, report = run_report(RunConfig("swap-demo", verify=True))
     assert code == EXIT_OK and report["sections"]["verified"] is True
     assert sizes == [6]
+
+
+def _count_calls(monkeypatch, module, name):
+    """Record the calls of ``module.name``, rebound in every dhsim module
+    that holds it (the modules import each other's functions by name)."""
+    real = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("dhsim")
+                and getattr(mod, name, None) is real):
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_symmetries_searches_the_symmetries_once(bell_file, monkeypatch):
+    from dhsim import uniqueness
+    calls = _count_calls(monkeypatch, uniqueness, "density_symmetries")
+    code, report = run_report(RunConfig("symmetries", bell_file, verify=True))
+    assert code == EXIT_OK and report["sections"]["transform_count"] == 12
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("subcommand,most", [("swap-demo", 10), ("run", 1)])
+def test_each_pair_table_built_once(bell_file, monkeypatch, subcommand, most):
+    """The swap builds one table per analysed pair (6) and per reduced
+    outcome pair (4); a two-qubit run one for its pair analysis."""
+    from dhsim import density
+    calls = _count_calls(monkeypatch, density, "expectation_table")
+    path = bell_file if subcommand == "run" else None
+    code, report = run_report(RunConfig(subcommand, path, verify=True))
+    assert code == EXIT_OK and report["sections"]["verified"] is True
+    assert 0 < len(calls) <= most
+
+
+def test_swap_demo_builds_each_context_factor_once(monkeypatch):
+    from dhsim import relative
+    calls = _count_calls(monkeypatch, relative, "_context_factor")
+    code, report = run_report(RunConfig("swap-demo", verify=True))
+    assert code == EXIT_OK and report["sections"]["verified"] is True
+    assert len(calls) == 4
 
 
 class TestDeterminism:
@@ -310,6 +355,36 @@ class TestMainEntry:
         assert proc.returncode == EXIT_OK
         report = json.loads(proc.stdout)
         assert report["sections"]["verified"] is True
+
+
+_LOADED_MODULES = """
+import contextlib, io, json, sys
+from dhsim.cli import main
+
+def loaded():
+    return ["numpy" in sys.modules, "dhsim.oracle" in sys.modules]
+
+path = sys.argv[1]
+runs = [[c, path] for c in ("run", "trace", "validate", "symmetries", "construct")]
+runs += [["swap-demo"], ["measure-demo"], ["chain-demo"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+    before = loaded()
+    codes.append(main(["run", path, "--verify"]))
+print(json.dumps({"codes": codes, "before": before, "after": loaded()}))
+"""
+
+
+def test_only_verify_loads_numpy_and_the_oracle(bell_file):
+    """In a fresh interpreter every subcommand without --verify leaves
+    numpy and dhsim.oracle unimported; one --verify run loads both."""
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, bell_file],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [EXIT_OK] * 9
+    assert result["before"] == [False, False]
+    assert result["after"] == [True, True]
 
 
 # Preparations of the six single-qubit stabilizer states from |0>.

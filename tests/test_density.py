@@ -19,7 +19,7 @@ from dhsim.density import (
     expectation_table, is_positive, mixture_representation, purity_condition,
     reconstruct_density, schmidt_coefficients, simply_reduce,
 )
-from conftest import random_circuit
+from conftest import dense_density, dense_operator, random_circuit
 from test_uniqueness_pins import stabilizer_states
 
 HALF = Fraction(1, 2)
@@ -78,18 +78,18 @@ class TestReconstructDensity:
     def test_bell_dense_matches_state(self, bell_set):
         rho = reconstruct_density(bell_set, [0, 1])
         psi = oracle.apply_circuit(2, gate_steps(bell_set))
-        assert np.allclose(rho.dense(), np.outer(psi, psi.conj()))
+        assert np.allclose(dense_density(rho), np.outer(psi, psi.conj()))
 
     def test_fresh_register(self):
         rho = reconstruct_density(initial_set(2), [0, 1])
-        dense = rho.dense()
+        dense = dense_density(rho)
         want = np.zeros((4, 4))
         want[0, 0] = 1
         assert np.allclose(dense, want)
 
     def test_bell_marginal_maximally_mixed(self, bell_set):
         rho = reconstruct_density(bell_set, [0])
-        assert np.allclose(rho.dense(), np.eye(2) / 2)
+        assert np.allclose(dense_density(rho), np.eye(2) / 2)
 
     def test_unit_trace_and_positivity_random(self):
         rng = random.Random(3)
@@ -97,15 +97,9 @@ class TestReconstructDensity:
             s = evolve_circuit(random_circuit(rng, 3, 10))
             qubits = rng.sample(range(3), rng.randint(1, 2))
             rho = reconstruct_density(s, qubits)
-            dense = rho.dense()
+            dense = dense_density(rho)
             assert abs(np.trace(dense) - 1) < 1e-12
             assert np.linalg.eigvalsh(dense).min() > -1e-9
-
-
-def dense_operator(coeffs):
-    """sum_I coeffs[I] P_I as a numpy matrix (test-side reference)."""
-    return sum(float(c) * oracle.string_matrix(index)
-               for index, c in coeffs.items())
 
 
 class TestIsPositive:
@@ -135,7 +129,7 @@ class TestIsPositive:
         for set_ in states.values():
             rho = reconstruct_density(set_, [0, 1])
             assert is_positive(2, rho.coeffs)
-            assert abs(np.linalg.eigvalsh(rho.dense()).min()) < 1e-12
+            assert abs(np.linalg.eigvalsh(dense_density(rho)).min()) < 1e-12
 
     def test_rank_deficient_mixtures_accepted(self):
         """(I + Z)/2 on one qubit, and the identity padded by zero terms."""
@@ -303,7 +297,7 @@ class TestDiagonalProbabilities:
         for n in (2, 3, 4, 5, 6):
             s = evolve_circuit(random_circuit(rng, n, 15))
             probs = diagonal_probabilities(s, range(n))
-            diag = np.real(np.diag(reconstruct_density(s, range(n)).dense()))
+            diag = np.real(np.diag(dense_density(reconstruct_density(s, range(n)))))
             assert np.allclose([float(p) for p in probs], diag, atol=1e-12)
 
 
@@ -392,6 +386,19 @@ class TestSimplyReduce:
             expectation_table(bell_set, [0, 1])
 
 
+def mixed_table(weights, sets):
+    """sum_j w_j T_j over every index of the sets' full tables."""
+    tables = [expectation_table(s, range(s.n)) for s in sets]
+    return {index: sum((w * t[index].re for w, t in zip(weights, tables)),
+                       Fraction(0))
+            for index in tables[0]}
+
+
+def reproduces(weights, sets, target):
+    return all(value == target.get(index, 0)
+               for index, value in mixed_table(weights, sets).items())
+
+
 class TestMixtureRepresentation:
     def _basis_sets(self):
         sets = []
@@ -405,16 +412,18 @@ class TestMixtureRepresentation:
 
     def test_uniform_mixture(self):
         target = {(I, I): Fraction(1)}
-        weights, residual = mixture_representation(target, self._basis_sets())
-        assert np.allclose(weights, 0.25)
-        assert residual < 1e-9
+        sets = self._basis_sets()
+        weights = mixture_representation(target, sets)
+        assert weights == (Fraction(1, 4),) * 4
+        assert all(isinstance(w, Fraction) for w in weights)
+        assert reproduces(weights, sets, target)
 
     def test_self_representation(self, bell_set):
         target = {idx: v.re for idx, v
                   in expectation_table(bell_set, [0, 1]).items()}
-        weights, residual = mixture_representation(target, [bell_set])
-        assert np.allclose(weights, 1.0)
-        assert residual < 1e-9
+        weights = mixture_representation(target, [bell_set])
+        assert weights == (Fraction(1),)
+        assert reproduces(weights, [bell_set], target)
 
     def test_swap_pair_as_bell_mixture(self, swap_result):
         bell_sets = []
@@ -426,9 +435,9 @@ class TestMixtureRepresentation:
             bell_sets.append(s)
         target = {idx: v.re for idx, v in
                   expectation_table(swap_result.final_set, [1, 2]).items()}
-        weights, residual = mixture_representation(target, bell_sets)
-        assert np.allclose(weights, 0.25)
-        assert residual < 1e-9
+        weights = mixture_representation(target, bell_sets)
+        assert weights == (Fraction(1, 4),) * 4
+        assert reproduces(weights, bell_sets, target)
 
     def test_infeasible_dictionary(self, bell_set):
         target = {idx: v.re for idx, v
@@ -439,16 +448,27 @@ class TestMixtureRepresentation:
         with pytest.raises(ValueError):
             mixture_representation({}, [])
 
+    def test_underdetermined_free_weights_are_zero(self, bell_set):
+        # A repeated table makes the system underdetermined: the first
+        # copy takes the pivot, every later copy weight 0.
+        target = {idx: v.re for idx, v
+                  in expectation_table(bell_set, [0, 1]).items()}
+        sets = [bell_set, bell_set, initial_set(2), bell_set]
+        weights = mixture_representation(target, sets)
+        assert weights == (1, 0, 0, 0)
+        assert reproduces(weights, sets, target)
+
     def test_representation_without_operator_identity(self, swap_result):
         # The mixed pair's table is a mixture of pure tables, yet its
         # descriptors live on the full register and equal none of the
         # dictionary descriptors.
         target = {idx: v.re for idx, v in
                   expectation_table(swap_result.final_set, [1, 2]).items()}
-        weights, residual = mixture_representation(
-            target, self._basis_sets() + [evolve_circuit(
-                Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1)))))])
-        assert residual < 1e-9
+        sets = self._basis_sets() + [evolve_circuit(
+            Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1)))))]
+        weights = mixture_representation(target, sets)
+        assert weights == (Fraction(1, 4),) * 4 + (0,)
+        assert reproduces(weights, sets, target)
         for qubit in (1, 2):
             for comp in swap_result.final_set.descriptor(qubit).components():
                 assert not comp.support() <= {1, 2}

@@ -5,7 +5,9 @@ reads a sum's term map or calls the key helpers.  The dense oracle is the
 independent ground truth, so it uses only the public Pauli API (letter
 tuples and coefficients) and never a private name of `dhsim.pauli`.
 Floats decide nothing outside the oracle: only `oracle.py` calls an
-eigenvalue routine, and `relative.py` imports neither numpy nor the oracle.
+eigenvalue routine or imports numpy, `relative.py` imports neither numpy
+nor the oracle, and no module imports the oracle at module level, so an
+exact report loads neither.
 """
 
 import ast
@@ -62,3 +64,39 @@ def test_relative_imports_neither_numpy_nor_oracle():
             imported += [f"{node.module or ''}.{a.name}" for a in node.names]
     assert not [name for name in imported
                 if name.split(".")[0] == "numpy" or "oracle" in name.split(".")]
+
+
+def _imported_modules(node) -> list[str]:
+    """Dotted names an import statement loads, relative ones with their dots."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom):
+        base = "." * node.level + (node.module or "")
+        return [base] + [f"{base}.{a.name}" for a in node.names]
+    return []
+
+
+def _module_level(tree):
+    """Statements run on import: everything outside function bodies."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "oracle.py"],
+                         ids=lambda p: p.name)
+def test_only_oracle_imports_numpy(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [name for node in ast.walk(tree) for name in _imported_modules(node)]
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_oracle_not_imported_at_module_level(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [name for node in _module_level(tree)
+                for name in _imported_modules(node)]
+    assert not [name for name in imported if "oracle" in name.split(".")]

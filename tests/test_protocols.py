@@ -14,7 +14,7 @@ from dhsim.protocols import (
     run_generalized_measurement_demo,
     run_ultimate_chain_demo, swap_circuit, swap_relative_bell,
 )
-from conftest import random_circuit
+from conftest import dense_density, random_circuit
 
 # The six final descriptors of the swap protocol, verified against dense
 # conjugation (component order x, y, z; register order 1..6).
@@ -88,7 +88,7 @@ class TestEntanglementSwap:
             total, mixed = swap_result.pair_purity[pair]
             assert total == 0 and mixed
             rho = swap_result.pair_densities[pair]
-            assert np.allclose(rho.dense(), np.eye(4) / 4)
+            assert np.allclose(dense_density(rho), np.eye(4) / 4)
 
     def test_record_pairs_carry_correlation(self, swap_result):
         # (3,5) and (2,6) hold the measurement record: classically

@@ -18,7 +18,7 @@ from dhsim.relative import (
     measure, measure_in_basis, outcome_probability, povm_sum_check,
     relative_descriptor, relative_descriptor_pair, ultimate_state_chain,
 )
-from conftest import random_circuit
+from conftest import dense_density, random_circuit
 
 
 def plus_state_set():
@@ -70,7 +70,7 @@ class TestDecohere:
     def test_plus_state(self):
         s = decohere(plus_state_set(), [0])
         rho = reconstruct_density(s, [0])
-        assert np.allclose(rho.dense(), np.eye(2) / 2)
+        assert np.allclose(dense_density(rho), np.eye(2) / 2)
 
     def test_classical_state_unchanged(self):
         s = decohere(initial_set(1), [0])
@@ -80,7 +80,7 @@ class TestDecohere:
     def test_bell_pair_both(self, bell_set):
         s = decohere(bell_set, [0, 1])
         rho = reconstruct_density(s, [0, 1])
-        assert np.allclose(rho.dense(), np.diag([0.5, 0, 0, 0.5]))
+        assert np.allclose(dense_density(rho), np.diag([0.5, 0, 0, 0.5]))
 
     def test_idempotent_on_density(self, bell_set):
         once = decohere(bell_set, [0, 1])
