@@ -30,12 +30,12 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Any, Iterable
 
 from .pauli import I, X, Y, Z, ComplexDyadic
 from .engine import (
     AddAncilla, Circuit, DescriptorSet, Gate,
-    evolve_circuit, expectation, gate_steps, step_label,
+    evolve_circuit, expectations, gate_steps, step_label,
 )
 from .density import (
     density_report, diagonal_probabilities, expectation_table,
@@ -189,16 +189,12 @@ def _descriptor_rows(set_: DescriptorSet) -> list[dict]:
 
 
 def _singles_rows(set_: DescriptorSet) -> list[dict]:
-    rows = []
-    for q in range(set_.n):
-        idx = [I] * set_.n
-        row = {"qubit": q + 1}
-        for name, w in (("x", X), ("y", Y), ("z", Z)):
-            idx[q] = w
-            row[name] = _num(expectation(set_, tuple(idx)))
-            idx[q] = I
-        rows.append(row)
-    return rows
+    n = set_.n
+    strings = [(I,) * q + (w,) + (I,) * (n - 1 - q)
+               for q in range(n) for w in (X, Y, Z)]
+    values = iter(expectations(set_, strings))
+    return [{"qubit": q + 1, **{name: _num(next(values)) for name in "xyz"}}
+            for q in range(n)]
 
 
 def _history_rows(set_: DescriptorSet) -> list[str]:
@@ -207,15 +203,16 @@ def _history_rows(set_: DescriptorSet) -> list[str]:
 
 def _verify_set(set_: DescriptorSet, seed: int, samples: int = 200,
                 checks: Iterable[tuple[tuple[int, ...], ComplexDyadic]] = (),
-                psi: numpy.ndarray | None = None) -> bool:
+                psi: Any = None) -> bool:
     """Sampled picture-equivalence check of a descriptor set.
 
     The engine's averages of ``samples`` seeded random strings (base-4
     digits of a pick, qubit 0 lowest), and each (string, exact average)
     pair in ``checks``, are compared with the oracle's averages on the
-    circuit's state ``psi`` (evolved here when not given), all taken in
-    one ``oracle.string_averages`` call.  A check string already in the
-    call is not sent again; its value is compared with that average.
+    circuit's state ``psi`` (an ``oracle.apply_circuit`` state vector,
+    evolved here when not given), all taken in one
+    ``oracle.string_averages`` call.  A check string already in the call
+    is not sent again; its value is compared with that average.
     """
     from . import oracle
     rng = random.Random(seed)
@@ -224,7 +221,7 @@ def _verify_set(set_: DescriptorSet, seed: int, samples: int = 200,
     picks = rng.sample(range(space), count) if space <= 10 ** 6 else [
         rng.randrange(space) for _ in range(count)]
     strings = [tuple(pick >> 2 * q & 3 for q in range(set_.n)) for pick in picks]
-    pairs = [(k, expectation(set_, letters)) for k, letters in enumerate(strings)]
+    pairs = list(enumerate(expectations(set_, strings)))
     position = {letters: k for k, letters in enumerate(strings)}
     for letters, value in checks:
         if letters not in position:
@@ -233,7 +230,7 @@ def _verify_set(set_: DescriptorSet, seed: int, samples: int = 200,
         pairs.append((position[letters], value))
     if psi is None:
         psi = oracle.apply_circuit(set_.n, gate_steps(set_))
-    averages = oracle.string_averages(psi, strings)
+    averages = oracle.string_averages(psi, strings).tolist()
     return all(abs(complex(value) - averages[k]) <= oracle.ATOL
                for k, value in pairs)
 

@@ -20,7 +20,7 @@ from .pauli import (
     I, X, Y, Z,
     ComplexDyadic, PauliSum, sum_mul, vacuum_expectation,
 )
-from .engine import Descriptor, DescriptorSet, expectation
+from .engine import Descriptor, DescriptorSet, expectations
 
 # Widest operator ``is_positive`` decides: a 2^10 x 2^10 matrix.
 POSITIVE_MAX_QUBITS = 10
@@ -113,13 +113,14 @@ def expectation_table(set_: DescriptorSet, qubits: Sequence[int]) -> dict[MultiI
     extended on every other qubit.
     """
     qubits = list(qubits)
-    table: dict[MultiIndex, ComplexDyadic] = {}
+    combos = list(itertools.product((I, X, Y, Z), repeat=len(qubits)))
     index = [I] * set_.n
-    for combo in itertools.product((I, X, Y, Z), repeat=len(qubits)):
+    strings = []
+    for combo in combos:
         for qubit, which in zip(qubits, combo):
             index[qubit] = which
-        table[combo] = expectation(set_, index)
-    return table
+        strings.append(tuple(index))
+    return dict(zip(combos, expectations(set_, strings)))
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,12 @@ of the evolved strings in place would be wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .pauli import (
     I, X, Y, Z,
     ComplexDyadic, DimensionError, PauliSum,
-    sum_mul, vacuum_expectation,
+    sum_mul, vacuum_expectations,
 )
 
 SINGLE_QUBIT_KINDS = ("H", "X", "Y", "Z", "S")
@@ -277,12 +277,21 @@ def component_product(set_: DescriptorSet, indices: Sequence[int]) -> PauliSum:
 
 
 def expectation(set_: DescriptorSet, indices: Sequence[int]) -> ComplexDyadic:
-    """Vacuum expectation of the ordered product of chosen components.
+    """Vacuum expectation of the ordered product of chosen components:
+    ``expectations`` of one index string."""
+    return expectations(set_, (indices,))[0]
 
-    A product of single strings with an x bit averages to zero before any
-    product is formed (see ``pauli.vacuum_expectation``).
+
+def expectations(set_: DescriptorSet,
+                 strings: Iterable[Sequence[int]]) -> list[ComplexDyadic]:
+    """The vacuum expectation of each index string's component product.
+
+    Each qubit's components are looked up once for the whole batch; a
+    string whose single-string factors XOR to an x bit averages to zero
+    before any product is formed (see ``pauli.vacuum_expectations``).
     """
-    return vacuum_expectation(*_chosen(set_, indices))
+    return vacuum_expectations([d.components() for d in set_.descriptors],
+                               strings)
 
 
 def heisenberg_image(set_: DescriptorSet, operator: PauliSum) -> PauliSum:

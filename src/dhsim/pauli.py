@@ -656,30 +656,78 @@ def inner_products(sums: Sequence[PauliSum]) -> dict[tuple[int, int], ComplexDya
 def vacuum_expectation(*factors: PauliSum) -> ComplexDyadic:
     """<0...0| f1 f2 ... |0...0> of the ordered product (ONE for no factors).
 
-    Per term, I and Z slots give 1 and X and Y give 0.  A product of
-    single strings is one string, the XOR of the keys, so when that XOR
-    has an x bit the average is zero and no product is formed.
+    Per term, I and Z slots give 1 and X and Y give 0.  Several factors
+    go through ``vacuum_expectations`` as one pick, so a product of single
+    strings with an x bit averages to zero with no product formed.
     """
+    if len(factors) > 1:
+        # One pick through positions that offer their factor under X, Y and Z.
+        return vacuum_expectations([(f, f, f) for f in factors],
+                                   [(X,) * len(factors)])[0]
+    return _vacuum_average(factors)
+
+
+def _vacuum_average(factors: Sequence[PauliSum]) -> ComplexDyadic:
+    """<0...0| f1 f2 ... |0...0> with the product formed: the sum of the
+    coefficients of its x-free terms (ONE for no factors)."""
     if not factors:
         return ONE
-    s = factors[0]
+    s = factors[0] if len(factors) == 1 else sum_mul(*factors)
     m = _x_mask(s.n)
-    if len(factors) > 1:
-        key = 0
-        for f in factors:
-            if f.n != s.n or len(f._terms) != 1:
-                break
-            (kb,) = f._terms
-            key ^= kb
-        else:
-            if key & m:
-                return ZERO
-        s = sum_mul(*factors)
     total = ZERO
     for key, coef in s._terms.items():
         if not key & m:
             total = total + coef
     return total
+
+
+def vacuum_expectations(offers: Sequence[tuple[PauliSum, PauliSum, PauliSum]],
+                        picks: Iterable[Sequence[int]]) -> list[ComplexDyadic]:
+    """``vacuum_expectation`` of one ordered product per pick.
+
+    ``offers[q]`` holds the factors letters X, Y and Z select at position
+    q (``offers[q][w - 1]``), and I selects none; any other letter is
+    rejected.  A product of single strings is one string, the XOR of the
+    keys, so a pick whose factors are all single strings with x-parts
+    that XOR to a nonzero mask averages to ZERO with no product formed.
+    Each offer's x-part is read once for the whole batch.
+    """
+    n = offers[0][0].n
+    m = _x_mask(n)
+
+    def x_part(f: PauliSum) -> int | None:
+        # None for a factor that is not one string on n qubits: its product
+        # has to be formed.
+        if f.n != n or len(f._terms) != 1:
+            return None
+        (key,) = f._terms
+        return key & m
+
+    parts = [{I: 0, X: x_part(a), Y: x_part(b), Z: x_part(c)}
+             for a, b, c in offers]
+    out = []
+    for pick in picks:
+        if len(pick) != len(offers):
+            raise DimensionError(
+                f"pick of length {len(pick)} for {len(offers)} positions")
+        x, decided = 0, True
+        try:
+            for row, w in zip(parts, pick):
+                part = row[w]
+                if part is None:
+                    decided = False
+                else:
+                    x ^= part
+        except KeyError:
+            q = next(q for q, w in enumerate(pick) if w not in parts[q])
+            raise ValueError(f"letter {pick[q]!r} at slot {q} is not one of "
+                             f"0..3 (I, X, Y, Z)") from None
+        if decided and x:
+            out.append(ZERO)
+        else:
+            out.append(_vacuum_average([row[w - 1] for row, w in zip(offers, pick)
+                                        if w != I]))
+    return out
 
 
 def z_projector(n: int, qubit: int, outcome: int) -> PauliSum:

@@ -15,7 +15,7 @@ from typing import Mapping
 from .pauli import I, X, Y, Z, vacuum_expectation
 from .engine import (
     AddAncilla, Circuit, Descriptor, DescriptorSet, Gate,
-    add_ancilla, apply_gate, evolve_circuit, expectation, initial_set,
+    add_ancilla, apply_gate, evolve_circuit, expectations, initial_set,
     step_label,
 )
 from .density import (
@@ -24,8 +24,7 @@ from .density import (
 )
 from .relative import (
     RelativeContext, _context_factor, _inverse_weight, _reduce, _relative,
-    conditional_restriction, measure, relative_descriptor,
-    ultimate_state_chain,
+    _restriction, _ultimate_state_chain, measure, relative_descriptor,
 )
 from .uniqueness import validate_basis
 
@@ -216,15 +215,10 @@ def run_generalized_measurement_demo() -> dict:
     rotated = set_
     set_ = measure(set_, 0)
     set_ = measure(set_, 1)
-    singles = {}
-    for qubit in (0, 1):
-        idx = [I] * set_.n
-        values = []
-        for w in COMPONENTS:
-            idx[qubit] = w
-            values.append(expectation(set_, tuple(idx)))
-            idx[qubit] = I
-        singles[qubit + 1] = values
+    strings = [(I,) * qubit + (w,) + (I,) * (set_.n - 1 - qubit)
+               for qubit in (0, 1) for w in COMPONENTS]
+    values = expectations(set_, strings)
+    singles = {qubit + 1: values[3 * qubit:3 * qubit + 3] for qubit in (0, 1)}
     rho_1 = reconstruct_density(set_, [0])
     bloch = tuple(rho_1.single(0, w) for w in COMPONENTS)
     return {
@@ -250,7 +244,9 @@ def run_ultimate_chain_demo() -> dict:
     rel_zero = relative_descriptor(two_qubit, 0, RelativeContext.computational(1, 0))
     rel_one = relative_descriptor(two_qubit, 0, RelativeContext.computational(1, 1))
     set_ = measure(set_, 1)            # third system is qubit 3
-    plus, minus, third = ultimate_state_chain(set_, 1)
+    # Each third-system factor is built once and serves both the chained
+    # ancilla state and the restriction of the system conditioned on it.
+    plus, minus, third, factors = _ultimate_state_chain(set_, 1)
     sum_ok = all(p + m == set_.component(1, w).scale(2)
                  for p, m, w in zip(plus.components(), minus.components(),
                                     COMPONENTS))
@@ -261,9 +257,8 @@ def run_ultimate_chain_demo() -> dict:
     blochs = {name: [vacuum_expectation(desc.component(w)) for w in COMPONENTS]
               for name, desc in (("plus", plus), ("minus", minus))}
     cross = {}
-    for bit, reference in ((0, rel_zero), (1, rel_one)):
-        ctx = RelativeContext.computational(2, bit)
-        reduced = Descriptor(*(conditional_restriction(set_, c, (0, 1), ctx)
+    for bit, (reference, factor) in enumerate(zip((rel_zero, rel_one), factors)):
+        reduced = Descriptor(*(_restriction(c, (0, 1), factor)
                                for c in set_.descriptor(0).components()))
         cross[bit] = all(r == c for r, c in zip(reference.components(),
                                                 reduced.components()))

@@ -211,6 +211,15 @@ def ultimate_state_chain(set_: DescriptorSet, ancilla_qubit: int
     q_pm = q_ancilla (1 +/- q_{third,z}); their sum is exactly twice the
     unconditioned ancilla descriptor.
     """
+    plus, minus, third, _ = _ultimate_state_chain(set_, ancilla_qubit)
+    return plus, minus, third
+
+
+def _ultimate_state_chain(set_: DescriptorSet, ancilla_qubit: int
+                          ) -> tuple[Descriptor, Descriptor, int,
+                                     tuple[PauliSum, PauliSum]]:
+    """``ultimate_state_chain`` with the factors of the third system's |0>
+    and |1> contexts, for callers that condition more on them."""
     third = None
     for entry in set_.history:
         if isinstance(entry, AddAncilla):
@@ -220,11 +229,10 @@ def ultimate_state_chain(set_: DescriptorSet, ancilla_qubit: int
     if third is None:
         raise ValueError(
             f"qubit {ancilla_qubit} has not been measured by a further system")
-    plus = relative_descriptor(set_, ancilla_qubit,
-                               RelativeContext.computational(third, 0))
-    minus = relative_descriptor(set_, ancilla_qubit,
-                                RelativeContext.computational(third, 1))
-    return plus, minus, third
+    factors = tuple(_context_factor(set_, RelativeContext.computational(third, bit))
+                    for bit in (0, 1))
+    plus, minus = (_relative(set_, ancilla_qubit, f) for f in factors)
+    return plus, minus, third, factors
 
 
 def conditional_restriction(set_: DescriptorSet, operator: PauliSum,
@@ -246,7 +254,12 @@ def conditional_restriction(set_: DescriptorSet, operator: PauliSum,
     the small descriptor of the surviving subsystem once the measurement
     record (the z components of the measured qubits) has been consumed.
     """
-    factor = _context_factor(set_, ctx)
+    return _restriction(operator, keep, _context_factor(set_, ctx))
+
+
+def _restriction(operator: PauliSum, keep: Sequence[int], factor: PauliSum
+                 ) -> PauliSum:
+    """``conditional_restriction`` for a context factor already built."""
     return _reduce(sum_mul(operator, factor), keep, _inverse_weight(factor))
 
 

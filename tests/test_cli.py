@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import typing
 
 import jsonschema
 import numpy as np
@@ -264,6 +265,41 @@ def test_swap_demo_builds_each_context_factor_once(monkeypatch):
     code, report = run_report(RunConfig("swap-demo", verify=True))
     assert code == EXIT_OK and report["sections"]["verified"] is True
     assert len(calls) == 4
+
+
+def test_chain_demo_builds_each_context_factor_once(monkeypatch):
+    """Two contexts on the two-qubit set and two on the third system, each
+    factor serving the chained ancilla state and the system's restriction."""
+    from dhsim import relative
+    calls = _count_calls(monkeypatch, relative, "_context_factor")
+    code, report = run_report(RunConfig("chain-demo", verify=True))
+    assert code == EXIT_OK and report["sections"]["verified"] is True
+    assert len(calls) == 4
+
+
+def test_verify_batches_every_average(tmp_path, monkeypatch):
+    """A 10-qubit run --verify takes its 200 oracle averages in one call and
+    its 30 singles and 200 engine averages through the batched form, with
+    no single-query ``expectation`` call."""
+    from dhsim import engine, oracle
+    path = tmp_path / "ten.dh"
+    path.write_text("qubits 10\n" + "".join(
+        f"h {q}\ncnot {q} {q + 1}\ns {q + 1}\n" for q in range(1, 10)))
+    averages = _count_calls(monkeypatch, oracle, "string_averages")
+    singles = _count_calls(monkeypatch, engine, "expectation")
+    batches = _count_calls(monkeypatch, engine, "expectations")
+    code, report = run_report(RunConfig("run", str(path), verify=True))
+    assert code == EXIT_OK and report["sections"]["verified"] is True
+    assert [len(args[1]) for args in averages] == [200]
+    assert singles == []
+    assert sorted(len(args[1]) for args in batches) == [30, 200]
+
+
+def test_verify_set_annotations_resolve():
+    """The hints name no module cli leaves unimported (numpy loads only
+    inside --verify)."""
+    from dhsim import cli
+    assert typing.get_type_hints(cli._verify_set)["seed"] is int
 
 
 class TestDeterminism:

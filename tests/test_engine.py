@@ -5,13 +5,14 @@ import pytest
 
 from dhsim import oracle
 from dhsim.pauli import (
-    I, X, Y, Z, ComplexDyadic, PauliSum, hs_inner, parse_sum,
+    I, X, Y, Z, ComplexDyadic, DimensionError, PauliSum, hs_inner, parse_sum,
+    vacuum_expectation,
 )
 from dhsim.engine import (
     SINGLE_QUBIT_KINDS, TWO_QUBIT_KINDS,
     Circuit, Gate, GateError,
-    add_ancilla, apply_gate, component_product, evolve_circuit, expectation,
-    gate_steps, heisenberg_image, initial_set,
+    DescriptorSet, add_ancilla, apply_gate, component_product, evolve_circuit,
+    expectation, expectations, gate_steps, heisenberg_image, initial_set,
 )
 from conftest import random_circuit
 
@@ -190,6 +191,69 @@ class TestStructuralInvariants:
         monkeypatch.setattr(PauliSum, "_canonical", staticmethod(counting))
         assert expectation(s, indices) == ComplexDyadic.of(0)
         assert len(built) <= 1
+
+
+class TestBatchedExpectations:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_equals_single_queries(self, n):
+        rng = random.Random(100 + n)
+        s = evolve_circuit(random_circuit(rng, n, 3 * n))
+        if n <= 5:
+            strings = list(itertools.product(range(4), repeat=n))
+        else:
+            strings = [(I,) * q + (w,) + (I,) * (n - 1 - q)
+                       for q in range(n) for w in (X, Y, Z)]
+            strings += [tuple(rng.randrange(4) for _ in range(n))
+                        for _ in range(200)]
+        got = expectations(s, strings)
+        assert got == [full_product_average(s, idx) for idx in strings]
+        assert [expectation(s, idx) for idx in strings[:50]] == got[:50]
+        if n <= 5:
+            # A stabilizer state gives a nonzero average to exactly 2^n strings.
+            assert sum(1 for v in got if v) == 2 ** n
+
+    def test_multi_term_components(self, swap_result):
+        """Relative descriptors are sums of several strings; their products
+        go through the full vacuum average, mixed with single strings."""
+        from dhsim.relative import RelativeContext, relative_descriptor
+        s = swap_result.final_set
+        ctx = RelativeContext.pair_computational((4, 5), (0, 1))
+        descs = list(s.descriptors)
+        for q in (0, 3):
+            descs[q] = relative_descriptor(s, q, ctx)
+        mixed = DescriptorSet(s.n, tuple(descs))
+        assert len(mixed.component(0, X)) > 1
+        rng = random.Random(5)
+        strings = list(itertools.product((I, X, Y, Z), repeat=2))
+        strings = [(a, I, I, b, I, I) for a, b in strings]
+        strings += [tuple(rng.randrange(4) for _ in range(6)) for _ in range(200)]
+        got = expectations(mixed, strings)
+        assert got == [full_product_average(mixed, idx) for idx in strings]
+        assert any(got[:16])
+        # A multi-term factor ends the x-part scan; later letters are still checked.
+        with pytest.raises(ValueError, match="letter -1 at slot 5"):
+            expectations(mixed, [(X, I, I, I, I, -1)])
+
+    def test_rejects_wrong_length(self, bell_set):
+        with pytest.raises(DimensionError):
+            expectations(bell_set, [(X, X), (X,)])
+        with pytest.raises(DimensionError):
+            expectation(bell_set, (X,))
+
+    @pytest.mark.parametrize("bad", [-1, 4, -4])
+    def test_rejects_letters_outside_0_to_3(self, bell_set, bad):
+        """Letter -1 would otherwise index a component from the end."""
+        for strings in ([(bad, I)], [(Z, Z), (X, bad)], [(bad, X)]):
+            with pytest.raises(ValueError, match=f"letter {bad} at slot"):
+                expectations(bell_set, strings)
+        with pytest.raises(ValueError):
+            expectation(bell_set, (X, bad))
+
+
+def full_product_average(set_, indices):
+    """The vacuum average of the full component product, formed term by
+    term with no shortcut for strings that average to zero."""
+    return vacuum_expectation(component_product(set_, indices))
 
 
 class TestPictureEquivalence:

@@ -154,6 +154,74 @@ class TestStringAverages:
         with pytest.raises(oracle.OracleError):
             oracle.string_averages(psi, strings)
 
+    @staticmethod
+    def _check_against_string_matrix(psi, strings):
+        got = oracle.string_averages(psi, strings)
+        assert got.shape == (len(strings),)
+        want = [np.vdot(psi, oracle.string_matrix(s) @ psi) for s in strings]
+        assert np.allclose(got, want, atol=1e-12, rtol=0)
+
+    def _chunk_edge_strings(self, rng, n, psi):
+        """Strings for the fixed chunk-edge counts, and for the edges of the
+        chunk a state of this support gets on small registers."""
+        rows = self.CHUNK * 2 ** n // max(np.count_nonzero(psi), 1)
+        lengths = [0, 1, self.CHUNK - 1, self.CHUNK, self.CHUNK + 1,
+                   2 * self.CHUNK + 1]
+        if n <= 6 and rows <= 128:
+            lengths += [rows - 1, rows, rows + 1, 2 * rows + 1]
+        for count in lengths:
+            yield [tuple(int(v) for v in rng.integers(0, 4, size=n))
+                   for _ in range(count)]
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_stabilizer_states(self, n):
+        """A stabilizer state has 2^r nonzero amplitudes (more are exactly
+        nonzero where rounding leaves a residue); the sum over the exactly
+        nonzero ones must equal the dense average."""
+        rng = np.random.default_rng(40 + n)
+        steps = [step for step in random_steps(rng, n, 2 * n) if step[0] != "T"]
+        psi = oracle.apply_circuit(n, steps)
+        for strings in self._chunk_edge_strings(rng, n, psi):
+            self._check_against_string_matrix(psi, strings)
+
+    @pytest.mark.parametrize("n", [2, 4, 7, 10])
+    def test_single_basis_state(self, n):
+        rng = np.random.default_rng(60 + n)
+        psi = np.zeros(2 ** n, dtype=complex)
+        psi[int(rng.integers(2 ** n))] = 1j
+        for strings in self._chunk_edge_strings(rng, n, psi):
+            self._check_against_string_matrix(psi, strings)
+
+    @pytest.mark.parametrize("n", [3, 6, 8])
+    def test_dense_state_with_exact_zeros(self, n):
+        rng = np.random.default_rng(80 + n)
+        psi = random_state(rng, n)
+        psi[rng.random(2 ** n) < 0.4] = 0
+        psi /= np.linalg.norm(psi)
+        for strings in self._chunk_edge_strings(rng, n, psi):
+            self._check_against_string_matrix(psi, strings)
+
+    def test_sparse_temporaries_stay_chunk_sized(self):
+        n = 14
+        psi = np.zeros(2 ** n, dtype=complex)
+        psi[12345] = 1.0
+        rng = np.random.default_rng(9)
+        strings = [tuple(int(v) for v in rng.integers(0, 4, size=n))
+                   for _ in range(200)]
+        tracemalloc.start()
+        try:
+            got = oracle.string_averages(psi, strings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        # Only strings without an x bit keep a basis state's amplitude.
+        want = [0 if any(l in (1, 2) for l in s) else
+                (-1) ** sum(1 for q, l in enumerate(s)
+                            if l == 3 and 12345 >> (n - 1 - q) & 1)
+                for s in strings]
+        assert np.array_equal(got, np.array(want, dtype=complex))
+
     def test_temporaries_stay_chunk_sized(self):
         n = 14
         psi = random_state(np.random.default_rng(5), n)
