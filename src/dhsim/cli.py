@@ -34,7 +34,7 @@ from typing import Any, Iterable
 
 from .pauli import I, X, Y, Z, ComplexDyadic
 from .engine import (
-    AddAncilla, Circuit, DescriptorSet, Gate,
+    GATE_KINDS, SINGLE_QUBIT_KINDS, AddAncilla, Circuit, DescriptorSet, Gate,
     evolve_circuit, expectations, gate_steps, step_label,
 )
 from .density import (
@@ -63,6 +63,8 @@ DEFAULT_MAX_QUBITS = 10
 # `run` reports the exact diagonal up to this size.  It costs 2^n Pauli
 # products plus n 2^n exact additions; a larger cap changes the reports.
 DIAGONAL_MAX_QUBITS = 8
+# `--verify` compares the averages of this many seeded random strings.
+VERIFY_SAMPLES = 200
 
 
 class ParseError(ValueError):
@@ -85,7 +87,8 @@ class RunConfig:
     max_qubits: int = DEFAULT_MAX_QUBITS
 
 
-_GATE_ARITY = {"h": 1, "x": 1, "y": 1, "z": 1, "s": 1, "cnot": 2, "bell": 2}
+_GATE_ARITY = {kind.lower(): 1 if kind in SINGLE_QUBIT_KINDS else 2
+               for kind in GATE_KINDS}
 
 _TOKEN = re.compile(r"\S+")
 
@@ -201,23 +204,23 @@ def _history_rows(set_: DescriptorSet) -> list[str]:
     return [step_label(step) for step in set_.history]
 
 
-def _verify_set(set_: DescriptorSet, seed: int, samples: int = 200,
+def _verify_set(set_: DescriptorSet, seed: int,
                 checks: Iterable[tuple[tuple[int, ...], ComplexDyadic]] = (),
                 psi: Any = None) -> bool:
     """Sampled picture-equivalence check of a descriptor set.
 
-    The engine's averages of ``samples`` seeded random strings (base-4
-    digits of a pick, qubit 0 lowest), and each (string, exact average)
-    pair in ``checks``, are compared with the oracle's averages on the
-    circuit's state ``psi`` (an ``oracle.apply_circuit`` state vector,
-    evolved here when not given), all taken in one
+    The engine's averages of ``VERIFY_SAMPLES`` seeded random strings
+    (base-4 digits of a pick, qubit 0 lowest), and each (string, exact
+    average) pair in ``checks``, are compared with the oracle's averages
+    on the circuit's state ``psi`` (an ``oracle.apply_circuit`` state
+    vector, evolved here when not given), all taken in one
     ``oracle.string_averages`` call.  A check string already in the call
     is not sent again; its value is compared with that average.
     """
     from . import oracle
     rng = random.Random(seed)
     space = 4 ** set_.n
-    count = min(samples, space)
+    count = min(VERIFY_SAMPLES, space)
     picks = rng.sample(range(space), count) if space <= 10 ** 6 else [
         rng.randrange(space) for _ in range(count)]
     strings = [tuple(pick >> 2 * q & 3 for q in range(set_.n)) for pick in picks]

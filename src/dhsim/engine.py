@@ -193,14 +193,12 @@ def initial_set(n: int) -> DescriptorSet:
     """Fresh register: descriptor a is sigma on slot a, identity elsewhere."""
     if n < 1:
         raise EmptyRegisterError("register must hold at least one qubit")
-    descs = []
-    for a in range(n):
-        descs.append(Descriptor(
-            PauliSum.single(n, a, X),
-            PauliSum.single(n, a, Y),
-            PauliSum.single(n, a, Z),
-        ))
-    return DescriptorSet(n, tuple(descs))
+    return DescriptorSet(n, tuple(_fresh(n, a) for a in range(n)))
+
+
+def _fresh(n: int, qubit: int) -> Descriptor:
+    """The descriptor of a fresh |0> qubit: sigma on its own slot."""
+    return Descriptor(*(PauliSum.single(n, qubit, w) for w in (X, Y, Z)))
 
 
 def _rewrite_two(set_: DescriptorSet, kind: str, operands: tuple[int, ...],
@@ -248,11 +246,7 @@ def add_ancilla(set_: DescriptorSet) -> DescriptorSet:
     n = set_.n + 1
     descs = [Descriptor(d.qx.extended(1), d.qy.extended(1), d.qz.extended(1))
              for d in set_.descriptors]
-    descs.append(Descriptor(
-        PauliSum.single(n, n - 1, X),
-        PauliSum.single(n, n - 1, Y),
-        PauliSum.single(n, n - 1, Z),
-    ))
+    descs.append(_fresh(n, n - 1))
     return DescriptorSet(n, tuple(descs), set_.history + (AddAncilla(),))
 
 

@@ -15,7 +15,9 @@ product are ``ka ^ kb`` and its i-exponent is
 
 with y(k) = popcount(k & k >> 1 & M), the number of Y slots, and M the
 0b0101... mask of x bits.  This follows from Y = i XZ and Z X = -X Z.  The
-vacuum keeps exactly the keys with no x bit.
+vacuum keeps exactly the keys with no x bit.  There is no separate string
+type: a signed Pauli string is a one-term sum, and ``commute`` tests two of
+them on their keys.
 
 ``sum_mul`` and ``vacuum_expectation`` take an ordered product of any
 number of sums.  On a Clifford circuit every descriptor component is one
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import functools
 import re as _re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -47,15 +48,6 @@ I, X, Y, Z = range(4)
 LETTER_NAMES = "IXYZ"
 
 Letters = tuple[int, ...]
-
-# sigma_a . sigma_b = i**k . sigma_c, stored as (a, b) -> (k, c)
-_LETTER_MUL: dict[tuple[int, int], tuple[int, int]] = {
-    (I, I): (0, I), (I, X): (0, X), (I, Y): (0, Y), (I, Z): (0, Z),
-    (X, I): (0, X), (X, X): (0, I), (X, Y): (1, Z), (X, Z): (3, Y),
-    (Y, I): (0, Y), (Y, X): (3, Z), (Y, Y): (0, I), (Y, Z): (1, X),
-    (Z, I): (0, Z), (Z, X): (1, Y), (Z, Y): (3, X), (Z, Z): (0, I),
-}
-
 
 class DimensionError(ValueError):
     """Raised when operands act on registers of different sizes."""
@@ -217,81 +209,15 @@ ONE = ComplexDyadic(1)
 HALF = ComplexDyadic(Fraction(1, 2))
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """A phase times a tensor product of single-qubit Pauli letters.
-
-    ``phase_k`` is the exponent of i, so the operator is i**phase_k times
-    the bare letter product.  Hermitian strings have phase_k in {0, 2}.
-    """
-
-    phase_k: int
-    letters: Letters
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phase_k", self.phase_k % 4)
-        _pack(self.letters)   # rejects letters outside 0..3
-
-    @staticmethod
-    def identity(n: int) -> "PauliString":
-        return PauliString(0, (I,) * n)
-
-    @staticmethod
-    def single(n: int, qubit: int, letter: int) -> "PauliString":
-        """Letter on one slot, identity elsewhere."""
-        letters = [I] * n
-        letters[qubit] = letter
-        return PauliString(0, tuple(letters))
-
-    @property
-    def n(self) -> int:
-        return len(self.letters)
-
-    @property
-    def is_hermitian(self) -> bool:
-        return self.phase_k % 2 == 0
-
-    def phase(self) -> ComplexDyadic:
-        return ComplexDyadic.i_power(self.phase_k)
-
-    def __str__(self) -> str:
-        body = "⊗".join(LETTER_NAMES[l] for l in self.letters)
-        prefix = {0: "", 1: "i*", 2: "-", 3: "-i*"}[self.phase_k]
-        return prefix + body
-
-
-def letters_mul(a: Letters, b: Letters) -> tuple[int, Letters]:
-    """Multiply two bare letter sequences; return (i exponent, letters)."""
-    if len(a) != len(b):
-        raise DimensionError(f"length mismatch: {len(a)} vs {len(b)}")
-    k = 0
-    out = []
-    for la, lb in zip(a, b):
-        dk, lc = _LETTER_MUL[la, lb]
-        k += dk
-        out.append(lc)
-    return k % 4, tuple(out)
-
-
-def string_mul(a: PauliString, b: PauliString) -> PauliString:
-    """Exact product of two Pauli strings with accumulated phase."""
-    k, letters = letters_mul(a.letters, b.letters)
-    return PauliString(a.phase_k + b.phase_k + k, letters)
-
-
-def letters_commute(a: Letters, b: Letters) -> bool:
-    """Strings commute iff they anticommute on an even number of slots."""
-    if len(a) != len(b):
-        raise DimensionError(f"length mismatch: {len(a)} vs {len(b)}")
-    anti = sum(1 for la, lb in zip(a, b)
-               if la != I and lb != I and la != lb)
-    return anti % 2 == 0
-
-
 # Letter <-> 2-bit slot code (x in the low bit, z in the high bit).  The map
 # swaps Y and Z and is its own inverse.
 _CODE = {I: 0b00, X: 0b01, Y: 0b11, Z: 0b10}
 _LETTER_OF_CODE = (I, X, Z, Y)
+
+
+def _bad_letter(letter: object, slot: int) -> ValueError:
+    return ValueError(f"letter {letter!r} at slot {slot} is not one of "
+                      f"0..3 (I, X, Y, Z)")
 
 
 def _pack(letters: Letters) -> int:
@@ -300,8 +226,7 @@ def _pack(letters: Letters) -> int:
     for q, letter in enumerate(letters):
         code = _CODE.get(letter)
         if code is None:
-            raise ValueError(f"letter {letter!r} at slot {q} is not one of "
-                             f"0..3 (I, X, Y, Z)")
+            raise _bad_letter(letter, q)
         key |= code << 2 * q
     return key
 
@@ -381,13 +306,15 @@ class PauliSum:
         return PauliSum._canonical(n, {0: ONE})
 
     @staticmethod
-    def from_string(s: PauliString, coef: _Scalar = 1) -> "PauliSum":
-        c = ComplexDyadic.of(coef) * s.phase()
-        return PauliSum(s.n, {s.letters: c})
-
-    @staticmethod
     def single(n: int, qubit: int, letter: int, coef: _Scalar = 1) -> "PauliSum":
-        return PauliSum.from_string(PauliString.single(n, qubit, letter), coef)
+        """``coef`` times a letter on one slot, identity elsewhere."""
+        code = _CODE.get(letter)
+        if code is None:
+            raise _bad_letter(letter, qubit)
+        if not 0 <= qubit < n:
+            raise IndexError(f"slot {qubit} is not in a {n}-qubit sum")
+        c = ComplexDyadic.of(coef)
+        return PauliSum._canonical(n, {code << 2 * qubit: c} if c else {})
 
     # -- inspection ------------------------------------------------------
 
@@ -613,6 +540,20 @@ def sum_mul(first: PauliSum, *rest: PauliSum) -> PauliSum:
     return product
 
 
+def commute(a: PauliSum, b: PauliSum) -> bool:
+    """Whether two one-term sums commute.
+
+    Their strings commute when they anticommute on an even number of
+    slots, that is when z_a . x_b + x_a . z_b is even; coefficients play
+    no part.
+    """
+    a._require_same_n(b)
+    if len(a._terms) != 1 or len(b._terms) != 1:
+        raise ValueError("commute takes one-term sums")
+    (ka,), (kb,) = a._terms, b._terms
+    return not (((ka >> 1 & kb) ^ (kb >> 1 & ka)) & _x_mask(a.n)).bit_count() & 1
+
+
 def hs_inner(a: PauliSum, b: PauliSum) -> ComplexDyadic:
     """Normalized Hilbert-Schmidt inner product Tr(a^dagger b) / 2**n.
 
@@ -720,8 +661,7 @@ def vacuum_expectations(offers: Sequence[tuple[PauliSum, PauliSum, PauliSum]],
                     x ^= part
         except KeyError:
             q = next(q for q, w in enumerate(pick) if w not in parts[q])
-            raise ValueError(f"letter {pick[q]!r} at slot {q} is not one of "
-                             f"0..3 (I, X, Y, Z)") from None
+            raise _bad_letter(pick[q], q) from None
         if decided and x:
             out.append(ZERO)
         else:

@@ -278,12 +278,8 @@ def _reduce(conditioned: PauliSum, keep: Sequence[int], inverse: Fraction
             ) -> PauliSum:
     """A conditioned operator evaluated in the universal state off ``keep``
     and scaled by the inverse context weight (``conditional_restriction``)."""
-    keep = sorted(keep)
     complement = [q for q in range(conditioned.n) if q not in keep]
-    out = PauliSum.zero(len(keep))
-    for letters, coef in conditioned.terms():
-        if any(letters[q] in (X, Y) for q in complement):
-            continue
-        kept = tuple(letters[q] for q in keep)
-        out = out + PauliSum(len(keep), {kept: coef})
-    return out.scale(inverse)
+    vacuum_off_keep = PauliSum(conditioned.n, {
+        letters: coef for letters, coef in conditioned.terms()
+        if all(letters[q] in (I, Z) for q in complement)})
+    return vacuum_off_keep.restrict(keep).scale(inverse)

@@ -19,8 +19,10 @@ keeps the table and ``canonical_signs`` does not collapse it, so for |10>
 two of the four symmetry-route sets are enumerated only with other signs
 (ROADMAP item 3 replaces both routes by the vacuum-gauge orbit).
 Enumeration and direct construction from a density share one search,
-``_system_triples``; the symmetry search and ``apply_transform`` share one
-sign search, ``_transform_signs``.  ``generate_equivalent_sets`` builds
+``_system_descriptors``, on the engine's own types: one-term ``PauliSum``
+strings, ``Descriptor.from_xz`` qubits, ``pauli.commute`` and
+``vacuum_expectation``.  The symmetry search and ``apply_transform`` share
+one sign search, ``_transform_signs``.  ``generate_equivalent_sets`` builds
 each set's expectation table once and hands it along (its private form
 takes the symmetries a caller has already found), and
 ``validate_basis`` takes all its inner products from one
@@ -31,13 +33,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .pauli import (
-    I, X, Y, Z, LETTER_NAMES, ZERO, Letters,
-    ComplexDyadic, PauliSum, inner_products, letters_commute, letters_mul,
-    sum_mul,
+    I, X, Y, Z, LETTER_NAMES, ZERO,
+    ComplexDyadic, PauliSum, commute, inner_products, sum_mul,
+    vacuum_expectation,
 )
 from .engine import Descriptor, DescriptorSet, component_product
 from .density import DensityMatrix, MultiIndex, Sentinel, expectation_table
@@ -377,105 +378,98 @@ def _generate_equivalent_sets(seed: DescriptorSet, rho: DensityMatrix,
 
 # -- brute-force enumeration and direct construction ---------------------
 
-def _all_strings(n: int) -> list[Letters]:
-    return [letters for letters in itertools.product(range(4), repeat=n)
+def _all_strings(n: int) -> list[PauliSum]:
+    """Every non-identity string on n qubits as a one-term sum, in letter order."""
+    return [PauliSum(n, {letters: _ONE})
+            for letters in itertools.product(range(4), repeat=n)
             if any(l != I for l in letters)]
 
 
-def _vac(letters: Letters) -> int:
-    return 1 if all(l in (I, Z) for l in letters) else 0
+def _vacuum_sign(*factors: PauliSum) -> int:
+    """<0...0| f1 f2 ... |0...0> of a product that is one Hermitian string
+    with coefficient +/-1, as the int 0, 1 or -1."""
+    value = vacuum_expectation(*factors)
+    return 0 if not value else 1 if value == _ONE else -1
 
 
-def _component_triple(sx: int, px: Letters, sz: int, pz: Letters):
-    """(sign, letters) pairs for x, y = i x z and z; x and z anticommute."""
-    k, py = letters_mul(px, pz)
-    phase = ComplexDyadic.i_power(k + 1)
-    sy = sx * sz * (1 if phase == _ONE else -1)
-    return ((sx, px), (sy, py), (sz, pz))
+def _component_signs(sx: int, sz: int) -> tuple[int, int, int]:
+    """Signs of x, y = i x z and z when x and z are scaled by sx and sz."""
+    return sx, sx * sz, sz
 
 
-def _pair_value(c1, c2) -> ComplexDyadic:
-    (s1, p1), (s2, p2) = c1, c2
-    k, prod = letters_mul(p1, p2)
-    if not _vac(prod):
-        return ComplexDyadic.of(0)
-    return ComplexDyadic.i_power(k) * (s1 * s2)
+def _qubit_candidates(rho: DensityMatrix, a: int, strings: list[PauliSum]):
+    """Unsigned descriptors for qubit a, each with the (sx, sz) signs that
+    give the qubit's single averages, in string order then sign order.
 
-
-def _feasible(letters: Letters, want: Fraction) -> bool:
-    """Can +/- this string have vacuum average ``want``?"""
-    if want == 0:
-        return _vac(letters) == 0
-    return _vac(letters) == 1 and abs(want) == 1
-
-
-def _qubit_candidates(rho: DensityMatrix, a: int, strings: list[Letters]):
-    """(x, z) string pairs for qubit a, each with its signed triples that
-    give the qubit's single averages, in string order then sign order."""
-    want = {w: rho.single(a, w) for w in COMPONENTS}
-    xs = [p for p in strings if _feasible(p, want[X])]
-    zs = [p for p in strings if _feasible(p, want[Z])]
+    A descriptor is ``Descriptor.from_xz(x, z)`` of anticommuting strings,
+    and its vacuum averages are read once, as ints.
+    """
+    want = [rho.single(a, w) for w in COMPONENTS]
+    vacuum = [_vacuum_sign(p) for p in strings]
+    # An unsigned string averages to 0 or 1, so +/- it can give w only when
+    # its average is |w|.
+    xs = [p for p, v in zip(strings, vacuum) if v == abs(want[0])]
+    zs = [p for p, v in zip(strings, vacuum) if v == abs(want[2])]
     out = []
     for px, pz in itertools.product(xs, zs):
-        if letters_commute(px, pz):
+        if commute(px, pz):
             continue
-        triples = []
-        for sx, sz in itertools.product((1, -1), repeat=2):
-            triple = _component_triple(sx, px, sz, pz)
-            if all(sc * _vac(pc) == want[w]
-                   for (sc, pc), w in zip(triple, COMPONENTS)):
-                triples.append(triple)
-        if triples:
-            out.append(((px, pz), triples))
+        d = Descriptor.from_xz(px, pz)
+        vx, vy, vz = (_vacuum_sign(c) for c in d.components())
+        signs = [(sx, sz) for sx, sz in itertools.product((1, -1), repeat=2)
+                 if sx * vx == want[0] and sx * sz * vy == want[1]
+                 and sz * vz == want[2]]
+        if signs:
+            out.append((d, signs))
     return out
 
 
-def _pairs_ok(rho: DensityMatrix, placed: tuple, triple) -> bool:
-    """Do the products with every placed qubit give rho's pair averages?"""
-    a = len(placed)
-    for b, prev in enumerate(placed):
-        for (i, c1), (j, c2) in itertools.product(zip(COMPONENTS, prev),
-                                                  zip(COMPONENTS, triple)):
-            index = [I] * rho.n
-            index[b], index[a] = i, j
-            want = ComplexDyadic.of(rho.coefficient(tuple(index)))
-            if _pair_value(c1, c2) != want:
-                return False
-    return True
-
-
-def _system_triples(rho: DensityMatrix, total: int):
-    """Every tuple of signed-string triples, one per system qubit of rho,
-    that reproduces rho's single and pair averages on a total-qubit register.
+def _system_descriptors(rho: DensityMatrix, total: int):
+    """Every tuple of (unsigned descriptor, sx, sz), one per system qubit of
+    rho, that reproduces rho's single and pair averages on a total-qubit
+    register.
 
     Qubits are placed one at a time.  Each takes anticommuting x and z
-    strings (y = i x z) that commute with every string already placed, the
-    stabilizer conditions of quant-ph/0406196.  Solutions come in a fixed
-    order: by qubit, strings before signs, +1 before -1.
+    strings (y = i x z) that commute with every component already placed,
+    the stabilizer conditions of quant-ph/0406196.  Solutions come in a
+    fixed order: by qubit, strings before signs, +1 before -1.
     """
     strings = _all_strings(total)
     candidates = [_qubit_candidates(rho, a, strings) for a in range(rho.n)]
+    # rho's pair averages: pair_want[b, a][k][l] for component k of qubit b
+    # and component l of qubit a.
+    pair_want = {(b, a): [[rho.coefficient(tuple(i if q == b else j if q == a else I
+                                                 for q in range(rho.n)))
+                           for j in COMPONENTS] for i in COMPONENTS]
+                 for b, a in itertools.combinations(range(rho.n), 2)}
 
     def place(placed: tuple):
-        if len(placed) == rho.n:
+        a = len(placed)
+        if a == rho.n:
             yield placed
             return
-        for pair, triples in candidates[len(placed)]:
-            if not all(letters_commute(p, q) for p in pair
-                       for prev in placed for _, q in prev):
+        for d, signs in candidates[a]:
+            if not all(commute(p, q) for p in (d.qx, d.qz)
+                       for prev, _, _ in placed for q in prev.components()):
                 continue
-            for triple in triples:
-                if _pairs_ok(rho, placed, triple):
-                    yield from place(placed + (triple,))
+            # The unsigned products with every placed qubit, read once for
+            # all sign choices.
+            values = [[[_vacuum_sign(p, q) for q in d.components()]
+                       for p in prev.components()] for prev, _, _ in placed]
+            for sx, sz in signs:
+                s = _component_signs(sx, sz)
+                if all(sb[k] * s[l] * values[b][k][l] == pair_want[b, a][k][l]
+                       for b, (_, sxb, szb) in enumerate(placed)
+                       for sb in [_component_signs(sxb, szb)]
+                       for k, l in itertools.product(range(3), repeat=2)):
+                    yield from place(placed + ((d, sx, sz),))
 
     return place(())
 
 
-def _triples_set(n: int, triples) -> DescriptorSet:
-    """The descriptor set whose components are the given signed strings."""
-    return DescriptorSet(n, tuple(
-        Descriptor(*(PauliSum(n, {p: ComplexDyadic.of(s)}) for s, p in triple))
-        for triple in triples))
+def _signed_set(total: int, placed) -> DescriptorSet:
+    """The descriptor set of (unsigned descriptor, sx, sz) placements."""
+    return DescriptorSet(total, tuple(d.scale_xz(sx, sz) for d, sx, sz in placed))
 
 
 def enumerate_valid_sets(rho: DensityMatrix) -> list[DescriptorSet]:
@@ -489,12 +483,11 @@ def enumerate_valid_sets(rho: DensityMatrix) -> list[DescriptorSet]:
     if rho.n != 2:
         raise ValueError("enumeration is defined for two-qubit densities")
     first: dict[tuple, tuple] = {}
-    for triples in _system_triples(rho, 2):
-        first.setdefault(tuple(p for triple in triples for _, p in triple),
-                         triples)
+    for placed in _system_descriptors(rho, 2):
+        first.setdefault(tuple(d for d, _, _ in placed), placed)
     outputs: dict[tuple[str, ...], DescriptorSet] = {}
-    for triples in first.values():
-        set_ = canonical_signs(_triples_set(2, triples))
+    for placed in first.values():
+        set_ = canonical_signs(_signed_set(2, placed))
         outputs.setdefault(set_render_key(set_), set_)
     return [outputs[key] for key in sorted(outputs)]
 
@@ -514,26 +507,26 @@ def construct_from_density(rho: DensityMatrix, ancilla_budget: int = 0):
     if ancilla_budget < 0:
         raise ValueError("ancilla budget must be nonnegative")
     for total in range(rho.n, rho.n + ancilla_budget + 1):
-        for triples in _system_triples(rho, total):
-            completed = _complete_register(total, triples)
+        for placed in _system_descriptors(rho, total):
+            completed = _complete_register(total, placed)
             if completed is not None:
                 return completed
     return NotFound
 
 
-def _complete_register(total: int, triples: tuple) -> DescriptorSet | None:
-    """Extend system triples with ancilla triples commuting with them."""
-    triples = list(triples)
-    while len(triples) < total:
-        placed = [p for triple in triples for _, p in triple]
-        free = [p for p in _all_strings(total)
-                if all(letters_commute(p, q) for q in placed)]
+def _complete_register(total: int, placed: tuple) -> DescriptorSet | None:
+    """Extend system placements with ancilla descriptors commuting with them."""
+    descriptors = list(_signed_set(total, placed).descriptors)
+    strings = _all_strings(total)
+    while len(descriptors) < total:
+        used = [c for d in descriptors for c in d.components()]
+        free = [p for p in strings if all(commute(p, q) for q in used)]
         pair = next(((px, pz) for px, pz in itertools.permutations(free, 2)
-                     if not letters_commute(px, pz)), None)
+                     if not commute(px, pz)), None)
         if pair is None:
             return None
-        triples.append(_component_triple(1, pair[0], 1, pair[1]))
-    return _triples_set(total, triples)
+        descriptors.append(Descriptor.from_xz(*pair))
+    return DescriptorSet(total, tuple(descriptors))
 
 
 # -- reference comparison -------------------------------------------------

@@ -100,3 +100,10 @@ def test_oracle_not_imported_at_module_level(path):
     imported = [name for node in _module_level(tree)
                 for name in _imported_modules(node)]
     assert not [name for name in imported if "oracle" in name.split(".")]
+
+
+def test_every_exported_name_resolves():
+    import dhsim
+    missing = [name for name in dhsim.__all__ if not hasattr(dhsim, name)]
+    assert not missing
+    assert len(set(dhsim.__all__)) == len(dhsim.__all__)

@@ -11,9 +11,8 @@ from hypothesis import given, settings, strategies as st
 from dhsim import oracle, pauli
 from dhsim.pauli import (
     I, X, Y, Z,
-    ComplexDyadic, DimensionError, PauliString, PauliSum,
-    hs_inner, letters_commute, parse_sum, string_mul, sum_mul,
-    vacuum_expectation, z_projector,
+    ComplexDyadic, DimensionError, PauliSum,
+    commute, hs_inner, parse_sum, sum_mul, vacuum_expectation, z_projector,
 )
 
 ONE = ComplexDyadic.of(1)
@@ -21,6 +20,18 @@ ONE = ComplexDyadic.of(1)
 
 def S(text):
     return parse_sum(text)
+
+
+def string(letters, k=0):
+    """i**k times a bare letter sequence, as a one-term sum."""
+    return PauliSum(len(letters), {tuple(letters): ComplexDyadic.i_power(k)})
+
+
+def assert_matches_dense(prod, la, lb):
+    """A one-term product equals the matrix product of its factors' strings."""
+    ((lc, coef),) = prod.terms()
+    dense = oracle.string_matrix(la) @ oracle.string_matrix(lb)
+    assert np.allclose(dense, complex(coef) * oracle.string_matrix(lc))
 
 
 class TestComplexDyadic:
@@ -42,53 +53,64 @@ class TestComplexDyadic:
 
 
 class TestStringMul:
+    """Products of one-term sums, the engine's only string type."""
+
     def test_x_times_z_is_minus_i_y(self):
-        a = PauliString(0, (X,))
-        b = PauliString(0, (Z,))
-        assert string_mul(a, b) == PauliString(3, (Y,))
+        assert sum_mul(string((X,)), string((Z,))) == string((Y,), 3)
 
     def test_y_from_i_x_z(self):
         # i * (X Z) recovers Y, the multiplicative-group relation.
-        prod = string_mul(PauliString(1, (X,)), PauliString(0, (Z,)))
-        assert prod == PauliString(0, (Y,))
+        assert sum_mul(string((X,), 1), string((Z,))) == string((Y,))
 
     def test_identity_neutral(self):
-        ident = PauliString.identity(3)
+        ident = PauliSum.identity(3)
         for letters in itertools.product(range(4), repeat=3):
-            p = PauliString(0, letters)
-            assert string_mul(ident, p) == p
-            assert string_mul(p, ident) == p
+            p = string(letters)
+            assert sum_mul(ident, p) == p
+            assert sum_mul(p, ident) == p
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            string_mul(PauliString.identity(2), PauliString.identity(3))
+            sum_mul(PauliSum.identity(2), PauliSum.identity(3))
 
     def test_against_dense_two_qubits(self):
         # Every product of two-qubit strings must equal the matrix product.
         for la in itertools.product(range(4), repeat=2):
             for lb in itertools.product(range(4), repeat=2):
-                prod = string_mul(PauliString(0, la), PauliString(0, lb))
-                dense = oracle.string_matrix(la) @ oracle.string_matrix(lb)
-                want = complex(prod.phase()) * oracle.string_matrix(prod.letters)
-                assert np.allclose(dense, want)
+                assert_matches_dense(sum_mul(string(la), string(lb)), la, lb)
 
     def test_associative(self):
-        strings = [PauliString(k % 4, letters)
+        strings = [string(letters, k)
                    for k, letters in enumerate(itertools.product(range(4), repeat=2))]
         for a, b, c in itertools.islice(itertools.product(strings, repeat=3), 0, 512, 7):
-            assert string_mul(string_mul(a, b), c) == string_mul(a, string_mul(b, c))
+            assert sum_mul(sum_mul(a, b), c) == sum_mul(a, sum_mul(b, c))
+            assert sum_mul(a, b, c) == sum_mul(a, sum_mul(b, c))
 
     def test_against_dense_sampled_wide(self):
-        import random
         rng = random.Random(13)
         for n in range(3, 7):
             for _ in range(10):
                 la = tuple(rng.randrange(4) for _ in range(n))
                 lb = tuple(rng.randrange(4) for _ in range(n))
-                prod = string_mul(PauliString(0, la), PauliString(0, lb))
-                dense = oracle.string_matrix(la) @ oracle.string_matrix(lb)
-                want = complex(prod.phase()) * oracle.string_matrix(prod.letters)
-                assert np.allclose(dense, want)
+                assert_matches_dense(sum_mul(string(la), string(lb)), la, lb)
+
+
+class TestSingle:
+    @pytest.mark.parametrize("n", (1, 2, 5, 16))
+    def test_matches_the_constructor(self, n):
+        for qubit, letter in itertools.product(range(n), range(4)):
+            letters = tuple(letter if q == qubit else I for q in range(n))
+            for coef in (1, -1, Fraction(1, 2), ComplexDyadic(0, 1)):
+                assert (PauliSum.single(n, qubit, letter, coef)
+                        == PauliSum(n, {letters: coef}))
+
+    def test_zero_coefficient_gives_the_zero_sum(self):
+        assert PauliSum.single(3, 1, Z, 0) == PauliSum.zero(3)
+
+    @pytest.mark.parametrize("qubit", (-1, 2, 7))
+    def test_rejects_a_slot_outside_the_register(self, qubit):
+        with pytest.raises(IndexError):
+            PauliSum.single(2, qubit, X)
 
 
 class TestSumMul:
@@ -198,15 +220,35 @@ class TestCanonicalForm:
 
 class TestCommutation:
     def test_parity_rule(self):
-        assert letters_commute((X, X), (Z, Z))
-        assert not letters_commute((X, I), (Z, I))
+        assert commute(S("1 * X⊗X"), S("1 * Z⊗Z"))
+        assert not commute(S("1 * X⊗I"), S("1 * Z⊗I"))
 
     def test_matches_dense(self):
-        for la in itertools.product(range(4), repeat=2):
-            for lb in itertools.product(range(4), repeat=2):
-                a = oracle.string_matrix(la)
-                b = oracle.string_matrix(lb)
-                assert letters_commute(la, lb) == np.allclose(a @ b, b @ a)
+        # Coefficients play no part: each string carries its own i**k.
+        strings = list(itertools.product(range(4), repeat=2))
+        for (ka, la), (kb, lb) in itertools.product(enumerate(strings), repeat=2):
+            a = oracle.string_matrix(la)
+            b = oracle.string_matrix(lb)
+            assert commute(string(la, ka), string(lb, kb)) == np.allclose(a @ b, b @ a)
+
+    @pytest.mark.parametrize("n", (3, 16, 40))
+    def test_matches_slot_parity_wide(self, n):
+        # Strings commute iff they anticommute on an even number of slots.
+        rng = random.Random(n)
+        for _ in range(50):
+            la = tuple(rng.randrange(4) for _ in range(n))
+            lb = tuple(rng.randrange(4) for _ in range(n))
+            anti = sum(1 for a, b in zip(la, lb) if a != I and b != I and a != b)
+            assert commute(string(la), string(lb)) == (anti % 2 == 0)
+
+    def test_width_mismatch(self):
+        with pytest.raises(DimensionError):
+            commute(S("1 * X⊗X"), S("1 * Z"))
+
+    @pytest.mark.parametrize("text", ["0", "1 * X⊗I + 1 * Z⊗Z"])
+    def test_rejects_sums_that_are_not_one_string(self, text):
+        with pytest.raises(ValueError, match="one-term"):
+            commute(parse_sum(text, 2), S("1 * X⊗I"))
 
 
 coeff_st = st.builds(
@@ -376,8 +418,9 @@ class TestBadLetters:
 
     @pytest.mark.parametrize("letters", [(-1,), (7, I)])
     def test_string_rejects(self, letters):
-        with pytest.raises(ValueError, match=f"letter {letters[0]} "):
-            PauliString(0, letters)
+        # A one-letter string: the first letter on slot 0 of the register.
+        with pytest.raises(ValueError, match=f"letter {letters[0]} at slot 0 "):
+            PauliSum.single(len(letters), 0, letters[0])
 
     def test_coefficient_checks_the_width(self):
         with pytest.raises(DimensionError):
@@ -392,8 +435,26 @@ class TestBadLetters:
 # -- packed keys against a reference on letter tuples ------------------------
 #
 # The reference keeps a dict from letter tuples to (re, im) Fraction pairs
-# and multiplies strings slot by slot through letters_mul, that is through
-# the _LETTER_MUL table; it never sees a packed key.
+# and multiplies strings slot by slot through its own table of single-letter
+# products; it never sees a packed key.
+
+# sigma_a . sigma_b = i**k . sigma_c, stored as (a, b) -> (k, c)
+REF_LETTER_MUL = {
+    (I, I): (0, I), (I, X): (0, X), (I, Y): (0, Y), (I, Z): (0, Z),
+    (X, I): (0, X), (X, X): (0, I), (X, Y): (1, Z), (X, Z): (3, Y),
+    (Y, I): (0, Y), (Y, X): (3, Z), (Y, Y): (0, I), (Y, Z): (1, X),
+    (Z, I): (0, Z), (Z, X): (1, Y), (Z, Y): (3, X), (Z, Z): (0, I),
+}
+
+
+def ref_letters_mul(a, b):
+    """(i exponent, letters) of the product of two bare letter sequences."""
+    k, out = 0, []
+    for la, lb in zip(a, b, strict=True):
+        dk, lc = REF_LETTER_MUL[la, lb]
+        k += dk
+        out.append(lc)
+    return k % 4, tuple(out)
 
 WIDTHS = (1, 2, 5, 15, 16, 40)
 
@@ -418,7 +479,7 @@ def ref_sum_mul(a, b):
     out = {}
     for la, ca in a.items():
         for lb, cb in b.items():
-            k, lc = pauli.letters_mul(la, lb)
+            k, lc = ref_letters_mul(la, lb)
             ref_add(out, lc, ref_mul(ref_mul(ca, cb), I_POWERS[k]))
     return out
 
