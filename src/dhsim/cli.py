@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import random
 import re
@@ -60,8 +61,9 @@ EXIT_VERIFY = 2
 EXIT_INTERNAL = 3
 
 DEFAULT_MAX_QUBITS = 10
-# `run` reports the exact diagonal up to this size.  It costs 2^n Pauli
-# products plus n 2^n exact additions; a larger cap changes the reports.
+# `run` reports the exact diagonal up to this size.  A Clifford set costs at
+# most n Pauli products and one pass over the 2^n entries, a multi-term set
+# 2^n products plus n 2^n exact additions; a larger cap changes the reports.
 DIAGONAL_MAX_QUBITS = 8
 # `--verify` compares the averages of this many seeded random strings.
 VERIFY_SAMPLES = 200
@@ -218,6 +220,10 @@ def _verify_set(set_: DescriptorSet, seed: int,
     is not sent again; its value is compared with that average.
     """
     from . import oracle
+    if set_.n > oracle.DENSE_MAX_QUBITS:
+        raise ParseError(0, 0, f"--verify checks registers of up to "
+                               f"{oracle.DENSE_MAX_QUBITS} qubits against the "
+                               f"dense oracle; this one has {set_.n}")
     rng = random.Random(seed)
     space = 4 ** set_.n
     count = min(VERIFY_SAMPLES, space)
@@ -265,10 +271,16 @@ def _cmd_run(cfg: RunConfig) -> dict:
         "singles": _singles_rows(set_),
     }
     if set_.n <= DIAGONAL_MAX_QUBITS:
-        probs = diagonal_probabilities(set_, range(set_.n))
-        sections["diagonal"] = [
-            {"bitstring": format(k, f"0{set_.n}b"), "probability": _num(p)}
-            for k, p in enumerate(probs)]
+        # A Clifford diagonal holds at most two values; render each once.
+        rendered: dict[tuple[int, int], dict] = {}
+        rows = []
+        for k, p in enumerate(diagonal_probabilities(set_, range(set_.n))):
+            key = p.numerator, p.denominator
+            num = rendered.get(key)
+            if num is None:
+                num = rendered[key] = _num(p)
+            rows.append({"bitstring": format(k, f"0{set_.n}b"), "probability": num})
+        sections["diagonal"] = rows
     else:
         print(f"note: diagonal omitted for the {set_.n}-qubit register "
               f"(computed up to {DIAGONAL_MAX_QUBITS} qubits)", file=sys.stderr)
@@ -462,7 +474,64 @@ def run_report(cfg: RunConfig) -> tuple[int, dict]:
 # -- rendering -------------------------------------------------------------
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """The report as ``json.dumps(report, indent=2, sort_keys=True,
+    ensure_ascii=False) + "\\n"``, byte for byte, in one recursive pass.
+
+    ``indent`` turns ``json``'s C encoder off; this writer keeps its C string
+    escaping (``encode_basestring``) and ``float.__repr__``.  Dict keys must
+    be strings: any other key raises TypeError.
+    """
+    out: list[str] = []
+    _write_json(report, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring
+
+
+def _write_json(value: Any, newline: str, put) -> None:
+    """Put the JSON text of ``value``; its nested lines start with ``newline``."""
+    if isinstance(value, str):
+        put(_encode_str(value))
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, not "
+                                f"{type(key).__name__} ({key!r})")
+            put(sep + _encode_str(key) + ": ")
+            _write_json(item, inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _write_json(item, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    elif isinstance(value, float):
+        put(float.__repr__(value) if math.isfinite(value) else json.dumps(value))
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        f"is not JSON serializable")
 
 
 def _text_value(value, indent: str = "") -> list[str]:

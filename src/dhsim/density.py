@@ -1,11 +1,14 @@
 """Density reconstruction and state diagnostics from descriptor averages.
 
 Everything here is exact, with no floats: expectation tables, diagonal
-probabilities, purity sums, Schmidt combinations, the positivity of a
-density (``is_positive``, fraction-free elimination over the Gaussian
-integers) and mixture weights (``mixture_representation``, Gaussian
-elimination over the rationals).  A pair's density, purity sum and
-Schmidt coefficients all derive from one expectation table.
+probabilities (uniform on an affine subspace read off the GF(2) kernel of
+the q_z x-parts for a Clifford set, a Walsh-Hadamard transform of the
+subset-product averages otherwise), purity sums, Schmidt combinations,
+the positivity of a density (``is_positive``, fraction-free elimination
+over the Gaussian integers) and mixture weights
+(``mixture_representation``, Gaussian elimination over the rationals).
+A pair's density, purity sum and Schmidt coefficients all derive from one
+expectation table.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .pauli import (
     I, X, Y, Z,
-    ComplexDyadic, PauliSum, sum_mul, vacuum_expectation,
+    ONE, ComplexDyadic, PauliSum, sum_mul, vacuum_expectation, x_kernel,
 )
 from .engine import Descriptor, DescriptorSet, expectations
 
@@ -186,22 +189,42 @@ def diagonal_probabilities(set_: DescriptorSet, qubits: Sequence[int]) -> list[F
 
     Entry b (``qubits[0]`` the most significant bit) is
     p(b) = 2^-k sum_S (-1)^(b.S) <prod_{q in S} q_z>, over the 2^k subsets S
-    of the k qubits.  The subset products are built by doubling, one
-    ``sum_mul`` each (q_z of different qubits commute, so factor order is
-    free), and their vacuum averages go through an in-place Walsh-Hadamard
-    transform of k 2^k exact additions.  Every entry is checked to be real
-    and nonnegative, and the entries to sum to exactly 1.
+    of the k qubits.
+
+    When every q_z is one string with coefficient +1 or -1 and they commute
+    pairwise (every Clifford set), only the subsets in the kernel K of the
+    x-parts (``pauli.x_kernel``) average to nonzero, each to the sign of its
+    product, and those signs multiply over K.  So the sum is 2^(dim K - k)
+    where (-1)^(b.S) equals the sign for every basis subset S, and 0
+    elsewhere: an affine subspace, from one ``sum_mul`` per basis subset.
+
+    Any other set (multi-term q_z, another coefficient, anticommuting q_z)
+    takes the full sum: the subset products are built by doubling, one
+    ``sum_mul`` each, and their vacuum averages go through an in-place
+    Walsh-Hadamard transform of k 2^k exact additions.  Every entry is
+    checked to be real and nonnegative, and the entries to sum to exactly 1.
     """
     qubits = list(qubits)
     if not qubits:
         raise ValueError("subset must be nonempty")
     # Subset mask bit j is qubits[k-1-j]: the last qubit is bit 0.
+    factors = [set_.component(qubit, Z) for qubit in reversed(qubits)]
+    size = 1 << len(factors)
+    kernel = x_kernel(factors)
+    if kernel is not None:
+        weight = Fraction(1 << len(kernel), size)
+        zero = Fraction(0)
+        # (subset, parity of b.S where the product of S averages to -1)
+        rules = [(subset, vacuum_expectation(sum_mul(
+                      *(f for j, f in enumerate(factors) if subset >> j & 1))) != ONE)
+                 for subset in kernel]
+        return [weight if all((b & subset).bit_count() & 1 == odd
+                              for subset, odd in rules) else zero
+                for b in range(size)]
     products = [PauliSum.identity(set_.n)]
-    for qubit in reversed(qubits):
-        qz = set_.component(qubit, Z)
+    for qz in factors:
         products += [sum_mul(p, qz) for p in products]
     values = [vacuum_expectation(p) for p in products]
-    size = len(values)
     half = 1
     while half < size:
         for start in range(0, size, 2 * half):

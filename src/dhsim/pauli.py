@@ -16,8 +16,9 @@ product are ``ka ^ kb`` and its i-exponent is
 with y(k) = popcount(k & k >> 1 & M), the number of Y slots, and M the
 0b0101... mask of x bits.  This follows from Y = i XZ and Z X = -X Z.  The
 vacuum keeps exactly the keys with no x bit.  There is no separate string
-type: a signed Pauli string is a one-term sum, and ``commute`` tests two of
-them on their keys.
+type: a signed Pauli string is a one-term sum, ``commute`` tests two of
+them on their keys, and ``x_kernel`` eliminates the x-parts of several
+over GF(2).
 
 ``sum_mul`` and ``vacuum_expectation`` take an ordered product of any
 number of sums.  On a Clifford circuit every descriptor component is one
@@ -206,7 +207,6 @@ _set_e = ComplexDyadic._e.__set__
 
 ZERO = ComplexDyadic()
 ONE = ComplexDyadic(1)
-HALF = ComplexDyadic(Fraction(1, 2))
 
 
 # Letter <-> 2-bit slot code (x in the low bit, z in the high bit).  The map
@@ -551,7 +551,51 @@ def commute(a: PauliSum, b: PauliSum) -> bool:
     if len(a._terms) != 1 or len(b._terms) != 1:
         raise ValueError("commute takes one-term sums")
     (ka,), (kb,) = a._terms, b._terms
-    return not (((ka >> 1 & kb) ^ (kb >> 1 & ka)) & _x_mask(a.n)).bit_count() & 1
+    return not _anticommute(ka, kb, _x_mask(a.n))
+
+
+def _anticommute(ka: int, kb: int, m: int) -> int:
+    """1 when the strings of two keys anticommute, else 0."""
+    return (((ka >> 1 & kb) ^ (kb >> 1 & ka)) & m).bit_count() & 1
+
+
+def x_kernel(strings: Sequence[PauliSum]) -> list[int] | None:
+    """Basis of the subsets of ``strings`` whose x-parts XOR to zero.
+
+    A subset is a mask, bit j for ``strings[j]``; the basis comes from one
+    pass of GF(2) elimination on the x-parts.  Returns None unless every
+    sum is one string with coefficient +1 or -1 on the same register and
+    the strings commute pairwise: only then is the product over a kernel
+    subset a signed Z-type string, whose vacuum average is its sign, and
+    the sign of an XOR of subsets the product of their signs.
+    """
+    n = strings[0].n if strings else 0
+    m = _x_mask(n)
+    keys = []
+    for s in strings:
+        if s.n != n or len(s._terms) != 1:
+            return None
+        ((key, c),) = s._terms.items()
+        if c._e or c._im or c._re not in (1, -1):
+            return None
+        keys.append(key)
+    if any(_anticommute(ka, kb, m) for j, ka in enumerate(keys) for kb in keys[:j]):
+        return None
+    # Rows (lowest bit, x-part, subset) in echelon form: a row carries no
+    # lowest bit of an earlier row, so reducing in order clears them all.
+    rows: list[tuple[int, int, int]] = []
+    kernel = []
+    for j, key in enumerate(keys):
+        x, subset = key & m, 1 << j
+        for low, rx, rs in rows:
+            if x & low:
+                x ^= rx
+                subset ^= rs
+        if x:
+            rows.append((x & -x, x, subset))
+        else:
+            kernel.append(subset)
+    return kernel
 
 
 def hs_inner(a: PauliSum, b: PauliSum) -> ComplexDyadic:
@@ -668,11 +712,3 @@ def vacuum_expectations(offers: Sequence[tuple[PauliSum, PauliSum, PauliSum]],
             out.append(_vacuum_average([row[w - 1] for row, w in zip(offers, pick)
                                         if w != I]))
     return out
-
-
-def z_projector(n: int, qubit: int, outcome: int) -> PauliSum:
-    """(1 +/- sigma_z)/2 on one slot: the computational outcome projector."""
-    sign = 1 if outcome == 0 else -1
-    return (PauliSum.identity(n)
-            + PauliSum.single(n, qubit, Z, sign)).scale(HALF)
-

@@ -1,10 +1,12 @@
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
 from dhsim import oracle
 from dhsim.engine import GATE_KINDS, Circuit, Gate, apply_gate, initial_set
+from dhsim.pauli import Z, PauliSum
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -29,6 +31,13 @@ def dense_operator(coeffs):
 def dense_density(rho):
     """A DensityMatrix as the numpy matrix (1/2^n) sum_I a_I P_I."""
     return dense_operator(rho.coeffs) / 2 ** rho.n
+
+
+def z_projector(n: int, qubit: int, outcome: int) -> PauliSum:
+    """(1 +/- sigma_z)/2 on one slot: the computational outcome projector."""
+    sign = 1 if outcome == 0 else -1
+    return (PauliSum.identity(n)
+            + PauliSum.single(n, qubit, Z, sign)).scale(Fraction(1, 2))
 
 
 def random_gate(rng: random.Random, n: int) -> Gate:

@@ -480,3 +480,94 @@ class TestNonAsciiInput:
         assert main(["run", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err == (
             f"error: {where}: invalid UTF-8 byte 0xff\n")
+
+
+class TestVerifyBeyondTheOracle:
+    @pytest.mark.parametrize("n", [11, 40])
+    def test_exit_one_before_any_allocation(self, tmp_path, capsys, monkeypatch, n):
+        from dhsim import oracle
+
+        def refuse(width):
+            raise AssertionError(f"zero_state({width}) called")
+
+        monkeypatch.setattr(oracle, "zero_state", refuse)
+        monkeypatch.setenv("DH_MAX_QUBITS", str(n))
+        path = tmp_path / "wide.dh"
+        path.write_text(f"qubits {n}\nh 1\ncnot 1 {n}\n")
+        assert main(["run", str(path), "--verify"]) == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            f"--verify checks registers of up to {oracle.DENSE_MAX_QUBITS} "
+            f"qubits against the dense oracle; this one has {n}\n")
+        assert main(["run", str(path)]) == EXIT_OK
+
+
+def _dumps(value):
+    return json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def _keys(value):
+    """Every dict key anywhere in a nested report."""
+    if isinstance(value, dict):
+        yield from value
+        for item in value.values():
+            yield from _keys(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _keys(item)
+
+
+_REPORT_CIRCUITS = {
+    "bell": BELL,
+    "three": "qubits 3\nh 1\ns 1\ncnot 1 3\nbell 2 3\nancilla\ncnot 2 4\n",
+    "nine": "qubits 9\nh 1\ncnot 1 9\ny 5\n",
+    "one": "qubits 1\nh 1\ns 1\n",
+}
+_REPORT_CASES = ([(c, name) for c in ("run", "trace") for name in _REPORT_CIRCUITS]
+                 + [(c, "bell") for c in ("validate", "symmetries", "construct")]
+                 + [("construct", "one")]
+                 + [(c, None) for c in ("swap-demo", "measure-demo", "chain-demo")])
+
+
+class TestRenderJson:
+    @pytest.mark.parametrize("verify", [False, True])
+    @pytest.mark.parametrize("subcommand,circuit", _REPORT_CASES)
+    def test_every_subcommand_report(self, tmp_path, subcommand, circuit, verify):
+        path = None
+        if circuit:
+            path = tmp_path / f"{circuit}.dh"
+            path.write_text(_REPORT_CIRCUITS[circuit])
+        code, report = run_report(RunConfig(subcommand, str(path) if path else None,
+                                            verify=verify))
+        assert code == EXIT_OK
+        assert all(type(key) is str for key in _keys(report))
+        assert render_json(report) == _dumps(report)
+
+    EDGE = {
+        "": [],
+        "empty": {"list": [], "dict": {}, "nested": [[], {}, [{}], [[[]]]]},
+        "text": ["", "⊗", "1 * Z⊗X", "é — ünïcode ✓ 𝔘", 'say "hi"', "back\\slash",
+                 "".join(map(chr, range(32))) + "\x7f  ", "\ud800"],
+        "floats": [-0.0, 0.0, 1e-07, 5e-324, 0.1, 1.5, 1e16, 1e300, -2.5e-10,
+                   float("inf"), float("-inf"), float("nan")],
+        "ints": [0, -1, 2 ** 64, -(10 ** 40)],
+        "flags": [True, False, None],
+        "tuple": (1, ("a", None)),
+        "Z": {"b": 1, "B": 2, "é": 3, "a b": 4, "a": {"z": [{"y": {}}]}},
+    }
+
+    def test_edge_values(self):
+        assert render_json(self.EDGE) == _dumps(self.EDGE)
+        for value in ([], {}, "x", 1.0, None, [[{}]]):
+            assert render_json(value) == _dumps(value)
+
+    @pytest.mark.parametrize("bad", [
+        {1: "a"}, {"a": {None: 1}}, {"a": [{"b": 1, 2: 3}]}, {True: 1},
+        {(1, 2): "x"}])
+    def test_keys_must_be_str(self, bad):
+        with pytest.raises(TypeError):
+            render_json(bad)
+
+    def test_unknown_value_type(self):
+        from fractions import Fraction
+        with pytest.raises(TypeError, match="Fraction"):
+            render_json({"a": Fraction(1, 2)})

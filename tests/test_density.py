@@ -5,10 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dhsim import density, oracle
+from dhsim import density, oracle, pauli
 from dhsim.pauli import (
     I, X, Y, Z, ComplexDyadic, PauliSum, parse_sum, sum_mul,
-    vacuum_expectation, z_projector,
+    vacuum_expectation,
 )
 from dhsim.engine import (
     Circuit, Descriptor, DescriptorSet, Gate, apply_gate, component_product,
@@ -19,7 +19,7 @@ from dhsim.density import (
     expectation_table, is_positive, mixture_representation, purity_condition,
     reconstruct_density, schmidt_coefficients, simply_reduce,
 )
-from conftest import dense_density, dense_operator, random_circuit
+from conftest import dense_density, dense_operator, random_circuit, z_projector
 from test_uniqueness_pins import stabilizer_states
 
 HALF = Fraction(1, 2)
@@ -41,6 +41,17 @@ def projector_diagonal(set_, qubits):
         assert value.is_real
         probs.append(value.re)
     return probs
+
+
+def dense_diagonal(set_, qubits):
+    """Reference diagonal: the dense |psi|^2 summed over the other qubits,
+    its axes in the order of ``qubits``."""
+    n = set_.n
+    psi = oracle.apply_circuit(n, gate_steps(set_))
+    probs = np.abs(psi.reshape((2,) * n)) ** 2
+    marginal = probs.sum(axis=tuple(q for q in range(n) if q not in qubits))
+    kept = sorted(qubits)
+    return marginal.transpose([kept.index(q) for q in qubits]).reshape(-1)
 
 
 def ccz_conjugated(set_):
@@ -269,18 +280,98 @@ class TestDiagonalProbabilities:
                 assert product == fold
                 assert expectation(s, indices) == vacuum_expectation(product)
 
-    def test_subset_products_not_projector_products(self, monkeypatch):
-        # 2^k subset products; the projector expansion needs k 2^k.
+    @staticmethod
+    def _count_products(monkeypatch):
         calls = []
 
-        def counting(a, b):
-            calls.append(1)
-            return sum_mul(a, b)
+        def counting(*factors):
+            calls.append(len(factors))
+            return sum_mul(*factors)
 
         monkeypatch.setattr(density, "sum_mul", counting)
-        s = evolve_circuit(random_circuit(random.Random(5), 6, 30))
-        diagonal_probabilities(s, range(6))
-        assert 0 < len(calls) <= 2 ** 6
+        return calls
+
+    def test_subset_products_not_projector_products(self, monkeypatch):
+        # A multi-term set takes the transform: at most 2^k subset products,
+        # where the projector expansion needs k 2^k.
+        rng = random.Random(5)
+        s = ccz_conjugated(evolve_circuit(random_circuit(rng, 4, 16)))
+        assert pauli.x_kernel([s.component(q, Z) for q in range(4)]) is None
+        calls = self._count_products(monkeypatch)
+        diagonal_probabilities(s, range(4))
+        assert 0 < len(calls) <= 2 ** 4
+
+    def test_clifford_set_forms_at_most_k_products(self, monkeypatch):
+        # One product per kernel basis subset, none when the kernel is trivial.
+        calls = self._count_products(monkeypatch)
+        rng = random.Random(5)
+        for n in range(1, 9):
+            for _ in range(4):
+                s = evolve_circuit(random_circuit(rng, n, 5 * n))
+                qubits = rng.sample(range(n), rng.randint(1, n))
+                del calls[:]
+                diagonal_probabilities(s, qubits)
+                assert len(calls) <= len(qubits)
+        s = evolve_circuit(Circuit(3, ()))
+        del calls[:]
+        assert diagonal_probabilities(s, range(3)) == [1] + [0] * 7
+        assert calls == [1, 1, 1]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_kernel_path_matches_references(self, n):
+        rng = random.Random(60 + n)
+        for _ in range(3):
+            s = evolve_circuit(random_circuit(rng, n, 5 * n))
+            qubits = rng.sample(range(n), rng.randint(1, n))
+            factors = [s.component(q, Z) for q in qubits]
+            assert pauli.x_kernel(factors) is not None
+            probs = diagonal_probabilities(s, qubits)
+            assert probs == projector_diagonal(s, qubits)
+            assert np.allclose([float(p) for p in probs],
+                               dense_diagonal(s, qubits), atol=1e-12)
+
+    def test_kernel_path_on_measured_sets_with_ancillas(self):
+        from dhsim.relative import measure
+        rng = random.Random(61)
+        for n in (1, 2, 3, 4):
+            s = evolve_circuit(random_circuit(rng, n, 4 * n))
+            m = s
+            for qubit in rng.sample(range(n), min(n, 2)):
+                m = measure(m, qubit)
+            qubits = rng.sample(range(m.n), m.n)
+            assert pauli.x_kernel([m.component(q, Z) for q in qubits]) is not None
+            probs = diagonal_probabilities(m, qubits)
+            assert probs == projector_diagonal(m, qubits)
+            assert np.allclose([float(p) for p in probs],
+                               dense_diagonal(m, qubits), atol=1e-12)
+
+    @pytest.mark.parametrize("qz0,qz1,expected", [
+        # q_z strings that anticommute take the transform, as before.
+        ("1 * X⊗I", "1 * Z⊗I", [HALF, 0, HALF, 0]),
+        ("1 * Y⊗Z", "1 * Z⊗I", [HALF, 0, HALF, 0]),
+        ("1 * X⊗I", "1 * Y⊗I", "came out complex"),
+        ("-1 * Y⊗I", "1 * X⊗I", "came out complex"),
+    ])
+    def test_anticommuting_qz_take_the_transform(self, qz0, qz1, expected):
+        pair = [parse_sum(qz0), parse_sum(qz1)]
+        assert pauli.x_kernel(pair) is None
+        s = DescriptorSet(2, tuple(
+            Descriptor(PauliSum.single(2, q, X), PauliSum.single(2, q, Y), qz)
+            for q, qz in enumerate(pair)))
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=expected):
+                diagonal_probabilities(s, [0, 1])
+        else:
+            assert diagonal_probabilities(s, [0, 1]) == expected
+
+    def test_other_coefficients_take_the_transform(self):
+        for coef in (2, ComplexDyadic(0, 1), HALF, -1):
+            qz = PauliSum.single(1, 0, Z, coef)
+            assert (pauli.x_kernel([qz]) is None) == (coef != -1)
+        assert diagonal_probabilities(z_only_set(PauliSum.single(1, 0, Z, HALF)),
+                                      [0]) == [Fraction(3, 4), Fraction(1, 4)]
+        assert diagonal_probabilities(z_only_set(PauliSum.single(1, 0, Z, -1)),
+                                      [0]) == [0, 1]
 
     def test_negative_probability_rejected(self):
         s = z_only_set(PauliSum.single(1, 0, Z, 2))

@@ -12,8 +12,9 @@ from dhsim import oracle, pauli
 from dhsim.pauli import (
     I, X, Y, Z,
     ComplexDyadic, DimensionError, PauliSum,
-    commute, hs_inner, parse_sum, sum_mul, vacuum_expectation, z_projector,
+    commute, hs_inner, parse_sum, sum_mul, vacuum_expectation,
 )
+from conftest import z_projector
 
 ONE = ComplexDyadic.of(1)
 
@@ -216,6 +217,62 @@ class TestCanonicalForm:
     def test_terms_sorted(self):
         s = S("1 * Z⊗Z + 1 * I⊗X + 1 * X⊗I")
         assert s.render() == "1 * I⊗X + 1 * X⊗I + 1 * Z⊗Z"
+
+
+class TestXKernel:
+    @staticmethod
+    def _x_free(product):
+        ((letters, _),) = product.terms()
+        return all(l in (I, Z) for l in letters)
+
+    def test_basis_spans_every_x_free_subset(self):
+        # The kernel's size, by brute force over all 2^k subsets, is
+        # 2^(basis length), and every basis subset is x-free.
+        from dhsim.engine import evolve_circuit
+        from conftest import random_circuit
+        rng = random.Random(71)
+        for n in range(1, 7):
+            for _ in range(4):
+                s = evolve_circuit(random_circuit(rng, n, 4 * n))
+                qubits = rng.sample(range(n), rng.randint(1, n))
+                factors = [s.component(q, Z) for q in qubits]
+                basis = pauli.x_kernel(factors)
+                assert basis is not None
+
+                def product(subset):
+                    return sum_mul(PauliSum.identity(n), *(
+                        f for j, f in enumerate(factors) if subset >> j & 1))
+
+                free = [t for t in range(1, 1 << len(factors))
+                        if self._x_free(product(t))]
+                assert len(free) + 1 == 2 ** len(basis)
+                span = {0}
+                for subset in basis:
+                    assert subset in free
+                    span |= {t ^ subset for t in span}
+                assert len(span) == 2 ** len(basis)
+
+    def test_fresh_register_is_all_kernel(self):
+        zs = [PauliSum.single(3, q, Z, -1 if q else 1) for q in range(3)]
+        assert pauli.x_kernel(zs) == [1, 2, 4]
+        xs = [PauliSum.single(3, q, X) for q in range(3)]
+        assert pauli.x_kernel(xs) == []
+        assert pauli.x_kernel(xs + [S("1 * X⊗X⊗I")]) == [0b1011]
+
+    @pytest.mark.parametrize("strings", [
+        ["2 * Z⊗I", "1 * I⊗Z"],
+        ["1/2 * Z⊗I", "1 * I⊗Z"],
+        ["1i * Z⊗I", "1 * I⊗Z"],
+        ["1 * Z⊗I + 1 * I⊗Z", "1 * I⊗Z"],
+        ["1 * X⊗I", "1 * Z⊗I"],
+        ["1 * Y⊗Z", "1 * Z⊗I", "1 * I⊗X"],
+    ])
+    def test_none_unless_commuting_unit_strings(self, strings):
+        assert pauli.x_kernel([S(t) for t in strings]) is None
+
+    def test_none_on_width_mismatch_or_zero(self):
+        assert pauli.x_kernel([S("1 * Z⊗I"), S("1 * Z")]) is None
+        assert pauli.x_kernel([PauliSum.zero(2)]) is None
 
 
 class TestCommutation:
