@@ -70,8 +70,11 @@ VERIFY_SAMPLES = 200
 
 
 class ParseError(ValueError):
-    def __init__(self, line: int, column: int, message: str):
-        super().__init__(f"line {line}, col {column}: {message}")
+    """Bad input; line and column are None where the file has no place for it."""
+
+    def __init__(self, line: int | None, column: int | None, message: str):
+        super().__init__(message if line is None
+                         else f"line {line}, col {column}: {message}")
         self.line = line
         self.column = column
         self.reason = message
@@ -100,70 +103,80 @@ def _ascii_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def _error_at(lineno: int, line: str, index: int, message: str) -> ParseError:
+    """The error located at the line's token ``index`` (``str.split`` order)."""
+    column = [match.start() for match in _TOKEN.finditer(line)][index] + 1
+    return ParseError(lineno, column, message)
+
+
 def parse_circuit(text: str, max_qubits: int | None = None) -> Circuit:
-    """Line-oriented circuit parser with located errors."""
+    """Line-oriented circuit parser with located errors.
+
+    A gate line with the tokens of an earlier one reuses its ``Gate``: the
+    labels were in range then, and the register only grows.
+    """
     cap = max_qubits if max_qubits is not None else DEFAULT_MAX_QUBITS
     n: int | None = None
     initial_n = 0
     steps: list = []
+    seen: dict[tuple[str, ...], Gate] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        tokens = [(m.start() + 1, m.group(0)) for m in _TOKEN.finditer(line)]
+        tokens = line.split()
         if not tokens:
             continue
-        col0, word = tokens[0]
-        word = word.lower()
+        key = tuple(tokens)
+        gate = seen.get(key)
+        if gate is not None:
+            steps.append(gate)
+            continue
+        word = tokens[0].lower()
 
         if word == "qubits":
             if n is not None:
-                raise ParseError(lineno, col0, "duplicate qubits declaration")
+                raise _error_at(lineno, line, 0, "duplicate qubits declaration")
             if len(tokens) != 2:
-                raise ParseError(lineno, col0, "qubits takes one count")
-            col, value = tokens[1]
+                raise _error_at(lineno, line, 0, "qubits takes one count")
+            value = tokens[1]
             if not _ascii_digits(value) or int(value) < 1:
-                raise ParseError(lineno, col, f"bad qubit count {value!r}")
+                raise _error_at(lineno, line, 1, f"bad qubit count {value!r}")
             n = initial_n = int(value)
             if n > cap:
-                raise ParseError(lineno, col,
-                                 f"register of {n} exceeds cap {cap}")
+                raise _error_at(lineno, line, 1, f"register of {n} exceeds cap {cap}")
             continue
 
         if n is None:
-            raise ParseError(lineno, col0,
-                             "qubits declaration must come first")
+            raise _error_at(lineno, line, 0, "qubits declaration must come first")
 
         if word == "ancilla":
             if len(tokens) != 1:
-                raise ParseError(lineno, tokens[1][0],
-                                 "ancilla takes no arguments")
+                raise _error_at(lineno, line, 1, "ancilla takes no arguments")
             n += 1
             if n > cap:
-                raise ParseError(lineno, col0,
-                                 f"register of {n} exceeds cap {cap}")
+                raise _error_at(lineno, line, 0, f"register of {n} exceeds cap {cap}")
             steps.append(AddAncilla())
             continue
 
         if word not in _GATE_ARITY:
-            raise ParseError(lineno, col0, f"unknown gate {word!r}")
+            raise _error_at(lineno, line, 0, f"unknown gate {word!r}")
         arity = _GATE_ARITY[word]
         if len(tokens) - 1 != arity:
-            raise ParseError(lineno, col0,
-                             f"{word} takes {arity} qubit label(s), "
-                             f"got {len(tokens) - 1}")
+            raise _error_at(lineno, line, 0, f"{word} takes {arity} qubit label(s), "
+                                             f"got {len(tokens) - 1}")
         operands = []
-        for col, value in tokens[1:]:
+        for index, value in enumerate(tokens[1:], start=1):
             if not _ascii_digits(value):
-                raise ParseError(lineno, col, f"bad qubit label {value!r}")
+                raise _error_at(lineno, line, index, f"bad qubit label {value!r}")
             label = int(value)
             if not 1 <= label <= n:
-                raise ParseError(lineno, col,
-                                 f"qubit {label} out of range 1..{n}")
+                raise _error_at(lineno, line, index,
+                                f"qubit {label} out of range 1..{n}")
             operands.append(label - 1)
         if len(set(operands)) != len(operands):
-            raise ParseError(lineno, tokens[1][0],
-                             f"{word} operands must be distinct")
-        steps.append(Gate(word.upper(), tuple(operands)))
+            raise _error_at(lineno, line, 1, f"{word} operands must be distinct")
+        gate = seen[key] = Gate(word.upper(), tuple(operands))
+        steps.append(gate)
 
     if n is None:
         raise ParseError(1, 1, "missing qubits declaration")
@@ -221,9 +234,10 @@ def _verify_set(set_: DescriptorSet, seed: int,
     """
     from . import oracle
     if set_.n > oracle.DENSE_MAX_QUBITS:
-        raise ParseError(0, 0, f"--verify checks registers of up to "
-                               f"{oracle.DENSE_MAX_QUBITS} qubits against the "
-                               f"dense oracle; this one has {set_.n}")
+        raise ParseError(None, None,
+                         f"--verify checks registers of up to "
+                         f"{oracle.DENSE_MAX_QUBITS} qubits against the "
+                         f"dense oracle; this one has {set_.n}")
     rng = random.Random(seed)
     space = 4 ** set_.n
     count = min(VERIFY_SAMPLES, space)
@@ -248,7 +262,7 @@ def _verify_set(set_: DescriptorSet, seed: int,
 
 def _load_circuit(cfg: RunConfig) -> Circuit:
     if not cfg.input_path:
-        raise ParseError(0, 0, f"{cfg.subcommand} requires a circuit file")
+        raise ParseError(None, None, f"{cfg.subcommand} requires a circuit file")
     with open(cfg.input_path, "rb") as handle:
         data = handle.read()
     try:
@@ -294,7 +308,7 @@ def _cmd_run(cfg: RunConfig) -> dict:
 def _cmd_validate(cfg: RunConfig) -> dict:
     set_ = evolve_circuit(_load_circuit(cfg))
     if set_.n != 2:
-        raise ParseError(0, 0, "validate needs a two-qubit circuit")
+        raise ParseError(None, None, "validate needs a two-qubit circuit")
     report = validate_basis(set_)
     out = {
         "independent_count": report.independent_count,
@@ -314,7 +328,7 @@ def _cmd_validate(cfg: RunConfig) -> dict:
 def _cmd_symmetries(cfg: RunConfig) -> dict:
     set_ = evolve_circuit(_load_circuit(cfg))
     if set_.n != 2:
-        raise ParseError(0, 0, "symmetries needs a two-qubit circuit")
+        raise ParseError(None, None, "symmetries needs a two-qubit circuit")
     rho = reconstruct_density(set_, [0, 1])
     transforms = density_symmetries(rho)
     sets = _generate_equivalent_sets(canonical_signs(set_), rho, transforms)
@@ -334,7 +348,7 @@ def _cmd_symmetries(cfg: RunConfig) -> dict:
 def _cmd_construct(cfg: RunConfig) -> dict:
     set_ = evolve_circuit(_load_circuit(cfg))
     if set_.n > 2:
-        raise ParseError(0, 0, "construct covers 1- or 2-qubit densities")
+        raise ParseError(None, None, "construct covers 1- or 2-qubit densities")
     rho = reconstruct_density(set_, range(set_.n))
     found = construct_from_density(rho, cfg.ancilla_budget)
     if found is NotFound:
@@ -587,6 +601,9 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="write the report to a file")
     parser.add_argument("--ancillas", type=_nonnegative_int, default=1,
                         help="ancilla budget for construct")
+    # parse_intermixed_args formats the usage on every call while it is
+    # None; the same text, set once, gives the same messages.
+    parser.usage = parser.format_usage()[len("usage: "):]
     return parser
 
 
@@ -596,11 +613,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
 
-    raw_cap = os.environ.get("DH_MAX_QUBITS")
-    try:
-        cap = DEFAULT_MAX_QUBITS if raw_cap is None else int(raw_cap)
-    except ValueError:
-        cap = 0
+    raw_cap = os.environ.get("DH_MAX_QUBITS", str(DEFAULT_MAX_QUBITS))
+    cap = int(raw_cap) if _ascii_digits(raw_cap) else 0
     if cap < 1:
         print(f"error: DH_MAX_QUBITS must be a positive integer, got {raw_cap!r}",
               file=sys.stderr)

@@ -13,6 +13,10 @@ evaluated on the *current* descriptor components.  Components of qubits
 outside S never change.  This is exactly the composition order demanded by
 U^dagger sigma U with U = V_k ... V_0, and it is why rewriting the letters
 of the evolved strings in place would be wrong.
+
+Every rule has one form (``_RULES``) and one applier (``_rewrite``), which
+``apply_gate`` uses on a descriptor set and ``evolve_circuit`` folds over a
+circuit on bare component triples.
 """
 
 from __future__ import annotations
@@ -30,40 +34,26 @@ SINGLE_QUBIT_KINDS = ("H", "X", "Y", "Z", "S")
 TWO_QUBIT_KINDS = ("CNOT", "BELL")
 GATE_KINDS = SINGLE_QUBIT_KINDS + TWO_QUBIT_KINDS
 
-# Heisenberg rewrite V^dagger sigma V for single-qubit gates:
-# letter -> (sign, letter).
-_SINGLE_RULES: dict[str, dict[int, tuple[int, int]]] = {
-    "H": {X: (1, Z), Y: (-1, Y), Z: (1, X)},
-    "X": {X: (1, X), Y: (-1, Y), Z: (-1, Z)},
-    "Y": {X: (-1, X), Y: (1, Y), Z: (-1, Z)},
-    "Z": {X: (-1, X), Y: (-1, Y), Z: (1, Z)},
-    "S": {X: (-1, Y), Y: (1, X), Z: (1, Z)},
+# Heisenberg rewrite V^dagger sigma V, one form for every kind: per operand
+# position, the rows for X, Y and Z.  A row (sign, ((position, letter), ...))
+# gives the new component as the sign times the ordered product of the named
+# pre-gate components.  Position 0 is the first operand (CNOT control).
+# BELL(a, b) = CNOT(a -> b) followed by H on a: the rotation taking the four
+# Bell states of the pair to the four computational labels (the inverse of
+# the usual H-then-CNOT Bell preparation).
+_RULES = {
+    "H": (((1, ((0, Z),)), (-1, ((0, Y),)), (1, ((0, X),))),),
+    "X": (((1, ((0, X),)), (-1, ((0, Y),)), (-1, ((0, Z),))),),
+    "Y": (((-1, ((0, X),)), (1, ((0, Y),)), (-1, ((0, Z),))),),
+    "Z": (((-1, ((0, X),)), (-1, ((0, Y),)), (1, ((0, Z),))),),
+    "S": (((-1, ((0, Y),)), (1, ((0, X),)), (1, ((0, Z),))),),
+    "CNOT": (((1, ((0, X), (1, X))), (1, ((0, Y), (1, X))), (1, ((0, Z),))),
+             ((1, ((1, X),)), (1, ((0, Z), (1, Y))), (1, ((0, Z), (1, Z))))),
+    "BELL": (((1, ((0, Z),)), (-1, ((0, Y), (1, X))), (1, ((0, X), (1, X)))),
+             ((1, ((1, X),)), (1, ((0, Z), (1, Y))), (1, ((0, Z), (1, Z))))),
 }
 
-# Two-qubit rules: (operand position, letter) -> (sign, ((position, letter), ...)).
-# Position 0 is the first operand (CNOT control); position 1 the second.
-_CNOT_RULE: dict[tuple[int, int], tuple[int, tuple[tuple[int, int], ...]]] = {
-    (0, X): (1, ((0, X), (1, X))),
-    (0, Y): (1, ((0, Y), (1, X))),
-    (0, Z): (1, ((0, Z),)),
-    (1, X): (1, ((1, X),)),
-    (1, Y): (1, ((0, Z), (1, Y))),
-    (1, Z): (1, ((0, Z), (1, Z))),
-}
-
-# BELL(a, b) = CNOT(a -> b) followed by H on a: the rotation taking the
-# four Bell states of the pair to the four computational labels (the
-# inverse of the usual H-then-CNOT Bell preparation).
-_BELL_RULE: dict[tuple[int, int], tuple[int, tuple[tuple[int, int], ...]]] = {
-    (0, X): (1, ((0, Z),)),
-    (0, Y): (-1, ((0, Y), (1, X))),
-    (0, Z): (1, ((0, X), (1, X))),
-    (1, X): (1, ((1, X),)),
-    (1, Y): (1, ((0, Z), (1, Y))),
-    (1, Z): (1, ((0, Z), (1, Z))),
-}
-
-_TWO_RULES = {"CNOT": _CNOT_RULE, "BELL": _BELL_RULE}
+_Triple = tuple[PauliSum, PauliSum, PauliSum]
 
 
 class GateError(ValueError):
@@ -127,11 +117,6 @@ class Circuit:
             else:
                 raise GateError(f"step {k + 1}: not a gate or ancilla directive")
 
-    @property
-    def final_qubits(self) -> int:
-        return self.initial_qubits + sum(1 for s in self.steps
-                                         if isinstance(s, AddAncilla))
-
 
 @dataclass(frozen=True)
 class Descriptor:
@@ -157,14 +142,6 @@ class Descriptor:
     def from_xz(qx: PauliSum, qz: PauliSum) -> "Descriptor":
         """Build with q_y = i q_x q_z, the convention used throughout."""
         return Descriptor(qx, sum_mul(qx, qz).scale(ComplexDyadic.i_power(1)), qz)
-
-    def is_canonical(self) -> bool:
-        """q_y = i q_x q_z and all components Hermitian."""
-        want_y = sum_mul(self.qx, self.qz).scale(ComplexDyadic.i_power(1))
-        return (want_y == self.qy
-                and self.qx.is_hermitian
-                and self.qy.is_hermitian
-                and self.qz.is_hermitian)
 
     def support(self) -> set[int]:
         return self.qx.support() | self.qy.support() | self.qz.support()
@@ -193,47 +170,42 @@ def initial_set(n: int) -> DescriptorSet:
     """Fresh register: descriptor a is sigma on slot a, identity elsewhere."""
     if n < 1:
         raise EmptyRegisterError("register must hold at least one qubit")
-    return DescriptorSet(n, tuple(_fresh(n, a) for a in range(n)))
+    return DescriptorSet(n, tuple(Descriptor(*_fresh(n, a)) for a in range(n)))
 
 
-def _fresh(n: int, qubit: int) -> Descriptor:
-    """The descriptor of a fresh |0> qubit: sigma on its own slot."""
-    return Descriptor(*(PauliSum.single(n, qubit, w) for w in (X, Y, Z)))
+def _fresh(n: int, qubit: int) -> _Triple:
+    """The components of a fresh |0> qubit: sigma on its own slot."""
+    return (PauliSum.single(n, qubit, X), PauliSum.single(n, qubit, Y),
+            PauliSum.single(n, qubit, Z))
 
 
-def _rewrite_two(set_: DescriptorSet, kind: str, operands: tuple[int, ...],
-                 pos: int, letter: int) -> PauliSum:
-    sign, factors = _TWO_RULES[kind][pos, letter]
-    chosen = [set_.component(operands[fpos], fletter) for fpos, fletter in factors]
-    product = chosen[0] if len(chosen) == 1 else sum_mul(*chosen)
-    return product if sign == 1 else -product
+def _rewrite(kind: str, operands: Sequence[_Triple]) -> list[_Triple]:
+    """The operands' new (q_x, q_y, q_z) under the kind's rule.
+
+    ``operands[p]`` holds the pre-gate (q_x, q_y, q_z) of operand position p,
+    letter L at index L - 1, so every product refers to one time slice.
+    """
+    new = []
+    for rows in _RULES[kind]:
+        triple = []
+        for sign, factors in rows:
+            if len(factors) == 1:
+                ((pos, letter),) = factors
+                c = operands[pos][letter - 1]
+            else:
+                c = sum_mul(*[operands[pos][letter - 1] for pos, letter in factors])
+            triple.append(c if sign == 1 else -c)
+        new.append(tuple(triple))
+    return new
 
 
 def apply_gate(set_: DescriptorSet, gate: Gate) -> DescriptorSet:
-    """Rewrite the operand descriptors under the gate's conjugation rule.
-
-    All products are taken on the pre-gate components (the rule refers to
-    one common time slice).
-    """
+    """Rewrite the operand descriptors under the gate's conjugation rule."""
     gate.validate_for(set_.n)
     descs = list(set_.descriptors)
-    if gate.kind in SINGLE_QUBIT_KINDS:
-        (q,) = gate.operands
-        rule = _SINGLE_RULES[gate.kind]
-        new = {}
-        for letter in (X, Y, Z):
-            sign, src = rule[letter]
-            component = set_.component(q, src)
-            new[letter] = component if sign == 1 else -component
-        descs[q] = Descriptor(new[X], new[Y], new[Z])
-    else:
-        new_ops = {}
-        for pos, qubit in enumerate(gate.operands):
-            comps = [_rewrite_two(set_, gate.kind, gate.operands, pos, letter)
-                     for letter in (X, Y, Z)]
-            new_ops[qubit] = Descriptor(*comps)
-        for qubit, desc in new_ops.items():
-            descs[qubit] = desc
+    new = _rewrite(gate.kind, [descs[q].components() for q in gate.operands])
+    for qubit, triple in zip(gate.operands, new):
+        descs[qubit] = Descriptor(*triple)
     return DescriptorSet(set_.n, tuple(descs), set_.history + (gate,))
 
 
@@ -246,7 +218,7 @@ def add_ancilla(set_: DescriptorSet) -> DescriptorSet:
     n = set_.n + 1
     descs = [Descriptor(d.qx.extended(1), d.qy.extended(1), d.qz.extended(1))
              for d in set_.descriptors]
-    descs.append(_fresh(n, n - 1))
+    descs.append(Descriptor(*_fresh(n, n - 1)))
     return DescriptorSet(n, tuple(descs), set_.history + (AddAncilla(),))
 
 
@@ -304,17 +276,26 @@ def heisenberg_image(set_: DescriptorSet, operator: PauliSum) -> PauliSum:
 
 
 def evolve_circuit(circuit: Circuit) -> DescriptorSet:
-    """Fold a circuit into a descriptor set, starting from the fresh register."""
-    set_ = initial_set(circuit.initial_qubits)
+    """Fold a circuit over the fresh register's component triples; the
+    descriptor set is built once, at the end."""
+    n = circuit.initial_qubits
+    comps = [d.components() for d in initial_set(n).descriptors]
     for k, step in enumerate(circuit.steps):
+        if isinstance(step, AddAncilla):
+            comps = [(qx.extended(1), qy.extended(1), qz.extended(1))
+                     for qx, qy, qz in comps]
+            n += 1
+            comps.append(_fresh(n, n - 1))
+            continue
         try:
-            if isinstance(step, AddAncilla):
-                set_ = add_ancilla(set_)
-            else:
-                set_ = apply_gate(set_, step)
-        except (GateError, DimensionError) as exc:
+            step.validate_for(n)
+        except GateError as exc:
             raise GateError(f"step {k + 1}: {exc}") from exc
-    return set_
+        operands = step.operands
+        for qubit, triple in zip(operands,
+                                 _rewrite(step.kind, [comps[q] for q in operands])):
+            comps[qubit] = triple
+    return DescriptorSet(n, tuple(Descriptor(*c) for c in comps), circuit.steps)
 
 
 def gate_steps(set_: DescriptorSet) -> list[tuple[str, tuple[int, ...]]]:

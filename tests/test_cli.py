@@ -1,5 +1,9 @@
+import contextlib
+import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import typing
@@ -12,7 +16,7 @@ from dhsim.cli import (
     EXIT_OK, EXIT_USAGE, EXIT_VERIFY, ParseError, RunConfig, main,
     parse_circuit, render_json, render_text, run_report,
 )
-from dhsim.engine import AddAncilla, Gate
+from dhsim.engine import GATE_KINDS, SINGLE_QUBIT_KINDS, AddAncilla, Gate
 
 BELL = "qubits 2\nh 1\ncnot 1 2\n"
 
@@ -20,6 +24,12 @@ SCHEMA_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                            "src", "dhsim", "report_schema.json")
 with open(SCHEMA_PATH, encoding="utf-8") as _handle:
     SCHEMA = json.load(_handle)
+
+
+def final_qubits(circuit):
+    """Register size after every ancilla directive of the circuit."""
+    return circuit.initial_qubits + sum(isinstance(s, AddAncilla)
+                                        for s in circuit.steps)
 
 
 @pytest.fixture
@@ -42,7 +52,7 @@ class TestParseCircuit:
     def test_ancilla_directive(self):
         c = parse_circuit("qubits 1\nancilla\ncnot 1 2\n")
         assert isinstance(c.steps[0], AddAncilla)
-        assert c.final_qubits == 2
+        assert final_qubits(c) == 2
 
     def test_identity_double_hadamard(self):
         from dhsim.engine import evolve_circuit, initial_set
@@ -69,6 +79,189 @@ class TestParseCircuit:
             parse_circuit("qubits 12\n", max_qubits=10)
         with pytest.raises(ParseError):
             parse_circuit("qubits 10\nancilla\n", max_qubits=10)
+
+
+# Malformed files with the message, line and column each one reports.
+_MALFORMED = [
+    ('qubits\t2\nh\t3\n', 'line 2, col 3: qubit 3 out of range 1..2', 2, 3),
+    ('qubits 2\n\tcnot\t1\t\t1\n', 'line 2, col 7: cnot operands must be distinct', 2, 7),
+    ('\tqubits\t\t2\t3\n', 'line 1, col 2: qubits takes one count', 1, 2),
+    ('qubits\xa02\nh\u20031\nh\u3000x\n', "line 3, col 3: bad qubit label 'x'", 3, 3),
+    ('qubits 2\n\u2028h 1\n\xa0\xa0cnot\u20091\u20095\n', 'line 4, col 10: qubit 5 out of range 1..2', 4, 10),
+    ('qubits\x852\nfoo\xa01\n', 'line 1, col 1: qubits takes one count', 1, 1),
+    ('qubits 2\nh\u200b1\n', "line 2, col 1: unknown gate 'h\\u200b1'", 2, 1),
+    ('qubits 2\nh 1\x1c2\n', "line 3, col 1: unknown gate '2'", 3, 1),
+    ('# header\nqubits 2 # two\nh 1 # first\ncnot 1 3 # bad\n', 'line 4, col 8: qubit 3 out of range 1..2', 4, 8),
+    ('qubits 2\n#h 3\n  # cnot 1 1\nh 2#x\nh #1\n', 'line 5, col 1: h takes 1 qubit label(s), got 0', 5, 1),
+    ('qubits # 2\n', 'line 1, col 1: qubits takes one count', 1, 1),
+    ('qubits 2\r\nh 1\r\nfoo 1\r\n', "line 3, col 1: unknown gate 'foo'", 3, 1),
+    ('qubits 2\r\n\r\ncnot 2 2\r\n', 'line 3, col 6: cnot operands must be distinct', 3, 6),
+    ('qubits 1\r\nancilla\r\nh 3\r\n', 'line 3, col 3: qubit 3 out of range 1..2', 3, 3),
+    ('qubits 2\n qubits 3\n', 'line 2, col 2: duplicate qubits declaration', 2, 2),
+    ('qubits 2\nh 1\nQUBITS 2\n', 'line 3, col 1: duplicate qubits declaration', 3, 1),
+    ('qubits 2\ncnot 1 2\ncnot 1 2\ncnot 1 3\n', 'line 4, col 8: qubit 3 out of range 1..2', 4, 8),
+    ('qubits 2\nh 1\nh 1\nh 1x\n', "line 4, col 3: bad qubit label '1x'", 4, 3),
+    ('qubits 2\nh 2\nh 2\nh  2\nh 0\n', 'line 5, col 3: qubit 0 out of range 1..2', 5, 3),
+    ('qubits 2\ncnot 1 2\nancilla\ncnot 1 2\ncnot 3 2\nh 4\n', 'line 6, col 3: qubit 4 out of range 1..3', 6, 3),
+    ('qubits 1\nh 1\nancilla\nh 1\ncnot 2 1\nancilla\ncnot 2 1\ncnot 2 4\n', 'line 8, col 8: qubit 4 out of range 1..3', 8, 8),
+    ('qubits 2\nH 1\nh 1\nH 3\n', 'line 4, col 3: qubit 3 out of range 1..2', 4, 3),
+    ('qubits 2\nCNOT 1 2\ncnot 1 2\nCnot 2 2\n', 'line 4, col 6: cnot operands must be distinct', 4, 6),
+    ('', 'line 1, col 1: missing qubits declaration', 1, 1),
+    ('# only a comment\n\n', 'line 1, col 1: missing qubits declaration', 1, 1),
+    ('h 1\n', 'line 1, col 1: qubits declaration must come first', 1, 1),
+    ('qubits\n', 'line 1, col 1: qubits takes one count', 1, 1),
+    ('qubits 2 3\n', 'line 1, col 1: qubits takes one count', 1, 1),
+    ('qubits 0\n', "line 1, col 8: bad qubit count '0'", 1, 8),
+    ('qubits x\n', "line 1, col 8: bad qubit count 'x'", 1, 8),
+    ('qubits ²\n', "line 1, col 8: bad qubit count '²'", 1, 8),
+    ('qubits ٣\n', "line 1, col 8: bad qubit count '٣'", 1, 8),
+    ('qubits +2\n', "line 1, col 8: bad qubit count '+2'", 1, 8),
+    ('qubits 1_0\n', "line 1, col 8: bad qubit count '1_0'", 1, 8),
+    ('qubits 11\n', 'line 1, col 8: register of 11 exceeds cap 10', 1, 8),
+    ('qubits 10\nancilla\n', 'line 2, col 1: register of 11 exceeds cap 10', 2, 1),
+    ('qubits 2\nancilla 1\n', 'line 2, col 9: ancilla takes no arguments', 2, 9),
+    ('qubits 2\nancilla\nancilla   x y\n', 'line 3, col 11: ancilla takes no arguments', 3, 11),
+    ('qubits 2\nhh 1\n', "line 2, col 1: unknown gate 'hh'", 2, 1),
+    ('qubits 2\nh\n', 'line 2, col 1: h takes 1 qubit label(s), got 0', 2, 1),
+    ('qubits 2\nh 1 2\n', 'line 2, col 1: h takes 1 qubit label(s), got 2', 2, 1),
+    ('qubits 2\ncnot 1\n', 'line 2, col 1: cnot takes 2 qubit label(s), got 1', 2, 1),
+    ('qubits 2\nbell 1 2 1\n', 'line 2, col 1: bell takes 2 qubit label(s), got 3', 2, 1),
+    ('qubits 2\nh -1\n', "line 2, col 3: bad qubit label '-1'", 2, 3),
+    ('qubits 2\nh ١\n', "line 2, col 3: bad qubit label '١'", 2, 3),
+    ('qubits 2\nh 01\nh 3\n', 'line 3, col 3: qubit 3 out of range 1..2', 3, 3),
+    ('qubits 3\nbell 2 2\n', 'line 2, col 6: bell operands must be distinct', 2, 6),
+    ('qubits 3\nbell 3 x\n', "line 2, col 8: bad qubit label 'x'", 2, 8),
+]
+
+
+def _random_circuit_file(rng):
+    """A well-formed circuit file in varied spelling, its steps and its
+    final register size.  Some gate lines repeat an earlier one verbatim,
+    across ancillas too."""
+    n = rng.randint(1, 4)
+    blanks = [" ", "  ", "\t", "\u00a0", "\u2003", "\u3000"]
+    lines = [f"qubits{rng.choice(blanks)}{n}"]
+    gate_lines = []
+    steps = []
+    for _ in range(rng.randint(0, 30)):
+        roll = rng.random()
+        if roll < 0.1 and n < 8:
+            lines.append(rng.choice(["ancilla", "ANCILLA", " ancilla # grow"]))
+            steps.append(AddAncilla())
+            n += 1
+        elif roll < 0.2:
+            lines.append(rng.choice(["", "# note", "  \t", "#h 99"]))
+        elif roll < 0.4 and gate_lines:
+            text, gate = rng.choice(gate_lines)
+            lines.append(text)
+            steps.append(gate)
+        else:
+            kind = rng.choice(GATE_KINDS if n >= 2 else SINGLE_QUBIT_KINDS)
+            arity = 1 if kind in SINGLE_QUBIT_KINDS else 2
+            gate = Gate(kind, tuple(rng.sample(range(n), arity)))
+            word = rng.choice([kind, kind.lower(), kind.capitalize()])
+            text = rng.choice(blanks).join(
+                [word, *(str(q + 1) for q in gate.operands)])
+            if rng.random() < 0.3:
+                text = rng.choice(blanks) + text + " # gate"
+            lines.append(text)
+            gate_lines.append((text, gate))
+            steps.append(gate)
+    newline = rng.choice(["\n", "\r\n"])
+    return newline.join(lines) + newline, steps, n
+
+
+class TestParserTable:
+    @pytest.mark.parametrize("text,message,line,col", _MALFORMED)
+    def test_malformed_file(self, text, message, line, col):
+        with pytest.raises(ParseError) as err:
+            parse_circuit(text)
+        assert (str(err.value), err.value.line, err.value.column) == \
+            (message, line, col)
+
+    def test_well_formed_files(self):
+        rng = random.Random(18)
+        for _ in range(300):
+            text, steps, n = _random_circuit_file(rng)
+            c = parse_circuit(text)
+            assert c.steps == tuple(steps)
+            assert c.initial_qubits + sum(isinstance(s, AddAncilla)
+                                          for s in c.steps) == n
+
+    def test_repeated_line_reuses_the_gate(self):
+        c = parse_circuit("qubits 2\ncnot 1 2\nancilla\ncnot  1 2\nCNOT 1 2\n")
+        assert c.steps[1] is not c.steps[0]
+        assert c.steps[2] is c.steps[0]
+        assert c.steps[3] == c.steps[0] and c.steps[3] is not c.steps[0]
+
+    def test_split_and_token_regex_agree_on_whitespace(self):
+        """Tokens come from str.split, columns from the \\S+ regex; both
+        must take the same characters as whitespace."""
+        every = "".join(map(chr, range(0x110000)))
+        assert ({ch for ch in every if ch.isspace()}
+                == set(re.findall(r"\s", every)))
+
+
+class TestUnlocatedErrors:
+    """Errors with no place in the circuit file print no line or column."""
+
+    @pytest.mark.parametrize("sub,message", [
+        ("validate", "validate needs a two-qubit circuit"),
+        ("symmetries", "symmetries needs a two-qubit circuit"),
+        ("construct", "construct covers 1- or 2-qubit densities"),
+    ])
+    def test_register_size(self, tmp_path, capsys, sub, message):
+        path = tmp_path / "three.dh"
+        path.write_text("qubits 3\nh 1\n")
+        assert main([sub, str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_verify_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("DH_MAX_QUBITS", "11")
+        path = tmp_path / "wide.dh"
+        path.write_text("qubits 11\n")
+        assert main(["run", str(path), "--verify"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "note: diagonal omitted for the 11-qubit register (computed up to "
+            "8 qubits)\n"
+            "error: --verify checks registers of up to 10 qubits against the "
+            "dense oracle; this one has 11\n")
+
+    def test_missing_circuit_file(self, capsys):
+        with pytest.raises(ParseError) as err:
+            run_report(RunConfig("validate"))
+        assert str(err.value) == "validate requires a circuit file"
+        assert (err.value.line, err.value.column) == (None, None)
+        assert main(["validate"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: validate requires a circuit file\n"
+
+
+class TestUsageFormattedOnce:
+    @staticmethod
+    def _outcome(call, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                call(argv)
+            except SystemExit:
+                pass
+        return out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["run", "--help"], ["bogus"], ["run", "x", "--format", "xml"],
+        ["run", "x", "--seed", "z"], ["run", "x", "--ancillas", "-1"],
+    ])
+    def test_messages_equal_a_parser_without_the_preset(self, argv):
+        from dhsim import cli
+        plain = cli._parser.__wrapped__()
+        plain.usage = None
+        want = self._outcome(plain.parse_intermixed_args, argv)
+        assert want[0] or want[1]
+        assert self._outcome(main, argv) == want
+
+    def test_usage_is_preset(self):
+        from dhsim import cli
+        assert cli._parser().usage.startswith("dhsim [-h]")
 
 
 class TestRunReport:
@@ -365,7 +558,8 @@ class TestMainEntry:
         assert main(["run", "--verify", bell_file]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["sections"]["verified"] is True
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", ""])
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "", "1_0", "+3", " 3",
+                                       "\u0663"])
     def test_bad_env_cap(self, bell_file, capsys, monkeypatch, value):
         monkeypatch.setenv("DH_MAX_QUBITS", value)
         assert main(["run", bell_file]) == EXIT_USAGE

@@ -10,11 +10,11 @@ from dhsim.pauli import (
 )
 from dhsim.engine import (
     SINGLE_QUBIT_KINDS, TWO_QUBIT_KINDS,
-    Circuit, Gate, GateError,
+    AddAncilla, Circuit, Descriptor, EmptyRegisterError, Gate, GateError,
     DescriptorSet, add_ancilla, apply_gate, component_product, evolve_circuit,
     expectation, expectations, gate_steps, heisenberg_image, initial_set,
 )
-from conftest import random_circuit
+from conftest import random_circuit, random_gate
 
 ONE = ComplexDyadic.of(1)
 
@@ -131,6 +131,13 @@ class TestEvolveCircuit:
         assert gate_steps(bell_set) == [("H", (0,)), ("CNOT", (0, 1))]
 
 
+def is_canonical(d):
+    """q_y = i q_x q_z and all components Hermitian."""
+    want_y = (d.qx * d.qz).scale(ComplexDyadic.i_power(1))
+    return (want_y == d.qy and d.qx.is_hermitian and d.qy.is_hermitian
+            and d.qz.is_hermitian)
+
+
 class TestStructuralInvariants:
     def test_y_convention_preserved(self):
         rng = random.Random(11)
@@ -138,7 +145,7 @@ class TestStructuralInvariants:
             circuit = random_circuit(rng, 3, 12)
             s = evolve_circuit(circuit)
             for a in range(3):
-                assert s.descriptor(a).is_canonical()
+                assert is_canonical(s.descriptor(a))
 
     def test_homomorphism(self):
         # The image of a product is the product of the images.
@@ -270,3 +277,151 @@ class TestPictureEquivalence:
                 p = PauliSum(n, {idx: ONE})
                 want = oracle.expectation_dense(psi, p)
                 assert abs(got - want) < 1e-9
+
+
+# The rule tables as they stood before the single rule form, copied here so
+# the reference below never reads the engine's table.
+_OLD_SINGLE_RULES = {
+    "H": {X: (1, Z), Y: (-1, Y), Z: (1, X)},
+    "X": {X: (1, X), Y: (-1, Y), Z: (-1, Z)},
+    "Y": {X: (-1, X), Y: (1, Y), Z: (-1, Z)},
+    "Z": {X: (-1, X), Y: (-1, Y), Z: (1, Z)},
+    "S": {X: (-1, Y), Y: (1, X), Z: (1, Z)},
+}
+_OLD_TWO_RULES = {
+    "CNOT": {
+        (0, X): (1, ((0, X), (1, X))),
+        (0, Y): (1, ((0, Y), (1, X))),
+        (0, Z): (1, ((0, Z),)),
+        (1, X): (1, ((1, X),)),
+        (1, Y): (1, ((0, Z), (1, Y))),
+        (1, Z): (1, ((0, Z), (1, Z))),
+    },
+    "BELL": {
+        (0, X): (1, ((0, Z),)),
+        (0, Y): (-1, ((0, Y), (1, X))),
+        (0, Z): (1, ((0, X), (1, X))),
+        (1, X): (1, ((1, X),)),
+        (1, Y): (1, ((0, Z), (1, Y))),
+        (1, Z): (1, ((0, Z), (1, Z))),
+    },
+}
+
+
+def reference_apply(set_, gate):
+    """One gate by the old per-kind tables, on the pre-gate components."""
+    descs = list(set_.descriptors)
+    if gate.kind in _OLD_SINGLE_RULES:
+        (q,) = gate.operands
+        new = []
+        for letter in (X, Y, Z):
+            sign, src = _OLD_SINGLE_RULES[gate.kind][letter]
+            new.append(set_.component(q, src).scale(sign))
+        descs[q] = Descriptor(*new)
+    else:
+        for pos, qubit in enumerate(gate.operands):
+            new = []
+            for letter in (X, Y, Z):
+                sign, factors = _OLD_TWO_RULES[gate.kind][pos, letter]
+                product = PauliSum.identity(set_.n)
+                for fpos, fletter in factors:
+                    product = product * set_.component(gate.operands[fpos], fletter)
+                new.append(product.scale(sign))
+            descs[qubit] = Descriptor(*new)
+    return DescriptorSet(set_.n, tuple(descs))
+
+
+def random_steps(rng, n, depth):
+    """Random gates of every kind with ancillas between them; returns the
+    steps and the final register size."""
+    steps = []
+    for _ in range(depth):
+        if rng.random() < 0.15:
+            steps.append(AddAncilla())
+            n += 1
+        else:
+            steps.append(random_gate(rng, n))
+    return steps, n
+
+
+class TestOneRuleForm:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_fold_equals_gate_by_gate(self, n):
+        rng = random.Random(400 + n)
+        kinds = set()
+        for _ in range(6):
+            steps, final = random_steps(rng, n, 4 * n + 6)
+            folded = evolve_circuit(Circuit(n, steps))
+            stepped = initial_set(n)
+            for step in steps:
+                stepped = (add_ancilla(stepped) if isinstance(step, AddAncilla)
+                           else apply_gate(stepped, step))
+                kinds.add(getattr(step, "kind", None))
+            assert folded.n == stepped.n == final
+            for q in range(final):
+                assert (folded.descriptor(q).components()
+                        == stepped.descriptor(q).components())
+            assert folded.history == stepped.history == tuple(steps)
+        if n >= 2:
+            assert kinds >= set(SINGLE_QUBIT_KINDS + TWO_QUBIT_KINDS)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_gate_rules_equal_the_old_tables(self, n):
+        rng = random.Random(500 + n)
+        set_ = evolve_circuit(random_circuit(rng, n, 3 * n))
+        for _ in range(40):
+            gate = random_gate(rng, n)
+            want = reference_apply(set_, gate)
+            set_ = apply_gate(set_, gate)
+            assert set_.descriptors == want.descriptors
+
+    def test_multi_term_ccz_set(self):
+        from test_density import ccz_conjugated
+        rng = random.Random(61)
+        set_ = ccz_conjugated(evolve_circuit(random_circuit(rng, 4, 12)))
+        assert max(len(c) for d in set_.descriptors for c in d.components()) > 1
+        for kind in SINGLE_QUBIT_KINDS + TWO_QUBIT_KINDS:
+            for _ in range(3):
+                operands = tuple(rng.sample(range(4), 2 if kind in TWO_QUBIT_KINDS
+                                            else 1))
+                gate = Gate(kind, operands)
+                want = reference_apply(set_, gate)
+                set_ = apply_gate(set_, gate)
+                assert set_.descriptors == want.descriptors
+
+    def test_multi_term_relative_descriptor(self, swap_result):
+        from dhsim.relative import RelativeContext, relative_descriptor
+        s = swap_result.final_set
+        ctx = RelativeContext.pair_computational((4, 5), (1, 0))
+        descs = list(s.descriptors)
+        descs[0] = relative_descriptor(s, 0, ctx)
+        set_ = DescriptorSet(s.n, tuple(descs))
+        assert len(set_.component(0, X)) > 1
+        gates = [Gate(kind, (0,)) for kind in SINGLE_QUBIT_KINDS]
+        gates += [Gate(kind, ops) for kind in TWO_QUBIT_KINDS
+                  for ops in ((0, 3), (3, 0), (2, 0))]
+        for gate in gates:
+            assert apply_gate(set_, gate).descriptors == \
+                reference_apply(set_, gate).descriptors
+
+    def test_history_is_the_circuit_steps(self):
+        c = Circuit(1, (Gate("H", (0,)), AddAncilla(), Gate("CNOT", (0, 1))))
+        s = evolve_circuit(c)
+        assert s.history == c.steps
+        assert gate_steps(s) == [("H", (0,)), ("CNOT", (0, 1))]
+
+    def test_bad_step_after_an_ancilla_is_located(self):
+        bad = Circuit.__new__(Circuit)
+        object.__setattr__(bad, "initial_qubits", 1)
+        object.__setattr__(bad, "steps", (AddAncilla(), Gate("CNOT", (0, 1)),
+                                          Gate("CNOT", (0, 2))))
+        with pytest.raises(GateError, match="^step 3: operand 2 out of range "
+                                            "for 2 qubits$"):
+            evolve_circuit(bad)
+
+    def test_empty_register_refused(self):
+        bad = Circuit.__new__(Circuit)
+        object.__setattr__(bad, "initial_qubits", 0)
+        object.__setattr__(bad, "steps", ())
+        with pytest.raises(EmptyRegisterError):
+            evolve_circuit(bad)
