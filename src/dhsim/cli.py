@@ -35,8 +35,8 @@ from typing import Any, Iterable
 
 from .pauli import I, X, Y, Z, ComplexDyadic
 from .engine import (
-    GATE_KINDS, SINGLE_QUBIT_KINDS, AddAncilla, Circuit, DescriptorSet, Gate,
-    evolve_circuit, expectations, gate_steps, step_label,
+    GATE_KINDS, SINGLE_QUBIT_KINDS, AddAncilla, Circuit, Descriptor,
+    DescriptorSet, Gate, evolve_circuit, expectations, gate_steps, step_label,
 )
 from .density import (
     density_report, diagonal_probabilities, expectation_table,
@@ -77,7 +77,6 @@ class ParseError(ValueError):
                          else f"line {line}, col {column}: {message}")
         self.line = line
         self.column = column
-        self.reason = message
 
 
 @dataclass
@@ -206,6 +205,10 @@ def _descriptor_rows(set_: DescriptorSet) -> list[dict]:
     return rows
 
 
+def _render3(d: Descriptor) -> list[str]:
+    return [c.render() for c in d.components()]
+
+
 def _singles_rows(set_: DescriptorSet) -> list[dict]:
     n = set_.n
     strings = [(I,) * q + (w,) + (I,) * (n - 1 - q)
@@ -243,7 +246,8 @@ def _verify_set(set_: DescriptorSet, seed: int,
     count = min(VERIFY_SAMPLES, space)
     picks = rng.sample(range(space), count) if space <= 10 ** 6 else [
         rng.randrange(space) for _ in range(count)]
-    strings = [tuple(pick >> 2 * q & 3 for q in range(set_.n)) for pick in picks]
+    shifts = range(0, 2 * set_.n, 2)
+    strings = [tuple([pick >> s & 3 for s in shifts]) for pick in picks]
     pairs = list(enumerate(expectations(set_, strings)))
     position = {letters: k for k, letters in enumerate(strings)}
     for letters, value in checks:
@@ -253,8 +257,8 @@ def _verify_set(set_: DescriptorSet, seed: int,
         pairs.append((position[letters], value))
     if psi is None:
         psi = oracle.apply_circuit(set_.n, gate_steps(set_))
-    averages = oracle.string_averages(psi, strings).tolist()
-    return all(abs(complex(value) - averages[k]) <= oracle.ATOL
+    averages, atol = oracle.string_averages(psi, strings).tolist(), oracle.ATOL
+    return all(abs((complex(value) if value else 0) - averages[k]) <= atol
                for k, value in pairs)
 
 
@@ -336,12 +340,12 @@ def _cmd_symmetries(cfg: RunConfig) -> dict:
         "transform_count": len(transforms),
         "transforms": sorted(t.slot_cycles() for t in transforms),
         "set_count": len(sets),
-        "sets": [_descriptor_rows(s) for s in sets],
+        "sets": [_descriptor_rows(s) for s, _ in sets],
     }
     if cfg.verify:
-        tables = [entry for candidate in sets
-                  for entry in expectation_table(candidate, [0, 1]).items()]
-        out["verified"] = _verify_set(set_, cfg.seed, checks=tables)
+        # Each set's table comes with it, from the products that validated it.
+        checks = [entry for _, table in sets for entry in table.items()]
+        out["verified"] = _verify_set(set_, cfg.seed, checks=checks)
     return out
 
 
@@ -386,12 +390,8 @@ def _cmd_swap_demo(cfg: RunConfig) -> dict:
                 "bits": "".join(map(str, o.bits)),
                 "probability": _num(o.probability),
                 "communication": [f"qz {5}", f"qz {6}"],
-                "reduced_1": [o.reduced_1.qx.render(),
-                              o.reduced_1.qy.render(),
-                              o.reduced_1.qz.render()],
-                "reduced_4": [o.reduced_4.qx.render(),
-                              o.reduced_4.qy.render(),
-                              o.reduced_4.qz.render()],
+                "reduced_1": _render3(o.reduced_1),
+                "reduced_4": _render3(o.reduced_4),
                 "sign_x": o.sign_x,
                 "sign_z": o.sign_z,
             }
@@ -427,13 +427,12 @@ def _cmd_measure_demo(cfg: RunConfig) -> dict:
 def _cmd_chain_demo(cfg: RunConfig) -> dict:
     demo = run_ultimate_chain_demo()
     set_ = demo["set"]
-    render3 = lambda d: [d.qx.render(), d.qy.render(), d.qz.render()]
     sections = {
         "descriptors": _descriptor_rows(set_),
-        "relative_zero": render3(demo["relative_zero"]),
-        "relative_one": render3(demo["relative_one"]),
-        "chained_plus": render3(demo["plus"]),
-        "chained_minus": render3(demo["minus"]),
+        "relative_zero": _render3(demo["relative_zero"]),
+        "relative_one": _render3(demo["relative_one"]),
+        "chained_plus": _render3(demo["plus"]),
+        "chained_minus": _render3(demo["minus"]),
         "third_system": demo["third_system"],
         "sum_identity": demo["sum_identity"],
         "chain_matches_relative": {str(k): v for k, v
@@ -469,8 +468,6 @@ _HANDLERS = {
     "chain-demo": _cmd_chain_demo,
     "trace": _cmd_trace,
 }
-
-_NEEDS_INPUT = {"run", "validate", "symmetries", "construct", "trace"}
 
 
 def run_report(cfg: RunConfig) -> tuple[int, dict]:
@@ -629,10 +626,6 @@ def main(argv: list[str] | None = None) -> int:
         ancilla_budget=args.ancillas,
         max_qubits=cap,
     )
-    if cfg.subcommand in _NEEDS_INPUT and not cfg.input_path:
-        print(f"error: {cfg.subcommand} requires a circuit file", file=sys.stderr)
-        return EXIT_USAGE
-
     try:
         code, report = run_report(cfg)
     except (ParseError, OSError) as exc:

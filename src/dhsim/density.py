@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .pauli import (
     I, X, Y, Z,
-    ONE, ComplexDyadic, PauliSum, sum_mul, vacuum_expectation, x_kernel,
+    ONE, ZERO, ComplexDyadic, PauliSum, sum_mul, vacuum_expectation, x_kernel,
 )
 from .engine import Descriptor, DescriptorSet, expectations
 
@@ -156,11 +156,12 @@ class DensityMatrix:
             raise ValueError("density is not positive semidefinite")
 
     def purity_trace(self) -> Fraction:
-        """Tr rho^2, exactly, from the coefficient tensor."""
-        total = Fraction(0)
-        for coef in self.coeffs.values():
-            total += coef * coef
-        return total / (2 ** self.n)
+        """Tr rho^2, exactly, from the coefficient tensor: the squared
+        numerators over one common denominator, one Fraction at the end."""
+        values = self.coeffs.values()
+        den = math.lcm(*(c.denominator for c in values))
+        total = sum((c.numerator * (den // c.denominator)) ** 2 for c in values)
+        return Fraction(total, den * den << self.n)
 
 
 def reconstruct_density(set_: DescriptorSet, qubits: Sequence[int]) -> DensityMatrix:
@@ -177,7 +178,7 @@ def _table_density(k: int, table: Mapping[MultiIndex, ComplexDyadic]) -> Density
     for index, value in table.items():
         if not value.is_real:
             raise ValueError(f"non-real coefficient {value} at {index}")
-        if value.re:
+        if value:
             coeffs[index] = value.re
     rho = DensityMatrix(k, coeffs)
     rho.validate()
@@ -258,13 +259,14 @@ def purity_condition(set_: DescriptorSet, pair: Sequence[int]) -> tuple[Fraction
 
 def _purity_sum(table: Mapping[MultiIndex, ComplexDyadic],
                 rho: DensityMatrix) -> tuple[Fraction, bool]:
-    """``purity_condition`` of a pair table and its checked density."""
-    total = Fraction(0)
-    for i in (X, Y, Z):
-        total += table[i, I].re ** 2
-        total += table[I, i].re ** 2
-        for j in (X, Y, Z):
-            total += table[i, j].re ** 2
+    """``purity_condition`` of a pair table and its checked density.  The
+    averages are real, so their squares are summed as ``ComplexDyadic``s,
+    integer numerators over a power of two, and read out as one Fraction."""
+    squares = ZERO
+    for (i, j), value in table.items():
+        if i or j:
+            squares += value * value
+    total = squares.re
     if rho.purity_trace() != (1 + total) / 4:
         raise AssertionError("purity sum does not match Tr rho^2")
     return total, total < 3

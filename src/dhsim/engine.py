@@ -237,8 +237,11 @@ def component_product(set_: DescriptorSet, indices: Sequence[int]) -> PauliSum:
     ``indices`` has one entry per qubit: 0 selects the identity factor,
     X/Y/Z select that descriptor component.  Components of different
     qubits commute, so taking the factors in qubit order loses nothing.
+    One chosen component is its own product.
     """
     chosen = _chosen(set_, indices)
+    if len(chosen) == 1:
+        return chosen[0]
     return sum_mul(*chosen) if chosen else PauliSum.identity(set_.n)
 
 

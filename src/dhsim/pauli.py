@@ -41,6 +41,7 @@ turns; no Fraction is built on the product path.
 from __future__ import annotations
 
 import functools
+import operator
 import re as _re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -188,16 +189,25 @@ class ComplexDyadic:
         return complex(self._re / d, self._im / d)
 
     def __str__(self) -> str:
-        re, im = self.re, self.im
-        if im == 0:
-            return str(re)
-        if re == 0:
-            return f"{im}i"
+        re, im, e = self._re, self._im, self._e
+        if not im:
+            return _dyadic_text(re, e)
+        if not re:
+            return _dyadic_text(im, e) + "i"
         sign = "+" if im > 0 else "-"
-        return f"({re}{sign}{abs(im)}i)"
+        return f"({_dyadic_text(re, e)}{sign}{_dyadic_text(abs(im), e)}i)"
 
     def __repr__(self) -> str:
         return f"ComplexDyadic(re={self.re!r}, im={self.im!r})"
+
+
+def _dyadic_text(num: int, e: int) -> str:
+    """``str(Fraction(num, 2**e))``, reduced with integer shifts."""
+    if not num:
+        return "0"
+    shift = min((num & -num).bit_length() - 1, e)
+    e -= shift
+    return f"{num >> shift}/{1 << e}" if e else str(num >> shift)
 
 
 _new = object.__new__
@@ -267,10 +277,11 @@ class PauliSum:
     Canonical form stores one coefficient per bare letter sequence (string
     phases folded into coefficients), keyed by its packed int, and never
     keeps a zero term.  Values are immutable; all operations return new
-    sums.
+    sums.  So a sum remembers its text and its support once either is
+    first asked for.
     """
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "_terms", "_text", "_support")
 
     def __init__(self, n: int, terms: Mapping[Letters, ComplexDyadic] | None = None):
         self.n = n
@@ -281,6 +292,7 @@ class PauliSum:
                 if coef:
                     canon[key] = ComplexDyadic.of(coef)
         self._terms = canon
+        self._text = self._support = None
 
     def _key(self, letters: Letters) -> int:
         if len(letters) != self.n:
@@ -293,6 +305,7 @@ class PauliSum:
         out = _new(PauliSum)
         out.n = n
         out._terms = terms
+        out._text = out._support = None
         return out
 
     # -- constructors ---------------------------------------------------
@@ -379,19 +392,20 @@ class PauliSum:
         return PauliSum._canonical(
             self.n, {ls: c.conjugate() for ls, c in self._terms.items()})
 
-    def support(self) -> set[int]:
+    def support(self) -> frozenset[int]:
         """Qubit slots where some term carries a non-identity letter."""
-        used = 0
-        for key in self._terms:
-            used |= key
-        # One bit per non-identity slot, at its x position; then walk the set bits.
-        used = (used | used >> 1) & _x_mask(self.n)
-        slots = set()
-        while used:
-            low = used & -used
-            slots.add(low.bit_length() >> 1)
-            used ^= low
-        return slots
+        if self._support is None:
+            used = 0
+            for key in self._terms:
+                used |= key
+            # One bit per non-identity slot, at its x position; then walk the set bits.
+            used = (used | used >> 1) & _x_mask(self.n)
+            slots = []
+            while used:
+                slots.append((used & -used).bit_length() >> 1)
+                used &= used - 1
+            self._support = frozenset(slots)
+        return self._support
 
     def restrict(self, qubits: Iterable[int]) -> "PauliSum":
         """Drop all slots outside ``qubits`` (callers must check support)."""
@@ -419,13 +433,11 @@ class PauliSum:
         Each term reads ``coef * L0(x)L1(x)...`` with an exact fraction
         coefficient, e.g. ``-1/2 * Z(x)X`` (with a real tensor sign).
         """
-        if not self._terms:
-            return "0"
-        parts = []
-        for letters, coef in self.terms():
-            body = "⊗".join(LETTER_NAMES[l] for l in letters)
-            parts.append(f"{coef} * {body}")
-        return " + ".join(parts)
+        if self._text is None:
+            self._text = " + ".join(
+                f"{coef} * " + "⊗".join(map(LETTER_NAMES.__getitem__, letters))
+                for letters, coef in self.terms()) or "0"
+        return self._text
 
     def __str__(self) -> str:
         return self.render()
@@ -607,10 +619,8 @@ def hs_inner(a: PauliSum, b: PauliSum) -> ComplexDyadic:
     """
     a._require_same_n(b)
     total = ZERO
-    small, large = (a._terms, b._terms) if len(a) <= len(b) else (b._terms, a._terms)
-    for letters in small:
-        ca = a._terms.get(letters)
-        cb = b._terms.get(letters)
+    for key in (a._terms if len(a) <= len(b) else b._terms):
+        ca, cb = a._terms.get(key), b._terms.get(key)
         if ca and cb:
             total = total + ca.conjugate() * cb
     return total
@@ -629,12 +639,16 @@ def inner_products(sums: Sequence[PauliSum]) -> dict[tuple[int, int], ComplexDya
         for key, coef in s._terms.items():
             holders.setdefault(key, []).append((a, coef))
     out: dict[tuple[int, int], ComplexDyadic] = {}
+    make = ComplexDyadic._make
     for pairs in holders.values():
         for x, (a, ca) in enumerate(pairs):
-            ca = ca.conjugate()
+            # conj(ca) * cb on the numerators
+            ar, ai, ae = ca._re, -ca._im, ca._e
             for b, cb in pairs[x:]:
+                br, bi = cb._re, cb._im
+                value = make(ar * br - ai * bi, ar * bi + ai * br, ae + cb._e)
                 acc = out.get((a, b))
-                out[a, b] = ca * cb if acc is None else acc + ca * cb
+                out[a, b] = value if acc is None else acc + value
     return {ab: value for ab, value in out.items() if value}
 
 
@@ -679,12 +693,15 @@ def vacuum_expectations(offers: Sequence[tuple[PauliSum, PauliSum, PauliSum]],
     """
     n = offers[0][0].n
     m = _x_mask(n)
+    flag = 1 << 2 * n
 
-    def x_part(f: PauliSum) -> int | None:
-        # None for a factor that is not one string on n qubits: its product
-        # has to be formed.
+    def x_part(f: PauliSum) -> int:
+        # A factor that is not one string on n qubits has its product formed;
+        # it takes a bit of its own above the x bits, which no XOR cancels.
+        nonlocal flag
         if f.n != n or len(f._terms) != 1:
-            return None
+            flag <<= 1
+            return flag
         (key,) = f._terms
         return key & m
 
@@ -695,18 +712,12 @@ def vacuum_expectations(offers: Sequence[tuple[PauliSum, PauliSum, PauliSum]],
         if len(pick) != len(offers):
             raise DimensionError(
                 f"pick of length {len(pick)} for {len(offers)} positions")
-        x, decided = 0, True
         try:
-            for row, w in zip(parts, pick):
-                part = row[w]
-                if part is None:
-                    decided = False
-                else:
-                    x ^= part
+            x = functools.reduce(operator.xor, map(dict.__getitem__, parts, pick), 0)
         except KeyError:
             q = next(q for q, w in enumerate(pick) if w not in parts[q])
             raise _bad_letter(pick[q], q) from None
-        if decided and x:
+        if 0 < x <= m:
             out.append(ZERO)
         else:
             out.append(_vacuum_average([row[w - 1] for row, w in zip(offers, pick)

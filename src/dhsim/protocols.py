@@ -1,6 +1,6 @@
-"""Canned end-to-end constructions: decoherence, generalized measurement,
-the three-system conditioning chain, and the six-qubit entanglement swap
-with dependency tracing.
+"""Canned end-to-end constructions: generalized measurement, the
+three-system conditioning chain, and the six-qubit entanglement swap with
+dependency tracing.
 
 Qubit labels in every report are 1-based.
 """
@@ -20,13 +20,13 @@ from .engine import (
 )
 from .density import (
     DensityMatrix, _purity_sum, _table_density, diagonal_probabilities,
-    expectation_table, purity_condition, reconstruct_density,
+    expectation_table, reconstruct_density,
 )
 from .relative import (
     RelativeContext, _context_factor, _inverse_weight, _reduce, _relative,
     _restriction, _ultimate_state_chain, measure, relative_descriptor,
 )
-from .uniqueness import validate_basis
+from .uniqueness import _report_and_table
 
 COMPONENTS = (X, Y, Z)
 
@@ -54,7 +54,8 @@ def dependency_trace(target: DescriptorSet | Circuit) -> DependencyReport:
     For a circuit the locality rule is asserted along the way: a gate can
     only change the support of its own operands, and only by pulling in
     factors the operands already touched.  Each step's supports are
-    computed once and serve as the next step's "before".
+    computed once and serve as the next step's "before".  Each sum
+    remembers its support, so only a replaced component is scanned again.
     """
     if isinstance(target, DescriptorSet):
         return DependencyReport(_supports(target))
@@ -183,15 +184,16 @@ def swap_relative_bell(result: SwapResult) -> tuple[RelativeBellOutcome, ...]:
     """The four conditioned, reduced (1,4) descriptor pairs of the swap.
 
     Each reduced pair is a proper two-qubit basis with purity sum 3 (a
-    pure, maximally entangled pair); both facts are asserted here.
+    pure, maximally entangled pair); both facts are asserted here, on the
+    basis report and the table of one pass of the pair's sixteen products.
     """
     for outcome in result.relative_bell:
         reduced = DescriptorSet(2, (outcome.reduced_1, outcome.reduced_4))
-        report = validate_basis(reduced)
+        report, table = _report_and_table(reduced)
         if not report.well_formed:
             raise AssertionError(
                 f"reduced pair for bits {outcome.bits} is not a proper basis")
-        total, mixed = purity_condition(reduced, (0, 1))
+        total, mixed = _purity_sum(table, _table_density(2, table))
         if mixed or total != 3:
             raise AssertionError(
                 f"reduced pair for bits {outcome.bits} is not pure")
@@ -272,20 +274,4 @@ def run_ultimate_chain_demo() -> dict:
         "sum_identity": sum_ok,
         "conditioned_blochs": blochs,
         "chain_matches_relative": cross,
-    }
-
-
-def run_decoherence_demo() -> dict:
-    """Single-qubit decoherence: off-diagonals die, diagonals survive."""
-    set_ = initial_set(1)
-    set_ = apply_gate(set_, Gate("H", (0,)))
-    before = reconstruct_density(set_, [0])
-    from .relative import decohere
-    set_ = decohere(set_, [0])
-    after = reconstruct_density(set_, [0])
-    return {
-        "set": set_,
-        "before": before,
-        "after": after,
-        "diagonal": diagonal_probabilities(set_, [0]),
     }

@@ -22,9 +22,11 @@ Enumeration and direct construction from a density share one search,
 ``_system_descriptors``, on the engine's own types: one-term ``PauliSum``
 strings, ``Descriptor.from_xz`` qubits, ``pauli.commute`` and
 ``vacuum_expectation``.  The symmetry search and ``apply_transform`` share
-one sign search, ``_transform_signs``.  ``generate_equivalent_sets`` builds
-each set's expectation table once and hands it along (its private form
-takes the symmetries a caller has already found), and
+one sign search, ``_transform_signs``, and ``canonical_signs`` and the class
+generation one flip rule, ``_canonical_flip``, decided on a built table.
+``generate_equivalent_sets`` builds each set once, and its sixteen products
+formed once give its basis report and its table; the private form returns
+the tables too, and ``symmetries --verify`` compares them with the oracle.
 ``validate_basis`` takes all its inner products from one
 ``pauli.inner_products`` pass over the sixteen products.
 """
@@ -37,13 +39,15 @@ from typing import Sequence
 
 from .pauli import (
     I, X, Y, Z, LETTER_NAMES, ZERO,
-    ComplexDyadic, PauliSum, commute, inner_products, sum_mul,
+    ComplexDyadic, PauliSum, commute, inner_products,
     vacuum_expectation,
 )
 from .engine import Descriptor, DescriptorSet, component_product
-from .density import DensityMatrix, MultiIndex, Sentinel, expectation_table
+from .density import DensityMatrix, Sentinel, expectation_table
 
 COMPONENTS = (X, Y, Z)
+# The index pairs (i, j) of a two-qubit table, in ``expectation_table`` order.
+_PAIR_KEYS = tuple(itertools.product((I,) + COMPONENTS, repeat=2))
 
 _ONE = ComplexDyadic.of(1)
 
@@ -83,10 +87,20 @@ def validate_basis(set_: DescriptorSet) -> BasisReport:
     """
     if set_.n != 2:
         raise ValueError("basis validation is defined for two-qubit sets")
+    return _basis_report(set_, [component_product(set_, k) for k in _PAIR_KEYS])
+
+
+def _report_and_table(set_: DescriptorSet):
+    """``validate_basis`` and the expectation table of a two-qubit set, both
+    from one pass of its sixteen products: (report, table)."""
+    products = [component_product(set_, key) for key in _PAIR_KEYS]
+    return (_basis_report(set_, products),
+            dict(zip(_PAIR_KEYS, map(vacuum_expectation, products))))
+
+
+def _basis_report(set_: DescriptorSet, products: list[PauliSum]) -> BasisReport:
+    """``validate_basis`` of a set whose sixteen products are given."""
     violations: list[str] = []
-    comps = {(a, i): set_.component(a, i) for a in (0, 1) for i in COMPONENTS}
-    keys = list(itertools.product((I,) + COMPONENTS, repeat=2))
-    products = [component_product(set_, key) for key in keys]
     inner = inner_products(products)
     norms = [inner.get((k, k), ZERO) for k in range(16)]
     # Equal products share a key or are both zero; pa == pb exactly when
@@ -114,14 +128,15 @@ def validate_basis(set_: DescriptorSet) -> BasisReport:
         if a < b and (a, b) not in equal:
             orthogonal = False
             violations.append(
-                f"products {keys[a]} and {keys[b]} are not orthogonal")
+                f"products {_PAIR_KEYS[a]} and {_PAIR_KEYS[b]} are not orthogonal")
             break
 
     traceless_ok = True
-    for (a, i), comp in comps.items():
-        if comp.coefficient((I, I)):
-            traceless_ok = False
-            violations.append(f"component ({a + 1},{LETTER_NAMES[i]}) has a trace")
+    for a in (0, 1):
+        for i in COMPONENTS:
+            if set_.component(a, i).coefficient((I, I)):
+                traceless_ok = False
+                violations.append(f"component ({a + 1},{LETTER_NAMES[i]}) has a trace")
     return BasisReport(independent_count, orthogonal, complete, hermitian,
                        traceless_ok, distinct_ok, tuple(violations))
 
@@ -129,13 +144,6 @@ def validate_basis(set_: DescriptorSet) -> BasisReport:
 # -- symmetry transforms -------------------------------------------------
 
 _ROLE_NAMES = {X: "x", Y: "y", Z: "z"}
-
-# Levi-Civita on component indices X, Y, Z.
-_EPS = {}
-for _perm, _sign in ((("xyz"), 1), (("yzx"), 1), (("zxy"), 1),
-                     (("xzy"), -1), (("zyx"), -1), (("yxz"), -1)):
-    _EPS[tuple("0xyz".index(ch) for ch in _perm)] = _sign
-
 
 @dataclass(frozen=True)
 class SymmetryTransform:
@@ -167,8 +175,10 @@ class SymmetryTransform:
         return SymmetryTransform(perm, self.swap ^ first.swap)
 
     def orientation(self) -> int:
-        """Sign relating the rebuilt y component to the permuted one."""
-        return -_EPS[self.source(X), self.source(Z), self.source(Y)]
+        """Sign relating the rebuilt y component to the permuted one: minus
+        the Levi-Civita sign of (source(x), source(z), source(y))."""
+        x, y, z = self.role_perm
+        return -1 if (z - x) * (y - x) * (y - z) > 0 else 1
 
     def slot_cycles(self) -> str:
         """Render as disjoint cycles on the six labeled slots, e.g. (1x 2x)."""
@@ -195,35 +205,57 @@ class SymmetryTransform:
         return "".join(cycles) if cycles else "()"
 
 
-def _table_data(coefficient):
-    """Single averages of each qubit and the pair table, keyed by role."""
-    a = {i: coefficient((i, I)) for i in COMPONENTS}
-    b = {j: coefficient((I, j)) for j in COMPONENTS}
-    t = {(i, j): coefficient((i, j)) for i in COMPONENTS for j in COMPONENTS}
-    return a, b, t
+# The fifteen non-identity index pairs (i, j), and the bits of a sign
+# assignment that a component's sign multiplies.  An assignment is four bits,
+# set for a -1: s1x, s1z, s2x, s2z from the top, so counting 0..15 walks
+# +1 before -1 with s1x outermost.  Per qubit, x takes sx, z takes sz and
+# y = i x z takes both.
+_ENTRIES = _PAIR_KEYS[1:]
+_SIGN_BITS = {I: 0, X: 0b10, Y: 0b11, Z: 0b01}
+_ASSIGNMENTS = tuple(itertools.product((1, -1), repeat=4))
 
 
-def _transform_signs(transform: SymmetryTransform, a, b, t):
-    """The first (s1x, s1z, s2x, s2z) making the permuted table equal a, b, t.
+def _transform_signs(transforms: Sequence[SymmetryTransform], table) -> list:
+    """For each transform, the first (s1x, s1z, s2x, s2z) making the permuted
+    table equal ``table`` (index pairs (i, j) to averages), or None.
 
-    Signs run +1 before -1 with s1x outermost; None if no assignment works.
+    Each entry is coded once as an int, 0 for zero and +k or -k for the k-th
+    value up to sign, so a permuted entry is compared with its target once,
+    as ints: it fits with sign +1, -1, either (both zero) or neither.  Its
+    sign is the product of the signs its components take, and of the
+    orientation for each y: a fit is a parity of the assignment bits under
+    a mask.  Signs run +1 before -1 with s1x outermost.
     """
-    eps = transform.orientation()
-    src_a, src_b = (b, a) if transform.swap else (a, b)
+    code, classes = {}, []   # classes[k - 1] = (value, -value)
+    for index in _ENTRIES:
+        value, code[index] = table[index], 0
+        for k, pair in enumerate(classes, 1):
+            if value in pair:
+                code[index] = k if value == pair[0] else -k
+                break
+        else:
+            if value:
+                classes.append((value, -value))
+                code[index] = len(classes)
+    return [_signs_for(transform, code) for transform in transforms]
 
-    def src_pair(i: int, j: int):
-        pi, pj = transform.source(i), transform.source(j)
-        return t[pj, pi] if transform.swap else t[pi, pj]
 
-    for signs in itertools.product((1, -1), repeat=4):
-        s1x, s1z, s2x, s2z = signs
-        eff1 = {X: s1x, Y: s1x * s1z * eps, Z: s1z}
-        eff2 = {X: s2x, Y: s2x * s2z * eps, Z: s2z}
-        if (all(src_a[transform.source(i)] * eff1[i] == a[i]
-                and src_b[transform.source(i)] * eff2[i] == b[i]
-                for i in COMPONENTS)
-                and all(src_pair(i, j) * (eff1[i] * eff2[j]) == t[i, j]
-                        for i, j in itertools.product(COMPONENTS, repeat=2))):
+def _signs_for(transform: SymmetryTransform, code) -> tuple | None:
+    """``_transform_signs`` of one transform on a coded table."""
+    odd_y = transform.orientation() == -1
+    source = (I,) + transform.role_perm
+    rules = []
+    for i, j in _ENTRIES:
+        want = code[i, j]
+        got = (code[source[j], source[i]] if transform.swap
+               else code[source[i], source[j]])
+        if got != want and got != -want:
+            return None
+        if want:
+            rules.append((_SIGN_BITS[i] << 2 | _SIGN_BITS[j],
+                          (got != want) ^ (odd_y & ((i == Y) ^ (j == Y)))))
+    for bits, signs in enumerate(_ASSIGNMENTS):
+        if all((mask & bits).bit_count() & 1 == parity for mask, parity in rules):
             return signs
     return None
 
@@ -238,25 +270,23 @@ def density_symmetries(rho: DensityMatrix) -> list[SymmetryTransform]:
     """
     if rho.n != 2:
         raise ValueError("symmetry search is defined for two-qubit densities")
-    table = _table_data(rho.coefficient)
-    found = []
-    for perm in itertools.permutations(COMPONENTS):
-        for swap in (False, True):
-            transform = SymmetryTransform(tuple(perm), swap)
-            if _transform_signs(transform, *table) is not None:
-                found.append(transform)
-    members = set(found)
-    if SymmetryTransform.identity() not in members:
+    candidates = [SymmetryTransform(perm, swap)
+                  for perm in itertools.permutations(COMPONENTS)
+                  for swap in (False, True)]
+    table = {index: rho.coefficient(index) for index in _ENTRIES}
+    found = [transform for transform, signs
+             in zip(candidates, _transform_signs(candidates, table))
+             if signs is not None]
+    # Closure on (role_perm, swap) pairs: t1 after t2 is ``t1.compose(t2)``.
+    members = {(t.role_perm, t.swap) for t in found}
+    if ((X, Y, Z), False) not in members:
         raise AssertionError("symmetry search lost the identity")
     for t1, t2 in itertools.product(found, repeat=2):
-        if t1.compose(t2) not in members:
+        perm = tuple(t2.role_perm[r - X] for r in t1.role_perm)
+        if (perm, t1.swap ^ t2.swap) not in members:
             raise AssertionError(
                 f"symmetries not closed: {t1.slot_cycles()} after {t2.slot_cycles()}")
     return found
-
-
-def _set_table(set_: DescriptorSet) -> dict[MultiIndex, ComplexDyadic]:
-    return expectation_table(set_, range(set_.n))
 
 
 def apply_transform(set_: DescriptorSet, transform: SymmetryTransform
@@ -269,25 +299,27 @@ def apply_transform(set_: DescriptorSet, transform: SymmetryTransform
     """
     if set_.n != 2:
         raise ValueError("transforms act on two-qubit sets")
-    return _apply_transform(set_, _set_table(set_), transform)[0]
-
-
-def _apply_transform(set_: DescriptorSet, table, transform: SymmetryTransform):
-    """``apply_transform`` on a set whose table is given: (result, its table)."""
-    signs = _transform_signs(transform, *_table_data(table.__getitem__))
+    table = expectation_table(set_, (0, 1))
+    (signs,) = _transform_signs([transform], table)
     if signs is not None:
-        descriptors = []
-        for a, sx, sz in ((0, *signs[:2]), (1, *signs[2:])):
-            src_q = 1 - a if transform.swap else a
-            descriptors.append(Descriptor.from_xz(
-                set_.component(src_q, transform.source(X)).scale(sx),
-                set_.component(src_q, transform.source(Z)).scale(sz)))
-        candidate = DescriptorSet(2, tuple(descriptors))
-        candidate_table = _set_table(candidate)
-        if candidate_table == table:
-            return candidate, candidate_table
+        candidate = _transformed(set_, transform, signs)
+        if expectation_table(candidate, (0, 1)) == table:
+            return candidate
     raise ValueError(
         f"transform {transform.slot_cycles()} does not preserve this set's table")
+
+
+def _transformed(set_: DescriptorSet, transform: SymmetryTransform,
+                 signs) -> DescriptorSet:
+    """The permuted set with (s1x, s1z, s2x, s2z) applied, y rebuilt."""
+    descriptors = []
+    for a, sx, sz in ((0, *signs[:2]), (1, *signs[2:])):
+        source = set_.descriptor(1 - a if transform.swap else a)
+        qx = source.component(transform.source(X))
+        qz = source.component(transform.source(Z))
+        descriptors.append(Descriptor.from_xz(qx if sx == 1 else -qx,
+                                              qz if sz == 1 else -qz))
+    return DescriptorSet(2, tuple(descriptors))
 
 
 def _leading_sign(s: PauliSum) -> int:
@@ -310,26 +342,28 @@ def canonical_signs(set_: DescriptorSet) -> DescriptorSet:
     """
     if set_.n != 2:
         raise ValueError("sign canonicalization is defined for two-qubit sets")
-    return _canonical_signs(set_, None)[0]
-
-
-def _canonical_signs(set_: DescriptorSet, table):
-    """``canonical_signs`` on a set whose table is given (None: not yet
-    built): (result, its table, or None when still not built)."""
-    d1, d2 = set_.descriptors
-    sx = _leading_sign(d1.qx)
-    sz = _leading_sign(d1.qz)
+    d1 = set_.descriptors[0]
+    sx, sz = _leading_sign(d1.qx), _leading_sign(d1.qz)
     if sx == sz == 1:
-        return set_, table
-    if table is None:
-        table = _set_table(set_)
+        return set_
+    fx, fz = _canonical_flip(sx, sz, expectation_table(set_, (0, 1)))
+    if fx == fz == 1:
+        return set_
+    return DescriptorSet(2, tuple(d.scale_xz(fx, fz) for d in set_.descriptors))
+
+
+def _canonical_flip(sx: int, sz: int, table) -> tuple[int, int]:
+    """The flip (fx, fz) of x and z on both qubits that ``canonical_signs``
+    applies to a set with leading signs sx, sz and this table; (1, 1) for
+    none.  It multiplies entry (i, j) by e_i e_j, e = (1, fx, fx fz, fz), so
+    it keeps the table exactly when every entry it would negate is zero.
+    """
     halves = [(sx, 1), (1, sz)] if sx == sz == -1 else []
     for fx, fz in [(sx, sz)] + halves:
-        candidate = DescriptorSet(2, (d1.scale_xz(fx, fz), d2.scale_xz(fx, fz)))
-        candidate_table = _set_table(candidate)
-        if candidate_table == table:
-            return candidate, candidate_table
-    return set_, table
+        e = (1, fx, fx * fz, fz)
+        if all(not value for (i, j), value in table.items() if e[i] != e[j]):
+            return fx, fz
+    return 1, 1
 
 
 def set_render_key(set_: DescriptorSet) -> tuple[str, ...]:
@@ -348,31 +382,50 @@ def generate_equivalent_sets(seed: DescriptorSet, rho: DensityMatrix
     """
     if seed.n != 2:
         raise ValueError("equivalence classes are generated for two-qubit sets")
-    return _generate_equivalent_sets(seed, rho, density_symmetries(rho))
+    return [set_ for set_, _ in
+            _generate_equivalent_sets(seed, rho, density_symmetries(rho))]
 
 
 def _generate_equivalent_sets(seed: DescriptorSet, rho: DensityMatrix,
-                              transforms: Sequence[SymmetryTransform]
-                              ) -> list[DescriptorSet]:
-    """``generate_equivalent_sets`` with rho's symmetries already found."""
-    seed_table = _set_table(seed)
+                              transforms: Sequence[SymmetryTransform]):
+    """``generate_equivalent_sets`` with rho's symmetries already found, as
+    (set, its table) pairs.  Each set is built once: the seed's components
+    times the transform's signs and the canonical flip, decided on the
+    seed's table, the one the set must have.  One pass of its products
+    gives its basis report and its table, which must be the seed's.  A
+    candidate equal to an earlier output is that output, already checked.
+    """
+    report, seed_table = _report_and_table(seed)
     if any(value != ComplexDyadic.of(rho.coefficient(index))
            for index, value in seed_table.items()):
         raise ValueError("seed does not reproduce the density")
-    report = validate_basis(seed)
     if not report.well_formed:
         raise ValueError(f"seed is not a proper basis: {report.violations}")
-    outputs: dict[tuple[str, ...], DescriptorSet] = {}
-    for transform in transforms:
-        candidate, table = _canonical_signs(
-            *_apply_transform(seed, seed_table, transform))
-        if not validate_basis(candidate).well_formed:
+    leading = {(q, r): _leading_sign(seed.component(q, r))
+               for q in (0, 1) for r in COMPONENTS}
+    outputs: dict[tuple[str, ...], tuple] = {}
+    for transform, signs in zip(transforms, _transform_signs(transforms, seed_table)):
+        if signs is None:
+            raise ValueError(f"transform {transform.slot_cycles()} does not "
+                             "preserve this set's table")
+        # Qubit 1's new x and z are its source components times s1x, s1z.
+        q = 1 if transform.swap else 0
+        sx = signs[0] * leading[q, transform.source(X)]
+        sz = signs[1] * leading[q, transform.source(Z)]
+        fx, fz = _canonical_flip(sx, sz, seed_table)
+        candidate = _transformed(seed, transform, (
+            signs[0] * fx, signs[1] * fz, signs[2] * fx, signs[3] * fz))
+        key = set_render_key(candidate)
+        if key in outputs:
+            continue
+        report, table = _report_and_table(candidate)
+        if not report.well_formed:
             raise AssertionError(
                 f"transform {transform.slot_cycles()} produced an invalid set")
         if table != seed_table:
             raise AssertionError(
                 f"transform {transform.slot_cycles()} changed the table")
-        outputs.setdefault(set_render_key(candidate), candidate)
+        outputs[key] = candidate, table
     return [outputs[key] for key in sorted(outputs)]
 
 
@@ -399,7 +452,8 @@ def _component_signs(sx: int, sz: int) -> tuple[int, int, int]:
 
 def _qubit_candidates(rho: DensityMatrix, a: int, strings: list[PauliSum]):
     """Unsigned descriptors for qubit a, each with the (sx, sz) signs that
-    give the qubit's single averages, in string order then sign order.
+    give the qubit's single averages, in string order then sign order, as
+    they are found.
 
     A descriptor is ``Descriptor.from_xz(x, z)`` of anticommuting strings,
     and its vacuum averages are read once, as ints.
@@ -408,20 +462,18 @@ def _qubit_candidates(rho: DensityMatrix, a: int, strings: list[PauliSum]):
     vacuum = [_vacuum_sign(p) for p in strings]
     # An unsigned string averages to 0 or 1, so +/- it can give w only when
     # its average is |w|.
-    xs = [p for p, v in zip(strings, vacuum) if v == abs(want[0])]
-    zs = [p for p, v in zip(strings, vacuum) if v == abs(want[2])]
-    out = []
-    for px, pz in itertools.product(xs, zs):
+    xs = [(p, v) for p, v in zip(strings, vacuum) if v == abs(want[0])]
+    zs = [(p, v) for p, v in zip(strings, vacuum) if v == abs(want[2])]
+    for (px, vx), (pz, vz) in itertools.product(xs, zs):
         if commute(px, pz):
             continue
         d = Descriptor.from_xz(px, pz)
-        vx, vy, vz = (_vacuum_sign(c) for c in d.components())
+        vy = _vacuum_sign(d.qy)
         signs = [(sx, sz) for sx, sz in itertools.product((1, -1), repeat=2)
                  if sx * vx == want[0] and sx * sz * vy == want[1]
                  and sz * vz == want[2]]
         if signs:
-            out.append((d, signs))
-    return out
+            yield d, signs
 
 
 def _system_descriptors(rho: DensityMatrix, total: int):
@@ -432,10 +484,13 @@ def _system_descriptors(rho: DensityMatrix, total: int):
     Qubits are placed one at a time.  Each takes anticommuting x and z
     strings (y = i x z) that commute with every component already placed,
     the stabilizer conditions of quant-ph/0406196.  Solutions come in a
-    fixed order: by qubit, strings before signs, +1 before -1.
+    fixed order: by qubit, strings before signs, +1 before -1.  The first
+    qubit's candidates are walked once, so they are made as the walk needs
+    them; every later qubit's are a list.
     """
     strings = _all_strings(total)
-    candidates = [_qubit_candidates(rho, a, strings) for a in range(rho.n)]
+    candidates = [_qubit_candidates(rho, 0, strings)] + [
+        list(_qubit_candidates(rho, a, strings)) for a in range(1, rho.n)]
     # rho's pair averages: pair_want[b, a][k][l] for component k of qubit b
     # and component l of qubit a.
     pair_want = {(b, a): [[rho.coefficient(tuple(i if q == b else j if q == a else I
@@ -527,55 +582,3 @@ def _complete_register(total: int, placed: tuple) -> DescriptorSet | None:
             return None
         descriptors.append(Descriptor.from_xz(*pair))
     return DescriptorSet(total, tuple(descriptors))
-
-
-# -- reference comparison -------------------------------------------------
-
-def classify_against_reference(generated: Sequence[DescriptorSet],
-                               reference: Sequence[Sequence[PauliSum]]
-                               ) -> list[dict]:
-    """Match reference component listings to generated sets.
-
-    Each reference entry is six component sums in (1x,1y,1z,2x,2y,2z)
-    order.  A reference is ``exact`` when some generated set equals it
-    component-by-component, ``sign`` when components agree up to per-
-    component sign flips, and ``convention`` when its own y components are
-    not i times its x times z (so no set built under this artifact's
-    Hermitian y convention can match its strings).  The best-scoring
-    generated set and the per-component diffs are reported either way.
-    """
-    results = []
-    for ref in reference:
-        ref = list(ref)
-        consistent = all(
-            sum_mul(ref[3 * q + 0], ref[3 * q + 2]).scale(ComplexDyadic.i_power(1))
-            == ref[3 * q + 1]
-            for q in (0, 1))
-        best = None
-        for gi, gen in enumerate(generated):
-            comps = [gen.component(a, r) for a in (0, 1) for r in COMPONENTS]
-            diffs = []
-            for rc, gc in zip(ref, comps):
-                if rc == gc:
-                    diffs.append("equal")
-                elif rc == -gc:
-                    diffs.append("sign")
-                else:
-                    diffs.append("string")
-            score = (diffs.count("equal"), diffs.count("sign"))
-            if best is None or score > best[0]:
-                best = (score, gi, diffs)
-        _, gi, diffs = best
-        if all(d == "equal" for d in diffs):
-            kind = "exact"
-        elif all(d in ("equal", "sign") for d in diffs):
-            kind = "sign"
-        else:
-            kind = "convention" if not consistent else "mismatch"
-        results.append({
-            "kind": kind,
-            "match_index": gi,
-            "diffs": diffs,
-            "reference_y_consistent": consistent,
-        })
-    return results

@@ -27,11 +27,11 @@ from dhsim.relative import (
     ultimate_state_chain,
 )
 from dhsim.uniqueness import (
-    NotFound, canonical_signs, classify_against_reference,
-    construct_from_density, generate_equivalent_sets, validate_basis,
+    NotFound, canonical_signs, construct_from_density,
+    generate_equivalent_sets, validate_basis,
 )
 from dhsim.protocols import run_entanglement_swap, swap_relative_bell
-from conftest import random_circuit
+from conftest import classify_against_reference, random_circuit
 
 ONE = ComplexDyadic.of(1)
 

@@ -235,6 +235,14 @@ class TestUnlocatedErrors:
         assert main(["validate"]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: validate requires a circuit file\n"
 
+    @pytest.mark.parametrize("sub", ["run", "validate", "symmetries", "construct",
+                                     "trace"])
+    def test_missing_circuit_file_through_main(self, capsys, sub):
+        assert main([sub]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {sub} requires a circuit file\n"
+        assert captured.out == ""
+
 
 class TestUsageFormattedOnce:
     @staticmethod
@@ -450,6 +458,102 @@ def test_each_pair_table_built_once(bell_file, monkeypatch, subcommand, most):
     code, report = run_report(RunConfig(subcommand, path, verify=True))
     assert code == EXIT_OK and report["sections"]["verified"] is True
     assert 0 < len(calls) <= most
+
+
+@pytest.mark.parametrize("frame", ["", "x 1\n", "z 1\ny 2\n", "y 1\nx 2\n"])
+def test_symmetries_builds_at_most_4_tables(tmp_path, monkeypatch, frame):
+    """The density's table, and the circuit set's when its signs are
+    canonicalised; every generated set's table comes from the products
+    that validate it, and --verify compares those."""
+    from dhsim import density
+    calls = _count_calls(monkeypatch, density, "expectation_table")
+    path = tmp_path / "bell.dh"
+    path.write_text(BELL + frame)
+    code, report = run_report(RunConfig("symmetries", str(path), verify=True))
+    assert code == EXIT_OK and report["sections"]["set_count"] == 12
+    assert report["sections"]["verified"] is True
+    assert 0 < len(calls) <= 4
+
+
+def test_swap_demo_verify_builds_at_most_6_tables(monkeypatch):
+    """One table per analysed pair; the four reduced outcome pairs take
+    theirs from the products that validate them."""
+    from dhsim import density
+    calls = _count_calls(monkeypatch, density, "expectation_table")
+    code, report = run_report(RunConfig("swap-demo", verify=True))
+    assert code == EXIT_OK and report["sections"]["verified"] is True
+    assert 0 < len(calls) <= 6
+
+
+def test_trace_scans_each_support_once(tmp_path, monkeypatch):
+    """On a 10-qubit, 24-gate circuit every sum's support is found at most
+    once; an unchanged bystander's is remembered from the step before."""
+    from dhsim.pauli import PauliSum
+    real = PauliSum.support
+    scanned = []
+
+    def counting(self):
+        if self._support is None:
+            scanned.append(self)    # kept alive, so ids stay distinct
+        return real(self)
+
+    monkeypatch.setattr(PauliSum, "support", counting)
+    rng = random.Random(19)
+    lines = ["qubits 10"]
+    for _ in range(24):
+        kind = rng.choice(("h", "s", "x", "cnot", "bell"))
+        count = 2 if kind in ("cnot", "bell") else 1
+        lines.append(kind + " " + " ".join(str(q + 1) for q in rng.sample(range(10), count)))
+    path = tmp_path / "wide.dh"
+    path.write_text("\n".join(lines) + "\n")
+    code, report = run_report(RunConfig("trace", str(path)))
+    assert code == EXIT_OK and len(report["sections"]["per_step"]) == 25
+    assert scanned
+    assert len({id(s) for s in scanned}) == len(scanned)
+
+
+class TestSymmetriesVerifyUsesTheReturnedTables:
+    @staticmethod
+    def _spy(monkeypatch, corrupt=None):
+        from dhsim import cli as cli_mod
+        from dhsim.pauli import Z
+        real_generate, real_verify = cli_mod._generate_equivalent_sets, cli_mod._verify_set
+        returned, handed = [], []
+
+        def generate(*args):
+            out = real_generate(*args)
+            if corrupt is not None:
+                set_, table = out[corrupt]
+                table = dict(table)
+                table[Z, Z] = -table[Z, Z]
+                out[corrupt] = set_, table
+            returned.extend(out)
+            return out
+
+        def verify(set_, seed, checks=(), psi=None):
+            checks = list(checks)
+            handed.extend(checks)
+            return real_verify(set_, seed, checks, psi)
+
+        monkeypatch.setattr(cli_mod, "_generate_equivalent_sets", generate)
+        monkeypatch.setattr(cli_mod, "_verify_set", verify)
+        return returned, handed
+
+    def test_handed_tables_are_fresh_tables_of_the_sets(self, bell_file, monkeypatch):
+        from dhsim.density import expectation_table
+        returned, handed = self._spy(monkeypatch)
+        code, report = run_report(RunConfig("symmetries", bell_file, verify=True))
+        assert code == EXIT_OK and report["sections"]["verified"] is True
+        assert len(returned) == 12
+        assert handed == [entry for set_, _ in returned
+                          for entry in expectation_table(set_, [0, 1]).items()]
+
+    def test_a_corrupted_returned_table_fails_verification(self, bell_file,
+                                                           monkeypatch, capsys):
+        returned, handed = self._spy(monkeypatch, corrupt=5)
+        assert main(["symmetries", bell_file, "--verify"]) == EXIT_VERIFY
+        assert '"verified": false' in capsys.readouterr().out
+        assert len(returned) == 12 and len(handed) == 12 * 16
 
 
 def test_swap_demo_builds_each_context_factor_once(monkeypatch):

@@ -429,6 +429,53 @@ class TestPurityCondition:
         assert calls == [(0, 1)]
 
 
+def reference_purity_trace(rho):
+    """Tr rho^2 = sum_I a_I^2 / 2^n, summed in Fractions."""
+    total = Fraction(0)
+    for coef in rho.coeffs.values():
+        total += Fraction(coef) ** 2
+    return total / 2 ** rho.n
+
+
+class TestPurityAgainstFractionSums:
+    def test_purity_trace(self, swap_result):
+        densities = [reconstruct_density(s, range(s.n))
+                     for s in stabilizer_states(2).values()]
+        densities += list(swap_result.pair_densities.values())
+        densities += [
+            DensityMatrix(2, {(I, I): 1, (Z, I): Fraction(1, 3),
+                              (I, X): Fraction(-2, 5), (Z, X): Fraction(1, 7)}),
+            DensityMatrix(1, {(I,): Fraction(1), (Y,): Fraction(-5, 6)}),
+            DensityMatrix(3, {(I, I, I): Fraction(1), (X, Y, Z): Fraction(1, 2)}),
+        ]
+        for rho in densities:
+            assert rho.purity_trace() == reference_purity_trace(rho)
+        assert densities[-3].purity_trace() == Fraction(
+            1 + Fraction(1, 9) + Fraction(4, 25) + Fraction(1, 49), 4)
+
+    def test_purity_sum(self, bell_set, swap_result):
+        from test_uniqueness import controlled_s_conjugated
+        sets = list(stabilizer_states(2).values()) + [
+            controlled_s_conjugated(bell_set), swap_result.final_set]
+        pairs = [(s, (0, 1)) for s in sets] + [
+            (swap_result.final_set, (a - 1, b - 1)) for a, b in swap_result.pair_purity]
+        for set_, pair in pairs:
+            table = expectation_table(set_, pair)
+            rho = density._table_density(2, table)
+            want = sum((value.re ** 2 for index, value in table.items()
+                        if index != (I, I)), Fraction(0))
+            assert density._purity_sum(table, rho) == (want, want < 3)
+            assert rho.purity_trace() == (1 + want) / 4
+
+    def test_purity_sum_rejects_a_mismatched_density(self, bell_set):
+        table = expectation_table(bell_set, (0, 1))
+        other = density._table_density(2, expectation_table(initial_set(2), (0, 1)))
+        mixed = DensityMatrix(2, {(I, I): Fraction(1), (Z, Z): Fraction(1, 3)})
+        assert density._purity_sum(table, other) == (3, False)
+        with pytest.raises(AssertionError, match="Tr rho"):
+            density._purity_sum(table, mixed)
+
+
 class TestSchmidtCoefficients:
     def test_bell(self, bell_set):
         sc = schmidt_coefficients(bell_set, (0, 1))

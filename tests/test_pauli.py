@@ -668,3 +668,50 @@ class TestNaryProducts:
         assert sum_mul(a) == a
         assert sum_mul(S("-1 * Y⊗Z")) == S("-1 * Y⊗Z")
         assert vacuum_expectation(S("1/2 * Z⊗I + 1i * X⊗I")) == ComplexDyadic(Fraction(1, 2))
+
+
+class TestRememberedTextAndSupport:
+    """A sum finds its text and support once; an equal sum built
+    independently, from its letters and coefficients, must agree."""
+
+    @staticmethod
+    def _random_sum(rng, n):
+        strings = [string([rng.randrange(4) for _ in range(n)], rng.randrange(4))
+                   for _ in range(rng.randint(1, 3))]
+        total = strings[0]
+        for s in strings[1:]:
+            total = total + s.scale(ComplexDyadic(Fraction(rng.randint(-3, 3), 4),
+                                                  Fraction(rng.randint(-2, 2), 2)))
+        return sum_mul(total, strings[-1]) if rng.random() < 0.5 else total
+
+    def test_matches_a_fresh_equal_sum(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            a = self._random_sum(rng, n)
+            text, support = a.render(), a.support()
+            fresh = PauliSum(n, dict(a.terms()))
+            assert fresh is not a and fresh == a
+            assert fresh.render() == text == str(a) == a.render()
+            assert fresh.support() == support == a.support()
+            assert isinstance(support, frozenset)
+            assert support == {q for ls, _ in a.terms()
+                               for q, l in enumerate(ls) if l != I}
+
+    def test_operations_return_new_sums_with_their_own_text(self):
+        a = S("1 * X⊗Z + 1/2 * Y⊗I")
+        assert a.render() == "1 * X⊗Z + 1/2 * Y⊗I"
+        assert a.scale(-1).render() == "-1 * X⊗Z + -1/2 * Y⊗I"
+        assert (-a).support() == a.support() == {0, 1}
+        assert a.restrict([0]).render() == "1 * X + 1/2 * Y"
+        assert a.extended(1).support() == {0, 1}
+        assert PauliSum.zero(2).render() == "0" and not PauliSum.zero(2).support()
+
+    def test_text_of_reduced_coefficients(self):
+        # Each part of a coefficient is reduced on its own, as Fraction does.
+        assert str(ComplexDyadic(Fraction(1, 2), Fraction(3, 4))) == "(1/2+3/4i)"
+        assert str(ComplexDyadic(Fraction(-2, 4), Fraction(-1, 8))) == "(-1/2-1/8i)"
+        assert str(ComplexDyadic(Fraction(6, 8), 0)) == "3/4"
+        assert str(ComplexDyadic(0, Fraction(-12, 8))) == "-3/2i"
+        assert str(ComplexDyadic(Fraction(2), Fraction(1, 2))) == "(2+1/2i)"
+        assert str(ComplexDyadic()) == "0"

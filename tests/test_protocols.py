@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from dhsim import oracle
 from dhsim.pauli import I, X, Y, Z, ComplexDyadic, PauliSum, parse_sum
@@ -10,11 +11,10 @@ from dhsim.engine import (
 )
 from dhsim.density import expectation_table, purity_condition
 from dhsim.protocols import (
-    dependency_trace, run_decoherence_demo,
-    run_generalized_measurement_demo,
+    dependency_trace, run_generalized_measurement_demo,
     run_ultimate_chain_demo, swap_circuit, swap_relative_bell,
 )
-from conftest import dense_density, random_circuit
+from conftest import dense_density, random_circuit, run_decoherence_demo
 
 # The six final descriptors of the swap protocol, verified against dense
 # conjugation (component order x, y, z; register order 1..6).
@@ -61,6 +61,29 @@ class TestDependencyTrace:
         report = dependency_trace(circuit)
         assert len(report.per_step) == 25
         assert len(calls) <= 10 * 25
+
+    def test_replaced_bystander_component_is_scanned_afresh(self, monkeypatch):
+        """A bystander component swapped for a new sum with a wider support
+        trips the locality check, although every sum remembers its support."""
+        from dhsim import protocols
+        from dhsim.engine import Descriptor
+        real = protocols.apply_gate
+
+        def leaky(set_, gate):
+            out = real(set_, gate)
+            if gate.operands != (0, 1):
+                return out
+            descs = list(out.descriptors)
+            qx, qy, qz = descs[2].components()
+            descs[2] = Descriptor(qx * PauliSum.single(out.n, 0, Z), qy, qz)
+            return DescriptorSet(out.n, tuple(descs), out.history)
+
+        monkeypatch.setattr(protocols, "apply_gate", leaky)
+        circuit = Circuit(3, (Gate("H", (2,)), Gate("H", (0,)), Gate("CNOT", (0, 1))))
+        with pytest.raises(AssertionError, match="locality violated for bystander 3"):
+            dependency_trace(circuit)
+        monkeypatch.setattr(protocols, "apply_gate", real)
+        assert dependency_trace(circuit).per_qubit == ((0, 1), (0, 1), (2,))
 
     def test_per_step_log(self):
         report = dependency_trace(swap_circuit())

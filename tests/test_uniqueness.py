@@ -11,14 +11,14 @@ from dhsim.engine import (
     Descriptor, DescriptorSet, Gate, apply_gate, component_product,
     initial_set,
 )
+from dhsim import uniqueness
 from dhsim.density import DensityMatrix, expectation_table, reconstruct_density
 from dhsim.uniqueness import (
     NotFound, SymmetryTransform, apply_transform, canonical_signs,
-    classify_against_reference, construct_from_density, density_symmetries,
-    enumerate_valid_sets, generate_equivalent_sets, set_render_key,
-    BasisReport, validate_basis,
+    construct_from_density, density_symmetries, enumerate_valid_sets,
+    generate_equivalent_sets, set_render_key, BasisReport, validate_basis,
 )
-from conftest import random_circuit
+from conftest import classify_against_reference, random_circuit
 from test_uniqueness_pins import stabilizer_states
 
 
@@ -322,3 +322,142 @@ class TestConstructFromDensity:
     def test_partially_polarized_not_string_representable(self):
         rho = DensityMatrix(1, {(I,): Fraction(1), (Z,): Fraction(1, 2)})
         assert construct_from_density(rho, 1) is NotFound
+
+
+# -- the sign solver and the flip rule against their first forms ---------
+
+# Levi-Civita on component indices X, Y, Z, as the first sign search read it.
+_REFERENCE_EPS = {(X, Y, Z): 1, (Y, Z, X): 1, (Z, X, Y): 1,
+                  (X, Z, Y): -1, (Z, Y, X): -1, (Y, X, Z): -1}
+
+
+def reference_transform_signs(transform, coefficient):
+    """Every one of the sixteen assignments tried in order, with the
+    products of the averages and the signs formed and compared entry by
+    entry, as a test-side reference."""
+    comps = (X, Y, Z)
+    a = {i: coefficient((i, I)) for i in comps}
+    b = {j: coefficient((I, j)) for j in comps}
+    t = {(i, j): coefficient((i, j)) for i in comps for j in comps}
+    eps = -_REFERENCE_EPS[transform.source(X), transform.source(Z),
+                          transform.source(Y)]
+    src_a, src_b = (b, a) if transform.swap else (a, b)
+
+    def src_pair(i, j):
+        pi, pj = transform.source(i), transform.source(j)
+        return t[pj, pi] if transform.swap else t[pi, pj]
+
+    for signs in itertools.product((1, -1), repeat=4):
+        s1x, s1z, s2x, s2z = signs
+        eff1 = {X: s1x, Y: s1x * s1z * eps, Z: s1z}
+        eff2 = {X: s2x, Y: s2x * s2z * eps, Z: s2z}
+        if (all(src_a[transform.source(i)] * eff1[i] == a[i]
+                and src_b[transform.source(i)] * eff2[i] == b[i] for i in comps)
+                and all(src_pair(i, j) * (eff1[i] * eff2[j]) == t[i, j]
+                        for i, j in itertools.product(comps, repeat=2))):
+            return signs
+    return None
+
+
+def _leading(s):
+    for _, coef in s.terms():
+        return 1 if coef.re > 0 or (coef.re == 0 and coef.im > 0) else -1
+    return 1
+
+
+def reference_canonical_signs(set_):
+    """The flip rule as first written: each candidate flip is applied and
+    its whole table rebuilt and compared, as a test-side reference."""
+    d1, d2 = set_.descriptors
+    sx, sz = _leading(d1.qx), _leading(d1.qz)
+    if sx == sz == 1:
+        return set_
+    table = expectation_table(set_, [0, 1])
+    halves = [(sx, 1), (1, sz)] if sx == sz == -1 else []
+    for fx, fz in [(sx, sz)] + halves:
+        candidate = DescriptorSet(2, (d1.scale_xz(fx, fz), d2.scale_xz(fx, fz)))
+        if expectation_table(candidate, [0, 1]) == table:
+            return candidate
+    return set_
+
+
+ALL_TRANSFORMS = [SymmetryTransform(perm, swap)
+                  for perm in itertools.permutations((X, Y, Z))
+                  for swap in (False, True)]
+
+
+def _one_qubit_densities():
+    """The pinned one-qubit densities: the six stabilizer states and the
+    two mixed ones."""
+    from test_uniqueness_pins import MIXED_1Q
+    out = [reconstruct_density(s, [0]) for s in stabilizer_states(1).values()]
+    out += [DensityMatrix(1, {(I,): Fraction(1), **extra})
+            for extra in MIXED_1Q.values()]
+    return out
+
+
+def _two_qubit_densities(swap_result):
+    """Every two-qubit stabilizer density, every product of two pinned
+    one-qubit densities, the swap's pair densities and one with a
+    non-dyadic coefficient."""
+    out = [reconstruct_density(s, [0, 1]) for s in stabilizer_states(2).values()]
+    ones = _one_qubit_densities()
+    for r1, r2 in itertools.product(ones, repeat=2):
+        out.append(DensityMatrix(2, {
+            (i, j): r1.coefficient((i,)) * r2.coefficient((j,))
+            for i, j in itertools.product(range(4), repeat=2)}))
+    out += list(swap_result.pair_densities.values())
+    out.append(DensityMatrix(2, {(I, I): Fraction(1), (X, X): Fraction(1, 3),
+                                 (Z, Z): Fraction(1, 3), (Y, Y): Fraction(-1, 3)}))
+    return out
+
+
+class TestSignSolverMatchesTheSixteenAssignmentSearch:
+    def test_on_densities(self, swap_result):
+        found = 0
+        densities = _two_qubit_densities(swap_result)
+        for rho in densities:
+            table = {index: rho.coefficient(index) for index in
+                     itertools.product(range(4), repeat=2)}
+            got = uniqueness._transform_signs(ALL_TRANSFORMS, table)
+            want = [reference_transform_signs(t, rho.coefficient)
+                    for t in ALL_TRANSFORMS]
+            assert got == want
+            found += sum(signs is not None for signs in want)
+        assert 0 < found < 12 * len(densities)
+
+    def test_on_stabilizer_set_tables(self):
+        nones = 0
+        for set_ in stabilizer_states(2).values():
+            table = expectation_table(set_, [0, 1])
+            got = uniqueness._transform_signs(ALL_TRANSFORMS, table)
+            want = [reference_transform_signs(t, table.__getitem__)
+                    for t in ALL_TRANSFORMS]
+            assert got == want
+            nones += want.count(None)
+        assert nones
+
+
+def _sign_variants(set_):
+    """The set with x and z of qubit 1, or of both qubits, flipped every way."""
+    d1, d2 = set_.descriptors
+    out = []
+    for fx, fz in itertools.product((1, -1), repeat=2):
+        out.append(DescriptorSet(2, (d1.scale_xz(fx, fz), d2)))
+        out.append(DescriptorSet(2, (d1.scale_xz(fx, fz), d2.scale_xz(fx, fz))))
+    return out
+
+
+class TestCanonicalSignsMatchesTheRebuiltTableRule:
+    def test_on_stabilizer_states_and_their_sign_variants(self, bell_set,
+                                                          swap_result):
+        cases = [v for s in stabilizer_states(2).values() for v in _sign_variants(s)]
+        cases += [v for o in swap_result.relative_bell
+                  for v in _sign_variants(DescriptorSet(2, (o.reduced_1, o.reduced_4)))]
+        cases += _sign_variants(controlled_s_conjugated(bell_set))
+        changed = 0
+        for set_ in cases:
+            got, want = canonical_signs(set_), reference_canonical_signs(set_)
+            assert set_render_key(got) == set_render_key(want)
+            changed += set_render_key(got) != set_render_key(set_)
+        assert changed
