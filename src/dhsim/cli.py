@@ -194,6 +194,15 @@ def _num(value) -> dict:
     return {"exact": str(frac), "float": float(frac)}
 
 
+def _num_once(rendered: dict, key, value) -> dict:
+    """``_num(value)``, rendered once per distinct ``key``: a Clifford
+    diagonal holds at most two values, and a Clifford single is 0 or ±1."""
+    num = rendered.get(key)
+    if num is None:
+        num = rendered[key] = _num(value)
+    return num
+
+
 def _descriptor_rows(set_: DescriptorSet) -> list[dict]:
     rows = []
     for q in range(set_.n):
@@ -213,8 +222,9 @@ def _singles_rows(set_: DescriptorSet) -> list[dict]:
     n = set_.n
     strings = [(I,) * q + (w,) + (I,) * (n - 1 - q)
                for q in range(n) for w in (X, Y, Z)]
-    values = iter(expectations(set_, strings))
-    return [{"qubit": q + 1, **{name: _num(next(values)) for name in "xyz"}}
+    rendered: dict[str, dict] = {}
+    nums = [_num_once(rendered, str(v), v) for v in expectations(set_, strings)]
+    return [{"qubit": q + 1, **dict(zip("xyz", nums[3 * q:3 * q + 3]))}
             for q in range(n)]
 
 
@@ -228,12 +238,13 @@ def _verify_set(set_: DescriptorSet, seed: int,
     """Sampled picture-equivalence check of a descriptor set.
 
     The engine's averages of ``VERIFY_SAMPLES`` seeded random strings
-    (base-4 digits of a pick, qubit 0 lowest), and each (string, exact
-    average) pair in ``checks``, are compared with the oracle's averages
-    on the circuit's state ``psi`` (an ``oracle.apply_circuit`` state
-    vector, evolved here when not given), all taken in one
-    ``oracle.string_averages`` call.  A check string already in the call
-    is not sent again; its value is compared with that average.
+    (base-4 digits of a pick, qubit 0 lowest: one ``oracle.pick_letters``
+    array), and each (string, exact average) pair in ``checks``, are
+    compared with the oracle's averages on the circuit's state ``psi`` (an
+    ``oracle.apply_circuit`` state vector, evolved here when not given),
+    all taken in one ``oracle.string_averages`` call.  A check string
+    already in the call is not sent again.  The set passes when the worst
+    deviation over every pair, repeated strings included, is within ATOL.
     """
     from . import oracle
     if set_.n > oracle.DENSE_MAX_QUBITS:
@@ -246,20 +257,20 @@ def _verify_set(set_: DescriptorSet, seed: int,
     count = min(VERIFY_SAMPLES, space)
     picks = rng.sample(range(space), count) if space <= 10 ** 6 else [
         rng.randrange(space) for _ in range(count)]
-    shifts = range(0, 2 * set_.n, 2)
-    strings = [tuple([pick >> s & 3 for s in shifts]) for pick in picks]
-    pairs = list(enumerate(expectations(set_, strings)))
-    position = {letters: k for k, letters in enumerate(strings)}
+    strings = oracle.pick_letters(picks, set_.n)
+    rows = strings.tolist()
+    positions, values = list(range(count)), expectations(set_, rows)
+    position = dict(zip(map(tuple, rows), positions)) if checks else {}
     for letters, value in checks:
-        if letters not in position:
-            position[letters] = len(strings)
-            strings.append(letters)
-        pairs.append((position[letters], value))
+        k = position.setdefault(letters, len(rows))
+        if k == len(rows):
+            rows.append(letters)
+        positions.append(k)
+        values.append(value)
     if psi is None:
         psi = oracle.apply_circuit(set_.n, gate_steps(set_))
-    averages, atol = oracle.string_averages(psi, strings).tolist(), oracle.ATOL
-    return all(abs((complex(value) if value else 0) - averages[k]) <= atol
-               for k, value in pairs)
+    averages = oracle.string_averages(psi, rows if len(rows) > count else strings)
+    return oracle.worst_deviation(averages, positions, values) <= oracle.ATOL
 
 
 # -- subcommand implementations -------------------------------------------
@@ -289,16 +300,11 @@ def _cmd_run(cfg: RunConfig) -> dict:
         "singles": _singles_rows(set_),
     }
     if set_.n <= DIAGONAL_MAX_QUBITS:
-        # A Clifford diagonal holds at most two values; render each once.
         rendered: dict[tuple[int, int], dict] = {}
-        rows = []
-        for k, p in enumerate(diagonal_probabilities(set_, range(set_.n))):
-            key = p.numerator, p.denominator
-            num = rendered.get(key)
-            if num is None:
-                num = rendered[key] = _num(p)
-            rows.append({"bitstring": format(k, f"0{set_.n}b"), "probability": num})
-        sections["diagonal"] = rows
+        sections["diagonal"] = [
+            {"bitstring": format(k, f"0{set_.n}b"),
+             "probability": _num_once(rendered, (p.numerator, p.denominator), p)}
+            for k, p in enumerate(diagonal_probabilities(set_, range(set_.n)))]
     else:
         print(f"note: diagonal omitted for the {set_.n}-qubit register "
               f"(computed up to {DIAGONAL_MAX_QUBITS} qubits)", file=sys.stderr)
@@ -401,9 +407,16 @@ def _cmd_swap_demo(cfg: RunConfig) -> dict:
         from . import oracle
         psi = oracle.apply_circuit(set_.n, gate_steps(set_))
         ok = _verify_set(set_, cfg.seed, psi=psi)
+        # Each reduced (1,4) pair against the conditioned state of qubits
+        # 1-4: its sixteen strings sit on slots 0 and 3 of that remainder.
+        pair = [(a, b) for a in range(4) for b in range(4)]
+        remainder = [(a, I, I, b) for a, b in pair]
         for o in outcomes:
             rem, prob = oracle.conditional_state(psi, [4, 5], list(o.bits))
-            if abs(prob - float(o.probability)) > oracle.ATOL:
+            reduced = expectations(DescriptorSet(2, (o.reduced_1, o.reduced_4)), pair)
+            worst = oracle.worst_deviation(oracle.string_averages(rem, remainder),
+                                           list(range(len(pair))), reduced)
+            if abs(prob - float(o.probability)) > oracle.ATOL or worst > oracle.ATOL:
                 ok = False
         sections["verified"] = ok
     return sections

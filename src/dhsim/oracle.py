@@ -6,9 +6,11 @@ operator conjugation with projection back onto the Pauli basis, and
 conditional states via projection.
 
 The state of n qubits is a ``(2,)*n`` tensor; each gate multiplies its
-2x2 or 4x4 matrix into the operand axes at O(2^n) cost.  Dense 2^n x 2^n
-matrices exist only for ``conjugate`` and tests at small n, and are
-refused beyond ``DENSE_MAX_QUBITS`` qubits before they are allocated.
+2^k x 2^k matrix into the operand axes (one transpose there and back) at
+O(2^n) cost.  String averages take one ``(count, n)`` letter array and
+never gather a string whose bra amplitudes are all exact zeros.  Dense
+2^n x 2^n matrices exist only for ``conjugate`` and tests at small n, and
+are refused beyond ``DENSE_MAX_QUBITS`` qubits before they are allocated.
 
 Conventions, fixed once:
 
@@ -89,11 +91,15 @@ def sum_matrix(s: PauliSum) -> np.ndarray:
 
 def _apply(psi: np.ndarray, matrix: np.ndarray,
            operands: tuple[int, ...]) -> np.ndarray:
-    """Multiply a 2^k x 2^k matrix into the operand axes; batch axes follow."""
-    k = len(operands)
-    front = np.moveaxis(psi, operands, range(k))
-    out = (matrix @ front.reshape(2 ** k, -1)).reshape(front.shape)
-    return np.moveaxis(out, range(k), operands)
+    """Multiply a 2^k x 2^k matrix into the operand axes; batch axes follow.
+    One transpose brings the operand axes to the front and one puts them back."""
+    order = [*operands, *[a for a in range(psi.ndim) if a not in operands]]
+    front = psi.transpose(order)
+    out = (matrix @ front.reshape(2 ** len(operands), -1)).reshape(front.shape)
+    inverse = [0] * len(order)
+    for position, axis in enumerate(order):
+        inverse[axis] = position
+    return out.transpose(inverse)
 
 
 def gate_matrix(kind: str, n: int, operands: tuple[int, ...]) -> np.ndarray:
@@ -143,13 +149,13 @@ def _columns(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _string_masks(strings, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x-masks, z-masks and Y phases i^(#Y) of bare letter sequences.
+    """x-masks, z-masks and Y phases i^(#Y) of a (count, n) letter array-like.
 
     A string has exactly one nonzero per column: P[col ^ xmask, col], equal
     to i^(#Y) (-1)^(parity of col & zmask), where zmask covers the Y and Z
     slots (Y = i XZ acting on |b> gives i (-1)^b |1-b>).
     """
-    letters = np.array(strings, dtype=np.int64)
+    letters = np.asarray(strings, dtype=np.int64)
     if len(strings) and letters.shape != (len(strings), n):
         raise OracleError(f"strings of shape {letters.shape} on {n} qubits")
     letters = letters.reshape(len(strings), n)
@@ -158,15 +164,13 @@ def _string_masks(strings, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     bits = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)   # qubit 0 is the MSB
     xmask = _X_BIT[letters] @ bits
     zmask = _Z_BIT[letters] @ bits
-    phase = _I_POWERS[np.count_nonzero(letters == 2, axis=1) % 4]
+    phase = _I_POWERS[(letters == 2).sum(axis=1) & 3]
     return xmask, zmask, phase
 
 
-def _string_column_entries(letters: tuple[int, ...], n: int) -> tuple[int, np.ndarray]:
-    """x-mask and per-column entries of one Pauli string."""
-    (xmask,), (zmask,), (phase,) = _string_masks([letters], n)
-    cols, sign = _columns(n)
-    return int(xmask), phase * sign[cols & zmask]
+def pick_letters(picks, n: int) -> np.ndarray:
+    """The ``(count, n)`` letters of integer picks: base-4 digit q on qubit q."""
+    return np.array(picks, dtype=np.int64)[:, None] >> np.arange(0, 2 * n, 2) & 3
 
 
 def conjugate(u: np.ndarray, p: PauliSum) -> PauliSum:
@@ -185,11 +189,8 @@ def conjugate(u: np.ndarray, p: PauliSum) -> PauliSum:
 
     # Strings with x-mask m live on the anti-diagonal band row = col ^ m;
     # only masks carrying weight in the dense matrix need projecting.
-    cols, _ = _columns(n)
-    masks = set()
-    rows, cs = np.nonzero(np.abs(dense) > ATOL / dim)
-    for r, c in zip(rows, cs):
-        masks.add(int(r) ^ int(c))
+    cols, sign = _columns(n)
+    masks = {int(r) ^ int(c) for r, c in zip(*np.nonzero(np.abs(dense) > ATOL / dim))}
     terms = {}
     captured = np.zeros_like(dense)
     for mask in sorted(masks):
@@ -198,13 +199,10 @@ def conjugate(u: np.ndarray, p: PauliSum) -> PauliSum:
         iz_slots = [q for q in range(n) if q not in xy_slots]
         for zpick in itertools.product((0, 3), repeat=len(iz_slots)):
             for xypick in itertools.product((1, 2), repeat=len(xy_slots)):
-                letters = [0] * n
-                for q, letter in zip(iz_slots, zpick):
-                    letters[q] = letter
-                for q, letter in zip(xy_slots, xypick):
-                    letters[q] = letter
-                letters = tuple(letters)
-                _, entries = _string_column_entries(letters, n)
+                picked = dict(zip(iz_slots, zpick)) | dict(zip(xy_slots, xypick))
+                letters = tuple(picked[q] for q in range(n))
+                _, (zmask,), (phase,) = _string_masks([letters], n)
+                entries = phase * sign[cols & zmask]
                 coef = complex(np.dot(np.conj(entries), band)) / dim
                 if abs(coef) <= ATOL:
                     continue
@@ -225,15 +223,34 @@ def conjugate(u: np.ndarray, p: PauliSum) -> PauliSum:
 AVERAGE_CHUNK = 8
 
 
+def _overlaps(nonzero: np.ndarray, n: int) -> np.ndarray:
+    """2^n * #{j : nonzero[j] and nonzero[j ^ x]} for every mask x: the
+    Walsh-Hadamard transform of the 0/1 vector's squared transform, each a
+    left and a right multiply of its 2^a x 2^(n-a) matrix form by corners
+    of one (-1)^(parity of row & col) matrix.  Every value on the way is an
+    integer of magnitude <= 2^n * #nonzeros: exact floats up to 26 qubits.
+    The products are complex, as the gate kernel's are: a real one would
+    take a second BLAS work buffer, a quarter MiB more peak memory."""
+    a = n // 2
+    cols, sign = _columns(n - a)
+    right = sign[cols[:, None] & cols] + 0j
+    left = right[:2 ** a, :2 ** a]
+    spectrum = left @ nonzero.reshape(2 ** a, -1) @ right
+    return (left @ (spectrum * spectrum) @ right).real.reshape(-1)
+
+
 def string_averages(state: np.ndarray, strings) -> np.ndarray:
     """<psi| P |psi> for each bare letter sequence P, as one complex array.
 
-    The sum i^(#Y) sum_j conj(psi[j ^ x]) (-1)^(j . z) psi[j] runs only over
-    the indices j where psi[j] is exactly nonzero: every other term is an
-    exact 0, so nothing is dropped by a tolerance.  A stabilizer state has
-    2^r such indices.  The strings are taken in chunks whose temporaries
-    hold at most AVERAGE_CHUNK * 2^n values, so memory stays bounded
-    whatever the support and the number of strings.
+    ``strings`` is a ``(count, n)`` int array (digit q on qubit q) or a
+    list of letter sequences.  The sum
+    i^(#Y) sum_j conj(psi[j ^ x]) (-1)^(j . z) psi[j] runs only over the
+    indices j where psi[j] is exactly nonzero (2^r of them on a stabilizer
+    state): every other term is an exact 0, so no tolerance drops anything.
+    A string whose bra amplitudes psi[j ^ x] on those indices are all exact
+    zeros (most samples on a stabilizer state) averages to an exact 0 and
+    is never gathered.  The others are taken in chunks whose temporaries
+    hold at most AVERAGE_CHUNK * 2^n values, whatever the support.
     """
     dim = state.shape[0]
     n = dim.bit_length() - 1
@@ -241,17 +258,26 @@ def string_averages(state: np.ndarray, strings) -> np.ndarray:
         raise OracleError(f"state of length {dim} is not a register of qubits")
     xmask, zmask, phase = _string_masks(strings, n)
     _, sign = _columns(n)
-    support = np.flatnonzero(state)
+    nonzero = state != 0
+    support = np.flatnonzero(nonzero)
     ket = state[support]
     bra = np.conj(state)
-    out = np.empty(len(xmask), dtype=complex)
+    out = np.zeros(len(xmask), dtype=complex)
+    # A count is a multiple of 2^n: half of that separates 0 from 1.
+    live = np.flatnonzero(_overlaps(nonzero, n)[xmask] > dim / 2)
     rows = max(1, AVERAGE_CHUNK * dim // max(len(support), 1))
-    for lo in range(0, len(out), rows):
-        hi = lo + rows
-        amps = bra[support ^ xmask[lo:hi, None]]
-        amps *= sign[support & zmask[lo:hi, None]]   # in place: one chunk array
-        out[lo:hi] = phase[lo:hi] * (amps @ ket)
+    for lo in range(0, len(live), rows):
+        k = live[lo:lo + rows]
+        amps = bra[support ^ xmask[k, None]]
+        amps *= sign[support & zmask[k, None]]   # in place: one chunk array
+        out[k] = phase[k] * (amps @ ket)
     return out
+
+
+def worst_deviation(averages: np.ndarray, positions, values) -> float:
+    """max |averages[k] - value| over all (k, value) pairs, repeats included."""
+    want = np.array([complex(v) if v else 0j for v in values], dtype=complex)
+    return float(np.max(np.abs(averages[positions] - want), initial=0.0))
 
 
 def expectation_dense(state: np.ndarray, p: PauliSum) -> complex:

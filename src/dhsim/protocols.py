@@ -15,8 +15,7 @@ from typing import Mapping
 from .pauli import I, X, Y, Z, vacuum_expectation
 from .engine import (
     AddAncilla, Circuit, Descriptor, DescriptorSet, Gate,
-    add_ancilla, apply_gate, evolve_circuit, expectations, initial_set,
-    step_label,
+    add_ancilla, apply_gate, expectations, initial_set, step_label,
 )
 from .density import (
     DensityMatrix, _purity_sum, _table_density, diagonal_probabilities,
@@ -59,10 +58,15 @@ def dependency_trace(target: DescriptorSet | Circuit) -> DependencyReport:
     """
     if isinstance(target, DescriptorSet):
         return DependencyReport(_supports(target))
-    set_ = initial_set(target.initial_qubits)
+    return _traced(target)[0]
+
+
+def _traced(circuit: Circuit) -> tuple[DependencyReport, DescriptorSet]:
+    """``dependency_trace`` of a circuit, and the final set its fold reaches."""
+    set_ = initial_set(circuit.initial_qubits)
     supports = _supports(set_)
     steps = [("initial", supports)]
-    for step in target.steps:
+    for step in circuit.steps:
         if isinstance(step, AddAncilla):
             set_ = add_ancilla(set_)
             supports = _supports(set_)
@@ -78,7 +82,7 @@ def dependency_trace(target: DescriptorSet | Circuit) -> DependencyReport:
                 if q in step.operands and not reachable.issuperset(after):
                     raise AssertionError(f"locality violated for operand {q + 1}")
         steps.append((step_label(step), supports))
-    return DependencyReport(supports, tuple(steps))
+    return DependencyReport(supports, tuple(steps)), set_
 
 
 def swap_circuit() -> Circuit:
@@ -163,8 +167,7 @@ def run_entanglement_swap() -> SwapResult:
     produces, after reduction, the four maximally entangled pair
     descriptors with sign patterns (++--) on q_1x and (+-+-) on q_4z.
     """
-    circuit = swap_circuit()
-    set_ = evolve_circuit(circuit)
+    dependency, set_ = _traced(swap_circuit())
     densities = {}
     purities = {}
     for pair in PAIRS_1BASED:
@@ -176,7 +179,7 @@ def run_entanglement_swap() -> SwapResult:
         pair_densities=densities,
         pair_purity=purities,
         relative_bell=_swap_relative_outcomes(set_),
-        dependency=dependency_trace(circuit),
+        dependency=dependency,
     )
 
 

@@ -16,7 +16,9 @@ from dhsim.cli import (
     EXIT_OK, EXIT_USAGE, EXIT_VERIFY, ParseError, RunConfig, main,
     parse_circuit, render_json, render_text, run_report,
 )
-from dhsim.engine import GATE_KINDS, SINGLE_QUBIT_KINDS, AddAncilla, Gate
+from dhsim.engine import (
+    GATE_KINDS, SINGLE_QUBIT_KINDS, AddAncilla, Gate, evolve_circuit, gate_steps,
+)
 
 BELL = "qubits 2\nh 1\ncnot 1 2\n"
 
@@ -374,6 +376,37 @@ class TestVerificationFailurePath:
         assert code == EXIT_VERIFY
         assert report["sections"]["verified"] is False
 
+    def test_engine_value_on_a_skipped_zero_row(self, tmp_path, monkeypatch):
+        """A nonzero engine value where every bra amplitude of the string is
+        an exact zero, the row string_averages never gathers, still fails."""
+        from dhsim import cli as cli_mod, oracle
+        from dhsim.pauli import ONE
+        path = tmp_path / "wide.dh"
+        path.write_text(WIDE)
+        cfg = RunConfig("run", str(path), verify=True)
+        psi = oracle.apply_circuit(5, gate_steps(evolve_circuit(parse_circuit(WIDE))))
+        support = np.flatnonzero(psi)
+        real = cli_mod.expectations
+        corrupted = []
+
+        def one_on_a_skipped_row(set_, strings):
+            values = real(set_, strings)
+            if len(strings) == 200:
+                for k, letters in enumerate(strings):
+                    x = sum(1 << (4 - q) for q, l in enumerate(letters) if l in (1, 2))
+                    if not np.any(psi[support ^ x]):
+                        assert not values[k]
+                        values[k] = ONE
+                        corrupted.append(k)
+                        break
+            return values
+
+        monkeypatch.setattr(cli_mod, "expectations", one_on_a_skipped_row)
+        code, report = run_report(cfg)
+        assert len(corrupted) == 1
+        assert code == EXIT_VERIFY
+        assert report["sections"]["verified"] is False
+
     def test_one_corrupted_symmetry_table_entry(self, bell_file, monkeypatch):
         cfg = RunConfig("symmetries", bell_file, verify=True)
         code, report = run_report(cfg)
@@ -421,6 +454,29 @@ def test_swap_demo_verify_evolves_the_oracle_state_once(monkeypatch):
     code, report = run_report(RunConfig("swap-demo", verify=True))
     assert code == EXIT_OK and report["sections"]["verified"] is True
     assert sizes == [6]
+
+
+def test_swap_demo_verify_compares_the_reduced_pairs(monkeypatch):
+    """One negated reduced component of one outcome, handed to the report
+    after the basis and purity assertions passed on the real pairs: only
+    the comparison with the conditioned oracle state can see it."""
+    import dataclasses
+    from dhsim import cli as cli_mod
+    from dhsim.engine import Descriptor
+    real = cli_mod.swap_relative_bell
+
+    def negated(result):
+        outcomes = list(real(result))
+        d = outcomes[2].reduced_4
+        outcomes[2] = dataclasses.replace(
+            outcomes[2], reduced_4=Descriptor(d.qx, -d.qy, d.qz))
+        return tuple(outcomes)
+
+    assert run_report(RunConfig("swap-demo", verify=True))[0] == EXIT_OK
+    monkeypatch.setattr(cli_mod, "swap_relative_bell", negated)
+    code, report = run_report(RunConfig("swap-demo", verify=True))
+    assert code == EXIT_VERIFY
+    assert report["sections"]["verified"] is False
 
 
 def _count_calls(monkeypatch, module, name):
@@ -547,6 +603,16 @@ class TestSymmetriesVerifyUsesTheReturnedTables:
         assert len(returned) == 12
         assert handed == [entry for set_, _ in returned
                           for entry in expectation_table(set_, [0, 1]).items()]
+
+    def test_a_corrupted_first_table_fails_verification(self, bell_file,
+                                                       monkeypatch, capsys):
+        """Every set's table holds the same sixteen strings: a wrong entry in
+        the first is an earlier duplicate that the eleven later correct
+        entries on the same position must not hide."""
+        returned, handed = self._spy(monkeypatch, corrupt=0)
+        assert main(["symmetries", bell_file, "--verify"]) == EXIT_VERIFY
+        assert '"verified": false' in capsys.readouterr().out
+        assert len(returned) == 12 and len(handed) == 12 * 16
 
     def test_a_corrupted_returned_table_fails_verification(self, bell_file,
                                                            monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import numpy as np
@@ -108,6 +109,14 @@ class TestExpectationDense:
         assert abs(val - 1) < 1e-12
 
 
+def moveaxis_apply(psi, matrix, operands):
+    """The gate kernel as two moveaxis calls: the reference for _apply."""
+    k = len(operands)
+    front = np.moveaxis(psi, operands, range(k))
+    out = (matrix @ front.reshape(2 ** k, -1)).reshape(front.shape)
+    return np.moveaxis(out, range(k), operands)
+
+
 def random_state(rng, n):
     psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     return psi / np.linalg.norm(psi)
@@ -201,6 +210,66 @@ class TestStringAverages:
         for strings in self._chunk_edge_strings(rng, n, psi):
             self._check_against_string_matrix(psi, strings)
 
+    @pytest.mark.parametrize("n", [1, 3, 6, 10])
+    def test_int_array_and_tuples_agree(self, n):
+        rng = np.random.default_rng(120 + n)
+        steps = [step for step in random_steps(rng, n, 2 * n) if step[0] != "T"]
+        for psi in (oracle.apply_circuit(n, steps), random_state(rng, n)):
+            letters = rng.integers(0, 4, size=(50, n))
+            tuples = [tuple(int(v) for v in row) for row in letters]
+            assert np.array_equal(oracle.string_averages(psi, letters),
+                                  oracle.string_averages(psi, tuples))
+
+    @staticmethod
+    def _dead(psi, strings):
+        """Whether each string's bra amplitudes psi[j ^ x] are all exactly
+        zero on the support of psi."""
+        n = len(strings[0])
+        support = np.flatnonzero(psi)
+        dead = []
+        for s in strings:
+            x = sum(1 << (n - 1 - q) for q, l in enumerate(s) if l in (1, 2))
+            dead.append(not np.any(psi[support ^ x]))
+        return dead
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_rows_with_only_zero_bra_amplitudes_are_exact_zeros(self, n):
+        """A string whose gathered amplitudes are all exact zeros averages
+        to exactly 0, also inside a chunk that holds live strings."""
+        rng = np.random.default_rng(140 + n)
+        stabilizer = oracle.apply_circuit(n, [("H", (q,)) for q in range(n // 2)])
+        sparse = np.zeros(2 ** n, dtype=complex)
+        sparse[rng.choice(2 ** n, size=3, replace=False)] = (
+            rng.normal(size=3) + 1j * rng.normal(size=3))
+        sparse /= np.linalg.norm(sparse)
+        for psi in (stabilizer, sparse):
+            support = np.flatnonzero(psi)
+            strings = []
+            for _ in range(40):
+                # Half the strings move one support index onto another.
+                x = (int(rng.choice(support) ^ rng.choice(support))
+                     if rng.random() < 0.5 else int(rng.integers(2 ** n)))
+                strings.append(tuple(
+                    int(rng.choice((1, 2)) if x >> (n - 1 - q) & 1
+                        else rng.choice((0, 3))) for q in range(n)))
+            dead = self._dead(psi, strings)
+            rows = self.CHUNK * 2 ** n // np.count_nonzero(psi)
+            assert any(dead[:rows]) and not all(dead[:rows])
+            got = oracle.string_averages(psi, strings)
+            assert all(got[k] == 0 for k in range(len(strings)) if dead[k])
+            self._check_against_string_matrix(psi, strings)
+
+    @pytest.mark.parametrize("n", range(0, 13))
+    def test_overlap_counts_are_exact(self, n):
+        rng = np.random.default_rng(160 + n)
+        cols = np.arange(2 ** n)
+        for nonzero in (rng.random(2 ** n) < 0.3, np.ones(2 ** n, dtype=bool),
+                        cols == 2 ** n - 1):
+            counts = oracle._overlaps(nonzero.astype(float), n)
+            want = [np.count_nonzero(nonzero & nonzero[cols ^ x])
+                    for x in range(2 ** n)]
+            assert np.array_equal(counts, 2 ** n * np.array(want, dtype=float))
+
     def test_sparse_temporaries_stay_chunk_sized(self):
         n = 14
         psi = np.zeros(2 ** n, dtype=complex)
@@ -236,6 +305,30 @@ class TestStringAverages:
             tracemalloc.stop()
         # One 200 x 2^n complex array alone would be 52 MB.
         assert peak < 16 * 2 ** 20
+
+
+class TestSampleHelpers:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_pick_letters_are_the_base_4_digits(self, n):
+        """The same picks _verify_set draws, on both sides of its switch
+        from sampling without replacement to independent draws."""
+        rng = random.Random(n)
+        space = 4 ** n
+        count = min(200, space)
+        picks = rng.sample(range(space), count) if space <= 10 ** 6 else [
+            rng.randrange(space) for _ in range(count)]
+        want = [[pick >> s & 3 for s in range(0, 2 * n, 2)] for pick in picks]
+        letters = oracle.pick_letters(picks, n)
+        assert letters.shape == (count, n)
+        assert letters.tolist() == want
+
+    def test_worst_deviation_compares_every_pair(self):
+        averages = np.array([1.0, 0.0, -1j])
+        assert oracle.worst_deviation(averages, [], []) == 0.0
+        assert oracle.worst_deviation(averages, [0, 1, 2], [1, 0, -1j]) == 0.0
+        # An earlier pair on a repeated position is not hidden by a later one.
+        assert oracle.worst_deviation(averages, [2, 0, 2], [1j, 1, -1j]) == 2.0
+        assert oracle.worst_deviation(averages, [1, 1], [0, 0.5]) == 0.5
 
 
 class TestConditionalState:
@@ -306,6 +399,21 @@ class TestTensorKernel:
             assert psi.shape == state.shape
             assert np.max(np.abs(psi - dense @ state)) < 1e-12
             assert np.array_equal(state, kept)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_apply_is_the_moveaxis_kernel_bit_for_bit(self, n):
+        """The transpose kernel moves the same data as two moveaxis calls,
+        for 2^k x 2^k matrices on operands in every order, with and without
+        the batch axis that circuit_unitary adds."""
+        rng = np.random.default_rng(100 + n)
+        for shape in [(2,) * n, (2,) * n + (3,)]:
+            psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            for k in range(1, min(n, 3) + 1):
+                m = rng.normal(size=(2 ** k,) * 2) + 1j * rng.normal(size=(2 ** k,) * 2)
+                for operands in itertools.permutations(range(n), k):
+                    got = oracle._apply(psi, m, operands)
+                    assert got.shape == psi.shape
+                    assert np.array_equal(got, moveaxis_apply(psi, m, operands))
 
     def test_unknown_gate_kind(self):
         with pytest.raises(oracle.OracleError):

@@ -122,6 +122,28 @@ class TestEntanglementSwap:
             rho = swap_result.pair_densities[pair]
             assert rho.coefficient((Z, Z)) == 1
 
+    def test_swap_circuit_is_evolved_once(self, monkeypatch):
+        """The final set is the one the dependency trace's fold reaches: each
+        of the seven gates is applied once, and no second fold runs."""
+        import sys
+        from dhsim import engine, protocols
+        real_apply, real_evolve = engine.apply_gate, engine.evolve_circuit
+        applied, evolved = [], []
+
+        def counting(set_, gate):
+            applied.append(gate)
+            return real_apply(set_, gate)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("dhsim")]:
+            if getattr(module, "apply_gate", None) is real_apply:
+                monkeypatch.setattr(module, "apply_gate", counting)
+            if getattr(module, "evolve_circuit", None) is real_evolve:
+                monkeypatch.setattr(module, "evolve_circuit", evolved.append)
+        result = protocols.run_entanglement_swap()
+        assert applied == [s for s in swap_circuit().steps if isinstance(s, Gate)]
+        assert evolved == []
+        assert result.final_set == real_evolve(swap_circuit())
+
     def test_dependencies(self, swap_result):
         deps = swap_result.dependency.supports_1based()
         assert deps[2] == [1, 2, 3, 6]
