@@ -14,8 +14,8 @@ from fractions import Fraction
 from dhsim import Gate, X, Y, Z, apply_gate, expectation, initial_set
 from dhsim.density import diagonal_probabilities
 from dhsim.relative import (
-    RelativeContext, measure, outcome_probability, povm_sum_check,
-    relative_descriptor, ultimate_state_chain,
+    RelativeContext, measure, measure_in_basis, outcome_probability,
+    povm_sum_check, relative_descriptor, ultimate_state_chain,
 )
 
 
@@ -27,12 +27,21 @@ def main():
     print(f"  averages: x={expectation(s, (X,))} y={expectation(s, (Y,))} "
           f"z={expectation(s, (Z,))}")
 
+    prepared = s
     s = measure(s, 0)
     print("\nafter CNOT coupling to a fresh ancilla:")
     print(f"  x={expectation(s, (X, 0))} y={expectation(s, (Y, 0))} "
           f"z={expectation(s, (Z, 0))}   (off-diagonals gone, diagonal kept)")
     print(f"  diagonal probabilities: "
           f"{[str(p) for p in diagonal_probabilities(s, [0])]}")
+
+    # A rotation before the coupling measures another basis: H takes the
+    # x basis to the z basis, and the prepared state is an x eigenstate.
+    r = measure_in_basis(prepared, 0, [Gate("H", (0,))])
+    print("\nmeasured in the x basis instead (H, then the same coupling):")
+    print(f"  q_z = {r.descriptor(0).qz}, z={expectation(r, (Z, 0))}")
+    print(f"  diagonal probabilities: "
+          f"{[str(p) for p in diagonal_probabilities(r, [0])]}   (a certain record)")
 
     zero = RelativeContext.computational(1, 0)
     one = RelativeContext.computational(1, 1)

@@ -35,8 +35,8 @@ from typing import Any, Iterable
 
 from .pauli import I, X, Y, Z, ComplexDyadic
 from .engine import (
-    GATE_KINDS, SINGLE_QUBIT_KINDS, AddAncilla, Circuit, Descriptor,
-    DescriptorSet, Gate, evolve_circuit, expectations, gate_steps, step_label,
+    GATE_ARITY, AddAncilla, Circuit, Descriptor, DescriptorSet, Gate,
+    evolve_circuit, expectations, gate_steps, step_label,
 )
 from .density import (
     density_report, diagonal_probabilities, expectation_table,
@@ -90,9 +90,6 @@ class RunConfig:
     ancilla_budget: int = 1
     max_qubits: int = DEFAULT_MAX_QUBITS
 
-
-_GATE_ARITY = {kind.lower(): 1 if kind in SINGLE_QUBIT_KINDS else 2
-               for kind in GATE_KINDS}
 
 _TOKEN = re.compile(r"\S+")
 
@@ -157,9 +154,10 @@ def parse_circuit(text: str, max_qubits: int | None = None) -> Circuit:
             steps.append(AddAncilla())
             continue
 
-        if word not in _GATE_ARITY:
+        # ASCII only: str.upper maps some other letters onto gate names.
+        arity = GATE_ARITY.get(word.upper()) if word.isascii() else None
+        if arity is None:
             raise _error_at(lineno, line, 0, f"unknown gate {word!r}")
-        arity = _GATE_ARITY[word]
         if len(tokens) - 1 != arity:
             raise _error_at(lineno, line, 0, f"{word} takes {arity} qubit label(s), "
                                              f"got {len(tokens) - 1}")
@@ -361,21 +359,17 @@ def _cmd_construct(cfg: RunConfig) -> dict:
         raise ParseError(None, None, "construct covers 1- or 2-qubit densities")
     rho = reconstruct_density(set_, range(set_.n))
     found = construct_from_density(rho, cfg.ancilla_budget)
-    if found is NotFound:
-        return {"found": False, "system_qubits": set_.n,
-                "ancilla_budget": cfg.ancilla_budget}
-    out = {
-        "found": True,
-        "system_qubits": set_.n,
-        "ancilla_budget": cfg.ancilla_budget,
-        "register_qubits": found.n,
-        "descriptors": _descriptor_rows(found),
-    }
+    out = {"found": found is not NotFound, "system_qubits": set_.n,
+           "ancilla_budget": cfg.ancilla_budget}
+    if found is not NotFound:
+        out["register_qubits"] = found.n
+        out["descriptors"] = _descriptor_rows(found)
     if cfg.verify:
-        table = expectation_table(found, range(set_.n))
-        ok = all(ComplexDyadic.of(rho.coefficient(idx)) == val
-                 for idx, val in table.items())
-        out["verified"] = ok
+        # The circuit's own set reproduces its (pure) density, so a search
+        # that finds nothing fails the check.
+        out["verified"] = found is not NotFound and all(
+            ComplexDyadic.of(rho.coefficient(idx)) == val
+            for idx, val in expectation_table(found, range(set_.n)).items())
     return out
 
 
@@ -459,6 +453,9 @@ def _cmd_chain_demo(cfg: RunConfig) -> dict:
 
 
 def _cmd_trace(cfg: RunConfig) -> dict:
+    if cfg.verify:
+        raise ParseError(None, None, "trace has no oracle check; "
+                                     "run it without --verify")
     circuit = _load_circuit(cfg)
     report = dependency_trace(circuit)
     return {
@@ -487,11 +484,7 @@ def run_report(cfg: RunConfig) -> tuple[int, dict]:
     """Execute a subcommand; returns (exit code, report)."""
     sections = _HANDLERS[cfg.subcommand](cfg)
     report = {"subcommand": cfg.subcommand, "sections": sections}
-    code = EXIT_OK
-    if cfg.verify:
-        flags = [v for k, v in sections.items() if k == "verified"]
-        if not all(flags):
-            code = EXIT_VERIFY
+    code = EXIT_VERIFY if cfg.verify and not sections["verified"] else EXIT_OK
     return code, report
 
 

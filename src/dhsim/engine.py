@@ -14,25 +14,23 @@ outside S never change.  This is exactly the composition order demanded by
 U^dagger sigma U with U = V_k ... V_0, and it is why rewriting the letters
 of the evolved strings in place would be wrong.
 
-Every rule has one form (``_RULES``) and one applier (``_rewrite``), which
-``apply_gate`` uses on a descriptor set and ``evolve_circuit`` folds over a
-circuit on bare component triples.
+A gate kind is one ``_RULES`` entry, with one row triple per operand, so
+its arity is its row count (``GATE_ARITY``).  Every rule has one applier
+(``_rewrite``), which ``apply_gate`` uses on a descriptor set and
+``_fold`` runs over a circuit on bare component triples; ``evolve_circuit``
+and the dependency trace both consume that fold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .pauli import (
     I, X, Y, Z,
     ComplexDyadic, DimensionError, PauliSum,
     sum_mul, vacuum_expectations,
 )
-
-SINGLE_QUBIT_KINDS = ("H", "X", "Y", "Z", "S")
-TWO_QUBIT_KINDS = ("CNOT", "BELL")
-GATE_KINDS = SINGLE_QUBIT_KINDS + TWO_QUBIT_KINDS
 
 # Heisenberg rewrite V^dagger sigma V, one form for every kind: per operand
 # position, the rows for X, Y and Z.  A row (sign, ((position, letter), ...))
@@ -52,6 +50,8 @@ _RULES = {
     "BELL": (((1, ((0, Z),)), (-1, ((0, Y), (1, X))), (1, ((0, X), (1, X)))),
              ((1, ((1, X),)), (1, ((0, Z), (1, Y))), (1, ((0, Z), (1, Z))))),
 }
+# Gate kind -> number of operands: one row triple per operand position.
+GATE_ARITY = {kind: len(rows) for kind, rows in _RULES.items()}
 
 _Triple = tuple[PauliSum, PauliSum, PauliSum]
 
@@ -75,9 +75,9 @@ class Gate:
         kind = self.kind.upper()
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "operands", tuple(self.operands))
-        if kind not in GATE_KINDS:
+        if kind not in GATE_ARITY:
             raise GateError(f"unknown gate kind {kind!r}")
-        want = 1 if kind in SINGLE_QUBIT_KINDS else 2
+        want = GATE_ARITY[kind]
         if len(self.operands) != want:
             raise GateError(f"{kind} takes {want} operand(s), got {len(self.operands)}")
         if len(set(self.operands)) != len(self.operands):
@@ -278,27 +278,35 @@ def heisenberg_image(set_: DescriptorSet, operator: PauliSum) -> PauliSum:
     return out
 
 
-def evolve_circuit(circuit: Circuit) -> DescriptorSet:
-    """Fold a circuit over the fresh register's component triples; the
-    descriptor set is built once, at the end."""
+def _fold(circuit: Circuit) -> Iterator[list[_Triple]]:
+    """The fresh register's component triples, then the same list after
+    each step of the circuit in turn (one new list per ancilla).
+
+    ``Circuit`` has range-checked every step, so none is checked again.
+    """
     n = circuit.initial_qubits
     comps = [d.components() for d in initial_set(n).descriptors]
-    for k, step in enumerate(circuit.steps):
+    yield comps
+    for step in circuit.steps:
         if isinstance(step, AddAncilla):
             comps = [(qx.extended(1), qy.extended(1), qz.extended(1))
                      for qx, qy, qz in comps]
             n += 1
             comps.append(_fresh(n, n - 1))
-            continue
-        try:
-            step.validate_for(n)
-        except GateError as exc:
-            raise GateError(f"step {k + 1}: {exc}") from exc
-        operands = step.operands
-        for qubit, triple in zip(operands,
-                                 _rewrite(step.kind, [comps[q] for q in operands])):
-            comps[qubit] = triple
-    return DescriptorSet(n, tuple(Descriptor(*c) for c in comps), circuit.steps)
+        else:
+            operands = step.operands
+            for qubit, triple in zip(operands,
+                                     _rewrite(step.kind, [comps[q] for q in operands])):
+                comps[qubit] = triple
+        yield comps
+
+
+def evolve_circuit(circuit: Circuit) -> DescriptorSet:
+    """Run the fold to its end; the descriptor set is built once, there."""
+    for comps in _fold(circuit):
+        pass
+    return DescriptorSet(len(comps), tuple(Descriptor(*c) for c in comps),
+                         circuit.steps)
 
 
 def gate_steps(set_: DescriptorSet) -> list[tuple[str, tuple[int, ...]]]:

@@ -1,36 +1,31 @@
 """Dense Schrodinger-picture reference implementation.
 
 Everything here is floating point (tolerance 1e-9) and exists to
-cross-check the exact descriptor path: state vectors, unitary matrices,
-operator conjugation with projection back onto the Pauli basis, and
-conditional states via projection.
+cross-check the exact descriptor path: state vectors, string averages,
+reduced densities, and conditional states via projection.
 
 The state of n qubits is a ``(2,)*n`` tensor; each gate multiplies its
 2^k x 2^k matrix into the operand axes (one transpose there and back) at
 O(2^n) cost.  String averages take one ``(count, n)`` letter array and
-never gather a string whose bra amplitudes are all exact zeros.  Dense
-2^n x 2^n matrices exist only for ``conjugate`` and tests at small n, and
-are refused beyond ``DENSE_MAX_QUBITS`` qubits before they are allocated.
+never gather a string whose bra amplitudes are all exact zeros.  The one
+dense 2^n x 2^n matrix built here is ``gate_matrix``'s, refused beyond
+``DENSE_MAX_QUBITS`` qubits before it is allocated.
 
 Conventions, fixed once:
 
 * qubit 0 is the leftmost tensor factor (most significant bit of the
   basis index);
 * a circuit with steps t0..tk corresponds to U = U_k ... U_0, and a
-  descriptor evolves as U^dagger P U.  Folding a new gate therefore
-  conjugates the *initial* operator first:
-  ``conjugate(U_0, conjugate(U_1, ... conjugate(U_k, P)))``.
+  descriptor evolves as U^dagger P U.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-from fractions import Fraction
 
 import numpy as np
 
-from .pauli import ComplexDyadic, PauliSum, LETTER_NAMES
+from .pauli import PauliSum
 
 ATOL = 1e-9
 
@@ -41,12 +36,11 @@ _SQ = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
     "S": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "T": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex),
 }
 
 # Gate kind -> matrix on its operands, the first operand leftmost.  BELL is
 # CNOT(a -> b) followed by H on a, the inverse of the Bell-pair preparation.
-_GATES = {name: _SQ[name] for name in "HXYZST"}
+_GATES = {name: _SQ[name] for name in "HXYZS"}
 _GATES["CNOT"] = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
 _GATES["BELL"] = np.kron(_SQ["H"], _SQ["I"]) @ _GATES["CNOT"]
 
@@ -69,26 +63,6 @@ def zero_state(n: int) -> np.ndarray:
     return state
 
 
-def string_matrix(letters: tuple[int, ...] | str) -> np.ndarray:
-    """Dense matrix of a bare letter sequence (qubit 0 leftmost)."""
-    if not isinstance(letters, str):
-        letters = "".join(LETTER_NAMES[l] for l in letters)
-    _check_dense(len(letters))
-    m = np.eye(1, dtype=complex)
-    for ch in letters:
-        m = np.kron(m, _SQ[ch])
-    return m
-
-
-def sum_matrix(s: PauliSum) -> np.ndarray:
-    """Dense matrix of a Pauli sum."""
-    _check_dense(s.n)
-    m = np.zeros((2 ** s.n, 2 ** s.n), dtype=complex)
-    for letters, coef in s.terms():
-        m += complex(coef) * string_matrix(letters)
-    return m
-
-
 def _apply(psi: np.ndarray, matrix: np.ndarray,
            operands: tuple[int, ...]) -> np.ndarray:
     """Multiply a 2^k x 2^k matrix into the operand axes; batch axes follow.
@@ -103,29 +77,9 @@ def _apply(psi: np.ndarray, matrix: np.ndarray,
 
 
 def gate_matrix(kind: str, n: int, operands: tuple[int, ...]) -> np.ndarray:
-    return circuit_unitary(n, [(kind, operands)])
-
-
-def circuit_unitary(n: int, steps) -> np.ndarray:
-    """U = U_k ... U_0 for gate steps in time order."""
+    """The 2^n x 2^n matrix of one gate on the listed operands."""
     _check_dense(n)
-    return apply_circuit(n, steps, np.eye(2 ** n, dtype=complex))
-
-
-def _check_unitary(u: np.ndarray) -> None:
-    dim = u.shape[0]
-    if not np.allclose(u.conj().T @ u, np.eye(dim), atol=ATOL):
-        raise OracleError("matrix is not unitary")
-
-
-def _snap_fraction(x: float, max_den: int = 2 ** 40) -> Fraction:
-    frac = Fraction(x).limit_denominator(max_den)
-    if abs(float(frac) - x) > ATOL:
-        raise OracleError(f"residual {x} is not within 1e-9 of a dyadic")
-    d = frac.denominator
-    if d & (d - 1) != 0:
-        raise OracleError(f"value {x} does not snap to a dyadic rational")
-    return frac
+    return apply_circuit(n, [(kind, operands)], np.eye(2 ** n, dtype=complex))
 
 
 # i**k for k = 0..3: the phase a string's Y letters contribute to its entries.
@@ -171,50 +125,6 @@ def _string_masks(strings, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def pick_letters(picks, n: int) -> np.ndarray:
     """The ``(count, n)`` letters of integer picks: base-4 digit q on qubit q."""
     return np.array(picks, dtype=np.int64)[:, None] >> np.arange(0, 2 * n, 2) & 3
-
-
-def conjugate(u: np.ndarray, p: PauliSum) -> PauliSum:
-    """U^dagger P U, projected back onto the Pauli basis exactly.
-
-    The projection uses the normalized Hilbert-Schmidt inner product; each
-    near-dyadic coefficient snaps to its exact value and anything left over
-    beyond 1e-9 is an error (the input was not Clifford-compatible).
-    """
-    n = p.n
-    dim = 2 ** n
-    if u.shape != (dim, dim):
-        raise OracleError(f"operator shape {u.shape} does not match {n} qubits")
-    _check_unitary(u)
-    dense = u.conj().T @ sum_matrix(p) @ u
-
-    # Strings with x-mask m live on the anti-diagonal band row = col ^ m;
-    # only masks carrying weight in the dense matrix need projecting.
-    cols, sign = _columns(n)
-    masks = {int(r) ^ int(c) for r, c in zip(*np.nonzero(np.abs(dense) > ATOL / dim))}
-    terms = {}
-    captured = np.zeros_like(dense)
-    for mask in sorted(masks):
-        band = dense[cols ^ mask, cols]
-        xy_slots = [q for q in range(n) if (mask >> (n - 1 - q)) & 1]
-        iz_slots = [q for q in range(n) if q not in xy_slots]
-        for zpick in itertools.product((0, 3), repeat=len(iz_slots)):
-            for xypick in itertools.product((1, 2), repeat=len(xy_slots)):
-                picked = dict(zip(iz_slots, zpick)) | dict(zip(xy_slots, xypick))
-                letters = tuple(picked[q] for q in range(n))
-                _, (zmask,), (phase,) = _string_masks([letters], n)
-                entries = phase * sign[cols & zmask]
-                coef = complex(np.dot(np.conj(entries), band)) / dim
-                if abs(coef) <= ATOL:
-                    continue
-                re = (_snap_fraction(float(coef.real))
-                      if abs(coef.real) > ATOL else Fraction(0))
-                im = (_snap_fraction(float(coef.imag))
-                      if abs(coef.imag) > ATOL else Fraction(0))
-                terms[letters] = ComplexDyadic(re, im)
-                captured[cols ^ mask, cols] += complex(terms[letters]) * entries
-    if np.max(np.abs(dense - captured)) > ATOL:
-        raise OracleError("projection residual exceeds tolerance")
-    return PauliSum(n, terms)
 
 
 # Values per temporary of string_averages: AVERAGE_CHUNK * 2^n, 128 KiB at

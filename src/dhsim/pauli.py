@@ -25,7 +25,8 @@ number of sums.  On a Clifford circuit every descriptor component is one
 signed string, and a product of such factors is folded in one pass (the
 rule above telescopes over the factors) into one coefficient and one sum.
 Its vacuum average is zero when the XOR of the keys has an x bit, which
-is known before any phase or coefficient is computed.
+``vacuum_expectations`` reads off before any phase or coefficient is
+computed.
 
 Letter tuples are built only at the boundary (construction,
 ``coefficient``, ``terms``, rendering, parsing and hashing), so sort
@@ -611,19 +612,9 @@ def x_kernel(strings: Sequence[PauliSum]) -> list[int] | None:
 
 
 def hs_inner(a: PauliSum, b: PauliSum) -> ComplexDyadic:
-    """Normalized Hilbert-Schmidt inner product Tr(a^dagger b) / 2**n.
-
-    Distinct Pauli strings are orthogonal and every string has norm one
-    under this normalization, so the inner product reduces to a term-wise
-    coefficient contraction.
-    """
-    a._require_same_n(b)
-    total = ZERO
-    for key in (a._terms if len(a) <= len(b) else b._terms):
-        ca, cb = a._terms.get(key), b._terms.get(key)
-        if ca and cb:
-            total = total + ca.conjugate() * cb
-    return total
+    """Normalized Hilbert-Schmidt inner product Tr(a^dagger b) / 2**n: the
+    (0, 1) entry of ``inner_products([a, b])``."""
+    return inner_products([a, b]).get((0, 1), ZERO)
 
 
 def inner_products(sums: Sequence[PauliSum]) -> dict[tuple[int, int], ComplexDyadic]:
@@ -655,20 +646,9 @@ def inner_products(sums: Sequence[PauliSum]) -> dict[tuple[int, int], ComplexDya
 def vacuum_expectation(*factors: PauliSum) -> ComplexDyadic:
     """<0...0| f1 f2 ... |0...0> of the ordered product (ONE for no factors).
 
-    Per term, I and Z slots give 1 and X and Y give 0.  Several factors
-    go through ``vacuum_expectations`` as one pick, so a product of single
-    strings with an x bit averages to zero with no product formed.
+    Per term, I and Z slots give 1 and X and Y give 0, so the average is
+    the sum of the coefficients of the product's x-free terms.
     """
-    if len(factors) > 1:
-        # One pick through positions that offer their factor under X, Y and Z.
-        return vacuum_expectations([(f, f, f) for f in factors],
-                                   [(X,) * len(factors)])[0]
-    return _vacuum_average(factors)
-
-
-def _vacuum_average(factors: Sequence[PauliSum]) -> ComplexDyadic:
-    """<0...0| f1 f2 ... |0...0> with the product formed: the sum of the
-    coefficients of its x-free terms (ONE for no factors)."""
     if not factors:
         return ONE
     s = factors[0] if len(factors) == 1 else sum_mul(*factors)
@@ -720,6 +700,6 @@ def vacuum_expectations(offers: Sequence[tuple[PauliSum, PauliSum, PauliSum]],
         if 0 < x <= m:
             out.append(ZERO)
         else:
-            out.append(_vacuum_average([row[w - 1] for row, w in zip(offers, pick)
-                                        if w != I]))
+            out.append(vacuum_expectation(*[row[w - 1] for row, w in zip(offers, pick)
+                                            if w != I]))
     return out

@@ -15,7 +15,7 @@ from typing import Mapping
 from .pauli import I, X, Y, Z, vacuum_expectation
 from .engine import (
     AddAncilla, Circuit, Descriptor, DescriptorSet, Gate,
-    add_ancilla, apply_gate, expectations, initial_set, step_label,
+    _fold, add_ancilla, apply_gate, expectations, initial_set, step_label,
 )
 from .density import (
     DensityMatrix, _purity_sum, _table_density, diagonal_probabilities,
@@ -42,9 +42,10 @@ class DependencyReport:
                 for q, fs in enumerate(self.per_qubit)}
 
 
-def _supports(set_: DescriptorSet) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(sorted(set_.descriptor(q).support()))
-                 for q in range(set_.n))
+def _supports(comps) -> tuple[tuple[int, ...], ...]:
+    """Each qubit's support, from its (q_x, q_y, q_z) triple."""
+    return tuple(tuple(sorted(qx.support() | qy.support() | qz.support()))
+                 for qx, qy, qz in comps)
 
 
 def dependency_trace(target: DescriptorSet | Circuit) -> DependencyReport:
@@ -57,22 +58,20 @@ def dependency_trace(target: DescriptorSet | Circuit) -> DependencyReport:
     remembers its support, so only a replaced component is scanned again.
     """
     if isinstance(target, DescriptorSet):
-        return DependencyReport(_supports(target))
+        return DependencyReport(_supports(d.components() for d in target.descriptors))
     return _traced(target)[0]
 
 
 def _traced(circuit: Circuit) -> tuple[DependencyReport, DescriptorSet]:
-    """``dependency_trace`` of a circuit, and the final set its fold reaches."""
-    set_ = initial_set(circuit.initial_qubits)
-    supports = _supports(set_)
+    """``dependency_trace`` of a circuit, and the final set of the same
+    ``engine._fold`` that ``evolve_circuit`` runs."""
+    fold = _fold(circuit)
+    comps = next(fold)
+    supports = _supports(comps)
     steps = [("initial", supports)]
-    for step in circuit.steps:
-        if isinstance(step, AddAncilla):
-            set_ = add_ancilla(set_)
-            supports = _supports(set_)
-        else:
-            set_ = apply_gate(set_, step)
-            before, supports = supports, _supports(set_)
+    for step, comps in zip(circuit.steps, fold):
+        before, supports = supports, _supports(comps)
+        if isinstance(step, Gate):
             reachable = set(step.operands)
             for q in step.operands:
                 reachable.update(before[q])
@@ -82,7 +81,9 @@ def _traced(circuit: Circuit) -> tuple[DependencyReport, DescriptorSet]:
                 if q in step.operands and not reachable.issuperset(after):
                     raise AssertionError(f"locality violated for operand {q + 1}")
         steps.append((step_label(step), supports))
-    return DependencyReport(supports, tuple(steps)), set_
+    final = DescriptorSet(len(comps), tuple(Descriptor(*c) for c in comps),
+                          circuit.steps)
+    return DependencyReport(supports, tuple(steps)), final
 
 
 def swap_circuit() -> Circuit:

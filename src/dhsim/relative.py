@@ -84,10 +84,6 @@ class RelativeContext:
         return RelativeContext.bloch(qubit, 0, 0, 1 if bit == 0 else -1)
 
     @staticmethod
-    def maximally_mixed(qubits: Sequence[int]) -> "RelativeContext":
-        return RelativeContext(tuple(qubits))
-
-    @staticmethod
     def pair_computational(qubits: Sequence[int], bits: Sequence[int]) -> "RelativeContext":
         """|b1 b2><b1 b2| on a qubit pair."""
         a, b = (1 if bit == 0 else -1 for bit in bits)

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from dhsim import oracle
 from dhsim.density import diagonal_probabilities, reconstruct_density
 from dhsim.engine import (
-    GATE_KINDS, Circuit, DescriptorSet, Gate, apply_gate, initial_set,
+    GATE_ARITY, AddAncilla, Circuit, DescriptorSet, Gate, apply_gate, initial_set,
 )
 from dhsim.pauli import X, Y, Z, ComplexDyadic, PauliSum, sum_mul
-from dhsim.relative import decohere
+from dhsim.relative import RelativeContext, decohere
+import matrices
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -28,7 +28,7 @@ def src_on_subprocess_path():
 
 def dense_operator(coeffs):
     """sum_I coeffs[I] P_I as a numpy matrix (test-side reference)."""
-    return sum(float(c) * oracle.string_matrix(index)
+    return sum(float(c) * matrices.string_matrix(index)
                for index, c in coeffs.items())
 
 
@@ -44,18 +44,36 @@ def z_projector(n: int, qubit: int, outcome: int) -> PauliSum:
             + PauliSum.single(n, qubit, Z, sign)).scale(Fraction(1, 2))
 
 
+# Gate kinds by operand count, from the engine's one gate table.
+SINGLE_QUBIT_KINDS = tuple(k for k, arity in GATE_ARITY.items() if arity == 1)
+TWO_QUBIT_KINDS = tuple(k for k, arity in GATE_ARITY.items() if arity == 2)
+
+
 def random_gate(rng: random.Random, n: int) -> Gate:
-    kinds = GATE_KINDS if n >= 2 else tuple(
-        k for k in GATE_KINDS if k not in ("CNOT", "BELL"))
-    kind = rng.choice(kinds)
-    if kind in ("CNOT", "BELL"):
-        a, b = rng.sample(range(n), 2)
-        return Gate(kind, (a, b))
-    return Gate(kind, (rng.randrange(n),))
+    kind = rng.choice([k for k, arity in GATE_ARITY.items() if arity <= n])
+    return Gate(kind, tuple(rng.sample(range(n), GATE_ARITY[kind])))
+
+
+def random_steps(rng, n, depth):
+    """Random gates of every kind with ancillas between them; returns the
+    steps and the final register size."""
+    steps = []
+    for _ in range(depth):
+        if rng.random() < 0.15:
+            steps.append(AddAncilla())
+            n += 1
+        else:
+            steps.append(random_gate(rng, n))
+    return steps, n
 
 
 def random_circuit(rng: random.Random, n: int, depth: int) -> Circuit:
     return Circuit(n, tuple(random_gate(rng, n) for _ in range(depth)))
+
+
+def maximally_mixed(qubits) -> RelativeContext:
+    """The context of a discarded partner: weight 1 and an empty table."""
+    return RelativeContext(tuple(qubits))
 
 
 @pytest.fixture(scope="session")

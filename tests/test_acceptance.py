@@ -32,6 +32,7 @@ from dhsim.uniqueness import (
 )
 from dhsim.protocols import run_entanglement_swap, swap_relative_bell
 from conftest import classify_against_reference, random_circuit
+import matrices
 
 ONE = ComplexDyadic.of(1)
 
@@ -240,11 +241,11 @@ def test_criterion_07_entanglement_swap():
         for qubit, renders in SWAP_FINAL.items():
             got = tuple(s.component(qubit - 1, w).render() for w in (X, Y, Z))
             assert got == renders
-        u = oracle.circuit_unitary(6, gate_steps(s))
+        u = matrices.circuit_unitary(6, gate_steps(s))
         for a in range(6):
             for w in (X, Y, Z):
                 assert s.component(a, w) == \
-                    oracle.conjugate(u, PauliSum.single(6, a, w))
+                    matrices.conjugate(u, PauliSum.single(6, a, w))
 
         deps = result.dependency.supports_1based()
         assert deps[2] == [1, 2, 3, 6]

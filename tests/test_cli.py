@@ -17,7 +17,7 @@ from dhsim.cli import (
     parse_circuit, render_json, render_text, run_report,
 )
 from dhsim.engine import (
-    GATE_KINDS, SINGLE_QUBIT_KINDS, AddAncilla, Gate, evolve_circuit, gate_steps,
+    GATE_ARITY, AddAncilla, Gate, evolve_circuit, gate_steps,
 )
 
 BELL = "qubits 2\nh 1\ncnot 1 2\n"
@@ -158,9 +158,8 @@ def _random_circuit_file(rng):
             lines.append(text)
             steps.append(gate)
         else:
-            kind = rng.choice(GATE_KINDS if n >= 2 else SINGLE_QUBIT_KINDS)
-            arity = 1 if kind in SINGLE_QUBIT_KINDS else 2
-            gate = Gate(kind, tuple(rng.sample(range(n), arity)))
+            kind = rng.choice([k for k, arity in GATE_ARITY.items() if arity <= n])
+            gate = Gate(kind, tuple(rng.sample(range(n), GATE_ARITY[kind])))
             word = rng.choice([kind, kind.lower(), kind.capitalize()])
             text = rng.choice(blanks).join(
                 [word, *(str(q + 1) for q in gate.operands)])
@@ -189,6 +188,17 @@ class TestParserTable:
             assert c.steps == tuple(steps)
             assert c.initial_qubits + sum(isinstance(s, AddAncilla)
                                           for s in c.steps) == n
+
+    @pytest.mark.parametrize("kind", sorted(GATE_ARITY))
+    def test_every_kind_pins_its_arity(self, kind):
+        """One label too few and one too many, for every kind in the table."""
+        arity, word = GATE_ARITY[kind], kind.lower()
+        for count in (arity - 1, arity + 1):
+            line = " ".join([word, *map(str, range(1, count + 1))])
+            with pytest.raises(ParseError) as err:
+                parse_circuit(f"qubits 4\n{line}\n")
+            assert str(err.value) == (f"line 2, col 1: {word} takes {arity} "
+                                      f"qubit label(s), got {count}")
 
     def test_repeated_line_reuses_the_gate(self):
         c = parse_circuit("qubits 2\ncnot 1 2\nancilla\ncnot  1 2\nCNOT 1 2\n")
@@ -236,6 +246,16 @@ class TestUnlocatedErrors:
         assert (err.value.line, err.value.column) == (None, None)
         assert main(["validate"]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: validate requires a circuit file\n"
+
+    def test_trace_has_no_oracle_check(self, bell_file, capsys):
+        with pytest.raises(ParseError) as err:
+            run_report(RunConfig("trace", str(bell_file), verify=True))
+        assert (err.value.line, err.value.column) == (None, None)
+        assert main(["trace", str(bell_file), "--verify"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == ("error: trace has no oracle check; "
+                                "run it without --verify\n")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("sub", ["run", "validate", "symmetries", "construct",
                                      "trace"])
@@ -347,6 +367,18 @@ class TestVerificationFailurePath:
         code, report = run_report(RunConfig("run", bell_file, verify=True))
         assert code == EXIT_VERIFY
         assert report["sections"]["verified"] is False
+
+    def test_construct_that_finds_nothing_fails_verify(self, bell_file, monkeypatch):
+        """A circuit's own set reproduces its density, so an empty search
+        under --verify is a failed check, with the `verified` key set."""
+        from dhsim import cli
+        monkeypatch.setattr(cli, "construct_from_density", lambda rho, budget: cli.NotFound)
+        code, report = run_report(RunConfig("construct", bell_file, verify=True))
+        assert code == EXIT_VERIFY
+        assert report["sections"] == {"found": False, "system_qubits": 2,
+                                      "ancilla_budget": 1, "verified": False}
+        code, report = run_report(RunConfig("construct", bell_file))
+        assert code == EXIT_OK and "verified" not in report["sections"]
 
     @staticmethod
     def _corrupt_one(monkeypatch, position):
@@ -834,6 +866,13 @@ class TestNonAsciiInput:
         assert main(["run", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {where}\n"
 
+    @pytest.mark.parametrize("word", ["ſ", "ｈ", "ｃｎｏｔ"])
+    def test_letters_that_upper_case_onto_a_gate_are_unknown(self, word):
+        """"ſ".upper() is "S": the gate table is matched on ASCII words only."""
+        with pytest.raises(ParseError) as err:
+            parse_circuit(f"qubits 2\n{word} 1\n")
+        assert str(err.value) == f"line 2, col 1: unknown gate {word!r}"
+
     @pytest.mark.parametrize("data,where", [
         (b"\xff\xfe", "line 1, col 1"),
         (b"qubits 1\r\nh \xff\n", "line 2, col 3"),
@@ -900,8 +939,13 @@ class TestRenderJson:
         if circuit:
             path = tmp_path / f"{circuit}.dh"
             path.write_text(_REPORT_CIRCUITS[circuit])
-        code, report = run_report(RunConfig(subcommand, str(path) if path else None,
-                                            verify=verify))
+        cfg = RunConfig(subcommand, str(path) if path else None, verify=verify)
+        if subcommand == "trace" and verify:
+            # trace has no oracle check, so --verify is refused, not ignored.
+            with pytest.raises(ParseError, match="^trace has no oracle check"):
+                run_report(cfg)
+            return
+        code, report = run_report(cfg)
         assert code == EXIT_OK
         assert all(type(key) is str for key in _keys(report))
         assert render_json(report) == _dumps(report)

@@ -7,8 +7,17 @@ import pytest
 
 from dhsim import oracle
 from dhsim.pauli import PauliSum, parse_sum
+from conftest import SINGLE_QUBIT_KINDS, TWO_QUBIT_KINDS
+import matrices
 
-ONE_QUBIT = ("H", "X", "Y", "Z", "S", "T")
+ONE_QUBIT = SINGLE_QUBIT_KINDS + ("T",)
+
+
+@pytest.fixture(autouse=True)
+def t_gate(monkeypatch):
+    """The kernel takes any 2^k x 2^k matrix: the tests give it T, a
+    non-Clifford phase no circuit file can name, as one more kind."""
+    monkeypatch.setitem(oracle._GATES, "T", matrices.T)
 
 
 # Explicit dense definitions, kept as the reference for the tensor kernel:
@@ -16,7 +25,7 @@ ONE_QUBIT = ("H", "X", "Y", "Z", "S", "T")
 def kron_gate(name, n, qubit):
     m = np.eye(1, dtype=complex)
     for q in range(n):
-        m = np.kron(m, oracle._SQ[name] if q == qubit else np.eye(2))
+        m = np.kron(m, oracle._GATES[name] if q == qubit else np.eye(2))
     return m
 
 
@@ -42,19 +51,19 @@ def all_gates(n):
     for kind in ONE_QUBIT:
         for q in range(n):
             yield kind, (q,)
-    for kind in ("CNOT", "BELL"):
+    for kind in TWO_QUBIT_KINDS:
         for pair in itertools.permutations(range(n), 2):
             yield kind, pair
 
 
 def random_steps(rng, n, depth):
     """Seeded random steps with every gate kind the register allows."""
-    kinds = ONE_QUBIT + (("CNOT", "BELL") if n >= 2 else ())
+    kinds = ONE_QUBIT + (TWO_QUBIT_KINDS if n >= 2 else ())
     picks = list(kinds) + [kinds[i] for i in rng.integers(len(kinds), size=depth)]
     rng.shuffle(picks)
     steps = []
     for kind in picks:
-        arity = 2 if kind in ("CNOT", "BELL") else 1
+        arity = 2 if kind in TWO_QUBIT_KINDS else 1
         steps.append((kind, tuple(int(q) for q in rng.permutation(n)[:arity])))
     return steps
 
@@ -62,34 +71,34 @@ def random_steps(rng, n, depth):
 class TestConjugate:
     def test_hadamard_takes_x_to_z(self):
         u = oracle.gate_matrix("H", 1, (0,))
-        assert oracle.conjugate(u, parse_sum("1 * X")) == parse_sum("1 * Z")
+        assert matrices.conjugate(u, parse_sum("1 * X")) == parse_sum("1 * Z")
 
     def test_identity(self):
         u = np.eye(4)
         p = parse_sum("1/2 * X⊗Z + -1 * Y⊗I")
-        assert oracle.conjugate(u, p) == p
+        assert matrices.conjugate(u, p) == p
 
     def test_cnot_control_y(self):
         u = oracle.gate_matrix("CNOT", 2, (0, 1))
-        assert oracle.conjugate(u, parse_sum("1 * Y⊗I")) == parse_sum("1 * Y⊗X")
+        assert matrices.conjugate(u, parse_sum("1 * Y⊗I")) == parse_sum("1 * Y⊗X")
 
     def test_rejects_non_unitary(self):
         bad = np.ones((2, 2), dtype=complex)
         with pytest.raises(oracle.OracleError):
-            oracle.conjugate(bad, parse_sum("1 * X"))
+            matrices.conjugate(bad, parse_sum("1 * X"))
 
     def test_rejects_non_clifford_residual(self):
         t = oracle.gate_matrix("T", 1, (0,))
         with pytest.raises(oracle.OracleError):
-            oracle.conjugate(t, parse_sum("1 * X"))
+            matrices.conjugate(t, parse_sum("1 * X"))
 
     def test_composition_order(self):
         # Heisenberg folding: later gates conjugate the operator first.
         h = oracle.gate_matrix("H", 1, (0,))
         s = oracle.gate_matrix("S", 1, (0,))
         p = parse_sum("1 * X")
-        stepwise = oracle.conjugate(h, oracle.conjugate(s, p))
-        combined = oracle.conjugate(s @ h, p)
+        stepwise = matrices.conjugate(h, matrices.conjugate(s, p))
+        combined = matrices.conjugate(s @ h, p)
         assert stepwise == combined
 
 
@@ -138,7 +147,7 @@ class TestStringAverages:
                 strings[0] = (0,) * n      # the identity string
             got = oracle.string_averages(psi, strings)
             assert got.shape == (count,)
-            want = [np.vdot(psi, oracle.string_matrix(s) @ psi) for s in strings]
+            want = [np.vdot(psi, matrices.string_matrix(s) @ psi) for s in strings]
             assert np.allclose(got, want, atol=1e-12, rtol=0)
             if count:
                 assert abs(got[0] - 1) < 1e-12
@@ -146,14 +155,14 @@ class TestStringAverages:
     def test_every_string_on_two_qubits(self):
         psi = random_state(np.random.default_rng(7), 2)
         strings = list(itertools.product(range(4), repeat=2))
-        want = [np.vdot(psi, oracle.string_matrix(s) @ psi) for s in strings]
+        want = [np.vdot(psi, matrices.string_matrix(s) @ psi) for s in strings]
         assert np.allclose(oracle.string_averages(psi, strings), want,
                            atol=1e-12, rtol=0)
 
     def test_expectation_dense_is_the_weighted_sum(self):
         psi = random_state(np.random.default_rng(3), 3)
         p = parse_sum("(1/2-1/4i) * X⊗Y⊗Z + -3/8 * I⊗I⊗I + 1 * Z⊗Z⊗X")
-        want = np.vdot(psi, oracle.sum_matrix(p) @ psi)
+        want = np.vdot(psi, matrices.sum_matrix(p) @ psi)
         assert abs(oracle.expectation_dense(psi, p) - want) < 1e-12
 
     @pytest.mark.parametrize("strings", [[(1, 2)], [(1, 2, 3, 0)],
@@ -167,7 +176,7 @@ class TestStringAverages:
     def _check_against_string_matrix(psi, strings):
         got = oracle.string_averages(psi, strings)
         assert got.shape == (len(strings),)
-        want = [np.vdot(psi, oracle.string_matrix(s) @ psi) for s in strings]
+        want = [np.vdot(psi, matrices.string_matrix(s) @ psi) for s in strings]
         assert np.allclose(got, want, atol=1e-12, rtol=0)
 
     def _chunk_edge_strings(self, rng, n, psi):
@@ -386,7 +395,7 @@ class TestTensorKernel:
             dense = np.eye(2 ** n, dtype=complex)
             for kind, operands in steps:
                 dense = reference_gate(kind, n, operands) @ dense
-            unitary = oracle.circuit_unitary(n, steps)
+            unitary = matrices.circuit_unitary(n, steps)
             assert np.max(np.abs(unitary - dense)) < 1e-12
 
             psi = oracle.apply_circuit(n, steps)
@@ -436,12 +445,12 @@ class TestTensorKernel:
 
     def test_dense_builders_refuse_oversized_registers(self):
         n = oracle.DENSE_MAX_QUBITS + 1
-        for build in (lambda: oracle.circuit_unitary(n, []),
-                      lambda: oracle.string_matrix("Z" * n),
-                      lambda: oracle.sum_matrix(PauliSum.single(n, 0, 3))):
+        for build in (lambda: matrices.circuit_unitary(n, []),
+                      lambda: matrices.string_matrix("Z" * n),
+                      lambda: matrices.sum_matrix(PauliSum.single(n, 0, 3))):
             with pytest.raises(oracle.OracleError):
                 build()
-        assert oracle.string_matrix("Z" * (n - 1)).shape == (2 ** (n - 1),) * 2
+        assert matrices.string_matrix("Z" * (n - 1)).shape == (2 ** (n - 1),) * 2
 
 
 def loop_conditional_state(state, qubits, outcome):

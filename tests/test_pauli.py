@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dhsim import oracle, pauli
+from dhsim import pauli
 from dhsim.pauli import (
     I, X, Y, Z,
     ComplexDyadic, DimensionError, PauliSum,
     commute, hs_inner, parse_sum, sum_mul, vacuum_expectation,
 )
 from conftest import z_projector
+import matrices
 
 ONE = ComplexDyadic.of(1)
 
@@ -31,8 +32,8 @@ def string(letters, k=0):
 def assert_matches_dense(prod, la, lb):
     """A one-term product equals the matrix product of its factors' strings."""
     ((lc, coef),) = prod.terms()
-    dense = oracle.string_matrix(la) @ oracle.string_matrix(lb)
-    assert np.allclose(dense, complex(coef) * oracle.string_matrix(lc))
+    dense = matrices.string_matrix(la) @ matrices.string_matrix(lb)
+    assert np.allclose(dense, complex(coef) * matrices.string_matrix(lc))
 
 
 class TestComplexDyadic:
@@ -130,8 +131,8 @@ class TestSumMul:
     def test_against_dense(self):
         a = S("1/2 * X⊗Z + -1/2 * Y⊗Y")
         b = S("1 * Z⊗I + 1/4 * X⊗X")
-        got = oracle.sum_matrix(a * b)
-        want = oracle.sum_matrix(a) @ oracle.sum_matrix(b)
+        got = matrices.sum_matrix(a * b)
+        want = matrices.sum_matrix(a) @ matrices.sum_matrix(b)
         assert np.allclose(got, want)
 
 
@@ -159,7 +160,7 @@ class TestHsInner:
     def test_matches_trace_formula(self):
         a = S("1 * X⊗Z + 1/2 * Y⊗I")
         b = S("-1 * X⊗Z + 1 * Z⊗Z")
-        dense = np.trace(oracle.sum_matrix(a).conj().T @ oracle.sum_matrix(b)) / 4
+        dense = np.trace(matrices.sum_matrix(a).conj().T @ matrices.sum_matrix(b)) / 4
         assert abs(complex(hs_inner(a, b)) - dense) < 1e-12
 
 
@@ -284,8 +285,8 @@ class TestCommutation:
         # Coefficients play no part: each string carries its own i**k.
         strings = list(itertools.product(range(4), repeat=2))
         for (ka, la), (kb, lb) in itertools.product(enumerate(strings), repeat=2):
-            a = oracle.string_matrix(la)
-            b = oracle.string_matrix(lb)
+            a = matrices.string_matrix(la)
+            b = matrices.string_matrix(lb)
             assert commute(string(la, ka), string(lb, kb)) == np.allclose(a @ b, b @ a)
 
     @pytest.mark.parametrize("n", (3, 16, 40))

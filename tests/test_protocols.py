@@ -14,7 +14,10 @@ from dhsim.protocols import (
     dependency_trace, run_generalized_measurement_demo,
     run_ultimate_chain_demo, swap_circuit, swap_relative_bell,
 )
-from conftest import dense_density, random_circuit, run_decoherence_demo
+from conftest import (
+    dense_density, random_circuit, random_steps, run_decoherence_demo,
+)
+import matrices
 
 # The six final descriptors of the swap protocol, verified against dense
 # conjugation (component order x, y, z; register order 1..6).
@@ -48,41 +51,61 @@ class TestDependencyTrace:
             dependency_trace(circuit)  # raises on any locality violation
 
     def test_each_support_computed_once_per_step(self, monkeypatch):
-        from dhsim import engine
-        real = engine.Descriptor.support
+        real = PauliSum.support
         calls = []
 
         def counting(self):
             calls.append(self)
             return real(self)
 
-        monkeypatch.setattr(engine.Descriptor, "support", counting)
+        monkeypatch.setattr(PauliSum, "support", counting)
         circuit = random_circuit(random.Random(5), 10, 24)
         report = dependency_trace(circuit)
         assert len(report.per_step) == 25
-        assert len(calls) <= 10 * 25
+        assert 0 < len(calls) <= 3 * 10 * 25
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_trace_equals_gate_by_gate_stepping(self, n):
+        """Per-step supports and the final set of the shared fold equal a
+        reference that steps ``apply_gate`` and ``add_ancilla``."""
+        from dhsim.engine import AddAncilla, add_ancilla, apply_gate, step_label
+        from dhsim.protocols import _traced
+        rng = random.Random(900 + n)
+        for _ in range(5):
+            steps, final = random_steps(rng, n, 3 * n + 4)
+            set_ = initial_set(n)
+            want = [("initial", tuple(tuple(sorted(d.support()))
+                                      for d in set_.descriptors))]
+            for step in steps:
+                set_ = (add_ancilla(set_) if isinstance(step, AddAncilla)
+                        else apply_gate(set_, step))
+                want.append((step_label(step), tuple(tuple(sorted(d.support()))
+                                                     for d in set_.descriptors)))
+            report, got = _traced(Circuit(n, steps))
+            assert list(report.per_step) == want
+            assert report.per_qubit == want[-1][1]
+            assert got.n == set_.n == final
+            assert got.descriptors == set_.descriptors
+            assert got.history == set_.history == tuple(steps)
 
     def test_replaced_bystander_component_is_scanned_afresh(self, monkeypatch):
         """A bystander component swapped for a new sum with a wider support
         trips the locality check, although every sum remembers its support."""
         from dhsim import protocols
-        from dhsim.engine import Descriptor
-        real = protocols.apply_gate
+        real = protocols._fold
 
-        def leaky(set_, gate):
-            out = real(set_, gate)
-            if gate.operands != (0, 1):
-                return out
-            descs = list(out.descriptors)
-            qx, qy, qz = descs[2].components()
-            descs[2] = Descriptor(qx * PauliSum.single(out.n, 0, Z), qy, qz)
-            return DescriptorSet(out.n, tuple(descs), out.history)
+        def leaky(circuit):
+            for step, comps in zip((None,) + circuit.steps, real(circuit)):
+                if getattr(step, "operands", None) == (0, 1):
+                    qx, qy, qz = comps[2]
+                    comps[2] = (qx * PauliSum.single(len(comps), 0, Z), qy, qz)
+                yield comps
 
-        monkeypatch.setattr(protocols, "apply_gate", leaky)
+        monkeypatch.setattr(protocols, "_fold", leaky)
         circuit = Circuit(3, (Gate("H", (2,)), Gate("H", (0,)), Gate("CNOT", (0, 1))))
         with pytest.raises(AssertionError, match="locality violated for bystander 3"):
             dependency_trace(circuit)
-        monkeypatch.setattr(protocols, "apply_gate", real)
+        monkeypatch.setattr(protocols, "_fold", real)
         assert dependency_trace(circuit).per_qubit == ((0, 1), (0, 1), (2,))
 
     def test_per_step_log(self):
@@ -100,10 +123,10 @@ class TestEntanglementSwap:
 
     def test_final_descriptors_against_oracle(self, swap_result):
         s = swap_result.final_set
-        u = oracle.circuit_unitary(6, gate_steps(s))
+        u = matrices.circuit_unitary(6, gate_steps(s))
         for a in range(6):
             for w in (X, Y, Z):
-                want = oracle.conjugate(u, PauliSum.single(6, a, w))
+                want = matrices.conjugate(u, PauliSum.single(6, a, w))
                 assert s.component(a, w) == want
 
     def test_unentangled_pairs_are_fully_mixed(self, swap_result):
@@ -127,16 +150,18 @@ class TestEntanglementSwap:
         of the seven gates is applied once, and no second fold runs."""
         import sys
         from dhsim import engine, protocols
-        real_apply, real_evolve = engine.apply_gate, engine.evolve_circuit
+        real_fold, real_evolve = engine._fold, engine.evolve_circuit
         applied, evolved = [], []
 
-        def counting(set_, gate):
-            applied.append(gate)
-            return real_apply(set_, gate)
+        def counting(circuit):
+            for step, comps in zip((None,) + circuit.steps, real_fold(circuit)):
+                if isinstance(step, Gate):
+                    applied.append(step)
+                yield comps
 
         for module in [m for name, m in sys.modules.items() if name.startswith("dhsim")]:
-            if getattr(module, "apply_gate", None) is real_apply:
-                monkeypatch.setattr(module, "apply_gate", counting)
+            if getattr(module, "_fold", None) is real_fold:
+                monkeypatch.setattr(module, "_fold", counting)
             if getattr(module, "evolve_circuit", None) is real_evolve:
                 monkeypatch.setattr(module, "evolve_circuit", evolved.append)
         result = protocols.run_entanglement_swap()
@@ -231,11 +256,11 @@ class TestGeneralizedMeasurementDemo:
     def test_rotated_descriptors_verified(self):
         demo = run_generalized_measurement_demo()
         s = demo["rotated_set"]
-        u = oracle.circuit_unitary(2, gate_steps(s))
+        u = matrices.circuit_unitary(2, gate_steps(s))
         for a in range(2):
             for w in (X, Y, Z):
                 assert s.component(a, w) == \
-                    oracle.conjugate(u, PauliSum.single(2, a, w))
+                    matrices.conjugate(u, PauliSum.single(2, a, w))
 
 
 class TestUltimateChainDemo:

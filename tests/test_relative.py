@@ -18,7 +18,8 @@ from dhsim.relative import (
     measure, measure_in_basis, outcome_probability, povm_sum_check,
     relative_descriptor, relative_descriptor_pair, ultimate_state_chain,
 )
-from conftest import dense_density, random_circuit
+from conftest import dense_density, maximally_mixed, random_circuit
+import matrices
 
 
 def plus_state_set():
@@ -127,16 +128,16 @@ class TestRelativeDescriptor:
 
     def test_discarded_partner_changes_nothing(self):
         s = measured_plus()
-        d = relative_descriptor(s, 0, RelativeContext.maximally_mixed((1,)))
+        d = relative_descriptor(s, 0, maximally_mixed((1,)))
         assert d.components() == s.descriptor(0).components()
 
     def test_operator_level_oracle_check(self):
         # q_x (1 + q_z_partner) equals the evolved image of X (1 + Z).
         s = measured_plus()
         d = relative_descriptor(s, 0, RelativeContext.computational(1, 0))
-        u = oracle.circuit_unitary(2, gate_steps(s))
+        u = matrices.circuit_unitary(2, gate_steps(s))
         fixed = parse_sum("1 * X⊗I + 1 * X⊗Z")
-        assert d.qx == oracle.conjugate(u, fixed)
+        assert d.qx == matrices.conjugate(u, fixed)
 
     def test_matches_partial_trace(self):
         rng = random.Random(31)
@@ -149,7 +150,7 @@ class TestRelativeDescriptor:
             rho = np.outer(psi, psi.conj())
             proj = np.diag([1.0, 0.0] if bit == 0 else [0.0, 1.0])
             for w, comp in zip((X, Y, Z), d.components()):
-                sigma = oracle.string_matrix((w,))
+                sigma = matrices.string_matrix((w,))
                 want = np.trace(rho @ np.kron(sigma, proj)) * 2
                 got = complex(vacuum_expectation(comp))
                 assert abs(got - want) < 1e-9
@@ -176,7 +177,7 @@ class TestRelativeDescriptor:
 class TestRelativeDescriptorPair:
     def test_maximally_mixed_pair_changes_nothing(self, swap_result):
         s = swap_result.final_set
-        ctx = RelativeContext.maximally_mixed((4, 5))
+        ctx = maximally_mixed((4, 5))
         d = relative_descriptor_pair(s, 0, ctx)
         assert d.components() == s.descriptor(0).components()
 
