@@ -14,8 +14,9 @@ from fractions import Fraction
 from dhsim import Gate, X, Y, Z, apply_gate, expectation, initial_set
 from dhsim.density import diagonal_probabilities
 from dhsim.relative import (
-    RelativeContext, measure, measure_in_basis, outcome_probability,
-    povm_sum_check, relative_descriptor, ultimate_state_chain,
+    RelativeContext, context_factor, measure, measure_in_basis,
+    outcome_probability, povm_sum_check, relative_descriptor,
+    ultimate_state_chain,
 )
 
 
@@ -45,8 +46,9 @@ def main():
 
     zero = RelativeContext.computational(1, 0)
     one = RelativeContext.computational(1, 1)
-    rel0 = relative_descriptor(s, 0, zero)
-    rel1 = relative_descriptor(s, 0, one)
+    # A context's factor is built once and conditions any qubit.
+    rel0 = relative_descriptor(s, 0, context_factor(s, zero))
+    rel1 = relative_descriptor(s, 0, context_factor(s, one))
     print("\nsystem relative to ancilla outcomes (unnormalized):")
     print(f"  |0>: x = {rel0.qx}")
     print(f"  |1>: x = {rel1.qx}")
@@ -66,7 +68,7 @@ def main():
 
     # Push the record one system further: measure the ancilla too.
     s = measure(s, 1)
-    plus, minus, third = ultimate_state_chain(s, 1)
+    plus, minus, third, _ = ultimate_state_chain(s, 1)
     print(f"\nancilla conditioned on its own measurer (qubit {third + 1}):")
     print(f"  q+_z = {plus.qz}")
     print(f"  q-_z = {minus.qz}")

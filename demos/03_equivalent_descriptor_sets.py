@@ -32,9 +32,10 @@ def main():
     for t in group:
         print(f"  {t.slot_cycles()}")
 
-    family = generate_equivalent_sets(canonical_signs(seed), rho)
+    # Each set comes with its table, from the products that validated it.
+    family = generate_equivalent_sets(canonical_signs(seed), rho, group)
     print(f"\nequivalence class: {len(family)} descriptor sets")
-    for k, member in enumerate(family, 1):
+    for k, (member, _) in enumerate(family, 1):
         d1, d2 = member.descriptor(0), member.descriptor(1)
         print(f"  [{k:2d}] q1 = ({d1.qx}; {d1.qy}; {d1.qz})   "
               f"q2 = ({d2.qx}; {d2.qy}; {d2.qz})")
@@ -48,7 +49,7 @@ def main():
         ops = (0, 1) if kind == "CNOT" else (rng.randrange(2),)
         gates.append(Gate(kind, ops))
     tables = []
-    for member in family:
+    for member, _ in family:
         evolved = member
         for g in gates:
             evolved = apply_gate(evolved, g)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from dhsim import Gate, apply_gate, initial_set
 from dhsim.density import (
     expectation_table, mixture_representation, purity_condition,
-    schmidt_coefficients, simply_reduce,
+    reconstruct_density, schmidt_coefficients, simply_reduce,
 )
 from dhsim.uniqueness import construct_from_density
 from dhsim.density import DensityMatrix
@@ -27,9 +27,10 @@ def bell_pair():
 
 def main():
     pair = bell_pair()
-    total, mixed = purity_condition(pair, (0, 1))
+    rho = reconstruct_density(pair, (0, 1))
+    total, mixed = purity_condition(rho)
     print(f"entangled pair: purity sum {total} -> mixed = {mixed}")
-    sc = schmidt_coefficients(pair, (0, 1))
+    sc = schmidt_coefficients(rho)
     print(f"  diagonal-form coefficients ({sc.a}, {sc.b}, {sc.c}, {sc.d}), "
           f"squares sum to {sc.rule_sum()}")
 

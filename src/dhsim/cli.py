@@ -43,8 +43,8 @@ from .density import (
     reconstruct_density,
 )
 from .uniqueness import (
-    NotFound, _generate_equivalent_sets, canonical_signs,
-    construct_from_density, density_symmetries, validate_basis,
+    NotFound, canonical_signs, construct_from_density, density_symmetries,
+    generate_equivalent_sets, validate_basis,
 )
 from .protocols import (
     PAIRS_1BASED, dependency_trace, run_entanglement_swap,
@@ -339,7 +339,7 @@ def _cmd_symmetries(cfg: RunConfig) -> dict:
         raise ParseError(None, None, "symmetries needs a two-qubit circuit")
     rho = reconstruct_density(set_, [0, 1])
     transforms = density_symmetries(rho)
-    sets = _generate_equivalent_sets(canonical_signs(set_), rho, transforms)
+    sets = generate_equivalent_sets(canonical_signs(set_), rho, transforms)
     out = {
         "transform_count": len(transforms),
         "transforms": sorted(t.slot_cycles() for t in transforms),
@@ -482,6 +482,9 @@ _HANDLERS = {
 
 def run_report(cfg: RunConfig) -> tuple[int, dict]:
     """Execute a subcommand; returns (exit code, report)."""
+    if cfg.subcommand.endswith("-demo") and cfg.input_path:
+        raise ParseError(None, None, f"{cfg.subcommand} builds its own circuit; "
+                                     "run it without a circuit file")
     sections = _HANDLERS[cfg.subcommand](cfg)
     report = {"subcommand": cfg.subcommand, "sections": sections}
     code = EXIT_VERIFY if cfg.verify and not sections["verified"] else EXIT_OK

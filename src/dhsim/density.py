@@ -7,8 +7,9 @@ subset-product averages otherwise), purity sums, Schmidt combinations,
 the positivity of a density (``is_positive``, fraction-free elimination
 over the Gaussian integers) and mixture weights
 (``mixture_representation``, Gaussian elimination over the rationals).
-A pair's density, purity sum and Schmidt coefficients all derive from one
-expectation table.
+A table becomes a density through ``table_density``, and a pair's purity
+sum and Schmidt coefficients take that density, so all three derive from
+one expectation table.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .pauli import (
     I, X, Y, Z,
-    ONE, ZERO, ComplexDyadic, PauliSum, sum_mul, vacuum_expectation, x_kernel,
+    ONE, ComplexDyadic, PauliSum, sum_mul, vacuum_expectation, x_kernel,
 )
 from .engine import Descriptor, DescriptorSet, expectations
 
@@ -169,18 +170,19 @@ def reconstruct_density(set_: DescriptorSet, qubits: Sequence[int]) -> DensityMa
     qubits = list(qubits)
     if not qubits:
         raise ValueError("subset must be nonempty")
-    return _table_density(len(qubits), expectation_table(set_, qubits))
+    return table_density(expectation_table(set_, qubits))
 
 
-def _table_density(k: int, table: Mapping[MultiIndex, ComplexDyadic]) -> DensityMatrix:
-    """The checked density whose coefficients are a k-qubit table's averages."""
+def table_density(table: Mapping[MultiIndex, ComplexDyadic]) -> DensityMatrix:
+    """The checked density whose coefficients are a table's averages; the
+    number of qubits is the length of a key."""
     coeffs: dict[MultiIndex, Fraction] = {}
     for index, value in table.items():
         if not value.is_real:
             raise ValueError(f"non-real coefficient {value} at {index}")
         if value:
             coeffs[index] = value.re
-    rho = DensityMatrix(k, coeffs)
+    rho = DensityMatrix(len(next(iter(table))), coeffs)
     rho.validate()
     return rho
 
@@ -246,27 +248,16 @@ def diagonal_probabilities(set_: DescriptorSet, qubits: Sequence[int]) -> list[F
     return probs
 
 
-def purity_condition(set_: DescriptorSet, pair: Sequence[int]) -> tuple[Fraction, bool]:
-    """Purity sum for a qubit pair and the mixedness flag (sum < 3).
+def purity_condition(rho: DensityMatrix) -> tuple[Fraction, bool]:
+    """Purity sum of a pair's density and the mixedness flag (sum < 3).
 
     The sum of squared averages over single and joint components satisfies
     Tr rho^2 = (1 + sum) / 4, which is asserted exactly.
     """
-    a, b = pair
-    table = expectation_table(set_, [a, b])
-    return _purity_sum(table, _table_density(2, table))
-
-
-def _purity_sum(table: Mapping[MultiIndex, ComplexDyadic],
-                rho: DensityMatrix) -> tuple[Fraction, bool]:
-    """``purity_condition`` of a pair table and its checked density.  The
-    averages are real, so their squares are summed as ``ComplexDyadic``s,
-    integer numerators over a power of two, and read out as one Fraction."""
-    squares = ZERO
-    for (i, j), value in table.items():
-        if i or j:
-            squares += value * value
-    total = squares.re
+    if rho.n != 2:
+        raise ValueError("the purity condition is defined for qubit pairs")
+    total = sum((c * c for index, c in rho.coeffs.items() if any(index)),
+                Fraction(0))
     if rho.purity_trace() != (1 + total) / 4:
         raise AssertionError("purity sum does not match Tr rho^2")
     return total, total < 3
@@ -285,36 +276,22 @@ class SchmidtCoefficients:
         return self.a ** 2 + self.b ** 2 + self.c ** 2 + self.d ** 2
 
 
-def schmidt_coefficients(set_: DescriptorSet, pair: Sequence[int]) -> SchmidtCoefficients:
+def schmidt_coefficients(rho: DensityMatrix) -> SchmidtCoefficients:
     """Coefficients of the (1 +/- sigma_z) x (1 +/- sigma_z) decomposition.
 
     Requires a pure pair whose diagonal correlation basis is computational;
     the normalization a^2 + b^2 + c^2 + d^2 = 1 is verified exactly.
     """
-    table = expectation_table(set_, list(pair))
-    total, mixed = _purity_sum(table, _table_density(2, table))
+    total, mixed = purity_condition(rho)
     if mixed:
-        raise ValueError(f"pair {tuple(pair)} is mixed (purity sum {total} < 3)")
-    return _table_schmidt(table)
-
-
-def _table_schmidt(t: Mapping[MultiIndex, ComplexDyadic]) -> SchmidtCoefficients:
-    """``schmidt_coefficients`` of a pure pair's table."""
-
-    def real(i: int, j: int) -> Fraction:
-        value = t[i, j]
-        if not value.is_real:
-            raise ValueError("expectation table is not real")
-        return value.re
-
-    a = (real(I, I) + real(Z, I) + real(I, Z) + real(Z, Z)) / 4
-    d = (real(I, I) - real(Z, I) - real(I, Z) + real(Z, Z)) / 4
-    b_re = (real(X, X) - real(Y, Y)) / 4
-    c_re = b_re
-    cross = (real(Y, X) + real(X, Y)) / 4
-    if cross:
+        raise ValueError(f"pair is mixed (purity sum {total} < 3)")
+    t = rho.coefficient
+    a = (1 + t((Z, I)) + t((I, Z)) + t((Z, Z))) / 4
+    d = (1 - t((Z, I)) - t((I, Z)) + t((Z, Z))) / 4
+    b_re = (t((X, X)) - t((Y, Y))) / 4
+    if t((Y, X)) + t((X, Y)):
         raise ValueError("pair is not in real diagonal form")
-    coeffs = SchmidtCoefficients(a, b_re, c_re, d)
+    coeffs = SchmidtCoefficients(a, b_re, b_re, d)
     if coeffs.rule_sum() != 1:
         raise ValueError(
             f"normalization {coeffs.rule_sum()} != 1: pair is not "
@@ -342,10 +319,9 @@ def simply_reduce(value: Descriptor | PauliSum, subset: Iterable[int]):
 def density_report(set_: DescriptorSet, qubits: Sequence[int]) -> dict:
     """JSON-ready analysis of a subset: sparse coefficients, diagonal,
     and for pairs the purity sum plus Schmidt coefficients when defined,
-    all from one expectation table."""
+    all from one density."""
     qubits = list(qubits)
-    table = expectation_table(set_, qubits)
-    rho = _table_density(len(qubits), table)
+    rho = table_density(expectation_table(set_, qubits))
     letters = "IXYZ"
     report: dict = {
         "qubits": [q + 1 for q in qubits],
@@ -355,12 +331,12 @@ def density_report(set_: DescriptorSet, qubits: Sequence[int]) -> dict:
         "diagonal": [str(p) for p in diagonal_probabilities(set_, qubits)],
     }
     if len(qubits) == 2:
-        total, mixed = _purity_sum(table, rho)
+        total, mixed = purity_condition(rho)
         report["purity_sum"] = str(total)
         report["mixed"] = mixed
         if not mixed:
             try:
-                sc = _table_schmidt(table)
+                sc = schmidt_coefficients(rho)
                 report["schmidt"] = [str(v) for v
                                      in (sc.a, sc.b, sc.c, sc.d)]
             except ValueError:

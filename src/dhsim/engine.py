@@ -17,7 +17,7 @@ of the evolved strings in place would be wrong.
 A gate kind is one ``_RULES`` entry, with one row triple per operand, so
 its arity is its row count (``GATE_ARITY``).  Every rule has one applier
 (``_rewrite``), which ``apply_gate`` uses on a descriptor set and
-``_fold`` runs over a circuit on bare component triples; ``evolve_circuit``
+``fold`` runs over a circuit on bare component triples; ``evolve_circuit``
 and the dependency trace both consume that fold.
 """
 
@@ -278,7 +278,7 @@ def heisenberg_image(set_: DescriptorSet, operator: PauliSum) -> PauliSum:
     return out
 
 
-def _fold(circuit: Circuit) -> Iterator[list[_Triple]]:
+def fold(circuit: Circuit) -> Iterator[list[_Triple]]:
     """The fresh register's component triples, then the same list after
     each step of the circuit in turn (one new list per ancilla).
 
@@ -303,7 +303,7 @@ def _fold(circuit: Circuit) -> Iterator[list[_Triple]]:
 
 def evolve_circuit(circuit: Circuit) -> DescriptorSet:
     """Run the fold to its end; the descriptor set is built once, there."""
-    for comps in _fold(circuit):
+    for comps in fold(circuit):
         pass
     return DescriptorSet(len(comps), tuple(Descriptor(*c) for c in comps),
                          circuit.steps)

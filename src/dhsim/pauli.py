@@ -409,13 +409,17 @@ class PauliSum:
         return self._support
 
     def restrict(self, qubits: Iterable[int]) -> "PauliSum":
-        """Drop all slots outside ``qubits`` (callers must check support)."""
+        """The sum on the ``qubits`` slots, every other slot evaluated in
+        |0>: a term with X or Y on a dropped slot vanishes, I and Z give 1."""
         keep = sorted(qubits)
         if keep and not (0 <= keep[0] and keep[-1] < self.n):
             raise IndexError(f"slots {keep} are not all in a {self.n}-qubit sum")
         moves = list(enumerate(keep))
+        dropped_x = _x_mask(self.n) & ~sum(1 << 2 * q for q in set(keep))
         terms: dict[int, ComplexDyadic] = {}
         for key, coef in self._terms.items():
+            if key & dropped_x:
+                continue
             kept = 0
             for j, q in moves:
                 kept |= (key >> 2 * q & 3) << 2 * j

@@ -2,6 +2,13 @@
 three-system conditioning chain, and the six-qubit entanglement swap with
 dependency tracing.
 
+Every analysis here calls the public form of its operation on the value
+it already holds: ``dependency_trace`` returns the final set of the one
+``engine.fold`` it reads, each record context's ``context_factor`` feeds
+both ``relative_descriptor`` and ``conditional_restriction``, and a reduced
+pair's ``validate_basis`` report carries the table its density is built
+from.
+
 Qubit labels in every report are 1-based.
 """
 
@@ -15,27 +22,29 @@ from typing import Mapping
 from .pauli import I, X, Y, Z, vacuum_expectation
 from .engine import (
     AddAncilla, Circuit, Descriptor, DescriptorSet, Gate,
-    _fold, add_ancilla, apply_gate, expectations, initial_set, step_label,
+    add_ancilla, apply_gate, expectations, fold, initial_set, step_label,
 )
 from .density import (
-    DensityMatrix, _purity_sum, _table_density, diagonal_probabilities,
-    expectation_table, reconstruct_density,
+    DensityMatrix, diagonal_probabilities, expectation_table, purity_condition,
+    reconstruct_density, table_density,
 )
 from .relative import (
-    RelativeContext, _context_factor, _inverse_weight, _reduce, _relative,
-    _restriction, _ultimate_state_chain, measure, relative_descriptor,
+    RelativeContext, conditional_restriction, context_factor, measure,
+    relative_descriptor, ultimate_state_chain,
 )
-from .uniqueness import _report_and_table
+from .uniqueness import validate_basis
 
 COMPONENTS = (X, Y, Z)
 
 
 @dataclass(frozen=True)
 class DependencyReport:
-    """Hilbert-space factors each qubit's descriptor touches (0-based sets)."""
+    """Hilbert-space factors each qubit's descriptor touches (0-based sets),
+    after each step of a circuit, and the circuit's final descriptor set."""
 
     per_qubit: tuple[tuple[int, ...], ...]
-    per_step: tuple[tuple[str, tuple[tuple[int, ...], ...]], ...] = ()
+    per_step: tuple[tuple[str, tuple[tuple[int, ...], ...]], ...]
+    final_set: DescriptorSet
 
     def supports_1based(self) -> dict[int, list[int]]:
         return {q + 1: [f + 1 for f in fs]
@@ -48,28 +57,21 @@ def _supports(comps) -> tuple[tuple[int, ...], ...]:
                  for qx, qy, qz in comps)
 
 
-def dependency_trace(target: DescriptorSet | Circuit) -> DependencyReport:
-    """Support of every qubit's descriptor, per step for a circuit input.
+def dependency_trace(circuit: Circuit) -> DependencyReport:
+    """Support of every qubit's descriptor after each step of a circuit.
 
-    For a circuit the locality rule is asserted along the way: a gate can
-    only change the support of its own operands, and only by pulling in
-    factors the operands already touched.  Each step's supports are
-    computed once and serve as the next step's "before".  Each sum
-    remembers its support, so only a replaced component is scanned again.
+    The locality rule is asserted along the way: a gate can only change the
+    support of its own operands, and only by pulling in factors the
+    operands already touched.  Each step's supports are computed once and
+    serve as the next step's "before".  Each sum remembers its support, so
+    only a replaced component is scanned again.  The final set is the one
+    the fold reaches, the same ``engine.fold`` that ``evolve_circuit`` runs.
     """
-    if isinstance(target, DescriptorSet):
-        return DependencyReport(_supports(d.components() for d in target.descriptors))
-    return _traced(target)[0]
-
-
-def _traced(circuit: Circuit) -> tuple[DependencyReport, DescriptorSet]:
-    """``dependency_trace`` of a circuit, and the final set of the same
-    ``engine._fold`` that ``evolve_circuit`` runs."""
-    fold = _fold(circuit)
-    comps = next(fold)
+    steps_fold = fold(circuit)
+    comps = next(steps_fold)
     supports = _supports(comps)
     steps = [("initial", supports)]
-    for step, comps in zip(circuit.steps, fold):
+    for step, comps in zip(circuit.steps, steps_fold):
         before, supports = supports, _supports(comps)
         if isinstance(step, Gate):
             reachable = set(step.operands)
@@ -83,7 +85,7 @@ def _traced(circuit: Circuit) -> tuple[DependencyReport, DescriptorSet]:
         steps.append((step_label(step), supports))
     final = DescriptorSet(len(comps), tuple(Descriptor(*c) for c in comps),
                           circuit.steps)
-    return DependencyReport(supports, tuple(steps)), final
+    return DependencyReport(supports, tuple(steps), final)
 
 
 def swap_circuit() -> Circuit:
@@ -130,25 +132,22 @@ class SwapResult:
 
 
 def _swap_relative_outcomes(set_: DescriptorSet) -> tuple[RelativeBellOutcome, ...]:
-    """The four record outcomes, each context's factor and weight built once.
+    """The four record outcomes, each context's factor built once.
 
-    ``conditional_restriction`` of a component reduces the component times
-    the factor, which is the conditioned component already built here, so
-    the reductions start from those.
+    ``conditional_restriction`` reduces a component already conditioned on
+    the factor, so the reductions start from the conditioned descriptors.
     """
     base: dict[tuple[int, int], tuple[Descriptor, Descriptor]] = {}
     outcomes = []
     diag = diagonal_probabilities(set_, [4, 5])
     for k, bits in enumerate(itertools.product((0, 1), repeat=2)):
-        factor = _context_factor(
+        factor = context_factor(
             set_, RelativeContext.pair_computational((4, 5), bits))
-        inverse = _inverse_weight(factor)
-        cond1 = _relative(set_, 0, factor)
-        cond4 = _relative(set_, 3, factor)
-        red1 = Descriptor(*(_reduce(c, (0, 3), inverse)
-                            for c in cond1.components()))
-        red4 = Descriptor(*(_reduce(c, (0, 3), inverse)
-                            for c in cond4.components()))
+        cond1 = relative_descriptor(set_, 0, factor)
+        cond4 = relative_descriptor(set_, 3, factor)
+        red1, red4 = (Descriptor(*(conditional_restriction(c, (0, 3), factor)
+                                   for c in cond.components()))
+                      for cond in (cond1, cond4))
         if bits == (0, 0):
             base[0, 0] = (red1, red4)
         ref1, ref4 = base[0, 0]
@@ -168,17 +167,14 @@ def run_entanglement_swap() -> SwapResult:
     produces, after reduction, the four maximally entangled pair
     descriptors with sign patterns (++--) on q_1x and (+-+-) on q_4z.
     """
-    dependency, set_ = _traced(swap_circuit())
-    densities = {}
-    purities = {}
-    for pair in PAIRS_1BASED:
-        table = expectation_table(set_, (pair[0] - 1, pair[1] - 1))
-        densities[pair] = _table_density(2, table)
-        purities[pair] = _purity_sum(table, densities[pair])
+    dependency = dependency_trace(swap_circuit())
+    set_ = dependency.final_set
+    densities = {(a, b): table_density(expectation_table(set_, (a - 1, b - 1)))
+                 for a, b in PAIRS_1BASED}
     return SwapResult(
         final_set=set_,
         pair_densities=densities,
-        pair_purity=purities,
+        pair_purity={pair: purity_condition(rho) for pair, rho in densities.items()},
         relative_bell=_swap_relative_outcomes(set_),
         dependency=dependency,
     )
@@ -189,15 +185,14 @@ def swap_relative_bell(result: SwapResult) -> tuple[RelativeBellOutcome, ...]:
 
     Each reduced pair is a proper two-qubit basis with purity sum 3 (a
     pure, maximally entangled pair); both facts are asserted here, on the
-    basis report and the table of one pass of the pair's sixteen products.
+    pair's basis report and the density of the report's table.
     """
     for outcome in result.relative_bell:
-        reduced = DescriptorSet(2, (outcome.reduced_1, outcome.reduced_4))
-        report, table = _report_and_table(reduced)
+        report = validate_basis(DescriptorSet(2, (outcome.reduced_1, outcome.reduced_4)))
         if not report.well_formed:
             raise AssertionError(
                 f"reduced pair for bits {outcome.bits} is not a proper basis")
-        total, mixed = _purity_sum(table, _table_density(2, table))
+        total, mixed = purity_condition(table_density(report.table))
         if mixed or total != 3:
             raise AssertionError(
                 f"reduced pair for bits {outcome.bits} is not pure")
@@ -247,12 +242,13 @@ def run_ultimate_chain_demo() -> dict:
     set_ = apply_gate(set_, Gate("H", (0,)))
     set_ = measure(set_, 0)            # ancilla is qubit 2
     two_qubit = set_
-    rel_zero = relative_descriptor(two_qubit, 0, RelativeContext.computational(1, 0))
-    rel_one = relative_descriptor(two_qubit, 0, RelativeContext.computational(1, 1))
+    rel_zero, rel_one = (
+        relative_descriptor(two_qubit, 0, context_factor(
+            two_qubit, RelativeContext.computational(1, bit))) for bit in (0, 1))
     set_ = measure(set_, 1)            # third system is qubit 3
     # Each third-system factor is built once and serves both the chained
     # ancilla state and the restriction of the system conditioned on it.
-    plus, minus, third, factors = _ultimate_state_chain(set_, 1)
+    plus, minus, third, factors = ultimate_state_chain(set_, 1)
     sum_ok = all(p + m == set_.component(1, w).scale(2)
                  for p, m, w in zip(plus.components(), minus.components(),
                                     COMPONENTS))
@@ -264,10 +260,10 @@ def run_ultimate_chain_demo() -> dict:
               for name, desc in (("plus", plus), ("minus", minus))}
     cross = {}
     for bit, (reference, factor) in enumerate(zip((rel_zero, rel_one), factors)):
-        reduced = Descriptor(*(_restriction(c, (0, 1), factor)
-                               for c in set_.descriptor(0).components()))
-        cross[bit] = all(r == c for r, c in zip(reference.components(),
-                                                reduced.components()))
+        conditioned = relative_descriptor(set_, 0, factor)
+        reduced = [conditional_restriction(c, (0, 1), factor)
+                   for c in conditioned.components()]
+        cross[bit] = all(r == c for r, c in zip(reference.components(), reduced))
     return {
         "set": set_,
         "relative_zero": rel_zero,

@@ -6,6 +6,11 @@ all a projective measurement can do.  Conditioning on a state of another
 subsystem multiplies a descriptor by an unnormalized (1 + ...) factor; the
 outcome probability is reported separately rather than divided out, which
 keeps the sum-over-a-complete-measurement identity exact.
+
+A context's factor is built once, by ``context_factor``, and is the input
+of the analyses that use it: ``relative_descriptor`` conditions a qubit on
+it, ``conditional_restriction`` reduces an operator already conditioned on
+it, and ``ultimate_state_chain`` returns the two it builds.
 """
 
 from __future__ import annotations
@@ -123,8 +128,13 @@ def measure_in_basis(set_: DescriptorSet, system_qubit: int,
     return measure(out, system_qubit)
 
 
-def _context_factor(set_: DescriptorSet, ctx: RelativeContext) -> PauliSum:
-    """weight * 1 + sum over the context table of <sigma> times partner components."""
+def context_factor(set_: DescriptorSet, ctx: RelativeContext) -> PauliSum:
+    """The conditioning factor of a context: weight * 1 + sum over the
+    context table of <sigma> times the matching partner components, that is
+    weight + sum_n <sigma_n> q_{a,n} for one partner and
+    weight + sum_{nm} <sigma_n x sigma_m> q_{an} q_{bm} for two; for a
+    computational-basis pair context the latter is the product of the two
+    single-qubit outcome factors."""
     factor = PauliSum.identity(set_.n).scale(ctx.weight)
     index = [I] * set_.n
     for key, value in sorted(ctx.table.items()):
@@ -135,21 +145,13 @@ def _context_factor(set_: DescriptorSet, ctx: RelativeContext) -> PauliSum:
 
 
 def relative_descriptor(set_: DescriptorSet, qubit: int,
-                        ctx: RelativeContext) -> Descriptor:
+                        factor: PauliSum) -> Descriptor:
     """Descriptor of one qubit relative to a state of one or two partner qubits.
 
-    Each component is multiplied on the right by the context factor,
-    weight + sum_n <sigma_n> q_{a,n} for one partner and
-    weight + sum_{nm} <sigma_n x sigma_m> q_{an} q_{bm} for two; for a
-    computational-basis pair context the latter is the product of the two
-    single-qubit outcome factors.  No normalization by the outcome
-    probability is applied.
+    Each component is multiplied on the right by the context's factor
+    (``context_factor``).  No normalization by the outcome probability is
+    applied.
     """
-    return _relative(set_, qubit, _context_factor(set_, ctx))
-
-
-def _relative(set_: DescriptorSet, qubit: int, factor: PauliSum) -> Descriptor:
-    """``relative_descriptor`` for a context factor already built."""
     return Descriptor(*(sum_mul(c, factor)
                         for c in set_.descriptor(qubit).components()))
 
@@ -160,8 +162,7 @@ relative_descriptor_pair = relative_descriptor
 
 def outcome_probability(set_: DescriptorSet, ctx: RelativeContext) -> Fraction:
     """Probability weight of the conditioning context: <factor> / 2**k."""
-    factor = _context_factor(set_, ctx)
-    value = vacuum_expectation(factor)
+    value = vacuum_expectation(context_factor(set_, ctx))
     if not value.is_real:
         raise ContextError("context probability came out complex")
     return value.re / (2 ** len(ctx.target_qubits))
@@ -191,7 +192,7 @@ def povm_sum_check(set_: DescriptorSet, qubit: int,
     m = len(povm)
     summed = [PauliSum.zero(set_.n)] * 3
     for ctx in povm:
-        cond = relative_descriptor(set_, qubit, ctx)
+        cond = relative_descriptor(set_, qubit, context_factor(set_, ctx))
         summed = [acc + comp for acc, comp in zip(summed, cond.components())]
     original = set_.descriptor(qubit)
     return all(acc == comp.scale(m)
@@ -199,23 +200,17 @@ def povm_sum_check(set_: DescriptorSet, qubit: int,
 
 
 def ultimate_state_chain(set_: DescriptorSet, ancilla_qubit: int
-                         ) -> tuple[Descriptor, Descriptor, int]:
+                         ) -> tuple[Descriptor, Descriptor, int,
+                                    tuple[PauliSum, PauliSum]]:
     """Ancilla descriptors conditioned on |0> / |1> of its own measurer.
 
     Requires that the ancilla was itself measured (a CNOT with the ancilla
-    as control onto a later qubit).  Returns (q_plus, q_minus, third) with
-    q_pm = q_ancilla (1 +/- q_{third,z}); their sum is exactly twice the
-    unconditioned ancilla descriptor.
+    as control onto a later qubit).  Returns (q_plus, q_minus, third,
+    factors) with q_pm = q_ancilla (1 +/- q_{third,z}), whose sum is
+    exactly twice the unconditioned ancilla descriptor, and the factors of
+    the third system's |0> and |1> contexts, for callers that condition
+    more on them.
     """
-    plus, minus, third, _ = _ultimate_state_chain(set_, ancilla_qubit)
-    return plus, minus, third
-
-
-def _ultimate_state_chain(set_: DescriptorSet, ancilla_qubit: int
-                          ) -> tuple[Descriptor, Descriptor, int,
-                                     tuple[PauliSum, PauliSum]]:
-    """``ultimate_state_chain`` with the factors of the third system's |0>
-    and |1> contexts, for callers that condition more on them."""
     third = None
     for entry in set_.history:
         if isinstance(entry, AddAncilla):
@@ -225,23 +220,23 @@ def _ultimate_state_chain(set_: DescriptorSet, ancilla_qubit: int
     if third is None:
         raise ValueError(
             f"qubit {ancilla_qubit} has not been measured by a further system")
-    factors = tuple(_context_factor(set_, RelativeContext.computational(third, bit))
+    factors = tuple(context_factor(set_, RelativeContext.computational(third, bit))
                     for bit in (0, 1))
-    plus, minus = (_relative(set_, ancilla_qubit, f) for f in factors)
+    plus, minus = (relative_descriptor(set_, ancilla_qubit, f) for f in factors)
     return plus, minus, third, factors
 
 
-def conditional_restriction(set_: DescriptorSet, operator: PauliSum,
-                            keep: Sequence[int], ctx: RelativeContext
-                            ) -> PauliSum:
+def conditional_restriction(conditioned: PauliSum, keep: Sequence[int],
+                            factor: PauliSum) -> PauliSum:
     """Reduce a conditioned operator onto a factor space.
 
-    Multiplies the operator by the context factor, evaluates the dropped
-    slots in the universal state (each I or Z letter there contributes 1,
-    X or Y kills the term), and normalizes by the context average.  For
-    every operator B supported on ``keep``,
+    ``conditioned`` is an operator already multiplied by the context's
+    ``factor`` (a ``relative_descriptor`` component).  Its dropped slots
+    are evaluated in the universal state (``PauliSum.restrict``) and the
+    result is normalized by the context average, which must be a positive
+    real with a dyadic inverse.  For every operator B supported on ``keep``,
 
-        <restriction * B> = <operator * factor * B_extended> / <factor>
+        <restriction * B> = <conditioned * B_extended> / <factor>
 
     exactly, so the reduction represents the conditioned operator on the
     smaller space: all averages over the surviving subsystem are retained.
@@ -250,32 +245,10 @@ def conditional_restriction(set_: DescriptorSet, operator: PauliSum,
     the small descriptor of the surviving subsystem once the measurement
     record (the z components of the measured qubits) has been consumed.
     """
-    return _restriction(operator, keep, _context_factor(set_, ctx))
-
-
-def _restriction(operator: PauliSum, keep: Sequence[int], factor: PauliSum
-                 ) -> PauliSum:
-    """``conditional_restriction`` for a context factor already built."""
-    return _reduce(sum_mul(operator, factor), keep, _inverse_weight(factor))
-
-
-def _inverse_weight(factor: PauliSum) -> Fraction:
-    """1 / <factor>, checked to be a positive real with a dyadic inverse."""
     norm = vacuum_expectation(factor)
     if not norm.is_real or norm.re <= 0:
         raise ContextError("context has zero weight")
-    inv = Fraction(1) / norm.re
-    if inv.denominator & (inv.denominator - 1):
+    inverse = Fraction(1) / norm.re
+    if inverse.denominator & (inverse.denominator - 1):
         raise ContextError(f"context weight {norm.re} has no dyadic inverse")
-    return inv
-
-
-def _reduce(conditioned: PauliSum, keep: Sequence[int], inverse: Fraction
-            ) -> PauliSum:
-    """A conditioned operator evaluated in the universal state off ``keep``
-    and scaled by the inverse context weight (``conditional_restriction``)."""
-    complement = [q for q in range(conditioned.n) if q not in keep]
-    vacuum_off_keep = PauliSum(conditioned.n, {
-        letters: coef for letters, coef in conditioned.terms()
-        if all(letters[q] in (I, Z) for q in complement)})
-    return vacuum_off_keep.restrict(keep).scale(inverse)
+    return conditioned.restrict(keep).scale(inverse)

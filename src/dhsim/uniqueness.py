@@ -17,25 +17,27 @@ sets are among the second's for the Bell pair (12 of 48), but the routes
 do not agree on product states: there a flip of one qubit's x (or z) alone
 keeps the table and ``canonical_signs`` does not collapse it, so for |10>
 two of the four symmetry-route sets are enumerated only with other signs
-(ROADMAP item 3 replaces both routes by the vacuum-gauge orbit).
+(ROADMAP item 4 replaces both routes by the vacuum-gauge orbit).
 Enumeration and direct construction from a density share one search,
 ``_system_descriptors``, on the engine's own types: one-term ``PauliSum``
 strings, ``Descriptor.from_xz`` qubits, ``pauli.commute`` and
 ``vacuum_expectation``.  The symmetry search and ``apply_transform`` share
 one sign search, ``_transform_signs``, and ``canonical_signs`` and the class
 generation one flip rule, ``_canonical_flip``, decided on a built table.
-``generate_equivalent_sets`` builds each set once, and its sixteen products
-formed once give its basis report and its table; the private form returns
-the tables too, and ``symmetries --verify`` compares them with the oracle.
-``validate_basis`` takes all its inner products from one
-``pauli.inner_products`` pass over the sixteen products.
+``validate_basis`` forms a set's sixteen products once: its inner products
+come from one ``pauli.inner_products`` pass over them, and its report
+carries their averages as the set's table.  ``generate_equivalent_sets``
+takes the transforms ``density_symmetries`` found, builds each set once and
+returns it with the table of its report, which ``symmetries --verify``
+compares with the oracle.  Closure of the symmetries is checked with
+``SymmetryTransform.compose``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .pauli import (
     I, X, Y, Z, LETTER_NAMES, ZERO,
@@ -58,7 +60,9 @@ NotFound = Sentinel("NotFound")
 
 @dataclass(frozen=True)
 class BasisReport:
-    """Outcome of the proper-basis checks for a two-qubit descriptor set."""
+    """Outcome of the proper-basis checks for a two-qubit descriptor set,
+    with ``table``, the averages of the same sixteen products (index pairs
+    (i, j) to averages, in ``expectation_table`` order)."""
 
     independent_count: int
     orthogonal: bool
@@ -67,6 +71,7 @@ class BasisReport:
     traceless_ok: bool
     distinct_ok: bool
     violations: tuple[str, ...]
+    table: Mapping[tuple[int, int], ComplexDyadic]
 
     @property
     def well_formed(self) -> bool:
@@ -83,23 +88,12 @@ def validate_basis(set_: DescriptorSet) -> BasisReport:
     a proper basis has all sixteen distinct, mutually orthogonal, of unit
     norm, Hermitian, with traceless non-identity components.  Distinctness,
     the norms and the first non-orthogonal pair all come from the nonzero
-    inner products ``pauli.inner_products`` returns.
+    inner products ``pauli.inner_products`` returns; the report's table is
+    the vacuum averages of the same products.
     """
     if set_.n != 2:
         raise ValueError("basis validation is defined for two-qubit sets")
-    return _basis_report(set_, [component_product(set_, k) for k in _PAIR_KEYS])
-
-
-def _report_and_table(set_: DescriptorSet):
-    """``validate_basis`` and the expectation table of a two-qubit set, both
-    from one pass of its sixteen products: (report, table)."""
     products = [component_product(set_, key) for key in _PAIR_KEYS]
-    return (_basis_report(set_, products),
-            dict(zip(_PAIR_KEYS, map(vacuum_expectation, products))))
-
-
-def _basis_report(set_: DescriptorSet, products: list[PauliSum]) -> BasisReport:
-    """``validate_basis`` of a set whose sixteen products are given."""
     violations: list[str] = []
     inner = inner_products(products)
     norms = [inner.get((k, k), ZERO) for k in range(16)]
@@ -138,7 +132,8 @@ def _basis_report(set_: DescriptorSet, products: list[PauliSum]) -> BasisReport:
                 traceless_ok = False
                 violations.append(f"component ({a + 1},{LETTER_NAMES[i]}) has a trace")
     return BasisReport(independent_count, orthogonal, complete, hermitian,
-                       traceless_ok, distinct_ok, tuple(violations))
+                       traceless_ok, distinct_ok, tuple(violations),
+                       dict(zip(_PAIR_KEYS, map(vacuum_expectation, products))))
 
 
 # -- symmetry transforms -------------------------------------------------
@@ -277,13 +272,11 @@ def density_symmetries(rho: DensityMatrix) -> list[SymmetryTransform]:
     found = [transform for transform, signs
              in zip(candidates, _transform_signs(candidates, table))
              if signs is not None]
-    # Closure on (role_perm, swap) pairs: t1 after t2 is ``t1.compose(t2)``.
-    members = {(t.role_perm, t.swap) for t in found}
-    if ((X, Y, Z), False) not in members:
+    members = set(found)
+    if SymmetryTransform.identity() not in members:
         raise AssertionError("symmetry search lost the identity")
     for t1, t2 in itertools.product(found, repeat=2):
-        perm = tuple(t2.role_perm[r - X] for r in t1.role_perm)
-        if (perm, t1.swap ^ t2.swap) not in members:
+        if t1.compose(t2) not in members:
             raise AssertionError(
                 f"symmetries not closed: {t1.slot_cycles()} after {t2.slot_cycles()}")
     return found
@@ -371,31 +364,23 @@ def set_render_key(set_: DescriptorSet) -> tuple[str, ...]:
                  for a in range(set_.n) for r in COMPONENTS)
 
 
-def generate_equivalent_sets(seed: DescriptorSet, rho: DensityMatrix
-                             ) -> list[DescriptorSet]:
-    """The full equivalence class of descriptor sets for a state.
+def generate_equivalent_sets(seed: DescriptorSet, rho: DensityMatrix,
+                             transforms: Sequence[SymmetryTransform]) -> list[tuple]:
+    """The full equivalence class of descriptor sets for a state, as
+    (set, its table) pairs.
 
-    Applies every density symmetry to the seed, canonicalizes signs, and
-    deduplicates.  Every output passes basis validation and reproduces the
-    seed's complete expectation table; callers can cross-check the result
-    against brute-force enumeration.
+    Applies every transform of rho (``density_symmetries``) to the seed,
+    canonicalizes signs, and deduplicates.  Each set is built once: the
+    seed's components times the transform's signs and the canonical flip,
+    decided on the seed's table, the one the set must have.  Its basis
+    report gives its table, which must be the seed's.  A candidate equal to
+    an earlier output is that output, already checked.  Callers can
+    cross-check the result against brute-force enumeration.
     """
     if seed.n != 2:
         raise ValueError("equivalence classes are generated for two-qubit sets")
-    return [set_ for set_, _ in
-            _generate_equivalent_sets(seed, rho, density_symmetries(rho))]
-
-
-def _generate_equivalent_sets(seed: DescriptorSet, rho: DensityMatrix,
-                              transforms: Sequence[SymmetryTransform]):
-    """``generate_equivalent_sets`` with rho's symmetries already found, as
-    (set, its table) pairs.  Each set is built once: the seed's components
-    times the transform's signs and the canonical flip, decided on the
-    seed's table, the one the set must have.  One pass of its products
-    gives its basis report and its table, which must be the seed's.  A
-    candidate equal to an earlier output is that output, already checked.
-    """
-    report, seed_table = _report_and_table(seed)
+    report = validate_basis(seed)
+    seed_table = report.table
     if any(value != ComplexDyadic.of(rho.coefficient(index))
            for index, value in seed_table.items()):
         raise ValueError("seed does not reproduce the density")
@@ -418,14 +403,14 @@ def _generate_equivalent_sets(seed: DescriptorSet, rho: DensityMatrix,
         key = set_render_key(candidate)
         if key in outputs:
             continue
-        report, table = _report_and_table(candidate)
+        report = validate_basis(candidate)
         if not report.well_formed:
             raise AssertionError(
                 f"transform {transform.slot_cycles()} produced an invalid set")
-        if table != seed_table:
+        if report.table != seed_table:
             raise AssertionError(
                 f"transform {transform.slot_cycles()} changed the table")
-        outputs[key] = candidate, table
+        outputs[key] = candidate, report.table
     return [outputs[key] for key in sorted(outputs)]
 
 

@@ -23,11 +23,11 @@ from dhsim.density import (
     DensityMatrix, expectation_table, purity_condition, reconstruct_density,
 )
 from dhsim.relative import (
-    RelativeContext, measure, povm_sum_check, relative_descriptor,
-    ultimate_state_chain,
+    RelativeContext, context_factor, measure, povm_sum_check,
+    relative_descriptor, ultimate_state_chain,
 )
 from dhsim.uniqueness import (
-    NotFound, canonical_signs, construct_from_density,
+    NotFound, canonical_signs, construct_from_density, density_symmetries,
     generate_equivalent_sets, validate_basis,
 )
 from dhsim.protocols import run_entanglement_swap, swap_relative_bell
@@ -98,7 +98,8 @@ def test_criterion_02_uniqueness_twelve_sets():
     def body():
         seed = bell()
         rho = reconstruct_density(seed, [0, 1])
-        family = generate_equivalent_sets(canonical_signs(seed), rho)
+        family = [set_ for set_, _ in generate_equivalent_sets(
+            canonical_signs(seed), rho, density_symmetries(rho))]
         assert len(family) == 12
         want = expectation_table(seed, [0, 1])
         for member in family:
@@ -138,8 +139,10 @@ def test_criterion_04_measurement_relative_states():
         assert [s.component(1, w).render() for w in (X, Y, Z)] == \
             ["1 * I⊗X", "1 * X⊗Y", "1 * X⊗Z"]
 
-        rel_zero = relative_descriptor(s, 0, RelativeContext.computational(1, 0))
-        rel_one = relative_descriptor(s, 0, RelativeContext.computational(1, 1))
+        rel_zero = relative_descriptor(
+            s, 0, context_factor(s, RelativeContext.computational(1, 0)))
+        rel_one = relative_descriptor(
+            s, 0, context_factor(s, RelativeContext.computational(1, 1)))
         assert rel_zero.qx == parse_sum("1 * Z⊗X + 1 * Y⊗Y")
         assert rel_zero.qy == parse_sum("-1 * Y⊗X + 1 * Z⊗Y")
         assert rel_zero.qz == parse_sum("1 * X⊗I + 1 * I⊗Z")
@@ -148,7 +151,7 @@ def test_criterion_04_measurement_relative_states():
         assert rel_one.qz == parse_sum("1 * X⊗I + -1 * I⊗Z")
 
         chained = measure(s, 1)
-        plus, minus, third = ultimate_state_chain(chained, 1)
+        plus, minus, third, _ = ultimate_state_chain(chained, 1)
         assert third == 2
         q2 = chained.descriptor(1)
         q3z = chained.component(2, Z)
@@ -177,8 +180,10 @@ def test_criterion_04_measurement_relative_states():
 def test_criterion_05_povm_sum_theorem():
     def body():
         s = measured_plus()
-        rel_zero = relative_descriptor(s, 0, RelativeContext.computational(1, 0))
-        rel_one = relative_descriptor(s, 0, RelativeContext.computational(1, 1))
+        rel_zero = relative_descriptor(
+            s, 0, context_factor(s, RelativeContext.computational(1, 0)))
+        rel_one = relative_descriptor(
+            s, 0, context_factor(s, RelativeContext.computational(1, 1)))
         original = s.descriptor(0)
         for a, b, q in zip(rel_zero.components(), rel_one.components(),
                            original.components()):
@@ -208,11 +213,11 @@ def test_criterion_06_purity_identity():
             n = rng.randint(2, 4)
             s = evolve_circuit(random_circuit(rng, n, 12))
             pair = tuple(rng.sample(range(n), 2))
-            total, mixed = purity_condition(s, pair)
             rho = reconstruct_density(s, pair)
+            total, mixed = purity_condition(rho)
             assert rho.purity_trace() == (1 + total) / 4
             assert mixed == (total < 3)
-        total, mixed = purity_condition(bell(), (0, 1))
+        total, mixed = purity_condition(reconstruct_density(bell(), (0, 1)))
         assert total == 3 and not mixed
         swap = run_entanglement_swap()
         total, mixed = swap.pair_purity[1, 4]
@@ -257,7 +262,7 @@ def test_criterion_07_entanglement_swap():
         for o in outcomes:
             pair = DescriptorSet(2, (o.reduced_1, o.reduced_4))
             assert validate_basis(pair).well_formed
-            total, mixed = purity_condition(pair, (0, 1))
+            total, mixed = purity_condition(reconstruct_density(pair, (0, 1)))
             assert total == 3 and not mixed
             table = expectation_table(pair, [0, 1])
             for w in (X, Y, Z):
@@ -294,7 +299,8 @@ def test_criterion_09_evolution_consistency():
     def body():
         seed = bell()
         rho = reconstruct_density(seed, [0, 1])
-        family = generate_equivalent_sets(canonical_signs(seed), rho)
+        family = [set_ for set_, _ in generate_equivalent_sets(
+            canonical_signs(seed), rho, density_symmetries(rho))]
         assert len(family) == 12
         rng = random.Random(99)
         circuit = random_circuit(rng, 2, 10)

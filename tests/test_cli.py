@@ -257,6 +257,17 @@ class TestUnlocatedErrors:
                                 "run it without --verify\n")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("sub", ["swap-demo", "measure-demo", "chain-demo"])
+    def test_demo_refuses_a_circuit_file(self, bell_file, capsys, sub):
+        with pytest.raises(ParseError) as err:
+            run_report(RunConfig(sub, str(bell_file)))
+        assert (err.value.line, err.value.column) == (None, None)
+        assert main([sub, str(bell_file)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {sub} builds its own circuit; "
+                                "run it without a circuit file\n")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("sub", ["run", "validate", "symmetries", "construct",
                                      "trace"])
     def test_missing_circuit_file_through_main(self, capsys, sub):
@@ -605,7 +616,7 @@ class TestSymmetriesVerifyUsesTheReturnedTables:
     def _spy(monkeypatch, corrupt=None):
         from dhsim import cli as cli_mod
         from dhsim.pauli import Z
-        real_generate, real_verify = cli_mod._generate_equivalent_sets, cli_mod._verify_set
+        real_generate, real_verify = cli_mod.generate_equivalent_sets, cli_mod._verify_set
         returned, handed = [], []
 
         def generate(*args):
@@ -623,7 +634,7 @@ class TestSymmetriesVerifyUsesTheReturnedTables:
             handed.extend(checks)
             return real_verify(set_, seed, checks, psi)
 
-        monkeypatch.setattr(cli_mod, "_generate_equivalent_sets", generate)
+        monkeypatch.setattr(cli_mod, "generate_equivalent_sets", generate)
         monkeypatch.setattr(cli_mod, "_verify_set", verify)
         return returned, handed
 
@@ -656,7 +667,7 @@ class TestSymmetriesVerifyUsesTheReturnedTables:
 
 def test_swap_demo_builds_each_context_factor_once(monkeypatch):
     from dhsim import relative
-    calls = _count_calls(monkeypatch, relative, "_context_factor")
+    calls = _count_calls(monkeypatch, relative, "context_factor")
     code, report = run_report(RunConfig("swap-demo", verify=True))
     assert code == EXIT_OK and report["sections"]["verified"] is True
     assert len(calls) == 4
@@ -666,7 +677,7 @@ def test_chain_demo_builds_each_context_factor_once(monkeypatch):
     """Two contexts on the two-qubit set and two on the third system, each
     factor serving the chained ancilla state and the system's restriction."""
     from dhsim import relative
-    calls = _count_calls(monkeypatch, relative, "_context_factor")
+    calls = _count_calls(monkeypatch, relative, "context_factor")
     code, report = run_report(RunConfig("chain-demo", verify=True))
     assert code == EXIT_OK and report["sections"]["verified"] is True
     assert len(calls) == 4

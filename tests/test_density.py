@@ -394,11 +394,11 @@ class TestDiagonalProbabilities:
 
 class TestPurityCondition:
     def test_bell_pure(self, bell_set):
-        total, mixed = purity_condition(bell_set, (0, 1))
+        total, mixed = purity_condition(reconstruct_density(bell_set, (0, 1)))
         assert total == 3 and not mixed
 
     def test_product_state(self):
-        total, mixed = purity_condition(initial_set(2), (0, 1))
+        total, mixed = purity_condition(reconstruct_density(initial_set(2), (0, 1)))
         assert total == 3 and not mixed
 
     def test_swap_cross_pair_fully_mixed(self, swap_result):
@@ -411,8 +411,8 @@ class TestPurityCondition:
             n = rng.randint(2, 4)
             s = evolve_circuit(random_circuit(rng, n, 10))
             pair = tuple(rng.sample(range(n), 2))
-            total, mixed = purity_condition(s, pair)
             rho = reconstruct_density(s, pair)
+            total, mixed = purity_condition(rho)
             assert rho.purity_trace() == (1 + total) / 4
             assert mixed == (total < 3)
 
@@ -425,8 +425,12 @@ class TestPurityCondition:
             return real(set_, qubits)
 
         monkeypatch.setattr(density, "expectation_table", counting)
-        assert purity_condition(bell_set, (0, 1)) == (3, False)
+        assert purity_condition(density.reconstruct_density(bell_set, (0, 1))) == (3, False)
         assert calls == [(0, 1)]
+
+    def test_rejects_a_density_that_is_not_a_pair(self):
+        with pytest.raises(ValueError, match="qubit pairs"):
+            purity_condition(reconstruct_density(initial_set(3), (0, 1, 2)))
 
 
 def reference_purity_trace(rho):
@@ -461,41 +465,43 @@ class TestPurityAgainstFractionSums:
             (swap_result.final_set, (a - 1, b - 1)) for a, b in swap_result.pair_purity]
         for set_, pair in pairs:
             table = expectation_table(set_, pair)
-            rho = density._table_density(2, table)
+            rho = density.table_density(table)
             want = sum((value.re ** 2 for index, value in table.items()
                         if index != (I, I)), Fraction(0))
-            assert density._purity_sum(table, rho) == (want, want < 3)
+            assert purity_condition(rho) == (want, want < 3)
             assert rho.purity_trace() == (1 + want) / 4
 
-    def test_purity_sum_rejects_a_mismatched_density(self, bell_set):
-        table = expectation_table(bell_set, (0, 1))
-        other = density._table_density(2, expectation_table(initial_set(2), (0, 1)))
+    def test_purity_sum_rejects_a_mismatched_density(self, bell_set, monkeypatch):
+        """A Tr rho^2 taken from another density (1 + ZZ/3) trips the identity."""
+        rho = density.table_density(expectation_table(bell_set, (0, 1)))
+        assert purity_condition(rho) == (3, False)
         mixed = DensityMatrix(2, {(I, I): Fraction(1), (Z, Z): Fraction(1, 3)})
-        assert density._purity_sum(table, other) == (3, False)
+        other_trace = mixed.purity_trace()
+        monkeypatch.setattr(DensityMatrix, "purity_trace", lambda self: other_trace)
         with pytest.raises(AssertionError, match="Tr rho"):
-            density._purity_sum(table, mixed)
+            purity_condition(rho)
 
 
 class TestSchmidtCoefficients:
     def test_bell(self, bell_set):
-        sc = schmidt_coefficients(bell_set, (0, 1))
+        sc = schmidt_coefficients(reconstruct_density(bell_set, (0, 1)))
         assert sc.a == sc.d == HALF
         assert sc.b == sc.c == HALF
         assert sc.rule_sum() == 1
 
     def test_zero_state(self):
-        sc = schmidt_coefficients(initial_set(2), (0, 1))
+        sc = schmidt_coefficients(reconstruct_density(initial_set(2), (0, 1)))
         assert sc.a == 1 and sc.b == sc.c == sc.d == 0
         assert sc.rule_sum() == 1
 
     def test_mixed_pair_rejected(self, swap_result):
         with pytest.raises(ValueError):
-            schmidt_coefficients(swap_result.final_set, (0, 3))
+            schmidt_coefficients(reconstruct_density(swap_result.final_set, (0, 3)))
 
     def test_misaligned_pure_state_rejected(self):
         s = apply_gate(initial_set(2), Gate("H", (0,)))
         with pytest.raises(ValueError):
-            schmidt_coefficients(s, (0, 1))
+            schmidt_coefficients(reconstruct_density(s, (0, 1)))
 
 
 class TestSimplyReduce:

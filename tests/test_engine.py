@@ -220,12 +220,12 @@ class TestBatchedExpectations:
     def test_multi_term_components(self, swap_result):
         """Relative descriptors are sums of several strings; their products
         go through the full vacuum average, mixed with single strings."""
-        from dhsim.relative import RelativeContext, relative_descriptor
+        from dhsim.relative import RelativeContext, context_factor, relative_descriptor
         s = swap_result.final_set
         ctx = RelativeContext.pair_computational((4, 5), (0, 1))
         descs = list(s.descriptors)
         for q in (0, 3):
-            descs[q] = relative_descriptor(s, q, ctx)
+            descs[q] = relative_descriptor(s, q, context_factor(s, ctx))
         mixed = DescriptorSet(s.n, tuple(descs))
         assert len(mixed.component(0, X)) > 1
         rng = random.Random(5)
@@ -375,11 +375,11 @@ class TestOneRuleForm:
                 assert set_.descriptors == want.descriptors
 
     def test_multi_term_relative_descriptor(self, swap_result):
-        from dhsim.relative import RelativeContext, relative_descriptor
+        from dhsim.relative import RelativeContext, context_factor, relative_descriptor
         s = swap_result.final_set
         ctx = RelativeContext.pair_computational((4, 5), (1, 0))
         descs = list(s.descriptors)
-        descs[0] = relative_descriptor(s, 0, ctx)
+        descs[0] = relative_descriptor(s, 0, context_factor(s, ctx))
         set_ = DescriptorSet(s.n, tuple(descs))
         assert len(set_.component(0, X)) > 1
         gates = [Gate(kind, (0,)) for kind in SINGLE_QUBIT_KINDS]

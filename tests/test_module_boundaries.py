@@ -107,3 +107,32 @@ def test_every_exported_name_resolves():
     missing = [name for name in dhsim.__all__ if not hasattr(dhsim, name)]
     assert not missing
     assert len(set(dhsim.__all__)) == len(dhsim.__all__)
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_sibling_name(path):
+    """No module imports a ``_``-prefixed name from a sibling or reads one as
+    ``sibling._name``: each operation has one public form."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    siblings = {p.stem for p in MODULES}
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "dhsim"):
+            for alias in node.names:
+                if _private(alias.name):
+                    private.append(alias.name)
+                elif alias.name in siblings:
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname for alias in node.names
+                           if alias.name.startswith("dhsim.") and alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert not private

@@ -572,7 +572,26 @@ def ref_terms(draw, n):
     return draw(st.dictionaries(letters, pair_st, min_size=1, max_size=4))
 
 
+def ref_restrict(terms, n, keep):
+    """The terms on the ``keep`` slots, every other slot evaluated in |0>:
+    I and Z give 1, X and Y drop the term."""
+    out = {}
+    for ls, c in terms.items():
+        if all(ls[q] in (I, Z) for q in range(n) if q not in keep):
+            ref_add(out, tuple(ls[q] for q in sorted(keep)), c)
+    return out
+
+
 class TestPackedKeysDifferential:
+    def test_restrict_drops_an_x_or_y_on_a_dropped_slot(self):
+        one, half = (Fraction(1), Fraction(0)), (Fraction(1, 2), Fraction(0))
+        terms = {(X, Z, I): one, (Z, X, Y): half, (I, Y, Z): one, (Z, I, X): half}
+        a = packed(3, terms)
+        for keep in ({1}, {0, 2}, {2}, set(), {0, 1, 2}):
+            assert_same(a.restrict(keep), len(keep), ref_restrict(terms, 3, keep))
+        assert a.restrict({1}).render() == "1 * Y"
+        assert a.restrict({0, 2}).render() == "1 * X⊗I + 1/2 * Z⊗X"
+
     @pytest.mark.parametrize("n", WIDTHS)
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -590,10 +609,7 @@ class TestPackedKeysDifferential:
         assert_same(sum_mul(a + b, a), n, ref_sum_mul(both, ra))
         assert a.support() == {q for ls in ra for q, l in enumerate(ls) if l != I}
         keep = data.draw(st.sets(st.integers(0, n - 1)))
-        restricted = {}
-        for ls, c in ra.items():
-            ref_add(restricted, tuple(ls[q] for q in sorted(keep)), c)
-        assert_same(a.restrict(keep), len(keep), restricted)
+        assert_same(a.restrict(keep), len(keep), ref_restrict(ra, n, keep))
         extra = data.draw(st.integers(0, 3))
         assert_same(a.extended(extra), n + extra,
                     {ls + (I,) * extra: c for ls, c in ra.items()})

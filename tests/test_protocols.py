@@ -9,7 +9,7 @@ from dhsim.pauli import I, X, Y, Z, ComplexDyadic, PauliSum, parse_sum
 from dhsim.engine import (
     Circuit, DescriptorSet, Gate, gate_steps, initial_set,
 )
-from dhsim.density import expectation_table, purity_condition
+from dhsim.density import expectation_table, purity_condition, reconstruct_density
 from dhsim.protocols import (
     dependency_trace, run_generalized_measurement_demo,
     run_ultimate_chain_demo, swap_circuit, swap_relative_bell,
@@ -36,7 +36,7 @@ BELL_PAIR_4 = ("1 * I⊗X", "1 * X⊗Y", "1 * X⊗Z")
 
 class TestDependencyTrace:
     def test_fresh_register(self):
-        report = dependency_trace(initial_set(4))
+        report = dependency_trace(Circuit(4))
         assert report.per_qubit == ((0,), (1,), (2,), (3,))
 
     def test_cnot_merges_supports(self):
@@ -69,7 +69,6 @@ class TestDependencyTrace:
         """Per-step supports and the final set of the shared fold equal a
         reference that steps ``apply_gate`` and ``add_ancilla``."""
         from dhsim.engine import AddAncilla, add_ancilla, apply_gate, step_label
-        from dhsim.protocols import _traced
         rng = random.Random(900 + n)
         for _ in range(5):
             steps, final = random_steps(rng, n, 3 * n + 4)
@@ -81,7 +80,8 @@ class TestDependencyTrace:
                         else apply_gate(set_, step))
                 want.append((step_label(step), tuple(tuple(sorted(d.support()))
                                                      for d in set_.descriptors)))
-            report, got = _traced(Circuit(n, steps))
+            report = dependency_trace(Circuit(n, steps))
+            got = report.final_set
             assert list(report.per_step) == want
             assert report.per_qubit == want[-1][1]
             assert got.n == set_.n == final
@@ -92,7 +92,7 @@ class TestDependencyTrace:
         """A bystander component swapped for a new sum with a wider support
         trips the locality check, although every sum remembers its support."""
         from dhsim import protocols
-        real = protocols._fold
+        real = protocols.fold
 
         def leaky(circuit):
             for step, comps in zip((None,) + circuit.steps, real(circuit)):
@@ -101,11 +101,11 @@ class TestDependencyTrace:
                     comps[2] = (qx * PauliSum.single(len(comps), 0, Z), qy, qz)
                 yield comps
 
-        monkeypatch.setattr(protocols, "_fold", leaky)
+        monkeypatch.setattr(protocols, "fold", leaky)
         circuit = Circuit(3, (Gate("H", (2,)), Gate("H", (0,)), Gate("CNOT", (0, 1))))
         with pytest.raises(AssertionError, match="locality violated for bystander 3"):
             dependency_trace(circuit)
-        monkeypatch.setattr(protocols, "_fold", real)
+        monkeypatch.setattr(protocols, "fold", real)
         assert dependency_trace(circuit).per_qubit == ((0, 1), (0, 1), (2,))
 
     def test_per_step_log(self):
@@ -150,7 +150,7 @@ class TestEntanglementSwap:
         of the seven gates is applied once, and no second fold runs."""
         import sys
         from dhsim import engine, protocols
-        real_fold, real_evolve = engine._fold, engine.evolve_circuit
+        real_fold, real_evolve = engine.fold, engine.evolve_circuit
         applied, evolved = [], []
 
         def counting(circuit):
@@ -160,8 +160,8 @@ class TestEntanglementSwap:
                 yield comps
 
         for module in [m for name, m in sys.modules.items() if name.startswith("dhsim")]:
-            if getattr(module, "_fold", None) is real_fold:
-                monkeypatch.setattr(module, "_fold", counting)
+            if getattr(module, "fold", None) is real_fold:
+                monkeypatch.setattr(module, "fold", counting)
             if getattr(module, "evolve_circuit", None) is real_evolve:
                 monkeypatch.setattr(module, "evolve_circuit", evolved.append)
         result = protocols.run_entanglement_swap()
@@ -203,7 +203,7 @@ class TestSwapRelativeBell:
     def test_reduced_pairs_pure_and_entangled(self, swap_result):
         for o in swap_relative_bell(swap_result):
             pair = DescriptorSet(2, (o.reduced_1, o.reduced_4))
-            total, mixed = purity_condition(pair, (0, 1))
+            total, mixed = purity_condition(reconstruct_density(pair, (0, 1)))
             assert total == 3 and not mixed
             table = expectation_table(pair, [0, 1])
             cross = sum(1 for (i, j), v in table.items()

@@ -7,14 +7,14 @@ import pytest
 
 from dhsim import oracle
 from dhsim.pauli import (
-    I, X, Y, Z, PauliSum, parse_sum, vacuum_expectation,
+    I, X, Y, Z, PauliSum, parse_sum, sum_mul, vacuum_expectation,
 )
 from dhsim.engine import (
     Gate, apply_gate, evolve_circuit, expectation, gate_steps, initial_set,
 )
 from dhsim.density import diagonal_probabilities, reconstruct_density
 from dhsim.relative import (
-    ContextError, RelativeContext, conditional_restriction, decohere,
+    ContextError, RelativeContext, conditional_restriction, context_factor, decohere,
     measure, measure_in_basis, outcome_probability, povm_sum_check,
     relative_descriptor, relative_descriptor_pair, ultimate_state_chain,
 )
@@ -114,27 +114,27 @@ class TestMeasureInBasis:
 class TestRelativeDescriptor:
     def test_relative_to_zero(self):
         s = measured_plus()
-        d = relative_descriptor(s, 0, RelativeContext.computational(1, 0))
+        d = relative_descriptor(s, 0, context_factor(s, RelativeContext.computational(1, 0)))
         assert d.qx == parse_sum("1 * Z⊗X + 1 * Y⊗Y")
         assert d.qy == parse_sum("-1 * Y⊗X + 1 * Z⊗Y")
         assert d.qz == parse_sum("1 * X⊗I + 1 * I⊗Z")
 
     def test_relative_to_one(self):
         s = measured_plus()
-        d = relative_descriptor(s, 0, RelativeContext.computational(1, 1))
+        d = relative_descriptor(s, 0, context_factor(s, RelativeContext.computational(1, 1)))
         assert d.qx == parse_sum("1 * Z⊗X + -1 * Y⊗Y")
         assert d.qy == parse_sum("-1 * Y⊗X + -1 * Z⊗Y")
         assert d.qz == parse_sum("1 * X⊗I + -1 * I⊗Z")
 
     def test_discarded_partner_changes_nothing(self):
         s = measured_plus()
-        d = relative_descriptor(s, 0, maximally_mixed((1,)))
+        d = relative_descriptor(s, 0, context_factor(s, maximally_mixed((1,))))
         assert d.components() == s.descriptor(0).components()
 
     def test_operator_level_oracle_check(self):
         # q_x (1 + q_z_partner) equals the evolved image of X (1 + Z).
         s = measured_plus()
-        d = relative_descriptor(s, 0, RelativeContext.computational(1, 0))
+        d = relative_descriptor(s, 0, context_factor(s, RelativeContext.computational(1, 0)))
         u = matrices.circuit_unitary(2, gate_steps(s))
         fixed = parse_sum("1 * X⊗I + 1 * X⊗Z")
         assert d.qx == matrices.conjugate(u, fixed)
@@ -145,7 +145,7 @@ class TestRelativeDescriptor:
             s = evolve_circuit(random_circuit(rng, 2, 10))
             bit = rng.randrange(2)
             ctx = RelativeContext.computational(1, bit)
-            d = relative_descriptor(s, 0, ctx)
+            d = relative_descriptor(s, 0, context_factor(s, ctx))
             psi = oracle.apply_circuit(2, gate_steps(s))
             rho = np.outer(psi, psi.conj())
             proj = np.diag([1.0, 0.0] if bit == 0 else [0.0, 1.0])
@@ -166,7 +166,7 @@ class TestRelativeDescriptor:
         s = measured_plus()
         for bit in (0, 1):
             ctx = RelativeContext.computational(1, bit)
-            d = relative_descriptor(s, 0, ctx)
+            d = relative_descriptor(s, 0, context_factor(s, ctx))
             factor_avg = outcome_probability(s, ctx) * 2
             z_avg = vacuum_expectation(d.qz).re / factor_avg
             p0 = (1 + z_avg) / 2
@@ -178,14 +178,13 @@ class TestRelativeDescriptorPair:
     def test_maximally_mixed_pair_changes_nothing(self, swap_result):
         s = swap_result.final_set
         ctx = maximally_mixed((4, 5))
-        d = relative_descriptor_pair(s, 0, ctx)
+        d = relative_descriptor_pair(s, 0, context_factor(s, ctx))
         assert d.components() == s.descriptor(0).components()
 
     def test_computational_factorizes(self, swap_result):
-        from dhsim.pauli import sum_mul
         s = swap_result.final_set
         ctx = RelativeContext.pair_computational((4, 5), (0, 1))
-        d = relative_descriptor_pair(s, 0, ctx)
+        d = relative_descriptor_pair(s, 0, context_factor(s, ctx))
         ident = PauliSum.identity(6)
         f5 = ident + s.component(4, Z)
         f6 = ident - s.component(5, Z)
@@ -197,7 +196,7 @@ class TestRelativeDescriptorPair:
         # and zz (via q_6z) products of the (1,4) pair survive.
         s = swap_result.final_set
         ctx = RelativeContext.pair_computational((4, 5), (0, 0))
-        d1 = relative_descriptor_pair(s, 0, ctx)
+        d1 = relative_descriptor_pair(s, 0, context_factor(s, ctx))
         d4 = {w: s.component(3, w) for w in (X, Y, Z)}
         for i, j in itertools.product((X, Y, Z), repeat=2):
             value = vacuum_expectation(d1.component(i) * d4[j])
@@ -238,8 +237,10 @@ class TestUltimateChain:
 
     def test_chain_factors(self):
         s = measure(measured_plus(), 1)
-        plus, minus, third = ultimate_state_chain(s, 1)
+        plus, minus, third, factors = ultimate_state_chain(s, 1)
         assert third == 2
+        assert factors == tuple(context_factor(s, RelativeContext.computational(2, bit))
+                                for bit in (0, 1))
         assert plus.qx == parse_sum("1 * I⊗X⊗X + -1 * X⊗Y⊗Y")
         assert plus.qz == parse_sum("1 * I⊗I⊗Z + 1 * X⊗Z⊗I")
         for p, m, w in zip(plus.components(), minus.components(), (X, Y, Z)):
@@ -251,13 +252,11 @@ class TestConditionalRestriction:
         s = swap_result.final_set
         ctx = RelativeContext.pair_computational((4, 5), (1, 0))
         factor_norm = outcome_probability(s, ctx) * 4
+        factor = context_factor(s, ctx)
         for w in (X, Y, Z):
             comp = s.component(0, w)
-            reduced = conditional_restriction(s, comp, (0, 3), ctx)
+            reduced = conditional_restriction(sum_mul(comp, factor), (0, 3), factor)
             # <reduced> over two qubits equals <comp * factor> / <factor>.
-            from dhsim.relative import _context_factor
-            from dhsim.pauli import sum_mul
-            factor = _context_factor(s, ctx)
             want = vacuum_expectation(sum_mul(comp, factor))
             norm = vacuum_expectation(factor)
             lhs = vacuum_expectation(reduced) * norm
@@ -266,8 +265,15 @@ class TestConditionalRestriction:
     def test_zero_weight_context_rejected(self):
         s = initial_set(2)
         ctx = RelativeContext.computational(1, 1)  # impossible outcome on |0>
-        with pytest.raises(ContextError):
-            conditional_restriction(s, s.component(0, X), (0,), ctx)
+        factor = context_factor(s, ctx)
+        with pytest.raises(ContextError, match="zero weight"):
+            conditional_restriction(sum_mul(s.component(0, X), factor), (0,), factor)
+
+    def test_weight_without_dyadic_inverse_rejected(self):
+        s = initial_set(2)
+        factor = context_factor(s, RelativeContext((1,), {}, Fraction(3, 4)))
+        with pytest.raises(ContextError, match="no dyadic inverse"):
+            conditional_restriction(sum_mul(s.component(0, X), factor), (0,), factor)
 
 
 class TestContextValidation:

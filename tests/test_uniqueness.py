@@ -37,7 +37,8 @@ def bell_rho(bell_set):
 
 @pytest.fixture(scope="module")
 def bell_family(bell_set, bell_rho):
-    return generate_equivalent_sets(canonical_signs(bell_set), bell_rho)
+    return [set_ for set_, _ in generate_equivalent_sets(
+        canonical_signs(bell_set), bell_rho, density_symmetries(bell_rho))]
 
 
 class TestValidateBasis:
@@ -96,7 +97,8 @@ def reference_validate_basis(set_):
                 violations.append(
                     f"component ({a + 1},{LETTER_NAMES[i]}) has a trace")
     return BasisReport(count, orthogonal, complete, hermitian, traceless,
-                       count == 16, tuple(violations))
+                       count == 16, tuple(violations),
+                       expectation_table(set_, (0, 1)))
 
 
 def _with_component(set_, qubit, which, value):
@@ -219,7 +221,8 @@ class TestGenerateEquivalentSets:
 
     def test_seed_must_reproduce_rho(self, bell_rho):
         with pytest.raises(ValueError):
-            generate_equivalent_sets(initial_set(2), bell_rho)
+            generate_equivalent_sets(initial_set(2), bell_rho,
+                                     density_symmetries(bell_rho))
 
     def test_evolution_consistency(self, bell_family):
         # A common circuit applied to every member keeps all tables equal.

@@ -127,8 +127,8 @@ def pinned_outputs():
             "symmetries": [t.slot_cycles() for t in density_symmetries(rho)],
             "apply_transform": {t.slot_cycles(): _transform_key(set_, t)
                                 for t in transforms},
-            "equivalent": [_key(s) for s in
-                           generate_equivalent_sets(canonical_signs(set_), rho)],
+            "equivalent": [_key(s) for s, _ in generate_equivalent_sets(
+                canonical_signs(set_), rho, density_symmetries(rho))],
         }
     for name, gates in ENUMERATED.items():
         set_ = initial_set(2)
