@@ -57,7 +57,7 @@ def main():
     print(f"  its table is exactly the uniform mixture of the four basis "
           f"tables: weights {[str(w) for w in weights]}")
     wide = [sorted(c.support()) for c
-            in swap.final_set.descriptor(0).components()]
+            in swap.final_set.descriptor(0)]
     print(f"  yet its descriptors keep support {wide} -- a representation, "
           f"not an operator identity")
 

@@ -22,6 +22,7 @@ it, is imported only where ``--verify`` uses it.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import json
 import math
@@ -51,9 +52,6 @@ from .protocols import (
     run_generalized_measurement_demo, run_ultimate_chain_demo,
     swap_relative_bell,
 )
-
-SUBCOMMANDS = ("run", "validate", "symmetries", "construct",
-               "swap-demo", "measure-demo", "chain-demo", "trace")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -202,18 +200,12 @@ def _num_once(rendered: dict, key, value) -> dict:
 
 
 def _descriptor_rows(set_: DescriptorSet) -> list[dict]:
-    rows = []
-    for q in range(set_.n):
-        d = set_.descriptor(q)
-        rows.append({"qubit": q + 1,
-                     "x": d.qx.render(),
-                     "y": d.qy.render(),
-                     "z": d.qz.render()})
-    return rows
+    return [{"qubit": q + 1, **dict(zip("xyz", _render3(d)))}
+            for q, d in enumerate(set_.descriptors)]
 
 
 def _render3(d: Descriptor) -> list[str]:
-    return [c.render() for c in d.components()]
+    return [c.render() for c in d]
 
 
 def _singles_rows(set_: DescriptorSet) -> list[dict]:
@@ -277,7 +269,9 @@ def _load_circuit(cfg: RunConfig) -> Circuit:
     if not cfg.input_path:
         raise ParseError(None, None, f"{cfg.subcommand} requires a circuit file")
     with open(cfg.input_path, "rb") as handle:
-        data = handle.read()
+        # A leading UTF-8 byte-order mark is dropped before decoding, so a
+        # bad byte's line and column count from after it.
+        data = handle.read().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -478,6 +472,7 @@ _HANDLERS = {
     "chain-demo": _cmd_chain_demo,
     "trace": _cmd_trace,
 }
+SUBCOMMANDS = tuple(_HANDLERS)
 
 
 def run_report(cfg: RunConfig) -> tuple[int, dict]:

@@ -307,7 +307,7 @@ def simply_reduce(value: Descriptor | PauliSum, subset: Iterable[int]):
     """
     keep = sorted(set(subset))
     if isinstance(value, Descriptor):
-        parts = [simply_reduce(c, keep) for c in value.components()]
+        parts = [simply_reduce(c, keep) for c in value]
         if any(p is NotReducible for p in parts):
             return NotReducible
         return Descriptor(*parts)

@@ -16,15 +16,16 @@ of the evolved strings in place would be wrong.
 
 A gate kind is one ``_RULES`` entry, with one row triple per operand, so
 its arity is its row count (``GATE_ARITY``).  Every rule has one applier
-(``_rewrite``), which ``apply_gate`` uses on a descriptor set and
-``fold`` runs over a circuit on bare component triples; ``evolve_circuit``
+(``_rewrite``) and every step one function (``_step``), which
+``apply_gate`` and ``add_ancilla`` call on a descriptor set and ``fold``
+runs over a circuit on a list of ``Descriptor`` triples; ``evolve_circuit``
 and the dependency trace both consume that fold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .pauli import (
     I, X, Y, Z,
@@ -52,8 +53,6 @@ _RULES = {
 }
 # Gate kind -> number of operands: one row triple per operand position.
 GATE_ARITY = {kind: len(rows) for kind, rows in _RULES.items()}
-
-_Triple = tuple[PauliSum, PauliSum, PauliSum]
 
 
 class GateError(ValueError):
@@ -118,25 +117,18 @@ class Circuit:
                 raise GateError(f"step {k + 1}: not a gate or ancilla directive")
 
 
-@dataclass(frozen=True)
-class Descriptor:
-    """Per-qubit triple of Pauli sums on the full current register."""
+class Descriptor(NamedTuple):
+    """Per-qubit triple of Pauli sums on the full current register, letter
+    L at index L - 1."""
 
     qx: PauliSum
     qy: PauliSum
     qz: PauliSum
 
     def component(self, which: int) -> PauliSum:
-        if which == X:
-            return self.qx
-        if which == Y:
-            return self.qy
-        if which == Z:
-            return self.qz
-        raise ValueError(f"component index {which} must be X, Y or Z")
-
-    def components(self) -> tuple[PauliSum, PauliSum, PauliSum]:
-        return self.qx, self.qy, self.qz
+        if which not in (X, Y, Z):
+            raise ValueError(f"component index {which} must be X, Y or Z")
+        return self[which - 1]
 
     @staticmethod
     def from_xz(qx: PauliSum, qz: PauliSum) -> "Descriptor":
@@ -170,20 +162,20 @@ def initial_set(n: int) -> DescriptorSet:
     """Fresh register: descriptor a is sigma on slot a, identity elsewhere."""
     if n < 1:
         raise EmptyRegisterError("register must hold at least one qubit")
-    return DescriptorSet(n, tuple(Descriptor(*_fresh(n, a)) for a in range(n)))
+    return DescriptorSet(n, tuple(_fresh(n, a) for a in range(n)))
 
 
-def _fresh(n: int, qubit: int) -> _Triple:
-    """The components of a fresh |0> qubit: sigma on its own slot."""
-    return (PauliSum.single(n, qubit, X), PauliSum.single(n, qubit, Y),
-            PauliSum.single(n, qubit, Z))
+def _fresh(n: int, qubit: int) -> Descriptor:
+    """The descriptor of a fresh |0> qubit: sigma on its own slot."""
+    return Descriptor(PauliSum.single(n, qubit, X), PauliSum.single(n, qubit, Y),
+                      PauliSum.single(n, qubit, Z))
 
 
-def _rewrite(kind: str, operands: Sequence[_Triple]) -> list[_Triple]:
-    """The operands' new (q_x, q_y, q_z) under the kind's rule.
+def _rewrite(kind: str, operands: Sequence[Descriptor]) -> list[Descriptor]:
+    """The operands' new descriptors under the kind's rule.
 
-    ``operands[p]`` holds the pre-gate (q_x, q_y, q_z) of operand position p,
-    letter L at index L - 1, so every product refers to one time slice.
+    ``operands[p]`` is the pre-gate descriptor of operand position p, so
+    every product refers to one time slice.
     """
     new = []
     for rows in _RULES[kind]:
@@ -195,31 +187,37 @@ def _rewrite(kind: str, operands: Sequence[_Triple]) -> list[_Triple]:
             else:
                 c = sum_mul(*[operands[pos][letter - 1] for pos, letter in factors])
             triple.append(c if sign == 1 else -c)
-        new.append(tuple(triple))
+        new.append(Descriptor._make(triple))
     return new
+
+
+def _step(descs: list[Descriptor], step: Gate | AddAncilla) -> list[Descriptor]:
+    """The descriptors after one step: a gate rewrites its operands' entries
+    in place; an ancilla gives a new list, every component with one more
+    identity slot and the fresh qubit's sigma on its own slot appended."""
+    if isinstance(step, AddAncilla):
+        n = len(descs) + 1
+        grown = [Descriptor(qx.extended(1), qy.extended(1), qz.extended(1))
+                 for qx, qy, qz in descs]
+        grown.append(_fresh(n, n - 1))
+        return grown
+    operands = step.operands
+    for qubit, desc in zip(operands, _rewrite(step.kind, [descs[q] for q in operands])):
+        descs[qubit] = desc
+    return descs
 
 
 def apply_gate(set_: DescriptorSet, gate: Gate) -> DescriptorSet:
     """Rewrite the operand descriptors under the gate's conjugation rule."""
     gate.validate_for(set_.n)
-    descs = list(set_.descriptors)
-    new = _rewrite(gate.kind, [descs[q].components() for q in gate.operands])
-    for qubit, triple in zip(gate.operands, new):
-        descs[qubit] = Descriptor(*triple)
+    descs = _step(list(set_.descriptors), gate)
     return DescriptorSet(set_.n, tuple(descs), set_.history + (gate,))
 
 
 def add_ancilla(set_: DescriptorSet) -> DescriptorSet:
-    """Grow the register by one fresh |0> qubit.
-
-    Existing components gain an identity slot; the new qubit starts with
-    sigma on its own slot.
-    """
-    n = set_.n + 1
-    descs = [Descriptor(d.qx.extended(1), d.qy.extended(1), d.qz.extended(1))
-             for d in set_.descriptors]
-    descs.append(Descriptor(*_fresh(n, n - 1)))
-    return DescriptorSet(n, tuple(descs), set_.history + (AddAncilla(),))
+    """Grow the register by one fresh |0> qubit at the end."""
+    descs = _step(list(set_.descriptors), AddAncilla())
+    return DescriptorSet(len(descs), tuple(descs), set_.history + (AddAncilla(),))
 
 
 def _chosen(set_: DescriptorSet, indices: Sequence[int]) -> list[PauliSum]:
@@ -259,8 +257,7 @@ def expectations(set_: DescriptorSet,
     string whose single-string factors XOR to an x bit averages to zero
     before any product is formed (see ``pauli.vacuum_expectations``).
     """
-    return vacuum_expectations([d.components() for d in set_.descriptors],
-                               strings)
+    return vacuum_expectations(set_.descriptors, strings)
 
 
 def heisenberg_image(set_: DescriptorSet, operator: PauliSum) -> PauliSum:
@@ -278,45 +275,30 @@ def heisenberg_image(set_: DescriptorSet, operator: PauliSum) -> PauliSum:
     return out
 
 
-def fold(circuit: Circuit) -> Iterator[list[_Triple]]:
-    """The fresh register's component triples, then the same list after
-    each step of the circuit in turn (one new list per ancilla).
+def fold(circuit: Circuit) -> Iterator[list[Descriptor]]:
+    """The fresh register's descriptors, then the same list after each step
+    of the circuit in turn (one new list per ancilla).
 
     ``Circuit`` has range-checked every step, so none is checked again.
     """
-    n = circuit.initial_qubits
-    comps = [d.components() for d in initial_set(n).descriptors]
-    yield comps
+    descs = list(initial_set(circuit.initial_qubits).descriptors)
+    yield descs
     for step in circuit.steps:
-        if isinstance(step, AddAncilla):
-            comps = [(qx.extended(1), qy.extended(1), qz.extended(1))
-                     for qx, qy, qz in comps]
-            n += 1
-            comps.append(_fresh(n, n - 1))
-        else:
-            operands = step.operands
-            for qubit, triple in zip(operands,
-                                     _rewrite(step.kind, [comps[q] for q in operands])):
-                comps[qubit] = triple
-        yield comps
+        descs = _step(descs, step)
+        yield descs
 
 
 def evolve_circuit(circuit: Circuit) -> DescriptorSet:
     """Run the fold to its end; the descriptor set is built once, there."""
-    for comps in fold(circuit):
+    for descs in fold(circuit):
         pass
-    return DescriptorSet(len(comps), tuple(Descriptor(*c) for c in comps),
-                         circuit.steps)
+    return DescriptorSet(len(descs), tuple(descs), circuit.steps)
 
 
 def gate_steps(set_: DescriptorSet) -> list[tuple[str, tuple[int, ...]]]:
     """Gate history as (kind, operands) pairs for the dense oracle, ancillas dropped."""
-    steps: list[tuple[str, tuple[int, ...]]] = []
-    for entry in set_.history:
-        if isinstance(entry, AddAncilla):
-            continue
-        steps.append((entry.kind, entry.operands))
-    return steps
+    return [(entry.kind, entry.operands) for entry in set_.history
+            if isinstance(entry, Gate)]
 
 
 def step_label(step: Gate | AddAncilla) -> str:

@@ -3,11 +3,12 @@ three-system conditioning chain, and the six-qubit entanglement swap with
 dependency tracing.
 
 Every analysis here calls the public form of its operation on the value
-it already holds: ``dependency_trace`` returns the final set of the one
-``engine.fold`` it reads, each record context's ``context_factor`` feeds
-both ``relative_descriptor`` and ``conditional_restriction``, and a reduced
-pair's ``validate_basis`` report carries the table its density is built
-from.
+it already holds: ``dependency_trace`` wraps the final descriptors of the
+one ``engine.fold`` it reads as its set, each record context's
+``context_factor`` feeds both ``relative_descriptor`` and
+``conditional_restriction``, which reduces the whole conditioned
+descriptor, and a reduced pair's ``validate_basis`` report carries the
+table its density is built from.
 
 Qubit labels in every report are 1-based.
 """
@@ -51,10 +52,9 @@ class DependencyReport:
                 for q, fs in enumerate(self.per_qubit)}
 
 
-def _supports(comps) -> tuple[tuple[int, ...], ...]:
-    """Each qubit's support, from its (q_x, q_y, q_z) triple."""
-    return tuple(tuple(sorted(qx.support() | qy.support() | qz.support()))
-                 for qx, qy, qz in comps)
+def _supports(descs) -> tuple[tuple[int, ...], ...]:
+    """Each qubit's support, from its descriptor."""
+    return tuple(tuple(sorted(d.support())) for d in descs)
 
 
 def dependency_trace(circuit: Circuit) -> DependencyReport:
@@ -68,11 +68,11 @@ def dependency_trace(circuit: Circuit) -> DependencyReport:
     the fold reaches, the same ``engine.fold`` that ``evolve_circuit`` runs.
     """
     steps_fold = fold(circuit)
-    comps = next(steps_fold)
-    supports = _supports(comps)
+    descs = next(steps_fold)
+    supports = _supports(descs)
     steps = [("initial", supports)]
-    for step, comps in zip(circuit.steps, steps_fold):
-        before, supports = supports, _supports(comps)
+    for step, descs in zip(circuit.steps, steps_fold):
+        before, supports = supports, _supports(descs)
         if isinstance(step, Gate):
             reachable = set(step.operands)
             for q in step.operands:
@@ -83,8 +83,7 @@ def dependency_trace(circuit: Circuit) -> DependencyReport:
                 if q in step.operands and not reachable.issuperset(after):
                     raise AssertionError(f"locality violated for operand {q + 1}")
         steps.append((step_label(step), supports))
-    final = DescriptorSet(len(comps), tuple(Descriptor(*c) for c in comps),
-                          circuit.steps)
+    final = DescriptorSet(len(descs), tuple(descs), circuit.steps)
     return DependencyReport(supports, tuple(steps), final)
 
 
@@ -134,7 +133,7 @@ class SwapResult:
 def _swap_relative_outcomes(set_: DescriptorSet) -> tuple[RelativeBellOutcome, ...]:
     """The four record outcomes, each context's factor built once.
 
-    ``conditional_restriction`` reduces a component already conditioned on
+    ``conditional_restriction`` reduces a descriptor already conditioned on
     the factor, so the reductions start from the conditioned descriptors.
     """
     base: dict[tuple[int, int], tuple[Descriptor, Descriptor]] = {}
@@ -145,8 +144,7 @@ def _swap_relative_outcomes(set_: DescriptorSet) -> tuple[RelativeBellOutcome, .
             set_, RelativeContext.pair_computational((4, 5), bits))
         cond1 = relative_descriptor(set_, 0, factor)
         cond4 = relative_descriptor(set_, 3, factor)
-        red1, red4 = (Descriptor(*(conditional_restriction(c, (0, 3), factor)
-                                   for c in cond.components()))
+        red1, red4 = (conditional_restriction(cond, (0, 3), factor)
                       for cond in (cond1, cond4))
         if bits == (0, 0):
             base[0, 0] = (red1, red4)
@@ -249,9 +247,8 @@ def run_ultimate_chain_demo() -> dict:
     # Each third-system factor is built once and serves both the chained
     # ancilla state and the restriction of the system conditioned on it.
     plus, minus, third, factors = ultimate_state_chain(set_, 1)
-    sum_ok = all(p + m == set_.component(1, w).scale(2)
-                 for p, m, w in zip(plus.components(), minus.components(),
-                                    COMPONENTS))
+    sum_ok = all(p + m == c.scale(2)
+                 for p, m, c in zip(plus, minus, set_.descriptor(1)))
     # The chained ancilla states certify the computational contexts: their
     # averages are (0, 0, +/-1), and conditioning the system on the third
     # system's record, restricted to the original two qubits, reproduces
@@ -261,9 +258,7 @@ def run_ultimate_chain_demo() -> dict:
     cross = {}
     for bit, (reference, factor) in enumerate(zip((rel_zero, rel_one), factors)):
         conditioned = relative_descriptor(set_, 0, factor)
-        reduced = [conditional_restriction(c, (0, 1), factor)
-                   for c in conditioned.components()]
-        cross[bit] = all(r == c for r, c in zip(reference.components(), reduced))
+        cross[bit] = reference == conditional_restriction(conditioned, (0, 1), factor)
     return {
         "set": set_,
         "relative_zero": rel_zero,

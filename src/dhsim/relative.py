@@ -9,8 +9,9 @@ keeps the sum-over-a-complete-measurement identity exact.
 
 A context's factor is built once, by ``context_factor``, and is the input
 of the analyses that use it: ``relative_descriptor`` conditions a qubit on
-it, ``conditional_restriction`` reduces an operator already conditioned on
-it, and ``ultimate_state_chain`` returns the two it builds.
+it, ``conditional_restriction`` reduces a whole descriptor already
+conditioned on it, with the context's weight checked and inverted once,
+and ``ultimate_state_chain`` returns the two it builds.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Mapping, Sequence
 
 from .pauli import (
     I, X, Y, Z,
-    PauliSum, sum_mul, vacuum_expectation,
+    ComplexDyadic, PauliSum, sum_mul, vacuum_expectation,
 )
 from .engine import (
     AddAncilla, Descriptor, DescriptorSet, Gate,
@@ -152,8 +153,7 @@ def relative_descriptor(set_: DescriptorSet, qubit: int,
     (``context_factor``).  No normalization by the outcome probability is
     applied.
     """
-    return Descriptor(*(sum_mul(c, factor)
-                        for c in set_.descriptor(qubit).components()))
+    return Descriptor(*(sum_mul(c, factor) for c in set_.descriptor(qubit)))
 
 
 # The benchmark's tracer (bench/spans.py) still looks the function up by this name.
@@ -193,10 +193,9 @@ def povm_sum_check(set_: DescriptorSet, qubit: int,
     summed = [PauliSum.zero(set_.n)] * 3
     for ctx in povm:
         cond = relative_descriptor(set_, qubit, context_factor(set_, ctx))
-        summed = [acc + comp for acc, comp in zip(summed, cond.components())]
-    original = set_.descriptor(qubit)
+        summed = [acc + comp for acc, comp in zip(summed, cond)]
     return all(acc == comp.scale(m)
-               for acc, comp in zip(summed, original.components()))
+               for acc, comp in zip(summed, set_.descriptor(qubit)))
 
 
 def ultimate_state_chain(set_: DescriptorSet, ancilla_qubit: int
@@ -226,19 +225,20 @@ def ultimate_state_chain(set_: DescriptorSet, ancilla_qubit: int
     return plus, minus, third, factors
 
 
-def conditional_restriction(conditioned: PauliSum, keep: Sequence[int],
-                            factor: PauliSum) -> PauliSum:
-    """Reduce a conditioned operator onto a factor space.
+def conditional_restriction(conditioned: Descriptor, keep: Sequence[int],
+                            factor: PauliSum) -> Descriptor:
+    """Reduce a conditioned descriptor onto a factor space.
 
-    ``conditioned`` is an operator already multiplied by the context's
-    ``factor`` (a ``relative_descriptor`` component).  Its dropped slots
-    are evaluated in the universal state (``PauliSum.restrict``) and the
-    result is normalized by the context average, which must be a positive
-    real with a dyadic inverse.  For every operator B supported on ``keep``,
+    ``conditioned`` is a descriptor already multiplied by the context's
+    ``factor`` (a ``relative_descriptor``).  Each component's dropped slots
+    are evaluated in the universal state (``PauliSum.restrict``) and scaled
+    by the inverse of the context average, which must be a positive real
+    with a dyadic inverse and is inverted once.  For every component c and
+    every operator B supported on ``keep``,
 
-        <restriction * B> = <conditioned * B_extended> / <factor>
+        <restriction(c) * B> = <c * B_extended> / <factor>
 
-    exactly, so the reduction represents the conditioned operator on the
+    exactly, so the reduction represents the conditioned descriptor on the
     smaller space: all averages over the surviving subsystem are retained.
 
     This is how a conditioned descriptor with wide support collapses to
@@ -251,4 +251,5 @@ def conditional_restriction(conditioned: PauliSum, keep: Sequence[int],
     inverse = Fraction(1) / norm.re
     if inverse.denominator & (inverse.denominator - 1):
         raise ContextError(f"context weight {norm.re} has no dyadic inverse")
-    return conditioned.restrict(keep).scale(inverse)
+    inverse = ComplexDyadic.of(inverse)
+    return Descriptor(*(c.restrict(keep).scale(inverse) for c in conditioned))

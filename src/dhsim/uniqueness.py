@@ -490,12 +490,12 @@ def _system_descriptors(rho: DensityMatrix, total: int):
             return
         for d, signs in candidates[a]:
             if not all(commute(p, q) for p in (d.qx, d.qz)
-                       for prev, _, _ in placed for q in prev.components()):
+                       for prev, _, _ in placed for q in prev):
                 continue
             # The unsigned products with every placed qubit, read once for
             # all sign choices.
-            values = [[[_vacuum_sign(p, q) for q in d.components()]
-                       for p in prev.components()] for prev, _, _ in placed]
+            values = [[[_vacuum_sign(p, q) for q in d] for p in prev]
+                      for prev, _, _ in placed]
             for sx, sz in signs:
                 s = _component_signs(sx, sz)
                 if all(sb[k] * s[l] * values[b][k][l] == pair_want[b, a][k][l]
@@ -505,11 +505,6 @@ def _system_descriptors(rho: DensityMatrix, total: int):
                     yield from place(placed + ((d, sx, sz),))
 
     return place(())
-
-
-def _signed_set(total: int, placed) -> DescriptorSet:
-    """The descriptor set of (unsigned descriptor, sx, sz) placements."""
-    return DescriptorSet(total, tuple(d.scale_xz(sx, sz) for d, sx, sz in placed))
 
 
 def enumerate_valid_sets(rho: DensityMatrix) -> list[DescriptorSet]:
@@ -527,7 +522,8 @@ def enumerate_valid_sets(rho: DensityMatrix) -> list[DescriptorSet]:
         first.setdefault(tuple(d for d, _, _ in placed), placed)
     outputs: dict[tuple[str, ...], DescriptorSet] = {}
     for placed in first.values():
-        set_ = canonical_signs(_signed_set(2, placed))
+        set_ = canonical_signs(DescriptorSet(
+            2, tuple(d.scale_xz(sx, sz) for d, sx, sz in placed)))
         outputs.setdefault(set_render_key(set_), set_)
     return [outputs[key] for key in sorted(outputs)]
 
@@ -556,10 +552,10 @@ def construct_from_density(rho: DensityMatrix, ancilla_budget: int = 0):
 
 def _complete_register(total: int, placed: tuple) -> DescriptorSet | None:
     """Extend system placements with ancilla descriptors commuting with them."""
-    descriptors = list(_signed_set(total, placed).descriptors)
+    descriptors = [d.scale_xz(sx, sz) for d, sx, sz in placed]
     strings = _all_strings(total)
     while len(descriptors) < total:
-        used = [c for d in descriptors for c in d.components()]
+        used = [c for d in descriptors for c in d]
         free = [p for p in strings if all(commute(p, q) for q in used)]
         pair = next(((px, pz) for px, pz in itertools.permutations(free, 2)
                      if not commute(px, pz)), None)

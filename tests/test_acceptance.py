@@ -185,8 +185,8 @@ def test_criterion_05_povm_sum_theorem():
         rel_one = relative_descriptor(
             s, 0, context_factor(s, RelativeContext.computational(1, 1)))
         original = s.descriptor(0)
-        for a, b, q in zip(rel_zero.components(), rel_one.components(),
-                           original.components()):
+        for a, b, q in zip(rel_zero, rel_one,
+                           original):
             assert a + b == q.scale(2)
 
         rng = random.Random(55)

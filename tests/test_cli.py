@@ -683,6 +683,25 @@ def test_chain_demo_builds_each_context_factor_once(monkeypatch):
     assert len(calls) == 4
 
 
+def test_swap_demo_restricts_each_descriptor_once(monkeypatch):
+    """Qubits 1 and 4 under each of the four record contexts: one
+    restriction per conditioned descriptor, not one per component."""
+    from dhsim import relative
+    calls = _count_calls(monkeypatch, relative, "conditional_restriction")
+    code, report = run_report(RunConfig("swap-demo", verify=True))
+    assert code == EXIT_OK and report["sections"]["verified"] is True
+    assert len(calls) == 8
+
+
+def test_chain_demo_restricts_each_descriptor_once(monkeypatch):
+    """The system conditioned on each of the third system's two records."""
+    from dhsim import relative
+    calls = _count_calls(monkeypatch, relative, "conditional_restriction")
+    code, report = run_report(RunConfig("chain-demo", verify=True))
+    assert code == EXIT_OK and report["sections"]["verified"] is True
+    assert len(calls) == 2
+
+
 def test_verify_batches_every_average(tmp_path, monkeypatch):
     """A 10-qubit run --verify takes its 200 oracle averages in one call and
     its 30 singles and 200 engine averages through the batched form, with
@@ -890,6 +909,28 @@ class TestNonAsciiInput:
     ])
     def test_non_utf8_file_is_located(self, tmp_path, capsys, data, where):
         path = tmp_path / "bytes.dh"
+        path.write_bytes(data)
+        assert main(["run", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: {where}: invalid UTF-8 byte 0xff\n")
+
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys):
+        plain, marked = tmp_path / "plain.dh", tmp_path / "marked.dh"
+        plain.write_bytes(b"qubits 2\nh 1\ncnot 1 2\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert main(["run", str(plain)]) == EXIT_OK
+        want = capsys.readouterr().out
+        assert main(["run", str(marked)]) == EXIT_OK
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("data,where", [
+        (b"\xef\xbb\xbf\xff", "line 1, col 1"),
+        (b"\xef\xbb\xbfqubits 1\nh \xff\n", "line 2, col 3"),
+        (b"\xef\xbb\xbfqubits \xff\n", "line 1, col 8"),
+    ])
+    def test_bad_byte_after_the_mark_is_located_from_it(self, tmp_path, capsys,
+                                                        data, where):
+        path = tmp_path / "marked.dh"
         path.write_bytes(data)
         assert main(["run", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err == (

@@ -65,7 +65,7 @@ def ccz_conjugated(set_):
         corner = corner * z_projector(n, qubit, 1)
     ccz = PauliSum.identity(n) - corner.scale(2)
     return DescriptorSet(n, tuple(
-        Descriptor(*(ccz * c * ccz for c in d.components()))
+        Descriptor(*(ccz * c * ccz for c in d))
         for d in set_.descriptors))
 
 
@@ -270,7 +270,7 @@ class TestDiagonalProbabilities:
         rng = random.Random(48)
         for n in (3, 4):
             s = ccz_conjugated(evolve_circuit(random_circuit(rng, n, 4 * n)))
-            assert max(len(c) for d in s.descriptors for c in d.components()) > 1
+            assert max(len(c) for d in s.descriptors for c in d) > 1
             for indices in itertools.product((I, X, Y, Z), repeat=n):
                 chosen = [s.component(q, w) for q, w in enumerate(indices) if w != I]
                 fold = PauliSum.identity(n)
@@ -516,7 +516,7 @@ class TestSimplyReduce:
     def test_fresh_descriptor_reduces(self):
         d = initial_set(3).descriptor(0)
         reduced = simply_reduce(d, (0,))
-        assert [c.render() for c in reduced.components()] == \
+        assert [c.render() for c in reduced] == \
             ["1 * X", "1 * Y", "1 * Z"]
 
     def test_averages_preserved(self, bell_set):
@@ -614,5 +614,5 @@ class TestMixtureRepresentation:
         assert weights == (Fraction(1, 4),) * 4 + (0,)
         assert reproduces(weights, sets, target)
         for qubit in (1, 2):
-            for comp in swap_result.final_set.descriptor(qubit).components():
+            for comp in swap_result.final_set.descriptor(qubit):
                 assert not comp.support() <= {1, 2}

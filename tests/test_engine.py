@@ -344,8 +344,8 @@ class TestOneRuleForm:
                 kinds.add(getattr(step, "kind", None))
             assert folded.n == stepped.n == final
             for q in range(final):
-                assert (folded.descriptor(q).components()
-                        == stepped.descriptor(q).components())
+                assert (folded.descriptor(q)
+                        == stepped.descriptor(q))
             assert folded.history == stepped.history == tuple(steps)
         if n >= 2:
             assert kinds >= set(SINGLE_QUBIT_KINDS + TWO_QUBIT_KINDS)
@@ -364,7 +364,7 @@ class TestOneRuleForm:
         from test_density import ccz_conjugated
         rng = random.Random(61)
         set_ = ccz_conjugated(evolve_circuit(random_circuit(rng, 4, 12)))
-        assert max(len(c) for d in set_.descriptors for c in d.components()) > 1
+        assert max(len(c) for d in set_.descriptors for c in d) > 1
         for kind in SINGLE_QUBIT_KINDS + TWO_QUBIT_KINDS:
             for _ in range(3):
                 operands = tuple(rng.sample(range(4), 2 if kind in TWO_QUBIT_KINDS

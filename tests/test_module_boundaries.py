@@ -136,3 +136,34 @@ def test_no_private_sibling_name(path):
                 and node.value.id in modules and _private(node.attr)):
             private.append(f"{node.value.id}.{node.attr}")
     assert not private
+
+
+def _calls_by_function(tree):
+    """(enclosing function name, called name) for every call in a module;
+    the called name is a bare name or an attribute's last part."""
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = (child.name if isinstance(child, (ast.FunctionDef,
+                                                      ast.AsyncFunctionDef))
+                     else where)
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                if name:
+                    yield inner, name
+            yield from walk(child, inner)
+    return walk(tree, "<module>")
+
+
+def test_one_step_function():
+    """A gate's rewrite and an ancilla's identity slot are applied in one
+    place, ``engine._step``, which the fold and the set-level operations
+    all call."""
+    hits = [f"{path.name}:{where} calls {name}"
+            for path in MODULES
+            for where, name in _calls_by_function(
+                ast.parse(path.read_text(encoding="utf-8")))
+            if name in ("_rewrite", "extended")
+            and (path.name, where) != ("engine.py", "_step")]
+    assert not hits

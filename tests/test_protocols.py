@@ -7,7 +7,7 @@ import pytest
 from dhsim import oracle
 from dhsim.pauli import I, X, Y, Z, ComplexDyadic, PauliSum, parse_sum
 from dhsim.engine import (
-    Circuit, DescriptorSet, Gate, gate_steps, initial_set,
+    Circuit, Descriptor, DescriptorSet, Gate, gate_steps, initial_set,
 )
 from dhsim.density import expectation_table, purity_condition, reconstruct_density
 from dhsim.protocols import (
@@ -98,7 +98,7 @@ class TestDependencyTrace:
             for step, comps in zip((None,) + circuit.steps, real(circuit)):
                 if getattr(step, "operands", None) == (0, 1):
                     qx, qy, qz = comps[2]
-                    comps[2] = (qx * PauliSum.single(len(comps), 0, Z), qy, qz)
+                    comps[2] = Descriptor(qx * PauliSum.single(len(comps), 0, Z), qy, qz)
                 yield comps
 
         monkeypatch.setattr(protocols, "fold", leaky)

@@ -129,7 +129,7 @@ class TestRelativeDescriptor:
     def test_discarded_partner_changes_nothing(self):
         s = measured_plus()
         d = relative_descriptor(s, 0, context_factor(s, maximally_mixed((1,))))
-        assert d.components() == s.descriptor(0).components()
+        assert d == s.descriptor(0)
 
     def test_operator_level_oracle_check(self):
         # q_x (1 + q_z_partner) equals the evolved image of X (1 + Z).
@@ -149,7 +149,7 @@ class TestRelativeDescriptor:
             psi = oracle.apply_circuit(2, gate_steps(s))
             rho = np.outer(psi, psi.conj())
             proj = np.diag([1.0, 0.0] if bit == 0 else [0.0, 1.0])
-            for w, comp in zip((X, Y, Z), d.components()):
+            for w, comp in zip((X, Y, Z), d):
                 sigma = matrices.string_matrix((w,))
                 want = np.trace(rho @ np.kron(sigma, proj)) * 2
                 got = complex(vacuum_expectation(comp))
@@ -179,7 +179,7 @@ class TestRelativeDescriptorPair:
         s = swap_result.final_set
         ctx = maximally_mixed((4, 5))
         d = relative_descriptor_pair(s, 0, context_factor(s, ctx))
-        assert d.components() == s.descriptor(0).components()
+        assert d == s.descriptor(0)
 
     def test_computational_factorizes(self, swap_result):
         s = swap_result.final_set
@@ -243,7 +243,7 @@ class TestUltimateChain:
                                 for bit in (0, 1))
         assert plus.qx == parse_sum("1 * I⊗X⊗X + -1 * X⊗Y⊗Y")
         assert plus.qz == parse_sum("1 * I⊗I⊗Z + 1 * X⊗Z⊗I")
-        for p, m, w in zip(plus.components(), minus.components(), (X, Y, Z)):
+        for p, m, w in zip(plus, minus, (X, Y, Z)):
             assert p + m == s.component(1, w).scale(2)
 
 
@@ -253,9 +253,11 @@ class TestConditionalRestriction:
         ctx = RelativeContext.pair_computational((4, 5), (1, 0))
         factor_norm = outcome_probability(s, ctx) * 4
         factor = context_factor(s, ctx)
+        restricted = conditional_restriction(
+            relative_descriptor(s, 0, factor), (0, 3), factor)
         for w in (X, Y, Z):
             comp = s.component(0, w)
-            reduced = conditional_restriction(sum_mul(comp, factor), (0, 3), factor)
+            reduced = restricted.component(w)
             # <reduced> over two qubits equals <comp * factor> / <factor>.
             want = vacuum_expectation(sum_mul(comp, factor))
             norm = vacuum_expectation(factor)
@@ -267,13 +269,13 @@ class TestConditionalRestriction:
         ctx = RelativeContext.computational(1, 1)  # impossible outcome on |0>
         factor = context_factor(s, ctx)
         with pytest.raises(ContextError, match="zero weight"):
-            conditional_restriction(sum_mul(s.component(0, X), factor), (0,), factor)
+            conditional_restriction(relative_descriptor(s, 0, factor), (0,), factor)
 
     def test_weight_without_dyadic_inverse_rejected(self):
         s = initial_set(2)
         factor = context_factor(s, RelativeContext((1,), {}, Fraction(3, 4)))
         with pytest.raises(ContextError, match="no dyadic inverse"):
-            conditional_restriction(sum_mul(s.component(0, X), factor), (0,), factor)
+            conditional_restriction(relative_descriptor(s, 0, factor), (0,), factor)
 
 
 class TestContextValidation:

@@ -102,7 +102,7 @@ def reference_validate_basis(set_):
 
 
 def _with_component(set_, qubit, which, value):
-    comps = list(set_.descriptor(qubit).components())
+    comps = list(set_.descriptor(qubit))
     comps[which - X] = value
     descs = list(set_.descriptors)
     descs[qubit] = Descriptor(*comps)
@@ -120,7 +120,7 @@ def controlled_s_conjugated(set_):
               + z1.scale(ComplexDyadic(half, -half)))
     cs = (ident + z0).scale(half) + (ident - z0).scale(half) * s_gate
     return DescriptorSet(2, tuple(
-        Descriptor(*(cs.adjoint() * c * cs for c in d.components()))
+        Descriptor(*(cs.adjoint() * c * cs for c in d))
         for d in set_.descriptors))
 
 
@@ -144,7 +144,7 @@ def _basis_cases(bell_set, swap_result):
 class TestValidateBasisAgainstReference:
     def test_reports_identical(self, bell_set, swap_result):
         cases = _basis_cases(bell_set, swap_result)
-        assert all(len(c) > 1 for c in cases[-2].descriptor(1).components())
+        assert all(len(c) > 1 for c in cases[-2].descriptor(1))
         for set_ in cases:
             assert validate_basis(set_) == reference_validate_basis(set_)
         reports = [validate_basis(set_) for set_ in cases]
