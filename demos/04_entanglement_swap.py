@@ -8,11 +8,12 @@ preparation, so nothing about them changes at measurement time.  Only
 when the records q_5z and q_6z are consumed -- two classical bits sent to
 the (1,4) side -- do the conditioned descriptors of (1,4) become a
 maximally entangled pair.  Nothing non-local ever happens.
+
+``run_entanglement_swap`` asserts, as it builds each of the four reduced
+(1,4) pairs, that the pair is a proper two-qubit basis and pure.
 """
 
-from dhsim.protocols import (
-    PAIRS_1BASED, run_entanglement_swap, swap_relative_bell,
-)
+from dhsim.protocols import PAIRS_1BASED, run_entanglement_swap
 
 
 def main():
@@ -41,7 +42,7 @@ def main():
     print("  correlation, (1,4) is still completely uncorrelated.")
 
     print("\nconditioning (1,4) on the records held by (5,6):")
-    for o in swap_relative_bell(result):
+    for o in result.relative_bell:
         bits = "".join(map(str, o.bits))
         print(f"  record {bits}  (p = {o.probability}):")
         print(f"    q1' -> ({o.reduced_1.qx}; {o.reduced_1.qy}; {o.reduced_1.qz})")

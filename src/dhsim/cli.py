@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import dataclasses
 import functools
 import json
 import math
@@ -30,7 +31,6 @@ import os
 import random
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable
 
@@ -50,7 +50,6 @@ from .uniqueness import (
 from .protocols import (
     PAIRS_1BASED, dependency_trace, run_entanglement_swap,
     run_generalized_measurement_demo, run_ultimate_chain_demo,
-    swap_relative_bell,
 )
 
 EXIT_OK = 0
@@ -77,7 +76,7 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     subcommand: str
     input_path: str | None = None
@@ -245,8 +244,7 @@ def _verify_set(set_: DescriptorSet, seed: int,
     rng = random.Random(seed)
     space = 4 ** set_.n
     count = min(VERIFY_SAMPLES, space)
-    picks = rng.sample(range(space), count) if space <= 10 ** 6 else [
-        rng.randrange(space) for _ in range(count)]
+    picks = rng.sample(range(space), count)
     strings = oracle.pick_letters(picks, set_.n)
     rows = strings.tolist()
     positions, values = list(range(count)), expectations(set_, rows)
@@ -312,16 +310,9 @@ def _cmd_validate(cfg: RunConfig) -> dict:
     if set_.n != 2:
         raise ParseError(None, None, "validate needs a two-qubit circuit")
     report = validate_basis(set_)
-    out = {
-        "independent_count": report.independent_count,
-        "orthogonal": report.orthogonal,
-        "complete": report.complete,
-        "hermitian": report.hermitian,
-        "traceless_ok": report.traceless_ok,
-        "distinct_ok": report.distinct_ok,
-        "violations": list(report.violations),
-        "well_formed": report.well_formed,
-    }
+    out = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
+           if f.name != "table"}
+    out.update(violations=list(report.violations), well_formed=report.well_formed)
     if cfg.verify:
         out["verified"] = _verify_set(set_, cfg.seed)
     return out
@@ -359,17 +350,17 @@ def _cmd_construct(cfg: RunConfig) -> dict:
         out["register_qubits"] = found.n
         out["descriptors"] = _descriptor_rows(found)
     if cfg.verify:
-        # The circuit's own set reproduces its (pure) density, so a search
+        # The found set's averages on the system qubits are strings on the
+        # circuit's register, checked against the oracle's state of the
+        # circuit.  Its own set reproduces its (pure) density, so a search
         # that finds nothing fails the check.
-        out["verified"] = found is not NotFound and all(
-            ComplexDyadic.of(rho.coefficient(idx)) == val
-            for idx, val in expectation_table(found, range(set_.n)).items())
+        out["verified"] = found is not NotFound and _verify_set(
+            set_, cfg.seed, checks=expectation_table(found, range(set_.n)).items())
     return out
 
 
 def _cmd_swap_demo(cfg: RunConfig) -> dict:
     result = run_entanglement_swap()
-    outcomes = swap_relative_bell(result)
     set_ = result.final_set
     sections: dict = {
         "qubits": set_.n,
@@ -389,7 +380,7 @@ def _cmd_swap_demo(cfg: RunConfig) -> dict:
                 "sign_x": o.sign_x,
                 "sign_z": o.sign_z,
             }
-            for o in outcomes],
+            for o in result.relative_bell],
     }
     if cfg.verify:
         from . import oracle
@@ -399,7 +390,7 @@ def _cmd_swap_demo(cfg: RunConfig) -> dict:
         # 1-4: its sixteen strings sit on slots 0 and 3 of that remainder.
         pair = [(a, b) for a in range(4) for b in range(4)]
         remainder = [(a, I, I, b) for a, b in pair]
-        for o in outcomes:
+        for o in result.relative_bell:
             rem, prob = oracle.conditional_state(psi, [4, 5], list(o.bits))
             reduced = expectations(DescriptorSet(2, (o.reduced_1, o.reduced_4)), pair)
             worst = oracle.worst_deviation(oracle.string_averages(rem, remainder),
@@ -594,13 +585,17 @@ def _parser() -> argparse.ArgumentParser:
         prog="dhsim",
         description="Heisenberg-picture descriptor engine for Clifford circuits")
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
-    parser.add_argument("input", nargs="?", help="circuit file")
+    # Each dest is a ``RunConfig`` field; the metavars keep the help's names.
+    parser.add_argument("input_path", nargs="?", metavar="input", help="circuit file")
     parser.add_argument("--verify", action="store_true",
                         help="cross-check reported numbers against the dense oracle")
-    parser.add_argument("--format", choices=("json", "text"), default="json")
+    parser.add_argument("--format", dest="output_format", metavar="{json,text}",
+                        choices=("json", "text"), default="json")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=None, help="write the report to a file")
-    parser.add_argument("--ancillas", type=_nonnegative_int, default=1,
+    parser.add_argument("--out", dest="out_path", metavar="OUT", default=None,
+                        help="write the report to a file")
+    parser.add_argument("--ancillas", dest="ancilla_budget", metavar="ANCILLAS",
+                        type=_nonnegative_int, default=1,
                         help="ancilla budget for construct")
     # parse_intermixed_args formats the usage on every call while it is
     # None; the same text, set once, gives the same messages.
@@ -620,16 +615,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: DH_MAX_QUBITS must be a positive integer, got {raw_cap!r}",
               file=sys.stderr)
         return EXIT_USAGE
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        input_path=args.input,
-        verify=args.verify,
-        output_format=args.format,
-        seed=args.seed,
-        out_path=args.out,
-        ancilla_budget=args.ancillas,
-        max_qubits=cap,
-    )
+    cfg = RunConfig(**vars(args), max_qubits=cap)
     try:
         code, report = run_report(cfg)
     except (ParseError, OSError) as exc:

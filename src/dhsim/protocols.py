@@ -8,7 +8,8 @@ one ``engine.fold`` it reads as its set, each record context's
 ``context_factor`` feeds both ``relative_descriptor`` and
 ``conditional_restriction``, which reduces the whole conditioned
 descriptor, and a reduced pair's ``validate_basis`` report carries the
-table its density is built from.
+table its density is built from: the swap's outcomes are built, weighed
+and checked in that one pass.
 
 Qubit labels in every report are 1-based.
 """
@@ -26,8 +27,8 @@ from .engine import (
     add_ancilla, apply_gate, expectations, fold, initial_set, step_label,
 )
 from .density import (
-    DensityMatrix, diagonal_probabilities, expectation_table, purity_condition,
-    reconstruct_density, table_density,
+    DensityMatrix, expectation_table, purity_condition, reconstruct_density,
+    table_density,
 )
 from .relative import (
     RelativeContext, conditional_restriction, context_factor, measure,
@@ -131,28 +132,34 @@ class SwapResult:
 
 
 def _swap_relative_outcomes(set_: DescriptorSet) -> tuple[RelativeBellOutcome, ...]:
-    """The four record outcomes, each context's factor built once.
+    """The four record outcomes, each built, weighed and checked in one pass.
 
-    ``conditional_restriction`` reduces a descriptor already conditioned on
-    the factor, so the reductions start from the conditioned descriptors.
+    Each context's factor is built once: its vacuum average is four times
+    the outcome's probability, and ``conditional_restriction`` reduces the
+    descriptors already conditioned on it.  Each reduced pair is asserted
+    where it is built to be a proper two-qubit basis with purity sum 3 (a
+    pure, maximally entangled pair), on the pair's basis report and the
+    density of the report's table.  Signs are read against outcome (0, 0).
     """
-    base: dict[tuple[int, int], tuple[Descriptor, Descriptor]] = {}
     outcomes = []
-    diag = diagonal_probabilities(set_, [4, 5])
-    for k, bits in enumerate(itertools.product((0, 1), repeat=2)):
+    for bits in itertools.product((0, 1), repeat=2):
         factor = context_factor(
             set_, RelativeContext.pair_computational((4, 5), bits))
         cond1 = relative_descriptor(set_, 0, factor)
         cond4 = relative_descriptor(set_, 3, factor)
         red1, red4 = (conditional_restriction(cond, (0, 3), factor)
                       for cond in (cond1, cond4))
-        if bits == (0, 0):
-            base[0, 0] = (red1, red4)
-        ref1, ref4 = base[0, 0]
-        sign_x = 1 if red1.qx == ref1.qx else -1
-        sign_z = 1 if red4.qz == ref4.qz else -1
+        report = validate_basis(DescriptorSet(2, (red1, red4)))
+        if not report.well_formed:
+            raise AssertionError(f"reduced pair for bits {bits} is not a proper basis")
+        total, mixed = purity_condition(table_density(report.table))
+        if mixed or total != 3:
+            raise AssertionError(f"reduced pair for bits {bits} is not pure")
+        if not outcomes:
+            ref1, ref4 = red1, red4
         outcomes.append(RelativeBellOutcome(
-            bits, diag[k], cond1, cond4, red1, red4, sign_x, sign_z))
+            bits, vacuum_expectation(factor).re / 4, cond1, cond4, red1, red4,
+            1 if red1.qx == ref1.qx else -1, 1 if red4.qz == ref4.qz else -1))
     return tuple(outcomes)
 
 
@@ -163,7 +170,9 @@ def run_entanglement_swap() -> SwapResult:
     pairs (1,2), (3,4) are all maximally mixed; the entangled pairs are
     (3,5) and (2,6).  Conditioning (1,4) on the records held by (5,6)
     produces, after reduction, the four maximally entangled pair
-    descriptors with sign patterns (++--) on q_1x and (+-+-) on q_4z.
+    descriptors with sign patterns (++--) on q_1x and (+-+-) on q_4z;
+    ``relative_bell`` holds them, each already asserted to be a proper
+    basis and pure.
     """
     dependency = dependency_trace(swap_circuit())
     set_ = dependency.final_set
@@ -176,25 +185,6 @@ def run_entanglement_swap() -> SwapResult:
         relative_bell=_swap_relative_outcomes(set_),
         dependency=dependency,
     )
-
-
-def swap_relative_bell(result: SwapResult) -> tuple[RelativeBellOutcome, ...]:
-    """The four conditioned, reduced (1,4) descriptor pairs of the swap.
-
-    Each reduced pair is a proper two-qubit basis with purity sum 3 (a
-    pure, maximally entangled pair); both facts are asserted here, on the
-    pair's basis report and the density of the report's table.
-    """
-    for outcome in result.relative_bell:
-        report = validate_basis(DescriptorSet(2, (outcome.reduced_1, outcome.reduced_4)))
-        if not report.well_formed:
-            raise AssertionError(
-                f"reduced pair for bits {outcome.bits} is not a proper basis")
-        total, mixed = purity_condition(table_density(report.table))
-        if mixed or total != 3:
-            raise AssertionError(
-                f"reduced pair for bits {outcome.bits} is not pure")
-    return result.relative_bell
 
 
 def run_generalized_measurement_demo() -> dict:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .pauli import (
-    I, X, Y, Z, LETTER_NAMES, ZERO,
+    I, X, Y, Z, LETTER_NAMES, ONE, ZERO,
     ComplexDyadic, PauliSum, commute, inner_products,
     vacuum_expectation,
 )
@@ -50,8 +50,6 @@ from .density import DensityMatrix, Sentinel, expectation_table
 COMPONENTS = (X, Y, Z)
 # The index pairs (i, j) of a two-qubit table, in ``expectation_table`` order.
 _PAIR_KEYS = tuple(itertools.product((I,) + COMPONENTS, repeat=2))
-
-_ONE = ComplexDyadic.of(1)
 
 
 # No descriptor set exists within the search budget.
@@ -113,7 +111,7 @@ def validate_basis(set_: DescriptorSet) -> BasisReport:
     if not hermitian:
         violations.append("some products are not Hermitian")
 
-    complete = all(norm == _ONE for norm in norms)
+    complete = all(norm == ONE for norm in norms)
     if not complete:
         violations.append("some products do not have unit norm")
 
@@ -418,7 +416,7 @@ def generate_equivalent_sets(seed: DescriptorSet, rho: DensityMatrix,
 
 def _all_strings(n: int) -> list[PauliSum]:
     """Every non-identity string on n qubits as a one-term sum, in letter order."""
-    return [PauliSum(n, {letters: _ONE})
+    return [PauliSum(n, {letters: ONE})
             for letters in itertools.product(range(4), repeat=n)
             if any(l != I for l in letters)]
 
@@ -427,7 +425,7 @@ def _vacuum_sign(*factors: PauliSum) -> int:
     """<0...0| f1 f2 ... |0...0> of a product that is one Hermitian string
     with coefficient +/-1, as the int 0, 1 or -1."""
     value = vacuum_expectation(*factors)
-    return 0 if not value else 1 if value == _ONE else -1
+    return 0 if not value else 1 if value == ONE else -1
 
 
 def _component_signs(sx: int, sz: int) -> tuple[int, int, int]:

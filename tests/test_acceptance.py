@@ -30,7 +30,7 @@ from dhsim.uniqueness import (
     NotFound, canonical_signs, construct_from_density, density_symmetries,
     generate_equivalent_sets, validate_basis,
 )
-from dhsim.protocols import run_entanglement_swap, swap_relative_bell
+from dhsim.protocols import run_entanglement_swap
 from conftest import classify_against_reference, random_circuit
 import matrices
 
@@ -256,7 +256,7 @@ def test_criterion_07_entanglement_swap():
         assert deps[2] == [1, 2, 3, 6]
         assert deps[3] == [2, 3, 4, 5]
 
-        outcomes = swap_relative_bell(result)
+        outcomes = result.relative_bell
         assert [o.sign_x for o in outcomes] == [1, 1, -1, -1]
         assert [o.sign_z for o in outcomes] == [1, -1, 1, -1]
         for o in outcomes:

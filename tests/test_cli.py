@@ -391,6 +391,32 @@ class TestVerificationFailurePath:
         code, report = run_report(RunConfig("construct", bell_file))
         assert code == EXIT_OK and "verified" not in report["sections"]
 
+    def test_construct_verify_consults_the_oracle(self, bell_file, monkeypatch):
+        """A density that is not the circuit's (|00> for the Bell circuit)
+        yields a set the engine agrees with; only the oracle's state of the
+        circuit can refuse it."""
+        from dhsim import cli
+        from dhsim.density import reconstruct_density
+        from dhsim.engine import initial_set
+        zeros = reconstruct_density(initial_set(2), [0, 1])
+        monkeypatch.setattr(cli, "reconstruct_density", lambda set_, qubits: zeros)
+        code, report = run_report(RunConfig("construct", bell_file, verify=True))
+        assert report["sections"]["found"] is True
+        assert code == EXIT_VERIFY
+        assert report["sections"]["verified"] is False
+
+    def test_ten_qubit_verify_samples_distinct_strings(self, tmp_path, monkeypatch):
+        """Above 4^10 > 10^6 strings the picks are still drawn without
+        replacement; 200 independent draws at seed 34 repeat one string."""
+        from dhsim import oracle
+        path = tmp_path / "ten.dh"
+        path.write_text("qubits 10\nh 1\ncnot 1 10\n")
+        calls = _count_calls(monkeypatch, oracle, "string_averages")
+        code, report = run_report(RunConfig("run", str(path), verify=True, seed=34))
+        assert code == EXIT_OK and report["sections"]["verified"] is True
+        (_, rows), = calls
+        assert len({tuple(row) for row in np.asarray(rows).tolist()}) == 200
+
     @staticmethod
     def _corrupt_one(monkeypatch, position):
         """Shift one oracle average by far more than ATOL; record call sizes."""
@@ -506,17 +532,18 @@ def test_swap_demo_verify_compares_the_reduced_pairs(monkeypatch):
     import dataclasses
     from dhsim import cli as cli_mod
     from dhsim.engine import Descriptor
-    real = cli_mod.swap_relative_bell
+    real = cli_mod.run_entanglement_swap
 
-    def negated(result):
-        outcomes = list(real(result))
+    def negated():
+        result = real()
+        outcomes = list(result.relative_bell)
         d = outcomes[2].reduced_4
         outcomes[2] = dataclasses.replace(
             outcomes[2], reduced_4=Descriptor(d.qx, -d.qy, d.qz))
-        return tuple(outcomes)
+        return dataclasses.replace(result, relative_bell=tuple(outcomes))
 
     assert run_report(RunConfig("swap-demo", verify=True))[0] == EXIT_OK
-    monkeypatch.setattr(cli_mod, "swap_relative_bell", negated)
+    monkeypatch.setattr(cli_mod, "run_entanglement_swap", negated)
     code, report = run_report(RunConfig("swap-demo", verify=True))
     assert code == EXIT_VERIFY
     assert report["sections"]["verified"] is False
@@ -718,6 +745,16 @@ def test_verify_batches_every_average(tmp_path, monkeypatch):
     assert [len(args[1]) for args in averages] == [200]
     assert singles == []
     assert sorted(len(args[1]) for args in batches) == [30, 200]
+
+
+def test_parser_dests_are_the_run_config_fields():
+    """``main`` builds its ``RunConfig`` from the parsed options as they
+    are, so the option list is written once."""
+    import dataclasses
+    from dhsim import cli
+    dests = [a.dest for a in cli._parser()._actions if a.dest != "help"]
+    assert dests == [f.name for f in dataclasses.fields(RunConfig)
+                     if f.name != "max_qubits"]
 
 
 def test_verify_set_annotations_resolve():

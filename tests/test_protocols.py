@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from dhsim.engine import (
 from dhsim.density import expectation_table, purity_condition, reconstruct_density
 from dhsim.protocols import (
     dependency_trace, run_generalized_measurement_demo,
-    run_ultimate_chain_demo, swap_circuit, swap_relative_bell,
+    run_ultimate_chain_demo, swap_circuit,
 )
 from conftest import (
     dense_density, random_circuit, random_steps, run_decoherence_demo,
@@ -181,12 +182,12 @@ class TestEntanglementSwap:
 
 class TestSwapRelativeBell:
     def test_sign_patterns(self, swap_result):
-        outcomes = swap_relative_bell(swap_result)
+        outcomes = swap_result.relative_bell
         assert [o.sign_x for o in outcomes] == [1, 1, -1, -1]
         assert [o.sign_z for o in outcomes] == [1, -1, 1, -1]
 
     def test_reduced_pairs_are_signed_bell_descriptors(self, swap_result):
-        for o in swap_relative_bell(swap_result):
+        for o in swap_result.relative_bell:
             want_1 = tuple(parse_sum(t).scale(o.sign_x if w != "z" else 1)
                            for t, w in zip(BELL_PAIR_1, "xyz"))
             got_1 = (o.reduced_1.qx, o.reduced_1.qy, o.reduced_1.qz)
@@ -196,12 +197,27 @@ class TestSwapRelativeBell:
             got_4 = (o.reduced_4.qx, o.reduced_4.qy, o.reduced_4.qz)
             assert got_4 == want_4
 
+    @pytest.mark.parametrize("name,spoil,message", [
+        ("validate_basis", lambda report: dataclasses.replace(report, orthogonal=False),
+         "is not a proper basis"),
+        ("purity_condition", lambda purity: (purity[0], True), "is not pure"),
+    ])
+    def test_reduced_pair_checks_fire_where_built(self, monkeypatch, name, spoil, message):
+        """Each reduced pair is asserted as it is built: a basis report that
+        is not orthogonal, or a mixed density, stops the swap there."""
+        from dhsim import protocols
+        real = getattr(protocols, name)
+        monkeypatch.setattr(protocols, name, lambda value: spoil(real(value)))
+        with pytest.raises(AssertionError,
+                           match=rf"^reduced pair for bits \(0, 0\) {message}$"):
+            protocols.run_entanglement_swap()
+
     def test_probabilities_uniform(self, swap_result):
         assert [o.probability for o in swap_result.relative_bell] == \
             [Fraction(1, 4)] * 4
 
     def test_reduced_pairs_pure_and_entangled(self, swap_result):
-        for o in swap_relative_bell(swap_result):
+        for o in swap_result.relative_bell:
             pair = DescriptorSet(2, (o.reduced_1, o.reduced_4))
             total, mixed = purity_condition(reconstruct_density(pair, (0, 1)))
             assert total == 3 and not mixed
