@@ -16,7 +16,12 @@ Exit codes: 0 success, 1 usage or parse error, 2 verification failure,
 3 internal error.  DH_MAX_QUBITS (default 10) caps the register size.
 
 Reports are exact and need no floats; the dense oracle, and numpy with
-it, is imported only where ``--verify`` uses it.
+it, is imported only where ``--verify`` uses it.  The same holds for every
+analysis module: only ``pauli`` and ``engine``, which every subcommand
+uses, are imported at module level, and ``density``, ``uniqueness`` and
+``protocols`` (with ``relative``) are imported inside the handler, or the
+report section, that calls them.  So ``run`` on a register wider than
+``DIAGONAL_MAX_QUBITS`` loads no analysis module at all.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ import functools
 import json
 import math
 import os
-import random
 import re
 import sys
 from fractions import Fraction
@@ -38,18 +42,6 @@ from .pauli import I, X, Y, Z, ComplexDyadic
 from .engine import (
     GATE_ARITY, AddAncilla, Circuit, Descriptor, DescriptorSet, Gate,
     evolve_circuit, expectations, gate_steps, step_label,
-)
-from .density import (
-    density_report, diagonal_probabilities, expectation_table,
-    reconstruct_density,
-)
-from .uniqueness import (
-    NotFound, canonical_signs, construct_from_density, density_symmetries,
-    generate_equivalent_sets, validate_basis,
-)
-from .protocols import (
-    PAIRS_1BASED, dependency_trace, run_entanglement_swap,
-    run_generalized_measurement_demo, run_ultimate_chain_demo,
 )
 
 EXIT_OK = 0
@@ -207,14 +199,19 @@ def _render3(d: Descriptor) -> list[str]:
     return [c.render() for c in d]
 
 
-def _singles_rows(set_: DescriptorSet) -> list[dict]:
+def _singles(set_: DescriptorSet) -> list[tuple[tuple[int, ...], ComplexDyadic]]:
+    """The (string, exact average) pair of each qubit's x, y and z."""
     n = set_.n
     strings = [(I,) * q + (w,) + (I,) * (n - 1 - q)
                for q in range(n) for w in (X, Y, Z)]
+    return list(zip(strings, expectations(set_, strings)))
+
+
+def _singles_rows(singles: list[tuple[tuple[int, ...], ComplexDyadic]]) -> list[dict]:
     rendered: dict[str, dict] = {}
-    nums = [_num_once(rendered, str(v), v) for v in expectations(set_, strings)]
+    nums = [_num_once(rendered, str(v), v) for _, v in singles]
     return [{"qubit": q + 1, **dict(zip("xyz", nums[3 * q:3 * q + 3]))}
-            for q in range(n)]
+            for q in range(len(nums) // 3)]
 
 
 def _history_rows(set_: DescriptorSet) -> list[str]:
@@ -235,6 +232,7 @@ def _verify_set(set_: DescriptorSet, seed: int,
     already in the call is not sent again.  The set passes when the worst
     deviation over every pair, repeated strings included, is within ATOL.
     """
+    import random
     from . import oracle
     if set_.n > oracle.DENSE_MAX_QUBITS:
         raise ParseError(None, None,
@@ -246,18 +244,19 @@ def _verify_set(set_: DescriptorSet, seed: int,
     count = min(VERIFY_SAMPLES, space)
     picks = rng.sample(range(space), count)
     strings = oracle.pick_letters(picks, set_.n)
-    rows = strings.tolist()
-    positions, values = list(range(count)), expectations(set_, rows)
-    position = dict(zip(map(tuple, rows), positions)) if checks else {}
-    for letters, value in checks:
-        k = position.setdefault(letters, len(rows))
-        if k == len(rows):
-            rows.append(letters)
-        positions.append(k)
-        values.append(value)
+    positions, values = list(range(count)), expectations(set_, strings.tolist())
+    if checks:
+        # A check string's row is its sample's, or a new pick after them.
+        position = dict(zip(picks, positions))
+        for letters, value in checks:
+            pick = sum(letter << 2 * q for q, letter in enumerate(letters))
+            positions.append(position.setdefault(pick, len(position)))
+            values.append(value)
+        if len(position) > count:
+            strings = oracle.pick_letters(list(position), set_.n)
     if psi is None:
         psi = oracle.apply_circuit(set_.n, gate_steps(set_))
-    averages = oracle.string_averages(psi, rows if len(rows) > count else strings)
+    averages = oracle.string_averages(psi, strings)
     return oracle.worst_deviation(averages, positions, values) <= oracle.ATOL
 
 
@@ -283,13 +282,15 @@ def _load_circuit(cfg: RunConfig) -> Circuit:
 
 def _cmd_run(cfg: RunConfig) -> dict:
     set_ = evolve_circuit(_load_circuit(cfg))
+    singles = _singles(set_)
     sections: dict = {
         "qubits": set_.n,
         "history": _history_rows(set_),
         "descriptors": _descriptor_rows(set_),
-        "singles": _singles_rows(set_),
+        "singles": _singles_rows(singles),
     }
     if set_.n <= DIAGONAL_MAX_QUBITS:
+        from .density import diagonal_probabilities
         rendered: dict[tuple[int, int], dict] = {}
         sections["diagonal"] = [
             {"bitstring": format(k, f"0{set_.n}b"),
@@ -299,13 +300,17 @@ def _cmd_run(cfg: RunConfig) -> dict:
         print(f"note: diagonal omitted for the {set_.n}-qubit register "
               f"(computed up to {DIAGONAL_MAX_QUBITS} qubits)", file=sys.stderr)
     if set_.n == 2:
+        from .density import density_report
         sections["pair_analysis"] = density_report(set_, [0, 1])
     if cfg.verify:
-        sections["verified"] = _verify_set(set_, cfg.seed)
+        # The samples almost never hold a single at n = 10, so the printed
+        # singles are checked too, in the same oracle call.
+        sections["verified"] = _verify_set(set_, cfg.seed, checks=singles)
     return sections
 
 
 def _cmd_validate(cfg: RunConfig) -> dict:
+    from .uniqueness import validate_basis
     set_ = evolve_circuit(_load_circuit(cfg))
     if set_.n != 2:
         raise ParseError(None, None, "validate needs a two-qubit circuit")
@@ -319,6 +324,10 @@ def _cmd_validate(cfg: RunConfig) -> dict:
 
 
 def _cmd_symmetries(cfg: RunConfig) -> dict:
+    from .density import reconstruct_density
+    from .uniqueness import (
+        canonical_signs, density_symmetries, generate_equivalent_sets,
+    )
     set_ = evolve_circuit(_load_circuit(cfg))
     if set_.n != 2:
         raise ParseError(None, None, "symmetries needs a two-qubit circuit")
@@ -339,6 +348,8 @@ def _cmd_symmetries(cfg: RunConfig) -> dict:
 
 
 def _cmd_construct(cfg: RunConfig) -> dict:
+    from .density import expectation_table, reconstruct_density
+    from .uniqueness import NotFound, construct_from_density
     set_ = evolve_circuit(_load_circuit(cfg))
     if set_.n > 2:
         raise ParseError(None, None, "construct covers 1- or 2-qubit densities")
@@ -360,6 +371,7 @@ def _cmd_construct(cfg: RunConfig) -> dict:
 
 
 def _cmd_swap_demo(cfg: RunConfig) -> dict:
+    from .protocols import PAIRS_1BASED, run_entanglement_swap
     result = run_entanglement_swap()
     set_ = result.final_set
     sections: dict = {
@@ -402,6 +414,7 @@ def _cmd_swap_demo(cfg: RunConfig) -> dict:
 
 
 def _cmd_measure_demo(cfg: RunConfig) -> dict:
+    from .protocols import run_generalized_measurement_demo
     demo = run_generalized_measurement_demo()
     set_ = demo["final_set"]
     sections = {
@@ -417,6 +430,7 @@ def _cmd_measure_demo(cfg: RunConfig) -> dict:
 
 
 def _cmd_chain_demo(cfg: RunConfig) -> dict:
+    from .protocols import run_ultimate_chain_demo
     demo = run_ultimate_chain_demo()
     set_ = demo["set"]
     sections = {
@@ -441,6 +455,7 @@ def _cmd_trace(cfg: RunConfig) -> dict:
     if cfg.verify:
         raise ParseError(None, None, "trace has no oracle check; "
                                      "run it without --verify")
+    from .protocols import dependency_trace
     circuit = _load_circuit(cfg)
     report = dependency_trace(circuit)
     return {

@@ -29,8 +29,8 @@ come from one ``pauli.inner_products`` pass over them, and its report
 carries their averages as the set's table.  ``generate_equivalent_sets``
 takes the transforms ``density_symmetries`` found, builds each set once and
 returns it with the table of its report, which ``symmetries --verify``
-compares with the oracle.  Closure of the symmetries is checked with
-``SymmetryTransform.compose``.
+compares with the oracle.  Closure of the symmetries is checked on their
+``(role_perm, swap)`` pairs.
 """
 
 from __future__ import annotations
@@ -162,11 +162,6 @@ class SymmetryTransform:
     def source(self, role: int) -> int:
         return self.role_perm[role - X]
 
-    def compose(self, first: "SymmetryTransform") -> "SymmetryTransform":
-        """self after first."""
-        perm = tuple(first.source(self.source(r)) for r in COMPONENTS)
-        return SymmetryTransform(perm, self.swap ^ first.swap)
-
     def orientation(self) -> int:
         """Sign relating the rebuilt y component to the permuted one: minus
         the Levi-Civita sign of (source(x), source(z), source(y))."""
@@ -270,11 +265,13 @@ def density_symmetries(rho: DensityMatrix) -> list[SymmetryTransform]:
     found = [transform for transform, signs
              in zip(candidates, _transform_signs(candidates, table))
              if signs is not None]
-    members = set(found)
-    if SymmetryTransform.identity() not in members:
+    # t1 after t2 takes role r from t2's source of t1's source of r.
+    members = {(t.role_perm, t.swap) for t in found}
+    if ((X, Y, Z), False) not in members:
         raise AssertionError("symmetry search lost the identity")
     for t1, t2 in itertools.product(found, repeat=2):
-        if t1.compose(t2) not in members:
+        perm = tuple(t2.role_perm[r - X] for r in t1.role_perm)
+        if (perm, t1.swap ^ t2.swap) not in members:
             raise AssertionError(
                 f"symmetries not closed: {t1.slot_cycles()} after {t2.slot_cycles()}")
     return found

@@ -382,8 +382,9 @@ class TestVerificationFailurePath:
     def test_construct_that_finds_nothing_fails_verify(self, bell_file, monkeypatch):
         """A circuit's own set reproduces its density, so an empty search
         under --verify is a failed check, with the `verified` key set."""
-        from dhsim import cli
-        monkeypatch.setattr(cli, "construct_from_density", lambda rho, budget: cli.NotFound)
+        from dhsim import uniqueness
+        monkeypatch.setattr(uniqueness, "construct_from_density",
+                            lambda rho, budget: uniqueness.NotFound)
         code, report = run_report(RunConfig("construct", bell_file, verify=True))
         assert code == EXIT_VERIFY
         assert report["sections"] == {"found": False, "system_qubits": 2,
@@ -395,11 +396,10 @@ class TestVerificationFailurePath:
         """A density that is not the circuit's (|00> for the Bell circuit)
         yields a set the engine agrees with; only the oracle's state of the
         circuit can refuse it."""
-        from dhsim import cli
-        from dhsim.density import reconstruct_density
+        from dhsim import density
         from dhsim.engine import initial_set
-        zeros = reconstruct_density(initial_set(2), [0, 1])
-        monkeypatch.setattr(cli, "reconstruct_density", lambda set_, qubits: zeros)
+        zeros = density.reconstruct_density(initial_set(2), [0, 1])
+        monkeypatch.setattr(density, "reconstruct_density", lambda set_, qubits: zeros)
         code, report = run_report(RunConfig("construct", bell_file, verify=True))
         assert report["sections"]["found"] is True
         assert code == EXIT_VERIFY
@@ -415,7 +415,33 @@ class TestVerificationFailurePath:
         code, report = run_report(RunConfig("run", str(path), verify=True, seed=34))
         assert code == EXIT_OK and report["sections"]["verified"] is True
         (_, rows), = calls
-        assert len({tuple(row) for row in np.asarray(rows).tolist()}) == 200
+        # The 200 samples come first; the 30 printed singles follow them.
+        rows = np.asarray(rows).tolist()
+        assert len(rows) == 230
+        assert len({tuple(row) for row in rows[:200]}) == 200
+
+    def test_negated_printed_singles_fail_verify(self, tmp_path, monkeypatch):
+        """Every nonzero single of a 10-qubit run negated in the engine's
+        batch: the report prints the wrong values, and --verify, whose 200
+        samples hold none of the 30 singles at seed 0, checks the printed
+        ones as well."""
+        from dhsim import cli as cli_mod
+        path = tmp_path / "ten.dh"
+        path.write_text("qubits 10\nx 1\nh 2\nh 3\ns 3\nh 4\ncnot 4 5\n")
+        real = cli_mod.expectations
+
+        def negated_singles(set_, strings):
+            values = real(set_, strings)
+            return [-v for v in values] if len(strings) == 3 * set_.n else values
+
+        cfg = RunConfig("run", str(path), verify=True)
+        assert run_report(cfg)[0] == EXIT_OK
+        monkeypatch.setattr(cli_mod, "expectations", negated_singles)
+        code, report = run_report(cfg)
+        # Qubit 1 is |1>: its z average is -1, printed here as +1.
+        assert report["sections"]["singles"][0]["z"]["exact"] == "1"
+        assert code == EXIT_VERIFY
+        assert report["sections"]["verified"] is False
 
     @staticmethod
     def _corrupt_one(monkeypatch, position):
@@ -441,7 +467,9 @@ class TestVerificationFailurePath:
         assert run_report(cfg)[0] == EXIT_OK
         sizes = self._corrupt_one(monkeypatch, position)
         code, report = run_report(cfg)
-        assert sizes == [200]
+        # The 200 samples, then the 11 of the 15 printed singles that were
+        # not sampled.
+        assert sizes == [211]
         assert code == EXIT_VERIFY
         assert report["sections"]["verified"] is False
 
@@ -493,7 +521,7 @@ class TestVerificationFailurePath:
 def test_symmetries_builds_at_most_40_tables(tmp_path, monkeypatch, frame):
     """Each set's table is built once: the seed's, each transformed
     candidate's, the sign-flipped ones tried, and one per set for --verify."""
-    from dhsim import cli as cli_mod, density, uniqueness
+    from dhsim import density, uniqueness
     real = density.expectation_table
     calls = []
 
@@ -501,7 +529,7 @@ def test_symmetries_builds_at_most_40_tables(tmp_path, monkeypatch, frame):
         calls.append(tuple(qubits))
         return real(set_, qubits)
 
-    for module in (cli_mod, density, uniqueness):
+    for module in (density, uniqueness):
         monkeypatch.setattr(module, "expectation_table", counting)
     path = tmp_path / "bell.dh"
     path.write_text(BELL + frame)
@@ -530,9 +558,9 @@ def test_swap_demo_verify_compares_the_reduced_pairs(monkeypatch):
     after the basis and purity assertions passed on the real pairs: only
     the comparison with the conditioned oracle state can see it."""
     import dataclasses
-    from dhsim import cli as cli_mod
+    from dhsim import protocols
     from dhsim.engine import Descriptor
-    real = cli_mod.run_entanglement_swap
+    real = protocols.run_entanglement_swap
 
     def negated():
         result = real()
@@ -543,7 +571,7 @@ def test_swap_demo_verify_compares_the_reduced_pairs(monkeypatch):
         return dataclasses.replace(result, relative_bell=tuple(outcomes))
 
     assert run_report(RunConfig("swap-demo", verify=True))[0] == EXIT_OK
-    monkeypatch.setattr(cli_mod, "run_entanglement_swap", negated)
+    monkeypatch.setattr(protocols, "run_entanglement_swap", negated)
     code, report = run_report(RunConfig("swap-demo", verify=True))
     assert code == EXIT_VERIFY
     assert report["sections"]["verified"] is False
@@ -641,9 +669,9 @@ def test_trace_scans_each_support_once(tmp_path, monkeypatch):
 class TestSymmetriesVerifyUsesTheReturnedTables:
     @staticmethod
     def _spy(monkeypatch, corrupt=None):
-        from dhsim import cli as cli_mod
+        from dhsim import cli as cli_mod, uniqueness
         from dhsim.pauli import Z
-        real_generate, real_verify = cli_mod.generate_equivalent_sets, cli_mod._verify_set
+        real_generate, real_verify = uniqueness.generate_equivalent_sets, cli_mod._verify_set
         returned, handed = [], []
 
         def generate(*args):
@@ -661,7 +689,7 @@ class TestSymmetriesVerifyUsesTheReturnedTables:
             handed.extend(checks)
             return real_verify(set_, seed, checks, psi)
 
-        monkeypatch.setattr(cli_mod, "generate_equivalent_sets", generate)
+        monkeypatch.setattr(uniqueness, "generate_equivalent_sets", generate)
         monkeypatch.setattr(cli_mod, "_verify_set", verify)
         return returned, handed
 
@@ -730,9 +758,10 @@ def test_chain_demo_restricts_each_descriptor_once(monkeypatch):
 
 
 def test_verify_batches_every_average(tmp_path, monkeypatch):
-    """A 10-qubit run --verify takes its 200 oracle averages in one call and
-    its 30 singles and 200 engine averages through the batched form, with
-    no single-query ``expectation`` call."""
+    """A 10-qubit run --verify takes its 200 sampled and 30 printed single
+    oracle averages in one call (no single is among the 200 samples at seed
+    0) and its 30 singles and 200 engine averages through the batched form,
+    with no single-query ``expectation`` call."""
     from dhsim import engine, oracle
     path = tmp_path / "ten.dh"
     path.write_text("qubits 10\n" + "".join(
@@ -742,7 +771,7 @@ def test_verify_batches_every_average(tmp_path, monkeypatch):
     batches = _count_calls(monkeypatch, engine, "expectations")
     code, report = run_report(RunConfig("run", str(path), verify=True))
     assert code == EXIT_OK and report["sections"]["verified"] is True
-    assert [len(args[1]) for args in averages] == [200]
+    assert [len(args[1]) for args in averages] == [230]
     assert singles == []
     assert sorted(len(args[1]) for args in batches) == [30, 200]
 
@@ -856,34 +885,60 @@ class TestMainEntry:
         assert report["sections"]["verified"] is True
 
 
+# Runs the argv lists of sys.argv[1] (JSON) in one fresh interpreter, and
+# prints each exit code and the dhsim modules (and numpy) loaded after it.
 _LOADED_MODULES = """
 import contextlib, io, json, sys
 from dhsim.cli import main
 
-def loaded():
-    return ["numpy" in sys.modules, "dhsim.oracle" in sys.modules]
-
-path = sys.argv[1]
-runs = [[c, path] for c in ("run", "trace", "validate", "symmetries", "construct")]
-runs += [["swap-demo"], ["measure-demo"], ["chain-demo"]]
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main(argv) for argv in runs]
-    before = loaded()
-    codes.append(main(["run", path, "--verify"]))
-print(json.dumps({"codes": codes, "before": before, "after": loaded()}))
+codes, loaded = [], []
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        codes.append(main(argv))
+        loaded.append(sorted(name for name in sys.modules
+                             if name == "numpy" or name.split(".")[0] == "dhsim"))
+print(json.dumps({"codes": codes, "loaded": loaded}))
 """
+
+
+def _loaded_after_each(runs):
+    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, json.dumps(runs)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [EXIT_OK] * len(runs)
+    return [set(names) for names in result["loaded"]]
 
 
 def test_only_verify_loads_numpy_and_the_oracle(bell_file):
     """In a fresh interpreter every subcommand without --verify leaves
     numpy and dhsim.oracle unimported; one --verify run loads both."""
-    proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, bell_file],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
-    assert result["codes"] == [EXIT_OK] * 9
-    assert result["before"] == [False, False]
-    assert result["after"] == [True, True]
+    runs = [[c, bell_file] for c in ("run", "trace", "validate", "symmetries",
+                                     "construct")]
+    runs += [["swap-demo"], ["measure-demo"], ["chain-demo"]]
+    runs.append(["run", bell_file, "--verify"])
+    loaded = _loaded_after_each(runs)
+    before, after = loaded[-2], loaded[-1]
+    assert [name in before for name in ("numpy", "dhsim.oracle")] == [False, False]
+    assert [name in after for name in ("numpy", "dhsim.oracle")] == [True, True]
+
+
+def test_each_subcommand_loads_only_its_modules(tmp_path, bell_file):
+    """In a fresh interpreter each subcommand adds the dhsim modules its
+    report uses: none beyond pauli and engine for a wide run, density for
+    the diagonal and pair analysis, the oracle for --verify, uniqueness for
+    validate, and protocols with relative for the swap."""
+    wide = tmp_path / "wide.dh"
+    wide.write_text("qubits 10\nh 1\ncnot 1 10\n")
+    runs = [["run", str(wide)], ["run", str(wide), "--verify"],
+            ["run", bell_file], ["validate", bell_file], ["swap-demo"]]
+    loaded = _loaded_after_each(runs)
+    base = {"dhsim", "dhsim.cli", "dhsim.engine", "dhsim.pauli"}
+    assert loaded[0] == base
+    assert loaded[1] - loaded[0] == {"dhsim.oracle", "numpy"}
+    assert loaded[2] - loaded[1] == {"dhsim.density"}
+    assert loaded[3] - loaded[2] == {"dhsim.uniqueness"}
+    assert loaded[4] - loaded[3] == {"dhsim.protocols", "dhsim.relative"}
 
 
 # Preparations of the six single-qubit stabilizer states from |0>.

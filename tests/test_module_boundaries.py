@@ -7,7 +7,8 @@ tuples and coefficients) and never a private name of `dhsim.pauli`.
 Floats decide nothing outside the oracle: only `oracle.py` calls an
 eigenvalue routine or imports numpy, `relative.py` imports neither numpy
 nor the oracle, and no module imports the oracle at module level, so an
-exact report loads neither.
+exact report loads neither.  The command line imports only `pauli` and
+`engine` at module level; each analysis module loads where a report uses it.
 """
 
 import ast
@@ -100,6 +101,20 @@ def test_oracle_not_imported_at_module_level(path):
     imported = [name for node in _module_level(tree)
                 for name in _imported_modules(node)]
     assert not [name for name in imported if "oracle" in name.split(".")]
+
+
+def test_cli_imports_only_pauli_and_engine_at_module_level():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    siblings = set()
+    for node in _module_level(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "dhsim"):
+            module = (node.module or "").removeprefix("dhsim").lstrip(".")
+            siblings.update([module] if module else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            siblings.update(a.name.split(".")[1] for a in node.names
+                            if a.name.startswith("dhsim."))
+    assert siblings == {"pauli", "engine"}
 
 
 def test_every_exported_name_resolves():

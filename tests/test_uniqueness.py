@@ -154,6 +154,12 @@ class TestValidateBasisAgainstReference:
         assert any(not r.complete for r in reports)
 
 
+def compose(second: SymmetryTransform, first: SymmetryTransform) -> SymmetryTransform:
+    """``second`` after ``first``, built as a transform."""
+    perm = tuple(first.source(second.source(r)) for r in (X, Y, Z))
+    return SymmetryTransform(perm, second.swap ^ first.swap)
+
+
 class TestSymmetryTransform:
     def test_identity_cycles(self):
         assert SymmetryTransform.identity().slot_cycles() == "()"
@@ -165,7 +171,7 @@ class TestSymmetryTransform:
     def test_composition(self):
         swap = SymmetryTransform((X, Y, Z), True)
         xz = SymmetryTransform((Z, Y, X), False)
-        both = xz.compose(swap)
+        both = compose(xz, swap)
         assert both.swap and both.role_perm == (Z, Y, X)
 
 
@@ -176,7 +182,44 @@ class TestDensitySymmetries:
         members = set(group)
         assert SymmetryTransform.identity() in members
         for t1, t2 in itertools.product(group, repeat=2):
-            assert t1.compose(t2) in members
+            assert compose(t1, t2) in members
+
+    @staticmethod
+    def _found_only(monkeypatch, kept):
+        """Make the sign search admit only the (role_perm, swap) pairs kept."""
+        monkeypatch.setattr(uniqueness, "_transform_signs", lambda transforms, table: [
+            (1, 1, 1, 1) if (t.role_perm, t.swap) in kept else None
+            for t in transforms])
+
+    def test_found_list_not_closed_raises(self, bell_rho, monkeypatch):
+        # A three-cycle of the roles without its square.
+        self._found_only(monkeypatch, {((X, Y, Z), False), ((Y, Z, X), False)})
+        with pytest.raises(AssertionError, match="symmetries not closed: "
+                                                 r"\(1x 1y 1z\)\(2x 2y 2z\) after"):
+            density_symmetries(bell_rho)
+
+    def test_found_list_without_identity_raises(self, bell_rho, monkeypatch):
+        self._found_only(monkeypatch, {((X, Y, Z), True)})
+        with pytest.raises(AssertionError, match="symmetry search lost the identity"):
+            density_symmetries(bell_rho)
+
+    def test_closure_check_agrees_with_composed_transforms(self, bell_rho,
+                                                            monkeypatch):
+        """For the identity and any two candidates, the search raises exactly
+        when a composite of two of them is missing."""
+        candidates = [SymmetryTransform(perm, swap)
+                      for perm in itertools.permutations((X, Y, Z))
+                      for swap in (False, True)]
+        for a, b in itertools.combinations(candidates, 2):
+            found = {SymmetryTransform.identity(), a, b}
+            self._found_only(monkeypatch, {(t.role_perm, t.swap) for t in found})
+            closed = all(compose(t1, t2) in found
+                         for t1, t2 in itertools.product(found, repeat=2))
+            if closed:
+                assert set(density_symmetries(bell_rho)) == found
+            else:
+                with pytest.raises(AssertionError, match="symmetries not closed"):
+                    density_symmetries(bell_rho)
 
     def test_generic_state_identity_only(self):
         # A product of two differently polarized qubits, with distinct
