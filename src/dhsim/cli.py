@@ -15,13 +15,9 @@ labels::
 Exit codes: 0 success, 1 usage or parse error, 2 verification failure,
 3 internal error.  DH_MAX_QUBITS (default 10) caps the register size.
 
-Reports are exact and need no floats; the dense oracle, and numpy with
-it, is imported only where ``--verify`` uses it.  The same holds for every
-analysis module: only ``pauli`` and ``engine``, which every subcommand
-uses, are imported at module level, and ``density``, ``uniqueness`` and
-``protocols`` (with ``relative``) are imported inside the handler, or the
-report section, that calls them.  So ``run`` on a register wider than
-``DIAGONAL_MAX_QUBITS`` loads no analysis module at all.
+Reports are exact and need no floats.  Only ``pauli`` and ``engine`` are
+imported at module level; the oracle (with numpy) and each analysis module
+are imported inside the handler, or the report section, that uses them.
 """
 
 from __future__ import annotations
@@ -499,8 +495,8 @@ def render_json(report: dict) -> str:
     ensure_ascii=False) + "\\n"``, byte for byte, in one recursive pass.
 
     ``indent`` turns ``json``'s C encoder off; this writer keeps its C string
-    escaping (``encode_basestring``) and ``float.__repr__``.  Dict keys must
-    be strings: any other key raises TypeError.
+    escaping (``encode_basestring``) and ``float.__repr__``.  A dict key
+    that is not a string raises TypeError.
     """
     out: list[str] = []
     _write_json(report, "\n", out.append)
@@ -509,50 +505,44 @@ def render_json(report: dict) -> str:
 
 
 _encode_str = json.encoder.encode_basestring
+# The JSON text of a scalar item, by its exact type.
+_SCALARS = {str: _encode_str, int: int.__repr__,
+            float: lambda v: float.__repr__(v) if math.isfinite(v) else json.dumps(v),
+            bool: {True: "true", False: "false"}.__getitem__, type(None): lambda v: "null"}
 
 
 def _write_json(value: Any, newline: str, put) -> None:
-    """Put the JSON text of ``value``; its nested lines start with ``newline``."""
-    if isinstance(value, str):
-        put(_encode_str(value))
-    elif isinstance(value, dict):
-        if not value:
-            put("{}")
-            return
+    """Put the JSON text of ``value``; its nested lines start with ``newline``.
+    A container puts each scalar item with its key or separator and calls
+    this only for a nested container; no closure, so no reference cycle."""
+    if isinstance(value, dict):
         inner = newline + "  "
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be str, not "
-                                f"{type(key).__name__} ({key!r})")
-            put(sep + _encode_str(key) + ": ")
-            _write_json(item, inner, put)
-            sep = "," + inner
-        put(newline + "}")
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(value):
+            item = value[key]
+            scalar = _SCALARS.get(type(item))
+            if scalar is None:
+                put(f"{sep}{_encode_str(key)}: ")
+                _write_json(item, inner, put)
+            else:
+                put(f"{sep}{_encode_str(key)}: {scalar(item)}")
+            sep = comma
+        put(newline + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
-        if not value:
-            put("[]")
-            return
         inner = newline + "  "
-        sep = "[" + inner
+        sep, comma = "[" + inner, "," + inner
         for item in value:
-            put(sep)
-            _write_json(item, inner, put)
-            sep = "," + inner
-        put(newline + "]")
-    elif isinstance(value, float):
-        put(float.__repr__(value) if math.isfinite(value) else json.dumps(value))
-    elif value is None:
-        put("null")
-    elif value is True:
-        put("true")
-    elif value is False:
-        put("false")
-    elif isinstance(value, int):
-        put(int.__repr__(value))
+            scalar = _SCALARS.get(type(item))
+            if scalar is None:
+                put(sep)
+                _write_json(item, inner, put)
+            else:
+                put(sep + scalar(item))
+            sep = comma
+        put(newline + "]" if value else "[]")
     else:
-        raise TypeError(f"Object of type {type(value).__name__} "
-                        f"is not JSON serializable")
+        # A scalar at the top or of a subclass; anything else raises TypeError.
+        put(json.dumps(value, ensure_ascii=False))
 
 
 def _text_value(value, indent: str = "") -> list[str]:

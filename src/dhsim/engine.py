@@ -15,11 +15,13 @@ U^dagger sigma U with U = V_k ... V_0, and it is why rewriting the letters
 of the evolved strings in place would be wrong.
 
 A gate kind is one ``_RULES`` entry, with one row triple per operand, so
-its arity is its row count (``GATE_ARITY``).  Every rule has one applier
-(``_rewrite``) and every step one function (``_step``), which
-``apply_gate`` and ``add_ancilla`` call on a descriptor set and ``fold``
-runs over a circuit on a list of ``Descriptor`` triples; ``evolve_circuit``
-and the dependency trace both consume that fold.
+its arity is its row count (``GATE_ARITY``).  ``apply_gate`` and
+``add_ancilla`` step a set through all three rows (``_step``), as a
+relative descriptor may have several terms.  A set evolved from |0...0>
+keeps q_y = i q_x q_z, so ``fold`` runs a circuit on the X and Z rows
+only, as the stabilizer tableau does, on (packed key, i-exponent) ints;
+``descriptor_set`` builds its sums once, and ``evolve_circuit`` and the
+dependency trace both consume that fold.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .pauli import (
     I, X, Y, Z,
     ComplexDyadic, DimensionError, PauliSum,
-    sum_mul, vacuum_expectations,
+    key_phase, slot_key, sum_mul, vacuum_expectations, x_mask,
 )
 
 # Heisenberg rewrite V^dagger sigma V, one form for every kind: per operand
@@ -53,6 +55,23 @@ _RULES = {
 }
 # Gate kind -> number of operands: one row triple per operand position.
 GATE_ARITY = {kind: len(rows) for kind, rows in _RULES.items()}
+
+# The fold keeps each qubit's q_x and q_z as a packed row (key_x, k_x,
+# key_z, k_z), a component being i**k times the bare string of its key.  Its
+# rules are the X and Z rows of ``_RULES`` as (k, first, rest): the sign as
+# i**k, a factor as (position, index of its key in a row), Y as i q_x q_z.
+Row = tuple[int, int, int, int]
+_KEYS = {X: (0,), Y: (0, 2), Z: (2,)}
+
+
+def _packed_row(sign: int, factors: tuple) -> tuple:
+    keys = [(pos, c) for pos, letter in factors for c in _KEYS[letter]]
+    return 1 - sign + sum(letter == Y for _, letter in factors), keys[0], tuple(keys[1:])
+
+
+_PACKED_RULES = {kind: tuple((_packed_row(*x_row), _packed_row(*z_row))
+                             for x_row, _, z_row in rows)
+                 for kind, rows in _RULES.items()}
 
 
 class GateError(ValueError):
@@ -160,15 +179,25 @@ class DescriptorSet:
 
 def initial_set(n: int) -> DescriptorSet:
     """Fresh register: descriptor a is sigma on slot a, identity elsewhere."""
+    return descriptor_set(_fresh_rows(n))
+
+
+def _fresh_rows(n: int, first: int = 0) -> list[Row]:
+    """The packed rows of fresh |0> qubits first..n-1 of an n-qubit register."""
     if n < 1:
         raise EmptyRegisterError("register must hold at least one qubit")
-    return DescriptorSet(n, tuple(_fresh(n, a) for a in range(n)))
+    return [(slot_key(q, X), 0, slot_key(q, Z), 0) for q in range(first, n)]
 
 
-def _fresh(n: int, qubit: int) -> Descriptor:
-    """The descriptor of a fresh |0> qubit: sigma on its own slot."""
-    return Descriptor(PauliSum.single(n, qubit, X), PauliSum.single(n, qubit, Y),
-                      PauliSum.single(n, qubit, Z))
+def descriptor_set(rows: Sequence[Row], history: tuple = ()) -> DescriptorSet:
+    """The descriptor set of a register's packed rows, q_y = i q_x q_z."""
+    n, string = len(rows), PauliSum.from_key
+    m = x_mask(n)
+    return DescriptorSet(n, tuple(
+        Descriptor(string(n, kx, ex),
+                   string(n, kx ^ kz, ex + ez + 1 + key_phase(kx, kz, m)),
+                   string(n, kz, ez))
+        for kx, ex, kz, ez in rows), history)
 
 
 def _rewrite(kind: str, operands: Sequence[Descriptor]) -> list[Descriptor]:
@@ -199,7 +228,7 @@ def _step(descs: list[Descriptor], step: Gate | AddAncilla) -> list[Descriptor]:
         n = len(descs) + 1
         grown = [Descriptor(qx.extended(1), qy.extended(1), qz.extended(1))
                  for qx, qy, qz in descs]
-        grown.append(_fresh(n, n - 1))
+        grown.append(initial_set(n).descriptors[-1])
         return grown
     operands = step.operands
     for qubit, desc in zip(operands, _rewrite(step.kind, [descs[q] for q in operands])):
@@ -220,15 +249,6 @@ def add_ancilla(set_: DescriptorSet) -> DescriptorSet:
     return DescriptorSet(len(descs), tuple(descs), set_.history + (AddAncilla(),))
 
 
-def _chosen(set_: DescriptorSet, indices: Sequence[int]) -> list[PauliSum]:
-    """The components ``indices`` selects, in qubit order (index 0 skipped)."""
-    if len(indices) != set_.n:
-        raise DimensionError(f"need {set_.n} component indices, got {len(indices)}")
-    descs = set_.descriptors
-    return [descs[qubit].component(which)
-            for qubit, which in enumerate(indices) if which != I]
-
-
 def component_product(set_: DescriptorSet, indices: Sequence[int]) -> PauliSum:
     """Ordered product of chosen components (identity for index 0).
 
@@ -237,7 +257,10 @@ def component_product(set_: DescriptorSet, indices: Sequence[int]) -> PauliSum:
     qubits commute, so taking the factors in qubit order loses nothing.
     One chosen component is its own product.
     """
-    chosen = _chosen(set_, indices)
+    if len(indices) != set_.n:
+        raise DimensionError(f"need {set_.n} component indices, got {len(indices)}")
+    chosen = [set_.descriptors[qubit].component(which)
+              for qubit, which in enumerate(indices) if which != I]
     if len(chosen) == 1:
         return chosen[0]
     return sum_mul(*chosen) if chosen else PauliSum.identity(set_.n)
@@ -275,24 +298,39 @@ def heisenberg_image(set_: DescriptorSet, operator: PauliSum) -> PauliSum:
     return out
 
 
-def fold(circuit: Circuit) -> Iterator[list[Descriptor]]:
-    """The fresh register's descriptors, then the same list after each step
-    of the circuit in turn (one new list per ancilla).
-
-    ``Circuit`` has range-checked every step, so none is checked again.
-    """
-    descs = list(initial_set(circuit.initial_qubits).descriptors)
-    yield descs
+def fold(circuit: Circuit) -> Iterator[list[Row]]:
+    """The fresh register's packed rows, then the same list after each step
+    of the circuit: a gate replaces its operands' rows under the X and Z
+    rows of its rule, each product one ``key_phase``; an ancilla appends a
+    fresh row, as a key does not depend on the register width.  ``Circuit``
+    has range-checked every step, so none is checked again."""
+    rows = _fresh_rows(circuit.initial_qubits)
+    m = x_mask(len(rows))
+    yield rows
     for step in circuit.steps:
-        descs = _step(descs, step)
-        yield descs
+        if isinstance(step, AddAncilla):
+            rows += _fresh_rows(len(rows) + 1, len(rows))
+            m = x_mask(len(rows))
+        else:
+            old = [rows[q] for q in step.operands]
+            for q, rule in zip(step.operands, _PACKED_RULES[step.kind]):
+                new = []
+                for k, (pos, c), rest in rule:
+                    key, k = old[pos][c], k + old[pos][c + 1]
+                    for pos, c in rest:
+                        kb = old[pos][c]
+                        k += old[pos][c + 1] + key_phase(key, kb, m)
+                        key ^= kb
+                    new += key, k & 3
+                rows[q] = tuple(new)
+        yield rows
 
 
 def evolve_circuit(circuit: Circuit) -> DescriptorSet:
     """Run the fold to its end; the descriptor set is built once, there."""
-    for descs in fold(circuit):
+    for rows in fold(circuit):
         pass
-    return DescriptorSet(len(descs), tuple(descs), circuit.steps)
+    return descriptor_set(rows, circuit.steps)
 
 
 def gate_steps(set_: DescriptorSet) -> list[tuple[str, tuple[int, ...]]]:

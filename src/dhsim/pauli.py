@@ -9,16 +9,18 @@ At the interface, letters are integers 0..3 for I, X, Y, Z and a string's
 phase is an exponent k of i (i**k, k mod 4).  Inside :class:`PauliSum` a
 bare letter sequence is one packed int key: bit 2q holds x_q and bit 2q+1
 holds z_q, so X = 0b01, Z = 0b10 and Y = 0b11 on slot q.  The letters of a
-product are ``ka ^ kb`` and its i-exponent is
+product are ``ka ^ kb`` and its i-exponent, ``key_phase``, is
 
     y(a) + y(b) - y(a ^ b) + 2 * popcount(z_a & x_b)   (mod 4),
 
 with y(k) = popcount(k & k >> 1 & M), the number of Y slots, and M the
-0b0101... mask of x bits.  This follows from Y = i XZ and Z X = -X Z.  The
-vacuum keeps exactly the keys with no x bit.  There is no separate string
-type: a signed Pauli string is a one-term sum, ``commute`` tests two of
-them on their keys, and ``x_kernel`` eliminates the x-parts of several
-over GF(2).
+0b0101... mask of x bits (``x_mask``).  This follows from Y = i XZ and
+Z X = -X Z.  The vacuum keeps exactly the keys with no x bit.  There is
+no string class: a signed Pauli string is a one-term sum, whose strings
+``commute`` tests on their keys and ``x_kernel`` eliminates over GF(2),
+or, in the engine's fold, a bare (key, i-exponent) int pair, which
+``slot_key``, ``key_phase``, ``key_support`` and ``PauliSum.from_key``
+serve.
 
 ``sum_mul`` and ``vacuum_expectation`` take an ordered product of any
 number of sums.  On a Clifford circuit every descriptor component is one
@@ -132,7 +134,7 @@ class ComplexDyadic:
     @staticmethod
     def i_power(k: int) -> "ComplexDyadic":
         """Return i**k as an exact value."""
-        return ONE._times_i(k)
+        return _I_POWERS[k & 3]
 
     def _times_i(self, k: int) -> "ComplexDyadic":
         """Return self * i**k: a quarter turn of the numerators per step."""
@@ -218,6 +220,7 @@ _set_e = ComplexDyadic._e.__set__
 
 ZERO = ComplexDyadic()
 ONE = ComplexDyadic(1)
+_I_POWERS = tuple(ONE._times_i(k) for k in range(4))
 
 
 # Letter <-> 2-bit slot code (x in the low bit, z in the high bit).  The map
@@ -229,6 +232,14 @@ _LETTER_OF_CODE = (I, X, Z, Y)
 def _bad_letter(letter: object, slot: int) -> ValueError:
     return ValueError(f"letter {letter!r} at slot {slot} is not one of "
                       f"0..3 (I, X, Y, Z)")
+
+
+def slot_key(qubit: int, letter: int) -> int:
+    """Packed key of one letter on one slot, identity elsewhere."""
+    code = _CODE.get(letter)
+    if code is None:
+        raise _bad_letter(letter, qubit)
+    return code << 2 * qubit
 
 
 def _pack(letters: Letters) -> int:
@@ -255,9 +266,24 @@ def _unpack(key: int, n: int) -> Letters:
 
 
 @functools.lru_cache(maxsize=128)
-def _x_mask(n: int) -> int:
+def x_mask(n: int) -> int:
     """M = 0b0101...01 with n ones: the x bit of every slot."""
     return (4 ** n - 1) // 3
+
+
+def key_phase(ka: int, kb: int, m: int) -> int:
+    """The i-exponent k, not reduced mod 4, of (string ka)(string kb) =
+    i**k (string ka ^ kb); ``m`` is the x mask of a register at least as
+    wide as both keys."""
+    kc = ka ^ kb
+    return ((ka & ka >> 1 & m).bit_count() + (kb & kb >> 1 & m).bit_count()
+            - (kc & kc >> 1 & m).bit_count() + 2 * (ka >> 1 & m & kb).bit_count())
+
+
+def key_support(key: int) -> list[int]:
+    """The slots, in increasing order, where a key (or an OR of keys) has a
+    non-identity letter."""
+    return [q for q in range((key.bit_length() + 1) >> 1) if key >> 2 * q & 3]
 
 
 def _accumulate(terms: dict[int, ComplexDyadic], key: int,
@@ -278,11 +304,10 @@ class PauliSum:
     Canonical form stores one coefficient per bare letter sequence (string
     phases folded into coefficients), keyed by its packed int, and never
     keeps a zero term.  Values are immutable; all operations return new
-    sums.  So a sum remembers its text and its support once either is
-    first asked for.
+    sums.  So a sum remembers its text once it is first asked for.
     """
 
-    __slots__ = ("n", "_terms", "_text", "_support")
+    __slots__ = ("n", "_terms", "_text")
 
     def __init__(self, n: int, terms: Mapping[Letters, ComplexDyadic] | None = None):
         self.n = n
@@ -293,7 +318,7 @@ class PauliSum:
                 if coef:
                     canon[key] = ComplexDyadic.of(coef)
         self._terms = canon
-        self._text = self._support = None
+        self._text = None
 
     def _key(self, letters: Letters) -> int:
         if len(letters) != self.n:
@@ -306,7 +331,7 @@ class PauliSum:
         out = _new(PauliSum)
         out.n = n
         out._terms = terms
-        out._text = out._support = None
+        out._text = None
         return out
 
     # -- constructors ---------------------------------------------------
@@ -322,13 +347,16 @@ class PauliSum:
     @staticmethod
     def single(n: int, qubit: int, letter: int, coef: _Scalar = 1) -> "PauliSum":
         """``coef`` times a letter on one slot, identity elsewhere."""
-        code = _CODE.get(letter)
-        if code is None:
-            raise _bad_letter(letter, qubit)
         if not 0 <= qubit < n:
             raise IndexError(f"slot {qubit} is not in a {n}-qubit sum")
+        key = slot_key(qubit, letter)
         c = ComplexDyadic.of(coef)
-        return PauliSum._canonical(n, {code << 2 * qubit: c} if c else {})
+        return PauliSum._canonical(n, {key: c} if c else {})
+
+    @staticmethod
+    def from_key(n: int, key: int, k: int) -> "PauliSum":
+        """The one-term sum i**k times the bare string of a packed key."""
+        return PauliSum._canonical(n, {key: _I_POWERS[k & 3]})
 
     # -- inspection ------------------------------------------------------
 
@@ -395,18 +423,7 @@ class PauliSum:
 
     def support(self) -> frozenset[int]:
         """Qubit slots where some term carries a non-identity letter."""
-        if self._support is None:
-            used = 0
-            for key in self._terms:
-                used |= key
-            # One bit per non-identity slot, at its x position; then walk the set bits.
-            used = (used | used >> 1) & _x_mask(self.n)
-            slots = []
-            while used:
-                slots.append((used & -used).bit_length() >> 1)
-                used &= used - 1
-            self._support = frozenset(slots)
-        return self._support
+        return frozenset(key_support(functools.reduce(operator.or_, self._terms, 0)))
 
     def restrict(self, qubits: Iterable[int]) -> "PauliSum":
         """The sum on the ``qubits`` slots, every other slot evaluated in
@@ -415,7 +432,7 @@ class PauliSum:
         if keep and not (0 <= keep[0] and keep[-1] < self.n):
             raise IndexError(f"slots {keep} are not all in a {self.n}-qubit sum")
         moves = list(enumerate(keep))
-        dropped_x = _x_mask(self.n) & ~sum(1 << 2 * q for q in set(keep))
+        dropped_x = x_mask(self.n) & ~sum(1 << 2 * q for q in set(keep))
         terms: dict[int, ComplexDyadic] = {}
         for key, coef in self._terms.items():
             if key & dropped_x:
@@ -501,33 +518,30 @@ def sum_mul(first: PauliSum, *rest: PauliSum) -> PauliSum:
     """Ordered product of one or more sums, phases folded into coefficients.
 
     When every factor is one signed string, the product is folded in one
-    pass: the keys XOR together, the i-exponent is the sum of the factors'
-    Y counts minus that of the result plus twice the z-before-x overlaps
-    (the pairwise rule of the module docstring, telescoped), and the
-    integer numerators multiply, so one ``ComplexDyadic`` and one sum are
-    built at the end.  Otherwise the factors are multiplied left to right,
-    each pair of terms by XOR of the keys with the pairwise rule; the i**k
+    pass: the keys XOR together, each step adds its ``key_phase`` to the
+    i-exponent, and the integer numerators multiply, so one
+    ``ComplexDyadic`` and one sum are built at the end.  Otherwise the
+    factors are multiplied left to right, each pair of terms by XOR of the
+    keys with the pairwise rule; the i**k
     turn of the coefficient product is inlined as in
     ``ComplexDyadic._times_i`` because this is the engine's innermost loop.
     """
     n = first.n
-    m = _x_mask(n)
+    m = x_mask(n)
     if len(first._terms) == 1:
         ((key, c),) = first._terms.items()
         re, im, e = c._re, c._im, c._e
-        ys, overlap = (key & key >> 1 & m).bit_count(), 0
+        k = 0
         for f in rest:
             if f.n != n or len(f._terms) != 1:
                 break
             ((kb, cb),) = f._terms.items()
-            overlap += (key >> 1 & m & kb).bit_count()
-            ys += (kb & kb >> 1 & m).bit_count()
+            k += key_phase(key, kb, m)
             key ^= kb
             br, bi = cb._re, cb._im
             re, im = re * br - im * bi, re * bi + im * br
             e += cb._e
         else:
-            k = ys - (key & key >> 1 & m).bit_count() + 2 * overlap
             if k & 2:
                 re, im = -re, -im
             if k & 1:
@@ -568,7 +582,7 @@ def commute(a: PauliSum, b: PauliSum) -> bool:
     if len(a._terms) != 1 or len(b._terms) != 1:
         raise ValueError("commute takes one-term sums")
     (ka,), (kb,) = a._terms, b._terms
-    return not _anticommute(ka, kb, _x_mask(a.n))
+    return not _anticommute(ka, kb, x_mask(a.n))
 
 
 def _anticommute(ka: int, kb: int, m: int) -> int:
@@ -587,7 +601,7 @@ def x_kernel(strings: Sequence[PauliSum]) -> list[int] | None:
     the sign of an XOR of subsets the product of their signs.
     """
     n = strings[0].n if strings else 0
-    m = _x_mask(n)
+    m = x_mask(n)
     keys = []
     for s in strings:
         if s.n != n or len(s._terms) != 1:
@@ -656,7 +670,7 @@ def vacuum_expectation(*factors: PauliSum) -> ComplexDyadic:
     if not factors:
         return ONE
     s = factors[0] if len(factors) == 1 else sum_mul(*factors)
-    m = _x_mask(s.n)
+    m = x_mask(s.n)
     total = ZERO
     for key, coef in s._terms.items():
         if not key & m:
@@ -676,7 +690,7 @@ def vacuum_expectations(offers: Sequence[tuple[PauliSum, PauliSum, PauliSum]],
     Each offer's x-part is read once for the whole batch.
     """
     n = offers[0][0].n
-    m = _x_mask(n)
+    m = x_mask(n)
     flag = 1 << 2 * n
 
     def x_part(f: PauliSum) -> int:

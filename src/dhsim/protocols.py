@@ -3,15 +3,16 @@ three-system conditioning chain, and the six-qubit entanglement swap with
 dependency tracing.
 
 Every analysis here calls the public form of its operation on the value
-it already holds: ``dependency_trace`` wraps the final descriptors of the
-one ``engine.fold`` it reads as its set, each record context's
+it already holds: ``dependency_trace`` builds its set from the final
+packed rows of the one ``engine.fold`` it reads, each record context's
 ``context_factor`` feeds both ``relative_descriptor`` and
 ``conditional_restriction``, which reduces the whole conditioned
 descriptor, and a reduced pair's ``validate_basis`` report carries the
 table its density is built from: the swap's outcomes are built, weighed
 and checked in that one pass.
 
-Qubit labels in every report are 1-based.
+Qubit labels in every report are 1-based.  ``density``, ``relative`` and
+``uniqueness`` are imported inside the functions that call them.
 """
 
 from __future__ import annotations
@@ -19,22 +20,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .pauli import I, X, Y, Z, vacuum_expectation
+from .pauli import I, X, Y, Z, key_support, vacuum_expectation
 from .engine import (
     AddAncilla, Circuit, Descriptor, DescriptorSet, Gate,
-    add_ancilla, apply_gate, expectations, fold, initial_set, step_label,
+    add_ancilla, apply_gate, descriptor_set, expectations, fold, initial_set,
+    step_label,
 )
-from .density import (
-    DensityMatrix, expectation_table, purity_condition, reconstruct_density,
-    table_density,
-)
-from .relative import (
-    RelativeContext, conditional_restriction, context_factor, measure,
-    relative_descriptor, ultimate_state_chain,
-)
-from .uniqueness import validate_basis
+
+if TYPE_CHECKING:
+    from .density import DensityMatrix
 
 COMPONENTS = (X, Y, Z)
 
@@ -53,39 +49,35 @@ class DependencyReport:
                 for q, fs in enumerate(self.per_qubit)}
 
 
-def _supports(descs) -> tuple[tuple[int, ...], ...]:
-    """Each qubit's support, from its descriptor."""
-    return tuple(tuple(sorted(d.support())) for d in descs)
-
-
 def dependency_trace(circuit: Circuit) -> DependencyReport:
     """Support of every qubit's descriptor after each step of a circuit.
 
     The locality rule is asserted along the way: a gate can only change the
     support of its own operands, and only by pulling in factors the
-    operands already touched.  Each step's supports are computed once and
-    serve as the next step's "before".  Each sum remembers its support, so
-    only a replaced component is scanned again.  The final set is the one
-    the fold reaches, the same ``engine.fold`` that ``evolve_circuit`` runs.
+    operands already touched.  A qubit's support is that of its packed row,
+    read from ``key_x | key_z`` (q_y = i q_x q_z adds no slot), and only for
+    the rows that changed at the step; the others keep their "before".  The
+    final set is built from the rows the fold reaches, the same
+    ``engine.fold`` that ``evolve_circuit`` runs.
     """
-    steps_fold = fold(circuit)
-    descs = next(steps_fold)
-    supports = _supports(descs)
-    steps = [("initial", supports)]
-    for step, descs in zip(circuit.steps, steps_fold):
-        before, supports = supports, _supports(descs)
+    prev, supports, steps = [], (), []
+    for step, rows in zip((None,) + circuit.steps, fold(circuit)):
+        before, after = supports, list(supports) + [()] * (len(rows) - len(supports))
+        changed = [q for q, row in enumerate(rows) if q >= len(prev) or row != prev[q]]
+        for q in changed:
+            after[q] = tuple(key_support(rows[q][0] | rows[q][2]))
         if isinstance(step, Gate):
             reachable = set(step.operands)
             for q in step.operands:
                 reachable.update(before[q])
-            for q, after in enumerate(supports):
-                if q not in step.operands and after != before[q]:
+            for q in changed:
+                if q not in step.operands and after[q] != before[q]:
                     raise AssertionError(f"locality violated for bystander {q + 1}")
-                if q in step.operands and not reachable.issuperset(after):
+                if q in step.operands and not reachable.issuperset(after[q]):
                     raise AssertionError(f"locality violated for operand {q + 1}")
-        steps.append((step_label(step), supports))
-    final = DescriptorSet(len(descs), tuple(descs), circuit.steps)
-    return DependencyReport(supports, tuple(steps), final)
+        supports, prev = tuple(after), list(rows)
+        steps.append(("initial" if step is None else step_label(step), supports))
+    return DependencyReport(supports, tuple(steps), descriptor_set(rows, circuit.steps))
 
 
 def swap_circuit() -> Circuit:
@@ -141,18 +133,19 @@ def _swap_relative_outcomes(set_: DescriptorSet) -> tuple[RelativeBellOutcome, .
     pure, maximally entangled pair), on the pair's basis report and the
     density of the report's table.  Signs are read against outcome (0, 0).
     """
+    from . import density, relative, uniqueness
     outcomes = []
     for bits in itertools.product((0, 1), repeat=2):
-        factor = context_factor(
-            set_, RelativeContext.pair_computational((4, 5), bits))
-        cond1 = relative_descriptor(set_, 0, factor)
-        cond4 = relative_descriptor(set_, 3, factor)
-        red1, red4 = (conditional_restriction(cond, (0, 3), factor)
+        factor = relative.context_factor(
+            set_, relative.RelativeContext.pair_computational((4, 5), bits))
+        cond1 = relative.relative_descriptor(set_, 0, factor)
+        cond4 = relative.relative_descriptor(set_, 3, factor)
+        red1, red4 = (relative.conditional_restriction(cond, (0, 3), factor)
                       for cond in (cond1, cond4))
-        report = validate_basis(DescriptorSet(2, (red1, red4)))
+        report = uniqueness.validate_basis(DescriptorSet(2, (red1, red4)))
         if not report.well_formed:
             raise AssertionError(f"reduced pair for bits {bits} is not a proper basis")
-        total, mixed = purity_condition(table_density(report.table))
+        total, mixed = density.purity_condition(density.table_density(report.table))
         if mixed or total != 3:
             raise AssertionError(f"reduced pair for bits {bits} is not pure")
         if not outcomes:
@@ -174,6 +167,7 @@ def run_entanglement_swap() -> SwapResult:
     ``relative_bell`` holds them, each already asserted to be a proper
     basis and pure.
     """
+    from .density import expectation_table, purity_condition, table_density
     dependency = dependency_trace(swap_circuit())
     set_ = dependency.final_set
     densities = {(a, b): table_density(expectation_table(set_, (a - 1, b - 1)))
@@ -196,19 +190,20 @@ def run_generalized_measurement_demo() -> dict:
     the record accessible to the ancillas is carried entirely by the z
     components; tracing the second system leaves the 1 + a.sigma form.
     """
+    from . import density, relative
     set_ = initial_set(1)
     set_ = apply_gate(set_, Gate("H", (0,)))
     set_ = add_ancilla(set_)
     set_ = apply_gate(set_, Gate("H", (0,)))
     set_ = apply_gate(set_, Gate("CNOT", (0, 1)))
     rotated = set_
-    set_ = measure(set_, 0)
-    set_ = measure(set_, 1)
+    set_ = relative.measure(set_, 0)
+    set_ = relative.measure(set_, 1)
     strings = [(I,) * qubit + (w,) + (I,) * (set_.n - 1 - qubit)
                for qubit in (0, 1) for w in COMPONENTS]
     values = expectations(set_, strings)
     singles = {qubit + 1: values[3 * qubit:3 * qubit + 3] for qubit in (0, 1)}
-    rho_1 = reconstruct_density(set_, [0])
+    rho_1 = density.reconstruct_density(set_, [0])
     bloch = tuple(rho_1.single(0, w) for w in COMPONENTS)
     return {
         "rotated_set": rotated,
@@ -226,17 +221,18 @@ def run_ultimate_chain_demo() -> dict:
     unconditioned ancilla; the system conditioned on those ancilla states
     reproduces the two-qubit relative descriptors exactly.
     """
+    from . import relative
     set_ = initial_set(1)
     set_ = apply_gate(set_, Gate("H", (0,)))
-    set_ = measure(set_, 0)            # ancilla is qubit 2
+    set_ = relative.measure(set_, 0)   # ancilla is qubit 2
     two_qubit = set_
     rel_zero, rel_one = (
-        relative_descriptor(two_qubit, 0, context_factor(
-            two_qubit, RelativeContext.computational(1, bit))) for bit in (0, 1))
-    set_ = measure(set_, 1)            # third system is qubit 3
+        relative.relative_descriptor(two_qubit, 0, relative.context_factor(
+            two_qubit, relative.RelativeContext.computational(1, bit))) for bit in (0, 1))
+    set_ = relative.measure(set_, 1)   # third system is qubit 3
     # Each third-system factor is built once and serves both the chained
     # ancilla state and the restriction of the system conditioned on it.
-    plus, minus, third, factors = ultimate_state_chain(set_, 1)
+    plus, minus, third, factors = relative.ultimate_state_chain(set_, 1)
     sum_ok = all(p + m == c.scale(2)
                  for p, m, c in zip(plus, minus, set_.descriptor(1)))
     # The chained ancilla states certify the computational contexts: their
@@ -247,8 +243,9 @@ def run_ultimate_chain_demo() -> dict:
               for name, desc in (("plus", plus), ("minus", minus))}
     cross = {}
     for bit, (reference, factor) in enumerate(zip((rel_zero, rel_one), factors)):
-        conditioned = relative_descriptor(set_, 0, factor)
-        cross[bit] = reference == conditional_restriction(conditioned, (0, 1), factor)
+        conditioned = relative.relative_descriptor(set_, 0, factor)
+        cross[bit] = reference == relative.conditional_restriction(
+            conditioned, (0, 1), factor)
     return {
         "set": set_,
         "relative_zero": rel_zero,

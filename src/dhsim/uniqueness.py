@@ -17,7 +17,7 @@ sets are among the second's for the Bell pair (12 of 48), but the routes
 do not agree on product states: there a flip of one qubit's x (or z) alone
 keeps the table and ``canonical_signs`` does not collapse it, so for |10>
 two of the four symmetry-route sets are enumerated only with other signs
-(ROADMAP item 4 replaces both routes by the vacuum-gauge orbit).
+(ROADMAP item 8 replaces both routes by the vacuum-gauge orbit).
 Enumeration and direct construction from a density share one search,
 ``_system_descriptors``, on the engine's own types: one-term ``PauliSum``
 strings, ``Descriptor.from_xz`` qubits, ``pauli.commute`` and

@@ -640,30 +640,31 @@ def test_swap_demo_verify_builds_at_most_6_tables(monkeypatch):
 
 
 def test_trace_scans_each_support_once(tmp_path, monkeypatch):
-    """On a 10-qubit, 24-gate circuit every sum's support is found at most
-    once; an unchanged bystander's is remembered from the step before."""
-    from dhsim.pauli import PauliSum
-    real = PauliSum.support
+    """On a 10-qubit, 24-gate circuit each step reads the supports of the
+    rows it changed, once each; an unchanged bystander's is remembered from
+    the step before."""
+    from dhsim import protocols
+    real = protocols.key_support
     scanned = []
 
-    def counting(self):
-        if self._support is None:
-            scanned.append(self)    # kept alive, so ids stay distinct
-        return real(self)
+    def counting(key):
+        scanned.append(key)
+        return real(key)
 
-    monkeypatch.setattr(PauliSum, "support", counting)
+    monkeypatch.setattr(protocols, "key_support", counting)
+    operands = 0
     rng = random.Random(19)
     lines = ["qubits 10"]
     for _ in range(24):
         kind = rng.choice(("h", "s", "x", "cnot", "bell"))
         count = 2 if kind in ("cnot", "bell") else 1
+        operands += count
         lines.append(kind + " " + " ".join(str(q + 1) for q in rng.sample(range(10), count)))
     path = tmp_path / "wide.dh"
     path.write_text("\n".join(lines) + "\n")
     code, report = run_report(RunConfig("trace", str(path)))
     assert code == EXIT_OK and len(report["sections"]["per_step"]) == 25
-    assert scanned
-    assert len({id(s) for s in scanned}) == len(scanned)
+    assert 0 < len(scanned) <= 10 + operands
 
 
 class TestSymmetriesVerifyUsesTheReturnedTables:
@@ -927,7 +928,8 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, bell_file):
     """In a fresh interpreter each subcommand adds the dhsim modules its
     report uses: none beyond pauli and engine for a wide run, density for
     the diagonal and pair analysis, the oracle for --verify, uniqueness for
-    validate, and protocols with relative for the swap."""
+    validate, protocols with relative for the swap, and protocols alone for
+    a dependency trace."""
     wide = tmp_path / "wide.dh"
     wide.write_text("qubits 10\nh 1\ncnot 1 10\n")
     runs = [["run", str(wide)], ["run", str(wide), "--verify"],
@@ -939,6 +941,7 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, bell_file):
     assert loaded[2] - loaded[1] == {"dhsim.density"}
     assert loaded[3] - loaded[2] == {"dhsim.uniqueness"}
     assert loaded[4] - loaded[3] == {"dhsim.protocols", "dhsim.relative"}
+    assert _loaded_after_each([["trace", bell_file]]) == [base | {"dhsim.protocols"}]
 
 
 # Preparations of the six single-qubit stabilizer states from |0>.
@@ -1106,6 +1109,28 @@ class TestRenderJson:
         "tuple": (1, ("a", None)),
         "Z": {"b": 1, "B": 2, "é": 3, "a b": 4, "a": {"z": [{"y": {}}]}},
     }
+
+    def test_writer_leaves_no_reference_cycle(self, tmp_path):
+        """Rendering frees all it makes by reference counting: with the
+        collector off, writing every report leaves it nothing to collect."""
+        import gc
+        reports = []
+        for subcommand, circuit in _REPORT_CASES:
+            path = None
+            if circuit:
+                path = tmp_path / f"{circuit}.dh"
+                path.write_text(_REPORT_CIRCUITS[circuit])
+            reports.append(run_report(RunConfig(subcommand, path and str(path)))[1])
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for report in reports:
+                render_json(report)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_edge_values(self):
         assert render_json(self.EDGE) == _dumps(self.EDGE)

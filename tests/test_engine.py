@@ -330,12 +330,16 @@ def reference_apply(set_, gate):
 
 
 class TestOneRuleForm:
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", [*range(1, 9), 64])
     def test_fold_equals_gate_by_gate(self, n):
+        """The packed fold equals ``apply_gate`` and ``add_ancilla`` stepped
+        on whole descriptors, component for component; n = 64 runs one
+        400-step circuit, ancillas included."""
         rng = random.Random(400 + n)
+        circuits, depth = (1, 400) if n == 64 else (6, 4 * n + 6)
         kinds = set()
-        for _ in range(6):
-            steps, final = random_steps(rng, n, 4 * n + 6)
+        for _ in range(circuits):
+            steps, final = random_steps(rng, n, depth)
             folded = evolve_circuit(Circuit(n, steps))
             stepped = initial_set(n)
             for step in steps:
@@ -344,8 +348,8 @@ class TestOneRuleForm:
                 kinds.add(getattr(step, "kind", None))
             assert folded.n == stepped.n == final
             for q in range(final):
-                assert (folded.descriptor(q)
-                        == stepped.descriptor(q))
+                for which in (X, Y, Z):
+                    assert folded.component(q, which) == stepped.component(q, which)
             assert folded.history == stepped.history == tuple(steps)
         if n >= 2:
             assert kinds >= set(SINGLE_QUBIT_KINDS + TWO_QUBIT_KINDS)

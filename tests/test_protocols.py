@@ -8,7 +8,7 @@ import pytest
 from dhsim import oracle
 from dhsim.pauli import I, X, Y, Z, ComplexDyadic, PauliSum, parse_sum
 from dhsim.engine import (
-    Circuit, Descriptor, DescriptorSet, Gate, gate_steps, initial_set,
+    Circuit, DescriptorSet, Gate, gate_steps, initial_set,
 )
 from dhsim.density import expectation_table, purity_condition, reconstruct_density
 from dhsim.protocols import (
@@ -52,18 +52,22 @@ class TestDependencyTrace:
             dependency_trace(circuit)  # raises on any locality violation
 
     def test_each_support_computed_once_per_step(self, monkeypatch):
-        real = PauliSum.support
+        """A support is read from a packed row at most once per step, and
+        only for a row the step changed: the fresh rows, then each gate's
+        operands."""
+        from dhsim import protocols
+        real = protocols.key_support
         calls = []
 
-        def counting(self):
-            calls.append(self)
-            return real(self)
+        def counting(key):
+            calls.append(key)
+            return real(key)
 
-        monkeypatch.setattr(PauliSum, "support", counting)
+        monkeypatch.setattr(protocols, "key_support", counting)
         circuit = random_circuit(random.Random(5), 10, 24)
         report = dependency_trace(circuit)
         assert len(report.per_step) == 25
-        assert 0 < len(calls) <= 3 * 10 * 25
+        assert 0 < len(calls) <= 10 + sum(len(step.operands) for step in circuit.steps)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_trace_equals_gate_by_gate_stepping(self, n):
@@ -90,17 +94,19 @@ class TestDependencyTrace:
             assert got.history == set_.history == tuple(steps)
 
     def test_replaced_bystander_component_is_scanned_afresh(self, monkeypatch):
-        """A bystander component swapped for a new sum with a wider support
-        trips the locality check, although every sum remembers its support."""
+        """A bystander row swapped for one with a wider support trips the
+        locality check, although the trace reads supports only from the
+        rows that changed."""
         from dhsim import protocols
+        from dhsim.pauli import slot_key
         real = protocols.fold
 
         def leaky(circuit):
-            for step, comps in zip((None,) + circuit.steps, real(circuit)):
+            for step, rows in zip((None,) + circuit.steps, real(circuit)):
                 if getattr(step, "operands", None) == (0, 1):
-                    qx, qy, qz = comps[2]
-                    comps[2] = Descriptor(qx * PauliSum.single(len(comps), 0, Z), qy, qz)
-                yield comps
+                    kx, ex, kz, ez = rows[2]
+                    rows[2] = (kx ^ slot_key(0, Z), ex, kz, ez)
+                yield rows
 
         monkeypatch.setattr(protocols, "fold", leaky)
         circuit = Circuit(3, (Gate("H", (2,)), Gate("H", (0,)), Gate("CNOT", (0, 1))))
@@ -205,9 +211,10 @@ class TestSwapRelativeBell:
     def test_reduced_pair_checks_fire_where_built(self, monkeypatch, name, spoil, message):
         """Each reduced pair is asserted as it is built: a basis report that
         is not orthogonal, or a mixed density, stops the swap there."""
-        from dhsim import protocols
-        real = getattr(protocols, name)
-        monkeypatch.setattr(protocols, name, lambda value: spoil(real(value)))
+        from dhsim import density, protocols, uniqueness
+        module = uniqueness if name == "validate_basis" else density
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda value: spoil(real(value)))
         with pytest.raises(AssertionError,
                            match=rf"^reduced pair for bits \(0, 0\) {message}$"):
             protocols.run_entanglement_swap()
