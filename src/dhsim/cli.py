@@ -512,9 +512,8 @@ _SCALARS = {str: _encode_str, int: int.__repr__,
 
 
 def _write_json(value: Any, newline: str, put) -> None:
-    """Put the JSON text of ``value``; its nested lines start with ``newline``.
-    A container puts each scalar item with its key or separator and calls
-    this only for a nested container; no closure, so no reference cycle."""
+    """Put the JSON text of ``value``, its nested lines starting ``newline``:
+    a container puts each scalar item inline, recursing only into containers."""
     if isinstance(value, dict):
         inner = newline + "  "
         sep, comma = "{" + inner, "," + inner

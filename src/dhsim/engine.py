@@ -17,11 +17,10 @@ of the evolved strings in place would be wrong.
 A gate kind is one ``_RULES`` entry, with one row triple per operand, so
 its arity is its row count (``GATE_ARITY``).  ``apply_gate`` and
 ``add_ancilla`` step a set through all three rows (``_step``), as a
-relative descriptor may have several terms.  A set evolved from |0...0>
-keeps q_y = i q_x q_z, so ``fold`` runs a circuit on the X and Z rows
-only, as the stabilizer tableau does, on (packed key, i-exponent) ints;
-``descriptor_set`` builds its sums once, and ``evolve_circuit`` and the
-dependency trace both consume that fold.
+relative descriptor may have several terms.  From |0...0>, q_y = i q_x q_z
+holds throughout, so ``fold`` runs a circuit on packed (key, i-exponent)
+X and Z rows only, as the stabilizer tableau does; ``evolve_circuit`` and
+the dependency trace consume it and build their sums once (``descriptor_set``).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .pauli import (
     I, X, Y, Z,
     ComplexDyadic, DimensionError, PauliSum,
-    key_phase, slot_key, sum_mul, vacuum_expectations, x_mask,
+    key_phase, key_support, slot_key, sum_mul, vacuum_expectations, x_mask,
 )
 
 # Heisenberg rewrite V^dagger sigma V, one form for every kind: per operand
@@ -191,13 +190,17 @@ def _fresh_rows(n: int, first: int = 0) -> list[Row]:
 
 def descriptor_set(rows: Sequence[Row], history: tuple = ()) -> DescriptorSet:
     """The descriptor set of a register's packed rows, q_y = i q_x q_z."""
-    n, string = len(rows), PauliSum.from_key
-    m = x_mask(n)
+    n, string, m = len(rows), PauliSum.from_key, x_mask(len(rows))
     return DescriptorSet(n, tuple(
         Descriptor(string(n, kx, ex),
                    string(n, kx ^ kz, ex + ez + 1 + key_phase(kx, kz, m)),
                    string(n, kz, ez))
         for kx, ex, kz, ez in rows), history)
+
+
+def row_support(row: Row) -> tuple[int, ...]:
+    """The slots a packed row acts on: key_x | key_z, as q_y adds none."""
+    return tuple(key_support(row[0] | row[2]))
 
 
 def _rewrite(kind: str, operands: Sequence[Descriptor]) -> list[Descriptor]:
@@ -228,7 +231,7 @@ def _step(descs: list[Descriptor], step: Gate | AddAncilla) -> list[Descriptor]:
         n = len(descs) + 1
         grown = [Descriptor(qx.extended(1), qy.extended(1), qz.extended(1))
                  for qx, qy, qz in descs]
-        grown.append(initial_set(n).descriptors[-1])
+        grown.append(Descriptor(*(PauliSum.single(n, n - 1, w) for w in (X, Y, Z))))
         return grown
     operands = step.operands
     for qubit, desc in zip(operands, _rewrite(step.kind, [descs[q] for q in operands])):
@@ -249,6 +252,15 @@ def add_ancilla(set_: DescriptorSet) -> DescriptorSet:
     return DescriptorSet(len(descs), tuple(descs), set_.history + (AddAncilla(),))
 
 
+def _chosen(set_: DescriptorSet, indices: Sequence[int]) -> list[PauliSum]:
+    """The components ``indices`` selects, in qubit order (index 0 skipped)."""
+    if len(indices) != set_.n:
+        raise DimensionError(f"need {set_.n} component indices, got {len(indices)}")
+    descs = set_.descriptors
+    return [descs[qubit].component(which)
+            for qubit, which in enumerate(indices) if which != I]
+
+
 def component_product(set_: DescriptorSet, indices: Sequence[int]) -> PauliSum:
     """Ordered product of chosen components (identity for index 0).
 
@@ -257,10 +269,7 @@ def component_product(set_: DescriptorSet, indices: Sequence[int]) -> PauliSum:
     qubits commute, so taking the factors in qubit order loses nothing.
     One chosen component is its own product.
     """
-    if len(indices) != set_.n:
-        raise DimensionError(f"need {set_.n} component indices, got {len(indices)}")
-    chosen = [set_.descriptors[qubit].component(which)
-              for qubit, which in enumerate(indices) if which != I]
+    chosen = _chosen(set_, indices)
     if len(chosen) == 1:
         return chosen[0]
     return sum_mul(*chosen) if chosen else PauliSum.identity(set_.n)
@@ -328,8 +337,7 @@ def fold(circuit: Circuit) -> Iterator[list[Row]]:
 
 def evolve_circuit(circuit: Circuit) -> DescriptorSet:
     """Run the fold to its end; the descriptor set is built once, there."""
-    for rows in fold(circuit):
-        pass
+    *_, rows = fold(circuit)
     return descriptor_set(rows, circuit.steps)
 
 

@@ -16,11 +16,9 @@ product are ``ka ^ kb`` and its i-exponent, ``key_phase``, is
 with y(k) = popcount(k & k >> 1 & M), the number of Y slots, and M the
 0b0101... mask of x bits (``x_mask``).  This follows from Y = i XZ and
 Z X = -X Z.  The vacuum keeps exactly the keys with no x bit.  There is
-no string class: a signed Pauli string is a one-term sum, whose strings
-``commute`` tests on their keys and ``x_kernel`` eliminates over GF(2),
-or, in the engine's fold, a bare (key, i-exponent) int pair, which
-``slot_key``, ``key_phase``, ``key_support`` and ``PauliSum.from_key``
-serve.
+no string class: a signed Pauli string is a one-term sum or, in the
+engine's packed rows only, a (key, i-exponent) int pair, which ``slot_key``,
+``key_phase``, ``key_support`` and ``PauliSum.from_key`` serve.
 
 ``sum_mul`` and ``vacuum_expectation`` take an ordered product of any
 number of sums.  On a Clifford circuit every descriptor component is one
@@ -272,17 +270,15 @@ def x_mask(n: int) -> int:
 
 
 def key_phase(ka: int, kb: int, m: int) -> int:
-    """The i-exponent k, not reduced mod 4, of (string ka)(string kb) =
-    i**k (string ka ^ kb); ``m`` is the x mask of a register at least as
-    wide as both keys."""
+    """The i-exponent k (not reduced mod 4) of (string ka)(string kb) =
+    i**k (string ka ^ kb), ``m`` an x mask at least as wide as both keys."""
     kc = ka ^ kb
     return ((ka & ka >> 1 & m).bit_count() + (kb & kb >> 1 & m).bit_count()
             - (kc & kc >> 1 & m).bit_count() + 2 * (ka >> 1 & m & kb).bit_count())
 
 
 def key_support(key: int) -> list[int]:
-    """The slots, in increasing order, where a key (or an OR of keys) has a
-    non-identity letter."""
+    """The slots, in increasing order, where a key (or an OR of keys) is not I."""
     return [q for q in range((key.bit_length() + 1) >> 1) if key >> 2 * q & 3]
 
 
@@ -522,9 +518,8 @@ def sum_mul(first: PauliSum, *rest: PauliSum) -> PauliSum:
     i-exponent, and the integer numerators multiply, so one
     ``ComplexDyadic`` and one sum are built at the end.  Otherwise the
     factors are multiplied left to right, each pair of terms by XOR of the
-    keys with the pairwise rule; the i**k
-    turn of the coefficient product is inlined as in
-    ``ComplexDyadic._times_i`` because this is the engine's innermost loop.
+    keys with the pairwise rule; the i**k turn of the coefficient product
+    is inlined as in ``ComplexDyadic._times_i``, as this is the innermost loop.
     """
     n = first.n
     m = x_mask(n)

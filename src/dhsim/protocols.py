@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
-from .pauli import I, X, Y, Z, key_support, vacuum_expectation
+from .pauli import I, X, Y, Z, vacuum_expectation
 from .engine import (
     AddAncilla, Circuit, Descriptor, DescriptorSet, Gate,
     add_ancilla, apply_gate, descriptor_set, expectations, fold, initial_set,
-    step_label,
+    row_support, step_label,
 )
 
 if TYPE_CHECKING:
@@ -54,10 +54,9 @@ def dependency_trace(circuit: Circuit) -> DependencyReport:
 
     The locality rule is asserted along the way: a gate can only change the
     support of its own operands, and only by pulling in factors the
-    operands already touched.  A qubit's support is that of its packed row,
-    read from ``key_x | key_z`` (q_y = i q_x q_z adds no slot), and only for
-    the rows that changed at the step; the others keep their "before".  The
-    final set is built from the rows the fold reaches, the same
+    operands already touched.  Supports are read (``row_support``) only
+    from the packed rows a step changed; the others keep their "before".
+    The final set is built from the rows the fold reaches, the same
     ``engine.fold`` that ``evolve_circuit`` runs.
     """
     prev, supports, steps = [], (), []
@@ -65,7 +64,7 @@ def dependency_trace(circuit: Circuit) -> DependencyReport:
         before, after = supports, list(supports) + [()] * (len(rows) - len(supports))
         changed = [q for q, row in enumerate(rows) if q >= len(prev) or row != prev[q]]
         for q in changed:
-            after[q] = tuple(key_support(rows[q][0] | rows[q][2]))
+            after[q] = row_support(rows[q])
         if isinstance(step, Gate):
             reachable = set(step.operands)
             for q in step.operands:

@@ -644,14 +644,14 @@ def test_trace_scans_each_support_once(tmp_path, monkeypatch):
     rows it changed, once each; an unchanged bystander's is remembered from
     the step before."""
     from dhsim import protocols
-    real = protocols.key_support
+    real = protocols.row_support
     scanned = []
 
-    def counting(key):
-        scanned.append(key)
-        return real(key)
+    def counting(row):
+        scanned.append(row)
+        return real(row)
 
-    monkeypatch.setattr(protocols, "key_support", counting)
+    monkeypatch.setattr(protocols, "row_support", counting)
     operands = 0
     rng = random.Random(19)
     lines = ["qubits 10"]

@@ -1,7 +1,10 @@
 """Source-level guards on who may know which format.
 
 The packed Pauli key layout lives behind `dhsim.pauli`: no other module
-reads a sum's term map or calls the key helpers.  The dense oracle is the
+reads a sum's term map or names a private key helper, and the public key
+helpers (`x_mask`, `slot_key`, `key_phase`, `key_support`,
+`PauliSum.from_key`) serve only the packed rows of `dhsim.engine`: the
+functions that build, fold, read and unpack them.  The dense oracle is the
 independent ground truth, so it uses only the public Pauli API (letter
 tuples and coefficients) and never a private name of `dhsim.pauli`.
 Floats decide nothing outside the oracle: only `oracle.py` calls an
@@ -20,7 +23,9 @@ import pytest
 SRC = pathlib.Path(__file__).parent.parent / "src" / "dhsim"
 MODULES = sorted(SRC.glob("*.py"))
 KEY_FORMAT = re.compile(r"\._terms\b"
-                        r"|\b(_pack|_unpack|_x_mask|_CODE|_LETTER_OF_CODE|_BYTE_LETTERS)\b")
+                        r"|\b(_pack|_unpack|_CODE|_LETTER_OF_CODE|_BYTE_LETTERS)\b")
+KEY_HELPERS = {"x_mask", "slot_key", "key_phase", "key_support", "from_key"}
+PACKED_ROW_FUNCTIONS = {"_fresh_rows", "descriptor_set", "row_support", "fold"}
 
 
 def test_sources_found():
@@ -33,6 +38,37 @@ def test_key_format_stays_in_pauli(path):
     hits = [f"{path.name}:{k}: {line.strip()}"
             for k, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
             if KEY_FORMAT.search(line)]
+    assert not hits
+
+
+def _names_by_function(tree):
+    """(enclosing function name, name) for every bare name, attribute and
+    imported name in a module; an import's place is ``"import"``."""
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = (child.name if isinstance(child, (ast.FunctionDef,
+                                                      ast.AsyncFunctionDef))
+                     else where)
+            if isinstance(child, ast.Name):
+                yield inner, child.id
+            elif isinstance(child, ast.Attribute):
+                yield inner, child.attr
+            elif isinstance(child, ast.ImportFrom):
+                yield from (("import", alias.name) for alias in child.names)
+            yield from walk(child, inner)
+    return walk(tree, "<module>")
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "pauli.py"],
+                         ids=lambda p: p.name)
+def test_key_helpers_serve_only_the_packed_rows(path):
+    """Only ``engine`` imports a key helper, and only its packed-row
+    functions call one; every other module reads a row through them."""
+    allowed = ({"import"} | PACKED_ROW_FUNCTIONS if path.name == "engine.py" else set())
+    hits = [f"{path.name}:{where} uses {name}"
+            for where, name in _names_by_function(
+                ast.parse(path.read_text(encoding="utf-8")))
+            if name in KEY_HELPERS and where not in allowed]
     assert not hits
 
 
@@ -172,9 +208,9 @@ def _calls_by_function(tree):
 
 
 def test_one_step_function():
-    """A gate's rewrite and an ancilla's identity slot are applied in one
-    place, ``engine._step``, which the fold and the set-level operations
-    all call."""
+    """A gate's rewrite and an ancilla's identity slot on a descriptor set
+    are applied in one place, ``engine._step``, which ``apply_gate`` and
+    ``add_ancilla`` call; ``engine.fold`` steps packed rows instead."""
     hits = [f"{path.name}:{where} calls {name}"
             for path in MODULES
             for where, name in _calls_by_function(

@@ -56,14 +56,14 @@ class TestDependencyTrace:
         only for a row the step changed: the fresh rows, then each gate's
         operands."""
         from dhsim import protocols
-        real = protocols.key_support
+        real = protocols.row_support
         calls = []
 
-        def counting(key):
-            calls.append(key)
-            return real(key)
+        def counting(row):
+            calls.append(row)
+            return real(row)
 
-        monkeypatch.setattr(protocols, "key_support", counting)
+        monkeypatch.setattr(protocols, "row_support", counting)
         circuit = random_circuit(random.Random(5), 10, 24)
         report = dependency_trace(circuit)
         assert len(report.per_step) == 25
