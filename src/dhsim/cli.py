@@ -90,13 +90,12 @@ def _error_at(lineno: int, line: str, index: int, message: str) -> ParseError:
     return ParseError(lineno, column, message)
 
 
-def parse_circuit(text: str, max_qubits: int | None = None) -> Circuit:
+def parse_circuit(text: str, max_qubits: int = DEFAULT_MAX_QUBITS) -> Circuit:
     """Line-oriented circuit parser with located errors.
 
     A gate line with the tokens of an earlier one reuses its ``Gate``: the
     labels were in range then, and the register only grows.
     """
-    cap = max_qubits if max_qubits is not None else DEFAULT_MAX_QUBITS
     n: int | None = None
     initial_n = 0
     steps: list = []
@@ -123,8 +122,9 @@ def parse_circuit(text: str, max_qubits: int | None = None) -> Circuit:
             if not _ascii_digits(value) or int(value) < 1:
                 raise _error_at(lineno, line, 1, f"bad qubit count {value!r}")
             n = initial_n = int(value)
-            if n > cap:
-                raise _error_at(lineno, line, 1, f"register of {n} exceeds cap {cap}")
+            if n > max_qubits:
+                raise _error_at(lineno, line, 1,
+                                f"register of {n} exceeds cap {max_qubits}")
             continue
 
         if n is None:
@@ -134,8 +134,9 @@ def parse_circuit(text: str, max_qubits: int | None = None) -> Circuit:
             if len(tokens) != 1:
                 raise _error_at(lineno, line, 1, "ancilla takes no arguments")
             n += 1
-            if n > cap:
-                raise _error_at(lineno, line, 0, f"register of {n} exceeds cap {cap}")
+            if n > max_qubits:
+                raise _error_at(lineno, line, 0,
+                                f"register of {n} exceeds cap {max_qubits}")
             steps.append(AddAncilla())
             continue
 
@@ -288,16 +289,17 @@ def _cmd_run(cfg: RunConfig) -> dict:
     if set_.n <= DIAGONAL_MAX_QUBITS:
         from .density import diagonal_probabilities
         rendered: dict[tuple[int, int], dict] = {}
+        probs = diagonal_probabilities(set_, range(set_.n))
         sections["diagonal"] = [
             {"bitstring": format(k, f"0{set_.n}b"),
              "probability": _num_once(rendered, (p.numerator, p.denominator), p)}
-            for k, p in enumerate(diagonal_probabilities(set_, range(set_.n)))]
+            for k, p in enumerate(probs)]
+        if set_.n == 2:
+            from .density import density_report
+            sections["pair_analysis"] = density_report(set_, [0, 1], probs)
     else:
         print(f"note: diagonal omitted for the {set_.n}-qubit register "
               f"(computed up to {DIAGONAL_MAX_QUBITS} qubits)", file=sys.stderr)
-    if set_.n == 2:
-        from .density import density_report
-        sections["pair_analysis"] = density_report(set_, [0, 1])
     if cfg.verify:
         # The samples almost never hold a single at n = 10, so the printed
         # singles are checked too, in the same oracle call.
@@ -367,7 +369,7 @@ def _cmd_construct(cfg: RunConfig) -> dict:
 
 
 def _cmd_swap_demo(cfg: RunConfig) -> dict:
-    from .protocols import PAIRS_1BASED, run_entanglement_swap
+    from .protocols import PAIRS_1BASED, RECORD_QUBITS, run_entanglement_swap
     result = run_entanglement_swap()
     set_ = result.final_set
     sections: dict = {
@@ -382,7 +384,7 @@ def _cmd_swap_demo(cfg: RunConfig) -> dict:
             {
                 "bits": "".join(map(str, o.bits)),
                 "probability": _num(o.probability),
-                "communication": [f"qz {5}", f"qz {6}"],
+                "communication": [f"qz {q + 1}" for q in RECORD_QUBITS],
                 "reduced_1": _render3(o.reduced_1),
                 "reduced_4": _render3(o.reduced_4),
                 "sign_x": o.sign_x,
@@ -399,7 +401,7 @@ def _cmd_swap_demo(cfg: RunConfig) -> dict:
         pair = [(a, b) for a in range(4) for b in range(4)]
         remainder = [(a, I, I, b) for a, b in pair]
         for o in result.relative_bell:
-            rem, prob = oracle.conditional_state(psi, [4, 5], list(o.bits))
+            rem, prob = oracle.conditional_state(psi, list(RECORD_QUBITS), list(o.bits))
             reduced = expectations(DescriptorSet(2, (o.reduced_1, o.reduced_4)), pair)
             worst = oracle.worst_deviation(oracle.string_averages(rem, remainder),
                                            list(range(len(pair))), reduced)

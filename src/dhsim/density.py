@@ -316,19 +316,20 @@ def simply_reduce(value: Descriptor | PauliSum, subset: Iterable[int]):
     return value.restrict(keep)
 
 
-def density_report(set_: DescriptorSet, qubits: Sequence[int]) -> dict:
-    """JSON-ready analysis of a subset: sparse coefficients, diagonal,
-    and for pairs the purity sum plus Schmidt coefficients when defined,
-    all from one density."""
+def density_report(set_: DescriptorSet, qubits: Sequence[int],
+                   diagonal: Sequence[Fraction]) -> dict:
+    """JSON-ready analysis of a subset: sparse coefficients, the subset's
+    ``diagonal_probabilities`` (computed by the caller), and for pairs the
+    purity sum plus Schmidt coefficients when defined, all from one density."""
     qubits = list(qubits)
-    rho = table_density(expectation_table(set_, qubits))
+    rho = reconstruct_density(set_, qubits)
     letters = "IXYZ"
     report: dict = {
         "qubits": [q + 1 for q in qubits],
         "coefficients": {
             "".join(letters[l] for l in index): str(coef)
             for index, coef in sorted(rho.coeffs.items()) if coef},
-        "diagonal": [str(p) for p in diagonal_probabilities(set_, qubits)],
+        "diagonal": [str(p) for p in diagonal],
     }
     if len(qubits) == 2:
         total, mixed = purity_condition(rho)

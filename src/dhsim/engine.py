@@ -15,12 +15,13 @@ U^dagger sigma U with U = V_k ... V_0, and it is why rewriting the letters
 of the evolved strings in place would be wrong.
 
 A gate kind is one ``_RULES`` entry, with one row triple per operand, so
-its arity is its row count (``GATE_ARITY``).  ``apply_gate`` and
-``add_ancilla`` step a set through all three rows (``_step``), as a
-relative descriptor may have several terms.  From |0...0>, q_y = i q_x q_z
-holds throughout, so ``fold`` runs a circuit on packed (key, i-exponent)
-X and Z rows only, as the stabilizer tableau does; ``evolve_circuit`` and
-the dependency trace consume it and build their sums once (``descriptor_set``).
+its arity is its row count (``GATE_ARITY``).  ``apply_gate`` rewrites a
+set's operands through all three rows (``_rewrite``), as a relative
+descriptor may have several terms.  From |0...0>, q_y = i q_x q_z holds
+throughout, so ``fold`` runs a circuit on packed (key, i-exponent) X and Z
+rows only, as the stabilizer tableau does; ``evolve_circuit`` and the
+dependency trace, through which every report's circuit goes, consume it
+and build their sums once (``descriptor_set``).
 """
 
 from __future__ import annotations
@@ -223,42 +224,24 @@ def _rewrite(kind: str, operands: Sequence[Descriptor]) -> list[Descriptor]:
     return new
 
 
-def _step(descs: list[Descriptor], step: Gate | AddAncilla) -> list[Descriptor]:
-    """The descriptors after one step: a gate rewrites its operands' entries
-    in place; an ancilla gives a new list, every component with one more
-    identity slot and the fresh qubit's sigma on its own slot appended."""
-    if isinstance(step, AddAncilla):
-        n = len(descs) + 1
-        grown = [Descriptor(qx.extended(1), qy.extended(1), qz.extended(1))
-                 for qx, qy, qz in descs]
-        grown.append(Descriptor(*(PauliSum.single(n, n - 1, w) for w in (X, Y, Z))))
-        return grown
-    operands = step.operands
-    for qubit, desc in zip(operands, _rewrite(step.kind, [descs[q] for q in operands])):
-        descs[qubit] = desc
-    return descs
-
-
 def apply_gate(set_: DescriptorSet, gate: Gate) -> DescriptorSet:
     """Rewrite the operand descriptors under the gate's conjugation rule."""
     gate.validate_for(set_.n)
-    descs = _step(list(set_.descriptors), gate)
+    descs = list(set_.descriptors)
+    operands = gate.operands
+    for qubit, desc in zip(operands, _rewrite(gate.kind, [descs[q] for q in operands])):
+        descs[qubit] = desc
     return DescriptorSet(set_.n, tuple(descs), set_.history + (gate,))
 
 
 def add_ancilla(set_: DescriptorSet) -> DescriptorSet:
-    """Grow the register by one fresh |0> qubit at the end."""
-    descs = _step(list(set_.descriptors), AddAncilla())
-    return DescriptorSet(len(descs), tuple(descs), set_.history + (AddAncilla(),))
-
-
-def _chosen(set_: DescriptorSet, indices: Sequence[int]) -> list[PauliSum]:
-    """The components ``indices`` selects, in qubit order (index 0 skipped)."""
-    if len(indices) != set_.n:
-        raise DimensionError(f"need {set_.n} component indices, got {len(indices)}")
-    descs = set_.descriptors
-    return [descs[qubit].component(which)
-            for qubit, which in enumerate(indices) if which != I]
+    """Grow the register by one fresh |0> qubit at the end: every component
+    gains one identity slot, and the new qubit's sigma sits on its own."""
+    n = set_.n + 1
+    descs = [Descriptor(qx.extended(1), qy.extended(1), qz.extended(1))
+             for qx, qy, qz in set_.descriptors]
+    descs.append(Descriptor(*(PauliSum.single(n, n - 1, w) for w in (X, Y, Z))))
+    return DescriptorSet(n, tuple(descs), set_.history + (AddAncilla(),))
 
 
 def component_product(set_: DescriptorSet, indices: Sequence[int]) -> PauliSum:
@@ -269,7 +252,11 @@ def component_product(set_: DescriptorSet, indices: Sequence[int]) -> PauliSum:
     qubits commute, so taking the factors in qubit order loses nothing.
     One chosen component is its own product.
     """
-    chosen = _chosen(set_, indices)
+    if len(indices) != set_.n:
+        raise DimensionError(f"need {set_.n} component indices, got {len(indices)}")
+    descs = set_.descriptors
+    chosen = [descs[qubit].component(which)
+              for qubit, which in enumerate(indices) if which != I]
     if len(chosen) == 1:
         return chosen[0]
     return sum_mul(*chosen) if chosen else PauliSum.identity(set_.n)

@@ -2,8 +2,11 @@
 three-system conditioning chain, and the six-qubit entanglement swap with
 dependency tracing.
 
-Every analysis here calls the public form of its operation on the value
-it already holds: ``dependency_trace`` builds its set from the final
+Each is one ``Circuit`` evolved by the one ``engine.fold``: a measurement
+is a fresh ancilla and a CNOT onto it, as in ``relative.measure``, and a
+set shown midway is the evolution of a prefix of the steps.  Every
+analysis here calls the public form of its operation on the value it
+already holds: ``dependency_trace`` builds its set from the final
 packed rows of the one ``engine.fold`` it reads, each record context's
 ``context_factor`` feeds both ``relative_descriptor`` and
 ``conditional_restriction``, which reduces the whole conditioned
@@ -25,8 +28,7 @@ from typing import TYPE_CHECKING, Mapping
 from .pauli import I, X, Y, Z, vacuum_expectation
 from .engine import (
     AddAncilla, Circuit, Descriptor, DescriptorSet, Gate,
-    add_ancilla, apply_gate, descriptor_set, expectations, fold, initial_set,
-    row_support, step_label,
+    descriptor_set, evolve_circuit, expectations, fold, row_support, step_label,
 )
 
 if TYPE_CHECKING:
@@ -97,11 +99,13 @@ def swap_circuit() -> Circuit:
 
 
 PAIRS_1BASED = ((1, 2), (3, 4), (1, 4), (2, 3), (3, 5), (2, 6))
+# The swap's measurement records, 0-based: the fresh qubits 5 and 6.
+RECORD_QUBITS = (4, 5)
 
 
 @dataclass(frozen=True)
 class RelativeBellOutcome:
-    """One conditioning branch of the swap: record bits on qubits (5,6)."""
+    """One conditioning branch of the swap: the bits of ``RECORD_QUBITS``."""
 
     bits: tuple[int, int]
     probability: Fraction
@@ -136,7 +140,7 @@ def _swap_relative_outcomes(set_: DescriptorSet) -> tuple[RelativeBellOutcome, .
     outcomes = []
     for bits in itertools.product((0, 1), repeat=2):
         factor = relative.context_factor(
-            set_, relative.RelativeContext.pair_computational((4, 5), bits))
+            set_, relative.RelativeContext.pair_computational(RECORD_QUBITS, bits))
         cond1 = relative.relative_descriptor(set_, 0, factor)
         cond4 = relative.relative_descriptor(set_, 3, factor)
         red1, red4 = (relative.conditional_restriction(cond, (0, 3), factor)
@@ -189,15 +193,12 @@ def run_generalized_measurement_demo() -> dict:
     the record accessible to the ancillas is carried entirely by the z
     components; tracing the second system leaves the 1 + a.sigma form.
     """
-    from . import density, relative
-    set_ = initial_set(1)
-    set_ = apply_gate(set_, Gate("H", (0,)))
-    set_ = add_ancilla(set_)
-    set_ = apply_gate(set_, Gate("H", (0,)))
-    set_ = apply_gate(set_, Gate("CNOT", (0, 1)))
-    rotated = set_
-    set_ = relative.measure(set_, 0)
-    set_ = relative.measure(set_, 1)
+    from . import density
+    steps = (Gate("H", (0,)), AddAncilla(), Gate("H", (0,)), Gate("CNOT", (0, 1)),
+             AddAncilla(), Gate("CNOT", (0, 2)),    # measure system 1 ...
+             AddAncilla(), Gate("CNOT", (1, 3)))    # ... and system 2
+    rotated = evolve_circuit(Circuit(1, steps[:4]))
+    set_ = evolve_circuit(Circuit(1, steps))
     strings = [(I,) * qubit + (w,) + (I,) * (set_.n - 1 - qubit)
                for qubit in (0, 1) for w in COMPONENTS]
     values = expectations(set_, strings)
@@ -221,14 +222,14 @@ def run_ultimate_chain_demo() -> dict:
     reproduces the two-qubit relative descriptors exactly.
     """
     from . import relative
-    set_ = initial_set(1)
-    set_ = apply_gate(set_, Gate("H", (0,)))
-    set_ = relative.measure(set_, 0)   # ancilla is qubit 2
-    two_qubit = set_
+    steps = (Gate("H", (0,)),
+             AddAncilla(), Gate("CNOT", (0, 1)),    # ancilla is qubit 2
+             AddAncilla(), Gate("CNOT", (1, 2)))    # third system is qubit 3
+    two_qubit = evolve_circuit(Circuit(1, steps[:3]))
     rel_zero, rel_one = (
         relative.relative_descriptor(two_qubit, 0, relative.context_factor(
             two_qubit, relative.RelativeContext.computational(1, bit))) for bit in (0, 1))
-    set_ = relative.measure(set_, 1)   # third system is qubit 3
+    set_ = evolve_circuit(Circuit(1, steps))
     # Each third-system factor is built once and serves both the chained
     # ancilla state and the restriction of the system conditioned on it.
     plus, minus, third, factors = relative.ultimate_state_chain(set_, 1)

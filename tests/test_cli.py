@@ -594,6 +594,18 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def test_two_qubit_run_computes_the_diagonal_once(bell_file, monkeypatch):
+    """The pair analysis prints the diagonal the ``diagonal`` section holds,
+    from the one ``diagonal_probabilities`` call that section makes."""
+    from dhsim import density
+    calls = _count_calls(monkeypatch, density, "diagonal_probabilities")
+    code, report = run_report(RunConfig("run", bell_file))
+    assert code == EXIT_OK and len(calls) == 1
+    sections = report["sections"]
+    assert sections["pair_analysis"]["diagonal"] == [
+        row["probability"]["exact"] for row in sections["diagonal"]]
+
+
 def test_symmetries_searches_the_symmetries_once(bell_file, monkeypatch):
     from dhsim import uniqueness
     calls = _count_calls(monkeypatch, uniqueness, "density_symmetries")
@@ -928,8 +940,10 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, bell_file):
     """In a fresh interpreter each subcommand adds the dhsim modules its
     report uses: none beyond pauli and engine for a wide run, density for
     the diagonal and pair analysis, the oracle for --verify, uniqueness for
-    validate, protocols with relative for the swap, and protocols alone for
-    a dependency trace."""
+    validate, protocols with relative for the swap, protocols alone for a
+    dependency trace, protocols with density for the measurement demo
+    (whose measurements are circuit steps), and relative besides for the
+    chain demo."""
     wide = tmp_path / "wide.dh"
     wide.write_text("qubits 10\nh 1\ncnot 1 10\n")
     runs = [["run", str(wide)], ["run", str(wide), "--verify"],
@@ -942,6 +956,9 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, bell_file):
     assert loaded[3] - loaded[2] == {"dhsim.uniqueness"}
     assert loaded[4] - loaded[3] == {"dhsim.protocols", "dhsim.relative"}
     assert _loaded_after_each([["trace", bell_file]]) == [base | {"dhsim.protocols"}]
+    demos = _loaded_after_each([["measure-demo"], ["chain-demo"]])
+    assert demos[0] == base | {"dhsim.protocols", "dhsim.density"}
+    assert demos[1] - demos[0] == {"dhsim.relative"}
 
 
 # Preparations of the six single-qubit stabilizer states from |0>.

@@ -208,13 +208,15 @@ def _calls_by_function(tree):
 
 
 def test_one_step_function():
-    """A gate's rewrite and an ancilla's identity slot on a descriptor set
-    are applied in one place, ``engine._step``, which ``apply_gate`` and
-    ``add_ancilla`` call; ``engine.fold`` steps packed rows instead."""
-    hits = [f"{path.name}:{where} calls {name}"
-            for path in MODULES
-            for where, name in _calls_by_function(
-                ast.parse(path.read_text(encoding="utf-8")))
-            if name in ("_rewrite", "extended")
-            and (path.name, where) != ("engine.py", "_step")]
-    assert not hits
+    """A descriptor set's gate rewrite and an ancilla's identity slot are
+    each applied in one place: ``_rewrite`` is called only by
+    ``engine.apply_gate``, and ``extended`` only by ``engine.add_ancilla``;
+    ``engine.fold`` steps packed rows instead."""
+    callers = {name: {f"{path.name}:{where}"
+                      for path in MODULES
+                      for where, called in _calls_by_function(
+                          ast.parse(path.read_text(encoding="utf-8")))
+                      if called == name}
+               for name in ("_rewrite", "extended")}
+    assert callers == {"_rewrite": {"engine.py:apply_gate"},
+                       "extended": {"engine.py:add_ancilla"}}

@@ -5,10 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dhsim import oracle
+from dhsim import oracle, relative
 from dhsim.pauli import I, X, Y, Z, ComplexDyadic, PauliSum, parse_sum
 from dhsim.engine import (
-    Circuit, DescriptorSet, Gate, gate_steps, initial_set,
+    Circuit, DescriptorSet, Gate, add_ancilla, apply_gate, gate_steps, initial_set,
 )
 from dhsim.density import expectation_table, purity_condition, reconstruct_density
 from dhsim.protocols import (
@@ -309,6 +309,51 @@ class TestUltimateChainDemo:
         assert letters == {X, Y}
         letters_z = {ls[2] for ls, _ in plus.qz.terms()}
         assert letters_z == {I, Z}
+
+
+class TestDemoCircuits:
+    """Each demo's circuit, folded, gives the sets that stepping a fresh
+    register through ``apply_gate``, ``add_ancilla`` and ``relative.measure``
+    builds: the intermediate set first, then the final one."""
+
+    @staticmethod
+    def _evolved(monkeypatch, demo):
+        """The sets ``demo`` evolves, in order, and the demo's result."""
+        from dhsim import protocols
+        real, sets = protocols.evolve_circuit, []
+
+        def recording(circuit):
+            sets.append(real(circuit))
+            return sets[-1]
+
+        monkeypatch.setattr(protocols, "evolve_circuit", recording)
+        return sets, demo()
+
+    @staticmethod
+    def _assert_same(folded, stepped):
+        assert len(folded) == len(stepped)
+        for got, want in zip(folded, stepped):
+            assert got.n == want.n
+            for q in range(want.n):
+                for w in (X, Y, Z):
+                    assert got.component(q, w) == want.component(q, w)
+            assert got.history == want.history
+
+    def test_measurement_demo(self, monkeypatch):
+        set_ = add_ancilla(apply_gate(initial_set(1), Gate("H", (0,))))
+        set_ = apply_gate(set_, Gate("H", (0,)))
+        rotated = apply_gate(set_, Gate("CNOT", (0, 1)))
+        final = relative.measure(relative.measure(rotated, 0), 1)
+        sets, demo = self._evolved(monkeypatch, run_generalized_measurement_demo)
+        self._assert_same(sets, [rotated, final])
+        self._assert_same([demo["rotated_set"], demo["final_set"]], [rotated, final])
+
+    def test_chain_demo(self, monkeypatch):
+        two_qubit = relative.measure(apply_gate(initial_set(1), Gate("H", (0,))), 0)
+        final = relative.measure(two_qubit, 1)
+        sets, demo = self._evolved(monkeypatch, run_ultimate_chain_demo)
+        self._assert_same(sets, [two_qubit, final])
+        self._assert_same([demo["set"]], [final])
 
 
 class TestDecoherenceDemo:
