@@ -12,8 +12,7 @@ import random
 from dhsim import Gate, apply_gate, initial_set
 from dhsim.density import expectation_table, reconstruct_density
 from dhsim.uniqueness import (
-    canonical_signs, construct_from_density, density_symmetries,
-    generate_equivalent_sets, validate_basis,
+    construct_from_density, generate_equivalent_sets, validate_basis,
 )
 
 
@@ -27,13 +26,13 @@ def main():
     print(f"seed is a proper operator basis: {report.well_formed} "
           f"({report.independent_count} distinct products)")
 
-    group = density_symmetries(rho)
+    # The symmetries of the seed's density, and the class they generate;
+    # each set comes with its table, from the products that validated it.
+    group, family = generate_equivalent_sets(seed)
     print(f"\nsymmetry group of the density: {len(group)} transforms")
     for t in group:
         print(f"  {t.slot_cycles()}")
 
-    # Each set comes with its table, from the products that validated it.
-    family = generate_equivalent_sets(canonical_signs(seed), rho, group)
     print(f"\nequivalence class: {len(family)} descriptor sets")
     for k, (member, _) in enumerate(family, 1):
         d1, d2 = member.descriptor(0), member.descriptor(1)

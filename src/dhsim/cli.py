@@ -322,16 +322,11 @@ def _cmd_validate(cfg: RunConfig) -> dict:
 
 
 def _cmd_symmetries(cfg: RunConfig) -> dict:
-    from .density import reconstruct_density
-    from .uniqueness import (
-        canonical_signs, density_symmetries, generate_equivalent_sets,
-    )
+    from .uniqueness import generate_equivalent_sets
     set_ = evolve_circuit(_load_circuit(cfg))
     if set_.n != 2:
         raise ParseError(None, None, "symmetries needs a two-qubit circuit")
-    rho = reconstruct_density(set_, [0, 1])
-    transforms = density_symmetries(rho)
-    sets = generate_equivalent_sets(canonical_signs(set_), rho, transforms)
+    transforms, sets = generate_equivalent_sets(set_)
     out = {
         "transform_count": len(transforms),
         "transforms": sorted(t.slot_cycles() for t in transforms),

@@ -26,6 +26,7 @@ and build their sums once (``descriptor_set``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -208,20 +209,12 @@ def _rewrite(kind: str, operands: Sequence[Descriptor]) -> list[Descriptor]:
     """The operands' new descriptors under the kind's rule.
 
     ``operands[p]`` is the pre-gate descriptor of operand position p, so
-    every product refers to one time slice.
+    every product refers to one time slice.  A row's product is one
+    ``sum_mul`` with its factors in operand order, times the row's sign.
     """
-    new = []
-    for rows in _RULES[kind]:
-        triple = []
-        for sign, factors in rows:
-            if len(factors) == 1:
-                ((pos, letter),) = factors
-                c = operands[pos][letter - 1]
-            else:
-                c = sum_mul(*[operands[pos][letter - 1] for pos, letter in factors])
-            triple.append(c if sign == 1 else -c)
-        new.append(Descriptor._make(triple))
-    return new
+    return [Descriptor._make(
+        sum_mul(*[operands[pos][letter - 1] for pos, letter in factors]).scale(sign)
+        for sign, factors in rows) for rows in _RULES[kind]]
 
 
 def apply_gate(set_: DescriptorSet, gate: Gate) -> DescriptorSet:
@@ -257,8 +250,6 @@ def component_product(set_: DescriptorSet, indices: Sequence[int]) -> PauliSum:
     descs = set_.descriptors
     chosen = [descs[qubit].component(which)
               for qubit, which in enumerate(indices) if which != I]
-    if len(chosen) == 1:
-        return chosen[0]
     return sum_mul(*chosen) if chosen else PauliSum.identity(set_.n)
 
 
@@ -334,8 +325,10 @@ def gate_steps(set_: DescriptorSet) -> list[tuple[str, tuple[int, ...]]]:
             if isinstance(entry, Gate)]
 
 
+@functools.lru_cache(maxsize=1024)
 def step_label(step: Gate | AddAncilla) -> str:
-    """History text of one step with 1-based labels, e.g. ``cnot 1 2``."""
+    """History text of one step with 1-based labels, e.g. ``cnot 1 2``;
+    equal steps hash equal, so a history labels each distinct step once."""
     if isinstance(step, AddAncilla):
         return "ancilla"
     return f"{step.kind.lower()} " + " ".join(str(q + 1) for q in step.operands)

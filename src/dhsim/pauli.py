@@ -513,14 +513,17 @@ def parse_sum(text: str, n: int | None = None) -> PauliSum:
 def sum_mul(first: PauliSum, *rest: PauliSum) -> PauliSum:
     """Ordered product of one or more sums, phases folded into coefficients.
 
-    When every factor is one signed string, the product is folded in one
-    pass: the keys XOR together, each step adds its ``key_phase`` to the
-    i-exponent, and the integer numerators multiply, so one
-    ``ComplexDyadic`` and one sum are built at the end.  Otherwise the
-    factors are multiplied left to right, each pair of terms by XOR of the
-    keys with the pairwise rule; the i**k turn of the coefficient product
-    is inlined as in ``ComplexDyadic._times_i``, as this is the innermost loop.
+    One factor is its own product and is returned as it is.  When every
+    factor is one signed string, the product is folded in one pass: the
+    keys XOR together, each step adds its ``key_phase`` to the i-exponent,
+    and the integer numerators multiply, so one ``ComplexDyadic`` and one
+    sum are built at the end.  Otherwise the factors are multiplied left to
+    right, each pair of terms by XOR of the keys with the pairwise rule; the
+    i**k turn of the coefficient product is inlined as in
+    ``ComplexDyadic._times_i``, as this is the innermost loop.
     """
+    if not rest:
+        return first
     n = first.n
     m = x_mask(n)
     if len(first._terms) == 1:
@@ -664,7 +667,7 @@ def vacuum_expectation(*factors: PauliSum) -> ComplexDyadic:
     """
     if not factors:
         return ONE
-    s = factors[0] if len(factors) == 1 else sum_mul(*factors)
+    s = sum_mul(*factors)
     m = x_mask(s.n)
     total = ZERO
     for key, coef in s._terms.items():

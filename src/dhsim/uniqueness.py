@@ -23,14 +23,16 @@ Enumeration and direct construction from a density share one search,
 strings, ``Descriptor.from_xz`` qubits, ``pauli.commute`` and
 ``vacuum_expectation``.  The symmetry search and ``apply_transform`` share
 one sign search, ``_transform_signs``, and ``canonical_signs`` and the class
-generation one flip rule, ``_canonical_flip``, decided on a built table.
+generation one flip rule, ``_canonical_flip``, decided on a given table.
 ``validate_basis`` forms a set's sixteen products once: its inner products
 come from one ``pauli.inner_products`` pass over them, and its report
 carries their averages as the set's table.  ``generate_equivalent_sets``
-takes the transforms ``density_symmetries`` found, builds each set once and
-returns it with the table of its report, which ``symmetries --verify``
-compares with the oracle.  Closure of the symmetries is checked on their
-``(role_perm, swap)`` pairs.
+takes a set alone: its report's table decides the canonical seed and gives
+the density whose transforms ``density_symmetries`` finds.  It builds each
+set of the class once and returns the transforms with the sets, each with
+the table of its report, which ``symmetries --verify`` compares with the
+oracle.  Closure of the symmetries is checked on their ``(role_perm, swap)``
+pairs.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .pauli import (
     vacuum_expectation,
 )
 from .engine import Descriptor, DescriptorSet, component_product
-from .density import DensityMatrix, Sentinel, expectation_table
+from .density import DensityMatrix, Sentinel, expectation_table, table_density
 
 COMPONENTS = (X, Y, Z)
 # The index pairs (i, j) of a two-qubit table, in ``expectation_table`` order.
@@ -331,10 +333,15 @@ def canonical_signs(set_: DescriptorSet) -> DescriptorSet:
     if set_.n != 2:
         raise ValueError("sign canonicalization is defined for two-qubit sets")
     d1 = set_.descriptors[0]
-    sx, sz = _leading_sign(d1.qx), _leading_sign(d1.qz)
-    if sx == sz == 1:
+    if _leading_sign(d1.qx) == _leading_sign(d1.qz) == 1:
         return set_
-    fx, fz = _canonical_flip(sx, sz, expectation_table(set_, (0, 1)))
+    return _canonical_on(set_, expectation_table(set_, (0, 1)))
+
+
+def _canonical_on(set_: DescriptorSet, table) -> DescriptorSet:
+    """``canonical_signs`` of a two-qubit set whose table is ``table``."""
+    d1 = set_.descriptors[0]
+    fx, fz = _canonical_flip(_leading_sign(d1.qx), _leading_sign(d1.qz), table)
     if fx == fz == 1:
         return set_
     return DescriptorSet(2, tuple(d.scale_xz(fx, fz) for d in set_.descriptors))
@@ -359,35 +366,33 @@ def set_render_key(set_: DescriptorSet) -> tuple[str, ...]:
                  for a in range(set_.n) for r in COMPONENTS)
 
 
-def generate_equivalent_sets(seed: DescriptorSet, rho: DensityMatrix,
-                             transforms: Sequence[SymmetryTransform]) -> list[tuple]:
-    """The full equivalence class of descriptor sets for a state, as
-    (set, its table) pairs.
+def generate_equivalent_sets(set_: DescriptorSet
+                             ) -> tuple[list[SymmetryTransform], list[tuple]]:
+    """The symmetries of a two-qubit set's density and the set's full
+    equivalence class, as (set, its table) pairs.
 
-    Applies every transform of rho (``density_symmetries``) to the seed,
-    canonicalizes signs, and deduplicates.  Each set is built once: the
-    seed's components times the transform's signs and the canonical flip,
-    decided on the seed's table, the one the set must have.  Its basis
-    report gives its table, which must be the seed's.  A candidate equal to
-    an earlier output is that output, already checked.  Callers can
-    cross-check the result against brute-force enumeration.
+    The set is validated once.  Its basis report's table decides the seed's
+    canonical flip (``canonical_signs``) and gives the density, positive by
+    ``table_density``, whose ``density_symmetries`` are applied to the seed.
+    Each set is built once: the seed's components times the transform's
+    signs and the canonical flip, decided on the seed's table, the one the
+    set must have.  Its basis report gives its table, which must be the
+    seed's.  A candidate equal to an earlier output is that output, already
+    checked.  Callers can cross-check the class by brute-force enumeration.
     """
-    if seed.n != 2:
+    if set_.n != 2:
         raise ValueError("equivalence classes are generated for two-qubit sets")
-    report = validate_basis(seed)
-    seed_table = report.table
-    if any(value != ComplexDyadic.of(rho.coefficient(index))
-           for index, value in seed_table.items()):
-        raise ValueError("seed does not reproduce the density")
+    report = validate_basis(set_)
     if not report.well_formed:
-        raise ValueError(f"seed is not a proper basis: {report.violations}")
+        raise ValueError(f"set is not a proper basis: {report.violations}")
+    seed_table = report.table
+    seed = _canonical_on(set_, seed_table)
+    transforms = density_symmetries(table_density(seed_table))
     leading = {(q, r): _leading_sign(seed.component(q, r))
                for q in (0, 1) for r in COMPONENTS}
     outputs: dict[tuple[str, ...], tuple] = {}
+    # Each transform preserves the table it was found on, so it has signs.
     for transform, signs in zip(transforms, _transform_signs(transforms, seed_table)):
-        if signs is None:
-            raise ValueError(f"transform {transform.slot_cycles()} does not "
-                             "preserve this set's table")
         # Qubit 1's new x and z are its source components times s1x, s1z.
         q = 1 if transform.swap else 0
         sx = signs[0] * leading[q, transform.source(X)]
@@ -406,7 +411,7 @@ def generate_equivalent_sets(seed: DescriptorSet, rho: DensityMatrix,
             raise AssertionError(
                 f"transform {transform.slot_cycles()} changed the table")
         outputs[key] = candidate, report.table
-    return [outputs[key] for key in sorted(outputs)]
+    return transforms, [outputs[key] for key in sorted(outputs)]
 
 
 # -- brute-force enumeration and direct construction ---------------------

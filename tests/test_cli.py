@@ -606,6 +606,19 @@ def test_two_qubit_run_computes_the_diagonal_once(bell_file, monkeypatch):
         row["probability"]["exact"] for row in sections["diagonal"]]
 
 
+def test_run_labels_each_distinct_step_once(tmp_path):
+    """Eight steps, four of them distinct (h 1, cnot 1 2, ancilla, s 3):
+    equal steps share one ``step_label`` entry."""
+    from dhsim.engine import step_label
+    path = tmp_path / "repeated.dh"
+    path.write_text("qubits 3\nh 1\ncnot 1 2\nh 1\nancilla\n"
+                    "cnot 1 2\nh 1\nancilla\ns 3\n")
+    step_label.cache_clear()
+    code, report = run_report(RunConfig("run", str(path)))
+    assert code == EXIT_OK and len(report["sections"]["history"]) == 8
+    assert step_label.cache_info().misses == 4
+
+
 def test_symmetries_searches_the_symmetries_once(bell_file, monkeypatch):
     from dhsim import uniqueness
     calls = _count_calls(monkeypatch, uniqueness, "density_symmetries")
@@ -628,17 +641,20 @@ def test_each_pair_table_built_once(bell_file, monkeypatch, subcommand, most):
 
 @pytest.mark.parametrize("frame", ["", "x 1\n", "z 1\ny 2\n", "y 1\nx 2\n"])
 def test_symmetries_builds_at_most_4_tables(tmp_path, monkeypatch, frame):
-    """The density's table, and the circuit set's when its signs are
-    canonicalised; every generated set's table comes from the products
-    that validate it, and --verify compares those."""
-    from dhsim import density
+    """No table is built apart from the basis reports: the circuit set's
+    report gives the density and decides the canonical signs, every
+    generated set's table comes from the products that validate it, and
+    --verify compares those.  Thirteen reports: the circuit set's and one
+    per set of the class."""
+    from dhsim import density, uniqueness
     calls = _count_calls(monkeypatch, density, "expectation_table")
+    reports = _count_calls(monkeypatch, uniqueness, "validate_basis")
     path = tmp_path / "bell.dh"
     path.write_text(BELL + frame)
     code, report = run_report(RunConfig("symmetries", str(path), verify=True))
     assert code == EXIT_OK and report["sections"]["set_count"] == 12
     assert report["sections"]["verified"] is True
-    assert 0 < len(calls) <= 4
+    assert len(calls) == 0 and len(reports) == 13
 
 
 def test_swap_demo_verify_builds_at_most_6_tables(monkeypatch):
@@ -688,14 +704,14 @@ class TestSymmetriesVerifyUsesTheReturnedTables:
         returned, handed = [], []
 
         def generate(*args):
-            out = real_generate(*args)
+            transforms, out = real_generate(*args)
             if corrupt is not None:
                 set_, table = out[corrupt]
                 table = dict(table)
                 table[Z, Z] = -table[Z, Z]
                 out[corrupt] = set_, table
             returned.extend(out)
-            return out
+            return transforms, out
 
         def verify(set_, seed, checks=(), psi=None):
             checks = list(checks)

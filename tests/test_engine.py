@@ -392,6 +392,19 @@ class TestOneRuleForm:
         for gate in gates:
             assert apply_gate(set_, gate).descriptors == \
                 reference_apply(set_, gate).descriptors
+        # Conditioned on a gate operand, qubit 1's components no longer
+        # commute with that operand's, so a two-factor row must take its
+        # factors in operand order, not qubit order.
+        for target in (3, 2):
+            ctx = RelativeContext.computational(target, 1)
+            descs = list(s.descriptors)
+            descs[0] = relative_descriptor(s, 0, context_factor(s, ctx))
+            set_ = DescriptorSet(s.n, tuple(descs))
+            for kind in TWO_QUBIT_KINDS:
+                for ops in ((3, 0), (0, 3), (2, 0), (0, 2)):
+                    gate = Gate(kind, ops)
+                    assert apply_gate(set_, gate).descriptors == \
+                        reference_apply(set_, gate).descriptors
 
     def test_history_is_the_circuit_steps(self):
         c = Circuit(1, (Gate("H", (0,)), AddAncilla(), Gate("CNOT", (0, 1))))

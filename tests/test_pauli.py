@@ -135,6 +135,11 @@ class TestSumMul:
         want = matrices.sum_matrix(a) @ matrices.sum_matrix(b)
         assert np.allclose(got, want)
 
+    @pytest.mark.parametrize("text", ["-1 * Y⊗X", "1/2 * X⊗Z + -1/2 * Y⊗Y"])
+    def test_one_factor_is_its_own_product(self, text):
+        x = S(text)
+        assert sum_mul(x) is x
+
 
 class TestHsInner:
     def test_self_inner_is_one(self):

@@ -36,9 +36,8 @@ def bell_rho(bell_set):
 
 
 @pytest.fixture(scope="module")
-def bell_family(bell_set, bell_rho):
-    return [set_ for set_, _ in generate_equivalent_sets(
-        canonical_signs(bell_set), bell_rho, density_symmetries(bell_rho))]
+def bell_family(bell_set):
+    return [set_ for set_, _ in generate_equivalent_sets(bell_set)[1]]
 
 
 class TestValidateBasis:
@@ -262,10 +261,33 @@ class TestGenerateEquivalentSets:
                    for t in group}
         assert reached == keys
 
-    def test_seed_must_reproduce_rho(self, bell_rho):
-        with pytest.raises(ValueError):
-            generate_equivalent_sets(initial_set(2), bell_rho,
-                                     density_symmetries(bell_rho))
+    def test_improper_set_refused(self):
+        with pytest.raises(ValueError, match="not a proper basis"):
+            generate_equivalent_sets(degenerate_set())
+
+    @pytest.mark.parametrize("base", ["h 1, cnot 1 2, h 1", "h 1, h 2, s 1, s 2"])
+    def test_framed_sets_give_the_canonical_seed_orbit(self, base):
+        """Under each of the sixteen Pauli frames the class is the orbit of
+        the canonical seed under its density's symmetries.  Both states
+        have frames whose class changes when the set is not canonicalized
+        first, and the generator is handed the set as the circuit left it."""
+        steps = [Gate(kind, tuple(int(q) - 1 for q in ops))
+                 for kind, *ops in (text.split() for text in base.split(", "))]
+        uncanonical = 0
+        for frame in itertools.product(range(4), repeat=2):
+            set_ = initial_set(2)
+            for gate in steps + [Gate(LETTER_NAMES[w], (q,))
+                                 for q, w in enumerate(frame) if w != I]:
+                set_ = apply_gate(set_, gate)
+            group = density_symmetries(reconstruct_density(set_, [0, 1]))
+            seed = canonical_signs(set_)
+            want = {set_render_key(canonical_signs(apply_transform(seed, t)))
+                    for t in group}
+            transforms, sets = generate_equivalent_sets(set_)
+            assert transforms == group
+            assert [set_render_key(s) for s, _ in sets] == sorted(want)
+            uncanonical += set_render_key(seed) != set_render_key(set_)
+        assert uncanonical
 
     def test_evolution_consistency(self, bell_family):
         # A common circuit applied to every member keeps all tables equal.

@@ -22,9 +22,9 @@ from dhsim.pauli import I, X, Y, Z
 from dhsim.engine import Gate, apply_gate, initial_set
 from dhsim.density import DensityMatrix, reconstruct_density
 from dhsim.uniqueness import (
-    NotFound, SymmetryTransform, apply_transform, canonical_signs,
-    construct_from_density, density_symmetries, enumerate_valid_sets,
-    generate_equivalent_sets, set_render_key,
+    NotFound, SymmetryTransform, apply_transform, construct_from_density,
+    density_symmetries, enumerate_valid_sets, generate_equivalent_sets,
+    set_render_key,
 )
 
 PINS = os.path.join(os.path.dirname(__file__), "data", "uniqueness_pins.json")
@@ -127,8 +127,7 @@ def pinned_outputs():
             "symmetries": [t.slot_cycles() for t in density_symmetries(rho)],
             "apply_transform": {t.slot_cycles(): _transform_key(set_, t)
                                 for t in transforms},
-            "equivalent": [_key(s) for s, _ in generate_equivalent_sets(
-                canonical_signs(set_), rho, density_symmetries(rho))],
+            "equivalent": [_key(s) for s, _ in generate_equivalent_sets(set_)[1]],
         }
     for name, gates in ENUMERATED.items():
         set_ = initial_set(2)
