@@ -26,7 +26,6 @@ and build their sums once (``descriptor_set``).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -325,10 +324,8 @@ def gate_steps(set_: DescriptorSet) -> list[tuple[str, tuple[int, ...]]]:
             if isinstance(entry, Gate)]
 
 
-@functools.lru_cache(maxsize=1024)
 def step_label(step: Gate | AddAncilla) -> str:
-    """History text of one step with 1-based labels, e.g. ``cnot 1 2``;
-    equal steps hash equal, so a history labels each distinct step once."""
+    """History text of one step with 1-based labels, e.g. ``cnot 1 2``."""
     if isinstance(step, AddAncilla):
         return "ancilla"
     return f"{step.kind.lower()} " + " ".join(str(q + 1) for q in step.operands)

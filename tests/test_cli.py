@@ -606,19 +606,6 @@ def test_two_qubit_run_computes_the_diagonal_once(bell_file, monkeypatch):
         row["probability"]["exact"] for row in sections["diagonal"]]
 
 
-def test_run_labels_each_distinct_step_once(tmp_path):
-    """Eight steps, four of them distinct (h 1, cnot 1 2, ancilla, s 3):
-    equal steps share one ``step_label`` entry."""
-    from dhsim.engine import step_label
-    path = tmp_path / "repeated.dh"
-    path.write_text("qubits 3\nh 1\ncnot 1 2\nh 1\nancilla\n"
-                    "cnot 1 2\nh 1\nancilla\ns 3\n")
-    step_label.cache_clear()
-    code, report = run_report(RunConfig("run", str(path)))
-    assert code == EXIT_OK and len(report["sections"]["history"]) == 8
-    assert step_label.cache_info().misses == 4
-
-
 def test_symmetries_searches_the_symmetries_once(bell_file, monkeypatch):
     from dhsim import uniqueness
     calls = _count_calls(monkeypatch, uniqueness, "density_symmetries")
