@@ -13,8 +13,7 @@ from .pauli import (
 )
 from .engine import (
     AddAncilla, Circuit, Descriptor, DescriptorSet, Gate, GateError,
-    add_ancilla, apply_gate, evolve_circuit, expectation, heisenberg_image,
-    initial_set,
+    add_ancilla, apply_gate, evolve_circuit, expectation, initial_set,
 )
 
 __all__ = [
@@ -23,7 +22,7 @@ __all__ = [
     "commute", "hs_inner", "parse_sum", "sum_mul", "vacuum_expectation",
     "AddAncilla", "Circuit", "Descriptor", "DescriptorSet", "Gate",
     "GateError", "add_ancilla", "apply_gate", "evolve_circuit",
-    "expectation", "heisenberg_image", "initial_set",
+    "expectation", "initial_set",
 ]
 
 __version__ = "0.1.0"

@@ -2,8 +2,9 @@
 
 Everything here is exact, with no floats: expectation tables, diagonal
 probabilities (uniform on an affine subspace read off the GF(2) kernel of
-the q_z x-parts for a Clifford set, a Walsh-Hadamard transform of the
-subset-product averages otherwise), purity sums, Schmidt combinations,
+the q_z x-parts, ``engine.z_kernel``, for a set with packed rows, a
+Walsh-Hadamard transform of the subset-product averages otherwise),
+purity sums, Schmidt combinations,
 the positivity of a density (``is_positive``, fraction-free elimination
 over the Gaussian integers) and mixture weights
 (``mixture_representation``, Gaussian elimination over the rationals).
@@ -22,9 +23,9 @@ from typing import Iterable, Mapping, Sequence
 
 from .pauli import (
     I, X, Y, Z,
-    ONE, ComplexDyadic, PauliSum, sum_mul, vacuum_expectation, x_kernel,
+    ComplexDyadic, PauliSum, sum_mul, vacuum_expectation,
 )
-from .engine import Descriptor, DescriptorSet, expectations
+from .engine import Descriptor, DescriptorSet, expectations, z_kernel
 
 # Widest operator ``is_positive`` decides: a 2^10 x 2^10 matrix.
 POSITIVE_MAX_QUBITS = 10
@@ -194,36 +195,33 @@ def diagonal_probabilities(set_: DescriptorSet, qubits: Sequence[int]) -> list[F
     p(b) = 2^-k sum_S (-1)^(b.S) <prod_{q in S} q_z>, over the 2^k subsets S
     of the k qubits.
 
-    When every q_z is one string with coefficient +1 or -1 and they commute
-    pairwise (every Clifford set), only the subsets in the kernel K of the
-    x-parts (``pauli.x_kernel``) average to nonzero, each to the sign of its
-    product, and those signs multiply over K.  So the sum is 2^(dim K - k)
-    where (-1)^(b.S) equals the sign for every basis subset S, and 0
-    elsewhere: an affine subspace, from one ``sum_mul`` per basis subset.
+    For a set with packed rows (every Clifford set) the q_z are +1 or -1
+    strings that commute pairwise, so only the subsets in the kernel K of
+    their x-parts average to nonzero, each to the sign of its product, and
+    those signs multiply over K.  So the sum is 2^(dim K - k) where
+    (-1)^(b.S) equals the sign for every basis subset S, and 0 elsewhere:
+    an affine subspace, read off the rows by ``engine.z_kernel`` with no
+    product formed.
 
-    Any other set (multi-term q_z, another coefficient, anticommuting q_z)
-    takes the full sum: the subset products are built by doubling, one
-    ``sum_mul`` each, and their vacuum averages go through an in-place
-    Walsh-Hadamard transform of k 2^k exact additions.  Every entry is
-    checked to be real and nonnegative, and the entries to sum to exactly 1.
+    Any other set takes the full sum: the subset products are built by
+    doubling, one ``sum_mul`` each, and their vacuum averages go through an
+    in-place Walsh-Hadamard transform of k 2^k exact additions.  Every
+    entry is checked to be real and nonnegative, and the entries to sum to
+    exactly 1.
     """
     qubits = list(qubits)
     if not qubits:
         raise ValueError("subset must be nonempty")
     # Subset mask bit j is qubits[k-1-j]: the last qubit is bit 0.
-    factors = [set_.component(qubit, Z) for qubit in reversed(qubits)]
-    size = 1 << len(factors)
-    kernel = x_kernel(factors)
-    if kernel is not None:
-        weight = Fraction(1 << len(kernel), size)
-        zero = Fraction(0)
+    size = 1 << len(qubits)
+    if set_.rows is not None:
         # (subset, parity of b.S where the product of S averages to -1)
-        rules = [(subset, vacuum_expectation(sum_mul(
-                      *(f for j, f in enumerate(factors) if subset >> j & 1))) != ONE)
-                 for subset in kernel]
+        kernel = z_kernel(set_, qubits[::-1])
+        weight, zero = Fraction(1 << len(kernel), size), Fraction(0)
         return [weight if all((b & subset).bit_count() & 1 == odd
-                              for subset, odd in rules) else zero
+                              for subset, odd in kernel) else zero
                 for b in range(size)]
+    factors = [set_.component(qubit, Z) for qubit in reversed(qubits)]
     products = [PauliSum.identity(set_.n)]
     for qz in factors:
         products += [sum_mul(p, qz) for p in products]

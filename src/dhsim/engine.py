@@ -21,18 +21,23 @@ descriptor may have several terms.  From |0...0>, q_y = i q_x q_z holds
 throughout, so ``fold`` runs a circuit on packed (key, i-exponent) X and Z
 rows only, as the stabilizer tableau does; ``evolve_circuit`` and the
 dependency trace, through which every report's circuit goes, consume it
-and build their sums once (``descriptor_set``).
+and build their sums once (``descriptor_set``).  The set keeps those rows,
+and ``expectations`` and the diagonal's ``z_kernel`` read them; a set
+built any other way (``apply_gate``, ``add_ancilla``, a relative
+descriptor) has none, and its averages form each product.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .pauli import (
     I, X, Y, Z,
-    ComplexDyadic, DimensionError, PauliSum,
-    key_phase, key_support, slot_key, sum_mul, vacuum_expectations, x_mask,
+    ZERO, ComplexDyadic, DimensionError, PauliSum,
+    key_phase, key_support, slot_key, sum_mul, vacuum_expectation, x_mask,
 )
 
 # Heisenberg rewrite V^dagger sigma V, one form for every kind: per operand
@@ -164,11 +169,14 @@ class Descriptor(NamedTuple):
 
 @dataclass(frozen=True)
 class DescriptorSet:
-    """Complete register description: one descriptor per qubit plus history."""
+    """Complete register description: one descriptor per qubit plus history,
+    and the packed rows the descriptors were built from (``descriptor_set``
+    only; None for every other set)."""
 
     n: int
     descriptors: tuple[Descriptor, ...]
     history: tuple = field(default_factory=tuple, compare=False)
+    rows: tuple[Row, ...] | None = field(default=None, compare=False)
 
     def descriptor(self, qubit: int) -> Descriptor:
         return self.descriptors[qubit]
@@ -190,13 +198,18 @@ def _fresh_rows(n: int, first: int = 0) -> list[Row]:
 
 
 def descriptor_set(rows: Sequence[Row], history: tuple = ()) -> DescriptorSet:
-    """The descriptor set of a register's packed rows, q_y = i q_x q_z."""
-    n, string, m = len(rows), PauliSum.from_key, x_mask(len(rows))
+    """The descriptor set of a register's packed rows, q_y = i q_x q_z; the
+    set keeps a copy of the rows."""
+    n, m = len(rows), x_mask(len(rows))
     return DescriptorSet(n, tuple(
-        Descriptor(string(n, kx, ex),
-                   string(n, kx ^ kz, ex + ez + 1 + key_phase(kx, kz, m)),
-                   string(n, kz, ez))
-        for kx, ex, kz, ez in rows), history)
+        Descriptor._make(PauliSum.from_key(n, key, k) for key, k in _components(row, m))
+        for row in rows), history, tuple(rows))
+
+
+def _components(row: Row, m: int) -> tuple[tuple[int, int], ...]:
+    """The (key, i-exponent) of a row's q_x, q_y = i q_x q_z and q_z."""
+    kx, ex, kz, ez = row
+    return (kx, ex), (kx ^ kz, ex + ez + 1 + key_phase(kx, kz, m)), (kz, ez)
 
 
 def row_support(row: Row) -> tuple[int, ...]:
@@ -262,26 +275,76 @@ def expectations(set_: DescriptorSet,
                  strings: Iterable[Sequence[int]]) -> list[ComplexDyadic]:
     """The vacuum expectation of each index string's component product.
 
-    Each qubit's components are looked up once for the whole batch; a
-    string whose single-string factors XOR to an x bit averages to zero
-    before any product is formed (see ``pauli.vacuum_expectations``).
+    Letters I, X, Y and Z pick no factor, q_x, q_y or q_z of a qubit, and
+    any other letter is rejected.  A set with packed rows answers from
+    them: a string whose picked components' x-parts XOR to a nonzero mask
+    averages to zero, and any other product is an x-free string whose
+    average is its i-power, folded with ``key_phase``.  A set without rows
+    forms each product (``vacuum_expectation``).
     """
-    return vacuum_expectations(set_.descriptors, strings)
-
-
-def heisenberg_image(set_: DescriptorSet, operator: PauliSum) -> PauliSum:
-    """Map an operator written in initial Pauli letters through the evolution.
-
-    Conjugation by the circuit unitary is an algebra homomorphism, so the
-    image of each initial string is the ordered product of the matching
-    descriptor components, extended linearly over the terms.
-    """
-    if operator.n != set_.n:
-        raise DimensionError("operator width does not match register")
-    out = PauliSum.zero(set_.n)
-    for letters, coef in operator.terms():
-        out = out + component_product(set_, letters).scale(coef)
+    n, rows = set_.n, set_.rows
+    if rows is None:
+        parts = [{I: (), X: (qx,), Y: (qy,), Z: (qz,)}
+                 for qx, qy, qz in set_.descriptors]
+        join, start = operator.add, ()
+    else:
+        m = x_mask(n)
+        comps = [((0, 0), *_components(row, m)) for row in rows]
+        parts = [{w: key & m for w, (key, _) in enumerate(c)} for c in comps]
+        join, start = operator.xor, 0
+    out = []
+    for pick in strings:
+        if len(pick) != n:
+            raise DimensionError(f"pick of length {len(pick)} for {n} positions")
+        try:
+            picked = functools.reduce(join, map(dict.__getitem__, parts, pick), start)
+        except KeyError:
+            q = next(q for q, w in enumerate(pick) if w not in parts[q])
+            slot_key(q, pick[q])    # raises the bad-letter error
+        if rows is None:
+            out.append(vacuum_expectation(*picked))
+        elif picked:
+            out.append(ZERO)
+        else:
+            key = k = 0
+            for comp, w in zip(comps, pick):
+                if w:
+                    kb, kw = comp[w]
+                    k += kw + key_phase(key, kb, m)
+                    key ^= kb
+            out.append(ComplexDyadic.i_power(k))
     return out
+
+
+def z_kernel(set_: DescriptorSet, qubits: Sequence[int]) -> list[tuple[int, int]]:
+    """Basis of the subsets of the qubits' q_z whose product is x-free, each
+    with its sign bit (1 where the product averages to -1), from the rows.
+
+    A subset is a mask, bit j for ``qubits[j]``.  The q_z of a set's rows
+    are +1 or -1 strings that commute pairwise, so the product over a
+    subset does not depend on the order and a shared factor squares to 1:
+    one pass of GF(2) elimination on the x-parts carries each echelon row's
+    product (key, i-exponent) along, and a subset that reduces to no x bit
+    is a signed Z-type string, i**k = +1 or -1.
+    """
+    m = x_mask(set_.n)
+    # Echelon rows (lowest x bit, key, i-exponent, subset): a row carries no
+    # lowest bit of an earlier row, so reducing in order clears them all.
+    echelon: list[tuple[int, int, int, int]] = []
+    kernel = []
+    for j, q in enumerate(qubits):
+        _, _, key, k = set_.rows[q]
+        subset = 1 << j
+        for low, kb, kw, sb in echelon:
+            if key & low:
+                k += kw + key_phase(key, kb, m)
+                key ^= kb
+                subset ^= sb
+        if key & m:
+            echelon.append((key & m & -(key & m), key, k, subset))
+        else:
+            kernel.append((subset, k >> 1 & 1))
+    return kernel
 
 
 def fold(circuit: Circuit) -> Iterator[list[Row]]:

@@ -18,15 +18,13 @@ with y(k) = popcount(k & k >> 1 & M), the number of Y slots, and M the
 Z X = -X Z.  The vacuum keeps exactly the keys with no x bit.  There is
 no string class: a signed Pauli string is a one-term sum or, in the
 engine's packed rows only, a (key, i-exponent) int pair, which ``slot_key``,
-``key_phase``, ``key_support`` and ``PauliSum.from_key`` serve.
+``key_phase``, ``key_support``, ``x_mask`` and ``PauliSum.from_key``
+serve; the engine reads averages and the diagonal's kernel off those rows.
 
 ``sum_mul`` and ``vacuum_expectation`` take an ordered product of any
-number of sums.  On a Clifford circuit every descriptor component is one
-signed string, and a product of such factors is folded in one pass (the
-rule above telescopes over the factors) into one coefficient and one sum.
-Its vacuum average is zero when the XOR of the keys has an x bit, which
-``vacuum_expectations`` reads off before any phase or coefficient is
-computed.
+number of sums.  When every factor is one signed string, the product is
+folded in one pass (the rule above telescopes over the factors) into one
+coefficient and one sum.
 
 Letter tuples are built only at the boundary (construction,
 ``coefficient``, ``terms``, rendering, parsing and hashing), so sort
@@ -580,51 +578,7 @@ def commute(a: PauliSum, b: PauliSum) -> bool:
     if len(a._terms) != 1 or len(b._terms) != 1:
         raise ValueError("commute takes one-term sums")
     (ka,), (kb,) = a._terms, b._terms
-    return not _anticommute(ka, kb, x_mask(a.n))
-
-
-def _anticommute(ka: int, kb: int, m: int) -> int:
-    """1 when the strings of two keys anticommute, else 0."""
-    return (((ka >> 1 & kb) ^ (kb >> 1 & ka)) & m).bit_count() & 1
-
-
-def x_kernel(strings: Sequence[PauliSum]) -> list[int] | None:
-    """Basis of the subsets of ``strings`` whose x-parts XOR to zero.
-
-    A subset is a mask, bit j for ``strings[j]``; the basis comes from one
-    pass of GF(2) elimination on the x-parts.  Returns None unless every
-    sum is one string with coefficient +1 or -1 on the same register and
-    the strings commute pairwise: only then is the product over a kernel
-    subset a signed Z-type string, whose vacuum average is its sign, and
-    the sign of an XOR of subsets the product of their signs.
-    """
-    n = strings[0].n if strings else 0
-    m = x_mask(n)
-    keys = []
-    for s in strings:
-        if s.n != n or len(s._terms) != 1:
-            return None
-        ((key, c),) = s._terms.items()
-        if c._e or c._im or c._re not in (1, -1):
-            return None
-        keys.append(key)
-    if any(_anticommute(ka, kb, m) for j, ka in enumerate(keys) for kb in keys[:j]):
-        return None
-    # Rows (lowest bit, x-part, subset) in echelon form: a row carries no
-    # lowest bit of an earlier row, so reducing in order clears them all.
-    rows: list[tuple[int, int, int]] = []
-    kernel = []
-    for j, key in enumerate(keys):
-        x, subset = key & m, 1 << j
-        for low, rx, rs in rows:
-            if x & low:
-                x ^= rx
-                subset ^= rs
-        if x:
-            rows.append((x & -x, x, subset))
-        else:
-            kernel.append(subset)
-    return kernel
+    return not (((ka >> 1 & kb) ^ (kb >> 1 & ka)) & x_mask(a.n)).bit_count() & 1
 
 
 def hs_inner(a: PauliSum, b: PauliSum) -> ComplexDyadic:
@@ -675,47 +629,3 @@ def vacuum_expectation(*factors: PauliSum) -> ComplexDyadic:
             total = total + coef
     return total
 
-
-def vacuum_expectations(offers: Sequence[tuple[PauliSum, PauliSum, PauliSum]],
-                        picks: Iterable[Sequence[int]]) -> list[ComplexDyadic]:
-    """``vacuum_expectation`` of one ordered product per pick.
-
-    ``offers[q]`` holds the factors letters X, Y and Z select at position
-    q (``offers[q][w - 1]``), and I selects none; any other letter is
-    rejected.  A product of single strings is one string, the XOR of the
-    keys, so a pick whose factors are all single strings with x-parts
-    that XOR to a nonzero mask averages to ZERO with no product formed.
-    Each offer's x-part is read once for the whole batch.
-    """
-    n = offers[0][0].n
-    m = x_mask(n)
-    flag = 1 << 2 * n
-
-    def x_part(f: PauliSum) -> int:
-        # A factor that is not one string on n qubits has its product formed;
-        # it takes a bit of its own above the x bits, which no XOR cancels.
-        nonlocal flag
-        if f.n != n or len(f._terms) != 1:
-            flag <<= 1
-            return flag
-        (key,) = f._terms
-        return key & m
-
-    parts = [{I: 0, X: x_part(a), Y: x_part(b), Z: x_part(c)}
-             for a, b, c in offers]
-    out = []
-    for pick in picks:
-        if len(pick) != len(offers):
-            raise DimensionError(
-                f"pick of length {len(pick)} for {len(offers)} positions")
-        try:
-            x = functools.reduce(operator.xor, map(dict.__getitem__, parts, pick), 0)
-        except KeyError:
-            q = next(q for q, w in enumerate(pick) if w not in parts[q])
-            raise _bad_letter(pick[q], q) from None
-        if 0 < x <= m:
-            out.append(ZERO)
-        else:
-            out.append(vacuum_expectation(*[row[w - 1] for row, w in zip(offers, pick)
-                                            if w != I]))
-    return out

@@ -1,4 +1,4 @@
-"""Measurement as CNOT coupling, decoherence, and relative descriptors.
+"""Measurement as CNOT coupling, and relative descriptors.
 
 Measurement never collapses anything here: coupling a system qubit to a
 fresh ancilla by CNOT zeroes its x/y averages and leaves z alone, which is
@@ -108,14 +108,6 @@ def measure(set_: DescriptorSet, system_qubit: int) -> DescriptorSet:
         raise ValueError(f"qubit {system_qubit} out of range")
     grown = add_ancilla(set_)
     return apply_gate(grown, Gate("CNOT", (system_qubit, grown.n - 1)))
-
-
-def decohere(set_: DescriptorSet, qubits: Sequence[int]) -> DescriptorSet:
-    """Measure every listed qubit; the subset density becomes diagonal."""
-    out = set_
-    for qubit in qubits:
-        out = measure(out, qubit)
-    return out
 
 
 def measure_in_basis(set_: DescriptorSet, system_qubit: int,

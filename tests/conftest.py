@@ -1,5 +1,6 @@
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from dhsim.engine import (
     GATE_ARITY, AddAncilla, Circuit, DescriptorSet, Gate, apply_gate, initial_set,
 )
 from dhsim.pauli import X, Y, Z, ComplexDyadic, PauliSum, sum_mul
-from dhsim.relative import RelativeContext, decohere
+from dhsim.relative import RelativeContext, measure
 import matrices
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -24,6 +25,23 @@ def src_on_subprocess_path():
         mp.setenv("PYTHONPATH", os.pathsep.join(
             p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
         yield
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the calls of ``module.name``, rebound in every dhsim module
+    that holds it (the modules import each other's functions by name)."""
+    real = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("dhsim")
+                and getattr(mod, name, None) is real):
+            monkeypatch.setattr(mod, name, counting)
+    return calls
 
 
 def dense_operator(coeffs):
@@ -87,6 +105,14 @@ def bell_set():
 def swap_result():
     from dhsim.protocols import run_entanglement_swap
     return run_entanglement_swap()
+
+
+def decohere(set_: DescriptorSet, qubits) -> DescriptorSet:
+    """Measure every listed qubit; the subset density becomes diagonal."""
+    out = set_
+    for qubit in qubits:
+        out = measure(out, qubit)
+    return out
 
 
 def run_decoherence_demo() -> dict:

@@ -19,6 +19,7 @@ from dhsim.cli import (
 from dhsim.engine import (
     GATE_ARITY, AddAncilla, Gate, evolve_circuit, gate_steps,
 )
+from conftest import count_calls
 
 BELL = "qubits 2\nh 1\ncnot 1 2\n"
 
@@ -411,7 +412,7 @@ class TestVerificationFailurePath:
         from dhsim import oracle
         path = tmp_path / "ten.dh"
         path.write_text("qubits 10\nh 1\ncnot 1 10\n")
-        calls = _count_calls(monkeypatch, oracle, "string_averages")
+        calls = count_calls(monkeypatch, oracle, "string_averages")
         code, report = run_report(RunConfig("run", str(path), verify=True, seed=34))
         assert code == EXIT_OK and report["sections"]["verified"] is True
         (_, rows), = calls
@@ -517,27 +518,6 @@ class TestVerificationFailurePath:
         assert report["sections"]["verified"] is False
 
 
-@pytest.mark.parametrize("frame", ["", "x 1\n", "z 1\ny 2\n", "y 1\nx 2\n"])
-def test_symmetries_builds_at_most_40_tables(tmp_path, monkeypatch, frame):
-    """Each set's table is built once: the seed's, each transformed
-    candidate's, the sign-flipped ones tried, and one per set for --verify."""
-    from dhsim import density, uniqueness
-    real = density.expectation_table
-    calls = []
-
-    def counting(set_, qubits):
-        calls.append(tuple(qubits))
-        return real(set_, qubits)
-
-    for module in (density, uniqueness):
-        monkeypatch.setattr(module, "expectation_table", counting)
-    path = tmp_path / "bell.dh"
-    path.write_text(BELL + frame)
-    code, report = run_report(RunConfig("symmetries", str(path), verify=True))
-    assert code == EXIT_OK and report["sections"]["set_count"] == 12
-    assert len(calls) <= 40
-
-
 def test_swap_demo_verify_evolves_the_oracle_state_once(monkeypatch):
     from dhsim import oracle
     real = oracle.apply_circuit
@@ -577,28 +557,11 @@ def test_swap_demo_verify_compares_the_reduced_pairs(monkeypatch):
     assert report["sections"]["verified"] is False
 
 
-def _count_calls(monkeypatch, module, name):
-    """Record the calls of ``module.name``, rebound in every dhsim module
-    that holds it (the modules import each other's functions by name)."""
-    real = getattr(module, name)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    for mod in list(sys.modules.values()):
-        if (getattr(mod, "__name__", "").startswith("dhsim")
-                and getattr(mod, name, None) is real):
-            monkeypatch.setattr(mod, name, counting)
-    return calls
-
-
 def test_two_qubit_run_computes_the_diagonal_once(bell_file, monkeypatch):
     """The pair analysis prints the diagonal the ``diagonal`` section holds,
     from the one ``diagonal_probabilities`` call that section makes."""
     from dhsim import density
-    calls = _count_calls(monkeypatch, density, "diagonal_probabilities")
+    calls = count_calls(monkeypatch, density, "diagonal_probabilities")
     code, report = run_report(RunConfig("run", bell_file))
     assert code == EXIT_OK and len(calls) == 1
     sections = report["sections"]
@@ -608,7 +571,7 @@ def test_two_qubit_run_computes_the_diagonal_once(bell_file, monkeypatch):
 
 def test_symmetries_searches_the_symmetries_once(bell_file, monkeypatch):
     from dhsim import uniqueness
-    calls = _count_calls(monkeypatch, uniqueness, "density_symmetries")
+    calls = count_calls(monkeypatch, uniqueness, "density_symmetries")
     code, report = run_report(RunConfig("symmetries", bell_file, verify=True))
     assert code == EXIT_OK and report["sections"]["transform_count"] == 12
     assert len(calls) == 1
@@ -619,7 +582,7 @@ def test_each_pair_table_built_once(bell_file, monkeypatch, subcommand, most):
     """The swap builds one table per analysed pair (6) and per reduced
     outcome pair (4); a two-qubit run one for its pair analysis."""
     from dhsim import density
-    calls = _count_calls(monkeypatch, density, "expectation_table")
+    calls = count_calls(monkeypatch, density, "expectation_table")
     path = bell_file if subcommand == "run" else None
     code, report = run_report(RunConfig(subcommand, path, verify=True))
     assert code == EXIT_OK and report["sections"]["verified"] is True
@@ -627,15 +590,15 @@ def test_each_pair_table_built_once(bell_file, monkeypatch, subcommand, most):
 
 
 @pytest.mark.parametrize("frame", ["", "x 1\n", "z 1\ny 2\n", "y 1\nx 2\n"])
-def test_symmetries_builds_at_most_4_tables(tmp_path, monkeypatch, frame):
+def test_symmetries_builds_no_table_and_13_basis_reports(tmp_path, monkeypatch, frame):
     """No table is built apart from the basis reports: the circuit set's
     report gives the density and decides the canonical signs, every
     generated set's table comes from the products that validate it, and
     --verify compares those.  Thirteen reports: the circuit set's and one
     per set of the class."""
     from dhsim import density, uniqueness
-    calls = _count_calls(monkeypatch, density, "expectation_table")
-    reports = _count_calls(monkeypatch, uniqueness, "validate_basis")
+    calls = count_calls(monkeypatch, density, "expectation_table")
+    reports = count_calls(monkeypatch, uniqueness, "validate_basis")
     path = tmp_path / "bell.dh"
     path.write_text(BELL + frame)
     code, report = run_report(RunConfig("symmetries", str(path), verify=True))
@@ -648,7 +611,7 @@ def test_swap_demo_verify_builds_at_most_6_tables(monkeypatch):
     """One table per analysed pair; the four reduced outcome pairs take
     theirs from the products that validate them."""
     from dhsim import density
-    calls = _count_calls(monkeypatch, density, "expectation_table")
+    calls = count_calls(monkeypatch, density, "expectation_table")
     code, report = run_report(RunConfig("swap-demo", verify=True))
     assert code == EXIT_OK and report["sections"]["verified"] is True
     assert 0 < len(calls) <= 6
@@ -738,7 +701,7 @@ class TestSymmetriesVerifyUsesTheReturnedTables:
 
 def test_swap_demo_builds_each_context_factor_once(monkeypatch):
     from dhsim import relative
-    calls = _count_calls(monkeypatch, relative, "context_factor")
+    calls = count_calls(monkeypatch, relative, "context_factor")
     code, report = run_report(RunConfig("swap-demo", verify=True))
     assert code == EXIT_OK and report["sections"]["verified"] is True
     assert len(calls) == 4
@@ -748,7 +711,7 @@ def test_chain_demo_builds_each_context_factor_once(monkeypatch):
     """Two contexts on the two-qubit set and two on the third system, each
     factor serving the chained ancilla state and the system's restriction."""
     from dhsim import relative
-    calls = _count_calls(monkeypatch, relative, "context_factor")
+    calls = count_calls(monkeypatch, relative, "context_factor")
     code, report = run_report(RunConfig("chain-demo", verify=True))
     assert code == EXIT_OK and report["sections"]["verified"] is True
     assert len(calls) == 4
@@ -758,7 +721,7 @@ def test_swap_demo_restricts_each_descriptor_once(monkeypatch):
     """Qubits 1 and 4 under each of the four record contexts: one
     restriction per conditioned descriptor, not one per component."""
     from dhsim import relative
-    calls = _count_calls(monkeypatch, relative, "conditional_restriction")
+    calls = count_calls(monkeypatch, relative, "conditional_restriction")
     code, report = run_report(RunConfig("swap-demo", verify=True))
     assert code == EXIT_OK and report["sections"]["verified"] is True
     assert len(calls) == 8
@@ -767,7 +730,7 @@ def test_swap_demo_restricts_each_descriptor_once(monkeypatch):
 def test_chain_demo_restricts_each_descriptor_once(monkeypatch):
     """The system conditioned on each of the third system's two records."""
     from dhsim import relative
-    calls = _count_calls(monkeypatch, relative, "conditional_restriction")
+    calls = count_calls(monkeypatch, relative, "conditional_restriction")
     code, report = run_report(RunConfig("chain-demo", verify=True))
     assert code == EXIT_OK and report["sections"]["verified"] is True
     assert len(calls) == 2
@@ -782,9 +745,9 @@ def test_verify_batches_every_average(tmp_path, monkeypatch):
     path = tmp_path / "ten.dh"
     path.write_text("qubits 10\n" + "".join(
         f"h {q}\ncnot {q} {q + 1}\ns {q + 1}\n" for q in range(1, 10)))
-    averages = _count_calls(monkeypatch, oracle, "string_averages")
-    singles = _count_calls(monkeypatch, engine, "expectation")
-    batches = _count_calls(monkeypatch, engine, "expectations")
+    averages = count_calls(monkeypatch, oracle, "string_averages")
+    singles = count_calls(monkeypatch, engine, "expectation")
+    batches = count_calls(monkeypatch, engine, "expectations")
     code, report = run_report(RunConfig("run", str(path), verify=True))
     assert code == EXIT_OK and report["sections"]["verified"] is True
     assert [len(args[1]) for args in averages] == [230]

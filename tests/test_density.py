@@ -11,7 +11,7 @@ from dhsim.pauli import (
     vacuum_expectation,
 )
 from dhsim.engine import (
-    Circuit, Descriptor, DescriptorSet, Gate, apply_gate, component_product,
+    AddAncilla, Circuit, Descriptor, DescriptorSet, Gate, apply_gate, component_product,
     evolve_circuit, expectation, gate_steps, initial_set,
 )
 from dhsim.density import (
@@ -19,7 +19,9 @@ from dhsim.density import (
     expectation_table, is_positive, mixture_representation, purity_condition,
     reconstruct_density, schmidt_coefficients, simply_reduce,
 )
-from conftest import dense_density, dense_operator, random_circuit, z_projector
+from conftest import (
+    count_calls, dense_density, dense_operator, random_circuit, z_projector,
+)
 from test_uniqueness_pins import stabilizer_states
 
 HALF = Fraction(1, 2)
@@ -281,29 +283,24 @@ class TestDiagonalProbabilities:
                 assert expectation(s, indices) == vacuum_expectation(product)
 
     @staticmethod
-    def _count_products(monkeypatch):
-        calls = []
-
-        def counting(*factors):
-            calls.append(len(factors))
-            return sum_mul(*factors)
-
-        monkeypatch.setattr(density, "sum_mul", counting)
-        return calls
+    def _products(calls):
+        """The factor counts of the ``sum_mul`` calls that form a product."""
+        return [len(factors) for factors in calls if len(factors) > 1]
 
     def test_subset_products_not_projector_products(self, monkeypatch):
         # A multi-term set takes the transform: at most 2^k subset products,
         # where the projector expansion needs k 2^k.
         rng = random.Random(5)
         s = ccz_conjugated(evolve_circuit(random_circuit(rng, 4, 16)))
-        assert pauli.x_kernel([s.component(q, Z) for q in range(4)]) is None
-        calls = self._count_products(monkeypatch)
+        assert s.rows is None
+        calls = count_calls(monkeypatch, pauli, "sum_mul")
         diagonal_probabilities(s, range(4))
-        assert 0 < len(calls) <= 2 ** 4
+        assert 0 < len(self._products(calls)) <= 2 ** 4
 
     def test_clifford_set_forms_at_most_k_products(self, monkeypatch):
-        # One product per kernel basis subset, none when the kernel is trivial.
-        calls = self._count_products(monkeypatch)
+        # A set with packed rows reads its kernel and signs off the rows, so
+        # it forms no product at all, well within the bound of k.
+        calls = count_calls(monkeypatch, pauli, "sum_mul")
         rng = random.Random(5)
         for n in range(1, 9):
             for _ in range(4):
@@ -311,11 +308,11 @@ class TestDiagonalProbabilities:
                 qubits = rng.sample(range(n), rng.randint(1, n))
                 del calls[:]
                 diagonal_probabilities(s, qubits)
-                assert len(calls) <= len(qubits)
+                assert self._products(calls) == []
         s = evolve_circuit(Circuit(3, ()))
         del calls[:]
         assert diagonal_probabilities(s, range(3)) == [1] + [0] * 7
-        assert calls == [1, 1, 1]
+        assert self._products(calls) == []
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_kernel_path_matches_references(self, n):
@@ -323,24 +320,31 @@ class TestDiagonalProbabilities:
         for _ in range(3):
             s = evolve_circuit(random_circuit(rng, n, 5 * n))
             qubits = rng.sample(range(n), rng.randint(1, n))
-            factors = [s.component(q, Z) for q in qubits]
-            assert pauli.x_kernel(factors) is not None
+            assert s.rows is not None
             probs = diagonal_probabilities(s, qubits)
             assert probs == projector_diagonal(s, qubits)
             assert np.allclose([float(p) for p in probs],
                                dense_diagonal(s, qubits), atol=1e-12)
 
     def test_kernel_path_on_measured_sets_with_ancillas(self):
+        # ``measure`` builds its set by ``apply_gate``, which keeps no rows;
+        # the same measurement folded as a circuit keeps them.  Both paths
+        # give the references' diagonal.
         from dhsim.relative import measure
         rng = random.Random(61)
         for n in (1, 2, 3, 4):
-            s = evolve_circuit(random_circuit(rng, n, 4 * n))
-            m = s
+            circuit = random_circuit(rng, n, 4 * n)
+            m = evolve_circuit(circuit)
+            steps = list(circuit.steps)
             for qubit in rng.sample(range(n), min(n, 2)):
                 m = measure(m, qubit)
+                steps += [AddAncilla(), Gate("CNOT", (qubit, m.n - 1))]
+            folded = evolve_circuit(Circuit(n, tuple(steps)))
+            assert m.rows is None and folded.rows is not None
+            assert folded == m
             qubits = rng.sample(range(m.n), m.n)
-            assert pauli.x_kernel([m.component(q, Z) for q in qubits]) is not None
             probs = diagonal_probabilities(m, qubits)
+            assert diagonal_probabilities(folded, qubits) == probs
             assert probs == projector_diagonal(m, qubits)
             assert np.allclose([float(p) for p in probs],
                                dense_diagonal(m, qubits), atol=1e-12)
@@ -354,10 +358,10 @@ class TestDiagonalProbabilities:
     ])
     def test_anticommuting_qz_take_the_transform(self, qz0, qz1, expected):
         pair = [parse_sum(qz0), parse_sum(qz1)]
-        assert pauli.x_kernel(pair) is None
         s = DescriptorSet(2, tuple(
             Descriptor(PauliSum.single(2, q, X), PauliSum.single(2, q, Y), qz)
             for q, qz in enumerate(pair)))
+        assert s.rows is None
         if isinstance(expected, str):
             with pytest.raises(ValueError, match=expected):
                 diagonal_probabilities(s, [0, 1])
@@ -367,7 +371,7 @@ class TestDiagonalProbabilities:
     def test_other_coefficients_take_the_transform(self):
         for coef in (2, ComplexDyadic(0, 1), HALF, -1):
             qz = PauliSum.single(1, 0, Z, coef)
-            assert (pauli.x_kernel([qz]) is None) == (coef != -1)
+            assert z_only_set(qz).rows is None
         assert diagonal_probabilities(z_only_set(PauliSum.single(1, 0, Z, HALF)),
                                       [0]) == [Fraction(3, 4), Fraction(1, 4)]
         assert diagonal_probabilities(z_only_set(PauliSum.single(1, 0, Z, -1)),

@@ -11,7 +11,7 @@ from dhsim.pauli import (
 from dhsim.engine import (
     AddAncilla, Circuit, Descriptor, EmptyRegisterError, Gate, GateError,
     DescriptorSet, add_ancilla, apply_gate, component_product, evolve_circuit,
-    expectation, expectations, gate_steps, heisenberg_image, initial_set,
+    expectation, expectations, gate_steps, initial_set,
 )
 from conftest import (
     SINGLE_QUBIT_KINDS, TWO_QUBIT_KINDS, random_circuit, random_gate, random_steps,
@@ -23,6 +23,21 @@ ONE = ComplexDyadic.of(1)
 
 def S(text):
     return parse_sum(text)
+
+
+def heisenberg_image(set_: DescriptorSet, operator: PauliSum) -> PauliSum:
+    """Map an operator written in initial Pauli letters through the evolution.
+
+    Conjugation by the circuit unitary is an algebra homomorphism, so the
+    image of each initial string is the ordered product of the matching
+    descriptor components, extended linearly over the terms.
+    """
+    if operator.n != set_.n:
+        raise DimensionError("operator width does not match register")
+    out = PauliSum.zero(set_.n)
+    for letters, coef in operator.terms():
+        out = out + component_product(set_, letters).scale(coef)
+    return out
 
 
 class TestInitialSet:

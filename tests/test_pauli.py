@@ -226,6 +226,9 @@ class TestCanonicalForm:
 
 
 class TestXKernel:
+    """``engine.z_kernel``: the diagonal's GF(2) elimination on the q_z row
+    keys, each basis subset with the sign bit of its product."""
+
     @staticmethod
     def _x_free(product):
         ((letters, _),) = product.terms()
@@ -233,8 +236,9 @@ class TestXKernel:
 
     def test_basis_spans_every_x_free_subset(self):
         # The kernel's size, by brute force over all 2^k subsets, is
-        # 2^(basis length), and every basis subset is x-free.
-        from dhsim.engine import evolve_circuit
+        # 2^(basis length), and every basis subset is x-free with the sign
+        # of its formed product.
+        from dhsim.engine import evolve_circuit, z_kernel
         from conftest import random_circuit
         rng = random.Random(71)
         for n in range(1, 7):
@@ -242,8 +246,7 @@ class TestXKernel:
                 s = evolve_circuit(random_circuit(rng, n, 4 * n))
                 qubits = rng.sample(range(n), rng.randint(1, n))
                 factors = [s.component(q, Z) for q in qubits]
-                basis = pauli.x_kernel(factors)
-                assert basis is not None
+                kernel = z_kernel(s, qubits)
 
                 def product(subset):
                     return sum_mul(PauliSum.identity(n), *(
@@ -251,34 +254,25 @@ class TestXKernel:
 
                 free = [t for t in range(1, 1 << len(factors))
                         if self._x_free(product(t))]
-                assert len(free) + 1 == 2 ** len(basis)
+                assert len(free) + 1 == 2 ** len(kernel)
                 span = {0}
-                for subset in basis:
+                for subset, odd in kernel:
                     assert subset in free
+                    assert vacuum_expectation(product(subset)) == ComplexDyadic.of((-1) ** odd)
                     span |= {t ^ subset for t in span}
-                assert len(span) == 2 ** len(basis)
+                assert len(span) == 2 ** len(kernel)
 
     def test_fresh_register_is_all_kernel(self):
-        zs = [PauliSum.single(3, q, Z, -1 if q else 1) for q in range(3)]
-        assert pauli.x_kernel(zs) == [1, 2, 4]
-        xs = [PauliSum.single(3, q, X) for q in range(3)]
-        assert pauli.x_kernel(xs) == []
-        assert pauli.x_kernel(xs + [S("1 * X⊗X⊗I")]) == [0b1011]
-
-    @pytest.mark.parametrize("strings", [
-        ["2 * Z⊗I", "1 * I⊗Z"],
-        ["1/2 * Z⊗I", "1 * I⊗Z"],
-        ["1i * Z⊗I", "1 * I⊗Z"],
-        ["1 * Z⊗I + 1 * I⊗Z", "1 * I⊗Z"],
-        ["1 * X⊗I", "1 * Z⊗I"],
-        ["1 * Y⊗Z", "1 * Z⊗I", "1 * I⊗X"],
-    ])
-    def test_none_unless_commuting_unit_strings(self, strings):
-        assert pauli.x_kernel([S(t) for t in strings]) is None
-
-    def test_none_on_width_mismatch_or_zero(self):
-        assert pauli.x_kernel([S("1 * Z⊗I"), S("1 * Z")]) is None
-        assert pauli.x_kernel([PauliSum.zero(2)]) is None
+        from dhsim.engine import Circuit, Gate, evolve_circuit, z_kernel
+        flipped = evolve_circuit(Circuit(3, (Gate("X", (1,)), Gate("X", (2,)))))
+        assert z_kernel(flipped, range(3)) == [(1, 0), (2, 1), (4, 1)]
+        # q_z = X on qubits 0-2, and X0 X1 Z3 on qubit 3.
+        xs = evolve_circuit(Circuit(4, (
+            Gate("H", (0,)), Gate("H", (1,)), Gate("CNOT", (0, 3)),
+            Gate("CNOT", (1, 3)), Gate("H", (2,)))))
+        assert xs.component(3, Z) == S("1 * X⊗X⊗I⊗Z")
+        assert z_kernel(xs, range(3)) == []
+        assert z_kernel(xs, range(4)) == [(0b1011, 0)]
 
 
 class TestCommutation:

@@ -14,11 +14,11 @@ from dhsim.engine import (
 )
 from dhsim.density import diagonal_probabilities, reconstruct_density
 from dhsim.relative import (
-    ContextError, RelativeContext, conditional_restriction, context_factor, decohere,
+    ContextError, RelativeContext, conditional_restriction, context_factor,
     measure, measure_in_basis, outcome_probability, povm_sum_check,
     relative_descriptor, relative_descriptor_pair, ultimate_state_chain,
 )
-from conftest import dense_density, maximally_mixed, random_circuit
+from conftest import decohere, dense_density, maximally_mixed, random_circuit
 import matrices
 
 
