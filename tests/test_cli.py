@@ -518,6 +518,27 @@ class TestVerificationFailurePath:
         assert report["sections"]["verified"] is False
 
 
+@pytest.mark.parametrize("frame", ["", "x 1\n", "z 1\ny 2\n", "y 1\nx 2\n"])
+def test_symmetries_builds_at_most_40_tables(tmp_path, monkeypatch, frame):
+    """Each set's table is built once: the seed's, each transformed
+    candidate's, the sign-flipped ones tried, and one per set for --verify."""
+    from dhsim import density, uniqueness
+    real = density.expectation_table
+    calls = []
+
+    def counting(set_, qubits):
+        calls.append(tuple(qubits))
+        return real(set_, qubits)
+
+    for module in (density, uniqueness):
+        monkeypatch.setattr(module, "expectation_table", counting)
+    path = tmp_path / "bell.dh"
+    path.write_text(BELL + frame)
+    code, report = run_report(RunConfig("symmetries", str(path), verify=True))
+    assert code == EXIT_OK and report["sections"]["set_count"] == 12
+    assert len(calls) <= 40
+
+
 def test_swap_demo_verify_evolves_the_oracle_state_once(monkeypatch):
     from dhsim import oracle
     real = oracle.apply_circuit
@@ -590,7 +611,7 @@ def test_each_pair_table_built_once(bell_file, monkeypatch, subcommand, most):
 
 
 @pytest.mark.parametrize("frame", ["", "x 1\n", "z 1\ny 2\n", "y 1\nx 2\n"])
-def test_symmetries_builds_no_table_and_13_basis_reports(tmp_path, monkeypatch, frame):
+def test_symmetries_builds_at_most_4_tables(tmp_path, monkeypatch, frame):
     """No table is built apart from the basis reports: the circuit set's
     report gives the density and decides the canonical signs, every
     generated set's table comes from the products that validate it, and
