@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import codecs
-import dataclasses
 import functools
 import json
 import math
@@ -32,7 +31,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from .pauli import I, X, Y, Z, ComplexDyadic
 from .engine import (
@@ -64,8 +63,7 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclasses.dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     subcommand: str
     input_path: str | None = None
     verify: bool = False
@@ -313,8 +311,8 @@ def _cmd_validate(cfg: RunConfig) -> dict:
     if set_.n != 2:
         raise ParseError(None, None, "validate needs a two-qubit circuit")
     report = validate_basis(set_)
-    out = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
-           if f.name != "table"}
+    out = report._asdict()
+    del out["table"]
     out.update(violations=list(report.violations), well_formed=report.well_formed)
     if cfg.verify:
         out["verified"] = _verify_set(set_, cfg.seed)

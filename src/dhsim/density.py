@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .pauli import (
     I, X, Y, Z,
@@ -128,20 +127,19 @@ def expectation_table(set_: DescriptorSet, qubits: Sequence[int]) -> dict[MultiI
     return dict(zip(combos, expectations(set_, strings)))
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(NamedTuple("DensityMatrix", [
+        ("n", int), ("coeffs", Mapping[MultiIndex, Fraction])])):
     """Real coefficient tensor over the Pauli product basis of a subset.
 
     rho = (1/2**n) * sum_I coeffs[I] P_I with coeffs[0...0] = 1.
     """
 
-    n: int
-    coeffs: Mapping[MultiIndex, Fraction]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        ident = (I,) * self.n
-        if self.coeffs.get(ident) != 1:
+    def __new__(cls, n: int, coeffs: Mapping[MultiIndex, Fraction]) -> DensityMatrix:
+        if coeffs.get((I,) * n) != 1:
             raise ValueError("density coefficients must have a_0...0 = 1")
+        return super().__new__(cls, n, coeffs)
 
     def coefficient(self, index: MultiIndex) -> Fraction:
         return self.coeffs.get(tuple(index), Fraction(0))
@@ -261,8 +259,7 @@ def purity_condition(rho: DensityMatrix) -> tuple[Fraction, bool]:
     return total, total < 3
 
 
-@dataclass(frozen=True)
-class SchmidtCoefficients:
+class SchmidtCoefficients(NamedTuple):
     """Diagonal-basis pure-state coefficients for a qubit pair."""
 
     a: Fraction

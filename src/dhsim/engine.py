@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .pauli import (
@@ -87,24 +86,21 @@ class EmptyRegisterError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple("Gate", [("kind", str), ("operands", tuple[int, ...])])):
     """One gate application: a kind plus 0-based operand qubits."""
 
-    kind: str
-    operands: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        kind = self.kind.upper()
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "operands", tuple(self.operands))
+    def __new__(cls, kind: str, operands: Iterable[int]) -> Gate:
+        kind, operands = kind.upper(), tuple(operands)
         if kind not in GATE_ARITY:
             raise GateError(f"unknown gate kind {kind!r}")
         want = GATE_ARITY[kind]
-        if len(self.operands) != want:
-            raise GateError(f"{kind} takes {want} operand(s), got {len(self.operands)}")
-        if len(set(self.operands)) != len(self.operands):
+        if len(operands) != want:
+            raise GateError(f"{kind} takes {want} operand(s), got {len(operands)}")
+        if len(set(operands)) != len(operands):
             raise GateError(f"{kind} operands must be distinct")
+        return super().__new__(cls, kind, operands)
 
     def validate_for(self, n: int) -> None:
         for q in self.operands:
@@ -112,24 +108,25 @@ class Gate:
                 raise GateError(f"operand {q} out of range for {n} qubits")
 
 
-@dataclass(frozen=True)
-class AddAncilla:
-    """Directive allocating one fresh |0> qubit at the end of the register."""
+class AddAncilla(NamedTuple):
+    """Directive allocating one fresh |0> qubit at the end of the register.
+    It has no fields, so it equals ``()``; it is truthy all the same."""
+
+    def __bool__(self) -> bool:
+        return True
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(NamedTuple("Circuit", [("initial_qubits", int), ("steps", tuple)])):
     """Ordered gate applications and ancilla allocations."""
 
-    initial_qubits: int
-    steps: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(self.steps))
-        if self.initial_qubits < 1:
+    def __new__(cls, initial_qubits: int, steps: Iterable = ()) -> Circuit:
+        steps = tuple(steps)
+        if initial_qubits < 1:
             raise EmptyRegisterError("a circuit needs at least one qubit")
-        n = self.initial_qubits
-        for k, step in enumerate(self.steps):
+        n = initial_qubits
+        for k, step in enumerate(steps):
             if isinstance(step, AddAncilla):
                 n += 1
             elif isinstance(step, Gate):
@@ -139,6 +136,7 @@ class Circuit:
                     raise GateError(f"step {k + 1}: {exc}") from exc
             else:
                 raise GateError(f"step {k + 1}: not a gate or ancilla directive")
+        return super().__new__(cls, initial_qubits, steps)
 
 
 class Descriptor(NamedTuple):
@@ -167,16 +165,26 @@ class Descriptor(NamedTuple):
         return Descriptor.from_xz(self.qx.scale(sx), self.qz.scale(sz))
 
 
-@dataclass(frozen=True)
-class DescriptorSet:
+class DescriptorSet(NamedTuple):
     """Complete register description: one descriptor per qubit plus history,
     and the packed rows the descriptors were built from (``descriptor_set``
-    only; None for every other set)."""
+    only; None for every other set).  Two sets are equal, and hash alike,
+    when their ``n`` and descriptors are."""
 
     n: int
     descriptors: tuple[Descriptor, ...]
-    history: tuple = field(default_factory=tuple, compare=False)
-    rows: tuple[Row, ...] | None = field(default=None, compare=False)
+    history: tuple = ()
+    rows: tuple[Row, ...] | None = None
+
+    def __eq__(self, other: object) -> bool:
+        return (self[:2] == other[:2] if isinstance(other, DescriptorSet)
+                else NotImplemented)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:2])
 
     def descriptor(self, qubit: int) -> Descriptor:
         return self.descriptors[qubit]
@@ -381,10 +389,10 @@ def evolve_circuit(circuit: Circuit) -> DescriptorSet:
     return descriptor_set(rows, circuit.steps)
 
 
-def gate_steps(set_: DescriptorSet) -> list[tuple[str, tuple[int, ...]]]:
-    """Gate history as (kind, operands) pairs for the dense oracle, ancillas dropped."""
-    return [(entry.kind, entry.operands) for entry in set_.history
-            if isinstance(entry, Gate)]
+def gate_steps(set_: DescriptorSet) -> list[Gate]:
+    """Gate history for the dense oracle, ancillas dropped: each ``Gate`` is
+    its (kind, operands) pair."""
+    return [entry for entry in set_.history if isinstance(entry, Gate)]
 
 
 def step_label(step: Gate | AddAncilla) -> str:

@@ -255,10 +255,12 @@ _BYTE_LETTERS = [tuple(_LETTER_OF_CODE[b >> s & 3] for s in (0, 2, 4, 6))
 
 
 def _unpack(key: int, n: int) -> Letters:
-    letters: Letters = ()
-    for s in range(0, 2 * n, 8):
-        letters += _BYTE_LETTERS[key >> s & 255]
-    return letters[:n]
+    """The n letters of a key, read a byte (four slots) at a time."""
+    letters: list[int] = []
+    for byte in key.to_bytes((n + 3) // 4, "little"):
+        letters += _BYTE_LETTERS[byte]
+    del letters[n:]
+    return tuple(letters)
 
 
 @functools.lru_cache(maxsize=128)

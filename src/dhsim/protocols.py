@@ -21,9 +21,8 @@ Qubit labels in every report are 1-based.  ``density``, ``relative`` and
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .pauli import I, X, Y, Z, vacuum_expectation
 from .engine import (
@@ -37,8 +36,7 @@ if TYPE_CHECKING:
 COMPONENTS = (X, Y, Z)
 
 
-@dataclass(frozen=True)
-class DependencyReport:
+class DependencyReport(NamedTuple):
     """Hilbert-space factors each qubit's descriptor touches (0-based sets),
     after each step of a circuit, and the circuit's final descriptor set."""
 
@@ -103,8 +101,7 @@ PAIRS_1BASED = ((1, 2), (3, 4), (1, 4), (2, 3), (3, 5), (2, 6))
 RECORD_QUBITS = (4, 5)
 
 
-@dataclass(frozen=True)
-class RelativeBellOutcome:
+class RelativeBellOutcome(NamedTuple):
     """One conditioning branch of the swap: the bits of ``RECORD_QUBITS``."""
 
     bits: tuple[int, int]
@@ -117,8 +114,7 @@ class RelativeBellOutcome:
     sign_z: int
 
 
-@dataclass(frozen=True)
-class SwapResult:
+class SwapResult(NamedTuple):
     final_set: DescriptorSet
     pair_densities: Mapping[tuple[int, int], DensityMatrix]
     pair_purity: Mapping[tuple[int, int], tuple[Fraction, bool]]

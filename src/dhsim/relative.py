@@ -16,9 +16,8 @@ and ``ultimate_state_chain`` returns the two it builds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .pauli import (
     I, X, Y, Z,
@@ -37,8 +36,9 @@ class ContextError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RelativeContext:
+class RelativeContext(NamedTuple("RelativeContext", [
+        ("target_qubits", tuple[int, ...]), ("table", Mapping[MultiIndex, Fraction]),
+        ("weight", Fraction)])):
     """Expectation data of a conditioning state on one or two qubits.
 
     ``table`` maps non-identity component multi-indices of the target
@@ -47,26 +47,26 @@ class RelativeContext:
     generalized measurement).
     """
 
-    target_qubits: tuple[int, ...]
-    table: Mapping[MultiIndex, Fraction] = field(default_factory=dict)
-    weight: Fraction = Fraction(1)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "target_qubits", tuple(self.target_qubits))
-        object.__setattr__(self, "weight", Fraction(self.weight))
-        k = len(self.target_qubits)
+    def __new__(cls, target_qubits: Sequence[int],
+                table: Mapping[MultiIndex, Fraction] | None = None,
+                weight: Fraction = Fraction(1)) -> RelativeContext:
+        target_qubits = tuple(target_qubits)
+        k = len(target_qubits)
         if k not in (1, 2):
             raise ContextError("contexts cover one or two qubits")
         clean: dict[MultiIndex, Fraction] = {}
-        for index, value in self.table.items():
+        for index, value in (table or {}).items():
             index = tuple(index)
             if len(index) != k or index == (I,) * k:
                 raise ContextError(f"bad table index {index}")
             value = Fraction(value)
             if value:
                 clean[index] = value
-        object.__setattr__(self, "table", clean)
+        self = super().__new__(cls, target_qubits, clean, Fraction(weight))
         self._validate_state()
+        return self
 
     def _validate_state(self) -> None:
         """The table, with the identity average, must be a valid (sub)state,

@@ -38,8 +38,7 @@ pairs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .pauli import (
     I, X, Y, Z, LETTER_NAMES, ONE, ZERO,
@@ -58,8 +57,7 @@ _PAIR_KEYS = tuple(itertools.product((I,) + COMPONENTS, repeat=2))
 NotFound = Sentinel("NotFound")
 
 
-@dataclass(frozen=True)
-class BasisReport:
+class BasisReport(NamedTuple):
     """Outcome of the proper-basis checks for a two-qubit descriptor set,
     with ``table``, the averages of the same sixteen products (index pairs
     (i, j) to averages, in ``expectation_table`` order)."""
@@ -140,22 +138,23 @@ def validate_basis(set_: DescriptorSet) -> BasisReport:
 
 _ROLE_NAMES = {X: "x", Y: "y", Z: "z"}
 
-@dataclass(frozen=True)
-class SymmetryTransform:
+class SymmetryTransform(NamedTuple("SymmetryTransform", [
+        ("role_perm", tuple[int, int, int]), ("swap", bool)])):
     """Role permutation applied to both qubits, with an optional qubit swap.
 
     ``role_perm`` maps each component role to its source role: the new
     q_{a,i} is (a sign times) the old q_{a', role_perm[i]}, with a' the
     other qubit when ``swap`` is set.  Signs are chosen per application to
-    preserve the expectation table.
+    preserve the expectation table.  A transform is its (role_perm, swap)
+    pair.
     """
 
-    role_perm: tuple[int, int, int]
-    swap: bool
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if sorted(self.role_perm) != [X, Y, Z]:
+    def __new__(cls, role_perm: tuple[int, int, int], swap: bool) -> SymmetryTransform:
+        if sorted(role_perm) != [X, Y, Z]:
             raise ValueError("role_perm must permute X, Y, Z")
+        return super().__new__(cls, role_perm, swap)
 
     @staticmethod
     def identity() -> "SymmetryTransform":
@@ -268,7 +267,7 @@ def density_symmetries(rho: DensityMatrix) -> list[SymmetryTransform]:
              in zip(candidates, _transform_signs(candidates, table))
              if signs is not None]
     # t1 after t2 takes role r from t2's source of t1's source of r.
-    members = {(t.role_perm, t.swap) for t in found}
+    members = set(found)
     if ((X, Y, Z), False) not in members:
         raise AssertionError("symmetry search lost the identity")
     for t1, t2 in itertools.product(found, repeat=2):

@@ -558,7 +558,6 @@ def test_swap_demo_verify_compares_the_reduced_pairs(monkeypatch):
     """One negated reduced component of one outcome, handed to the report
     after the basis and purity assertions passed on the real pairs: only
     the comparison with the conditioned oracle state can see it."""
-    import dataclasses
     from dhsim import protocols
     from dhsim.engine import Descriptor
     real = protocols.run_entanglement_swap
@@ -567,9 +566,8 @@ def test_swap_demo_verify_compares_the_reduced_pairs(monkeypatch):
         result = real()
         outcomes = list(result.relative_bell)
         d = outcomes[2].reduced_4
-        outcomes[2] = dataclasses.replace(
-            outcomes[2], reduced_4=Descriptor(d.qx, -d.qy, d.qz))
-        return dataclasses.replace(result, relative_bell=tuple(outcomes))
+        outcomes[2] = outcomes[2]._replace(reduced_4=Descriptor(d.qx, -d.qy, d.qz))
+        return result._replace(relative_bell=tuple(outcomes))
 
     assert run_report(RunConfig("swap-demo", verify=True))[0] == EXIT_OK
     monkeypatch.setattr(protocols, "run_entanglement_swap", negated)
@@ -779,11 +777,10 @@ def test_verify_batches_every_average(tmp_path, monkeypatch):
 def test_parser_dests_are_the_run_config_fields():
     """``main`` builds its ``RunConfig`` from the parsed options as they
     are, so the option list is written once."""
-    import dataclasses
     from dhsim import cli
     dests = [a.dest for a in cli._parser()._actions if a.dest != "help"]
-    assert dests == [f.name for f in dataclasses.fields(RunConfig)
-                     if f.name != "max_qubits"]
+    assert dests == [name for name in RunConfig._fields
+                     if name != "max_qubits"]
 
 
 def test_verify_set_annotations_resolve():
@@ -886,28 +883,47 @@ class TestMainEntry:
 
 
 # Runs the argv lists of sys.argv[1] (JSON) in one fresh interpreter, and
-# prints each exit code and the dhsim modules (and numpy) loaded after it.
+# prints each exit code, the dhsim modules (and numpy) loaded after it, and
+# whether dataclasses is loaded after it.
 _LOADED_MODULES = """
 import contextlib, io, json, sys
 from dhsim.cli import main
 
-codes, loaded = [], []
+codes, loaded, dataclasses = [], [], []
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     for argv in json.loads(sys.argv[1]):
         codes.append(main(argv))
         loaded.append(sorted(name for name in sys.modules
                              if name == "numpy" or name.split(".")[0] == "dhsim"))
-print(json.dumps({"codes": codes, "loaded": loaded}))
+        dataclasses.append("dataclasses" in sys.modules)
+print(json.dumps({"codes": codes, "loaded": loaded, "dataclasses": dataclasses}))
 """
 
 
-def _loaded_after_each(runs):
+def _fresh_runs(runs):
+    """The harness's output for ``runs``, each of which must exit 0."""
     proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, json.dumps(runs)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["codes"] == [EXIT_OK] * len(runs)
-    return [set(names) for names in result["loaded"]]
+    return result
+
+
+def _loaded_after_each(runs):
+    return [set(names) for names in _fresh_runs(runs)["loaded"]]
+
+
+def test_no_subcommand_loads_dataclasses(bell_file):
+    """In a fresh interpreter no subcommand, with or without --verify,
+    loads dataclasses: every value type is a NamedTuple, and numpy loads
+    inspect but not dataclasses."""
+    runs = [[c, bell_file, *flag] for c in ("run", "validate", "symmetries", "construct")
+            for flag in ((), ("--verify",))]
+    runs += [[c, *flag] for c in ("swap-demo", "measure-demo", "chain-demo")
+             for flag in ((), ("--verify",))]
+    runs += [["trace", bell_file], ["run", bell_file, "--format", "text"]]
+    assert _fresh_runs(runs)["dataclasses"] == [False] * len(runs)
 
 
 def test_only_verify_loads_numpy_and_the_oracle(bell_file):

@@ -433,8 +433,16 @@ class TestOneRuleForm:
             Circuit(1, (AddAncilla(), Gate("CNOT", (0, 1)), Gate("CNOT", (0, 2))))
 
     def test_empty_register_refused(self):
-        bad = Circuit.__new__(Circuit)
-        object.__setattr__(bad, "initial_qubits", 0)
-        object.__setattr__(bad, "steps", ())
+        bad = tuple.__new__(Circuit, (0, ()))
         with pytest.raises(EmptyRegisterError):
             evolve_circuit(bad)
+
+    def test_value_types_keep_their_equality(self):
+        """A set compares and hashes on n and its descriptors alone, whatever
+        its history and rows; an ancilla directive, a NamedTuple with no
+        fields, is truthy all the same."""
+        bell = evolve_circuit(Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1)))))
+        bare = DescriptorSet(bell.n, bell.descriptors)
+        assert bare == bell and not bare != bell and hash(bare) == hash(bell)
+        assert bare != DescriptorSet(2, initial_set(2).descriptors, bell.history)
+        assert AddAncilla() and AddAncilla() == AddAncilla()

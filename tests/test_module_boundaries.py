@@ -13,6 +13,8 @@ eigenvalue routine or imports numpy, `relative.py` imports neither numpy
 nor the oracle, and no module imports the oracle at module level, so an
 exact report loads neither.  The command line imports only `pauli` and
 `engine` at module level; each analysis module loads where a report uses it.
+Every value type is a `typing.NamedTuple`, so no module imports
+`dataclasses`, which a one-shot report would pay for with `inspect`.
 """
 
 import ast
@@ -131,6 +133,13 @@ def test_only_oracle_imports_numpy(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = [name for node in ast.walk(tree) for name in _imported_modules(node)]
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = [name for node in ast.walk(tree) for name in _imported_modules(node)]
+    assert not [name for name in imported if name.split(".")[0] == "dataclasses"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -2,7 +2,6 @@
 same set rebuilt without them forms each product.  Both must agree on every
 average, table, diagonal and single, and on every error."""
 
-import dataclasses
 import random
 
 import pytest
@@ -92,6 +91,6 @@ def test_a_row_that_disagrees_is_seen():
     # The Bell pair's descriptors with the fresh register's rows: every z
     # single and the diagonal read the rows, so both differ.
     bell = evolve_circuit(Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1)))))
-    wrong = dataclasses.replace(bell, rows=evolve_circuit(Circuit(2)).rows)
+    wrong = bell._replace(rows=evolve_circuit(Circuit(2)).rows)
     assert wrong == bell
     assert analyses(wrong, 0) != analyses(without_rows(bell), 0)

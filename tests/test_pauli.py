@@ -731,3 +731,16 @@ class TestRememberedTextAndSupport:
         assert str(ComplexDyadic(0, Fraction(-12, 8))) == "-3/2i"
         assert str(ComplexDyadic(Fraction(2), Fraction(1, 2))) == "(2+1/2i)"
         assert str(ComplexDyadic()) == "0"
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), 64, 1000])
+def test_unpack_reads_each_slot_letter(n):
+    """A key's letters, read a byte at a time, are the letters whose
+    one-slot keys make up the key, slot by slot."""
+    rng = random.Random(n)
+    keys = [0, 4 ** n - 1] + [rng.getrandbits(2 * n) for _ in range(20)]
+    for key in keys:
+        want = tuple(next(w for w in (I, X, Y, Z)
+                          if pauli.slot_key(q, w) == key & 3 << 2 * q)
+                     for q in range(n))
+        assert pauli._unpack(key, n) == want

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -204,7 +203,7 @@ class TestSwapRelativeBell:
             assert got_4 == want_4
 
     @pytest.mark.parametrize("name,spoil,message", [
-        ("validate_basis", lambda report: dataclasses.replace(report, orthogonal=False),
+        ("validate_basis", lambda report: report._replace(orthogonal=False),
          "is not a proper basis"),
         ("purity_condition", lambda purity: (purity[0], True), "is not pure"),
     ])
