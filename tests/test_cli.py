@@ -916,7 +916,7 @@ def _loaded_after_each(runs):
 
 def test_no_subcommand_loads_dataclasses(bell_file):
     """In a fresh interpreter no subcommand, with or without --verify,
-    loads dataclasses: every value type is a NamedTuple, and numpy loads
+    loads dataclasses: every record type is a NamedTuple, and numpy loads
     inspect but not dataclasses."""
     runs = [[c, bell_file, *flag] for c in ("run", "validate", "symmetries", "construct")
             for flag in ((), ("--verify",))]

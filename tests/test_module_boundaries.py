@@ -13,7 +13,7 @@ eigenvalue routine or imports numpy, `relative.py` imports neither numpy
 nor the oracle, and no module imports the oracle at module level, so an
 exact report loads neither.  The command line imports only `pauli` and
 `engine` at module level; each analysis module loads where a report uses it.
-Every value type is a `typing.NamedTuple`, so no module imports
+Every record type is a `typing.NamedTuple`, so no module imports
 `dataclasses`, which a one-shot report would pay for with `inspect`.
 """
 
