@@ -33,7 +33,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Iterable, NamedTuple
 
-from .pauli import I, X, Y, Z, ComplexDyadic
+from .pauli import I, X, Y, Z, ComplexDyadic, vacuum_expectation
 from .engine import (
     GATE_ARITY, AddAncilla, Circuit, Descriptor, DescriptorSet, Gate,
     evolve_circuit, expectations, gate_steps, step_label,
@@ -78,8 +78,12 @@ _TOKEN = re.compile(r"\S+")
 
 
 def _ascii_digits(text: str) -> bool:
-    """0-9 only; str.isdigit also takes superscripts, which int() rejects."""
-    return text.isascii() and text.isdigit()
+    """0-9 only, and no more digits than int() converts: str.isdigit also
+    takes superscripts, and int() refuses more than
+    ``sys.get_int_max_str_digits()`` digits (0, or a Python before 3.10.7
+    that lacks it: no limit)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    return text.isascii() and text.isdigit() and not 0 < limit < len(text)
 
 
 def _error_at(lineno: int, line: str, index: int, message: str) -> ParseError:
@@ -194,17 +198,15 @@ def _render3(d: Descriptor) -> list[str]:
     return [c.render() for c in d]
 
 
-def _singles(set_: DescriptorSet) -> list[tuple[tuple[int, ...], ComplexDyadic]]:
-    """The (string, exact average) pair of each qubit's x, y and z."""
-    n = set_.n
-    strings = [(I,) * q + (w,) + (I,) * (n - 1 - q)
-               for q in range(n) for w in (X, Y, Z)]
-    return list(zip(strings, expectations(set_, strings)))
+def _singles(set_: DescriptorSet) -> list[ComplexDyadic]:
+    """The exact average of each qubit's q_x, q_y and q_z: the vacuum
+    average of the component itself, with no product formed."""
+    return [vacuum_expectation(c) for d in set_.descriptors for c in d]
 
 
-def _singles_rows(singles: list[tuple[tuple[int, ...], ComplexDyadic]]) -> list[dict]:
+def _singles_rows(singles: list[ComplexDyadic]) -> list[dict]:
     rendered: dict[str, dict] = {}
-    nums = [_num_once(rendered, str(v), v) for _, v in singles]
+    nums = [_num_once(rendered, str(v), v) for v in singles]
     return [{"qubit": q + 1, **dict(zip("xyz", nums[3 * q:3 * q + 3]))}
             for q in range(len(nums) // 3)]
 
@@ -214,18 +216,18 @@ def _history_rows(set_: DescriptorSet) -> list[str]:
 
 
 def _verify_set(set_: DescriptorSet, seed: int,
-                checks: Iterable[tuple[tuple[int, ...], ComplexDyadic]] = (),
+                checks: Iterable[tuple[tuple[int, ...], ComplexDyadic | Fraction]] = (),
                 psi: Any = None) -> bool:
     """Sampled picture-equivalence check of a descriptor set.
 
-    The engine's averages of ``VERIFY_SAMPLES`` seeded random strings
-    (base-4 digits of a pick, qubit 0 lowest: one ``oracle.pick_letters``
-    array), and each (string, exact average) pair in ``checks``, are
-    compared with the oracle's averages on the circuit's state ``psi`` (an
-    ``oracle.apply_circuit`` state vector, evolved here when not given),
-    all taken in one ``oracle.string_averages`` call.  A check string
-    already in the call is not sent again.  The set passes when the worst
-    deviation over every pair, repeated strings included, is within ATOL.
+    ``VERIFY_SAMPLES`` seeded random strings (base-4 digits of a pick,
+    qubit 0 lowest), then each (string, exact average) pair in ``checks``
+    as a row of its own, are one ``oracle.pick_letters`` array.  The
+    engine's averages of the samples and the checks' values are compared
+    row by row with the oracle's averages of every row on the circuit's
+    state ``psi`` (an ``oracle.apply_circuit`` state vector, evolved here
+    when not given), taken in one ``oracle.string_averages`` call.  The set
+    passes when the worst deviation is within ATOL.
     """
     import random
     from . import oracle
@@ -236,23 +238,17 @@ def _verify_set(set_: DescriptorSet, seed: int,
                          f"dense oracle; this one has {set_.n}")
     rng = random.Random(seed)
     space = 4 ** set_.n
-    count = min(VERIFY_SAMPLES, space)
-    picks = rng.sample(range(space), count)
+    picks = rng.sample(range(space), min(VERIFY_SAMPLES, space))
+    count, checked = len(picks), []
+    for letters, value in checks:
+        picks.append(sum(letter << 2 * q for q, letter in enumerate(letters)))
+        checked.append(value)
     strings = oracle.pick_letters(picks, set_.n)
-    positions, values = list(range(count)), expectations(set_, strings.tolist())
-    if checks:
-        # A check string's row is its sample's, or a new pick after them.
-        position = dict(zip(picks, positions))
-        for letters, value in checks:
-            pick = sum(letter << 2 * q for q, letter in enumerate(letters))
-            positions.append(position.setdefault(pick, len(position)))
-            values.append(value)
-        if len(position) > count:
-            strings = oracle.pick_letters(list(position), set_.n)
+    values = expectations(set_, strings[:count].tolist()) + checked
     if psi is None:
         psi = oracle.apply_circuit(set_.n, gate_steps(set_))
     averages = oracle.string_averages(psi, strings)
-    return oracle.worst_deviation(averages, positions, values) <= oracle.ATOL
+    return oracle.worst_deviation(averages, values) <= oracle.ATOL
 
 
 # -- subcommand implementations -------------------------------------------
@@ -301,7 +297,11 @@ def _cmd_run(cfg: RunConfig) -> dict:
     if cfg.verify:
         # The samples almost never hold a single at n = 10, so the printed
         # singles are checked too, in the same oracle call.
-        sections["verified"] = _verify_set(set_, cfg.seed, checks=singles)
+        n = set_.n
+        strings = [(I,) * q + (w,) + (I,) * (n - 1 - q)
+                   for q in range(n) for w in (X, Y, Z)]
+        sections["verified"] = _verify_set(set_, cfg.seed,
+                                           checks=zip(strings, singles))
     return sections
 
 
@@ -340,15 +340,15 @@ def _cmd_symmetries(cfg: RunConfig) -> dict:
 
 def _cmd_construct(cfg: RunConfig) -> dict:
     from .density import expectation_table, reconstruct_density
-    from .uniqueness import NotFound, construct_from_density
+    from .uniqueness import construct_from_density
     set_ = evolve_circuit(_load_circuit(cfg))
     if set_.n > 2:
         raise ParseError(None, None, "construct covers 1- or 2-qubit densities")
     rho = reconstruct_density(set_, range(set_.n))
     found = construct_from_density(rho, cfg.ancilla_budget)
-    out = {"found": found is not NotFound, "system_qubits": set_.n,
+    out = {"found": found is not None, "system_qubits": set_.n,
            "ancilla_budget": cfg.ancilla_budget}
-    if found is not NotFound:
+    if found is not None:
         out["register_qubits"] = found.n
         out["descriptors"] = _descriptor_rows(found)
     if cfg.verify:
@@ -356,7 +356,7 @@ def _cmd_construct(cfg: RunConfig) -> dict:
         # circuit's register, checked against the oracle's state of the
         # circuit.  Its own set reproduces its (pure) density, so a search
         # that finds nothing fails the check.
-        out["verified"] = found is not NotFound and _verify_set(
+        out["verified"] = found is not None and _verify_set(
             set_, cfg.seed, checks=expectation_table(found, range(set_.n)).items())
     return out
 
@@ -396,8 +396,7 @@ def _cmd_swap_demo(cfg: RunConfig) -> dict:
         for o in result.relative_bell:
             rem, prob = oracle.conditional_state(psi, list(RECORD_QUBITS), list(o.bits))
             reduced = expectations(DescriptorSet(2, (o.reduced_1, o.reduced_4)), pair)
-            worst = oracle.worst_deviation(oracle.string_averages(rem, remainder),
-                                           list(range(len(pair))), reduced)
+            worst = oracle.worst_deviation(oracle.string_averages(rem, remainder), reduced)
             if abs(prob - float(o.probability)) > oracle.ATOL or worst > oracle.ATOL:
                 ok = False
         sections["verified"] = ok
@@ -416,7 +415,14 @@ def _cmd_measure_demo(cfg: RunConfig) -> dict:
         "system_bloch": [_num(v) for v in demo["system_bloch"]],
     }
     if cfg.verify:
-        sections["verified"] = _verify_set(set_, cfg.seed)
+        # The printed singles of systems 1 and 2, and system 1's Bloch
+        # vector, on the final register.
+        n = set_.n
+        printed = [(q - 1, vals) for q, vals in demo["singles"].items()]
+        printed.append((0, demo["system_bloch"]))
+        checks = [((I,) * q + (w,) + (I,) * (n - 1 - q), v)
+                  for q, vals in printed for w, v in zip((X, Y, Z), vals)]
+        sections["verified"] = _verify_set(set_, cfg.seed, checks=checks)
     return sections
 
 
@@ -596,6 +602,9 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--ancillas", dest="ancilla_budget", metavar="ANCILLAS",
                         type=_nonnegative_int, default=1,
                         help="ancilla budget for construct")
+    # A usage error starts "error:", as every other exit-1 message does.
+    parser.error = lambda message: parser.exit(
+        2, f"error: {message}\n{parser.format_usage()}")
     # parse_intermixed_args formats the usage on every call while it is
     # None; the same text, set once, gives the same messages.
     parser.usage = parser.format_usage()[len("usage: "):]

@@ -32,25 +32,6 @@ POSITIVE_MAX_QUBITS = 10
 MultiIndex = tuple[int, ...]
 
 
-class Sentinel:
-    """A named falsy marker returned where a result does not exist."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __repr__(self) -> str:
-        return self.name
-
-    def __bool__(self) -> bool:
-        return False
-
-
-# A descriptor has support outside the requested factor.
-NotReducible = Sentinel("NotReducible")
-# No mixture weights reproduce the target table.
-Infeasible = Sentinel("Infeasible")
-
-
 def is_positive(k: int, coeffs: Mapping[MultiIndex, Fraction]) -> bool:
     """Whether sum_I coeffs[I] P_I, over k qubits, is positive semidefinite.
 
@@ -297,17 +278,17 @@ def schmidt_coefficients(rho: DensityMatrix) -> SchmidtCoefficients:
 def simply_reduce(value: Descriptor | PauliSum, subset: Iterable[int]):
     """Restriction to a factor space, defined only when the support fits.
 
-    Returns the restricted PauliSum (or Descriptor), or NotReducible when
-    any component acts non-trivially outside ``subset``.
+    Returns the restricted PauliSum (or Descriptor), or None when any
+    component acts non-trivially outside ``subset``.
     """
     keep = sorted(set(subset))
     if isinstance(value, Descriptor):
         parts = [simply_reduce(c, keep) for c in value]
-        if any(p is NotReducible for p in parts):
-            return NotReducible
+        if any(p is None for p in parts):
+            return None
         return Descriptor(*parts)
     if not value.support() <= set(keep):
-        return NotReducible
+        return None
     return value.restrict(keep)
 
 
@@ -347,8 +328,8 @@ def mixture_representation(target: Mapping[MultiIndex, Fraction | ComplexDyadic]
 
     Solves sum_j w_j T_j[I] = target[I] over all 4^k indices I by
     Gauss-Jordan elimination over the rationals, and returns the weights
-    as a tuple of Fractions in dictionary order, or Infeasible when no
-    weights reproduce the target exactly.  When the dictionary's tables
+    as a tuple of Fractions in dictionary order, or None when no weights
+    reproduce the target exactly.  When the dictionary's tables
     are linearly dependent the system is underdetermined: the weight of
     every column without a pivot (a dependent table) is then 0 and the
     pivot columns carry the whole target.
@@ -385,7 +366,7 @@ def mixture_representation(target: Mapping[MultiIndex, Fraction | ComplexDyadic]
                 rows[i] = [a - factor * b for a, b in zip(row, rows[r])]
         pivots.append(col)
     if any(row[m] for row in rows[len(pivots):]):
-        return Infeasible
+        return None
     weights = [Fraction(0)] * m
     for r, col in enumerate(pivots):
         weights[col] = rows[r][m]

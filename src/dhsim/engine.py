@@ -288,7 +288,9 @@ def expectations(set_: DescriptorSet,
     them: a string whose picked components' x-parts XOR to a nonzero mask
     averages to zero, and any other product is an x-free string whose
     average is its i-power, folded with ``key_phase``.  A set without rows
-    forms each product (``vacuum_expectation``).
+    forms each product (``vacuum_expectation``).  Its callers average
+    products (expectation tables, ``--verify`` samples); a single
+    component's average is ``vacuum_expectation`` of the component.
     """
     n, rows = set_.n, set_.rows
     if rows is None:

@@ -184,10 +184,13 @@ def string_averages(state: np.ndarray, strings) -> np.ndarray:
     return out
 
 
-def worst_deviation(averages: np.ndarray, positions, values) -> float:
-    """max |averages[k] - value| over all (k, value) pairs, repeats included."""
+def worst_deviation(averages: np.ndarray, values) -> float:
+    """max |averages[k] - values[k]| over every row k; the two must have
+    one entry per row."""
     want = np.array([complex(v) if v else 0j for v in values], dtype=complex)
-    return float(np.max(np.abs(averages[positions] - want), initial=0.0))
+    if want.shape != averages.shape:
+        raise OracleError(f"{len(want)} values for {len(averages)} averages")
+    return float(np.max(np.abs(averages - want), initial=0.0))
 
 
 def expectation_dense(state: np.ndarray, p: PauliSum) -> complex:

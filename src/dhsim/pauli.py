@@ -412,11 +412,6 @@ class PauliSum:
     def __mul__(self, other: "PauliSum") -> "PauliSum":
         return sum_mul(self, other)
 
-    def adjoint(self) -> "PauliSum":
-        """Hermitian adjoint (letters are self-adjoint, so only conjugate)."""
-        return PauliSum._canonical(
-            self.n, {ls: c.conjugate() for ls, c in self._terms.items()})
-
     def support(self) -> frozenset[int]:
         """Qubit slots where some term carries a non-identity letter."""
         return frozenset(key_support(functools.reduce(operator.or_, self._terms, 0)))
@@ -583,14 +578,9 @@ def commute(a: PauliSum, b: PauliSum) -> bool:
     return not (((ka >> 1 & kb) ^ (kb >> 1 & ka)) & x_mask(a.n)).bit_count() & 1
 
 
-def hs_inner(a: PauliSum, b: PauliSum) -> ComplexDyadic:
-    """Normalized Hilbert-Schmidt inner product Tr(a^dagger b) / 2**n: the
-    (0, 1) entry of ``inner_products([a, b])``."""
-    return inner_products([a, b]).get((0, 1), ZERO)
-
-
 def inner_products(sums: Sequence[PauliSum]) -> dict[tuple[int, int], ComplexDyadic]:
-    """Every nonzero ``hs_inner(sums[a], sums[b])`` with a <= b, keyed (a, b).
+    """Every nonzero normalized Hilbert-Schmidt inner product
+    Tr(sums[a]^dagger sums[b]) / 2**n with a <= b, keyed (a, b).
 
     An index from each key to the (sum, coefficient) pairs holding it
     finds the pairs that share a term; no other pair has a nonzero inner

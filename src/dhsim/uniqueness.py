@@ -46,15 +46,11 @@ from .pauli import (
     vacuum_expectation,
 )
 from .engine import Descriptor, DescriptorSet, component_product
-from .density import DensityMatrix, Sentinel, expectation_table, table_density
+from .density import DensityMatrix, expectation_table, table_density
 
 COMPONENTS = (X, Y, Z)
 # The index pairs (i, j) of a two-qubit table, in ``expectation_table`` order.
 _PAIR_KEYS = tuple(itertools.product((I,) + COMPONENTS, repeat=2))
-
-
-# No descriptor set exists within the search budget.
-NotFound = Sentinel("NotFound")
 
 
 class BasisReport(NamedTuple):
@@ -531,7 +527,7 @@ def construct_from_density(rho: DensityMatrix, ancilla_budget: int = 0):
     """Search for descriptors reproducing a density, growing the register.
 
     Tries registers of size n, n+1, ..., n + ancilla_budget and returns the
-    first set found in canonical search order, or NotFound.  Candidate
+    first set found in canonical search order, or None.  Candidate
     components are signed single Pauli strings; system qubits occupy the
     leading slots and any ancillas are completed with compatible
     descriptors of their own (their choice cannot affect the system table).
@@ -546,7 +542,7 @@ def construct_from_density(rho: DensityMatrix, ancilla_budget: int = 0):
             completed = _complete_register(total, placed)
             if completed is not None:
                 return completed
-    return NotFound
+    return None
 
 
 def _complete_register(total: int, placed: tuple) -> DescriptorSet | None:

@@ -385,7 +385,7 @@ class TestVerificationFailurePath:
         under --verify is a failed check, with the `verified` key set."""
         from dhsim import uniqueness
         monkeypatch.setattr(uniqueness, "construct_from_density",
-                            lambda rho, budget: uniqueness.NotFound)
+                            lambda rho, budget: None)
         code, report = run_report(RunConfig("construct", bell_file, verify=True))
         assert code == EXIT_VERIFY
         assert report["sections"] == {"found": False, "system_qubits": 2,
@@ -422,27 +422,55 @@ class TestVerificationFailurePath:
         assert len({tuple(row) for row in rows[:200]}) == 200
 
     def test_negated_printed_singles_fail_verify(self, tmp_path, monkeypatch):
-        """Every nonzero single of a 10-qubit run negated in the engine's
-        batch: the report prints the wrong values, and --verify, whose 200
+        """Every nonzero single of a 10-qubit run negated where the report
+        reads them: it prints the wrong values, and --verify, whose 200
         samples hold none of the 30 singles at seed 0, checks the printed
         ones as well."""
         from dhsim import cli as cli_mod
         path = tmp_path / "ten.dh"
         path.write_text("qubits 10\nx 1\nh 2\nh 3\ns 3\nh 4\ncnot 4 5\n")
-        real = cli_mod.expectations
+        real = cli_mod._singles
 
-        def negated_singles(set_, strings):
-            values = real(set_, strings)
-            return [-v for v in values] if len(strings) == 3 * set_.n else values
+        def negated_singles(set_):
+            return [-v for v in real(set_)]
 
         cfg = RunConfig("run", str(path), verify=True)
         assert run_report(cfg)[0] == EXIT_OK
-        monkeypatch.setattr(cli_mod, "expectations", negated_singles)
+        monkeypatch.setattr(cli_mod, "_singles", negated_singles)
         code, report = run_report(cfg)
         # Qubit 1 is |1>: its z average is -1, printed here as +1.
         assert report["sections"]["singles"][0]["z"]["exact"] == "1"
         assert code == EXIT_VERIFY
         assert report["sections"]["verified"] is False
+
+    @pytest.mark.parametrize("qubit", [1, 2, None])
+    def test_negated_measure_demo_number_fails_verify(self, monkeypatch, qubit):
+        """One printed z average of measure-demo negated: a single of system
+        1 or 2, or (None) system 1's Bloch vector.  --verify compares every
+        one of them with the oracle."""
+        from dhsim import protocols
+        real = protocols.run_generalized_measurement_demo
+
+        def negated():
+            demo = real()
+            if qubit is None:
+                x, y, z = demo["system_bloch"]
+                demo["system_bloch"] = (x, y, -z)
+            else:
+                x, y, z = demo["singles"][qubit]
+                demo["singles"][qubit] = [x, y, -z]
+            return demo
+
+        cfg = RunConfig("measure-demo", verify=True)
+        assert run_report(cfg)[0] == EXIT_OK
+        monkeypatch.setattr(protocols, "run_generalized_measurement_demo", negated)
+        code, report = run_report(cfg)
+        sections = report["sections"]
+        printed = (sections["system_bloch"] if qubit is None
+                   else sections["singles"][str(qubit)])
+        assert printed[2]["exact"] == "-1"
+        assert code == EXIT_VERIFY
+        assert sections["verified"] is False
 
     @staticmethod
     def _corrupt_one(monkeypatch, position):
@@ -468,9 +496,8 @@ class TestVerificationFailurePath:
         assert run_report(cfg)[0] == EXIT_OK
         sizes = self._corrupt_one(monkeypatch, position)
         code, report = run_report(cfg)
-        # The 200 samples, then the 11 of the 15 printed singles that were
-        # not sampled.
-        assert sizes == [211]
+        # The 200 samples, then the 15 printed singles, each a row of its own.
+        assert sizes == [215]
         assert code == EXIT_VERIFY
         assert report["sections"]["verified"] is False
 
@@ -509,11 +536,11 @@ class TestVerificationFailurePath:
         cfg = RunConfig("symmetries", bell_file, verify=True)
         code, report = run_report(cfg)
         assert code == EXIT_OK
-        # All 16 strings are sampled; every set's table entries are
-        # compared with those 16 averages, not sent again.
+        # All 16 strings are sampled, then the 16 entries of each of the 12
+        # sets' tables follow as rows of their own; the last one is corrupted.
         sizes = self._corrupt_one(monkeypatch, -1)
         code, report = run_report(cfg)
-        assert sizes == [16]
+        assert sizes == [208]
         assert code == EXIT_VERIFY
         assert report["sections"]["verified"] is False
 
@@ -757,9 +784,10 @@ def test_chain_demo_restricts_each_descriptor_once(monkeypatch):
 
 def test_verify_batches_every_average(tmp_path, monkeypatch):
     """A 10-qubit run --verify takes its 200 sampled and 30 printed single
-    oracle averages in one call (no single is among the 200 samples at seed
-    0) and its 30 singles and 200 engine averages through the batched form,
-    with no single-query ``expectation`` call."""
+    oracle averages in one call, and its 200 engine averages in one batch,
+    with no single-query ``expectation`` call.  Each single is read off its
+    own component, so plain run sends no batch, and measure-demo only the
+    four-entry table of system 1 that its density is built from."""
     from dhsim import engine, oracle
     path = tmp_path / "ten.dh"
     path.write_text("qubits 10\n" + "".join(
@@ -771,7 +799,13 @@ def test_verify_batches_every_average(tmp_path, monkeypatch):
     assert code == EXIT_OK and report["sections"]["verified"] is True
     assert [len(args[1]) for args in averages] == [230]
     assert singles == []
-    assert sorted(len(args[1]) for args in batches) == [30, 200]
+    assert [len(args[1]) for args in batches] == [200]
+    for cfg, want in ((RunConfig("run", str(path)), []),
+                      (RunConfig("measure-demo"), [4])):
+        del batches[:]
+        assert run_report(cfg)[0] == EXIT_OK
+        assert [len(args[1]) for args in batches] == want
+    assert singles == []
 
 
 def test_parser_dests_are_the_run_config_fields():

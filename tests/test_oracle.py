@@ -332,12 +332,17 @@ class TestSampleHelpers:
         assert letters.tolist() == want
 
     def test_worst_deviation_compares_every_pair(self):
-        averages = np.array([1.0, 0.0, -1j])
-        assert oracle.worst_deviation(averages, [], []) == 0.0
-        assert oracle.worst_deviation(averages, [0, 1, 2], [1, 0, -1j]) == 0.0
-        # An earlier pair on a repeated position is not hidden by a later one.
-        assert oracle.worst_deviation(averages, [2, 0, 2], [1j, 1, -1j]) == 2.0
-        assert oracle.worst_deviation(averages, [1, 1], [0, 0.5]) == 0.5
+        averages = np.array([1.0, 0.0, -1j, -1j])
+        assert oracle.worst_deviation(np.zeros(0, dtype=complex), []) == 0.0
+        assert oracle.worst_deviation(averages, [1, 0, -1j, -1j]) == 0.0
+        # A repeated string's rows are compared one by one: a wrong value
+        # on the first is not hidden by a right one on the second.
+        assert oracle.worst_deviation(averages, [1, 0, 1j, -1j]) == 2.0
+        assert oracle.worst_deviation(averages, [1, 0.5, -1j, -1j]) == 0.5
+        # Row k meets value k: one value too few or too many is refused.
+        for values in ([1, 0, -1j], [1, 0, -1j, -1j, 0], [0]):
+            with pytest.raises(oracle.OracleError):
+                oracle.worst_deviation(averages, values)
 
 
 class TestConditionalState:

@@ -12,7 +12,7 @@ from dhsim import pauli
 from dhsim.pauli import (
     I, X, Y, Z,
     ComplexDyadic, DimensionError, PauliSum,
-    commute, hs_inner, parse_sum, sum_mul, vacuum_expectation,
+    commute, inner_products, parse_sum, sum_mul, vacuum_expectation,
 )
 from conftest import z_projector
 import matrices
@@ -22,6 +22,11 @@ ONE = ComplexDyadic.of(1)
 
 def S(text):
     return parse_sum(text)
+
+
+def hs(a, b):
+    """Tr(a^dagger b) / 2^n: the (0, 1) entry of ``inner_products``."""
+    return inner_products([a, b]).get((0, 1), ComplexDyadic.of(0))
 
 
 def string(letters, k=0):
@@ -143,30 +148,30 @@ class TestSumMul:
 
 class TestHsInner:
     def test_self_inner_is_one(self):
-        assert hs_inner(S("1 * X⊗Z"), S("1 * X⊗Z")) == ONE
+        assert hs(S("1 * X⊗Z"), S("1 * X⊗Z")) == ONE
 
     def test_distinct_strings_orthogonal(self):
-        assert not hs_inner(S("1 * X⊗I"), S("1 * I⊗X"))
+        assert not hs(S("1 * X⊗I"), S("1 * I⊗X"))
 
     def test_linearity(self):
         a = S("1 * Z⊗X + -1 * Y⊗Y")
-        assert hs_inner(a, S("1 * Z⊗X")) == ONE
+        assert hs(a, S("1 * Z⊗X")) == ONE
 
     def test_conjugate_symmetric(self):
         a = S("1/2 * X⊗I + 1/2 * Y⊗Z")
         b = S("1 * X⊗I + -1/4 * Z⊗Z")
-        assert hs_inner(a, b) == hs_inner(b, a).conjugate()
+        assert hs(a, b) == hs(b, a).conjugate()
 
     def test_positive_definite(self):
         a = S("1/2 * X⊗I + -3/4 * Y⊗Z + 1 * Z⊗Z")
-        value = hs_inner(a, a)
+        value = hs(a, a)
         assert value.is_real and value.re > 0
 
     def test_matches_trace_formula(self):
         a = S("1 * X⊗Z + 1/2 * Y⊗I")
         b = S("-1 * X⊗Z + 1 * Z⊗Z")
         dense = np.trace(matrices.sum_matrix(a).conj().T @ matrices.sum_matrix(b)) / 4
-        assert abs(complex(hs_inner(a, b)) - dense) < 1e-12
+        assert abs(complex(hs(a, b)) - dense) < 1e-12
 
 
 class TestVacuumExpectation:
@@ -190,7 +195,7 @@ class TestVacuumExpectation:
         for q in range(n):
             proj = proj * z_projector(n, q, 0)
         s = S("1 * X⊗Z⊗I + -1/2 * Z⊗Z⊗Z + 1/4 * I⊗I⊗Z")
-        assert vacuum_expectation(s) == hs_inner(proj, s) * (2 ** n)
+        assert vacuum_expectation(s) == hs(proj, s) * (2 ** n)
 
 
 class TestSupport:
@@ -334,11 +339,6 @@ class TestAlgebraProperties:
     @given(a=sum_st, b=sum_st, c=sum_st)
     def test_mul_distributes(self, a, b, c):
         assert (a + b) * c == a * c + b * c
-
-    @settings(max_examples=60, deadline=None)
-    @given(a=sum_st, b=sum_st)
-    def test_adjoint_reverses(self, a, b):
-        assert (a * b).adjoint() == b.adjoint() * a.adjoint()
 
     @settings(max_examples=40, deadline=None)
     @given(a=sum_st)
@@ -620,7 +620,7 @@ class TestPackedKeysDifferential:
             if ls in rb:
                 term = ref_mul((ca[0], -ca[1]), rb[ls])
                 inner = (inner[0] + term[0], inner[1] + term[1])
-        assert hs_inner(a, b) == ComplexDyadic(*inner)
+        assert hs(a, b) == ComplexDyadic(*inner)
 
 
 # -- n-ary products ------------------------------------------------------------

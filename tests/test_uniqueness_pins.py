@@ -22,7 +22,7 @@ from dhsim.pauli import I, X, Y, Z
 from dhsim.engine import Gate, apply_gate, initial_set
 from dhsim.density import DensityMatrix, reconstruct_density
 from dhsim.uniqueness import (
-    NotFound, SymmetryTransform, apply_transform, construct_from_density,
+    SymmetryTransform, apply_transform, construct_from_density,
     density_symmetries, enumerate_valid_sets, generate_equivalent_sets,
     set_render_key,
 )
@@ -93,7 +93,7 @@ def _key(set_):
 
 def _construct_key(rho, budget):
     found = construct_from_density(rho, budget)
-    return "NotFound" if found is NotFound else _key(found)
+    return "NotFound" if found is None else _key(found)
 
 
 def _transform_key(set_, transform):
