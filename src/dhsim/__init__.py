@@ -9,7 +9,7 @@ and cross-checks everything against a dense Schrodinger-picture oracle.
 from .pauli import (
     I, X, Y, Z,
     ComplexDyadic, DimensionError, PauliSum,
-    commute, parse_sum, sum_mul, vacuum_expectation,
+    parse_sum, sum_mul, vacuum_expectation,
 )
 from .engine import (
     AddAncilla, Circuit, Descriptor, DescriptorSet, Gate, GateError,
@@ -19,7 +19,7 @@ from .engine import (
 __all__ = [
     "I", "X", "Y", "Z",
     "ComplexDyadic", "DimensionError", "PauliSum",
-    "commute", "parse_sum", "sum_mul", "vacuum_expectation",
+    "parse_sum", "sum_mul", "vacuum_expectation",
     "AddAncilla", "Circuit", "Descriptor", "DescriptorSet", "Gate",
     "GateError", "add_ancilla", "apply_gate", "evolve_circuit",
     "expectation", "initial_set",

@@ -221,10 +221,12 @@ def _verify_set(set_: DescriptorSet, seed: int,
     """Sampled picture-equivalence check of a descriptor set.
 
     ``VERIFY_SAMPLES`` seeded random strings (base-4 digits of a pick,
-    qubit 0 lowest), then each (string, exact average) pair in ``checks``
-    as a row of its own, are one ``oracle.pick_letters`` array.  The
-    engine's averages of the samples and the checks' values are compared
-    row by row with the oracle's averages of every row on the circuit's
+    qubit 0 lowest), or every string of a register with no more than that
+    many, in pick order, are one ``oracle.pick_letters`` array.  Each
+    (string, exact average) pair in ``checks`` is compared with the row of
+    its own pick when every string is sampled, else with a row of its own
+    appended.  The engine's averages of the samples and the checks' values
+    are compared with the oracle's averages of those rows on the circuit's
     state ``psi`` (an ``oracle.apply_circuit`` state vector, evolved here
     when not given), taken in one ``oracle.string_averages`` call.  The set
     passes when the worst deviation is within ATOL.
@@ -236,19 +238,26 @@ def _verify_set(set_: DescriptorSet, seed: int,
                          f"--verify checks registers of up to "
                          f"{oracle.DENSE_MAX_QUBITS} qubits against the "
                          f"dense oracle; this one has {set_.n}")
-    rng = random.Random(seed)
     space = 4 ** set_.n
-    picks = rng.sample(range(space), min(VERIFY_SAMPLES, space))
-    count, checked = len(picks), []
+    whole = space <= VERIFY_SAMPLES
+    picks = (list(range(space)) if whole
+             else random.Random(seed).sample(range(space), VERIFY_SAMPLES))
+    count = len(picks)
+    rows, checked = list(range(count)), []
     for letters, value in checks:
-        picks.append(sum(letter << 2 * q for q, letter in enumerate(letters)))
+        pick = sum(letter << 2 * q for q, letter in enumerate(letters))
+        if whole:
+            rows.append(pick)
+        else:
+            rows.append(len(picks))
+            picks.append(pick)
         checked.append(value)
     strings = oracle.pick_letters(picks, set_.n)
     values = expectations(set_, strings[:count].tolist()) + checked
     if psi is None:
         psi = oracle.apply_circuit(set_.n, gate_steps(set_))
     averages = oracle.string_averages(psi, strings)
-    return oracle.worst_deviation(averages, values) <= oracle.ATOL
+    return oracle.worst_deviation(averages[rows], values) <= oracle.ATOL
 
 
 # -- subcommand implementations -------------------------------------------

@@ -24,7 +24,11 @@ dependency trace, through which every report's circuit goes, consume it
 and build their sums once (``descriptor_set``).  The set keeps those rows,
 and ``expectations`` and the diagonal's ``z_kernel`` read them; a set
 built any other way (``apply_gate``, ``add_ancilla``, a relative
-descriptor) has none, and its averages form each product.
+descriptor) has none, and its averages form each product.  The two-qubit
+analyses read a set's rows through ``rows_of``, which also reads them
+off a set whose components are all signed strings, and multiply,
+commute and average (key, i-exponent) signed strings with
+``string_product``, ``strings_commute`` and ``vacuum_sign``.
 """
 
 from __future__ import annotations
@@ -223,6 +227,72 @@ def _components(row: Row, m: int) -> tuple[tuple[int, int], ...]:
 def row_support(row: Row) -> tuple[int, ...]:
     """The slots a packed row acts on: key_x | key_z, as q_y adds none."""
     return tuple(key_support(row[0] | row[2]))
+
+
+# The two-qubit analyses (``uniqueness``) work on signed strings: a
+# (key, k) pair is i**k times the bare string of a packed key, k in 0..3.
+# They read them with the functions below, the symplectic rules of the
+# stabilizer tableau (quant-ph/0406196) on an n-qubit register.
+String = tuple[int, int]
+
+
+def rows_of(set_: DescriptorSet) -> tuple[Row, ...] | None:
+    """A set's packed rows: its own, else read off its sums when every
+    component is one signed string and q_y = i q_x q_z; None otherwise."""
+    if set_.rows is not None:
+        return set_.rows
+    m = x_mask(set_.n)
+    rows = []
+    for d in set_.descriptors:
+        x, y, z = (c.as_key() for c in d)
+        if x is None or z is None:
+            return None
+        row = (*x, *z)
+        key, k = _components(row, m)[1]
+        if y != (key, k & 3):
+            return None
+        rows.append(row)
+    return tuple(rows)
+
+
+def row_strings(row: Row, n: int) -> tuple[String, String, String]:
+    """The signed strings q_x, q_y = i q_x q_z and q_z of a packed row."""
+    (kx, ex), (ky, ey), (kz, ez) = _components(row, x_mask(n))
+    return (kx, ex & 3), (ky, ey & 3), (kz, ez & 3)
+
+
+def all_strings(n: int) -> list[String]:
+    """Every non-identity n-qubit string with sign +1, in letter order:
+    ``itertools.product`` over I, X, Y, Z with the first slot outermost."""
+    keys = [0]
+    for q in range(n):
+        codes = [slot_key(q, w) for w in (I, X, Y, Z)]
+        keys = [key | code for key in keys for code in codes]
+    return [(key, 0) for key in keys[1:]]
+
+
+def string_product(n: int, first: String, *rest: String) -> String:
+    """The signed string of an ordered product of signed strings."""
+    m = x_mask(n)
+    key, k = first
+    for kb, eb in rest:
+        k += eb + key_phase(key, kb, m)
+        key ^= kb
+    return key, k & 3
+
+
+def strings_commute(n: int, a: String, b: String) -> bool:
+    """Whether two strings commute: z_a . x_b + x_a . z_b is even."""
+    ka, kb = a[0], b[0]
+    return not (((ka >> 1 & kb) ^ (kb >> 1 & ka)) & x_mask(n)).bit_count() & 1
+
+
+def vacuum_sign(n: int, first: String, *rest: String) -> int:
+    """The vacuum average of an ordered product of signed strings as an
+    int: 0 when the product has an x bit, else 1 for i**0 and -1 for any
+    other power (the product is Hermitian where it is read)."""
+    key, k = string_product(n, first, *rest)
+    return 0 if key & x_mask(n) else 1 if k == 0 else -1
 
 
 def _rewrite(kind: str, operands: Sequence[Descriptor]) -> list[Descriptor]:

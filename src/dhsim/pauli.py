@@ -18,8 +18,10 @@ with y(k) = popcount(k & k >> 1 & M), the number of Y slots, and M the
 Z X = -X Z.  The vacuum keeps exactly the keys with no x bit.  There is
 no string class: a signed Pauli string is a one-term sum or, in the
 engine's packed rows only, a (key, i-exponent) int pair, which ``slot_key``,
-``key_phase``, ``key_support``, ``x_mask`` and ``PauliSum.from_key``
-serve; the engine reads averages and the diagonal's kernel off those rows.
+``key_phase``, ``key_support``, ``x_mask``, ``PauliSum.from_key`` and its
+inverse ``PauliSum.as_key`` serve.  The engine reads averages, the
+diagonal's kernel and the signed-string products, commutations and
+vacuum signs of the two-qubit analyses off those rows.
 
 ``sum_mul`` and ``vacuum_expectation`` take an ordered product of any
 number of sums.  When every factor is one signed string, the product is
@@ -217,6 +219,8 @@ _set_e = ComplexDyadic._e.__set__
 ZERO = ComplexDyadic()
 ONE = ComplexDyadic(1)
 _I_POWERS = tuple(ONE._times_i(k) for k in range(4))
+# (re, im) numerators of i**k -> k; a unit value has exponent e = 0.
+_UNIT_EXPONENTS = {(p._re, p._im): k for k, p in enumerate(_I_POWERS)}
 
 
 # Letter <-> 2-bit slot code (x in the low bit, z in the high bit).  The map
@@ -353,6 +357,15 @@ class PauliSum:
     def from_key(n: int, key: int, k: int) -> "PauliSum":
         """The one-term sum i**k times the bare string of a packed key."""
         return PauliSum._canonical(n, {key: _I_POWERS[k & 3]})
+
+    def as_key(self) -> tuple[int, int] | None:
+        """(key, k) when the sum is i**k (k in 0..3) times the bare string of
+        one packed key, the inverse of ``from_key``; None for any other sum."""
+        if len(self._terms) != 1:
+            return None
+        ((key, coef),) = self._terms.items()
+        k = None if coef._e else _UNIT_EXPONENTS.get((coef._re, coef._im))
+        return None if k is None else (key, k)
 
     # -- inspection ------------------------------------------------------
 
@@ -562,20 +575,6 @@ def sum_mul(first: PauliSum, *rest: PauliSum) -> PauliSum:
                 _accumulate(terms, kc, make(re, im, ae + cb._e))
         product = PauliSum._canonical(n, terms)
     return product
-
-
-def commute(a: PauliSum, b: PauliSum) -> bool:
-    """Whether two one-term sums commute.
-
-    Their strings commute when they anticommute on an even number of
-    slots, that is when z_a . x_b + x_a . z_b is even; coefficients play
-    no part.
-    """
-    a._require_same_n(b)
-    if len(a._terms) != 1 or len(b._terms) != 1:
-        raise ValueError("commute takes one-term sums")
-    (ka,), (kb,) = a._terms, b._terms
-    return not (((ka >> 1 & kb) ^ (kb >> 1 & ka)) & x_mask(a.n)).bit_count() & 1
 
 
 def inner_products(sums: Sequence[PauliSum]) -> dict[tuple[int, int], ComplexDyadic]:

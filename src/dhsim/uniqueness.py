@@ -18,21 +18,27 @@ do not agree on product states: there a flip of one qubit's x (or z) alone
 keeps the table and ``canonical_signs`` does not collapse it, so for |10>
 two of the four symmetry-route sets are enumerated only with other signs
 (ROADMAP item 8 replaces both routes by the vacuum-gauge orbit).
-Enumeration and direct construction from a density share one search,
-``_system_descriptors``, on the engine's own types: one-term ``PauliSum``
-strings, ``Descriptor.from_xz`` qubits, ``pauli.commute`` and
-``vacuum_expectation``.  The symmetry search and ``apply_transform`` share
-one sign search, ``_transform_signs``, and ``canonical_signs`` and the class
-generation one flip rule, ``_canonical_flip``, decided on a given table.
-``validate_basis`` forms a set's sixteen products once: its inner products
-come from one ``pauli.inner_products`` pass over them, and its report
-carries their averages as the set's table.  ``generate_equivalent_sets``
-takes a set alone: its report's table decides the canonical seed and gives
-the density whose transforms ``density_symmetries`` finds.  It builds each
-set of the class once and returns the transforms with the sets, each with
-the table of its report, which ``symmetries --verify`` compares with the
-oracle.  Closure of the symmetries is checked on their ``(role_perm, swap)``
-pairs.
+
+Every string here is a signed Pauli string, so the analyses read the
+engine's packed rows and (key, k) signed strings with its symplectic
+readers (``rows_of``, ``row_strings``, ``string_product``,
+``strings_commute``, ``vacuum_sign``) and build each set they return with
+``descriptor_set``; no ``PauliSum`` is multiplied.  Enumeration and
+direct construction share one search, ``_system_descriptors``, over the
+packed keys of ``all_strings``.  The symmetry search and
+``apply_transform`` share one sign search, ``_transform_signs``, and
+``canonical_signs`` and the class generation one flip rule,
+``_canonical_flip``, decided on a given table; a role permutation picks a
+component's (key, k), and a sign flip adds 2 to its k.
+``validate_basis`` reads a set of signed strings off its rows, and forms
+the sixteen products, with ``pauli.inner_products``, only for a set with
+a multi-term component; its report carries the products' averages as
+the set's table.  ``generate_equivalent_sets`` takes a set alone: its
+report's table decides the canonical seed and gives the density whose
+transforms ``density_symmetries`` finds.  It builds each set of the class
+once and returns the transforms with the sets, each with the table of its
+report, which ``symmetries --verify`` compares with the oracle.  Closure
+of the symmetries is checked on their ``(role_perm, swap)`` pairs.
 """
 
 from __future__ import annotations
@@ -42,10 +48,13 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .pauli import (
     I, X, Y, Z, LETTER_NAMES, ONE, ZERO,
-    ComplexDyadic, PauliSum, commute, inner_products,
-    vacuum_expectation,
+    ComplexDyadic, PauliSum, inner_products, vacuum_expectation,
 )
-from .engine import Descriptor, DescriptorSet, component_product
+from .engine import (
+    DescriptorSet, Row, all_strings, component_product, descriptor_set,
+    expectations, row_strings, rows_of, string_product, strings_commute,
+    vacuum_sign,
+)
 from .density import DensityMatrix, expectation_table, table_density
 
 COMPONENTS = (X, Y, Z)
@@ -80,15 +89,54 @@ def validate_basis(set_: DescriptorSet) -> BasisReport:
     ``independent_count`` is the number of pairwise-distinct operators among
     the sixteen products (phase differences count as distinct operators);
     a proper basis has all sixteen distinct, mutually orthogonal, of unit
-    norm, Hermitian, with traceless non-identity components.  Distinctness,
-    the norms and the first non-orthogonal pair all come from the nonzero
-    inner products ``pauli.inner_products`` returns; the report's table is
-    the vacuum averages of the same products.
+    norm, Hermitian, with traceless non-identity components.  A set of
+    signed strings (``engine.rows_of``) is read off its rows: each product
+    is a signed string (key, k), two are equal when both agree, and not
+    orthogonal when only the keys do; every norm is 1, a product is
+    Hermitian when k is even and a component is traceless when its key is
+    not 0, and the table is the row path of ``expectations``.  Any other
+    set forms its products, and ``pauli.inner_products`` of them give the
+    distinctness, norms and first non-orthogonal pair.
     """
     if set_.n != 2:
         raise ValueError("basis validation is defined for two-qubit sets")
+    rows = rows_of(set_)
+    if rows is None:
+        count, hermitian, complete, clash, traces, table = _sum_checks(set_)
+    else:
+        comps = [((0, 0),) + row_strings(row, 2) for row in rows]
+        products = [string_product(2, comps[0][i], comps[1][j]) for i, j in _PAIR_KEYS]
+        holders: dict[int, list[int]] = {}
+        for b, (key, _) in enumerate(products):
+            holders.setdefault(key, []).append(b)
+        shared = sorted(pair for held in holders.values()
+                        for pair in itertools.combinations(held, 2))
+        count = 16 - len({b for a, b in shared if products[a] == products[b]})
+        hermitian = all(not k & 1 for _, k in products)
+        complete = True
+        clash = next(((a, b) for a, b in shared if products[a] != products[b]), None)
+        traces = [(a, i) for a in (0, 1) for i in COMPONENTS if not comps[a][i][0]]
+        table = dict(zip(_PAIR_KEYS, expectations(set_._replace(rows=rows), _PAIR_KEYS)))
+    violations = []
+    if count != 16:
+        violations.append(f"only {count} of 16 products are distinct")
+    if not hermitian:
+        violations.append("some products are not Hermitian")
+    if not complete:
+        violations.append("some products do not have unit norm")
+    if clash is not None:
+        violations.append(f"products {_PAIR_KEYS[clash[0]]} and "
+                          f"{_PAIR_KEYS[clash[1]]} are not orthogonal")
+    violations += [f"component ({a + 1},{LETTER_NAMES[i]}) has a trace" for a, i in traces]
+    return BasisReport(count, clash is None, complete, hermitian, not traces,
+                       count == 16, tuple(violations), table)
+
+
+def _sum_checks(set_: DescriptorSet) -> tuple:
+    """``validate_basis``'s findings on a set whose components are not all
+    signed strings: (independent count, hermitian, complete, first
+    non-orthogonal pair or None, traced components, table)."""
     products = [component_product(set_, key) for key in _PAIR_KEYS]
-    violations: list[str] = []
     inner = inner_products(products)
     norms = [inner.get((k, k), ZERO) for k in range(16)]
     # Equal products share a key or are both zero; pa == pb exactly when
@@ -97,37 +145,12 @@ def validate_basis(set_: DescriptorSet) -> BasisReport:
              if a < b and norms[a] == norms[b] == value}
     equal.update(itertools.combinations(
         [k for k, norm in enumerate(norms) if not norm], 2))
-    independent_count = 16 - len({b for _, b in equal})
-    distinct_ok = independent_count == 16
-    if not distinct_ok:
-        violations.append(
-            f"only {independent_count} of 16 products are distinct")
-
-    hermitian = all(p.is_hermitian for p in products)
-    if not hermitian:
-        violations.append("some products are not Hermitian")
-
-    complete = all(norm == ONE for norm in norms)
-    if not complete:
-        violations.append("some products do not have unit norm")
-
-    orthogonal = True
-    for a, b in sorted(inner):
-        if a < b and (a, b) not in equal:
-            orthogonal = False
-            violations.append(
-                f"products {_PAIR_KEYS[a]} and {_PAIR_KEYS[b]} are not orthogonal")
-            break
-
-    traceless_ok = True
-    for a in (0, 1):
-        for i in COMPONENTS:
-            if set_.component(a, i).coefficient((I, I)):
-                traceless_ok = False
-                violations.append(f"component ({a + 1},{LETTER_NAMES[i]}) has a trace")
-    return BasisReport(independent_count, orthogonal, complete, hermitian,
-                       traceless_ok, distinct_ok, tuple(violations),
-                       dict(zip(_PAIR_KEYS, map(vacuum_expectation, products))))
+    clash = next((ab for ab in sorted(inner) if ab[0] < ab[1] and ab not in equal), None)
+    traces = [(a, i) for a in (0, 1) for i in COMPONENTS
+              if set_.component(a, i).coefficient((I, I))]
+    return (16 - len({b for _, b in equal}), all(p.is_hermitian for p in products),
+            all(norm == ONE for norm in norms), clash, traces,
+            dict(zip(_PAIR_KEYS, map(vacuum_expectation, products))))
 
 
 # -- symmetry transforms -------------------------------------------------
@@ -276,7 +299,8 @@ def density_symmetries(rho: DensityMatrix) -> list[SymmetryTransform]:
 
 def apply_transform(set_: DescriptorSet, transform: SymmetryTransform
                     ) -> DescriptorSet:
-    """Permute a two-qubit set and repair signs to preserve its table.
+    """Permute a two-qubit set of signed strings and repair signs to
+    preserve its table.
 
     The y components are rebuilt from the convention q_y = i q_x q_z; the
     sign assignment is the first one (in a fixed order preferring +) that
@@ -284,27 +308,36 @@ def apply_transform(set_: DescriptorSet, transform: SymmetryTransform
     """
     if set_.n != 2:
         raise ValueError("transforms act on two-qubit sets")
+    rows = rows_of(set_)
+    if rows is None:
+        raise ValueError("transforms act on sets of signed Pauli strings")
     table = expectation_table(set_, (0, 1))
     (signs,) = _transform_signs([transform], table)
     if signs is not None:
-        candidate = _transformed(set_, transform, signs)
+        candidate = descriptor_set(_transformed(
+            [row_strings(row, 2) for row in rows], transform, signs))
         if expectation_table(candidate, (0, 1)) == table:
             return candidate
     raise ValueError(
         f"transform {transform.slot_cycles()} does not preserve this set's table")
 
 
-def _transformed(set_: DescriptorSet, transform: SymmetryTransform,
-                 signs) -> DescriptorSet:
-    """The permuted set with (s1x, s1z, s2x, s2z) applied, y rebuilt."""
-    descriptors = []
+def _transformed(comps: Sequence, transform: SymmetryTransform,
+                 signs) -> list[Row]:
+    """The packed rows of the permuted set with (s1x, s1z, s2x, s2z)
+    applied, given each qubit's (x, y, z) signed strings: a qubit's new x
+    and z are its source components', a sign -1 adding 2 to the i-exponent."""
+    rows = []
     for a, sx, sz in ((0, *signs[:2]), (1, *signs[2:])):
-        source = set_.descriptor(1 - a if transform.swap else a)
-        qx = source.component(transform.source(X))
-        qz = source.component(transform.source(Z))
-        descriptors.append(Descriptor.from_xz(qx if sx == 1 else -qx,
-                                              qz if sz == 1 else -qz))
-    return DescriptorSet(2, tuple(descriptors))
+        source = comps[1 - a if transform.swap else a]
+        (kx, ex), (kz, ez) = source[transform.source(X) - 1], source[transform.source(Z) - 1]
+        rows.append((kx, ex + 1 - sx & 3, kz, ez + 1 - sz & 3))
+    return rows
+
+
+def _flipped(rows: Sequence[Row], fx: int, fz: int) -> list[Row]:
+    """The rows with x flipped by fx and z by fz on every qubit."""
+    return [(kx, ex + 1 - fx & 3, kz, ez + 1 - fz & 3) for kx, ex, kz, ez in rows]
 
 
 def _leading_sign(s: PauliSum) -> int:
@@ -315,6 +348,11 @@ def _leading_sign(s: PauliSum) -> int:
     return 1
 
 
+def _lead(k: int) -> int:
+    """The leading sign of a signed string i**k P: +1 for 1 and i."""
+    return 1 if k < 2 else -1
+
+
 def canonical_signs(set_: DescriptorSet) -> DescriptorSet:
     """Collapse the sign-variant freedom to one representative.
 
@@ -323,23 +361,22 @@ def canonical_signs(set_: DescriptorSet) -> DescriptorSet:
     flip negates the averages with an odd number of flipped factors, so the
     whole flip, else its x half, else its z half, is applied only when it
     leaves the expectation table unchanged; otherwise the set is returned
-    as it is.
+    as it is.  A set of signed strings is rebuilt from its flipped rows;
+    any other set has its descriptors' x and z scaled.
     """
     if set_.n != 2:
         raise ValueError("sign canonicalization is defined for two-qubit sets")
     d1 = set_.descriptors[0]
-    if _leading_sign(d1.qx) == _leading_sign(d1.qz) == 1:
+    sx, sz = _leading_sign(d1.qx), _leading_sign(d1.qz)
+    if sx == sz == 1:
         return set_
-    return _canonical_on(set_, expectation_table(set_, (0, 1)))
-
-
-def _canonical_on(set_: DescriptorSet, table) -> DescriptorSet:
-    """``canonical_signs`` of a two-qubit set whose table is ``table``."""
-    d1 = set_.descriptors[0]
-    fx, fz = _canonical_flip(_leading_sign(d1.qx), _leading_sign(d1.qz), table)
+    fx, fz = _canonical_flip(sx, sz, expectation_table(set_, (0, 1)))
     if fx == fz == 1:
         return set_
-    return DescriptorSet(2, tuple(d.scale_xz(fx, fz) for d in set_.descriptors))
+    rows = rows_of(set_)
+    if rows is None:
+        return DescriptorSet(2, tuple(d.scale_xz(fx, fz) for d in set_.descriptors))
+    return descriptor_set(_flipped(rows, fx, fz))
 
 
 def _canonical_flip(sx: int, sz: int, table) -> tuple[int, int]:
@@ -366,10 +403,11 @@ def generate_equivalent_sets(set_: DescriptorSet
     """The symmetries of a two-qubit set's density and the set's full
     equivalence class, as (set, its table) pairs.
 
-    The set is validated once.  Its basis report's table decides the seed's
-    canonical flip (``canonical_signs``) and gives the density, positive by
-    ``table_density``, whose ``density_symmetries`` are applied to the seed.
-    Each set is built once: the seed's components times the transform's
+    The set, of signed strings, is validated once.  Its basis report's
+    table decides the seed's canonical flip (``canonical_signs``) and gives
+    the density, positive by ``table_density``, whose
+    ``density_symmetries`` are applied to the seed.  Each set is built
+    once, from packed rows: the seed's components times the transform's
     signs and the canonical flip, decided on the seed's table, the one the
     set must have.  Its basis report gives its table, which must be the
     seed's.  A candidate equal to an earlier output is that output, already
@@ -380,21 +418,23 @@ def generate_equivalent_sets(set_: DescriptorSet
     report = validate_basis(set_)
     if not report.well_formed:
         raise ValueError(f"set is not a proper basis: {report.violations}")
+    rows = rows_of(set_)
+    if rows is None:
+        raise ValueError("equivalence classes are generated for sets of signed Pauli strings")
     seed_table = report.table
-    seed = _canonical_on(set_, seed_table)
+    fx, fz = _canonical_flip(_lead(rows[0][1]), _lead(rows[0][3]), seed_table)
+    comps = [row_strings(row, 2) for row in _flipped(rows, fx, fz)]
     transforms = density_symmetries(table_density(seed_table))
-    leading = {(q, r): _leading_sign(seed.component(q, r))
-               for q in (0, 1) for r in COMPONENTS}
     outputs: dict[tuple[str, ...], tuple] = {}
     # Each transform preserves the table it was found on, so it has signs.
     for transform, signs in zip(transforms, _transform_signs(transforms, seed_table)):
         # Qubit 1's new x and z are its source components times s1x, s1z.
-        q = 1 if transform.swap else 0
-        sx = signs[0] * leading[q, transform.source(X)]
-        sz = signs[1] * leading[q, transform.source(Z)]
+        source = comps[1 if transform.swap else 0]
+        sx = signs[0] * _lead(source[transform.source(X) - 1][1])
+        sz = signs[1] * _lead(source[transform.source(Z) - 1][1])
         fx, fz = _canonical_flip(sx, sz, seed_table)
-        candidate = _transformed(seed, transform, (
-            signs[0] * fx, signs[1] * fz, signs[2] * fx, signs[3] * fz))
+        candidate = descriptor_set(_transformed(comps, transform, (
+            signs[0] * fx, signs[1] * fz, signs[2] * fx, signs[3] * fz)))
         key = set_render_key(candidate)
         if key in outputs:
             continue
@@ -411,44 +451,41 @@ def generate_equivalent_sets(set_: DescriptorSet
 
 # -- brute-force enumeration and direct construction ---------------------
 
-def _all_strings(n: int) -> list[PauliSum]:
-    """Every non-identity string on n qubits as a one-term sum, in letter order."""
-    return [PauliSum(n, {letters: ONE})
-            for letters in itertools.product(range(4), repeat=n)
-            if any(l != I for l in letters)]
+def _signed_row(d: tuple, sx: int, sz: int) -> Row:
+    """The packed row of an unsigned qubit's (x, y, z) strings, its x and z
+    times sx and sz."""
+    return d[0][0], 1 - sx & 3, d[2][0], 1 - sz & 3
 
 
-def _vacuum_sign(*factors: PauliSum) -> int:
-    """<0...0| f1 f2 ... |0...0> of a product that is one Hermitian string
-    with coefficient +/-1, as the int 0, 1 or -1."""
-    value = vacuum_expectation(*factors)
-    return 0 if not value else 1 if value == ONE else -1
+def _units(values) -> bool:
+    """Whether every value is 0, 1 or -1, the only averages a product of
+    signed strings can have; the search compares such values as ints, and
+    any other value has no solution."""
+    return all(v in (0, 1, -1) for v in values)
 
 
-def _component_signs(sx: int, sz: int) -> tuple[int, int, int]:
-    """Signs of x, y = i x z and z when x and z are scaled by sx and sz."""
-    return sx, sx * sz, sz
+def _qubit_candidates(rho: DensityMatrix, a: int, strings: list, n: int):
+    """Unsigned qubits for qubit a, each as its (x, y, z) signed strings
+    with the (sx, sz) signs that give the qubit's single averages, in
+    string order then sign order, as they are found.
 
-
-def _qubit_candidates(rho: DensityMatrix, a: int, strings: list[PauliSum]):
-    """Unsigned descriptors for qubit a, each with the (sx, sz) signs that
-    give the qubit's single averages, in string order then sign order, as
-    they are found.
-
-    A descriptor is ``Descriptor.from_xz(x, z)`` of anticommuting strings,
-    and its vacuum averages are read once, as ints.
+    A qubit is anticommuting x and z strings with y = i x z, and its vacuum
+    averages are read once, as ints.
     """
     want = [rho.single(a, w) for w in COMPONENTS]
-    vacuum = [_vacuum_sign(p) for p in strings]
+    if not _units(want):
+        return
+    want = [int(w) for w in want]
+    vacuum = [vacuum_sign(n, p) for p in strings]
     # An unsigned string averages to 0 or 1, so +/- it can give w only when
     # its average is |w|.
     xs = [(p, v) for p, v in zip(strings, vacuum) if v == abs(want[0])]
     zs = [(p, v) for p, v in zip(strings, vacuum) if v == abs(want[2])]
     for (px, vx), (pz, vz) in itertools.product(xs, zs):
-        if commute(px, pz):
+        if strings_commute(n, px, pz):
             continue
-        d = Descriptor.from_xz(px, pz)
-        vy = _vacuum_sign(d.qy)
+        d = row_strings((*px, *pz), n)
+        vy = vacuum_sign(n, d[1])
         signs = [(sx, sz) for sx, sz in itertools.product((1, -1), repeat=2)
                  if sx * vx == want[0] and sx * sz * vy == want[1]
                  and sz * vz == want[2]]
@@ -456,10 +493,10 @@ def _qubit_candidates(rho: DensityMatrix, a: int, strings: list[PauliSum]):
             yield d, signs
 
 
-def _system_descriptors(rho: DensityMatrix, total: int):
-    """Every tuple of (unsigned descriptor, sx, sz), one per system qubit of
-    rho, that reproduces rho's single and pair averages on a total-qubit
-    register.
+def _system_descriptors(rho: DensityMatrix, total: int, strings: list):
+    """Every tuple of (unsigned qubit, sx, sz), one per system qubit of rho,
+    that reproduces rho's single and pair averages on a total-qubit
+    register, ``strings`` being ``all_strings(total)``.
 
     Qubits are placed one at a time.  Each takes anticommuting x and z
     strings (y = i x z) that commute with every component already placed,
@@ -468,15 +505,18 @@ def _system_descriptors(rho: DensityMatrix, total: int):
     qubit's candidates are walked once, so they are made as the walk needs
     them; every later qubit's are a list.
     """
-    strings = _all_strings(total)
-    candidates = [_qubit_candidates(rho, 0, strings)] + [
-        list(_qubit_candidates(rho, a, strings)) for a in range(1, rho.n)]
     # rho's pair averages: pair_want[b, a][k][l] for component k of qubit b
     # and component l of qubit a.
     pair_want = {(b, a): [[rho.coefficient(tuple(i if q == b else j if q == a else I
                                                  for q in range(rho.n)))
                            for j in COMPONENTS] for i in COMPONENTS]
                  for b, a in itertools.combinations(range(rho.n), 2)}
+    if not all(_units(row) for rows in pair_want.values() for row in rows):
+        return iter(())
+    pair_want = {ba: [[int(v) for v in row] for row in rows]
+                 for ba, rows in pair_want.items()}
+    candidates = [_qubit_candidates(rho, 0, strings, total)] + [
+        list(_qubit_candidates(rho, a, strings, total)) for a in range(1, rho.n)]
 
     def place(placed: tuple):
         a = len(placed)
@@ -484,18 +524,18 @@ def _system_descriptors(rho: DensityMatrix, total: int):
             yield placed
             return
         for d, signs in candidates[a]:
-            if not all(commute(p, q) for p in (d.qx, d.qz)
+            if not all(strings_commute(total, p, q) for p in (d[0], d[2])
                        for prev, _, _ in placed for q in prev):
                 continue
             # The unsigned products with every placed qubit, read once for
             # all sign choices.
-            values = [[[_vacuum_sign(p, q) for q in d] for p in prev]
+            values = [[[vacuum_sign(total, p, q) for q in d] for p in prev]
                       for prev, _, _ in placed]
             for sx, sz in signs:
-                s = _component_signs(sx, sz)
+                s = sx, sx * sz, sz
                 if all(sb[k] * s[l] * values[b][k][l] == pair_want[b, a][k][l]
                        for b, (_, sxb, szb) in enumerate(placed)
-                       for sb in [_component_signs(sxb, szb)]
+                       for sb in [(sxb, sxb * szb, szb)]
                        for k, l in itertools.product(range(3), repeat=2)):
                     yield from place(placed + ((d, sx, sz),))
 
@@ -513,12 +553,11 @@ def enumerate_valid_sets(rho: DensityMatrix) -> list[DescriptorSet]:
     if rho.n != 2:
         raise ValueError("enumeration is defined for two-qubit densities")
     first: dict[tuple, tuple] = {}
-    for placed in _system_descriptors(rho, 2):
+    for placed in _system_descriptors(rho, 2, all_strings(2)):
         first.setdefault(tuple(d for d, _, _ in placed), placed)
     outputs: dict[tuple[str, ...], DescriptorSet] = {}
     for placed in first.values():
-        set_ = canonical_signs(DescriptorSet(
-            2, tuple(d.scale_xz(sx, sz) for d, sx, sz in placed)))
+        set_ = canonical_signs(descriptor_set([_signed_row(*p) for p in placed]))
         outputs.setdefault(set_render_key(set_), set_)
     return [outputs[key] for key in sorted(outputs)]
 
@@ -538,23 +577,26 @@ def construct_from_density(rho: DensityMatrix, ancilla_budget: int = 0):
     if ancilla_budget < 0:
         raise ValueError("ancilla budget must be nonnegative")
     for total in range(rho.n, rho.n + ancilla_budget + 1):
-        for placed in _system_descriptors(rho, total):
-            completed = _complete_register(total, placed)
+        strings = all_strings(total)
+        for placed in _system_descriptors(rho, total, strings):
+            completed = _complete_register(total, placed, strings)
             if completed is not None:
                 return completed
     return None
 
 
-def _complete_register(total: int, placed: tuple) -> DescriptorSet | None:
-    """Extend system placements with ancilla descriptors commuting with them."""
-    descriptors = [d.scale_xz(sx, sz) for d, sx, sz in placed]
-    strings = _all_strings(total)
-    while len(descriptors) < total:
-        used = [c for d in descriptors for c in d]
-        free = [p for p in strings if all(commute(p, q) for q in used)]
+def _complete_register(total: int, placed: tuple, strings: list) -> DescriptorSet | None:
+    """Extend system placements with ancilla qubits commuting with them:
+    each the first anticommuting pair of the strings that commute with
+    every component so far."""
+    rows = [_signed_row(*p) for p in placed]
+    used = [c for d, _, _ in placed for c in d]
+    while len(rows) < total:
+        free = [p for p in strings if all(strings_commute(total, p, q) for q in used)]
         pair = next(((px, pz) for px, pz in itertools.permutations(free, 2)
-                     if not commute(px, pz)), None)
+                     if not strings_commute(total, px, pz)), None)
         if pair is None:
             return None
-        descriptors.append(Descriptor.from_xz(*pair))
-    return DescriptorSet(total, tuple(descriptors))
+        rows.append((*pair[0], *pair[1]))
+        used += row_strings(rows[-1], total)
+    return descriptor_set(rows)

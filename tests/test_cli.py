@@ -536,11 +536,12 @@ class TestVerificationFailurePath:
         cfg = RunConfig("symmetries", bell_file, verify=True)
         code, report = run_report(cfg)
         assert code == EXIT_OK
-        # All 16 strings are sampled, then the 16 entries of each of the 12
-        # sets' tables follow as rows of their own; the last one is corrupted.
+        # All 16 strings are sampled in pick order, and each of the 12 sets'
+        # 16 table entries is compared with the row of its own string; the
+        # last row, Z⊗Z, is corrupted.
         sizes = self._corrupt_one(monkeypatch, -1)
         code, report = run_report(cfg)
-        assert sizes == [208]
+        assert sizes == [16]
         assert code == EXIT_VERIFY
         assert report["sections"]["verified"] is False
 

@@ -1,18 +1,23 @@
 """A set built from packed rows answers every analysis from its rows; the
 same set rebuilt without them forms each product.  Both must agree on every
-average, table, diagonal and single, and on every error."""
+average, table, diagonal and single, and on every error, and a two-qubit
+set of signed strings must get the same basis report from its rows as from
+its sixteen formed products."""
 
 import random
 
 import pytest
 
-from dhsim import cli
+from dhsim import cli, uniqueness
 from dhsim.pauli import I, X, Y, Z, DimensionError
 from dhsim.engine import (
-    AddAncilla, Circuit, DescriptorSet, Gate, evolve_circuit, expectations,
+    AddAncilla, Circuit, DescriptorSet, Gate, descriptor_set, evolve_circuit,
+    expectations, row_strings, rows_of,
 )
 from dhsim.density import diagonal_probabilities, expectation_table
+from dhsim.uniqueness import generate_equivalent_sets, validate_basis
 from conftest import random_gate
+from test_uniqueness_pins import stabilizer_states
 
 
 def circuit_with_ancillas(rng: random.Random, n: int) -> Circuit:
@@ -94,3 +99,49 @@ def test_a_row_that_disagrees_is_seen():
     wrong = bell._replace(rows=evolve_circuit(Circuit(2)).rows)
     assert wrong == bell
     assert analyses(wrong, 0) != analyses(without_rows(bell), 0)
+
+
+def _sum_path_report(set_, monkeypatch):
+    """``validate_basis`` of the set rebuilt without rows, with no rows read
+    off its sums either, so it forms its sixteen products."""
+    with monkeypatch.context() as patch:
+        patch.setattr(uniqueness, "rows_of", lambda set_: None)
+        return validate_basis(set_._replace(rows=None))
+
+
+def _broken_sets():
+    """Bell-pair rows changed by hand, each set still of signed strings: a
+    repeated qubit, x = identity (a component with a trace), x times i (a
+    non-Hermitian product) and qubit 2's x set to qubit 1's y, which
+    anticommutes with qubit 1's x and shares its x part, so the order of
+    that cross product decides the sign of its nonzero average."""
+    (a, b) = evolve_circuit(Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1))))).rows
+    y = row_strings(a, 2)[1]
+    return {
+        "repeated": (a, a),
+        "trace": ((0, 0, a[2], a[3]), b),
+        "non-hermitian": ((a[0], a[1] + 1 & 3, a[2], a[3]), b),
+        "anticommuting cross pair": (a, (*y, b[2], b[3])),
+    }
+
+
+def test_validate_basis_rows_agree_with_the_products(swap_result, monkeypatch):
+    cases = []
+    for state in stabilizer_states(2).values():
+        cases.append(state)
+        cases += [member for member, _ in generate_equivalent_sets(state)[1]]
+    cases += [DescriptorSet(2, (o.reduced_1, o.reduced_4))
+              for o in swap_result.relative_bell]
+    broken = {name: descriptor_set(rows) for name, rows in _broken_sets().items()}
+    cases += broken.values()
+    assert len(cases) == 308
+    for set_ in cases:
+        assert rows_of(set_) is not None
+        got, want = validate_basis(set_), _sum_path_report(set_, monkeypatch)
+        assert got._asdict() == want._asdict()
+        assert got.violations == want.violations and got.table == want.table
+    texts = {name: validate_basis(set_).violations for name, set_ in broken.items()}
+    assert "only 10 of 16 products are distinct" in texts["repeated"]
+    assert "component (1,X) has a trace" in texts["trace"]
+    assert "some products are not Hermitian" in texts["non-hermitian"]
+    assert any("not orthogonal" in text for text in texts["anticommuting cross pair"])
