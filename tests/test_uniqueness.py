@@ -279,6 +279,16 @@ class TestGenerateEquivalentSets:
         with pytest.raises(ValueError, match="not a proper basis"):
             generate_equivalent_sets(degenerate_set())
 
+    def test_set_of_multi_term_sums_refused(self, bell_set):
+        """A proper basis whose components are not signed strings has no
+        packed rows to permute: the class and a transform are refused."""
+        conjugated = controlled_s_conjugated(bell_set)
+        assert validate_basis(conjugated).well_formed
+        with pytest.raises(ValueError, match="signed Pauli strings"):
+            generate_equivalent_sets(conjugated)
+        with pytest.raises(ValueError, match="signed Pauli strings"):
+            apply_transform(conjugated, SymmetryTransform.identity())
+
     @pytest.mark.parametrize("base", ["h 1, cnot 1 2, h 1", "h 1, h 2, s 1, s 2"])
     def test_framed_sets_give_the_canonical_seed_orbit(self, base):
         """Under each of the sixteen Pauli frames the class is the orbit of
