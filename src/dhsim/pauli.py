@@ -219,8 +219,6 @@ _set_e = ComplexDyadic._e.__set__
 ZERO = ComplexDyadic()
 ONE = ComplexDyadic(1)
 _I_POWERS = tuple(ONE._times_i(k) for k in range(4))
-# (re, im) numerators of i**k -> k; a unit value has exponent e = 0.
-_UNIT_EXPONENTS = {(p._re, p._im): k for k, p in enumerate(_I_POWERS)}
 
 
 # Letter <-> 2-bit slot code (x in the low bit, z in the high bit).  The map
@@ -364,8 +362,7 @@ class PauliSum:
         if len(self._terms) != 1:
             return None
         ((key, coef),) = self._terms.items()
-        k = None if coef._e else _UNIT_EXPONENTS.get((coef._re, coef._im))
-        return None if k is None else (key, k)
+        return (key, _I_POWERS.index(coef)) if coef in _I_POWERS else None
 
     # -- inspection ------------------------------------------------------
 

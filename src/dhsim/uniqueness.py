@@ -52,8 +52,7 @@ from .pauli import (
 )
 from .engine import (
     DescriptorSet, Row, all_strings, component_product, descriptor_set,
-    expectations, row_strings, rows_of, string_product, strings_commute,
-    vacuum_sign,
+    row_strings, rows_of, string_product, strings_commute, vacuum_sign,
 )
 from .density import DensityMatrix, expectation_table, table_density
 
@@ -94,7 +93,8 @@ def validate_basis(set_: DescriptorSet) -> BasisReport:
     is a signed string (key, k), two are equal when both agree, and not
     orthogonal when only the keys do; every norm is 1, a product is
     Hermitian when k is even and a component is traceless when its key is
-    not 0, and the table is the row path of ``expectations``.  Any other
+    not 0, and the table holds each product's average, i**k or 0 when it
+    has an x bit, as ``expectations`` reads it off the rows.  Any other
     set forms its products, and ``pauli.inner_products`` of them give the
     distinctness, norms and first non-orthogonal pair.
     """
@@ -116,7 +116,9 @@ def validate_basis(set_: DescriptorSet) -> BasisReport:
         complete = True
         clash = next(((a, b) for a, b in shared if products[a] != products[b]), None)
         traces = [(a, i) for a in (0, 1) for i in COMPONENTS if not comps[a][i][0]]
-        table = dict(zip(_PAIR_KEYS, expectations(set_._replace(rows=rows), _PAIR_KEYS)))
+        # A product's average is i**k, or 0 when it has an x bit.
+        table = {pair: ComplexDyadic.i_power(k) if vacuum_sign(2, (key, 0)) else ZERO
+                 for pair, (key, k) in zip(_PAIR_KEYS, products)}
     violations = []
     if count != 16:
         violations.append(f"only {count} of 16 products are distinct")
@@ -478,17 +480,16 @@ def _qubit_candidates(rho: DensityMatrix, a: int, strings: list, n: int):
     want = [int(w) for w in want]
     vacuum = [vacuum_sign(n, p) for p in strings]
     # An unsigned string averages to 0 or 1, so +/- it can give w only when
-    # its average is |w|.
-    xs = [(p, v) for p, v in zip(strings, vacuum) if v == abs(want[0])]
-    zs = [(p, v) for p, v in zip(strings, vacuum) if v == abs(want[2])]
-    for (px, vx), (pz, vz) in itertools.product(xs, zs):
+    # its average is |w|: with either sign when w is 0, else with sign w.
+    xs = [p for p, v in zip(strings, vacuum) if v == abs(want[0])]
+    zs = [p for p, v in zip(strings, vacuum) if v == abs(want[2])]
+    sxs, szs = ((w,) if w else (1, -1) for w in (want[0], want[2]))
+    for px, pz in itertools.product(xs, zs):
         if strings_commute(n, px, pz):
             continue
         d = row_strings((*px, *pz), n)
         vy = vacuum_sign(n, d[1])
-        signs = [(sx, sz) for sx, sz in itertools.product((1, -1), repeat=2)
-                 if sx * vx == want[0] and sx * sz * vy == want[1]
-                 and sz * vz == want[2]]
+        signs = [(sx, sz) for sx in sxs for sz in szs if sx * sz * vy == want[1]]
         if signs:
             yield d, signs
 
