@@ -22,14 +22,16 @@ two of the four symmetry-route sets are enumerated only with other signs
 Every string here is a signed Pauli string, so the analyses read the
 engine's packed rows and (key, k) signed strings with its symplectic
 readers (``rows_of``, ``row_strings``, ``string_product``,
-``strings_commute``, ``vacuum_sign``) and build each set they return with
-``descriptor_set``; no ``PauliSum`` is multiplied.  Enumeration and
+``strings_commute``, ``vacuum_sign``) and build the sets of the class
+and of the search with ``descriptor_set``; no ``PauliSum`` is multiplied.
+``canonical_signs``, which only enumeration calls, flips a set on its
+sums with ``Descriptor.scale_xz``.  Enumeration and
 direct construction share one search, ``_system_descriptors``, over the
 packed keys of ``all_strings``.  The symmetry search and
 ``apply_transform`` share one sign search, ``_transform_signs``, and
 ``canonical_signs`` and the class generation one flip rule,
-``_canonical_flip``, decided on a given table; a role permutation picks a
-component's (key, k), and a sign flip adds 2 to its k.
+``_canonical_flip``, decided on a given table; in the class, a role
+permutation picks a component's (key, k), and a sign flip adds 2 to its k.
 ``validate_basis`` reads a set of signed strings off its rows, and forms
 the sixteen products, with ``pauli.inner_products``, only for a set with
 a multi-term component; its report carries the products' averages as
@@ -337,11 +339,6 @@ def _transformed(comps: Sequence, transform: SymmetryTransform,
     return rows
 
 
-def _flipped(rows: Sequence[Row], fx: int, fz: int) -> list[Row]:
-    """The rows with x flipped by fx and z by fz on every qubit."""
-    return [(kx, ex + 1 - fx & 3, kz, ez + 1 - fz & 3) for kx, ex, kz, ez in rows]
-
-
 def _leading_sign(s: PauliSum) -> int:
     for _, coef in s.terms():
         if coef.re > 0 or (coef.re == 0 and coef.im > 0):
@@ -363,8 +360,7 @@ def canonical_signs(set_: DescriptorSet) -> DescriptorSet:
     flip negates the averages with an odd number of flipped factors, so the
     whole flip, else its x half, else its z half, is applied only when it
     leaves the expectation table unchanged; otherwise the set is returned
-    as it is.  A set of signed strings is rebuilt from its flipped rows;
-    any other set has its descriptors' x and z scaled.
+    as it is.
     """
     if set_.n != 2:
         raise ValueError("sign canonicalization is defined for two-qubit sets")
@@ -375,10 +371,7 @@ def canonical_signs(set_: DescriptorSet) -> DescriptorSet:
     fx, fz = _canonical_flip(sx, sz, expectation_table(set_, (0, 1)))
     if fx == fz == 1:
         return set_
-    rows = rows_of(set_)
-    if rows is None:
-        return DescriptorSet(2, tuple(d.scale_xz(fx, fz) for d in set_.descriptors))
-    return descriptor_set(_flipped(rows, fx, fz))
+    return DescriptorSet(2, tuple(d.scale_xz(fx, fz) for d in set_.descriptors))
 
 
 def _canonical_flip(sx: int, sz: int, table) -> tuple[int, int]:
@@ -425,7 +418,8 @@ def generate_equivalent_sets(set_: DescriptorSet
         raise ValueError("equivalence classes are generated for sets of signed Pauli strings")
     seed_table = report.table
     fx, fz = _canonical_flip(_lead(rows[0][1]), _lead(rows[0][3]), seed_table)
-    comps = [row_strings(row, 2) for row in _flipped(rows, fx, fz)]
+    comps = [row_strings((kx, ex + 1 - fx & 3, kz, ez + 1 - fz & 3), 2)
+             for kx, ex, kz, ez in rows]
     transforms = density_symmetries(table_density(seed_table))
     outputs: dict[tuple[str, ...], tuple] = {}
     # Each transform preserves the table it was found on, so it has signs.
@@ -459,13 +453,6 @@ def _signed_row(d: tuple, sx: int, sz: int) -> Row:
     return d[0][0], 1 - sx & 3, d[2][0], 1 - sz & 3
 
 
-def _units(values) -> bool:
-    """Whether every value is 0, 1 or -1, the only averages a product of
-    signed strings can have; the search compares such values as ints, and
-    any other value has no solution."""
-    return all(v in (0, 1, -1) for v in values)
-
-
 def _qubit_candidates(rho: DensityMatrix, a: int, strings: list, n: int):
     """Unsigned qubits for qubit a, each as its (x, y, z) signed strings
     with the (sx, sz) signs that give the qubit's single averages, in
@@ -475,21 +462,19 @@ def _qubit_candidates(rho: DensityMatrix, a: int, strings: list, n: int):
     averages are read once, as ints.
     """
     want = [rho.single(a, w) for w in COMPONENTS]
-    if not _units(want):
-        return
-    want = [int(w) for w in want]
     vacuum = [vacuum_sign(n, p) for p in strings]
     # An unsigned string averages to 0 or 1, so +/- it can give w only when
-    # its average is |w|: with either sign when w is 0, else with sign w.
-    xs = [p for p, v in zip(strings, vacuum) if v == abs(want[0])]
-    zs = [p for p, v in zip(strings, vacuum) if v == abs(want[2])]
-    sxs, szs = ((w,) if w else (1, -1) for w in (want[0], want[2]))
-    for px, pz in itertools.product(xs, zs):
+    # its average is |w|.
+    xs = [(p, v) for p, v in zip(strings, vacuum) if v == abs(want[0])]
+    zs = [(p, v) for p, v in zip(strings, vacuum) if v == abs(want[2])]
+    for (px, vx), (pz, vz) in itertools.product(xs, zs):
         if strings_commute(n, px, pz):
             continue
         d = row_strings((*px, *pz), n)
         vy = vacuum_sign(n, d[1])
-        signs = [(sx, sz) for sx in sxs for sz in szs if sx * sz * vy == want[1]]
+        signs = [(sx, sz) for sx, sz in itertools.product((1, -1), repeat=2)
+                 if sx * vx == want[0] and sx * sz * vy == want[1]
+                 and sz * vz == want[2]]
         if signs:
             yield d, signs
 
@@ -506,18 +491,14 @@ def _system_descriptors(rho: DensityMatrix, total: int, strings: list):
     qubit's candidates are walked once, so they are made as the walk needs
     them; every later qubit's are a list.
     """
+    candidates = [_qubit_candidates(rho, 0, strings, total)] + [
+        list(_qubit_candidates(rho, a, strings, total)) for a in range(1, rho.n)]
     # rho's pair averages: pair_want[b, a][k][l] for component k of qubit b
     # and component l of qubit a.
     pair_want = {(b, a): [[rho.coefficient(tuple(i if q == b else j if q == a else I
                                                  for q in range(rho.n)))
                            for j in COMPONENTS] for i in COMPONENTS]
                  for b, a in itertools.combinations(range(rho.n), 2)}
-    if not all(_units(row) for rows in pair_want.values() for row in rows):
-        return iter(())
-    pair_want = {ba: [[int(v) for v in row] for row in rows]
-                 for ba, rows in pair_want.items()}
-    candidates = [_qubit_candidates(rho, 0, strings, total)] + [
-        list(_qubit_candidates(rho, a, strings, total)) for a in range(1, rho.n)]
 
     def place(placed: tuple):
         a = len(placed)
