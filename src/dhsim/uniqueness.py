@@ -464,17 +464,17 @@ def _qubit_candidates(rho: DensityMatrix, a: int, strings: list, n: int):
     want = [rho.single(a, w) for w in COMPONENTS]
     vacuum = [vacuum_sign(n, p) for p in strings]
     # An unsigned string averages to 0 or 1, so +/- it can give w only when
-    # its average is |w|.
-    xs = [(p, v) for p, v in zip(strings, vacuum) if v == abs(want[0])]
-    zs = [(p, v) for p, v in zip(strings, vacuum) if v == abs(want[2])]
-    for (px, vx), (pz, vz) in itertools.product(xs, zs):
+    # its average is |w|: with either sign when w is 0, else with w's sign.
+    xs = [p for p, v in zip(strings, vacuum) if v == abs(want[0])]
+    zs = [p for p, v in zip(strings, vacuum) if v == abs(want[2])]
+    sxs, szs = ((1, -1) if not w else (1,) if w > 0 else (-1,)
+                for w in (want[0], want[2]))
+    for px, pz in itertools.product(xs, zs):
         if strings_commute(n, px, pz):
             continue
         d = row_strings((*px, *pz), n)
         vy = vacuum_sign(n, d[1])
-        signs = [(sx, sz) for sx, sz in itertools.product((1, -1), repeat=2)
-                 if sx * vx == want[0] and sx * sz * vy == want[1]
-                 and sz * vz == want[2]]
+        signs = [(sx, sz) for sx in sxs for sz in szs if sx * sz * vy == want[1]]
         if signs:
             yield d, signs
 
