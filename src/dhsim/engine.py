@@ -28,7 +28,9 @@ descriptor) has none, and its averages form each product.  The two-qubit
 analyses read a set's rows through ``rows_of``, which also reads them
 off a set whose components are all signed strings, and multiply,
 commute and average (key, i-exponent) signed strings with
-``string_product``, ``strings_commute`` and ``vacuum_sign``.
+``string_product``, ``strings_commute`` and ``vacuum_sign``;
+``string_product`` is also the one product of signed strings that
+``expectations`` forms.
 """
 
 from __future__ import annotations
@@ -156,17 +158,8 @@ class Descriptor(NamedTuple):
             raise ValueError(f"component index {which} must be X, Y or Z")
         return self[which - 1]
 
-    @staticmethod
-    def from_xz(qx: PauliSum, qz: PauliSum) -> "Descriptor":
-        """Build with q_y = i q_x q_z, the convention used throughout."""
-        return Descriptor(qx, sum_mul(qx, qz).scale(ComplexDyadic.i_power(1)), qz)
-
     def support(self) -> set[int]:
         return self.qx.support() | self.qy.support() | self.qz.support()
-
-    def scale_xz(self, sx: int, sz: int) -> "Descriptor":
-        """Flip component signs, rebuilding q_y from the convention."""
-        return Descriptor.from_xz(self.qx.scale(sx), self.qz.scale(sz))
 
 
 class DescriptorSet(NamedTuple):
@@ -357,7 +350,7 @@ def expectations(set_: DescriptorSet,
     any other letter is rejected.  A set with packed rows answers from
     them: a string whose picked components' x-parts XOR to a nonzero mask
     averages to zero, and any other product is an x-free string whose
-    average is its i-power, folded with ``key_phase``.  A set without rows
+    average is its i-power, from ``string_product``.  A set without rows
     forms each product (``vacuum_expectation``).  Its callers average
     products (expectation tables, ``--verify`` samples); a single
     component's average is ``vacuum_expectation`` of the component.
@@ -386,12 +379,7 @@ def expectations(set_: DescriptorSet,
         elif picked:
             out.append(ZERO)
         else:
-            key = k = 0
-            for comp, w in zip(comps, pick):
-                if w:
-                    kb, kw = comp[w]
-                    k += kw + key_phase(key, kb, m)
-                    key ^= kb
+            _, k = string_product(n, (0, 0), *[c[w] for c, w in zip(comps, pick) if w])
             out.append(ComplexDyadic.i_power(k))
     return out
 

@@ -24,9 +24,7 @@ diagonal's kernel and the signed-string products, commutations and
 vacuum signs of the two-qubit analyses off those rows.
 
 ``sum_mul`` and ``vacuum_expectation`` take an ordered product of any
-number of sums.  When every factor is one signed string, the product is
-folded in one pass (the rule above telescopes over the factors) into one
-coefficient and one sum.
+number of sums, multiplied pairwise, left to right.
 
 Letter tuples are built only at the boundary (construction,
 ``coefficient``, ``terms``, rendering, parsing and hashing), so sort
@@ -518,38 +516,16 @@ def parse_sum(text: str, n: int | None = None) -> PauliSum:
 def sum_mul(first: PauliSum, *rest: PauliSum) -> PauliSum:
     """Ordered product of one or more sums, phases folded into coefficients.
 
-    One factor is its own product and is returned as it is.  When every
-    factor is one signed string, the product is folded in one pass: the
-    keys XOR together, each step adds its ``key_phase`` to the i-exponent,
-    and the integer numerators multiply, so one ``ComplexDyadic`` and one
-    sum are built at the end.  Otherwise the factors are multiplied left to
-    right, each pair of terms by XOR of the keys with the pairwise rule; the
-    i**k turn of the coefficient product is inlined as in
-    ``ComplexDyadic._times_i``, as this is the innermost loop.
+    One factor is its own product and is returned as it is.  Otherwise the
+    factors are multiplied left to right, each pair of terms by XOR of the
+    keys with the pairwise rule; the i**k turn of the coefficient product
+    is inlined as in ``ComplexDyadic._times_i``, as this is the innermost
+    loop.
     """
     if not rest:
         return first
     n = first.n
     m = x_mask(n)
-    if len(first._terms) == 1:
-        ((key, c),) = first._terms.items()
-        re, im, e = c._re, c._im, c._e
-        k = 0
-        for f in rest:
-            if f.n != n or len(f._terms) != 1:
-                break
-            ((kb, cb),) = f._terms.items()
-            k += key_phase(key, kb, m)
-            key ^= kb
-            br, bi = cb._re, cb._im
-            re, im = re * br - im * bi, re * bi + im * br
-            e += cb._e
-        else:
-            if k & 2:
-                re, im = -re, -im
-            if k & 1:
-                re, im = -im, re
-            return PauliSum._canonical(n, {key: ComplexDyadic._make(re, im, e)})
     make = ComplexDyadic._make
     product = first
     for b in rest:
@@ -576,29 +552,19 @@ def sum_mul(first: PauliSum, *rest: PauliSum) -> PauliSum:
 
 def inner_products(sums: Sequence[PauliSum]) -> dict[tuple[int, int], ComplexDyadic]:
     """Every nonzero normalized Hilbert-Schmidt inner product
-    Tr(sums[a]^dagger sums[b]) / 2**n with a <= b, keyed (a, b).
-
-    An index from each key to the (sum, coefficient) pairs holding it
-    finds the pairs that share a term; no other pair has a nonzero inner
-    product, so no other pair is visited.
-    """
-    holders: dict[int, list[tuple[int, ComplexDyadic]]] = {}
-    for a, s in enumerate(sums):
+    Tr(sums[a]^dagger sums[b]) / 2**n with a <= b, keyed (a, b): the sum of
+    conj(c_a) c_b over the keys both sums hold."""
+    for s in sums:
         sums[0]._require_same_n(s)
-        for key, coef in s._terms.items():
-            holders.setdefault(key, []).append((a, coef))
     out: dict[tuple[int, int], ComplexDyadic] = {}
-    make = ComplexDyadic._make
-    for pairs in holders.values():
-        for x, (a, ca) in enumerate(pairs):
-            # conj(ca) * cb on the numerators
-            ar, ai, ae = ca._re, -ca._im, ca._e
-            for b, cb in pairs[x:]:
-                br, bi = cb._re, cb._im
-                value = make(ar * br - ai * bi, ar * bi + ai * br, ae + cb._e)
-                acc = out.get((a, b))
-                out[a, b] = value if acc is None else acc + value
-    return {ab: value for ab, value in out.items() if value}
+    for a, sa in enumerate(sums):
+        for b in range(a, len(sums)):
+            tb = sums[b]._terms
+            value = sum((ca.conjugate() * tb[key] for key, ca in sa._terms.items()
+                         if key in tb), ZERO)
+            if value:
+                out[a, b] = value
+    return out
 
 
 def vacuum_expectation(*factors: PauliSum) -> ComplexDyadic:

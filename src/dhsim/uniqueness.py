@@ -22,25 +22,26 @@ two of the four symmetry-route sets are enumerated only with other signs
 Every string here is a signed Pauli string, so the analyses read the
 engine's packed rows and (key, k) signed strings with its symplectic
 readers (``rows_of``, ``row_strings``, ``string_product``,
-``strings_commute``, ``vacuum_sign``) and build the sets of the class
-and of the search with ``descriptor_set``; no ``PauliSum`` is multiplied.
-``canonical_signs``, which only enumeration calls, flips a set on its
-sums with ``Descriptor.scale_xz``.  Enumeration and
-direct construction share one search, ``_system_descriptors``, over the
-packed keys of ``all_strings``.  The symmetry search and
-``apply_transform`` share one sign search, ``_transform_signs``, and
-``canonical_signs`` and the class generation one flip rule,
-``_canonical_flip``, decided on a given table; in the class, a role
-permutation picks a component's (key, k), and a sign flip adds 2 to its k.
-``validate_basis`` reads a set of signed strings off its rows, and forms
-the sixteen products, with ``pauli.inner_products``, only for a set with
-a multi-term component; its report carries the products' averages as
-the set's table.  ``generate_equivalent_sets`` takes a set alone: its
-report's table decides the canonical seed and gives the density whose
-transforms ``density_symmetries`` finds.  It builds each set of the class
-once and returns the transforms with the sets, each with the table of its
-report, which ``symmetries --verify`` compares with the oracle.  Closure
-of the symmetries is checked on their ``(role_perm, swap)`` pairs.
+``strings_commute``, ``vacuum_sign``) and build every set with
+``descriptor_set``; no sum of a set of signed strings is multiplied, and
+no set is flipped on its sums.  A sign flip of a row adds 2 to an i-exponent (``_flip``),
+and ``canonical_signs``, the class generation and enumeration share one
+flip rule, ``_canonical``: ``_canonical_flip`` decided on qubit 1's
+leading signs and a given table.  Enumeration and direct construction
+share one search, ``_system_descriptors``, over the packed keys of
+``all_strings``.  The symmetry search and ``apply_transform`` share one
+sign search, ``_transform_signs``; the class takes each symmetry with
+the signs its search found, and a role permutation picks a component's
+(key, k).  ``validate_basis`` reads a set of signed strings off its
+rows, and forms the sixteen products, with ``pauli.inner_products``,
+only for a set with a multi-term component; its report carries the
+products' averages as the set's table.  ``generate_equivalent_sets``
+takes a set alone: its report's table decides the canonical seed and
+gives the density whose symmetries it searches.  It builds each set of
+the class once and returns the transforms with the sets, each with the
+table of its report, which ``symmetries --verify`` compares with the
+oracle.  Closure of the symmetries is checked on their
+``(role_perm, swap)`` pairs.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .pauli import (
     I, X, Y, Z, LETTER_NAMES, ONE, ZERO,
-    ComplexDyadic, PauliSum, inner_products, vacuum_expectation,
+    ComplexDyadic, inner_products, vacuum_expectation,
 )
 from .engine import (
     DescriptorSet, Row, all_strings, component_product, descriptor_set,
@@ -280,20 +281,26 @@ def density_symmetries(rho: DensityMatrix) -> list[SymmetryTransform]:
     components to coincide, are structurally excluded from it.  The result
     always contains the identity and is closed under composition.
     """
+    return [transform for transform, _ in _symmetries(rho)]
+
+
+def _symmetries(rho: DensityMatrix) -> list[tuple[SymmetryTransform, tuple]]:
+    """``density_symmetries`` with each transform's signs on rho's table,
+    the one sign search of a symmetry class."""
     if rho.n != 2:
         raise ValueError("symmetry search is defined for two-qubit densities")
     candidates = [SymmetryTransform(perm, swap)
                   for perm in itertools.permutations(COMPONENTS)
                   for swap in (False, True)]
     table = {index: rho.coefficient(index) for index in _ENTRIES}
-    found = [transform for transform, signs
+    found = [(transform, signs) for transform, signs
              in zip(candidates, _transform_signs(candidates, table))
              if signs is not None]
     # t1 after t2 takes role r from t2's source of t1's source of r.
-    members = set(found)
+    members = {transform for transform, _ in found}
     if ((X, Y, Z), False) not in members:
         raise AssertionError("symmetry search lost the identity")
-    for t1, t2 in itertools.product(found, repeat=2):
+    for (t1, _), (t2, _) in itertools.product(found, repeat=2):
         perm = tuple(t2.role_perm[r - X] for r in t1.role_perm)
         if (perm, t1.swap ^ t2.swap) not in members:
             raise AssertionError(
@@ -330,21 +337,20 @@ def _transformed(comps: Sequence, transform: SymmetryTransform,
                  signs) -> list[Row]:
     """The packed rows of the permuted set with (s1x, s1z, s2x, s2z)
     applied, given each qubit's (x, y, z) signed strings: a qubit's new x
-    and z are its source components', a sign -1 adding 2 to the i-exponent."""
+    and z are its source components'."""
     rows = []
     for a, sx, sz in ((0, *signs[:2]), (1, *signs[2:])):
         source = comps[1 - a if transform.swap else a]
-        (kx, ex), (kz, ez) = source[transform.source(X) - 1], source[transform.source(Z) - 1]
-        rows.append((kx, ex + 1 - sx & 3, kz, ez + 1 - sz & 3))
+        rows.append(_flip((*source[transform.source(X) - 1],
+                           *source[transform.source(Z) - 1]), sx, sz))
     return rows
 
 
-def _leading_sign(s: PauliSum) -> int:
-    for _, coef in s.terms():
-        if coef.re > 0 or (coef.re == 0 and coef.im > 0):
-            return 1
-        return -1
-    return 1
+def _flip(row: Row, sx: int, sz: int) -> Row:
+    """A packed row with its x and z times sx and sz: a sign -1 adds 2 to
+    the i-exponent."""
+    kx, ex, kz, ez = row
+    return kx, ex + 1 - sx & 3, kz, ez + 1 - sz & 3
 
 
 def _lead(k: int) -> int:
@@ -352,26 +358,29 @@ def _lead(k: int) -> int:
     return 1 if k < 2 else -1
 
 
+def _canonical(rows: Sequence[Row], table) -> list[Row]:
+    """A two-qubit set's rows with ``_canonical_flip`` applied, decided on
+    qubit 1's leading signs and the set's table."""
+    fx, fz = _canonical_flip(_lead(rows[0][1]), _lead(rows[0][3]), table)
+    return [_flip(row, fx, fz) for row in rows]
+
+
 def canonical_signs(set_: DescriptorSet) -> DescriptorSet:
     """Collapse the sign-variant freedom to one representative.
 
-    The representative aims for positive leading coefficients on qubit 1's
-    x and z components by flipping x (or z) on both qubits at once.  Such a
-    flip negates the averages with an odd number of flipped factors, so the
+    The representative aims for positive leading signs on qubit 1's x and
+    z components by flipping x (or z) on both qubits at once.  Such a flip
+    negates the averages with an odd number of flipped factors, so the
     whole flip, else its x half, else its z half, is applied only when it
-    leaves the expectation table unchanged; otherwise the set is returned
-    as it is.
+    leaves the expectation table unchanged; otherwise the set's signs stay
+    as they are.  The set must be of signed strings.
     """
     if set_.n != 2:
         raise ValueError("sign canonicalization is defined for two-qubit sets")
-    d1 = set_.descriptors[0]
-    sx, sz = _leading_sign(d1.qx), _leading_sign(d1.qz)
-    if sx == sz == 1:
-        return set_
-    fx, fz = _canonical_flip(sx, sz, expectation_table(set_, (0, 1)))
-    if fx == fz == 1:
-        return set_
-    return DescriptorSet(2, tuple(d.scale_xz(fx, fz) for d in set_.descriptors))
+    rows = rows_of(set_)
+    if rows is None:
+        raise ValueError("sign canonicalization acts on sets of signed Pauli strings")
+    return descriptor_set(_canonical(rows, expectation_table(set_, (0, 1))))
 
 
 def _canonical_flip(sx: int, sz: int, table) -> tuple[int, int]:
@@ -399,12 +408,12 @@ def generate_equivalent_sets(set_: DescriptorSet
     equivalence class, as (set, its table) pairs.
 
     The set, of signed strings, is validated once.  Its basis report's
-    table decides the seed's canonical flip (``canonical_signs``) and gives
-    the density, positive by ``table_density``, whose
-    ``density_symmetries`` are applied to the seed.  Each set is built
+    table decides the seed's canonical flip (``_canonical``) and gives the
+    density, positive by ``table_density``, whose symmetries are searched
+    with their signs once and applied to the seed.  Each set is built
     once, from packed rows: the seed's components times the transform's
-    signs and the canonical flip, decided on the seed's table, the one the
-    set must have.  Its basis report gives its table, which must be the
+    signs, then canonically flipped on the seed's table, the one the set
+    must have.  Its basis report gives its table, which must be the
     seed's.  A candidate equal to an earlier output is that output, already
     checked.  Callers can cross-check the class by brute-force enumeration.
     """
@@ -417,20 +426,12 @@ def generate_equivalent_sets(set_: DescriptorSet
     if rows is None:
         raise ValueError("equivalence classes are generated for sets of signed Pauli strings")
     seed_table = report.table
-    fx, fz = _canonical_flip(_lead(rows[0][1]), _lead(rows[0][3]), seed_table)
-    comps = [row_strings((kx, ex + 1 - fx & 3, kz, ez + 1 - fz & 3), 2)
-             for kx, ex, kz, ez in rows]
-    transforms = density_symmetries(table_density(seed_table))
+    comps = [row_strings(row, 2) for row in _canonical(rows, seed_table)]
+    found = _symmetries(table_density(seed_table))
     outputs: dict[tuple[str, ...], tuple] = {}
-    # Each transform preserves the table it was found on, so it has signs.
-    for transform, signs in zip(transforms, _transform_signs(transforms, seed_table)):
-        # Qubit 1's new x and z are its source components times s1x, s1z.
-        source = comps[1 if transform.swap else 0]
-        sx = signs[0] * _lead(source[transform.source(X) - 1][1])
-        sz = signs[1] * _lead(source[transform.source(Z) - 1][1])
-        fx, fz = _canonical_flip(sx, sz, seed_table)
-        candidate = descriptor_set(_transformed(comps, transform, (
-            signs[0] * fx, signs[1] * fz, signs[2] * fx, signs[3] * fz)))
+    for transform, signs in found:
+        candidate = descriptor_set(_canonical(
+            _transformed(comps, transform, signs), seed_table))
         key = set_render_key(candidate)
         if key in outputs:
             continue
@@ -442,16 +443,11 @@ def generate_equivalent_sets(set_: DescriptorSet
             raise AssertionError(
                 f"transform {transform.slot_cycles()} changed the table")
         outputs[key] = candidate, report.table
-    return transforms, [outputs[key] for key in sorted(outputs)]
+    return ([transform for transform, _ in found],
+            [outputs[key] for key in sorted(outputs)])
 
 
 # -- brute-force enumeration and direct construction ---------------------
-
-def _signed_row(d: tuple, sx: int, sz: int) -> Row:
-    """The packed row of an unsigned qubit's (x, y, z) strings, its x and z
-    times sx and sz."""
-    return d[0][0], 1 - sx & 3, d[2][0], 1 - sz & 3
-
 
 def _qubit_candidates(rho: DensityMatrix, a: int, strings: list, n: int):
     """Unsigned qubits for qubit a, each as its (x, y, z) signed strings
@@ -539,7 +535,8 @@ def enumerate_valid_sets(rho: DensityMatrix) -> list[DescriptorSet]:
         first.setdefault(tuple(d for d, _, _ in placed), placed)
     outputs: dict[tuple[str, ...], DescriptorSet] = {}
     for placed in first.values():
-        set_ = canonical_signs(descriptor_set([_signed_row(*p) for p in placed]))
+        set_ = canonical_signs(descriptor_set(
+            [_flip((*d[0], *d[2]), sx, sz) for d, sx, sz in placed]))
         outputs.setdefault(set_render_key(set_), set_)
     return [outputs[key] for key in sorted(outputs)]
 
@@ -571,7 +568,7 @@ def _complete_register(total: int, placed: tuple, strings: list) -> DescriptorSe
     """Extend system placements with ancilla qubits commuting with them:
     each the first anticommuting pair of the strings that commute with
     every component so far."""
-    rows = [_signed_row(*p) for p in placed]
+    rows = [_flip((*d[0], *d[2]), sx, sz) for d, sx, sz in placed]
     used = [c for d, _, _ in placed for c in d]
     while len(rows) < total:
         free = [p for p in strings if all(strings_commute(total, p, q) for q in used)]

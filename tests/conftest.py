@@ -7,7 +7,8 @@ import pytest
 
 from dhsim.density import diagonal_probabilities, reconstruct_density
 from dhsim.engine import (
-    GATE_ARITY, AddAncilla, Circuit, DescriptorSet, Gate, apply_gate, initial_set,
+    GATE_ARITY, AddAncilla, Circuit, Descriptor, DescriptorSet, Gate, apply_gate,
+    initial_set,
 )
 from dhsim.pauli import X, Y, Z, ComplexDyadic, PauliSum, sum_mul
 from dhsim.relative import RelativeContext, measure
@@ -42,6 +43,16 @@ def count_calls(monkeypatch, module, name):
                 and getattr(mod, name, None) is real):
             monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+def from_xz(qx: PauliSum, qz: PauliSum) -> Descriptor:
+    """The descriptor with these x and z and q_y = i q_x q_z, built on sums."""
+    return Descriptor(qx, sum_mul(qx, qz).scale(ComplexDyadic.i_power(1)), qz)
+
+
+def scale_xz(d: Descriptor, sx: int, sz: int) -> Descriptor:
+    """A descriptor with its x and z times sx and sz, q_y rebuilt on sums."""
+    return from_xz(d.qx.scale(sx), d.qz.scale(sz))
 
 
 def dense_operator(coeffs):

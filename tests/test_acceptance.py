@@ -16,7 +16,7 @@ from dhsim.pauli import (
     I, X, Y, Z, ComplexDyadic, PauliSum, parse_sum, sum_mul,
 )
 from dhsim.engine import (
-    Descriptor, DescriptorSet, Gate,
+    DescriptorSet, Gate,
     apply_gate, evolve_circuit, expectation, gate_steps, initial_set,
 )
 from dhsim.density import (
@@ -30,7 +30,7 @@ from dhsim.uniqueness import (
     construct_from_density, generate_equivalent_sets, validate_basis,
 )
 from dhsim.protocols import run_entanglement_swap
-from conftest import classify_against_reference, random_circuit
+from conftest import classify_against_reference, from_xz, random_circuit
 import matrices
 
 ONE = ComplexDyadic.of(1)
@@ -120,7 +120,7 @@ def test_criterion_03_degenerate_basis_detection():
     def body():
         qx = parse_sum("1 * I⊗X")
         qz = parse_sum("1 * X⊗I")
-        d = Descriptor.from_xz(qx, qz)
+        d = from_xz(qx, qz)
         report = validate_basis(DescriptorSet(2, (d, d)))
         assert report.independent_count == 8
         assert not report.well_formed

@@ -45,7 +45,7 @@ def test_every_class_attribute_in_the_readme_resolves():
     names = "|".join(sorted(classes, key=len, reverse=True))
     found = sorted(set(re.findall(r"`(?:[\w.]+\.)?(%s)\.([A-Za-z_]\w*)" % names,
                                   _readme())))
-    assert ("PauliSum", "from_key") in found and ("Descriptor", "from_xz") in found
+    assert ("PauliSum", "from_key") in found and ("PauliSum", "as_key") in found
     missing = [f"{cls}.{name}" for cls, name in found
                if not hasattr(classes[cls], name)]
     assert not missing
