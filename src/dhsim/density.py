@@ -95,9 +95,12 @@ def expectation_table(set_: DescriptorSet, qubits: Sequence[int]) -> dict[MultiI
     """All component-product averages over a qubit subset.
 
     Keys run over {I, X, Y, Z}**k multi-indices for the subset, identity
-    extended on every other qubit.
+    extended on every other qubit; a qubit may appear in the subset once.
     """
     qubits = list(qubits)
+    if len(set(qubits)) != len(qubits):
+        repeated = sorted({q for q in qubits if qubits.count(q) > 1})
+        raise ValueError(f"qubits {repeated} appear more than once in the subset")
     combos = list(itertools.product((I, X, Y, Z), repeat=len(qubits)))
     index = [I] * set_.n
     strings = []

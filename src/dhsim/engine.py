@@ -24,7 +24,8 @@ dependency trace, through which every report's circuit goes, consume it
 and build their sums once (``descriptor_set``).  The set keeps those rows,
 and ``expectations`` and the diagonal's ``z_kernel`` read them; a set
 built any other way (``apply_gate``, ``add_ancilla``, a relative
-descriptor) has none, and its averages form each product.  The two-qubit
+descriptor) has none, and its averages form each product.  Every reader
+of a row's three components calls ``row_strings``.  The two-qubit
 analyses read a set's rows through ``rows_of``, which also reads them
 off a set whose components are all signed strings, and multiply,
 commute and average (key, i-exponent) signed strings with
@@ -65,6 +66,10 @@ _RULES = {
 }
 # Gate kind -> number of operands: one row triple per operand position.
 GATE_ARITY = {kind: len(rows) for kind, rows in _RULES.items()}
+
+# A signed string: the (key, k) pair is i**k times the bare string of a
+# packed key, k in 0..3.
+String = tuple[int, int]
 
 # The fold keeps each qubit's q_x and q_z as a packed row (key_x, k_x,
 # key_z, k_z), a component being i**k times the bare string of its key.  Its
@@ -205,16 +210,18 @@ def _fresh_rows(n: int, first: int = 0) -> list[Row]:
 def descriptor_set(rows: Sequence[Row], history: tuple = ()) -> DescriptorSet:
     """The descriptor set of a register's packed rows, q_y = i q_x q_z; the
     set keeps a copy of the rows."""
-    n, m = len(rows), x_mask(len(rows))
+    n = len(rows)
     return DescriptorSet(n, tuple(
-        Descriptor._make(PauliSum.from_key(n, key, k) for key, k in _components(row, m))
+        Descriptor._make(PauliSum.from_key(n, key, k) for key, k in row_strings(row, n))
         for row in rows), history, tuple(rows))
 
 
-def _components(row: Row, m: int) -> tuple[tuple[int, int], ...]:
-    """The (key, i-exponent) of a row's q_x, q_y = i q_x q_z and q_z."""
+def row_strings(row: Row, n: int) -> tuple[String, String, String]:
+    """The signed strings q_x, q_y = i q_x q_z and q_z of a packed row, k
+    in 0..3: the one reader of a row's three components."""
     kx, ex, kz, ez = row
-    return (kx, ex), (kx ^ kz, ex + ez + 1 + key_phase(kx, kz, m)), (kz, ez)
+    return ((kx, ex & 3), (kx ^ kz, ex + ez + 1 + key_phase(kx, kz, x_mask(n)) & 3),
+            (kz, ez & 3))
 
 
 def row_support(row: Row) -> tuple[int, ...]:
@@ -222,36 +229,21 @@ def row_support(row: Row) -> tuple[int, ...]:
     return tuple(key_support(row[0] | row[2]))
 
 
-# The two-qubit analyses (``uniqueness``) work on signed strings: a
-# (key, k) pair is i**k times the bare string of a packed key, k in 0..3.
-# They read them with the functions below, the symplectic rules of the
-# stabilizer tableau (quant-ph/0406196) on an n-qubit register.
-String = tuple[int, int]
-
-
+# The two-qubit analyses (``uniqueness``) work on signed strings, read off
+# rows by ``row_strings`` and with the functions below, the symplectic rules
+# of the stabilizer tableau (quant-ph/0406196) on an n-qubit register.
 def rows_of(set_: DescriptorSet) -> tuple[Row, ...] | None:
     """A set's packed rows: its own, else read off its sums when every
     component is one signed string and q_y = i q_x q_z; None otherwise."""
     if set_.rows is not None:
         return set_.rows
-    m = x_mask(set_.n)
     rows = []
     for d in set_.descriptors:
         x, y, z = (c.as_key() for c in d)
-        if x is None or z is None:
+        if x is None or z is None or y != row_strings((*x, *z), set_.n)[1]:
             return None
-        row = (*x, *z)
-        key, k = _components(row, m)[1]
-        if y != (key, k & 3):
-            return None
-        rows.append(row)
+        rows.append((*x, *z))
     return tuple(rows)
-
-
-def row_strings(row: Row, n: int) -> tuple[String, String, String]:
-    """The signed strings q_x, q_y = i q_x q_z and q_z of a packed row."""
-    (kx, ex), (ky, ey), (kz, ez) = _components(row, x_mask(n))
-    return (kx, ex & 3), (ky, ey & 3), (kz, ez & 3)
 
 
 def all_strings(n: int) -> list[String]:
@@ -362,7 +354,7 @@ def expectations(set_: DescriptorSet,
         join, start = operator.add, ()
     else:
         m = x_mask(n)
-        comps = [((0, 0), *_components(row, m)) for row in rows]
+        comps = [((0, 0), *row_strings(row, n)) for row in rows]
         parts = [{w: key & m for w, (key, _) in enumerate(c)} for c in comps]
         join, start = operator.xor, 0
     out = []

@@ -24,7 +24,8 @@ diagonal's kernel and the signed-string products, commutations and
 vacuum signs of the two-qubit analyses off those rows.
 
 ``sum_mul`` and ``vacuum_expectation`` take an ordered product of any
-number of sums, multiplied pairwise, left to right.
+number of sums, multiplied pairwise, left to right: a pair of terms gives
+``ka ^ kb`` and the coefficients' product turned by i**``key_phase``.
 
 Letter tuples are built only at the boundary (construction,
 ``coefficient``, ``terms``, rendering, parsing and hashing), so sort
@@ -34,7 +35,8 @@ Coefficient arithmetic lives in :class:`ComplexDyadic`, whose real and
 imaginary parts are dyadic rationals.  It stores integers (re, im, e) for
 (re + i*im) / 2**e with e == 0 or one numerator odd, so sums, products and
 the i**k of a string product are integer shifts, products and quarter
-turns; no Fraction is built on the product path.
+turns, all in one method (``_times``); no Fraction is built on the
+product path.
 """
 
 from __future__ import annotations
@@ -132,14 +134,16 @@ class ComplexDyadic:
         """Return i**k as an exact value."""
         return _I_POWERS[k & 3]
 
-    def _times_i(self, k: int) -> "ComplexDyadic":
-        """Return self * i**k: a quarter turn of the numerators per step."""
-        re, im = self._re, self._im
+    def _times(self, other: "ComplexDyadic", k: int = 0) -> "ComplexDyadic":
+        """Return self * other * i**k: the numerators' product, then a
+        quarter turn of it per step of k."""
+        ar, ai, br, bi = self._re, self._im, other._re, other._im
+        re, im = ar * br - ai * bi, ar * bi + ai * br
         if k & 2:
             re, im = -re, -im
         if k & 1:
             re, im = -im, re
-        return ComplexDyadic._make(re, im, self._e)
+        return ComplexDyadic._make(re, im, self._e + other._e)
 
     def __add__(self, other: _Scalar) -> "ComplexDyadic":
         o = other if type(other) is ComplexDyadic else ComplexDyadic.of(other)
@@ -154,10 +158,8 @@ class ComplexDyadic:
         return self + -ComplexDyadic.of(other)
 
     def __mul__(self, other: _Scalar) -> "ComplexDyadic":
-        o = other if type(other) is ComplexDyadic else ComplexDyadic.of(other)
-        ar, ai, br, bi = self._re, self._im, o._re, o._im
-        return ComplexDyadic._make(ar * br - ai * bi, ar * bi + ai * br,
-                                   self._e + o._e)
+        return self._times(other if type(other) is ComplexDyadic
+                           else ComplexDyadic.of(other))
 
     __rmul__ = __mul__
 
@@ -216,7 +218,7 @@ _set_e = ComplexDyadic._e.__set__
 
 ZERO = ComplexDyadic()
 ONE = ComplexDyadic(1)
-_I_POWERS = tuple(ONE._times_i(k) for k in range(4))
+_I_POWERS = tuple(ONE._times(ONE, k) for k in range(4))
 
 
 # Letter <-> 2-bit slot code (x in the low bit, z in the high bit).  The map
@@ -225,28 +227,19 @@ _CODE = {I: 0b00, X: 0b01, Y: 0b11, Z: 0b10}
 _LETTER_OF_CODE = (I, X, Z, Y)
 
 
-def _bad_letter(letter: object, slot: int) -> ValueError:
-    return ValueError(f"letter {letter!r} at slot {slot} is not one of "
-                      f"0..3 (I, X, Y, Z)")
-
-
 def slot_key(qubit: int, letter: int) -> int:
-    """Packed key of one letter on one slot, identity elsewhere."""
+    """Packed key of one letter on one slot, identity elsewhere; raises on
+    a letter outside 0..3."""
     code = _CODE.get(letter)
     if code is None:
-        raise _bad_letter(letter, qubit)
+        raise ValueError(f"letter {letter!r} at slot {qubit} is not one of "
+                         f"0..3 (I, X, Y, Z)")
     return code << 2 * qubit
 
 
 def _pack(letters: Letters) -> int:
     """Packed key of a bare letter sequence; raises on a letter outside 0..3."""
-    key = 0
-    for q, letter in enumerate(letters):
-        code = _CODE.get(letter)
-        if code is None:
-            raise _bad_letter(letter, q)
-        key |= code << 2 * q
-    return key
+    return sum(slot_key(q, letter) for q, letter in enumerate(letters))
 
 
 # The letters of every byte of a key: four slots, lowest slot first.
@@ -425,13 +418,16 @@ class PauliSum:
         return frozenset(key_support(functools.reduce(operator.or_, self._terms, 0)))
 
     def restrict(self, qubits: Iterable[int]) -> "PauliSum":
-        """The sum on the ``qubits`` slots, every other slot evaluated in
-        |0>: a term with X or Y on a dropped slot vanishes, I and Z give 1."""
+        """The sum on the ``qubits`` slots, each named once, every other slot
+        evaluated in |0>: a term with X or Y on a dropped slot vanishes, I
+        and Z give 1."""
         keep = sorted(qubits)
         if keep and not (0 <= keep[0] and keep[-1] < self.n):
             raise IndexError(f"slots {keep} are not all in a {self.n}-qubit sum")
+        if len(set(keep)) != len(keep):
+            raise ValueError(f"slots {keep} repeat a slot")
         moves = list(enumerate(keep))
-        dropped_x = x_mask(self.n) & ~sum(1 << 2 * q for q in set(keep))
+        dropped_x = x_mask(self.n) & ~sum(1 << 2 * q for q in keep)
         terms: dict[int, ComplexDyadic] = {}
         for key, coef in self._terms.items():
             if key & dropped_x:
@@ -517,35 +513,20 @@ def sum_mul(first: PauliSum, *rest: PauliSum) -> PauliSum:
     """Ordered product of one or more sums, phases folded into coefficients.
 
     One factor is its own product and is returned as it is.  Otherwise the
-    factors are multiplied left to right, each pair of terms by XOR of the
-    keys with the pairwise rule; the i**k turn of the coefficient product
-    is inlined as in ``ComplexDyadic._times_i``, as this is the innermost
-    loop.
+    factors are multiplied left to right: each pair of terms adds the key
+    ``ka ^ kb`` with the coefficient product turned by i**``key_phase``.
     """
     if not rest:
         return first
     n = first.n
     m = x_mask(n)
-    make = ComplexDyadic._make
     product = first
     for b in rest:
         first._require_same_n(b)
         terms: dict[int, ComplexDyadic] = {}
         for ka, ca in product._terms.items():
-            ya = (ka & ka >> 1 & m).bit_count()
-            za = ka >> 1 & m
-            ar, ai, ae = ca._re, ca._im, ca._e
             for kb, cb in b._terms.items():
-                kc = ka ^ kb
-                k = (ya + (kb & kb >> 1 & m).bit_count()
-                     - (kc & kc >> 1 & m).bit_count() + 2 * (za & kb).bit_count())
-                br, bi = cb._re, cb._im
-                re, im = ar * br - ai * bi, ar * bi + ai * br
-                if k & 2:
-                    re, im = -re, -im
-                if k & 1:
-                    re, im = -im, re
-                _accumulate(terms, kc, make(re, im, ae + cb._e))
+                _accumulate(terms, ka ^ kb, ca._times(cb, key_phase(ka, kb, m)))
         product = PauliSum._canonical(n, terms)
     return product
 
@@ -577,9 +558,5 @@ def vacuum_expectation(*factors: PauliSum) -> ComplexDyadic:
         return ONE
     s = sum_mul(*factors)
     m = x_mask(s.n)
-    total = ZERO
-    for key, coef in s._terms.items():
-        if not key & m:
-            total = total + coef
-    return total
+    return sum((coef for key, coef in s._terms.items() if not key & m), ZERO)
 

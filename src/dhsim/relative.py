@@ -56,6 +56,8 @@ class RelativeContext(NamedTuple("RelativeContext", [
         k = len(target_qubits)
         if k not in (1, 2):
             raise ContextError("contexts cover one or two qubits")
+        if len(set(target_qubits)) != k:
+            raise ContextError(f"context target qubits {target_qubits} repeat a qubit")
         clean: dict[MultiIndex, Fraction] = {}
         for index, value in (table or {}).items():
             index = tuple(index)
@@ -64,16 +66,11 @@ class RelativeContext(NamedTuple("RelativeContext", [
             value = Fraction(value)
             if value:
                 clean[index] = value
-        self = super().__new__(cls, target_qubits, clean, Fraction(weight))
-        self._validate_state()
-        return self
-
-    def _validate_state(self) -> None:
-        """The table, with the identity average, must be a valid (sub)state,
-        which ``density.is_positive`` decides exactly."""
-        k = len(self.target_qubits)
-        if not is_positive(k, {(I,) * k: self.weight, **self.table}):
+        # The table, with the identity average, must be a valid (sub)state,
+        # which ``density.is_positive`` decides exactly.
+        if not is_positive(k, {(I,) * k: Fraction(weight), **clean}):
             raise ContextError("context is not a positive (sub)state")
+        return super().__new__(cls, target_qubits, clean, Fraction(weight))
 
     # -- constructors ----------------------------------------------------
 
@@ -87,14 +84,21 @@ class RelativeContext(NamedTuple("RelativeContext", [
     @staticmethod
     def computational(qubit: int, bit: int) -> "RelativeContext":
         """|0><0| or |1><1| on one qubit."""
-        return RelativeContext.bloch(qubit, 0, 0, 1 if bit == 0 else -1)
+        return RelativeContext.bloch(qubit, 0, 0, _z_of(bit))
 
     @staticmethod
     def pair_computational(qubits: Sequence[int], bits: Sequence[int]) -> "RelativeContext":
         """|b1 b2><b1 b2| on a qubit pair."""
-        a, b = (1 if bit == 0 else -1 for bit in bits)
+        a, b = map(_z_of, bits)
         table = {(Z, I): Fraction(a), (I, Z): Fraction(b), (Z, Z): Fraction(a * b)}
         return RelativeContext(tuple(qubits), table)
+
+
+def _z_of(bit: int) -> int:
+    """The z average of computational outcome ``bit``: +1 for 0, -1 for 1."""
+    if bit not in (0, 1):
+        raise ContextError(f"computational outcome {bit!r} is not 0 or 1")
+    return 1 - 2 * bit
 
 
 def measure(set_: DescriptorSet, system_qubit: int) -> DescriptorSet:

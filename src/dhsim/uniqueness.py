@@ -30,9 +30,9 @@ flip rule, ``_canonical``: ``_canonical_flip`` decided on qubit 1's
 leading signs and a given table.  Enumeration and direct construction
 share one search, ``_system_descriptors``, over the packed keys of
 ``all_strings``.  The symmetry search and ``apply_transform`` share one
-sign search, ``_transform_signs``; the class takes each symmetry with
-the signs its search found, and a role permutation picks a component's
-(key, k).  ``validate_basis`` reads a set of signed strings off its
+sign search, ``_transform_signs``; ``density_symmetries`` returns each
+symmetry with the signs it found, the class takes them as they are, and
+a role permutation picks a component's (key, k).  ``validate_basis`` reads a set of signed strings off its
 rows, and forms the sixteen products, with ``pauli.inner_products``,
 only for a set with a multi-term component; its report carries the
 products' averages as the set's table.  ``generate_equivalent_sets``
@@ -273,20 +273,16 @@ def _signs_for(transform: SymmetryTransform, code) -> tuple | None:
     return None
 
 
-def density_symmetries(rho: DensityMatrix) -> list[SymmetryTransform]:
-    """All admissible transforms preserving the full expectation table.
+def density_symmetries(rho: DensityMatrix) -> list[tuple[SymmetryTransform, tuple]]:
+    """All admissible transforms preserving the full expectation table,
+    each with the (s1x, s1z, s2x, s2z) signs that preserve it: the one sign
+    search of a symmetry class.
 
     The candidate family is every role permutation times an optional qubit
     swap; moves of the identity slot, and relabelings that would force two
     components to coincide, are structurally excluded from it.  The result
     always contains the identity and is closed under composition.
     """
-    return [transform for transform, _ in _symmetries(rho)]
-
-
-def _symmetries(rho: DensityMatrix) -> list[tuple[SymmetryTransform, tuple]]:
-    """``density_symmetries`` with each transform's signs on rho's table,
-    the one sign search of a symmetry class."""
     if rho.n != 2:
         raise ValueError("symmetry search is defined for two-qubit densities")
     candidates = [SymmetryTransform(perm, swap)
@@ -427,7 +423,7 @@ def generate_equivalent_sets(set_: DescriptorSet
         raise ValueError("equivalence classes are generated for sets of signed Pauli strings")
     seed_table = report.table
     comps = [row_strings(row, 2) for row in _canonical(rows, seed_table)]
-    found = _symmetries(table_density(seed_table))
+    found = density_symmetries(table_density(seed_table))
     outputs: dict[tuple[str, ...], tuple] = {}
     for transform, signs in found:
         candidate = descriptor_set(_canonical(

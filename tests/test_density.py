@@ -104,6 +104,14 @@ class TestReconstructDensity:
         rho = reconstruct_density(bell_set, [0])
         assert np.allclose(dense_density(rho), np.eye(2) / 2)
 
+    def test_repeated_qubit_rejected(self, bell_set):
+        # Both letters of a pair would land on one slot.
+        for qubits in ([0, 0], [1, 0, 1]):
+            with pytest.raises(ValueError, match=r"qubits \[\d\] appear more than once"):
+                expectation_table(bell_set, qubits)
+            with pytest.raises(ValueError, match="appear more than once"):
+                reconstruct_density(bell_set, qubits)
+
     def test_unit_trace_and_positivity_random(self):
         rng = random.Random(3)
         for _ in range(10):

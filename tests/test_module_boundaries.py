@@ -18,6 +18,9 @@ exact report loads neither.  The command line imports only `pauli` and
 `engine` at module level; each analysis module loads where a report uses it.
 Every record type is a `typing.NamedTuple`, so no module imports
 `dataclasses`, which a one-shot report would pay for with `inspect`.
+Each rule of a product is written once: a key's Y count in
+`pauli.key_phase` and a coefficient's quarter turn in one `ComplexDyadic`
+method.
 """
 
 import ast
@@ -31,8 +34,8 @@ MODULES = sorted(SRC.glob("*.py"))
 KEY_FORMAT = re.compile(r"\._terms\b"
                         r"|\b(_pack|_unpack|_CODE|_LETTER_OF_CODE|_BYTE_LETTERS)\b")
 KEY_HELPERS = {"x_mask", "slot_key", "key_phase", "key_support", "from_key", "as_key"}
-PACKED_ROW_FUNCTIONS = {"_fresh_rows", "descriptor_set", "_components", "row_support",
-                        "fold", "expectations", "z_kernel", "rows_of", "row_strings",
+PACKED_ROW_FUNCTIONS = {"_fresh_rows", "descriptor_set", "row_support", "fold",
+                        "expectations", "z_kernel", "rows_of", "row_strings",
                         "all_strings", "string_product", "strings_commute",
                         "vacuum_sign"}
 
@@ -50,22 +53,29 @@ def test_key_format_stays_in_pauli(path):
     assert not hits
 
 
-def _names_by_function(tree):
-    """(enclosing function name, name) for every bare name, attribute and
-    imported name in a module; an import's place is ``"import"``."""
+def _nodes_by_function(tree):
+    """(enclosing function name, node) for every node of a module; a
+    function's own node is inside it."""
     def walk(node, where):
         for child in ast.iter_child_nodes(node):
             inner = (child.name if isinstance(child, (ast.FunctionDef,
                                                       ast.AsyncFunctionDef))
                      else where)
-            if isinstance(child, ast.Name):
-                yield inner, child.id
-            elif isinstance(child, ast.Attribute):
-                yield inner, child.attr
-            elif isinstance(child, ast.ImportFrom):
-                yield from (("import", alias.name) for alias in child.names)
+            yield inner, child
             yield from walk(child, inner)
     return walk(tree, "<module>")
+
+
+def _names_by_function(tree):
+    """(enclosing function name, name) for every bare name, attribute and
+    imported name in a module; an import's place is ``"import"``."""
+    for where, node in _nodes_by_function(tree):
+        if isinstance(node, ast.Name):
+            yield where, node.id
+        elif isinstance(node, ast.Attribute):
+            yield where, node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (("import", alias.name) for alias in node.names)
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "pauli.py"],
@@ -208,19 +218,13 @@ def test_no_private_sibling_name(path):
 def _calls_by_function(tree):
     """(enclosing function name, called name) for every call in a module;
     the called name is a bare name or an attribute's last part."""
-    def walk(node, where):
-        for child in ast.iter_child_nodes(node):
-            inner = (child.name if isinstance(child, (ast.FunctionDef,
-                                                      ast.AsyncFunctionDef))
-                     else where)
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = (func.id if isinstance(func, ast.Name)
-                        else func.attr if isinstance(func, ast.Attribute) else None)
-                if name:
-                    yield inner, name
-            yield from walk(child, inner)
-    return walk(tree, "<module>")
+    for where, node in _nodes_by_function(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name:
+                yield where, name
 
 
 def test_one_step_function():
@@ -236,3 +240,26 @@ def test_one_step_function():
                for name in ("_rewrite", "extended")}
     assert callers == {"_rewrite": {"engine.py:apply_gate"},
                        "extended": {"engine.py:add_ancilla"}}
+
+
+# Two rules of a product, as ``ast.unparse`` writes them for any names: the
+# Y slots of a key, ``k & k >> 1 & m``, and a turn of numerators by i,
+# ``re, im = -im, re``.
+PRODUCT_RULES = {"y count": re.compile(r"(\w+) & \1 >> 1 & \w+"),
+                 "quarter turn": re.compile(r"(\w+), (\w+) = \(-\2, \1\)")}
+
+
+def test_one_copy_of_each_product_rule():
+    """A string product's sign and a coefficient's quarter turn are each
+    written once: the Y count of a key only in ``pauli.key_phase``, and
+    the numerators' turn by i only in ``ComplexDyadic._times``, which
+    ``sum_mul`` and ``__mul__`` call."""
+    places = {rule: {f"{path.name}:{where}"
+                     for path in MODULES
+                     for where, node in _nodes_by_function(
+                         ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, (ast.BinOp, ast.Assign))
+                     and pattern.fullmatch(ast.unparse(node))}
+              for rule, pattern in PRODUCT_RULES.items()}
+    assert places == {"y count": {"pauli.py:key_phase"},
+                      "quarter turn": {"pauli.py:_times"}}

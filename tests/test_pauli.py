@@ -408,7 +408,7 @@ class TestComplexDyadicDifferential:
         assert_matches(ca.conjugate(), (a[0], -a[1]))
         assert_matches(ComplexDyadic.i_power(k), I_POWERS[k % 4])
         assert_matches(ca * ComplexDyadic.i_power(k), ref_mul(a, I_POWERS[k % 4]))
-        assert_matches(ca._times_i(k), ref_mul(a, I_POWERS[k % 4]))
+        assert_matches(ca._times(cb, k), ref_mul(ref_mul(a, b), I_POWERS[k % 4]))
         assert (ca == cb) == (a == b)
         assert complex(ca) == complex(float(a[0]), float(a[1]))
 
@@ -493,6 +493,10 @@ class TestBadLetters:
     def test_restrict_rejects_slots_outside_the_sum(self, keep):
         with pytest.raises(IndexError):
             S("1 * X⊗Z").restrict(keep)
+
+    def test_restrict_rejects_a_repeated_slot(self):
+        with pytest.raises(ValueError, match=r"slots \[0, 0\] repeat a slot"):
+            S("1 * X").restrict([0, 0])
 
 
 # -- packed keys against a reference on letter tuples ------------------------

@@ -297,6 +297,18 @@ class TestContextValidation:
         with pytest.raises(ContextError):
             RelativeContext((0, 1), {(Z, Z): Fraction(2)})
 
+    def test_repeated_target_qubits_rejected(self):
+        # Accepted, the pair context would condition on q_0z q_0z = 1.
+        with pytest.raises(ContextError, match=r"\(0, 0\) repeat a qubit"):
+            RelativeContext((0, 0), {(Z, Z): 1})
+
+    @pytest.mark.parametrize("bit", [2, -1])
+    def test_computational_outcome_must_be_a_bit(self, bit):
+        with pytest.raises(ContextError, match=f"outcome {bit} is not 0 or 1"):
+            RelativeContext.computational(0, bit)
+        with pytest.raises(ContextError, match=f"outcome {bit} is not 0 or 1"):
+            RelativeContext.pair_computational((0, 1), (0, bit))
+
     def test_subnormalized_weight(self):
         ctx = RelativeContext((0,), {(Z,): Fraction(1, 2)},
                               weight=Fraction(1, 2))

@@ -124,7 +124,7 @@ def pinned_outputs():
         rho = reconstruct_density(set_, [0, 1])
         out["two_qubit"][label] = {
             "construct_0": _construct_key(rho, 0),
-            "symmetries": [t.slot_cycles() for t in density_symmetries(rho)],
+            "symmetries": [t.slot_cycles() for t, _ in density_symmetries(rho)],
             "apply_transform": {t.slot_cycles(): _transform_key(set_, t)
                                 for t in transforms},
             "equivalent": [_key(s) for s, _ in generate_equivalent_sets(set_)[1]],
