@@ -32,9 +32,10 @@ share one search, ``_system_descriptors``, over the packed keys of
 ``all_strings``.  The symmetry search and ``apply_transform`` share one
 sign search, ``_transform_signs``; ``density_symmetries`` returns each
 symmetry with the signs it found, the class takes them as they are, and
-a role permutation picks a component's (key, k).  ``validate_basis`` reads a set of signed strings off its
-rows, and forms the sixteen products, with ``pauli.inner_products``,
-only for a set with a multi-term component; its report carries the
+a role permutation picks a component's (key, k).  ``validate_basis``
+reads a set of signed strings off its rows, and forms the sixteen
+products, with ``pauli.inner_products``, only for a set with a
+multi-term component; its report carries the
 products' averages as the set's table.  ``generate_equivalent_sets``
 takes a set alone: its report's table decides the canonical seed and
 gives the density whose symmetries it searches.  It builds each set of
