@@ -24,7 +24,7 @@ from .pauli import (
     I, X, Y, Z,
     ComplexDyadic, PauliSum, sum_mul, vacuum_expectation,
 )
-from .engine import Descriptor, DescriptorSet, expectations, z_kernel
+from .engine import Descriptor, DescriptorSet, check_qubits, expectations, rows_of, z_kernel
 
 # Widest operator ``is_positive`` decides: a 2^10 x 2^10 matrix.
 POSITIVE_MAX_QUBITS = 10
@@ -97,9 +97,8 @@ def expectation_table(set_: DescriptorSet, qubits: Sequence[int]) -> dict[MultiI
     Keys run over {I, X, Y, Z}**k multi-indices for the subset, identity
     extended on every other qubit; a qubit may appear in the subset once.
     """
-    qubits = list(qubits)
-    if len(set(qubits)) != len(qubits):
-        repeated = sorted({q for q in qubits if qubits.count(q) > 1})
+    qubits = check_qubits(set_.n, qubits)
+    if repeated := sorted({q for q in qubits if qubits.count(q) > 1}):
         raise ValueError(f"qubits {repeated} appear more than once in the subset")
     combos = list(itertools.product((I, X, Y, Z), repeat=len(qubits)))
     index = [I] * set_.n
@@ -130,7 +129,7 @@ class DensityMatrix(NamedTuple("DensityMatrix", [
 
     def single(self, qubit: int, which: int) -> Fraction:
         idx = [I] * self.n
-        idx[qubit] = which
+        idx[check_qubits(self.n, (qubit,))[0]] = which
         return self.coefficient(tuple(idx))
 
     def validate(self) -> None:
@@ -177,13 +176,13 @@ def diagonal_probabilities(set_: DescriptorSet, qubits: Sequence[int]) -> list[F
     p(b) = 2^-k sum_S (-1)^(b.S) <prod_{q in S} q_z>, over the 2^k subsets S
     of the k qubits.
 
-    For a set with packed rows (every Clifford set) the q_z are +1 or -1
-    strings that commute pairwise, so only the subsets in the kernel K of
-    their x-parts average to nonzero, each to the sign of its product, and
-    those signs multiply over K.  So the sum is 2^(dim K - k) where
-    (-1)^(b.S) equals the sign for every basis subset S, and 0 elsewhere:
-    an affine subspace, read off the rows by ``engine.z_kernel`` with no
-    product formed.
+    For a set with packed rows (``rows_of``, so every Clifford set) the q_z
+    are +1 or -1 strings that commute pairwise, so only the subsets in the
+    kernel K of their x-parts average to nonzero, each to the sign of its
+    product, and those signs multiply over K.  So the sum is 2^(dim K - k)
+    where (-1)^(b.S) equals the sign for every basis subset S, and 0
+    elsewhere: an affine subspace, read off the rows by ``z_kernel`` with
+    no product formed.
 
     Any other set takes the full sum: the subset products are built by
     doubling, one ``sum_mul`` each, and their vacuum averages go through an
@@ -191,14 +190,14 @@ def diagonal_probabilities(set_: DescriptorSet, qubits: Sequence[int]) -> list[F
     entry is checked to be real and nonnegative, and the entries to sum to
     exactly 1.
     """
-    qubits = list(qubits)
+    qubits = check_qubits(set_.n, qubits)
     if not qubits:
         raise ValueError("subset must be nonempty")
     # Subset mask bit j is qubits[k-1-j]: the last qubit is bit 0.
     size = 1 << len(qubits)
-    if set_.rows is not None:
+    if (rows := rows_of(set_)) is not None:
         # (subset, parity of b.S where the product of S averages to -1)
-        kernel = z_kernel(set_, qubits[::-1])
+        kernel = z_kernel(rows, qubits[::-1])
         weight, zero = Fraction(1 << len(kernel), size), Fraction(0)
         return [weight if all((b & subset).bit_count() & 1 == odd
                               for subset, odd in kernel) else zero

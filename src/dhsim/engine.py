@@ -21,17 +21,18 @@ descriptor may have several terms.  From |0...0>, q_y = i q_x q_z holds
 throughout, so ``fold`` runs a circuit on packed (key, i-exponent) X and Z
 rows only, as the stabilizer tableau does; ``evolve_circuit`` and the
 dependency trace, through which every report's circuit goes, consume it
-and build their sums once (``descriptor_set``).  The set keeps those rows,
-and ``expectations`` and the diagonal's ``z_kernel`` read them; a set
-built any other way (``apply_gate``, ``add_ancilla``, a relative
-descriptor) has none, and its averages form each product.  Every reader
-of a row's three components calls ``row_strings``.  The two-qubit
-analyses read a set's rows through ``rows_of``, which also reads them
-off a set whose components are all signed strings, and multiply,
-commute and average (key, i-exponent) signed strings with
-``string_product``, ``strings_commute`` and ``vacuum_sign``;
-``string_product`` is also the one product of signed strings that
-``expectations`` forms.
+and build their sums once (``descriptor_set``), and the set keeps those
+rows.  ``rows_of`` is the one switch between rows and sums: it returns a
+set's own rows, else reads them off a set whose components are all
+signed strings (``apply_gate``, ``add_ancilla``, ``relative.measure``, a
+set rebuilt without its rows).  ``expectations``, the diagonal's
+``z_kernel`` and the two-qubit analyses read what it returns; only a set
+with some other component (a multi-term relative descriptor, say) has
+no rows, and forms each product.  Every reader of a row's three
+components calls ``row_strings``, and signed strings are multiplied,
+commuted and averaged with ``string_product``, ``strings_commute`` and
+``vacuum_sign``; ``string_product`` is also the one product of signed
+strings that ``expectations`` forms.
 """
 
 from __future__ import annotations
@@ -119,6 +120,14 @@ class Gate(NamedTuple("Gate", [("kind", str), ("operands", tuple[int, ...])])):
                 raise GateError(f"operand {q} out of range for {n} qubits")
 
 
+def check_qubits(n: int, qubits: Iterable[int], error: type = ValueError) -> list[int]:
+    """The qubits as a list; ``error`` names any outside an n-qubit register."""
+    qubits = list(qubits)
+    if outside := [q for q in qubits if not 0 <= q < n]:
+        raise error(f"qubits {outside} are outside the {n}-qubit register")
+    return qubits
+
+
 class AddAncilla(NamedTuple):
     """Directive allocating one fresh |0> qubit at the end of the register.
     It has no fields, so it equals ``()``; it is truthy all the same."""
@@ -170,8 +179,8 @@ class Descriptor(NamedTuple):
 class DescriptorSet(NamedTuple):
     """Complete register description: one descriptor per qubit plus history,
     and the packed rows the descriptors were built from (``descriptor_set``
-    only; None for every other set).  Two sets are equal, and hash alike,
-    when their ``n`` and descriptors are."""
+    only; None for every other set), which only ``rows_of`` reads.  Two
+    sets are equal, and hash alike, when their ``n`` and descriptors are."""
 
     n: int
     descriptors: tuple[Descriptor, ...]
@@ -229,12 +238,13 @@ def row_support(row: Row) -> tuple[int, ...]:
     return tuple(key_support(row[0] | row[2]))
 
 
-# The two-qubit analyses (``uniqueness``) work on signed strings, read off
-# rows by ``row_strings`` and with the functions below, the symplectic rules
-# of the stabilizer tableau (quant-ph/0406196) on an n-qubit register.
+# Signed strings are read off rows by ``row_strings`` and handled with the
+# functions below, the symplectic rules of the stabilizer tableau
+# (quant-ph/0406196) on an n-qubit register.
 def rows_of(set_: DescriptorSet) -> tuple[Row, ...] | None:
-    """A set's packed rows: its own, else read off its sums when every
-    component is one signed string and q_y = i q_x q_z; None otherwise."""
+    """A set's packed rows, the one reader of ``DescriptorSet.rows``: its
+    own, else read off its sums when every component is one signed string
+    and q_y = i q_x q_z; None otherwise."""
     if set_.rows is not None:
         return set_.rows
     rows = []
@@ -339,15 +349,15 @@ def expectations(set_: DescriptorSet,
     """The vacuum expectation of each index string's component product.
 
     Letters I, X, Y and Z pick no factor, q_x, q_y or q_z of a qubit, and
-    any other letter is rejected.  A set with packed rows answers from
-    them: a string whose picked components' x-parts XOR to a nonzero mask
-    averages to zero, and any other product is an x-free string whose
-    average is its i-power, from ``string_product``.  A set without rows
-    forms each product (``vacuum_expectation``).  Its callers average
+    any other letter is rejected.  A set with rows (``rows_of``) answers
+    from them: a string whose picked components' x-parts XOR to a nonzero
+    mask averages to zero, and any other product is an x-free string
+    whose average is its i-power, from ``string_product``.  A set without
+    rows forms each product (``vacuum_expectation``).  Its callers average
     products (expectation tables, ``--verify`` samples); a single
     component's average is ``vacuum_expectation`` of the component.
     """
-    n, rows = set_.n, set_.rows
+    n, rows = set_.n, rows_of(set_)
     if rows is None:
         parts = [{I: (), X: (qx,), Y: (qy,), Z: (qz,)}
                  for qx, qy, qz in set_.descriptors]
@@ -376,24 +386,24 @@ def expectations(set_: DescriptorSet,
     return out
 
 
-def z_kernel(set_: DescriptorSet, qubits: Sequence[int]) -> list[tuple[int, int]]:
+def z_kernel(rows: Sequence[Row], qubits: Sequence[int]) -> list[tuple[int, int]]:
     """Basis of the subsets of the qubits' q_z whose product is x-free, each
     with its sign bit (1 where the product averages to -1), from the rows.
 
-    A subset is a mask, bit j for ``qubits[j]``.  The q_z of a set's rows
+    A subset is a mask, bit j for ``qubits[j]``.  The q_z of the rows
     are +1 or -1 strings that commute pairwise, so the product over a
     subset does not depend on the order and a shared factor squares to 1:
     one pass of GF(2) elimination on the x-parts carries each echelon row's
     product (key, i-exponent) along, and a subset that reduces to no x bit
-    is a signed Z-type string, i**k = +1 or -1.
+    is a signed Z-type string, i**k = +1 or -1 (an odd k, +i or -i, is refused).
     """
-    m = x_mask(set_.n)
+    m = x_mask(len(rows))
     # Echelon rows (lowest x bit, key, i-exponent, subset): a row carries no
     # lowest bit of an earlier row, so reducing in order clears them all.
     echelon: list[tuple[int, int, int, int]] = []
     kernel = []
     for j, q in enumerate(qubits):
-        _, _, key, k = set_.rows[q]
+        _, _, key, k = rows[q]
         subset = 1 << j
         for low, kb, kw, sb in echelon:
             if key & low:
@@ -402,6 +412,8 @@ def z_kernel(set_: DescriptorSet, qubits: Sequence[int]) -> list[tuple[int, int]
                 subset ^= sb
         if key & m:
             echelon.append((key & m & -(key & m), key, k, subset))
+        elif k & 1:
+            raise ValueError("probability came out complex")
         else:
             kernel.append((subset, k >> 1 & 1))
     return kernel

@@ -25,7 +25,7 @@ from .pauli import (
 )
 from .engine import (
     AddAncilla, Descriptor, DescriptorSet, Gate,
-    add_ancilla, apply_gate, component_product,
+    add_ancilla, apply_gate, component_product, check_qubits,
 )
 from .density import is_positive
 
@@ -108,8 +108,7 @@ def measure(set_: DescriptorSet, system_qubit: int) -> DescriptorSet:
     averages vanish while z is untouched; the ancilla picks up exactly the
     information carried by the system's q_z.
     """
-    if not 0 <= system_qubit < set_.n:
-        raise ValueError(f"qubit {system_qubit} out of range")
+    check_qubits(set_.n, (system_qubit,))
     grown = add_ancilla(set_)
     return apply_gate(grown, Gate("CNOT", (system_qubit, grown.n - 1)))
 
@@ -132,6 +131,7 @@ def context_factor(set_: DescriptorSet, ctx: RelativeContext) -> PauliSum:
     weight + sum_{nm} <sigma_n x sigma_m> q_{an} q_{bm} for two; for a
     computational-basis pair context the latter is the product of the two
     single-qubit outcome factors."""
+    check_qubits(set_.n, ctx.target_qubits, ContextError)
     factor = PauliSum.identity(set_.n).scale(ctx.weight)
     index = [I] * set_.n
     for key, value in sorted(ctx.table.items()):
@@ -149,6 +149,7 @@ def relative_descriptor(set_: DescriptorSet, qubit: int,
     (``context_factor``).  No normalization by the outcome probability is
     applied.
     """
+    check_qubits(set_.n, (qubit,), ContextError)
     return Descriptor(*(sum_mul(c, factor) for c in set_.descriptor(qubit)))
 
 

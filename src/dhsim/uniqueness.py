@@ -24,25 +24,28 @@ engine's packed rows and (key, k) signed strings with its symplectic
 readers (``rows_of``, ``row_strings``, ``string_product``,
 ``strings_commute``, ``vacuum_sign``) and build every set with
 ``descriptor_set``; no sum of a set of signed strings is multiplied, and
-no set is flipped on its sums.  A sign flip of a row adds 2 to an i-exponent (``_flip``),
-and ``canonical_signs``, the class generation and enumeration share one
-flip rule, ``_canonical``: ``_canonical_flip`` decided on qubit 1's
-leading signs and a given table.  Enumeration and direct construction
-share one search, ``_system_descriptors``, over the packed keys of
-``all_strings``.  The symmetry search and ``apply_transform`` share one
+no set is flipped on its sums.  ``apply_transform``, ``canonical_signs``
+and the class take a set's rows through one refusal of any other set,
+``_signed_pair_rows``.  A sign flip of a row adds 2 to an i-exponent
+(``_flip``), and ``canonical_signs``, the class generation and
+enumeration share one flip rule, ``_canonical``: ``_canonical_flip``
+decided on qubit 1's leading signs and a given table.  Enumeration and
+direct construction share one search, ``_system_descriptors``, over the
+packed keys of ``all_strings``; it places every qubit of a register,
+ancillas too.  The symmetry search and ``apply_transform`` share one
 sign search, ``_transform_signs``; ``density_symmetries`` returns each
 symmetry with the signs it found, the class takes them as they are, and
 a role permutation picks a component's (key, k).  ``validate_basis``
 reads a set of signed strings off its rows, and forms the sixteen
 products, with ``pauli.inner_products``, only for a set with a
-multi-term component; its report carries the
-products' averages as the set's table.  ``generate_equivalent_sets``
-takes a set alone: its report's table decides the canonical seed and
-gives the density whose symmetries it searches.  It builds each set of
-the class once and returns the transforms with the sets, each with the
-table of its report, which ``symmetries --verify`` compares with the
-oracle.  Closure of the symmetries is checked on their
-``(role_perm, swap)`` pairs.
+multi-term component; its report carries the products' averages as the
+set's table.  ``generate_equivalent_sets`` takes a set alone: its
+report's table decides the canonical seed and gives the density whose
+symmetries it searches.  It builds each set of the class once and
+returns the transforms with the sets, each with the table of its
+report, which ``symmetries --verify`` compares with the oracle.
+Closure of the symmetries is checked on their ``(role_perm, swap)``
+pairs.
 """
 
 from __future__ import annotations
@@ -314,11 +317,7 @@ def apply_transform(set_: DescriptorSet, transform: SymmetryTransform
     sign assignment is the first one (in a fixed order preferring +) that
     reproduces the original table exactly.
     """
-    if set_.n != 2:
-        raise ValueError("transforms act on two-qubit sets")
-    rows = rows_of(set_)
-    if rows is None:
-        raise ValueError("transforms act on sets of signed Pauli strings")
+    rows = _signed_pair_rows(set_, "transforms act on")
     table = expectation_table(set_, (0, 1))
     (signs,) = _transform_signs([transform], table)
     if signs is not None:
@@ -328,6 +327,15 @@ def apply_transform(set_: DescriptorSet, transform: SymmetryTransform
             return candidate
     raise ValueError(
         f"transform {transform.slot_cycles()} does not preserve this set's table")
+
+
+def _signed_pair_rows(set_: DescriptorSet, refusal: str) -> tuple[Row, ...]:
+    """The rows of a two-qubit set of signed strings (``rows_of``); any
+    other set is refused with ``refusal`` naming the analysis."""
+    rows = rows_of(set_) if set_.n == 2 else None
+    if rows is None:
+        raise ValueError(f"{refusal} two-qubit sets of signed Pauli strings")
+    return rows
 
 
 def _transformed(comps: Sequence, transform: SymmetryTransform,
@@ -372,11 +380,7 @@ def canonical_signs(set_: DescriptorSet) -> DescriptorSet:
     leaves the expectation table unchanged; otherwise the set's signs stay
     as they are.  The set must be of signed strings.
     """
-    if set_.n != 2:
-        raise ValueError("sign canonicalization is defined for two-qubit sets")
-    rows = rows_of(set_)
-    if rows is None:
-        raise ValueError("sign canonicalization acts on sets of signed Pauli strings")
+    rows = _signed_pair_rows(set_, "sign canonicalization acts on")
     return descriptor_set(_canonical(rows, expectation_table(set_, (0, 1))))
 
 
@@ -414,14 +418,10 @@ def generate_equivalent_sets(set_: DescriptorSet
     seed's.  A candidate equal to an earlier output is that output, already
     checked.  Callers can cross-check the class by brute-force enumeration.
     """
-    if set_.n != 2:
-        raise ValueError("equivalence classes are generated for two-qubit sets")
+    rows = _signed_pair_rows(set_, "equivalence classes are generated for")
     report = validate_basis(set_)
     if not report.well_formed:
         raise ValueError(f"set is not a proper basis: {report.violations}")
-    rows = rows_of(set_)
-    if rows is None:
-        raise ValueError("equivalence classes are generated for sets of signed Pauli strings")
     seed_table = report.table
     comps = [row_strings(row, 2) for row in _canonical(rows, seed_table)]
     found = density_symmetries(table_density(seed_table))
@@ -473,16 +473,17 @@ def _qubit_candidates(rho: DensityMatrix, a: int, strings: list, n: int):
 
 
 def _system_descriptors(rho: DensityMatrix, total: int, strings: list):
-    """Every tuple of (unsigned qubit, sx, sz), one per system qubit of rho,
-    that reproduces rho's single and pair averages on a total-qubit
-    register, ``strings`` being ``all_strings(total)``.
+    """The packed rows of every total-qubit register whose first rho.n
+    qubits reproduce rho's single and pair averages, ``strings`` being
+    ``all_strings(total)``, in a fixed order: by qubit, strings before
+    signs, +1 before -1.
 
     Qubits are placed one at a time.  Each takes anticommuting x and z
     strings (y = i x z) that commute with every component already placed,
-    the stabilizer conditions of quant-ph/0406196.  Solutions come in a
-    fixed order: by qubit, strings before signs, +1 before -1.  The first
-    qubit's candidates are walked once, so they are made as the walk needs
-    them; every later qubit's are a list.
+    the stabilizer conditions of quant-ph/0406196.  An ancilla matches no
+    average and takes signs +1; the system placements commute across
+    qubits, so one always fits and the search never backtracks into it.
+    The first qubit's and the ancillas' candidates are made as needed.
     """
     candidates = [_qubit_candidates(rho, 0, strings, total)] + [
         list(_qubit_candidates(rho, a, strings, total)) for a in range(1, rho.n)]
@@ -495,12 +496,18 @@ def _system_descriptors(rho: DensityMatrix, total: int, strings: list):
 
     def place(placed: tuple):
         a = len(placed)
-        if a == rho.n:
-            yield placed
+        if a == total:
+            yield [_flip((*d[0], *d[2]), sx, sz) for d, sx, sz in placed]
+            return
+        used = [q for prev, _, _ in placed for q in prev]
+        if a >= rho.n:
+            free = [p for p in strings if all(strings_commute(total, p, q) for q in used)]
+            for px, pz in itertools.permutations(free, 2):
+                if not strings_commute(total, px, pz):
+                    yield from place(placed + ((row_strings((*px, *pz), total), 1, 1),))
             return
         for d, signs in candidates[a]:
-            if not all(strings_commute(total, p, q) for p in (d[0], d[2])
-                       for prev, _, _ in placed for q in prev):
+            if not all(strings_commute(total, p, q) for p in (d[0], d[2]) for q in used):
                 continue
             # The unsigned products with every placed qubit, read once for
             # all sign choices.
@@ -527,13 +534,12 @@ def enumerate_valid_sets(rho: DensityMatrix) -> list[DescriptorSet]:
     """
     if rho.n != 2:
         raise ValueError("enumeration is defined for two-qubit densities")
-    first: dict[tuple, tuple] = {}
-    for placed in _system_descriptors(rho, 2, all_strings(2)):
-        first.setdefault(tuple(d for d, _, _ in placed), placed)
+    first: dict[tuple, list] = {}
+    for rows in _system_descriptors(rho, 2, all_strings(2)):
+        first.setdefault(tuple((kx, kz) for kx, _, kz, _ in rows), rows)
     outputs: dict[tuple[str, ...], DescriptorSet] = {}
-    for placed in first.values():
-        set_ = canonical_signs(descriptor_set(
-            [_flip((*d[0], *d[2]), sx, sz) for d, sx, sz in placed]))
+    for rows in first.values():
+        set_ = canonical_signs(descriptor_set(rows))
         outputs.setdefault(set_render_key(set_), set_)
     return [outputs[key] for key in sorted(outputs)]
 
@@ -542,37 +548,16 @@ def construct_from_density(rho: DensityMatrix, ancilla_budget: int = 0):
     """Search for descriptors reproducing a density, growing the register.
 
     Tries registers of size n, n+1, ..., n + ancilla_budget and returns the
-    first set found in canonical search order, or None.  Candidate
-    components are signed single Pauli strings; system qubits occupy the
-    leading slots and any ancillas are completed with compatible
-    descriptors of their own (their choice cannot affect the system table).
-    The search is the one ``enumerate_valid_sets`` walks.
+    first register of ``_system_descriptors``, the search that
+    ``enumerate_valid_sets`` walks, at the smallest size, or None.  System
+    qubits occupy the leading slots and ancillas take the first compatible
+    pairs (their choice cannot affect the system table).
     """
     if rho.n not in (1, 2):
         raise ValueError("direct construction covers 1- or 2-qubit systems")
     if ancilla_budget < 0:
         raise ValueError("ancilla budget must be nonnegative")
     for total in range(rho.n, rho.n + ancilla_budget + 1):
-        strings = all_strings(total)
-        for placed in _system_descriptors(rho, total, strings):
-            completed = _complete_register(total, placed, strings)
-            if completed is not None:
-                return completed
+        if rows := next(_system_descriptors(rho, total, all_strings(total)), None):
+            return descriptor_set(rows)
     return None
-
-
-def _complete_register(total: int, placed: tuple, strings: list) -> DescriptorSet | None:
-    """Extend system placements with ancilla qubits commuting with them:
-    each the first anticommuting pair of the strings that commute with
-    every component so far."""
-    rows = [_flip((*d[0], *d[2]), sx, sz) for d, sx, sz in placed]
-    used = [c for d, _, _ in placed for c in d]
-    while len(rows) < total:
-        free = [p for p in strings if all(strings_commute(total, p, q) for q in used)]
-        pair = next(((px, pz) for px, pz in itertools.permutations(free, 2)
-                     if not strings_commute(total, px, pz)), None)
-        if pair is None:
-            return None
-        rows.append((*pair[0], *pair[1]))
-        used += row_strings(rows[-1], total)
-    return descriptor_set(rows)

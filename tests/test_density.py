@@ -12,7 +12,7 @@ from dhsim.pauli import (
 )
 from dhsim.engine import (
     AddAncilla, Circuit, Descriptor, DescriptorSet, Gate, apply_gate, component_product,
-    evolve_circuit, expectation, gate_steps, initial_set,
+    descriptor_set, evolve_circuit, expectation, gate_steps, initial_set, rows_of,
 )
 from dhsim.density import (
     DensityMatrix, diagonal_probabilities,
@@ -20,7 +20,7 @@ from dhsim.density import (
     reconstruct_density, schmidt_coefficients, simply_reduce,
 )
 from conftest import (
-    count_calls, dense_density, dense_operator, random_circuit, z_projector,
+    count_calls, dense_density, dense_operator, from_xz, random_circuit, z_projector,
 )
 from test_uniqueness_pins import stabilizer_states
 
@@ -111,6 +111,17 @@ class TestReconstructDensity:
                 expectation_table(bell_set, qubits)
             with pytest.raises(ValueError, match="appear more than once"):
                 reconstruct_density(bell_set, qubits)
+        # A qubit outside the register is named, not wrapped onto its end
+        # (-1 would read qubit 2) or left to a bare IndexError.
+        h1 = evolve_circuit(Circuit(2, (Gate("H", (0,)),)))
+        rho = reconstruct_density(h1, [0, 1])
+        for q in (-1, -2, 2):
+            outside = rf"qubits \[{q}\] are outside the 2-qubit register"
+            for call in (expectation_table, reconstruct_density, diagonal_probabilities):
+                with pytest.raises(ValueError, match=outside):
+                    call(h1, [0, q])
+            with pytest.raises(ValueError, match=outside):
+                rho.single(q, X)
 
     def test_unit_trace_and_positivity_random(self):
         rng = random.Random(3)
@@ -394,6 +405,14 @@ class TestDiagonalProbabilities:
         s = z_only_set(PauliSum.single(1, 0, Z, ComplexDyadic(0, 1)))
         with pytest.raises(ValueError, match="came out complex"):
             diagonal_probabilities(s, [0])
+        # q_z = i Z with q_y = i q_x q_z is a set of signed strings: its
+        # rows, read off the sums or kept by ``descriptor_set``, are refused
+        # as the formed product is.
+        signed = DescriptorSet(1, (from_xz(PauliSum.single(1, 0, X),
+                                           PauliSum.single(1, 0, Z, ComplexDyadic(0, 1))),))
+        for s in (signed, descriptor_set(rows_of(signed))):
+            with pytest.raises(ValueError, match="came out complex"):
+                diagonal_probabilities(s, [0])
 
     def test_matches_reconstructed_density_diagonal(self):
         rng = random.Random(19)

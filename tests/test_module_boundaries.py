@@ -20,7 +20,8 @@ Every record type is a `typing.NamedTuple`, so no module imports
 `dataclasses`, which a one-shot report would pay for with `inspect`.
 Each rule of a product is written once: a key's Y count in
 `pauli.key_phase` and a coefficient's quarter turn in one `ComplexDyadic`
-method.
+method.  `engine.rows_of` is the one switch between rows and sums: no
+other function reads `DescriptorSet.rows`.
 """
 
 import ast
@@ -263,3 +264,15 @@ def test_one_copy_of_each_product_rule():
               for rule, pattern in PRODUCT_RULES.items()}
     assert places == {"y count": {"pauli.py:key_phase"},
                       "quarter turn": {"pauli.py:_times"}}
+
+
+def test_rows_read_only_by_rows_of():
+    """Every reader of a set's packed rows asks ``engine.rows_of``, which
+    also reads them off a set of signed strings; nothing else reads the
+    ``rows`` field."""
+    readers = {f"{path.name}:{where}"
+               for path in MODULES
+               for where, node in _nodes_by_function(
+                   ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr == "rows"}
+    assert readers == {"engine.py:rows_of"}

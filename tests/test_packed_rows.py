@@ -1,22 +1,26 @@
-"""A set built from packed rows answers every analysis from its rows; the
-same set rebuilt without them forms each product.  Both must agree on every
-average, table, diagonal and single, and on every error, and a two-qubit
-set of signed strings must get the same basis report from its rows as from
-its sixteen formed products."""
+"""A set of signed strings answers every analysis from its rows
+(``engine.rows_of``); with every reader of rows limited to a set's own
+``rows`` field (``product_path``), the same set rebuilt without them forms
+each product.  Both must agree on every average, table, diagonal and
+single, and on every error, and a two-qubit set of signed strings must get
+the same basis report from its rows as from its sixteen formed
+products."""
 
+import contextlib
 import random
 
 import pytest
 
-from dhsim import cli, uniqueness
+from dhsim import cli, density, engine, pauli, uniqueness
 from dhsim.pauli import I, X, Y, Z, DimensionError
 from dhsim.engine import (
     AddAncilla, Circuit, DescriptorSet, Gate, descriptor_set, evolve_circuit,
     expectations, row_strings, rows_of,
 )
 from dhsim.density import diagonal_probabilities, expectation_table
+from dhsim.relative import measure
 from dhsim.uniqueness import generate_equivalent_sets, validate_basis
-from conftest import random_gate
+from conftest import count_calls, random_gate
 from test_uniqueness_pins import stabilizer_states
 
 
@@ -37,6 +41,17 @@ def circuit_with_ancillas(rng: random.Random, n: int) -> Circuit:
 
 def without_rows(set_: DescriptorSet) -> DescriptorSet:
     return DescriptorSet(set_.n, set_.descriptors, set_.history)
+
+
+@contextlib.contextmanager
+def product_path(monkeypatch):
+    """Every reader of rows, in ``engine``, ``density`` and ``uniqueness``,
+    gets only a set's own ``rows`` field, so a set without it forms its
+    products: the reference for the row path."""
+    with monkeypatch.context() as patch:
+        for module in (engine, density, uniqueness):
+            patch.setattr(module, "rows_of", lambda set_: set_.rows)
+        yield
 
 
 def outcome(call, *args):
@@ -80,16 +95,40 @@ def analyses(set_: DescriptorSet, seed: int) -> dict:
 
 
 @pytest.mark.parametrize("n", range(1, 65))
-def test_rows_and_descriptors_agree(n):
+def test_rows_and_descriptors_agree(n, monkeypatch):
     rng = random.Random(3100 + n)
     set_ = evolve_circuit(circuit_with_ancillas(rng, n))
     plain = without_rows(set_)
     assert set_.n == n and set_.rows is not None and plain.rows is None
     assert plain == set_
-    got, want = analyses(set_, n), analyses(plain, n)
+    got = analyses(set_, n)
+    with product_path(monkeypatch):
+        assert engine.rows_of(plain) is None
+        want = analyses(plain, n)
     assert got["bad letter"][0] is ValueError
     assert got["short pick"][0] is DimensionError
     assert got == want
+
+
+def test_signed_string_sets_form_no_product(swap_result, monkeypatch):
+    """Sets of signed strings without a ``rows`` field of their own, one
+    built by ``relative.measure``, one rebuilt without its rows and the
+    swap's reduced pairs, read their averages, tables and diagonals off
+    ``rows_of``: no ``sum_mul`` call multiplies two or more factors, and
+    the values are the product path's."""
+    rng = random.Random(45)
+    measured = evolve_circuit(circuit_with_ancillas(rng, 4))
+    for qubit in (0, 2):
+        measured = measure(measured, qubit)
+    sets = [measured, without_rows(evolve_circuit(circuit_with_ancillas(rng, 6)))]
+    sets += [DescriptorSet(2, (o.reduced_1, o.reduced_4))
+             for o in swap_result.relative_bell]
+    assert len(sets) == 6 and all(set_.rows is None for set_ in sets)
+    calls = count_calls(monkeypatch, pauli, "sum_mul")
+    got = [analyses(set_, seed) for seed, set_ in enumerate(sets)]
+    assert calls and [len(factors) for factors in calls if len(factors) > 1] == []
+    with product_path(monkeypatch):
+        assert got == [analyses(set_, seed) for seed, set_ in enumerate(sets)]
 
 
 def test_a_row_that_disagrees_is_seen():
@@ -102,10 +141,9 @@ def test_a_row_that_disagrees_is_seen():
 
 
 def _sum_path_report(set_, monkeypatch):
-    """``validate_basis`` of the set rebuilt without rows, with no rows read
-    off its sums either, so it forms its sixteen products."""
-    with monkeypatch.context() as patch:
-        patch.setattr(uniqueness, "rows_of", lambda set_: None)
+    """``validate_basis`` of the set rebuilt without rows, on the product
+    path, so it forms its sixteen products."""
+    with product_path(monkeypatch):
         return validate_basis(set_._replace(rows=None))
 
 

@@ -301,6 +301,16 @@ class TestContextValidation:
         # Accepted, the pair context would condition on q_0z q_0z = 1.
         with pytest.raises(ContextError, match=r"\(0, 0\) repeat a qubit"):
             RelativeContext((0, 0), {(Z, Z): 1})
+        # A qubit outside the register is named where the context meets a
+        # set, not wrapped onto its end (-2 would read qubit 1).
+        s = apply_gate(initial_set(2), Gate("H", (0,)))
+        factor = context_factor(s, RelativeContext.bloch(0, 1, 0, 0))
+        for q in (-1, -2, 2):
+            outside = rf"qubits \[{q}\] are outside the 2-qubit register"
+            with pytest.raises(ContextError, match=outside):
+                context_factor(s, RelativeContext.bloch(q, 1, 0, 0))
+            with pytest.raises(ContextError, match=outside):
+                relative_descriptor(s, q, factor)
 
     @pytest.mark.parametrize("bit", [2, -1])
     def test_computational_outcome_must_be_a_bit(self, bit):
