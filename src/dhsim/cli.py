@@ -33,10 +33,11 @@ import sys
 from fractions import Fraction
 from typing import Any, Iterable, NamedTuple
 
-from .pauli import I, X, Y, Z, ComplexDyadic, vacuum_expectation
+from .pauli import I, X, Y, Z, ComplexDyadic
 from .engine import (
     GATE_ARITY, AddAncilla, Circuit, Descriptor, DescriptorSet, Gate,
-    evolve_circuit, expectations, gate_steps, step_label,
+    descriptor_texts, evolve_circuit, expectations, gate_steps, single_averages,
+    step_label,
 )
 
 EXIT_OK = 0
@@ -95,8 +96,11 @@ def _error_at(lineno: int, line: str, index: int, message: str) -> ParseError:
 def parse_circuit(text: str, max_qubits: int = DEFAULT_MAX_QUBITS) -> Circuit:
     """Line-oriented circuit parser with located errors.
 
-    A gate line with the tokens of an earlier one reuses its ``Gate``: the
-    labels were in range then, and the register only grows.
+    It checks each gate line's kind, arity, distinct labels and range on
+    the register at that line, ancillas included, so it builds its
+    ``Gate``s and ``Circuit`` past their constructors' checks, which guard
+    circuits built in code.  A gate line with the tokens of an earlier one
+    reuses its ``Gate``: the register only grows.
     """
     n: int | None = None
     initial_n = 0
@@ -160,12 +164,12 @@ def parse_circuit(text: str, max_qubits: int = DEFAULT_MAX_QUBITS) -> Circuit:
             operands.append(label - 1)
         if len(set(operands)) != len(operands):
             raise _error_at(lineno, line, 1, f"{word} operands must be distinct")
-        gate = seen[key] = Gate(word.upper(), tuple(operands))
+        gate = seen[key] = tuple.__new__(Gate, (word.upper(), tuple(operands)))
         steps.append(gate)
 
     if n is None:
         raise ParseError(1, 1, "missing qubits declaration")
-    return Circuit(initial_n, steps)
+    return tuple.__new__(Circuit, (initial_n, tuple(steps)))
 
 
 # -- report primitives ----------------------------------------------------
@@ -180,35 +184,29 @@ def _num(value) -> dict:
     return {"exact": str(frac), "float": float(frac)}
 
 
-def _num_once(rendered: dict, key, value) -> dict:
-    """``_num(value)``, rendered once per distinct ``key``: a Clifford
-    diagonal holds at most two values, and a Clifford single is 0 or ±1."""
-    num = rendered.get(key)
-    if num is None:
-        num = rendered[key] = _num(value)
-    return num
+class _Shared(dict):
+    """A ``_num`` rendering that ``_nums`` shares among its uses, so that
+    ``render_json`` writes its text once per depth."""
+
+    __slots__ = ()
+
+
+def _nums(values: list) -> list[dict]:
+    """``_num`` of each value as one ``_Shared`` per distinct object: a
+    Clifford diagonal holds at most two, and a Clifford single is ZERO or
+    i**k."""
+    rendered: dict[int, dict] = {}
+    return [rendered.get(id(v)) or rendered.setdefault(id(v), _Shared(_num(v)))
+            for v in values]
 
 
 def _descriptor_rows(set_: DescriptorSet) -> list[dict]:
-    return [{"qubit": q + 1, **dict(zip("xyz", _render3(d)))}
-            for q, d in enumerate(set_.descriptors)]
+    return [{"qubit": q + 1, "x": x, "y": y, "z": z}
+            for q, (x, y, z) in enumerate(descriptor_texts(set_))]
 
 
 def _render3(d: Descriptor) -> list[str]:
     return [c.render() for c in d]
-
-
-def _singles(set_: DescriptorSet) -> list[ComplexDyadic]:
-    """The exact average of each qubit's q_x, q_y and q_z: the vacuum
-    average of the component itself, with no product formed."""
-    return [vacuum_expectation(c) for d in set_.descriptors for c in d]
-
-
-def _singles_rows(singles: list[ComplexDyadic]) -> list[dict]:
-    rendered: dict[str, dict] = {}
-    nums = [_num_once(rendered, str(v), v) for v in singles]
-    return [{"qubit": q + 1, **dict(zip("xyz", nums[3 * q:3 * q + 3]))}
-            for q in range(len(nums) // 3)]
 
 
 def _history_rows(set_: DescriptorSet) -> list[str]:
@@ -282,21 +280,21 @@ def _load_circuit(cfg: RunConfig) -> Circuit:
 
 def _cmd_run(cfg: RunConfig) -> dict:
     set_ = evolve_circuit(_load_circuit(cfg))
-    singles = _singles(set_)
+    singles = single_averages(set_)
+    nums = _nums(singles)
     sections: dict = {
         "qubits": set_.n,
         "history": _history_rows(set_),
         "descriptors": _descriptor_rows(set_),
-        "singles": _singles_rows(singles),
+        "singles": [{"qubit": q + 1, **dict(zip("xyz", nums[3 * q:3 * q + 3]))}
+                    for q in range(set_.n)],
     }
     if set_.n <= DIAGONAL_MAX_QUBITS:
         from .density import diagonal_probabilities
-        rendered: dict[tuple[int, int], dict] = {}
         probs = diagonal_probabilities(set_, range(set_.n))
-        sections["diagonal"] = [
-            {"bitstring": format(k, f"0{set_.n}b"),
-             "probability": _num_once(rendered, (p.numerator, p.denominator), p)}
-            for k, p in enumerate(probs)]
+        width = f"0{set_.n}b"
+        sections["diagonal"] = [{"bitstring": format(k, width), "probability": num}
+                                for k, num in enumerate(_nums(probs))]
         if set_.n == 2:
             from .density import density_report
             sections["pair_analysis"] = density_report(set_, [0, 1], probs)
@@ -506,10 +504,11 @@ def render_json(report: dict) -> str:
 
     ``indent`` turns ``json``'s C encoder off; this writer keeps its C string
     escaping (``encode_basestring``) and ``float.__repr__``.  A dict key
-    that is not a string raises TypeError.
+    that is not a string raises TypeError.  A value that ``_nums`` shares
+    is rendered once per depth, for this call only.
     """
     out: list[str] = []
-    _write_json(report, "\n", out.append)
+    _write_json(report, "\n", out.append, {})
     out.append("\n")
     return "".join(out)
 
@@ -521,10 +520,19 @@ _SCALARS = {str: _encode_str, int: int.__repr__,
             bool: {True: "true", False: "false"}.__getitem__, type(None): lambda v: "null"}
 
 
-def _write_json(value: Any, newline: str, put) -> None:
+def _write_json(value: Any, newline: str, put, memo: dict) -> None:
     """Put the JSON text of ``value``, its nested lines starting ``newline``:
-    a container puts each scalar item inline, recursing only into containers."""
-    if isinstance(value, dict):
+    a container puts each scalar item inline, recursing only into containers.
+    A ``_Shared`` value is put from ``memo``, keyed by its id and depth,
+    where its first use at that depth keeps its text."""
+    if type(value) is _Shared:
+        at = id(value), len(newline)
+        if at not in memo:
+            parts: list[str] = []
+            _write_json(dict(value), newline, parts.append, memo)
+            memo[at] = "".join(parts)
+        put(memo[at])
+    elif isinstance(value, dict):
         inner = newline + "  "
         sep, comma = "{" + inner, "," + inner
         for key in sorted(value):
@@ -532,7 +540,7 @@ def _write_json(value: Any, newline: str, put) -> None:
             scalar = _SCALARS.get(type(item))
             if scalar is None:
                 put(f"{sep}{_encode_str(key)}: ")
-                _write_json(item, inner, put)
+                _write_json(item, inner, put, memo)
             else:
                 put(f"{sep}{_encode_str(key)}: {scalar(item)}")
             sep = comma
@@ -544,7 +552,7 @@ def _write_json(value: Any, newline: str, put) -> None:
             scalar = _SCALARS.get(type(item))
             if scalar is None:
                 put(sep)
-                _write_json(item, inner, put)
+                _write_json(item, inner, put, memo)
             else:
                 put(sep + scalar(item))
             sep = comma

@@ -1,10 +1,10 @@
 """Density reconstruction and state diagnostics from descriptor averages.
 
 Everything here is exact, with no floats: expectation tables, diagonal
-probabilities (uniform on an affine subspace read off the GF(2) kernel of
-the q_z x-parts, ``engine.z_kernel``, for a set with packed rows, a
-Walsh-Hadamard transform of the subset-product averages otherwise),
-purity sums, Schmidt combinations,
+probabilities (uniform on an affine subspace, one bitset, read off the
+GF(2) kernel of the q_z x-parts, ``engine.z_kernel``, for a set with
+packed rows, a Walsh-Hadamard transform of the subset-product averages
+otherwise), purity sums, Schmidt combinations,
 the positivity of a density (``is_positive``, fraction-free elimination
 over the Gaussian integers) and mixture weights
 (``mixture_representation``, Gaussian elimination over the rationals).
@@ -182,7 +182,8 @@ def diagonal_probabilities(set_: DescriptorSet, qubits: Sequence[int]) -> list[F
     product, and those signs multiply over K.  So the sum is 2^(dim K - k)
     where (-1)^(b.S) equals the sign for every basis subset S, and 0
     elsewhere: an affine subspace, read off the rows by ``z_kernel`` with
-    no product formed.
+    no product formed.  Its indicator is one int of 2^k bits, the AND of
+    one parity bitset per basis subset, each built by doubling.
 
     Any other set takes the full sum: the subset products are built by
     doubling, one ``sum_mul`` each, and their vacuum averages go through an
@@ -198,10 +199,17 @@ def diagonal_probabilities(set_: DescriptorSet, qubits: Sequence[int]) -> list[F
     if (rows := rows_of(set_)) is not None:
         # (subset, parity of b.S where the product of S averages to -1)
         kernel = z_kernel(rows, qubits[::-1])
+        # Bit b of ``inside`` is set where b lies on the affine subspace.
+        full = inside = (1 << size) - 1
+        for subset, odd in kernel:
+            parity = 0      # bit b set where b.S is odd, doubled to each b < 2**k
+            for j in range(len(qubits)):
+                flip = (1 << (1 << j)) - 1 if subset >> j & 1 else 0
+                parity |= (parity ^ flip) << (1 << j)
+            inside &= parity if odd else parity ^ full
         weight, zero = Fraction(1 << len(kernel), size), Fraction(0)
-        return [weight if all((b & subset).bit_count() & 1 == odd
-                              for subset, odd in kernel) else zero
-                for b in range(size)]
+        return [weight if bit == "1" else zero      # bit 0 of ``inside`` first
+                for bit in reversed(format(inside, f"0{size}b"))]
     factors = [set_.component(qubit, Z) for qubit in reversed(qubits)]
     products = [PauliSum.identity(set_.n)]
     for qz in factors:

@@ -14,25 +14,23 @@ outside S never change.  This is exactly the composition order demanded by
 U^dagger sigma U with U = V_k ... V_0, and it is why rewriting the letters
 of the evolved strings in place would be wrong.
 
-A gate kind is one ``_RULES`` entry, with one row triple per operand, so
-its arity is its row count (``GATE_ARITY``).  ``apply_gate`` rewrites a
-set's operands through all three rows (``_rewrite``), as a relative
-descriptor may have several terms.  From |0...0>, q_y = i q_x q_z holds
-throughout, so ``fold`` runs a circuit on packed (key, i-exponent) X and Z
-rows only, as the stabilizer tableau does; ``evolve_circuit`` and the
-dependency trace, through which every report's circuit goes, consume it
-and build their sums once (``descriptor_set``), and the set keeps those
-rows.  ``rows_of`` is the one switch between rows and sums: it returns a
-set's own rows, else reads them off a set whose components are all
-signed strings (``apply_gate``, ``add_ancilla``, ``relative.measure``, a
-set rebuilt without its rows).  ``expectations``, the diagonal's
-``z_kernel`` and the two-qubit analyses read what it returns; only a set
-with some other component (a multi-term relative descriptor, say) has
-no rows, and forms each product.  Every reader of a row's three
-components calls ``row_strings``, and signed strings are multiplied,
-commuted and averaged with ``string_product``, ``strings_commute`` and
-``vacuum_sign``; ``string_product`` is also the one product of signed
-strings that ``expectations`` forms.
+A gate kind is one ``_RULES`` entry, one row triple per operand
+(``GATE_ARITY``); ``apply_gate`` rewrites a set's operands through all
+three rows (``_rewrite``), as a relative descriptor may have several
+terms.  From |0...0>, q_y = i q_x q_z holds throughout, so ``fold`` runs
+a circuit on packed (key, i-exponent) X and Z rows only, as the
+stabilizer tableau does, under a flat table of the rules' X and Z rows;
+``evolve_circuit`` and the dependency trace consume it, and the set they
+build (``descriptor_set``) keeps the rows.  ``rows_of`` is the one switch
+between rows and sums: it returns a set's own rows, else reads them off a
+set whose components are all signed strings.  The averages
+(``expectations``), the diagonal's ``z_kernel``, the report's text and
+singles (``descriptor_texts``, ``single_averages``) and the two-qubit
+analyses read what it returns; only a set with some other component (a
+multi-term relative descriptor, say) forms products and renders sums.
+A row's three components are read by ``row_strings``, and signed strings
+are multiplied, commuted and averaged with ``string_product``,
+``strings_commute`` and ``vacuum_sign``.
 """
 
 from __future__ import annotations
@@ -44,7 +42,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .pauli import (
     I, X, Y, Z,
     ZERO, ComplexDyadic, DimensionError, PauliSum,
-    key_phase, key_support, slot_key, sum_mul, vacuum_expectation, x_mask,
+    key_phase, key_support, render_term, slot_key, sum_mul, vacuum_expectation,
+    x_mask,
 )
 
 # Heisenberg rewrite V^dagger sigma V, one form for every kind: per operand
@@ -74,18 +73,19 @@ String = tuple[int, int]
 
 # The fold keeps each qubit's q_x and q_z as a packed row (key_x, k_x,
 # key_z, k_z), a component being i**k times the bare string of its key.  Its
-# rules are the X and Z rows of ``_RULES`` as (k, first, rest): the sign as
-# i**k, a factor as (position, index of its key in a row), Y as i q_x q_z.
+# rules are the X and Z rows of ``_RULES`` in flat form (k, first, rest): the
+# sign as i**k, Y as i q_x q_z, and each factor as the index of its key in
+# the operands' rows joined as one tuple, its i-exponent at the next index.
 Row = tuple[int, int, int, int]
 _KEYS = {X: (0,), Y: (0, 2), Z: (2,)}
 
 
 def _packed_row(sign: int, factors: tuple) -> tuple:
-    keys = [(pos, c) for pos, letter in factors for c in _KEYS[letter]]
+    keys = [4 * pos + c for pos, letter in factors for c in _KEYS[letter]]
     return 1 - sign + sum(letter == Y for _, letter in factors), keys[0], tuple(keys[1:])
 
 
-_PACKED_RULES = {kind: tuple((_packed_row(*x_row), _packed_row(*z_row))
+_PACKED_RULES = {kind: tuple(_packed_row(*x_row) + _packed_row(*z_row)
                              for x_row, _, z_row in rows)
                  for kind, rows in _RULES.items()}
 
@@ -198,10 +198,13 @@ class DescriptorSet(NamedTuple):
         return hash(self[:2])
 
     def descriptor(self, qubit: int) -> Descriptor:
+        """The qubit's descriptor; ``check_qubits`` refuses one outside."""
+        if not 0 <= qubit < self.n:
+            check_qubits(self.n, (qubit,))
         return self.descriptors[qubit]
 
     def component(self, qubit: int, which: int) -> PauliSum:
-        return self.descriptors[qubit].component(which)
+        return self.descriptor(qubit).component(which)
 
 
 def initial_set(n: int) -> DescriptorSet:
@@ -254,6 +257,29 @@ def rows_of(set_: DescriptorSet) -> tuple[Row, ...] | None:
             return None
         rows.append((*x, *z))
     return tuple(rows)
+
+
+def descriptor_texts(set_: DescriptorSet) -> list[tuple[str, str, str]]:
+    """Each qubit's q_x, q_y and q_z as text: each signed string of a row
+    (``rows_of``) through ``render_term``, else each sum's ``render``."""
+    n, rows = set_.n, rows_of(set_)
+    if rows is None:
+        return [tuple(c.render() for c in d) for d in set_.descriptors]
+    i_power = ComplexDyadic.i_power
+    return [tuple(render_term(key, i_power(k), n) for key, k in row_strings(row, n))
+            for row in rows]
+
+
+def single_averages(set_: DescriptorSet) -> list[ComplexDyadic]:
+    """The vacuum average of each qubit's q_x, q_y and q_z, qubit by qubit:
+    off a row (``rows_of``) ZERO for a string with an x bit and its i-power
+    otherwise, else ``vacuum_expectation`` of each component."""
+    n, rows = set_.n, rows_of(set_)
+    if rows is None:
+        return [vacuum_expectation(c) for d in set_.descriptors for c in d]
+    m, i_power = x_mask(n), ComplexDyadic.i_power
+    return [ZERO if key & m else i_power(k)
+            for row in rows for key, k in row_strings(row, n)]
 
 
 def all_strings(n: int) -> list[String]:
@@ -421,10 +447,11 @@ def z_kernel(rows: Sequence[Row], qubits: Sequence[int]) -> list[tuple[int, int]
 
 def fold(circuit: Circuit) -> Iterator[list[Row]]:
     """The fresh register's packed rows, then the same list after each step
-    of the circuit: a gate replaces its operands' rows under the X and Z
-    rows of its rule, each product one ``key_phase``; an ancilla appends a
-    fresh row, as a key does not depend on the register width.  ``Circuit``
-    has range-checked every step, so none is checked again."""
+    of the circuit: a gate replaces each operand's row by one tuple under
+    the flat X and Z rows of its rule, read off its operands' rows joined,
+    each product one ``key_phase``; an ancilla appends a fresh row, as a
+    key does not depend on the register width.  ``Circuit`` (or
+    ``cli.parse_circuit``) has range-checked every step."""
     rows = _fresh_rows(circuit.initial_qubits)
     m = x_mask(len(rows))
     yield rows
@@ -433,17 +460,19 @@ def fold(circuit: Circuit) -> Iterator[list[Row]]:
             rows += _fresh_rows(len(rows) + 1, len(rows))
             m = x_mask(len(rows))
         else:
-            old = [rows[q] for q in step.operands]
-            for q, rule in zip(step.operands, _PACKED_RULES[step.kind]):
-                new = []
-                for k, (pos, c), rest in rule:
-                    key, k = old[pos][c], k + old[pos][c + 1]
-                    for pos, c in rest:
-                        kb = old[pos][c]
-                        k += old[pos][c + 1] + key_phase(key, kb, m)
-                        key ^= kb
-                    new += key, k & 3
-                rows[q] = tuple(new)
+            kind, operands = step
+            old = ()
+            for q in operands:
+                old += rows[q]
+            for q, (kx, ix, rest_x, kz, iz, rest_z) in zip(operands, _PACKED_RULES[kind]):
+                key_x, kx, key_z, kz = old[ix], kx + old[ix + 1], old[iz], kz + old[iz + 1]
+                for j in rest_x:
+                    kx += old[j + 1] + key_phase(key_x, old[j], m)
+                    key_x ^= old[j]
+                for j in rest_z:
+                    kz += old[j + 1] + key_phase(key_z, old[j], m)
+                    key_z ^= old[j]
+                rows[q] = key_x, kx & 3, key_z, kz & 3
         yield rows
 
 

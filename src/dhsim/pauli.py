@@ -18,10 +18,9 @@ with y(k) = popcount(k & k >> 1 & M), the number of Y slots, and M the
 Z X = -X Z.  The vacuum keeps exactly the keys with no x bit.  There is
 no string class: a signed Pauli string is a one-term sum or, in the
 engine's packed rows only, a (key, i-exponent) int pair, which ``slot_key``,
-``key_phase``, ``key_support``, ``x_mask``, ``PauliSum.from_key`` and its
-inverse ``PauliSum.as_key`` serve.  The engine reads averages, the
-diagonal's kernel and the signed-string products, commutations and
-vacuum signs of the two-qubit analyses off those rows.
+``key_phase``, ``key_support``, ``x_mask``, ``render_term``,
+``PauliSum.from_key`` and its inverse ``PauliSum.as_key`` serve.
+``render_term`` is the one renderer of a term, for sums and rows alike.
 
 ``sum_mul`` and ``vacuum_expectation`` take an ordered product of any
 number of sums, multiplied pairwise, left to right: a pair of terms gives
@@ -247,6 +246,20 @@ _BYTE_LETTERS = [tuple(_LETTER_OF_CODE[b >> s & 3] for s in (0, 2, 4, 6))
                  for b in range(256)]
 
 
+# The text of every byte of a key: its four letters, lowest slot first,
+# each followed by "⊗".
+_SLOT_TEXT = [LETTER_NAMES[letter] + "⊗" for letter in _LETTER_OF_CODE]
+_BYTE_TEXT = [a + b + c + d for d in _SLOT_TEXT for c in _SLOT_TEXT
+              for b in _SLOT_TEXT for a in _SLOT_TEXT]
+
+
+def render_term(key: int, coef: ComplexDyadic, n: int) -> str:
+    """The text ``coef * L0⊗L1⊗...`` of coef times the n-slot string of a
+    packed key, read a byte (four slots) at a time."""
+    text = "".join([_BYTE_TEXT[byte] for byte in key.to_bytes((n + 3) // 4, "little")])
+    return f"{coef} * {text[:2 * n - 1]}"
+
+
 def _unpack(key: int, n: int) -> Letters:
     """The n letters of a key, read a byte (four slots) at a time."""
     letters: list[int] = []
@@ -293,10 +306,9 @@ class PauliSum:
     Canonical form stores one coefficient per bare letter sequence (string
     phases folded into coefficients), keyed by its packed int, and never
     keeps a zero term.  Values are immutable; all operations return new
-    sums.  So a sum remembers its text once it is first asked for.
-    """
+    sums."""
 
-    __slots__ = ("n", "_terms", "_text")
+    __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: Mapping[Letters, ComplexDyadic] | None = None):
         self.n = n
@@ -307,7 +319,6 @@ class PauliSum:
                 if coef:
                     canon[key] = ComplexDyadic.of(coef)
         self._terms = canon
-        self._text = None
 
     def _key(self, letters: Letters) -> int:
         if len(letters) != self.n:
@@ -320,7 +331,6 @@ class PauliSum:
         out = _new(PauliSum)
         out.n = n
         out._terms = terms
-        out._text = None
         return out
 
     # -- constructors ---------------------------------------------------
@@ -448,13 +458,13 @@ class PauliSum:
         """Canonical text form: lexicographically sorted terms.
 
         Each term reads ``coef * L0(x)L1(x)...`` with an exact fraction
-        coefficient, e.g. ``-1/2 * Z(x)X`` (with a real tensor sign).
+        coefficient, e.g. ``-1/2 * Z(x)X`` (with a real tensor sign), as
+        ``render_term`` writes it.
         """
-        if self._text is None:
-            self._text = " + ".join(
-                f"{coef} * " + "⊗".join(map(LETTER_NAMES.__getitem__, letters))
-                for letters, coef in self.terms()) or "0"
-        return self._text
+        n = self.n
+        return " + ".join(
+            render_term(key, coef, n) for key, coef
+            in sorted(self._terms.items(), key=lambda term: _unpack(term[0], n))) or "0"
 
     def __str__(self) -> str:
         return self.render()

@@ -59,7 +59,8 @@ from .pauli import (
 )
 from .engine import (
     DescriptorSet, Row, all_strings, component_product, descriptor_set,
-    row_strings, rows_of, string_product, strings_commute, vacuum_sign,
+    descriptor_texts, row_strings, rows_of, string_product, strings_commute,
+    vacuum_sign,
 )
 from .density import DensityMatrix, expectation_table, table_density
 
@@ -399,8 +400,7 @@ def _canonical_flip(sx: int, sz: int, table) -> tuple[int, int]:
 
 
 def set_render_key(set_: DescriptorSet) -> tuple[str, ...]:
-    return tuple(set_.component(a, r).render()
-                 for a in range(set_.n) for r in COMPONENTS)
+    return tuple(text for texts in descriptor_texts(set_) for text in texts)
 
 
 def generate_equivalent_sets(set_: DescriptorSet

@@ -429,14 +429,14 @@ class TestVerificationFailurePath:
         from dhsim import cli as cli_mod
         path = tmp_path / "ten.dh"
         path.write_text("qubits 10\nx 1\nh 2\nh 3\ns 3\nh 4\ncnot 4 5\n")
-        real = cli_mod._singles
+        real = cli_mod.single_averages
 
         def negated_singles(set_):
             return [-v for v in real(set_)]
 
         cfg = RunConfig("run", str(path), verify=True)
         assert run_report(cfg)[0] == EXIT_OK
-        monkeypatch.setattr(cli_mod, "_singles", negated_singles)
+        monkeypatch.setattr(cli_mod, "single_averages", negated_singles)
         code, report = run_report(cfg)
         # Qubit 1 is |1>: its z average is -1, printed here as +1.
         assert report["sections"]["singles"][0]["z"]["exact"] == "1"
@@ -1168,6 +1168,18 @@ class TestRenderJson:
         finally:
             if enabled:
                 gc.enable()
+
+    def test_a_shared_number_at_two_depths(self):
+        """One number that ``_nums`` shares, held under dict keys at two
+        depths and twice in one list: the writer keeps its text per depth,
+        so each use has its own indentation."""
+        from fractions import Fraction
+        from dhsim import cli as cli_mod
+        shared, again = cli_mod._nums([Fraction(-1, 2), Fraction(-1, 2)])
+        assert shared is not again and shared == {"exact": "-1/2", "float": -0.5}
+        value = {"a": shared, "b": {"c": shared, "d": [shared, again]},
+                 "e": [{"f": shared}, {"f": shared}], "g": shared}
+        assert render_json(value) == _dumps(value)
 
     def test_edge_values(self):
         assert render_json(self.EDGE) == _dumps(self.EDGE)

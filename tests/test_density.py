@@ -112,7 +112,8 @@ class TestReconstructDensity:
             with pytest.raises(ValueError, match="appear more than once"):
                 reconstruct_density(bell_set, qubits)
         # A qubit outside the register is named, not wrapped onto its end
-        # (-1 would read qubit 2) or left to a bare IndexError.
+        # (-1 would read qubit 2) or left to a bare IndexError, by the
+        # analyses and by the set's own accessors.
         h1 = evolve_circuit(Circuit(2, (Gate("H", (0,)),)))
         rho = reconstruct_density(h1, [0, 1])
         for q in (-1, -2, 2):
@@ -122,6 +123,10 @@ class TestReconstructDensity:
                     call(h1, [0, q])
             with pytest.raises(ValueError, match=outside):
                 rho.single(q, X)
+            with pytest.raises(ValueError, match=outside):
+                h1.descriptor(q)
+            with pytest.raises(ValueError, match=outside):
+                h1.component(q, X)
 
     def test_unit_trace_and_positivity_random(self):
         rng = random.Random(3)

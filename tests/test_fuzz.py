@@ -21,6 +21,7 @@ from dhsim.cli import (
     DEFAULT_MAX_QUBITS, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, SUBCOMMANDS,
     ParseError, RunConfig,
 )
+from dhsim.engine import AddAncilla, Circuit, Gate
 
 SEED = 14
 CASES = 1000
@@ -160,3 +161,35 @@ def test_mutated_command_lines(tmp_path, monkeypatch, capsys):
     # The cases reach the reports, the verified ones, and the parse errors.
     assert seen[EXIT_OK] >= 50 and seen[EXIT_USAGE] >= 100, seen
     assert verified >= 10 and located >= 100, (verified, located)
+
+
+def test_parsed_circuits_pass_the_checking_constructors():
+    """``parse_circuit`` builds its ``Gate``s and ``Circuit`` past the
+    constructors' checks.  Every circuit it accepts, from the valid
+    circuits, every one- and two-label line of each kind on a register
+    grown by an ancilla, and seeded mutations of the valid circuits, under
+    a few register caps, equals the circuit rebuilt through ``Gate`` and
+    ``Circuit``, which raise on anything their checks refuse: the
+    parser's checks drop nothing."""
+    rng = random.Random(SEED + 1)
+    accepted = gates = 0
+    corpus = [text.encode() for text in CIRCUITS]
+    corpus += [f"qubits 2\nh 1\nancilla\n{kind} {labels}\n".encode()
+               for kind in ("h", "S", "cnot", "Bell")
+               for labels in ["1", "3", "4", "0"] + [f"{a} {b}" for a in range(5)
+                                                      for b in range(5)]]
+    corpus += [_mutate(rng, rng.choice(CIRCUITS)) for _ in range(CASES)]
+    for data in corpus:
+        try:
+            text = data.removeprefix(codecs.BOM_UTF8).decode("utf-8")
+            circuit = cli.parse_circuit(text, rng.choice((2, 4, DEFAULT_MAX_QUBITS)))
+        except (ParseError, UnicodeDecodeError):
+            continue
+        rebuilt = Circuit(circuit.initial_qubits,
+                          [AddAncilla() if isinstance(step, AddAncilla)
+                           else Gate(step.kind, step.operands) for step in circuit.steps])
+        assert type(circuit) is Circuit and rebuilt == circuit, text
+        assert [type(step) for step in rebuilt.steps] == [type(step) for step in circuit.steps]
+        accepted += 1
+        gates += sum(isinstance(step, Gate) for step in circuit.steps)
+    assert accepted >= 200 and gates >= 1000, (accepted, gates)

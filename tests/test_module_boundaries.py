@@ -2,15 +2,17 @@
 
 The packed Pauli key layout lives behind `dhsim.pauli`: no other module
 reads a sum's term map or names a private key helper, and the public key
-helpers (`x_mask`, `slot_key`, `key_phase`, `key_support`,
+helpers (`x_mask`, `slot_key`, `key_phase`, `key_support`, `render_term`,
 `PauliSum.from_key` and `PauliSum.as_key`) serve only the packed rows of
-`dhsim.engine`: the functions that build, fold and unpack them, the two
-that read a set's averages (`expectations`) and its diagonal's kernel
-(`z_kernel`) off them, and the signed-string readers of the two-qubit
-analyses (`rows_of`, `row_strings`, `all_strings`, `string_product`,
-`strings_commute`, `vacuum_sign`).  The dense oracle is the
-independent ground truth, so it uses only the public Pauli API (letter
-tuples and coefficients) and never a private name of `dhsim.pauli`.
+`dhsim.engine`: the functions that build, fold and unpack them, the four
+that read a set's averages (`expectations`), its diagonal's kernel
+(`z_kernel`), its descriptor text (`descriptor_texts`) and its singles
+(`single_averages`) off them, and the signed-string readers of the
+two-qubit analyses (`rows_of`, `row_strings`, `all_strings`,
+`string_product`, `strings_commute`, `vacuum_sign`).  The dense oracle
+is the independent ground truth, so it uses only the public Pauli API
+(letter tuples and coefficients) and never a private name of
+`dhsim.pauli`.
 Floats decide nothing outside the oracle: only `oracle.py` calls an
 eigenvalue routine or imports numpy, `relative.py` imports neither numpy
 nor the oracle, and no module imports the oracle at module level, so an
@@ -34,9 +36,11 @@ SRC = pathlib.Path(__file__).parent.parent / "src" / "dhsim"
 MODULES = sorted(SRC.glob("*.py"))
 KEY_FORMAT = re.compile(r"\._terms\b"
                         r"|\b(_pack|_unpack|_CODE|_LETTER_OF_CODE|_BYTE_LETTERS)\b")
-KEY_HELPERS = {"x_mask", "slot_key", "key_phase", "key_support", "from_key", "as_key"}
+KEY_HELPERS = {"x_mask", "slot_key", "key_phase", "key_support", "render_term",
+               "from_key", "as_key"}
 PACKED_ROW_FUNCTIONS = {"_fresh_rows", "descriptor_set", "row_support", "fold",
-                        "expectations", "z_kernel", "rows_of", "row_strings",
+                        "expectations", "z_kernel", "descriptor_texts",
+                        "single_averages", "rows_of", "row_strings",
                         "all_strings", "string_product", "strings_commute",
                         "vacuum_sign"}
 

@@ -1,10 +1,10 @@
 """A set of signed strings answers every analysis from its rows
 (``engine.rows_of``); with every reader of rows limited to a set's own
 ``rows`` field (``product_path``), the same set rebuilt without them forms
-each product.  Both must agree on every average, table, diagonal and
-single, and on every error, and a two-qubit set of signed strings must get
-the same basis report from its rows as from its sixteen formed
-products."""
+each product.  Both must agree on every average, table, diagonal, single
+and descriptor text, and on every error, and a two-qubit set of signed
+strings must get the same basis report from its rows as from its sixteen
+formed products."""
 
 import contextlib
 import random
@@ -90,11 +90,12 @@ def analyses(set_: DescriptorSet, seed: int) -> dict:
         "short pick": outcome(expectations, set_, picks[:2] + [(Z,) * (n + 1)]),
         "tables": [expectation_table(set_, qubits) for qubits in small],
         "diagonals": [diagonal_probabilities(set_, qubits) for qubits in subsets],
-        "singles": cli._singles(set_),
+        "singles": engine.single_averages(set_),
+        "descriptor rows": cli._descriptor_rows(set_),
     }
 
 
-@pytest.mark.parametrize("n", range(1, 65))
+@pytest.mark.parametrize("n", [*range(1, 65), 1000])
 def test_rows_and_descriptors_agree(n, monkeypatch):
     rng = random.Random(3100 + n)
     set_ = evolve_circuit(circuit_with_ancillas(rng, n))
@@ -113,9 +114,10 @@ def test_rows_and_descriptors_agree(n, monkeypatch):
 def test_signed_string_sets_form_no_product(swap_result, monkeypatch):
     """Sets of signed strings without a ``rows`` field of their own, one
     built by ``relative.measure``, one rebuilt without its rows and the
-    swap's reduced pairs, read their averages, tables and diagonals off
-    ``rows_of``: no ``sum_mul`` call multiplies two or more factors, and
-    the values are the product path's."""
+    swap's reduced pairs, read their averages, tables, diagonals, singles
+    and descriptor text off ``rows_of``: no ``sum_mul`` call multiplies
+    two or more factors, and the values are the product path's, which
+    does form products."""
     rng = random.Random(45)
     measured = evolve_circuit(circuit_with_ancillas(rng, 4))
     for qubit in (0, 2):
@@ -126,9 +128,11 @@ def test_signed_string_sets_form_no_product(swap_result, monkeypatch):
     assert len(sets) == 6 and all(set_.rows is None for set_ in sets)
     calls = count_calls(monkeypatch, pauli, "sum_mul")
     got = [analyses(set_, seed) for seed, set_ in enumerate(sets)]
-    assert calls and [len(factors) for factors in calls if len(factors) > 1] == []
+    assert [len(factors) for factors in calls if len(factors) > 1] == []
     with product_path(monkeypatch):
         assert got == [analyses(set_, seed) for seed, set_ in enumerate(sets)]
+    # The counter sees the products the product path forms.
+    assert [factors for factors in calls if len(factors) > 1]
 
 
 def test_a_row_that_disagrees_is_seen():
