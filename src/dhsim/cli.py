@@ -76,14 +76,13 @@ class RunConfig(NamedTuple):
 
 
 _TOKEN = re.compile(r"\S+")
+# int()'s digit limit; 0, or a Python before 3.10.7 that lacks it: none.
+_digit_limit = getattr(sys, "get_int_max_str_digits", int)
 
 
-def _ascii_digits(text: str) -> bool:
-    """0-9 only, and no more digits than int() converts: str.isdigit also
-    takes superscripts, and int() refuses more than
-    ``sys.get_int_max_str_digits()`` digits (0, or a Python before 3.10.7
-    that lacks it: no limit)."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()
+def _ascii_digits(text: str, limit: int) -> bool:
+    """0-9 only, and no more than ``limit`` digits, which int() refuses:
+    str.isdigit also takes superscripts."""
     return text.isascii() and text.isdigit() and not 0 < limit < len(text)
 
 
@@ -106,6 +105,7 @@ def parse_circuit(text: str, max_qubits: int = DEFAULT_MAX_QUBITS) -> Circuit:
     initial_n = 0
     steps: list = []
     seen: dict[tuple[str, ...], Gate] = {}
+    limit = _digit_limit()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -125,7 +125,7 @@ def parse_circuit(text: str, max_qubits: int = DEFAULT_MAX_QUBITS) -> Circuit:
             if len(tokens) != 2:
                 raise _error_at(lineno, line, 0, "qubits takes one count")
             value = tokens[1]
-            if not _ascii_digits(value) or int(value) < 1:
+            if not _ascii_digits(value, limit) or int(value) < 1:
                 raise _error_at(lineno, line, 1, f"bad qubit count {value!r}")
             n = initial_n = int(value)
             if n > max_qubits:
@@ -155,7 +155,7 @@ def parse_circuit(text: str, max_qubits: int = DEFAULT_MAX_QUBITS) -> Circuit:
                                              f"got {len(tokens) - 1}")
         operands = []
         for index, value in enumerate(tokens[1:], start=1):
-            if not _ascii_digits(value):
+            if not _ascii_digits(value, limit):
                 raise _error_at(lineno, line, index, f"bad qubit label {value!r}")
             label = int(value)
             if not 1 <= label <= n:
@@ -594,7 +594,7 @@ def render_text(report: dict) -> str:
 
 
 def _nonnegative_int(text: str) -> int:
-    if not _ascii_digits(text):
+    if not _ascii_digits(text, _digit_limit()):
         raise argparse.ArgumentTypeError(
             f"expected a nonnegative integer, got {text!r}")
     return int(text)
@@ -635,7 +635,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
 
     raw_cap = os.environ.get("DH_MAX_QUBITS", str(DEFAULT_MAX_QUBITS))
-    cap = int(raw_cap) if _ascii_digits(raw_cap) else 0
+    cap = int(raw_cap) if _ascii_digits(raw_cap, _digit_limit()) else 0
     if cap < 1:
         print(f"error: DH_MAX_QUBITS must be a positive integer, got {raw_cap!r}",
               file=sys.stderr)

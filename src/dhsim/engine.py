@@ -21,9 +21,10 @@ terms.  From |0...0>, q_y = i q_x q_z holds throughout, so ``fold`` runs
 a circuit on packed (key, i-exponent) X and Z rows only, as the
 stabilizer tableau does, under a flat table of the rules' X and Z rows;
 ``evolve_circuit`` and the dependency trace consume it, and the set they
-build (``descriptor_set``) keeps the rows.  ``rows_of`` is the one switch
-between rows and sums: it returns a set's own rows, else reads them off a
-set whose components are all signed strings.  The averages
+build (``descriptor_set``) holds the rows alone, a qubit's sums built
+when asked (``row_descriptor``).  ``rows_of`` is the one switch between
+rows and sums: it returns a set's own rows, else reads them off a set
+whose components are all signed strings.  The averages
 (``expectations``), the diagonal's ``z_kernel``, the report's text and
 singles (``descriptor_texts``, ``single_averages``) and the two-qubit
 analyses read what it returns; only a set with some other component (a
@@ -177,31 +178,37 @@ class Descriptor(NamedTuple):
 
 
 class DescriptorSet(NamedTuple):
-    """Complete register description: one descriptor per qubit plus history,
-    and the packed rows the descriptors were built from (``descriptor_set``
-    only; None for every other set), which only ``rows_of`` reads.  Two
-    sets are equal, and hash alike, when their ``n`` and descriptors are."""
+    """A register in one stored form, plus history: packed rows (only from
+    ``descriptor_set``; only ``rows_of`` reads them), else one descriptor
+    of sums per qubit (read by ``descriptor`` and ``rows_of``).  Sets are
+    equal, and hash alike, when their ``n`` and descriptors are."""
 
     n: int
-    descriptors: tuple[Descriptor, ...]
+    sums: tuple[Descriptor, ...] | None
     history: tuple = ()
     rows: tuple[Row, ...] | None = None
 
+    @property
+    def descriptors(self) -> tuple[Descriptor, ...]:
+        return tuple(map(self.descriptor, range(self.n)))
+
     def __eq__(self, other: object) -> bool:
-        return (self[:2] == other[:2] if isinstance(other, DescriptorSet)
-                else NotImplemented)
+        return (self.n == other.n and self.descriptors == other.descriptors
+                if isinstance(other, DescriptorSet) else NotImplemented)
 
     def __ne__(self, other: object) -> bool:
         return not self == other
 
     def __hash__(self) -> int:
-        return hash(self[:2])
+        return hash((self.n, self.descriptors))
 
     def descriptor(self, qubit: int) -> Descriptor:
         """The qubit's descriptor; ``check_qubits`` refuses one outside."""
         if not 0 <= qubit < self.n:
             check_qubits(self.n, (qubit,))
-        return self.descriptors[qubit]
+        if self.sums is None:
+            return row_descriptor(rows_of(self)[qubit], self.n)
+        return self.sums[qubit]
 
     def component(self, qubit: int, which: int) -> PauliSum:
         return self.descriptor(qubit).component(which)
@@ -220,12 +227,13 @@ def _fresh_rows(n: int, first: int = 0) -> list[Row]:
 
 
 def descriptor_set(rows: Sequence[Row], history: tuple = ()) -> DescriptorSet:
-    """The descriptor set of a register's packed rows, q_y = i q_x q_z; the
-    set keeps a copy of the rows."""
-    n = len(rows)
-    return DescriptorSet(n, tuple(
-        Descriptor._make(PauliSum.from_key(n, key, k) for key, k in row_strings(row, n))
-        for row in rows), history, tuple(rows))
+    """The set of a register's packed rows; it holds a copy of them alone."""
+    return DescriptorSet(len(rows), None, history, tuple(rows))
+
+
+def row_descriptor(row: Row, n: int) -> Descriptor:
+    """A packed row's q_x, q_y and q_z as one-term sums."""
+    return Descriptor._make(PauliSum.from_key(n, key, k) for key, k in row_strings(row, n))
 
 
 def row_strings(row: Row, n: int) -> tuple[String, String, String]:
@@ -251,7 +259,7 @@ def rows_of(set_: DescriptorSet) -> tuple[Row, ...] | None:
     if set_.rows is not None:
         return set_.rows
     rows = []
-    for d in set_.descriptors:
+    for d in set_.sums:
         x, y, z = (c.as_key() for c in d)
         if x is None or z is None or y != row_strings((*x, *z), set_.n)[1]:
             return None
@@ -342,8 +350,7 @@ def add_ancilla(set_: DescriptorSet) -> DescriptorSet:
     """Grow the register by one fresh |0> qubit at the end: every component
     gains one identity slot, and the new qubit's sigma sits on its own."""
     n = set_.n + 1
-    descs = [Descriptor(qx.extended(1), qy.extended(1), qz.extended(1))
-             for qx, qy, qz in set_.descriptors]
+    descs = [Descriptor._make(c.extended(1) for c in d) for d in set_.descriptors]
     descs.append(Descriptor(*(PauliSum.single(n, n - 1, w) for w in (X, Y, Z))))
     return DescriptorSet(n, tuple(descs), set_.history + (AddAncilla(),))
 
@@ -352,14 +359,13 @@ def component_product(set_: DescriptorSet, indices: Sequence[int]) -> PauliSum:
     """Ordered product of chosen components (identity for index 0).
 
     ``indices`` has one entry per qubit: 0 selects the identity factor,
-    X/Y/Z select that descriptor component.  Components of different
-    qubits commute, so taking the factors in qubit order loses nothing.
-    One chosen component is its own product.
+    X/Y/Z select that component (``DescriptorSet.component``).  Components
+    of different qubits commute, so taking the factors in qubit order
+    loses nothing.  One chosen component is its own product.
     """
     if len(indices) != set_.n:
         raise DimensionError(f"need {set_.n} component indices, got {len(indices)}")
-    descs = set_.descriptors
-    chosen = [descs[qubit].component(which)
+    chosen = [set_.component(qubit, which)
               for qubit, which in enumerate(indices) if which != I]
     return sum_mul(*chosen) if chosen else PauliSum.identity(set_.n)
 
@@ -385,8 +391,7 @@ def expectations(set_: DescriptorSet,
     """
     n, rows = set_.n, rows_of(set_)
     if rows is None:
-        parts = [{I: (), X: (qx,), Y: (qy,), Z: (qz,)}
-                 for qx, qy, qz in set_.descriptors]
+        parts = [{I: (), X: (d.qx,), Y: (d.qy,), Z: (d.qz,)} for d in set_.descriptors]
         join, start = operator.add, ()
     else:
         m = x_mask(n)

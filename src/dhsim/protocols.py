@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple
 from .pauli import X, Y, Z, vacuum_expectation
 from .engine import (
     AddAncilla, Circuit, Descriptor, DescriptorSet, Gate,
-    descriptor_set, evolve_circuit, fold, row_support, step_label,
+    descriptor_set, evolve_circuit, fold, row_support, single_averages, step_label,
 )
 
 if TYPE_CHECKING:
@@ -195,8 +195,8 @@ def run_generalized_measurement_demo() -> dict:
              AddAncilla(), Gate("CNOT", (1, 3)))    # ... and system 2
     rotated = evolve_circuit(Circuit(1, steps[:4]))
     set_ = evolve_circuit(Circuit(1, steps))
-    singles = {qubit + 1: [vacuum_expectation(c) for c in set_.descriptor(qubit)]
-               for qubit in (0, 1)}
+    averages = single_averages(set_)
+    singles = {qubit + 1: averages[3 * qubit:3 * qubit + 3] for qubit in (0, 1)}
     rho_1 = density.reconstruct_density(set_, [0])
     bloch = tuple(rho_1.single(0, w) for w in COMPONENTS)
     return {

@@ -4,7 +4,8 @@ The packed Pauli key layout lives behind `dhsim.pauli`: no other module
 reads a sum's term map or names a private key helper, and the public key
 helpers (`x_mask`, `slot_key`, `key_phase`, `key_support`, `render_term`,
 `PauliSum.from_key` and `PauliSum.as_key`) serve only the packed rows of
-`dhsim.engine`: the functions that build, fold and unpack them, the four
+`dhsim.engine`: the functions that build, fold and unpack them (a row's
+one-term sums by `row_descriptor`), the four
 that read a set's averages (`expectations`), its diagonal's kernel
 (`z_kernel`), its descriptor text (`descriptor_texts`) and its singles
 (`single_averages`) off them, and the signed-string readers of the
@@ -23,7 +24,9 @@ Every record type is a `typing.NamedTuple`, so no module imports
 Each rule of a product is written once: a key's Y count in
 `pauli.key_phase` and a coefficient's quarter turn in one `ComplexDyadic`
 method.  `engine.rows_of` is the one switch between rows and sums: no
-other function reads `DescriptorSet.rows`.
+other function reads `DescriptorSet.rows`, and a set keeps one stored
+form, so `descriptor_set` builds no sum and only `DescriptorSet.descriptor`
+and `rows_of` read the `sums` field.
 """
 
 import ast
@@ -38,7 +41,8 @@ KEY_FORMAT = re.compile(r"\._terms\b"
                         r"|\b(_pack|_unpack|_CODE|_LETTER_OF_CODE|_BYTE_LETTERS)\b")
 KEY_HELPERS = {"x_mask", "slot_key", "key_phase", "key_support", "render_term",
                "from_key", "as_key"}
-PACKED_ROW_FUNCTIONS = {"_fresh_rows", "descriptor_set", "row_support", "fold",
+PACKED_ROW_FUNCTIONS = {"_fresh_rows", "descriptor_set", "row_descriptor",
+                        "row_support", "fold",
                         "expectations", "z_kernel", "descriptor_texts",
                         "single_averages", "rows_of", "row_strings",
                         "all_strings", "string_product", "strings_commute",
@@ -280,3 +284,17 @@ def test_rows_read_only_by_rows_of():
                    ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.Attribute) and node.attr == "rows"}
     assert readers == {"engine.py:rows_of"}
+
+
+def test_sums_read_only_by_descriptor():
+    """A set stores its rows or its sums, never both: only
+    ``DescriptorSet.descriptor`` and ``rows_of``'s fallback read the
+    ``sums`` field, and ``descriptor_set`` builds no one-term sum."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    readers = {f"{name}:{where}"
+               for name, tree in trees.items()
+               for where, node in _nodes_by_function(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "sums"}
+    assert readers == {"engine.py:descriptor", "engine.py:rows_of"}
+    assert "from_key" not in {called for where, called in _calls_by_function(
+        trees["engine.py"]) if where == "descriptor_set"}

@@ -4,7 +4,8 @@
 each product.  Both must agree on every average, table, diagonal, single
 and descriptor text, and on every error, and a two-qubit set of signed
 strings must get the same basis report from its rows as from its sixteen
-formed products."""
+formed products.  A report on a Clifford circuit reads every number off
+the rows, so it builds no sum at all."""
 
 import contextlib
 import random
@@ -12,7 +13,7 @@ import random
 import pytest
 
 from dhsim import cli, density, engine, pauli, uniqueness
-from dhsim.pauli import I, X, Y, Z, DimensionError
+from dhsim.pauli import I, X, Y, Z, DimensionError, PauliSum
 from dhsim.engine import (
     AddAncilla, Circuit, DescriptorSet, Gate, descriptor_set, evolve_circuit,
     expectations, row_strings, rows_of,
@@ -135,20 +136,11 @@ def test_signed_string_sets_form_no_product(swap_result, monkeypatch):
     assert [factors for factors in calls if len(factors) > 1]
 
 
-def test_a_row_that_disagrees_is_seen():
-    # The Bell pair's descriptors with the fresh register's rows: every z
-    # single and the diagonal read the rows, so both differ.
-    bell = evolve_circuit(Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1)))))
-    wrong = bell._replace(rows=evolve_circuit(Circuit(2)).rows)
-    assert wrong == bell
-    assert analyses(wrong, 0) != analyses(without_rows(bell), 0)
-
-
 def _sum_path_report(set_, monkeypatch):
     """``validate_basis`` of the set rebuilt without rows, on the product
     path, so it forms its sixteen products."""
     with product_path(monkeypatch):
-        return validate_basis(set_._replace(rows=None))
+        return validate_basis(without_rows(set_))
 
 
 def _broken_sets():
@@ -187,3 +179,45 @@ def test_validate_basis_rows_agree_with_the_products(swap_result, monkeypatch):
     assert "component (1,X) has a trace" in texts["trace"]
     assert "some products are not Hermitian" in texts["non-hermitian"]
     assert any("not orthogonal" in text for text in texts["anticommuting cross pair"])
+
+
+def _circuit_text(rng: random.Random, n: int) -> str:
+    """A random circuit of 3n steps that grows to n qubits, as a file."""
+    circuit = circuit_with_ancillas(rng, n)
+    lines = [f"qubits {circuit.initial_qubits}"]
+    lines += ["ancilla" if isinstance(step, AddAncilla) else
+              " ".join([step.kind.lower(), *(str(q + 1) for q in step.operands)])
+              for step in circuit.steps]
+    return "\n".join(lines) + "\n"
+
+
+def test_clifford_reports_build_no_sum(tmp_path, monkeypatch, capsys):
+    """``run``, ``validate``, ``symmetries``, ``construct``, ``trace`` and
+    ``measure-demo`` on Clifford circuits build no ``PauliSum`` through
+    either constructor: every set they read holds its rows alone."""
+    rng = random.Random(50)
+    files = {"bell": "qubits 2\nh 1\ncnot 1 2\n", "zero": "qubits 2\n",
+             "six": _circuit_text(rng, 6), "ten": _circuit_text(rng, 10)}
+    for name, text in files.items():
+        (tmp_path / f"{name}.dh").write_text(text, encoding="utf-8")
+    runs = ["run six.dh", "run ten.dh --verify", "run bell.dh --verify",
+            "validate bell.dh", "validate zero.dh --verify",
+            "symmetries bell.dh --verify", "symmetries zero.dh",
+            "construct bell.dh --verify", "trace ten.dh", "trace six.dh",
+            "measure-demo", "measure-demo --verify"]
+    built = []
+    init, canonical = PauliSum.__init__, PauliSum._canonical
+    monkeypatch.setattr(PauliSum, "__init__", lambda self, *args: (
+        built.append(args[0]), init(self, *args))[1])
+    monkeypatch.setattr(PauliSum, "_canonical", staticmethod(lambda n, terms: (
+        built.append(n), canonical(n, terms))[1]))
+    counts = {}
+    for run in runs:
+        built.clear()
+        argv = [str(tmp_path / a) if a.endswith(".dh") else a for a in run.split()]
+        assert cli.main(argv) == cli.EXIT_OK, run
+        counts[run] = len(built)
+    capsys.readouterr()
+    assert counts == dict.fromkeys(counts, 0)
+    # The counter sees the sums a set of sums builds.
+    assert cli.main(["swap-demo"]) == cli.EXIT_OK and built
