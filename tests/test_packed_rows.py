@@ -184,10 +184,7 @@ def test_validate_basis_rows_agree_with_the_products(swap_result, monkeypatch):
 def _circuit_text(rng: random.Random, n: int) -> str:
     """A random circuit of 3n steps that grows to n qubits, as a file."""
     circuit = circuit_with_ancillas(rng, n)
-    lines = [f"qubits {circuit.initial_qubits}"]
-    lines += ["ancilla" if isinstance(step, AddAncilla) else
-              " ".join([step.kind.lower(), *(str(q + 1) for q in step.operands)])
-              for step in circuit.steps]
+    lines = [f"qubits {circuit.initial_qubits}", *map(engine.step_label, circuit.steps)]
     return "\n".join(lines) + "\n"
 
 
@@ -207,10 +204,10 @@ def test_clifford_reports_build_no_sum(tmp_path, monkeypatch, capsys):
             "measure-demo", "measure-demo --verify"]
     built = []
     init, canonical = PauliSum.__init__, PauliSum._canonical
-    monkeypatch.setattr(PauliSum, "__init__", lambda self, *args: (
-        built.append(args[0]), init(self, *args))[1])
-    monkeypatch.setattr(PauliSum, "_canonical", staticmethod(lambda n, terms: (
-        built.append(n), canonical(n, terms))[1]))
+    monkeypatch.setattr(PauliSum, "__init__", lambda self, *args, **kwargs: (
+        built.append(self), init(self, *args, **kwargs))[1])
+    monkeypatch.setattr(PauliSum, "_canonical", staticmethod(lambda *args: (
+        built.append(args), canonical(*args))[1]))
     counts = {}
     for run in runs:
         built.clear()
