@@ -46,9 +46,9 @@ EXIT_VERIFY = 2
 EXIT_INTERNAL = 3
 
 DEFAULT_MAX_QUBITS = 10
-# `run` reports the exact diagonal up to this size.  A Clifford set costs at
-# most n Pauli products and one pass over the 2^n entries, a multi-term set
-# 2^n products plus n 2^n exact additions; a larger cap changes the reports.
+# `run` reports the exact diagonal up to this size.  A set costs one pass of
+# GF(2) elimination on its rows and one pass over the 2^n entries; a larger
+# cap changes the reports.
 DIAGONAL_MAX_QUBITS = 8
 # `--verify` compares the averages of this many seeded random strings.
 VERIFY_SAMPLES = 200

@@ -2,9 +2,8 @@
 
 Everything here is exact, with no floats: expectation tables, diagonal
 probabilities (uniform on an affine subspace, one bitset, read off the
-GF(2) kernel of the q_z x-parts, ``engine.z_kernel``, for a set with
-packed rows, a Walsh-Hadamard transform of the subset-product averages
-otherwise), purity sums, Schmidt combinations,
+GF(2) kernel of the q_z x-parts of a set's rows, ``engine.z_kernel``),
+purity sums, Schmidt combinations,
 the positivity of a density (``is_positive``, fraction-free elimination
 over the Gaussian integers) and mixture weights
 (``mixture_representation``, Gaussian elimination over the rationals).
@@ -20,11 +19,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .pauli import (
-    I, X, Y, Z,
-    ComplexDyadic, PauliSum, sum_mul, vacuum_expectation,
-)
-from .engine import Descriptor, DescriptorSet, check_qubits, expectations, rows_of, z_kernel
+from .pauli import I, X, Y, Z, ComplexDyadic, PauliSum
+from .engine import Descriptor, DescriptorSet, check_qubits, expectations, z_kernel
 
 # Widest operator ``is_positive`` decides: a 2^10 x 2^10 matrix.
 POSITIVE_MAX_QUBITS = 10
@@ -176,63 +172,33 @@ def diagonal_probabilities(set_: DescriptorSet, qubits: Sequence[int]) -> list[F
     p(b) = 2^-k sum_S (-1)^(b.S) <prod_{q in S} q_z>, over the 2^k subsets S
     of the k qubits.
 
-    For a set with packed rows (``rows_of``, so every Clifford set) the q_z
-    are +1 or -1 strings that commute pairwise, so only the subsets in the
-    kernel K of their x-parts average to nonzero, each to the sign of its
-    product, and those signs multiply over K.  So the sum is 2^(dim K - k)
-    where (-1)^(b.S) equals the sign for every basis subset S, and 0
-    elsewhere: an affine subspace, read off the rows by ``z_kernel`` with
-    no product formed.  Its indicator is one int of 2^k bits, the AND of
-    one parity bitset per basis subset, each built by doubling.
-
-    Any other set takes the full sum: the subset products are built by
-    doubling, one ``sum_mul`` each, and their vacuum averages go through an
-    in-place Walsh-Hadamard transform of k 2^k exact additions.  Every
-    entry is checked to be real and nonnegative, and the entries to sum to
-    exactly 1.
+    The q_z of a set's rows are +1 or -1 strings that commute pairwise, so
+    only the subsets in the kernel K of their x-parts average to nonzero,
+    each to the sign of its product, and those signs multiply over K.  So
+    the sum is 2^(dim K - k) where (-1)^(b.S) equals the sign for every
+    basis subset S, and 0 elsewhere: an affine subspace, read off the rows
+    by ``z_kernel`` with no product formed.  Its indicator is one int of
+    2^k bits, the AND of one parity bitset per basis subset, each built by
+    doubling.
     """
     qubits = check_qubits(set_.n, qubits)
     if not qubits:
         raise ValueError("subset must be nonempty")
     # Subset mask bit j is qubits[k-1-j]: the last qubit is bit 0.
     size = 1 << len(qubits)
-    if (rows := rows_of(set_)) is not None:
-        # (subset, parity of b.S where the product of S averages to -1)
-        kernel = z_kernel(rows, qubits[::-1])
-        # Bit b of ``inside`` is set where b lies on the affine subspace.
-        full = inside = (1 << size) - 1
-        for subset, odd in kernel:
-            parity = 0      # bit b set where b.S is odd, doubled to each b < 2**k
-            for j in range(len(qubits)):
-                flip = (1 << (1 << j)) - 1 if subset >> j & 1 else 0
-                parity |= (parity ^ flip) << (1 << j)
-            inside &= parity if odd else parity ^ full
-        weight, zero = Fraction(1 << len(kernel), size), Fraction(0)
-        return [weight if bit == "1" else zero      # bit 0 of ``inside`` first
-                for bit in reversed(format(inside, f"0{size}b"))]
-    factors = [set_.component(qubit, Z) for qubit in reversed(qubits)]
-    products = [PauliSum.identity(set_.n)]
-    for qz in factors:
-        products += [sum_mul(p, qz) for p in products]
-    values = [vacuum_expectation(p) for p in products]
-    half = 1
-    while half < size:
-        for start in range(0, size, 2 * half):
-            for i in range(start, start + half):
-                a, b = values[i], values[i + half]
-                values[i], values[i + half] = a + b, a - b
-        half *= 2
-    probs: list[Fraction] = []
-    for value in values:
-        if not value.is_real:
-            raise ValueError("probability came out complex")
-        prob = value.re / size
-        if prob < 0:
-            raise ValueError(f"negative probability {prob}")
-        probs.append(prob)
-    if sum(probs) != 1:
-        raise ValueError(f"probabilities sum to {sum(probs)}, not 1")
-    return probs
+    # (subset, parity of b.S where the product of S averages to -1)
+    kernel = z_kernel(set_.rows, qubits[::-1])
+    # Bit b of ``inside`` is set where b lies on the affine subspace.
+    full = inside = (1 << size) - 1
+    for subset, odd in kernel:
+        parity = 0      # bit b set where b.S is odd, doubled to each b < 2**k
+        for j in range(len(qubits)):
+            flip = (1 << (1 << j)) - 1 if subset >> j & 1 else 0
+            parity |= (parity ^ flip) << (1 << j)
+        inside &= parity if odd else parity ^ full
+    weight, zero = Fraction(1 << len(kernel), size), Fraction(0)
+    return [weight if bit == "1" else zero      # bit 0 of ``inside`` first
+            for bit in reversed(format(inside, f"0{size}b"))]
 
 
 def purity_condition(rho: DensityMatrix) -> tuple[Fraction, bool]:

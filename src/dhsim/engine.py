@@ -15,23 +15,22 @@ U^dagger sigma U with U = V_k ... V_0, and it is why rewriting the letters
 of the evolved strings in place would be wrong.
 
 A gate kind is one ``_RULES`` entry, one row triple per operand
-(``GATE_ARITY``); ``apply_gate`` rewrites a set's operands through all
-three rows (``_rewrite``), as a relative descriptor may have several
-terms.  From |0...0>, q_y = i q_x q_z holds throughout, so ``fold`` runs
-a circuit on packed (key, i-exponent) X and Z rows only, as the
-stabilizer tableau does, under a flat table of the rules' X and Z rows;
-``evolve_circuit`` and the dependency trace consume it, and the set they
-build (``descriptor_set``) holds the rows alone, a qubit's sums built
-when asked (``row_descriptor``).  ``rows_of`` is the one switch between
-rows and sums: it returns a set's own rows, else reads them off a set
-whose components are all signed strings.  The averages
+(``GATE_ARITY``).  From |0...0>, q_y = i q_x q_z holds throughout, and a
+Clifford circuit keeps every component one signed Pauli string, so a set
+stores each qubit's q_x and q_z as one packed (key, i-exponent) row, as
+the stabilizer tableau does (``DescriptorSet``).  ``fold`` runs a circuit
+on the rows, one ``_step`` per gate under a flat table of the rules' X
+and Z rows; ``apply_gate`` and ``add_ancilla`` step one set the same way,
+and ``evolve_circuit`` and the dependency trace build their set once
+(``descriptor_set``).  A qubit's sums are built only when asked
+(``DescriptorSet.descriptor`` and ``component``), and a set given as
+descriptors is read into rows (``descriptor_row``).  The averages
 (``expectations``), the diagonal's ``z_kernel``, the report's text and
 singles (``descriptor_texts``, ``single_averages``) and the two-qubit
-analyses read what it returns; only a set with some other component (a
-multi-term relative descriptor, say) forms products and renders sums.
-A row's three components are read by ``row_strings``, and signed strings
-are multiplied, commuted and averaged with ``string_product``,
-``strings_commute`` and ``vacuum_sign``.
+analyses read the rows with no product formed.  A row's three components
+are read by ``row_strings``, and signed strings are multiplied, commuted
+and averaged with ``string_product``, ``strings_commute`` and
+``vacuum_sign``.
 """
 
 from __future__ import annotations
@@ -43,8 +42,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .pauli import (
     I, X, Y, Z,
     ZERO, ComplexDyadic, DimensionError, PauliSum,
-    key_phase, key_support, render_term, slot_key, sum_mul, vacuum_expectation,
-    x_mask,
+    key_phase, key_support, render_term, slot_key, sum_mul, x_mask,
 )
 
 # Heisenberg rewrite V^dagger sigma V, one form for every kind: per operand
@@ -177,41 +175,46 @@ class Descriptor(NamedTuple):
         return self.qx.support() | self.qy.support() | self.qz.support()
 
 
-class DescriptorSet(NamedTuple):
-    """A register in one stored form, plus history: packed rows (only from
-    ``descriptor_set``; only ``rows_of`` reads them), else one descriptor
-    of sums per qubit (read by ``descriptor`` and ``rows_of``).  Sets are
-    equal, and hash alike, when their ``n`` and descriptors are."""
+class DescriptorSet(NamedTuple("DescriptorSet", [
+        ("n", int), ("rows", tuple[Row, ...]), ("history", tuple)])):
+    """A register as one packed row per qubit, plus history.  Built from
+    descriptors of signed strings (``descriptor_row``), or from rows by
+    ``descriptor_set``; sets are equal, and hash alike, when their ``n``
+    and rows are."""
 
-    n: int
-    sums: tuple[Descriptor, ...] | None
-    history: tuple = ()
-    rows: tuple[Row, ...] | None = None
+    __slots__ = ()
+
+    def __new__(cls, n: int, descriptors: Iterable[Descriptor],
+                history: Iterable = ()) -> DescriptorSet:
+        rows = tuple(descriptor_row(d, n) for d in descriptors)
+        if len(rows) != n:
+            raise ValueError(f"{len(rows)} descriptors for a {n}-qubit register")
+        return super().__new__(cls, n, rows, tuple(history))
 
     @property
     def descriptors(self) -> tuple[Descriptor, ...]:
         return tuple(map(self.descriptor, range(self.n)))
 
     def __eq__(self, other: object) -> bool:
-        return (self.n == other.n and self.descriptors == other.descriptors
-                if isinstance(other, DescriptorSet) else NotImplemented)
+        return self[:2] == other[:2] if isinstance(other, DescriptorSet) else NotImplemented
 
     def __ne__(self, other: object) -> bool:
         return not self == other
 
     def __hash__(self) -> int:
-        return hash((self.n, self.descriptors))
+        return hash(self[:2])
 
     def descriptor(self, qubit: int) -> Descriptor:
         """The qubit's descriptor; ``check_qubits`` refuses one outside."""
-        if not 0 <= qubit < self.n:
-            check_qubits(self.n, (qubit,))
-        if self.sums is None:
-            return row_descriptor(rows_of(self)[qubit], self.n)
-        return self.sums[qubit]
+        return Descriptor._make(self.component(qubit, w) for w in (X, Y, Z))
 
     def component(self, qubit: int, which: int) -> PauliSum:
-        return self.descriptor(qubit).component(which)
+        """One component of a qubit as a one-term sum, the only one built."""
+        if not 0 <= qubit < self.n:
+            check_qubits(self.n, (qubit,))
+        if which not in (X, Y, Z):
+            raise ValueError(f"component index {which} must be X, Y or Z")
+        return PauliSum.from_key(self.n, *row_strings(self.rows[qubit], self.n)[which - 1])
 
 
 def initial_set(n: int) -> DescriptorSet:
@@ -227,13 +230,18 @@ def _fresh_rows(n: int, first: int = 0) -> list[Row]:
 
 
 def descriptor_set(rows: Sequence[Row], history: tuple = ()) -> DescriptorSet:
-    """The set of a register's packed rows; it holds a copy of them alone."""
-    return DescriptorSet(len(rows), None, history, tuple(rows))
+    """The set of a register's packed rows, built past the constructor."""
+    return tuple.__new__(DescriptorSet, (len(rows), tuple(rows), history))
 
 
-def row_descriptor(row: Row, n: int) -> Descriptor:
-    """A packed row's q_x, q_y and q_z as one-term sums."""
-    return Descriptor._make(PauliSum.from_key(n, key, k) for key, k in row_strings(row, n))
+def descriptor_row(d: Descriptor, n: int) -> Row:
+    """The packed row of a descriptor of one-term i**k strings on n qubits
+    with q_y = i q_x q_z; any other descriptor is refused."""
+    x, y, z = (c.as_key() if c.n == n else None for c in d)
+    if x is None or z is None or y != row_strings((*x, *z), n)[1]:
+        raise ValueError(f"a descriptor set holds signed Pauli strings on {n} "
+                         "qubits with q_y = i q_x q_z")
+    return (*x, *z)
 
 
 def row_strings(row: Row, n: int) -> tuple[String, String, String]:
@@ -252,42 +260,20 @@ def row_support(row: Row) -> tuple[int, ...]:
 # Signed strings are read off rows by ``row_strings`` and handled with the
 # functions below, the symplectic rules of the stabilizer tableau
 # (quant-ph/0406196) on an n-qubit register.
-def rows_of(set_: DescriptorSet) -> tuple[Row, ...] | None:
-    """A set's packed rows, the one reader of ``DescriptorSet.rows``: its
-    own, else read off its sums when every component is one signed string
-    and q_y = i q_x q_z; None otherwise."""
-    if set_.rows is not None:
-        return set_.rows
-    rows = []
-    for d in set_.sums:
-        x, y, z = (c.as_key() for c in d)
-        if x is None or z is None or y != row_strings((*x, *z), set_.n)[1]:
-            return None
-        rows.append((*x, *z))
-    return tuple(rows)
-
-
 def descriptor_texts(set_: DescriptorSet) -> list[tuple[str, str, str]]:
-    """Each qubit's q_x, q_y and q_z as text: each signed string of a row
-    (``rows_of``) through ``render_term``, else each sum's ``render``."""
-    n, rows = set_.n, rows_of(set_)
-    if rows is None:
-        return [tuple(c.render() for c in d) for d in set_.descriptors]
-    i_power = ComplexDyadic.i_power
+    """Each qubit's q_x, q_y and q_z as text: each signed string of its row
+    through ``render_term``."""
+    n, i_power = set_.n, ComplexDyadic.i_power
     return [tuple(render_term(key, i_power(k), n) for key, k in row_strings(row, n))
-            for row in rows]
+            for row in set_.rows]
 
 
 def single_averages(set_: DescriptorSet) -> list[ComplexDyadic]:
-    """The vacuum average of each qubit's q_x, q_y and q_z, qubit by qubit:
-    off a row (``rows_of``) ZERO for a string with an x bit and its i-power
-    otherwise, else ``vacuum_expectation`` of each component."""
-    n, rows = set_.n, rows_of(set_)
-    if rows is None:
-        return [vacuum_expectation(c) for d in set_.descriptors for c in d]
-    m, i_power = x_mask(n), ComplexDyadic.i_power
+    """The vacuum average of each qubit's q_x, q_y and q_z, qubit by qubit,
+    off its row: ZERO for a string with an x bit and its i-power otherwise."""
+    n, m, i_power = set_.n, x_mask(set_.n), ComplexDyadic.i_power
     return [ZERO if key & m else i_power(k)
-            for row in rows for key, k in row_strings(row, n)]
+            for row in set_.rows for key, k in row_strings(row, n)]
 
 
 def all_strings(n: int) -> list[String]:
@@ -324,35 +310,19 @@ def vacuum_sign(n: int, first: String, *rest: String) -> int:
     return 0 if key & x_mask(n) else 1 if k == 0 else -1
 
 
-def _rewrite(kind: str, operands: Sequence[Descriptor]) -> list[Descriptor]:
-    """The operands' new descriptors under the kind's rule.
-
-    ``operands[p]`` is the pre-gate descriptor of operand position p, so
-    every product refers to one time slice.  A row's product is one
-    ``sum_mul`` with its factors in operand order, times the row's sign.
-    """
-    return [Descriptor._make(
-        sum_mul(*[operands[pos][letter - 1] for pos, letter in factors]).scale(sign)
-        for sign, factors in rows) for rows in _RULES[kind]]
-
-
 def apply_gate(set_: DescriptorSet, gate: Gate) -> DescriptorSet:
-    """Rewrite the operand descriptors under the gate's conjugation rule."""
+    """The set after one gate: its rows stepped as ``fold`` steps them."""
     gate.validate_for(set_.n)
-    descs = list(set_.descriptors)
-    operands = gate.operands
-    for qubit, desc in zip(operands, _rewrite(gate.kind, [descs[q] for q in operands])):
-        descs[qubit] = desc
-    return DescriptorSet(set_.n, tuple(descs), set_.history + (gate,))
+    rows = list(set_.rows)
+    _step(rows, gate, x_mask(set_.n))
+    return descriptor_set(rows, set_.history + (gate,))
 
 
 def add_ancilla(set_: DescriptorSet) -> DescriptorSet:
-    """Grow the register by one fresh |0> qubit at the end: every component
-    gains one identity slot, and the new qubit's sigma sits on its own."""
-    n = set_.n + 1
-    descs = [Descriptor._make(c.extended(1) for c in d) for d in set_.descriptors]
-    descs.append(Descriptor(*(PauliSum.single(n, n - 1, w) for w in (X, Y, Z))))
-    return DescriptorSet(n, tuple(descs), set_.history + (AddAncilla(),))
+    """Grow the register by one fresh |0> qubit at the end; a key does not
+    depend on the register width, so the other rows stay."""
+    return descriptor_set([*set_.rows, *_fresh_rows(set_.n + 1, set_.n)],
+                          set_.history + (AddAncilla(),))
 
 
 def component_product(set_: DescriptorSet, indices: Sequence[int]) -> PauliSum:
@@ -381,35 +351,26 @@ def expectations(set_: DescriptorSet,
     """The vacuum expectation of each index string's component product.
 
     Letters I, X, Y and Z pick no factor, q_x, q_y or q_z of a qubit, and
-    any other letter is rejected.  A set with rows (``rows_of``) answers
-    from them: a string whose picked components' x-parts XOR to a nonzero
-    mask averages to zero, and any other product is an x-free string
-    whose average is its i-power, from ``string_product``.  A set without
-    rows forms each product (``vacuum_expectation``).  Its callers average
-    products (expectation tables, ``--verify`` samples); a single
-    component's average is ``vacuum_expectation`` of the component.
+    any other letter is rejected.  The rows answer with no product formed:
+    a string whose picked components' x-parts XOR to a nonzero mask
+    averages to zero, and any other product is an x-free string whose
+    average is its i-power, from ``string_product``.  Its callers average
+    products (expectation tables, ``--verify`` samples); a set's singles
+    are ``single_averages``.
     """
-    n, rows = set_.n, rows_of(set_)
-    if rows is None:
-        parts = [{I: (), X: (d.qx,), Y: (d.qy,), Z: (d.qz,)} for d in set_.descriptors]
-        join, start = operator.add, ()
-    else:
-        m = x_mask(n)
-        comps = [((0, 0), *row_strings(row, n)) for row in rows]
-        parts = [{w: key & m for w, (key, _) in enumerate(c)} for c in comps]
-        join, start = operator.xor, 0
+    n, m = set_.n, x_mask(set_.n)
+    comps = [((0, 0), *row_strings(row, n)) for row in set_.rows]
+    parts = [{w: key & m for w, (key, _) in enumerate(c)} for c in comps]
     out = []
     for pick in strings:
         if len(pick) != n:
             raise DimensionError(f"pick of length {len(pick)} for {n} positions")
         try:
-            picked = functools.reduce(join, map(dict.__getitem__, parts, pick), start)
+            picked = functools.reduce(operator.xor, map(dict.__getitem__, parts, pick), 0)
         except KeyError:
             q = next(q for q, w in enumerate(pick) if w not in parts[q])
             slot_key(q, pick[q])    # raises the bad-letter error
-        if rows is None:
-            out.append(vacuum_expectation(*picked))
-        elif picked:
+        if picked:
             out.append(ZERO)
         else:
             _, k = string_product(n, (0, 0), *[c[w] for c, w in zip(comps, pick) if w])
@@ -450,12 +411,29 @@ def z_kernel(rows: Sequence[Row], qubits: Sequence[int]) -> list[tuple[int, int]
     return kernel
 
 
+def _step(rows: list[Row], gate: Gate, m: int) -> None:
+    """Replace each operand's row, in place, by one tuple under the flat X
+    and Z rows of the gate's rule, read off its operands' rows joined, each
+    product one ``key_phase`` under the register's x mask m."""
+    kind, operands = gate
+    old = ()
+    for q in operands:
+        old += rows[q]
+    for q, (kx, ix, rest_x, kz, iz, rest_z) in zip(operands, _PACKED_RULES[kind]):
+        key_x, kx, key_z, kz = old[ix], kx + old[ix + 1], old[iz], kz + old[iz + 1]
+        for j in rest_x:
+            kx += old[j + 1] + key_phase(key_x, old[j], m)
+            key_x ^= old[j]
+        for j in rest_z:
+            kz += old[j + 1] + key_phase(key_z, old[j], m)
+            key_z ^= old[j]
+        rows[q] = key_x, kx & 3, key_z, kz & 3
+
+
 def fold(circuit: Circuit) -> Iterator[list[Row]]:
     """The fresh register's packed rows, then the same list after each step
-    of the circuit: a gate replaces each operand's row by one tuple under
-    the flat X and Z rows of its rule, read off its operands' rows joined,
-    each product one ``key_phase``; an ancilla appends a fresh row, as a
-    key does not depend on the register width.  ``Circuit`` (or
+    of the circuit: a gate is one ``_step``; an ancilla appends a fresh
+    row, as a key does not depend on the register width.  ``Circuit`` (or
     ``cli.parse_circuit``) has range-checked every step."""
     rows = _fresh_rows(circuit.initial_qubits)
     m = x_mask(len(rows))
@@ -465,19 +443,7 @@ def fold(circuit: Circuit) -> Iterator[list[Row]]:
             rows += _fresh_rows(len(rows) + 1, len(rows))
             m = x_mask(len(rows))
         else:
-            kind, operands = step
-            old = ()
-            for q in operands:
-                old += rows[q]
-            for q, (kx, ix, rest_x, kz, iz, rest_z) in zip(operands, _PACKED_RULES[kind]):
-                key_x, kx, key_z, kz = old[ix], kx + old[ix + 1], old[iz], kz + old[iz + 1]
-                for j in rest_x:
-                    kx += old[j + 1] + key_phase(key_x, old[j], m)
-                    key_x ^= old[j]
-                for j in rest_z:
-                    kz += old[j + 1] + key_phase(key_z, old[j], m)
-                    key_z ^= old[j]
-                rows[q] = key_x, kx & 3, key_z, kz & 3
+            _step(rows, step, m)
         yield rows
 
 

@@ -21,12 +21,12 @@ two of the four symmetry-route sets are enumerated only with other signs
 
 Every string here is a signed Pauli string, so the analyses read the
 engine's packed rows and (key, k) signed strings with its symplectic
-readers (``rows_of``, ``row_strings``, ``string_product``,
-``strings_commute``, ``vacuum_sign``) and build every set with
-``descriptor_set``; no sum of a set of signed strings is multiplied, and
-no set is flipped on its sums.  ``apply_transform``, ``canonical_signs``
-and the class take a set's rows through one refusal of any other set,
-``_signed_pair_rows``.  A sign flip of a row adds 2 to an i-exponent
+readers (``row_strings``, ``string_product``, ``strings_commute``,
+``vacuum_sign``) and build every set with ``descriptor_set``; no sum is
+multiplied, and no set is flipped on its sums.  ``apply_transform``,
+``canonical_signs`` and the class take a set's rows through one refusal
+of any set that is not a pair, ``_signed_pair_rows``.  A sign flip of a
+row adds 2 to an i-exponent
 (``_flip``), and ``canonical_signs``, the class generation and
 enumeration share one flip rule, ``_canonical``: ``_canonical_flip``
 decided on qubit 1's leading signs and a given table.  Enumeration and
@@ -36,10 +36,8 @@ ancillas too.  The symmetry search and ``apply_transform`` share one
 sign search, ``_transform_signs``; ``density_symmetries`` returns each
 symmetry with the signs it found, the class takes them as they are, and
 a role permutation picks a component's (key, k).  ``validate_basis``
-reads a set of signed strings off its rows, and forms the sixteen
-products, with ``pauli.inner_products``, only for a set with a
-multi-term component; its report carries the products' averages as the
-set's table.  ``generate_equivalent_sets`` takes a set alone: its
+reads the sixteen products off a set's rows, and its report carries
+their averages as the set's table.  ``generate_equivalent_sets`` takes a set alone: its
 report's table decides the canonical seed and gives the density whose
 symmetries it searches.  It builds each set of the class once and
 returns the transforms with the sets, each with the table of its
@@ -54,13 +52,11 @@ import itertools
 from typing import Mapping, NamedTuple, Sequence
 
 from .pauli import (
-    I, X, Y, Z, LETTER_NAMES, ONE, ZERO,
-    ComplexDyadic, inner_products, vacuum_expectation,
+    I, X, Y, Z, LETTER_NAMES, ZERO, ComplexDyadic,
 )
 from .engine import (
-    DescriptorSet, Row, all_strings, component_product, descriptor_set,
-    descriptor_texts, row_strings, rows_of, string_product, strings_commute,
-    vacuum_sign,
+    DescriptorSet, Row, all_strings, descriptor_set, descriptor_texts,
+    row_strings, string_product, strings_commute, vacuum_sign,
 )
 from .density import DensityMatrix, expectation_table, table_density
 
@@ -96,71 +92,40 @@ def validate_basis(set_: DescriptorSet) -> BasisReport:
     ``independent_count`` is the number of pairwise-distinct operators among
     the sixteen products (phase differences count as distinct operators);
     a proper basis has all sixteen distinct, mutually orthogonal, of unit
-    norm, Hermitian, with traceless non-identity components.  A set of
-    signed strings (``engine.rows_of``) is read off its rows: each product
-    is a signed string (key, k), two are equal when both agree, and not
-    orthogonal when only the keys do; every norm is 1, a product is
-    Hermitian when k is even and a component is traceless when its key is
-    not 0, and the table holds each product's average, i**k or 0 when it
-    has an x bit, as ``expectations`` reads it off the rows.  Any other
-    set forms its products, and ``pauli.inner_products`` of them give the
-    distinctness, norms and first non-orthogonal pair.
+    norm, Hermitian, with traceless non-identity components.  Each product
+    is a signed string (key, k) off the rows: two are equal when both
+    agree, and not orthogonal when only the keys do; every norm is 1, a
+    product is Hermitian when k is even and a component is traceless when
+    its key is not 0, and the table holds each product's average, i**k or
+    0 when it has an x bit, as ``expectations`` reads it off the rows.
     """
     if set_.n != 2:
         raise ValueError("basis validation is defined for two-qubit sets")
-    rows = rows_of(set_)
-    if rows is None:
-        count, hermitian, complete, clash, traces, table = _sum_checks(set_)
-    else:
-        comps = [((0, 0),) + row_strings(row, 2) for row in rows]
-        products = [string_product(2, comps[0][i], comps[1][j]) for i, j in _PAIR_KEYS]
-        holders: dict[int, list[int]] = {}
-        for b, (key, _) in enumerate(products):
-            holders.setdefault(key, []).append(b)
-        shared = sorted(pair for held in holders.values()
-                        for pair in itertools.combinations(held, 2))
-        count = 16 - len({b for a, b in shared if products[a] == products[b]})
-        hermitian = all(not k & 1 for _, k in products)
-        complete = True
-        clash = next(((a, b) for a, b in shared if products[a] != products[b]), None)
-        traces = [(a, i) for a in (0, 1) for i in COMPONENTS if not comps[a][i][0]]
-        # A product's average is i**k, or 0 when it has an x bit.
-        table = {pair: ComplexDyadic.i_power(k) if vacuum_sign(2, (key, 0)) else ZERO
-                 for pair, (key, k) in zip(_PAIR_KEYS, products)}
+    comps = [((0, 0),) + row_strings(row, 2) for row in set_.rows]
+    products = [string_product(2, comps[0][i], comps[1][j]) for i, j in _PAIR_KEYS]
+    holders: dict[int, list[int]] = {}
+    for b, (key, _) in enumerate(products):
+        holders.setdefault(key, []).append(b)
+    shared = sorted(pair for held in holders.values()
+                    for pair in itertools.combinations(held, 2))
+    count = 16 - len({b for a, b in shared if products[a] == products[b]})
+    hermitian = all(not k & 1 for _, k in products)
+    clash = next(((a, b) for a, b in shared if products[a] != products[b]), None)
+    traces = [(a, i) for a in (0, 1) for i in COMPONENTS if not comps[a][i][0]]
+    # A product's average is i**k, or 0 when it has an x bit.
+    table = {pair: ComplexDyadic.i_power(k) if vacuum_sign(2, (key, 0)) else ZERO
+             for pair, (key, k) in zip(_PAIR_KEYS, products)}
     violations = []
     if count != 16:
         violations.append(f"only {count} of 16 products are distinct")
     if not hermitian:
         violations.append("some products are not Hermitian")
-    if not complete:
-        violations.append("some products do not have unit norm")
     if clash is not None:
         violations.append(f"products {_PAIR_KEYS[clash[0]]} and "
                           f"{_PAIR_KEYS[clash[1]]} are not orthogonal")
     violations += [f"component ({a + 1},{LETTER_NAMES[i]}) has a trace" for a, i in traces]
-    return BasisReport(count, clash is None, complete, hermitian, not traces,
+    return BasisReport(count, clash is None, True, hermitian, not traces,
                        count == 16, tuple(violations), table)
-
-
-def _sum_checks(set_: DescriptorSet) -> tuple:
-    """``validate_basis``'s findings on a set whose components are not all
-    signed strings: (independent count, hermitian, complete, first
-    non-orthogonal pair or None, traced components, table)."""
-    products = [component_product(set_, key) for key in _PAIR_KEYS]
-    inner = inner_products(products)
-    norms = [inner.get((k, k), ZERO) for k in range(16)]
-    # Equal products share a key or are both zero; pa == pb exactly when
-    # <pa,pa> = <pb,pb> = <pa,pb>, as |pa - pb|^2 = <pa,pa> + <pb,pb> - 2 Re <pa,pb>.
-    equal = {(a, b) for (a, b), value in inner.items()
-             if a < b and norms[a] == norms[b] == value}
-    equal.update(itertools.combinations(
-        [k for k, norm in enumerate(norms) if not norm], 2))
-    clash = next((ab for ab in sorted(inner) if ab[0] < ab[1] and ab not in equal), None)
-    traces = [(a, i) for a in (0, 1) for i in COMPONENTS
-              if set_.component(a, i).coefficient((I, I))]
-    return (16 - len({b for _, b in equal}), all(p.is_hermitian for p in products),
-            all(norm == ONE for norm in norms), clash, traces,
-            dict(zip(_PAIR_KEYS, map(vacuum_expectation, products))))
 
 
 # -- symmetry transforms -------------------------------------------------
@@ -331,12 +296,11 @@ def apply_transform(set_: DescriptorSet, transform: SymmetryTransform
 
 
 def _signed_pair_rows(set_: DescriptorSet, refusal: str) -> tuple[Row, ...]:
-    """The rows of a two-qubit set of signed strings (``rows_of``); any
-    other set is refused with ``refusal`` naming the analysis."""
-    rows = rows_of(set_) if set_.n == 2 else None
-    if rows is None:
+    """The rows of a two-qubit set; a set of any other width is refused
+    with ``refusal`` naming the analysis."""
+    if set_.n != 2:
         raise ValueError(f"{refusal} two-qubit sets of signed Pauli strings")
-    return rows
+    return set_.rows
 
 
 def _transformed(comps: Sequence, transform: SymmetryTransform,

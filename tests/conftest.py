@@ -29,8 +29,9 @@ def src_on_subprocess_path():
 
 
 def count_calls(monkeypatch, module, name):
-    """Record the calls of ``module.name``, rebound in every dhsim module
-    that holds it (the modules import each other's functions by name)."""
+    """Record the calls of ``module.name``, rebound in every dhsim module,
+    and in the tests' ``sumpath``, that holds it (the modules import each
+    other's functions by name)."""
     real = getattr(module, name)
     calls = []
 
@@ -39,7 +40,7 @@ def count_calls(monkeypatch, module, name):
         return real(*args, **kwargs)
 
     for mod in list(sys.modules.values()):
-        if (getattr(mod, "__name__", "").startswith("dhsim")
+        if (getattr(mod, "__name__", "").startswith(("dhsim", "sumpath"))
                 and getattr(mod, name, None) is real):
             monkeypatch.setattr(mod, name, counting)
     return calls

@@ -562,9 +562,10 @@ def test_swap_demo_verify_evolves_the_oracle_state_once(monkeypatch):
 
 
 def test_swap_demo_verify_compares_the_reduced_pairs(monkeypatch):
-    """One negated reduced component of one outcome, handed to the report
-    after the basis and purity assertions passed on the real pairs: only
-    the comparison with the conditioned oracle state can see it."""
+    """One outcome's reduced q_z negated, and its q_y with it (q_y =
+    i q_x q_z, so the pair stays a set), handed to the report after the
+    basis and purity assertions passed on the real pairs: only the
+    comparison with the conditioned oracle state can see it."""
     from dhsim import protocols
     from dhsim.engine import Descriptor
     real = protocols.run_entanglement_swap
@@ -573,7 +574,7 @@ def test_swap_demo_verify_compares_the_reduced_pairs(monkeypatch):
         result = real()
         outcomes = list(result.relative_bell)
         d = outcomes[2].reduced_4
-        outcomes[2] = outcomes[2]._replace(reduced_4=Descriptor(d.qx, -d.qy, d.qz))
+        outcomes[2] = outcomes[2]._replace(reduced_4=Descriptor(d.qx, -d.qy, -d.qz))
         return result._replace(relative_bell=tuple(outcomes))
 
     assert run_report(RunConfig("swap-demo", verify=True))[0] == EXIT_OK

@@ -11,8 +11,8 @@ from dhsim.pauli import (
     vacuum_expectation,
 )
 from dhsim.engine import (
-    AddAncilla, Circuit, Descriptor, DescriptorSet, Gate, apply_gate, component_product,
-    descriptor_set, evolve_circuit, expectation, gate_steps, initial_set, rows_of,
+    AddAncilla, Circuit, Descriptor, DescriptorSet, Gate, apply_gate,
+    evolve_circuit, gate_steps, initial_set,
 )
 from dhsim.density import (
     DensityMatrix, diagonal_probabilities,
@@ -23,20 +23,23 @@ from conftest import (
     count_calls, dense_density, dense_operator, from_xz, random_circuit, z_projector,
 )
 from test_uniqueness_pins import stabilizer_states
+import sumpath
 
 HALF = Fraction(1, 2)
 
 
 def projector_diagonal(set_, qubits):
     """Reference diagonal: the vacuum average of prod (1 +/- q_z)/2 for
-    every bitstring, expanded term by term (4^k work)."""
+    every bitstring, expanded term by term (4^k work), of a set or a tuple
+    of descriptors."""
     qubits = list(qubits)
-    ident = PauliSum.identity(set_.n)
+    descs = set_.descriptors if isinstance(set_, DescriptorSet) else set_
+    ident = PauliSum.identity(len(descs))
     probs = []
     for bits in itertools.product((0, 1), repeat=len(qubits)):
         product = ident
         for qubit, bit in zip(qubits, bits):
-            qz = set_.component(qubit, Z)
+            qz = descs[qubit].qz
             projector = (ident + qz if bit == 0 else ident - qz).scale(HALF)
             product = sum_mul(product, projector)
         value = vacuum_expectation(product)
@@ -57,24 +60,22 @@ def dense_diagonal(set_, qubits):
 
 
 def ccz_conjugated(set_):
-    """Every component conjugated by CCZ on qubits 0-2, i.e. CCZ applied to
-    the vacuum before the circuit.  CCZ fixes |0...0>, so every average
-    (and the diagonal) is unchanged, while q_z components become
-    multi-term sums."""
+    """Every component of a set conjugated by CCZ on qubits 0-2, i.e. CCZ
+    applied to the vacuum before the circuit, as a tuple of descriptors
+    for the sum path.  CCZ fixes |0...0>, so every average (and the
+    diagonal) is unchanged, while q_z components become multi-term sums."""
     n = set_.n
     corner = PauliSum.identity(n)
     for qubit in range(3):
         corner = corner * z_projector(n, qubit, 1)
     ccz = PauliSum.identity(n) - corner.scale(2)
-    return DescriptorSet(n, tuple(
-        Descriptor(*(ccz * c * ccz for c in d))
-        for d in set_.descriptors))
+    return tuple(Descriptor(*(ccz * c * ccz for c in d)) for d in set_.descriptors)
 
 
 def z_only_set(qz):
-    """One-qubit set with a hand-built q_z (q_x, q_y left as X, Y)."""
-    return DescriptorSet(1, (Descriptor(
-        PauliSum.single(1, 0, X), PauliSum.single(1, 0, Y), qz),))
+    """One-qubit descriptors with a hand-built q_z (q_x, q_y left as X, Y),
+    for the sum path."""
+    return (Descriptor(PauliSum.single(1, 0, X), PauliSum.single(1, 0, Y), qz),)
 
 
 class TestReconstructDensity:
@@ -279,10 +280,10 @@ class TestDiagonalProbabilities:
             s = ccz_conjugated(base)
             for gate in circuit.steps:
                 base = apply_gate(base, gate)
-                s = apply_gate(s, gate)
-            assert max(len(s.component(q, Z)) for q in range(n)) > 1
+                s = sumpath.apply_gate(s, gate)
+            assert max(len(s[q].qz) for q in range(n)) > 1
             qubits = rng.sample(range(n), n)
-            probs = diagonal_probabilities(s, qubits)
+            probs = sumpath.diagonal_probabilities(s, qubits)
             assert probs == projector_diagonal(s, qubits)
             assert probs == diagonal_probabilities(base, qubits)
             psi = oracle.apply_circuit(n, gate_steps(base))
@@ -291,20 +292,20 @@ class TestDiagonalProbabilities:
                                atol=1e-12)
 
     def test_multi_term_expectation(self):
-        # engine.expectation on multi-term components equals the vacuum
-        # average of the component product and of a pairwise fold.
+        # The sum path's expectation on multi-term components equals the
+        # vacuum average of the component product and of a pairwise fold.
         rng = random.Random(48)
         for n in (3, 4):
             s = ccz_conjugated(evolve_circuit(random_circuit(rng, n, 4 * n)))
-            assert max(len(c) for d in s.descriptors for c in d) > 1
+            assert max(len(c) for d in s for c in d) > 1
             for indices in itertools.product((I, X, Y, Z), repeat=n):
-                chosen = [s.component(q, w) for q, w in enumerate(indices) if w != I]
+                chosen = [s[q][w - 1] for q, w in enumerate(indices) if w != I]
                 fold = PauliSum.identity(n)
                 for c in chosen:
                     fold = sum_mul(fold, c)
-                product = component_product(s, indices)
+                product = sumpath.component_product(s, indices)
                 assert product == fold
-                assert expectation(s, indices) == vacuum_expectation(product)
+                assert sumpath.expectations(s, [indices]) == [vacuum_expectation(product)]
 
     @staticmethod
     def _products(calls):
@@ -312,18 +313,18 @@ class TestDiagonalProbabilities:
         return [len(factors) for factors in calls if len(factors) > 1]
 
     def test_subset_products_not_projector_products(self, monkeypatch):
-        # A multi-term set takes the transform: at most 2^k subset products,
-        # where the projector expansion needs k 2^k.
+        # The sum path takes the transform on a multi-term register: at
+        # most 2^k subset products, where the projector expansion needs k 2^k.
         rng = random.Random(5)
         s = ccz_conjugated(evolve_circuit(random_circuit(rng, 4, 16)))
-        assert s.rows is None
+        assert max(len(c) for d in s for c in d) > 1
         calls = count_calls(monkeypatch, pauli, "sum_mul")
-        diagonal_probabilities(s, range(4))
+        sumpath.diagonal_probabilities(s, range(4))
         assert 0 < len(self._products(calls)) <= 2 ** 4
 
     def test_clifford_set_forms_at_most_k_products(self, monkeypatch):
-        # A set with packed rows reads its kernel and signs off the rows, so
-        # it forms no product at all, well within the bound of k.
+        # A set reads its kernel and signs off its rows, so it forms no
+        # product at all, well within the bound of k.
         calls = count_calls(monkeypatch, pauli, "sum_mul")
         rng = random.Random(5)
         for n in range(1, 9):
@@ -351,9 +352,9 @@ class TestDiagonalProbabilities:
                                dense_diagonal(s, qubits), atol=1e-12)
 
     def test_kernel_path_on_measured_sets_with_ancillas(self):
-        # ``measure`` builds its set by ``apply_gate``, which keeps no rows;
-        # the same measurement folded as a circuit keeps them.  Both paths
-        # give the references' diagonal.
+        # ``measure`` steps its set's rows by ``add_ancilla`` and
+        # ``apply_gate``, which give the rows of the same measurement folded
+        # as a circuit, and the references' diagonal.
         from dhsim.relative import measure
         rng = random.Random(61)
         for n in (1, 2, 3, 4):
@@ -364,8 +365,7 @@ class TestDiagonalProbabilities:
                 m = measure(m, qubit)
                 steps += [AddAncilla(), Gate("CNOT", (qubit, m.n - 1))]
             folded = evolve_circuit(Circuit(n, tuple(steps)))
-            assert m.rows is None and folded.rows is not None
-            assert folded == m
+            assert m.rows == folded.rows and folded == m
             qubits = rng.sample(range(m.n), m.n)
             probs = diagonal_probabilities(m, qubits)
             assert diagonal_probabilities(folded, qubits) == probs
@@ -382,42 +382,43 @@ class TestDiagonalProbabilities:
     ])
     def test_anticommuting_qz_take_the_transform(self, qz0, qz1, expected):
         pair = [parse_sum(qz0), parse_sum(qz1)]
-        s = DescriptorSet(2, tuple(
-            Descriptor(PauliSum.single(2, q, X), PauliSum.single(2, q, Y), qz)
-            for q, qz in enumerate(pair)))
-        assert s.rows is None
+        s = tuple(Descriptor(PauliSum.single(2, q, X), PauliSum.single(2, q, Y), qz)
+                  for q, qz in enumerate(pair))
+        with pytest.raises(ValueError, match="signed Pauli strings"):
+            DescriptorSet(2, s)
         if isinstance(expected, str):
             with pytest.raises(ValueError, match=expected):
-                diagonal_probabilities(s, [0, 1])
+                sumpath.diagonal_probabilities(s, [0, 1])
         else:
-            assert diagonal_probabilities(s, [0, 1]) == expected
+            assert sumpath.diagonal_probabilities(s, [0, 1]) == expected
 
     def test_other_coefficients_take_the_transform(self):
         for coef in (2, ComplexDyadic(0, 1), HALF, -1):
             qz = PauliSum.single(1, 0, Z, coef)
-            assert z_only_set(qz).rows is None
-        assert diagonal_probabilities(z_only_set(PauliSum.single(1, 0, Z, HALF)),
-                                      [0]) == [Fraction(3, 4), Fraction(1, 4)]
-        assert diagonal_probabilities(z_only_set(PauliSum.single(1, 0, Z, -1)),
-                                      [0]) == [0, 1]
+            with pytest.raises(ValueError, match="signed Pauli strings"):
+                DescriptorSet(1, z_only_set(qz))
+        assert sumpath.diagonal_probabilities(z_only_set(PauliSum.single(1, 0, Z, HALF)),
+                                              [0]) == [Fraction(3, 4), Fraction(1, 4)]
+        assert sumpath.diagonal_probabilities(z_only_set(PauliSum.single(1, 0, Z, -1)),
+                                              [0]) == [0, 1]
 
     def test_negative_probability_rejected(self):
         s = z_only_set(PauliSum.single(1, 0, Z, 2))
         with pytest.raises(ValueError, match="negative probability"):
-            diagonal_probabilities(s, [0])
+            sumpath.diagonal_probabilities(s, [0])
 
     def test_complex_probability_rejected(self):
         s = z_only_set(PauliSum.single(1, 0, Z, ComplexDyadic(0, 1)))
         with pytest.raises(ValueError, match="came out complex"):
-            diagonal_probabilities(s, [0])
+            sumpath.diagonal_probabilities(s, [0])
         # q_z = i Z with q_y = i q_x q_z is a set of signed strings: its
-        # rows, read off the sums or kept by ``descriptor_set``, are refused
-        # as the formed product is.
-        signed = DescriptorSet(1, (from_xz(PauliSum.single(1, 0, X),
-                                           PauliSum.single(1, 0, Z, ComplexDyadic(0, 1))),))
-        for s in (signed, descriptor_set(rows_of(signed))):
-            with pytest.raises(ValueError, match="came out complex"):
-                diagonal_probabilities(s, [0])
+        # rows are refused as the formed product is.
+        signed = (from_xz(PauliSum.single(1, 0, X),
+                          PauliSum.single(1, 0, Z, ComplexDyadic(0, 1))),)
+        with pytest.raises(ValueError, match="came out complex"):
+            sumpath.diagonal_probabilities(signed, [0])
+        with pytest.raises(ValueError, match="came out complex"):
+            diagonal_probabilities(DescriptorSet(1, signed), [0])
 
     def test_matches_reconstructed_density_diagonal(self):
         rng = random.Random(19)
@@ -500,7 +501,8 @@ class TestPurityAgainstFractionSums:
         pairs = [(s, (0, 1)) for s in sets] + [
             (swap_result.final_set, (a - 1, b - 1)) for a, b in swap_result.pair_purity]
         for set_, pair in pairs:
-            table = expectation_table(set_, pair)
+            table = (expectation_table(set_, pair) if isinstance(set_, DescriptorSet)
+                     else sumpath.expectation_table(set_, pair))
             rho = density.table_density(table)
             want = sum((value.re ** 2 for index, value in table.items()
                         if index != (I, I)), Fraction(0))

@@ -17,6 +17,7 @@ from conftest import (
     SINGLE_QUBIT_KINDS, TWO_QUBIT_KINDS, random_circuit, random_gate, random_steps,
 )
 import matrices
+import sumpath
 
 ONE = ComplexDyadic.of(1)
 
@@ -237,21 +238,21 @@ class TestBatchedExpectations:
         from dhsim.relative import RelativeContext, context_factor, relative_descriptor
         s = swap_result.final_set
         ctx = RelativeContext.pair_computational((4, 5), (0, 1))
-        descs = list(s.descriptors)
+        mixed = list(s.descriptors)
         for q in (0, 3):
-            descs[q] = relative_descriptor(s, q, context_factor(s, ctx))
-        mixed = DescriptorSet(s.n, tuple(descs))
-        assert len(mixed.component(0, X)) > 1
+            mixed[q] = relative_descriptor(s, q, context_factor(s, ctx))
+        assert len(mixed[0].qx) > 1
         rng = random.Random(5)
         strings = list(itertools.product((I, X, Y, Z), repeat=2))
         strings = [(a, I, I, b, I, I) for a, b in strings]
         strings += [tuple(rng.randrange(4) for _ in range(6)) for _ in range(200)]
-        got = expectations(mixed, strings)
-        assert got == [full_product_average(mixed, idx) for idx in strings]
+        got = sumpath.expectations(mixed, strings)
+        assert got == [vacuum_expectation(sumpath.component_product(mixed, idx))
+                       for idx in strings]
         assert any(got[:16])
-        # A multi-term factor ends the x-part scan; later letters are still checked.
+        # A multi-term factor does not end the letter checks.
         with pytest.raises(ValueError, match="letter -1 at slot 5"):
-            expectations(mixed, [(X, I, I, I, I, -1)])
+            sumpath.expectations(mixed, [(X, I, I, I, I, -1)])
 
     def test_rejects_wrong_length(self, bell_set):
         with pytest.raises(DimensionError):
@@ -320,51 +321,49 @@ _OLD_TWO_RULES = {
 }
 
 
-def reference_apply(set_, gate):
-    """One gate by the old per-kind tables, on the pre-gate components."""
-    descs = list(set_.descriptors)
+def reference_apply(old, gate):
+    """One gate by the old per-kind tables, on the pre-gate components of a
+    tuple of descriptors."""
+    descs = list(old)
     if gate.kind in _OLD_SINGLE_RULES:
         (q,) = gate.operands
         new = []
         for letter in (X, Y, Z):
             sign, src = _OLD_SINGLE_RULES[gate.kind][letter]
-            new.append(set_.component(q, src).scale(sign))
+            new.append(old[q][src - 1].scale(sign))
         descs[q] = Descriptor(*new)
     else:
         for pos, qubit in enumerate(gate.operands):
             new = []
             for letter in (X, Y, Z):
                 sign, factors = _OLD_TWO_RULES[gate.kind][pos, letter]
-                product = PauliSum.identity(set_.n)
+                product = PauliSum.identity(len(old))
                 for fpos, fletter in factors:
-                    product = product * set_.component(gate.operands[fpos], fletter)
+                    product = product * old[gate.operands[fpos]][fletter - 1]
                 new.append(product.scale(sign))
             descs[qubit] = Descriptor(*new)
-    return DescriptorSet(set_.n, tuple(descs))
+    return tuple(descs)
 
 
 class TestOneRuleForm:
     @pytest.mark.parametrize("n", [*range(1, 9), 64])
     def test_fold_equals_gate_by_gate(self, n):
-        """The packed fold equals ``apply_gate`` and ``add_ancilla`` stepped
-        on whole descriptors, component for component; n = 64 runs one
-        400-step circuit, ancillas included."""
+        """The packed fold equals the sum path's gate rewrite and ancilla
+        stepped on whole descriptors, component for component; n = 64 runs
+        one 400-step circuit, ancillas included."""
         rng = random.Random(400 + n)
         circuits, depth = (1, 400) if n == 64 else (6, 4 * n + 6)
         kinds = set()
         for _ in range(circuits):
             steps, final = random_steps(rng, n, depth)
             folded = evolve_circuit(Circuit(n, steps))
-            stepped = initial_set(n)
-            for step in steps:
-                stepped = (add_ancilla(stepped) if isinstance(step, AddAncilla)
-                           else apply_gate(stepped, step))
-                kinds.add(getattr(step, "kind", None))
-            assert folded.n == stepped.n == final
+            stepped = sumpath.evolve(Circuit(n, steps))
+            kinds.update(getattr(step, "kind", None) for step in steps)
+            assert folded.n == len(stepped) == final
             for q in range(final):
                 for which in (X, Y, Z):
-                    assert folded.component(q, which) == stepped.component(q, which)
-            assert folded.history == stepped.history == tuple(steps)
+                    assert folded.component(q, which) == stepped[q][which - 1]
+            assert folded.history == tuple(steps)
         if n >= 2:
             assert kinds >= set(SINGLE_QUBIT_KINDS + TWO_QUBIT_KINDS)
 
@@ -374,23 +373,23 @@ class TestOneRuleForm:
         set_ = evolve_circuit(random_circuit(rng, n, 3 * n))
         for _ in range(40):
             gate = random_gate(rng, n)
-            want = reference_apply(set_, gate)
+            want = reference_apply(set_.descriptors, gate)
             set_ = apply_gate(set_, gate)
-            assert set_.descriptors == want.descriptors
+            assert set_.descriptors == want
 
     def test_multi_term_ccz_set(self):
         from test_density import ccz_conjugated
         rng = random.Random(61)
-        set_ = ccz_conjugated(evolve_circuit(random_circuit(rng, 4, 12)))
-        assert max(len(c) for d in set_.descriptors for c in d) > 1
+        descs = ccz_conjugated(evolve_circuit(random_circuit(rng, 4, 12)))
+        assert max(len(c) for d in descs for c in d) > 1
         for kind in SINGLE_QUBIT_KINDS + TWO_QUBIT_KINDS:
             for _ in range(3):
                 operands = tuple(rng.sample(range(4), 2 if kind in TWO_QUBIT_KINDS
                                             else 1))
                 gate = Gate(kind, operands)
-                want = reference_apply(set_, gate)
-                set_ = apply_gate(set_, gate)
-                assert set_.descriptors == want.descriptors
+                want = reference_apply(descs, gate)
+                descs = sumpath.apply_gate(descs, gate)
+                assert descs == want
 
     def test_multi_term_relative_descriptor(self, swap_result):
         from dhsim.relative import RelativeContext, context_factor, relative_descriptor
@@ -398,14 +397,12 @@ class TestOneRuleForm:
         ctx = RelativeContext.pair_computational((4, 5), (1, 0))
         descs = list(s.descriptors)
         descs[0] = relative_descriptor(s, 0, context_factor(s, ctx))
-        set_ = DescriptorSet(s.n, tuple(descs))
-        assert len(set_.component(0, X)) > 1
+        assert len(descs[0].qx) > 1
         gates = [Gate(kind, (0,)) for kind in SINGLE_QUBIT_KINDS]
         gates += [Gate(kind, ops) for kind in TWO_QUBIT_KINDS
                   for ops in ((0, 3), (3, 0), (2, 0))]
         for gate in gates:
-            assert apply_gate(set_, gate).descriptors == \
-                reference_apply(set_, gate).descriptors
+            assert sumpath.apply_gate(descs, gate) == reference_apply(descs, gate)
         # Conditioned on a gate operand, qubit 1's components no longer
         # commute with that operand's, so a two-factor row must take its
         # factors in operand order, not qubit order.
@@ -413,12 +410,10 @@ class TestOneRuleForm:
             ctx = RelativeContext.computational(target, 1)
             descs = list(s.descriptors)
             descs[0] = relative_descriptor(s, 0, context_factor(s, ctx))
-            set_ = DescriptorSet(s.n, tuple(descs))
             for kind in TWO_QUBIT_KINDS:
                 for ops in ((3, 0), (0, 3), (2, 0), (0, 2)):
                     gate = Gate(kind, ops)
-                    assert apply_gate(set_, gate).descriptors == \
-                        reference_apply(set_, gate).descriptors
+                    assert sumpath.apply_gate(descs, gate) == reference_apply(descs, gate)
 
     def test_history_is_the_circuit_steps(self):
         c = Circuit(1, (Gate("H", (0,)), AddAncilla(), Gate("CNOT", (0, 1))))
@@ -437,9 +432,9 @@ class TestOneRuleForm:
             evolve_circuit(bad)
 
     def test_value_types_keep_their_equality(self):
-        """A set compares and hashes on n and its descriptors alone, whatever
-        its history and rows; an ancilla directive, a NamedTuple with no
-        fields, is truthy all the same."""
+        """A set compares and hashes on n and its rows alone, whatever its
+        history; an ancilla directive, a NamedTuple with no fields, is
+        truthy all the same."""
         bell = evolve_circuit(Circuit(2, (Gate("H", (0,)), Gate("CNOT", (0, 1)))))
         bare = DescriptorSet(bell.n, bell.descriptors)
         assert bare == bell and not bare != bell and hash(bare) == hash(bell)

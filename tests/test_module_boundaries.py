@@ -4,13 +4,14 @@ The packed Pauli key layout lives behind `dhsim.pauli`: no other module
 reads a sum's term map or names a private key helper, and the public key
 helpers (`x_mask`, `slot_key`, `key_phase`, `key_support`, `render_term`,
 `PauliSum.from_key` and `PauliSum.as_key`) serve only the packed rows of
-`dhsim.engine`: the functions that build, fold and unpack them (a row's
-one-term sums by `row_descriptor`), the four
-that read a set's averages (`expectations`), its diagonal's kernel
-(`z_kernel`), its descriptor text (`descriptor_texts`) and its singles
-(`single_averages`) off them, and the signed-string readers of the
-two-qubit analyses (`rows_of`, `row_strings`, `all_strings`,
-`string_product`, `strings_commute`, `vacuum_sign`).  The dense oracle
+`dhsim.engine`: the functions that build, step, fold and unpack them (a
+descriptor's row by `descriptor_row`, a gate's step by `_step`, which
+`fold` and `apply_gate` call, a row's one-term sum by
+`DescriptorSet.component`), the four that read a set's averages
+(`expectations`), its diagonal's kernel (`z_kernel`), its descriptor text
+(`descriptor_texts`) and its singles (`single_averages`) off them, and
+the signed-string readers of the two-qubit analyses (`row_strings`,
+`all_strings`, `string_product`, `strings_commute`, `vacuum_sign`).  The dense oracle
 is the independent ground truth, so it uses only the public Pauli API
 (letter tuples and coefficients) and never a private name of
 `dhsim.pauli`.
@@ -23,10 +24,10 @@ Every record type is a `typing.NamedTuple`, so no module imports
 `dataclasses`, which a one-shot report would pay for with `inspect`.
 Each rule of a product is written once: a key's Y count in
 `pauli.key_phase` and a coefficient's quarter turn in one `ComplexDyadic`
-method.  `engine.rows_of` is the one switch between rows and sums: no
-other function reads `DescriptorSet.rows`, and a set keeps one stored
-form, so `descriptor_set` builds no sum and only `DescriptorSet.descriptor`
-and `rows_of` read the `sums` field.
+method.  A set stores its rows alone, `(n, rows, history)`, and only
+`engine.descriptor_set` builds one past the constructor; a gate is stepped
+on rows by one function, `engine._step`, and no module forms a product of
+sums for a set: `density` and `uniqueness` use no `PauliSum` algebra.
 """
 
 import ast
@@ -41,10 +42,10 @@ KEY_FORMAT = re.compile(r"\._terms\b"
                         r"|\b(_pack|_unpack|_CODE|_LETTER_OF_CODE|_BYTE_LETTERS)\b")
 KEY_HELPERS = {"x_mask", "slot_key", "key_phase", "key_support", "render_term",
                "from_key", "as_key"}
-PACKED_ROW_FUNCTIONS = {"_fresh_rows", "descriptor_set", "row_descriptor",
-                        "row_support", "fold",
+PACKED_ROW_FUNCTIONS = {"_fresh_rows", "descriptor_set", "descriptor_row",
+                        "component", "row_support", "_step", "apply_gate", "fold",
                         "expectations", "z_kernel", "descriptor_texts",
-                        "single_averages", "rows_of", "row_strings",
+                        "single_averages", "row_strings",
                         "all_strings", "string_product", "strings_commute",
                         "vacuum_sign"}
 
@@ -236,19 +237,32 @@ def _calls_by_function(tree):
                 yield where, name
 
 
+def _callers(name: str) -> set[str]:
+    """Every ``module:function`` in ``src`` that calls ``name``."""
+    return {f"{path.name}:{where}"
+            for path in MODULES
+            for where, called in _calls_by_function(ast.parse(path.read_text(encoding="utf-8")))
+            if called == name}
+
+
 def test_one_step_function():
-    """A descriptor set's gate rewrite and an ancilla's identity slot are
-    each applied in one place: ``_rewrite`` is called only by
-    ``engine.apply_gate``, and ``extended`` only by ``engine.add_ancilla``;
-    ``engine.fold`` steps packed rows instead."""
-    callers = {name: {f"{path.name}:{where}"
-                      for path in MODULES
-                      for where, called in _calls_by_function(
-                          ast.parse(path.read_text(encoding="utf-8")))
-                      if called == name}
-               for name in ("_rewrite", "extended")}
-    assert callers == {"_rewrite": {"engine.py:apply_gate"},
-                       "extended": {"engine.py:add_ancilla"}}
+    """A gate is stepped on packed rows in one place: ``engine._step`` is
+    called only by ``fold`` and ``apply_gate``; no sum rewrite
+    (``_rewrite``) or identity slot (``PauliSum.extended``) is applied."""
+    assert _callers("_step") == {"engine.py:fold", "engine.py:apply_gate"}
+    assert _callers("_rewrite") == _callers("extended") == set()
+
+
+def test_analyses_use_no_sum_algebra():
+    """``density`` and ``uniqueness`` read a set's rows: neither imports
+    nor calls a product, an average of sums, an inner product of sums or a
+    component product."""
+    algebra = {"sum_mul", "vacuum_expectation", "inner_products", "component_product"}
+    hits = [f"{path.name}:{where} uses {name}"
+            for path in (SRC / "density.py", SRC / "uniqueness.py")
+            for where, name in _names_by_function(ast.parse(path.read_text(encoding="utf-8")))
+            if name in algebra]
+    assert not hits
 
 
 # Two rules of a product, as ``ast.unparse`` writes them for any names: the
@@ -274,27 +288,15 @@ def test_one_copy_of_each_product_rule():
                       "quarter turn": {"pauli.py:_times"}}
 
 
-def test_rows_read_only_by_rows_of():
-    """Every reader of a set's packed rows asks ``engine.rows_of``, which
-    also reads them off a set of signed strings; nothing else reads the
-    ``rows`` field."""
-    readers = {f"{path.name}:{where}"
-               for path in MODULES
-               for where, node in _nodes_by_function(
-                   ast.parse(path.read_text(encoding="utf-8")))
-               if isinstance(node, ast.Attribute) and node.attr == "rows"}
-    assert readers == {"engine.py:rows_of"}
-
-
-def test_sums_read_only_by_descriptor():
-    """A set stores its rows or its sums, never both: only
-    ``DescriptorSet.descriptor`` and ``rows_of``'s fallback read the
-    ``sums`` field, and ``descriptor_set`` builds no one-term sum."""
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
-    readers = {f"{name}:{where}"
-               for name, tree in trees.items()
-               for where, node in _nodes_by_function(tree)
-               if isinstance(node, ast.Attribute) and node.attr == "sums"}
-    assert readers == {"engine.py:descriptor", "engine.py:rows_of"}
-    assert "from_key" not in {called for where, called in _calls_by_function(
-        trees["engine.py"]) if where == "descriptor_set"}
+def test_a_set_is_its_rows():
+    """A set stores its rows alone, and only ``descriptor_set`` builds one
+    past the constructor, which reads descriptors into rows."""
+    from dhsim.engine import DescriptorSet
+    assert DescriptorSet._fields == ("n", "rows", "history")
+    builders = {f"{path.name}:{where}"
+                for path in MODULES
+                for where, node in _nodes_by_function(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("__new__", "_make")
+                and "DescriptorSet" in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}}
+    assert builders == {"engine.py:descriptor_set"}

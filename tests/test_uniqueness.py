@@ -7,10 +7,7 @@ import pytest
 from dhsim.pauli import (
     I, X, Y, Z, LETTER_NAMES, ComplexDyadic, PauliSum, parse_sum,
 )
-from dhsim.engine import (
-    Descriptor, DescriptorSet, Gate, apply_gate, component_product,
-    initial_set,
-)
+from dhsim.engine import Descriptor, DescriptorSet, Gate, apply_gate, initial_set
 from dhsim import uniqueness
 from dhsim.density import DensityMatrix, expectation_table, reconstruct_density
 from dhsim.uniqueness import (
@@ -20,6 +17,7 @@ from dhsim.uniqueness import (
 )
 from conftest import classify_against_reference, from_xz, random_circuit, scale_xz
 from test_uniqueness_pins import stabilizer_states
+import sumpath
 
 
 def degenerate_set():
@@ -75,13 +73,13 @@ def _adjoint(s):
     return PauliSum(s.n, {ls: c.conjugate() for ls, c in s.terms()})
 
 
-def reference_validate_basis(set_):
+def reference_validate_basis(descs):
     """The basis checks by pairwise comparison and Hilbert-Schmidt inner
-    products of all sixteen products, computed from their terms, as a
-    test-side reference."""
+    products of all sixteen products of a pair's descriptors, computed from
+    their terms, as a test-side reference."""
     components = (X, Y, Z)
     violations = []
-    products = [(key, component_product(set_, key))
+    products = [(key, sumpath.component_product(descs, key))
                 for key in itertools.product((I,) + components, repeat=2)]
     distinct = []
     for _, p in products:
@@ -105,50 +103,52 @@ def reference_validate_basis(set_):
     traceless = True
     for a in (0, 1):
         for i in components:
-            if set_.component(a, i).coefficient((I, I)):
+            if descs[a][i - 1].coefficient((I, I)):
                 traceless = False
                 violations.append(
                     f"component ({a + 1},{LETTER_NAMES[i]}) has a trace")
     return BasisReport(count, orthogonal, complete, hermitian, traceless,
                        count == 16, tuple(violations),
-                       expectation_table(set_, (0, 1)))
+                       sumpath.expectation_table(descs, (0, 1)))
 
 
-def _with_component(set_, qubit, which, value):
-    comps = list(set_.descriptor(qubit))
-    comps[which - X] = value
-    descs = list(set_.descriptors)
-    descs[qubit] = Descriptor(*comps)
-    return DescriptorSet(2, tuple(descs))
+def _with_component(descs, qubit, which, value):
+    """A pair's descriptors with one component replaced."""
+    descs = list(descs)
+    descs[qubit] = descs[qubit]._replace(**{"qx qy qz".split()[which - X]: value})
+    return tuple(descs)
 
 
 def controlled_s_conjugated(set_):
     """Every component conjugated by controlled-S on (0, 1): a dyadic,
     non-Clifford unitary, so the components become multi-term sums while
-    every algebraic relation between them is kept."""
+    every algebraic relation between them is kept.  The pair's descriptors
+    are returned as a tuple, for the sum path."""
     ident = PauliSum.identity(2)
     z0, z1 = PauliSum.single(2, 0, Z), PauliSum.single(2, 1, Z)
     half = Fraction(1, 2)
     s_gate = (ident.scale(ComplexDyadic(half, half))
               + z1.scale(ComplexDyadic(half, -half)))
     cs = (ident + z0).scale(half) + (ident - z0).scale(half) * s_gate
-    return DescriptorSet(2, tuple(
-        Descriptor(*(_adjoint(cs) * c * cs for c in d))
-        for d in set_.descriptors))
+    return tuple(Descriptor(*(_adjoint(cs) * c * cs for c in d)) for d in set_.descriptors)
 
 
 def _basis_cases(bell_set, swap_result):
-    cases = list(stabilizer_states(2).values())
-    cases.append(degenerate_set())
-    qx = bell_set.component(0, X)
-    cases.append(_with_component(bell_set, 0, X, qx.scale(2)))
-    cases.append(_with_component(bell_set, 0, X, qx.scale(ComplexDyadic(0, 1))))
-    cases.append(_with_component(bell_set, 1, Z, PauliSum.zero(2)))
-    both = _with_component(bell_set, 0, X, PauliSum.zero(2))
+    """Pairs of descriptors: every stabilizer state, the degenerate set,
+    the Bell pair with one or two components broken, the swap's reduced
+    pairs and two conjugated by controlled-S."""
+    cases = [set_.descriptors for set_ in stabilizer_states(2).values()]
+    cases.append(degenerate_set().descriptors)
+    bell = bell_set.descriptors
+    qx = bell[0].qx
+    cases.append(_with_component(bell, 0, X, qx.scale(2)))
+    cases.append(_with_component(bell, 0, X, qx.scale(ComplexDyadic(0, 1))))
+    cases.append(_with_component(bell, 1, Z, PauliSum.zero(2)))
+    both = _with_component(bell, 0, X, PauliSum.zero(2))
     cases.append(_with_component(both, 0, Z, PauliSum.zero(2)))
-    cases.append(_with_component(bell_set, 0, X, qx + bell_set.component(1, X)))
+    cases.append(_with_component(bell, 0, X, qx + bell[1].qx))
     for outcome in swap_result.relative_bell:
-        cases.append(DescriptorSet(2, (outcome.reduced_1, outcome.reduced_4)))
+        cases.append((outcome.reduced_1, outcome.reduced_4))
     cases.append(controlled_s_conjugated(bell_set))
     cases.append(controlled_s_conjugated(degenerate_set()))
     return cases
@@ -156,11 +156,22 @@ def _basis_cases(bell_set, swap_result):
 
 class TestValidateBasisAgainstReference:
     def test_reports_identical(self, bell_set, swap_result):
+        """The row path on every pair a set can hold, and the sum path on
+        every pair, give the reference's report."""
         cases = _basis_cases(bell_set, swap_result)
-        assert all(len(c) > 1 for c in cases[-2].descriptor(1))
-        for set_ in cases:
-            assert validate_basis(set_) == reference_validate_basis(set_)
-        reports = [validate_basis(set_) for set_ in cases]
+        assert all(len(c) > 1 for c in cases[-2][1])
+        held = 0
+        for descs in cases:
+            want = reference_validate_basis(descs)
+            assert sumpath.validate_basis(descs) == want
+            try:
+                set_ = DescriptorSet(2, descs)
+            except ValueError:
+                continue
+            assert validate_basis(set_) == want
+            held += 1
+        assert held == len(cases) - 7
+        reports = [sumpath.validate_basis(descs) for descs in cases]
         assert sum(r.well_formed for r in reports) == 65
         assert {r.independent_count for r in reports} >= {8, 16}
         assert any(not r.orthogonal for r in reports)
@@ -281,16 +292,20 @@ class TestGenerateEquivalentSets:
 
     def test_set_of_multi_term_sums_refused(self, bell_set):
         """A proper basis whose components are not signed strings has no
-        packed rows to permute or flip: the class, a transform and the
-        canonical signs are refused."""
+        packed rows to permute or flip, so no set holds it; the class, a
+        transform and the canonical signs refuse a set that is not a
+        pair."""
         conjugated = controlled_s_conjugated(bell_set)
-        assert validate_basis(conjugated).well_formed
+        assert sumpath.validate_basis(conjugated).well_formed
         with pytest.raises(ValueError, match="signed Pauli strings"):
-            generate_equivalent_sets(conjugated)
+            DescriptorSet(2, conjugated)
+        wide = initial_set(3)
         with pytest.raises(ValueError, match="signed Pauli strings"):
-            apply_transform(conjugated, SymmetryTransform.identity())
+            generate_equivalent_sets(wide)
         with pytest.raises(ValueError, match="signed Pauli strings"):
-            canonical_signs(conjugated)
+            apply_transform(wide, SymmetryTransform.identity())
+        with pytest.raises(ValueError, match="signed Pauli strings"):
+            canonical_signs(wide)
 
     @pytest.mark.parametrize("base", ["h 1, cnot 1 2, h 1", "h 1, h 2, s 1, s 2"])
     def test_framed_sets_give_the_canonical_seed_orbit(self, base):
