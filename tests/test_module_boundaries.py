@@ -300,3 +300,41 @@ def test_a_set_is_its_rows():
                 and node.func.attr in ("__new__", "_make")
                 and "DescriptorSet" in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}}
     assert builders == {"engine.py:descriptor_set"}
+
+
+def test_rows_read_only_by_rows_of():
+    """There is no ``rows_of`` switch any more, as a set has no other form
+    to fall back on: no module defines or calls ``rows_of``, and the
+    ``rows`` field is read only by the functions that step, extend or read
+    packed rows."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in MODULES]
+    assert not {node.name for tree in trees for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "rows_of"}
+    assert _callers("rows_of") == set()
+    readers = {f"{path.name}:{where}"
+               for path in MODULES
+               for where, node in _nodes_by_function(
+                   ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr == "rows"}
+    assert readers == {"engine.py:apply_gate", "engine.py:add_ancilla",
+                       "engine.py:component", "engine.py:expectations",
+                       "engine.py:descriptor_texts", "engine.py:single_averages",
+                       "density.py:diagonal_probabilities",
+                       "uniqueness.py:_signed_pair_rows", "uniqueness.py:validate_basis"}
+
+
+def test_sums_read_only_by_descriptor():
+    """A set's sums exist only when ``DescriptorSet.descriptor`` asks for
+    them: no module reads a ``sums`` field, the one-term sum of a row is
+    built only by ``DescriptorSet.component``, which ``descriptor`` calls, and ``descriptor_set``
+    builds none."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    readers = {f"{name}:{where}"
+               for name, tree in trees.items()
+               for where, node in _nodes_by_function(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "sums"}
+    assert readers == set()
+    assert _callers("from_key") == {"engine.py:component"}
+    assert "engine.py:descriptor" in _callers("component")
+    assert "from_key" not in {called for where, called in _calls_by_function(
+        trees["engine.py"]) if where == "descriptor_set"}
