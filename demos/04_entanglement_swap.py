@@ -10,9 +10,12 @@ the (1,4) side -- do the conditioned descriptors of (1,4) become a
 maximally entangled pair.  Nothing non-local ever happens.
 
 ``run_entanglement_swap`` asserts, as it builds each of the four reduced
-(1,4) pairs, that the pair is a proper two-qubit basis and pure.
+(1,4) pairs, that the pair is a proper two-qubit basis and pure; each
+outcome holds its pair as a two-qubit set, whose text is read off its
+rows.
 """
 
+from dhsim.engine import descriptor_texts
 from dhsim.protocols import PAIRS_1BASED, run_entanglement_swap
 
 
@@ -45,8 +48,8 @@ def main():
     for o in result.relative_bell:
         bits = "".join(map(str, o.bits))
         print(f"  record {bits}  (p = {o.probability}):")
-        print(f"    q1' -> ({o.reduced_1.qx}; {o.reduced_1.qy}; {o.reduced_1.qz})")
-        print(f"    q4' -> ({o.reduced_4.qx}; {o.reduced_4.qy}; {o.reduced_4.qz})")
+        for label, texts in zip(("q1'", "q4'"), descriptor_texts(o.reduced)):
+            print(f"    {label} -> ({'; '.join(texts)})")
     signs_x = [o.sign_x for o in result.relative_bell]
     signs_z = [o.sign_z for o in result.relative_bell]
     print(f"\n  sign patterns across records: q1x {signs_x}, q4z {signs_z}")

@@ -385,12 +385,12 @@ def _cmd_swap_demo(cfg: RunConfig) -> dict:
                 "bits": "".join(map(str, o.bits)),
                 "probability": _num(o.probability),
                 "communication": [f"qz {q + 1}" for q in RECORD_QUBITS],
-                "reduced_1": _render3(o.reduced_1),
-                "reduced_4": _render3(o.reduced_4),
+                "reduced_1": list(q1),
+                "reduced_4": list(q4),
                 "sign_x": o.sign_x,
                 "sign_z": o.sign_z,
             }
-            for o in result.relative_bell],
+            for o in result.relative_bell for q1, q4 in [descriptor_texts(o.reduced)]],
     }
     if cfg.verify:
         from . import oracle
@@ -402,8 +402,8 @@ def _cmd_swap_demo(cfg: RunConfig) -> dict:
         remainder = [(a, I, I, b) for a, b in pair]
         for o in result.relative_bell:
             rem, prob = oracle.conditional_state(psi, list(RECORD_QUBITS), list(o.bits))
-            reduced = expectations(DescriptorSet(2, (o.reduced_1, o.reduced_4)), pair)
-            worst = oracle.worst_deviation(oracle.string_averages(rem, remainder), reduced)
+            worst = oracle.worst_deviation(oracle.string_averages(rem, remainder),
+                                           expectations(o.reduced, pair))
             if abs(prob - float(o.probability)) > oracle.ATOL or worst > oracle.ATOL:
                 ok = False
         sections["verified"] = ok

@@ -39,7 +39,8 @@ def is_positive(k: int, coeffs: Mapping[MultiIndex, Fraction]) -> bool:
     pivot has the sign of the Schur-complement pivot it stands for.  A
     negative pivot means "not positive"; a zero pivot needs the rest of
     its row to be zero and then drops out.  Raises ValueError above
-    POSITIVE_MAX_QUBITS qubits, before any matrix is built.
+    POSITIVE_MAX_QUBITS qubits, before any matrix is built, and on an index
+    of the wrong length or with a letter outside 0..3.
     """
     if k > POSITIVE_MAX_QUBITS:
         raise ValueError(f"positivity of a {k}-qubit operator is decided up "
@@ -51,6 +52,9 @@ def is_positive(k: int, coeffs: Mapping[MultiIndex, Fraction]) -> bool:
     for index, coef in coeffs.items():
         if len(index) != k:
             raise ValueError(f"index {index} does not cover {k} qubits")
+        if bad := [letter for letter in index if letter not in (I, X, Y, Z)]:
+            raise ValueError(f"letter {bad[0]!r} in index {index} is not one of "
+                             "0..3 (I, X, Y, Z)")
         value = Fraction(coef)
         if not value:
             continue
@@ -153,7 +157,9 @@ def reconstruct_density(set_: DescriptorSet, qubits: Sequence[int]) -> DensityMa
 
 def table_density(table: Mapping[MultiIndex, ComplexDyadic]) -> DensityMatrix:
     """The checked density whose coefficients are a table's averages; the
-    number of qubits is the length of a key."""
+    number of qubits is the length of a key; an empty table has none."""
+    if not table:
+        raise ValueError("an empty table has no density")
     coeffs: dict[MultiIndex, Fraction] = {}
     for index, value in table.items():
         if not value.is_real:

@@ -26,11 +26,11 @@ and ``evolve_circuit`` and the dependency trace build their set once
 (``DescriptorSet.descriptor`` and ``component``), and a set given as
 descriptors is read into rows (``descriptor_row``).  The averages
 (``expectations``), the diagonal's ``z_kernel``, the report's text and
-singles (``descriptor_texts``, ``single_averages``) and the two-qubit
-analyses read the rows with no product formed.  A row's three components
-are read by ``row_strings``, and signed strings are multiplied, commuted
-and averaged with ``string_product``, ``strings_commute`` and
-``vacuum_sign``.
+singles (``descriptor_texts``, ``single_averages``), the two-qubit
+analyses and ``component_product`` read the rows, and no product of sums
+is formed here.  A row's three components are read by ``row_strings``,
+and signed strings are multiplied, commuted and averaged with
+``string_product``, ``strings_commute`` and ``vacuum_sign``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .pauli import (
     I, X, Y, Z,
     ZERO, ComplexDyadic, DimensionError, PauliSum,
-    key_phase, key_support, render_term, slot_key, sum_mul, x_mask,
+    key_phase, key_support, render_term, slot_key, x_mask,
 )
 
 # Heisenberg rewrite V^dagger sigma V, one form for every kind: per operand
@@ -326,18 +326,20 @@ def add_ancilla(set_: DescriptorSet) -> DescriptorSet:
 
 
 def component_product(set_: DescriptorSet, indices: Sequence[int]) -> PauliSum:
-    """Ordered product of chosen components (identity for index 0).
+    """Ordered product of chosen components (identity for index 0), as the
+    one-term sum of its signed string, read off the rows.
 
     ``indices`` has one entry per qubit: 0 selects the identity factor,
-    X/Y/Z select that component (``DescriptorSet.component``).  Components
-    of different qubits commute, so taking the factors in qubit order
-    loses nothing.  One chosen component is its own product.
+    X/Y/Z select that component.  Components of different qubits commute,
+    so the factors are taken in qubit order, in one ``string_product``.
     """
-    if len(indices) != set_.n:
-        raise DimensionError(f"need {set_.n} component indices, got {len(indices)}")
-    chosen = [set_.component(qubit, which)
-              for qubit, which in enumerate(indices) if which != I]
-    return sum_mul(*chosen) if chosen else PauliSum.identity(set_.n)
+    n = set_.n
+    if len(indices) != n:
+        raise DimensionError(f"need {n} component indices, got {len(indices)}")
+    if bad := [which for which in indices if which not in (I, X, Y, Z)]:
+        raise ValueError(f"component index {bad[0]} must be X, Y or Z")
+    chosen = [row_strings(row, n)[w - 1] for row, w in zip(set_.rows, indices) if w != I]
+    return PauliSum.from_key(n, *string_product(n, (0, 0), *chosen))
 
 
 def expectation(set_: DescriptorSet, indices: Sequence[int]) -> ComplexDyadic:

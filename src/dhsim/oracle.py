@@ -222,9 +222,17 @@ def conditional_state(state: np.ndarray, qubits: list[int],
     """Project the listed qubits onto a bitstring outcome and renormalize.
 
     Returns the normalized state of the remaining qubits and the outcome
-    probability.  Zero-probability outcomes raise.
+    probability.  Zero-probability outcomes raise, and so do qubits that
+    repeat or lie outside the state, bits other than 0 and 1, and an
+    outcome whose length is not the number of qubits.
     """
     n = int(round(np.log2(state.shape[0])))
+    if len(qubits) != len(outcome):
+        raise OracleError(f"{len(outcome)} outcome bits for {len(qubits)} qubits")
+    if len(set(qubits)) != len(qubits) or not all(q in range(n) for q in qubits):
+        raise OracleError(f"qubits {qubits} are not distinct qubits of a {n}-qubit state")
+    if not all(bit in (0, 1) for bit in outcome):
+        raise OracleError(f"outcome {outcome} is not a string of bits")
     index = [slice(None)] * n
     for q, bit in zip(qubits, outcome):
         index[q] = int(bit)

@@ -44,7 +44,7 @@ import functools
 import operator
 import re as _re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 I, X, Y, Z = range(4)
 LETTER_NAMES = "IXYZ"
@@ -389,11 +389,6 @@ class PauliSum:
     def __hash__(self) -> int:
         return hash((self.n, tuple(self.terms())))
 
-    @property
-    def is_hermitian(self) -> bool:
-        """True when every folded coefficient is real."""
-        return all(c.is_real for c in self._terms.values())
-
     # -- algebra ----------------------------------------------------------
 
     def _require_same_n(self, other: "PauliSum") -> None:
@@ -447,10 +442,6 @@ class PauliSum:
                 kept |= (key >> 2 * q & 3) << 2 * j
             _accumulate(terms, kept, coef)
         return PauliSum._canonical(len(moves), terms)
-
-    def extended(self, extra: int) -> "PauliSum":
-        """Append ``extra`` identity slots (zero bits, so the keys stay)."""
-        return PauliSum._canonical(self.n + extra, dict(self._terms))
 
     # -- rendering ---------------------------------------------------------
 
@@ -539,23 +530,6 @@ def sum_mul(first: PauliSum, *rest: PauliSum) -> PauliSum:
                 _accumulate(terms, ka ^ kb, ca._times(cb, key_phase(ka, kb, m)))
         product = PauliSum._canonical(n, terms)
     return product
-
-
-def inner_products(sums: Sequence[PauliSum]) -> dict[tuple[int, int], ComplexDyadic]:
-    """Every nonzero normalized Hilbert-Schmidt inner product
-    Tr(sums[a]^dagger sums[b]) / 2**n with a <= b, keyed (a, b): the sum of
-    conj(c_a) c_b over the keys both sums hold."""
-    for s in sums:
-        sums[0]._require_same_n(s)
-    out: dict[tuple[int, int], ComplexDyadic] = {}
-    for a, sa in enumerate(sums):
-        for b in range(a, len(sums)):
-            tb = sums[b]._terms
-            value = sum((ca.conjugate() * tb[key] for key, ca in sa._terms.items()
-                         if key in tb), ZERO)
-            if value:
-                out[a, b] = value
-    return out
 
 
 def vacuum_expectation(*factors: PauliSum) -> ComplexDyadic:

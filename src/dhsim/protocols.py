@@ -10,9 +10,9 @@ already holds: ``dependency_trace`` builds its set from the final
 packed rows of the one ``engine.fold`` it reads, each record context's
 ``context_factor`` feeds both ``relative_descriptor`` and
 ``conditional_restriction``, which reduces the whole conditioned
-descriptor, and a reduced pair's ``validate_basis`` report carries the
-table its density is built from: the swap's outcomes are built, weighed
-and checked in that one pass.
+descriptor, and a reduced pair is one two-qubit set whose ``validate_basis``
+report carries the table its density is built from: each swap outcome is
+built, weighed and checked in that one pass, and holds that set.
 
 Qubit labels in every report are 1-based.  ``density``, ``relative`` and
 ``uniqueness`` are imported inside the functions that call them.
@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .pauli import X, Y, Z, vacuum_expectation
 from .engine import (
-    AddAncilla, Circuit, Descriptor, DescriptorSet, Gate,
+    AddAncilla, Circuit, DescriptorSet, Gate,
     descriptor_set, evolve_circuit, fold, row_support, single_averages, step_label,
 )
 
@@ -102,14 +102,12 @@ RECORD_QUBITS = (4, 5)
 
 
 class RelativeBellOutcome(NamedTuple):
-    """One conditioning branch of the swap: the bits of ``RECORD_QUBITS``."""
+    """One conditioning branch of the swap: the bits of ``RECORD_QUBITS``,
+    and the reduced (1,4) pair as the two-qubit set it is checked on."""
 
     bits: tuple[int, int]
     probability: Fraction
-    conditioned_1: Descriptor
-    conditioned_4: Descriptor
-    reduced_1: Descriptor
-    reduced_4: Descriptor
+    reduced: DescriptorSet
     sign_x: int
     sign_z: int
 
@@ -127,9 +125,9 @@ def _swap_relative_outcomes(set_: DescriptorSet) -> tuple[RelativeBellOutcome, .
 
     Each context's factor is built once: its vacuum average is four times
     the outcome's probability, and ``conditional_restriction`` reduces the
-    descriptors already conditioned on it.  Each reduced pair is asserted
-    where it is built to be a proper two-qubit basis with purity sum 3 (a
-    pure, maximally entangled pair), on the pair's basis report and the
+    descriptors already conditioned on it.  Each reduced pair is one
+    two-qubit set, stored as it is asserted to be a proper basis with purity
+    sum 3 (a pure, maximally entangled pair), on its basis report and the
     density of the report's table.  Signs are read against outcome (0, 0).
     """
     from . import density, relative, uniqueness
@@ -137,11 +135,10 @@ def _swap_relative_outcomes(set_: DescriptorSet) -> tuple[RelativeBellOutcome, .
     for bits in itertools.product((0, 1), repeat=2):
         factor = relative.context_factor(
             set_, relative.RelativeContext.pair_computational(RECORD_QUBITS, bits))
-        cond1 = relative.relative_descriptor(set_, 0, factor)
-        cond4 = relative.relative_descriptor(set_, 3, factor)
-        red1, red4 = (relative.conditional_restriction(cond, (0, 3), factor)
-                      for cond in (cond1, cond4))
-        report = uniqueness.validate_basis(DescriptorSet(2, (red1, red4)))
+        red1, red4 = (relative.conditional_restriction(
+            relative.relative_descriptor(set_, q, factor), (0, 3), factor) for q in (0, 3))
+        pair = DescriptorSet(2, (red1, red4))
+        report = uniqueness.validate_basis(pair)
         if not report.well_formed:
             raise AssertionError(f"reduced pair for bits {bits} is not a proper basis")
         total, mixed = density.purity_condition(density.table_density(report.table))
@@ -150,7 +147,7 @@ def _swap_relative_outcomes(set_: DescriptorSet) -> tuple[RelativeBellOutcome, .
         if not outcomes:
             ref1, ref4 = red1, red4
         outcomes.append(RelativeBellOutcome(
-            bits, vacuum_expectation(factor).re / 4, cond1, cond4, red1, red4,
+            bits, vacuum_expectation(factor).re / 4, pair,
             1 if red1.qx == ref1.qx else -1, 1 if red4.qz == ref4.qz else -1))
     return tuple(outcomes)
 
@@ -163,8 +160,8 @@ def run_entanglement_swap() -> SwapResult:
     (3,5) and (2,6).  Conditioning (1,4) on the records held by (5,6)
     produces, after reduction, the four maximally entangled pair
     descriptors with sign patterns (++--) on q_1x and (+-+-) on q_4z;
-    ``relative_bell`` holds them, each already asserted to be a proper
-    basis and pure.
+    ``relative_bell`` holds each as a two-qubit set, already asserted to
+    be a proper basis and pure.
     """
     from .density import expectation_table, purity_condition, table_density
     dependency = dependency_trace(swap_circuit())
@@ -229,12 +226,9 @@ def run_ultimate_chain_demo() -> dict:
     plus, minus, third, factors = relative.ultimate_state_chain(set_, 1)
     sum_ok = all(p + m == c.scale(2)
                  for p, m, c in zip(plus, minus, set_.descriptor(1)))
-    # The chained ancilla states certify the computational contexts: their
-    # averages are (0, 0, +/-1), and conditioning the system on the third
-    # system's record, restricted to the original two qubits, reproduces
-    # the plain two-qubit relative descriptors exactly.
-    blochs = {name: [vacuum_expectation(desc.component(w)) for w in COMPONENTS]
-              for name, desc in (("plus", plus), ("minus", minus))}
+    # Conditioning the system on the third system's record, restricted to
+    # the original two qubits, reproduces the plain two-qubit relative
+    # descriptors exactly.
     cross = {}
     for bit, (reference, factor) in enumerate(zip((rel_zero, rel_one), factors)):
         conditioned = relative.relative_descriptor(set_, 0, factor)
@@ -248,6 +242,5 @@ def run_ultimate_chain_demo() -> dict:
         "minus": minus,
         "third_system": third + 1,
         "sum_identity": sum_ok,
-        "conditioned_blochs": blochs,
         "chain_matches_relative": cross,
     }

@@ -7,11 +7,12 @@ subsystem multiplies a descriptor by an unnormalized (1 + ...) factor; the
 outcome probability is reported separately rather than divided out, which
 keeps the sum-over-a-complete-measurement identity exact.
 
-A context's factor is built once, by ``context_factor``, and is the input
-of the analyses that use it: ``relative_descriptor`` conditions a qubit on
-it, ``conditional_restriction`` reduces a whole descriptor already
-conditioned on it, with the context's weight checked and inverted once,
-and ``ultimate_state_chain`` returns the two it builds.
+A context's factor is built once, by ``context_factor``, each table entry
+one signed string off the rows (``engine.component_product``), and is the
+input of the analyses that use it: ``relative_descriptor`` conditions a
+qubit on it, ``conditional_restriction`` reduces a whole descriptor
+already conditioned on it, with the context's weight checked and inverted
+once, and ``ultimate_state_chain`` returns the two it builds.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class RelativeContext(NamedTuple("RelativeContext", [
         clean: dict[MultiIndex, Fraction] = {}
         for index, value in (table or {}).items():
             index = tuple(index)
-            if len(index) != k or index == (I,) * k:
+            if len(index) != k or index == (I,) * k or not set(index) <= {I, X, Y, Z}:
                 raise ContextError(f"bad table index {index}")
             value = Fraction(value)
             if value:

@@ -8,7 +8,9 @@ conjugated by a non-Clifford unitary, say), and form each product with
 ``engine._RULES`` per operand, and every average is ``vacuum_expectation``
 of a formed product.  They are the tests' reference for the row path, and
 are themselves checked against ``matrices.conjugate`` and the dense
-oracle in ``test_sumpath.py``.
+oracle in ``test_sumpath.py``.  The sum helpers only this path needs
+(``inner_products``, ``is_hermitian`` and ``extended``) are written here
+on the public ``PauliSum`` API: its letter tuples and coefficients.
 """
 
 import itertools
@@ -17,9 +19,36 @@ from dhsim import engine, pauli
 from dhsim.engine import AddAncilla, Descriptor, check_qubits
 from dhsim.pauli import (
     I, LETTER_NAMES, ONE, ZERO, DimensionError, PauliSum,
-    inner_products, sum_mul, vacuum_expectation,
+    sum_mul, vacuum_expectation,
 )
 from dhsim.uniqueness import _PAIR_KEYS as PAIR_KEYS, COMPONENTS, BasisReport
+
+
+def inner_products(sums) -> dict:
+    """Every nonzero normalized Hilbert-Schmidt inner product
+    Tr(sums[a]^dagger sums[b]) / 2**n with a <= b, keyed (a, b): the sum of
+    conj(c_a) c_b over the strings both sums hold."""
+    if len({s.n for s in sums}) > 1:
+        raise DimensionError(f"qubit count mismatch: {sorted({s.n for s in sums})}")
+    terms = [dict(s.terms()) for s in sums]
+    out = {}
+    for a, ta in enumerate(terms):
+        for b in range(a, len(terms)):
+            tb = terms[b]
+            value = sum((ca.conjugate() * tb[ls] for ls, ca in ta.items() if ls in tb), ZERO)
+            if value:
+                out[a, b] = value
+    return out
+
+
+def is_hermitian(s: PauliSum) -> bool:
+    """True when every coefficient of the sum is real."""
+    return all(c.is_real for _, c in s.terms())
+
+
+def extended(s: PauliSum, extra: int) -> PauliSum:
+    """The sum with ``extra`` identity slots appended."""
+    return PauliSum(s.n + extra, {ls + (I,) * extra: c for ls, c in s.terms()})
 
 
 def initial(n: int) -> tuple[Descriptor, ...]:
@@ -46,7 +75,7 @@ def add_ancilla(descs) -> tuple[Descriptor, ...]:
     """One fresh |0> qubit at the end: every component gains an identity
     slot, and the new qubit's sigma sits on its own."""
     n = len(descs) + 1
-    grown = [Descriptor._make(c.extended(1) for c in d) for d in descs]
+    grown = [Descriptor._make(extended(c, 1) for c in d) for d in descs]
     return (*grown, Descriptor(*(PauliSum.single(n, n - 1, w) for w in COMPONENTS)))
 
 
@@ -150,7 +179,7 @@ def validate_basis(descs) -> BasisReport:
     traces = [(a, i) for a in (0, 1) for i in COMPONENTS
               if descs[a][i - 1].coefficient((I, I))]
     count = 16 - len({b for _, b in equal})
-    hermitian = all(p.is_hermitian for p in products)
+    hermitian = all(map(is_hermitian, products))
     complete = all(norm == ONE for norm in norms)
     violations = []
     if count != 16:

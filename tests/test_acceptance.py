@@ -257,7 +257,7 @@ def test_criterion_07_entanglement_swap():
         assert [o.sign_x for o in outcomes] == [1, 1, -1, -1]
         assert [o.sign_z for o in outcomes] == [1, -1, 1, -1]
         for o in outcomes:
-            pair = DescriptorSet(2, (o.reduced_1, o.reduced_4))
+            pair = o.reduced
             assert validate_basis(pair).well_formed
             total, mixed = purity_condition(reconstruct_density(pair, (0, 1)))
             assert total == 3 and not mixed

@@ -562,19 +562,20 @@ def test_swap_demo_verify_evolves_the_oracle_state_once(monkeypatch):
 
 
 def test_swap_demo_verify_compares_the_reduced_pairs(monkeypatch):
-    """One outcome's reduced q_z negated, and its q_y with it (q_y =
-    i q_x q_z, so the pair stays a set), handed to the report after the
-    basis and purity assertions passed on the real pairs: only the
-    comparison with the conditioned oracle state can see it."""
+    """One outcome's reduced q_4z negated in its stored set, and its q_y
+    with it (q_y = i q_x q_z, so the pair stays a set), handed to the
+    report after the basis and purity assertions passed on the real pairs:
+    only the comparison with the conditioned oracle state can see it."""
     from dhsim import protocols
-    from dhsim.engine import Descriptor
+    from dhsim.engine import Descriptor, DescriptorSet
     real = protocols.run_entanglement_swap
 
     def negated():
         result = real()
         outcomes = list(result.relative_bell)
-        d = outcomes[2].reduced_4
-        outcomes[2] = outcomes[2]._replace(reduced_4=Descriptor(d.qx, -d.qy, -d.qz))
+        d1, d4 = outcomes[2].reduced.descriptors
+        outcomes[2] = outcomes[2]._replace(
+            reduced=DescriptorSet(2, (d1, Descriptor(d4.qx, -d4.qy, -d4.qz))))
         return result._replace(relative_bell=tuple(outcomes))
 
     assert run_report(RunConfig("swap-demo", verify=True))[0] == EXIT_OK

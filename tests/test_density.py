@@ -195,6 +195,21 @@ class TestIsPositive:
         assert not is_positive(1, {(I,): 1, (X,): 2 * third, (Y,): 2 * third,
                                    (Z,): 2 * third})
 
+    @pytest.mark.parametrize("letter", [9, 4, -1])
+    def test_letter_outside_0_to_3_refused(self, letter):
+        """A letter that is not I, X, Y or Z is named, not read as I."""
+        message = rf"letter {letter} in index \({letter},\) is not one of 0..3"
+        with pytest.raises(ValueError, match=message):
+            is_positive(1, {(I,): 1, (letter,): 1})
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(1, {(I,): 1, (letter,): 1}).validate()
+        with pytest.raises(ValueError, match=rf"letter {letter} in index \(1, {letter}\)"):
+            is_positive(2, {(I, I): 1, (X, letter): 0})
+
+    def test_empty_table_has_no_density(self):
+        with pytest.raises(ValueError, match="empty table has no density"):
+            density.table_density({})
+
     def test_eleven_qubits_refused_before_building(self):
         class Unread(dict):
             def items(self):

@@ -5,7 +5,7 @@ import pytest
 
 from dhsim import oracle
 from dhsim.pauli import (
-    I, X, Y, Z, ComplexDyadic, DimensionError, PauliSum, inner_products,
+    I, X, Y, Z, ComplexDyadic, DimensionError, PauliSum,
     parse_sum, vacuum_expectation,
 )
 from dhsim.engine import (
@@ -126,7 +126,7 @@ class TestAncilla:
 
     def test_extension_preserves_components(self, bell_set):
         s = add_ancilla(bell_set)
-        assert s.component(0, X) == bell_set.component(0, X).extended(1)
+        assert s.component(0, X) == sumpath.extended(bell_set.component(0, X), 1)
 
 
 class TestEvolveCircuit:
@@ -148,8 +148,7 @@ class TestEvolveCircuit:
 def is_canonical(d):
     """q_y = i q_x q_z and all components Hermitian."""
     want_y = (d.qx * d.qz).scale(ComplexDyadic.i_power(1))
-    return (want_y == d.qy and d.qx.is_hermitian and d.qy.is_hermitian
-            and d.qz.is_hermitian)
+    return want_y == d.qy and all(map(sumpath.is_hermitian, d))
 
 
 class TestStructuralInvariants:
@@ -183,7 +182,7 @@ class TestStructuralInvariants:
                 images.append(heisenberg_image(s, PauliSum(2, {letters: ONE})))
             # Tr(a^dagger b) / 4 is 1 on the diagonal and 0 off it.
             want = {(i, i): ONE for i in range(len(images))}
-            assert inner_products(images) == want
+            assert sumpath.inner_products(images) == want
 
     def test_component_product_matches_expectation(self, bell_set):
         from dhsim.pauli import vacuum_expectation
@@ -271,9 +270,9 @@ class TestBatchedExpectations:
 
 
 def full_product_average(set_, indices):
-    """The vacuum average of the full component product, formed term by
-    term with no shortcut for strings that average to zero."""
-    return vacuum_expectation(component_product(set_, indices))
+    """The vacuum average of the full component product, formed from the
+    set's descriptors on the sum path, which shares no code with the rows."""
+    return vacuum_expectation(sumpath.component_product(set_.descriptors, indices))
 
 
 class TestPictureEquivalence:

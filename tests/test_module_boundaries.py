@@ -7,7 +7,8 @@ helpers (`x_mask`, `slot_key`, `key_phase`, `key_support`, `render_term`,
 `dhsim.engine`: the functions that build, step, fold and unpack them (a
 descriptor's row by `descriptor_row`, a gate's step by `_step`, which
 `fold` and `apply_gate` call, a row's one-term sum by
-`DescriptorSet.component`), the four that read a set's averages
+`DescriptorSet.component`, a product of components' by
+`component_product`), the four that read a set's averages
 (`expectations`), its diagonal's kernel (`z_kernel`), its descriptor text
 (`descriptor_texts`) and its singles (`single_averages`) off them, and
 the signed-string readers of the two-qubit analyses (`row_strings`,
@@ -27,7 +28,8 @@ Each rule of a product is written once: a key's Y count in
 method.  A set stores its rows alone, `(n, rows, history)`, and only
 `engine.descriptor_set` builds one past the constructor; a gate is stepped
 on rows by one function, `engine._step`, and no module forms a product of
-sums for a set: `density` and `uniqueness` use no `PauliSum` algebra.
+sums for a set: `engine` names no `sum_mul`, and `density` and
+`uniqueness` use no `PauliSum` algebra.
 """
 
 import ast
@@ -43,7 +45,8 @@ KEY_FORMAT = re.compile(r"\._terms\b"
 KEY_HELPERS = {"x_mask", "slot_key", "key_phase", "key_support", "render_term",
                "from_key", "as_key"}
 PACKED_ROW_FUNCTIONS = {"_fresh_rows", "descriptor_set", "descriptor_row",
-                        "component", "row_support", "_step", "apply_gate", "fold",
+                        "component", "component_product", "row_support", "_step",
+                        "apply_gate", "fold",
                         "expectations", "z_kernel", "descriptor_texts",
                         "single_averages", "row_strings",
                         "all_strings", "string_product", "strings_commute",
@@ -248,9 +251,16 @@ def _callers(name: str) -> set[str]:
 def test_one_step_function():
     """A gate is stepped on packed rows in one place: ``engine._step`` is
     called only by ``fold`` and ``apply_gate``; no sum rewrite
-    (``_rewrite``) or identity slot (``PauliSum.extended``) is applied."""
+    (``_rewrite``) or identity slot (``extended``) is applied."""
     assert _callers("_step") == {"engine.py:fold", "engine.py:apply_gate"}
     assert _callers("_rewrite") == _callers("extended") == set()
+
+
+def test_engine_names_no_sum_product():
+    """``engine`` forms no product of sums: a product of components is one
+    signed string off the rows, so the module never names ``sum_mul``."""
+    tree = ast.parse((SRC / "engine.py").read_text(encoding="utf-8"))
+    assert [where for where, name in _names_by_function(tree) if name == "sum_mul"] == []
 
 
 def test_analyses_use_no_sum_algebra():
@@ -317,7 +327,8 @@ def test_rows_read_only_by_rows_of():
                    ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.Attribute) and node.attr == "rows"}
     assert readers == {"engine.py:apply_gate", "engine.py:add_ancilla",
-                       "engine.py:component", "engine.py:expectations",
+                       "engine.py:component", "engine.py:component_product",
+                       "engine.py:expectations",
                        "engine.py:descriptor_texts", "engine.py:single_averages",
                        "density.py:diagonal_probabilities",
                        "uniqueness.py:_signed_pair_rows", "uniqueness.py:validate_basis"}
@@ -326,15 +337,16 @@ def test_rows_read_only_by_rows_of():
 def test_sums_read_only_by_descriptor():
     """A set's sums exist only when ``DescriptorSet.descriptor`` asks for
     them: no module reads a ``sums`` field, the one-term sum of a row is
-    built only by ``DescriptorSet.component``, which ``descriptor`` calls, and ``descriptor_set``
-    builds none."""
+    built only by ``DescriptorSet.component``, which ``descriptor`` calls,
+    and that of a product of components only by ``component_product``, and
+    ``descriptor_set`` builds none."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
     readers = {f"{name}:{where}"
                for name, tree in trees.items()
                for where, node in _nodes_by_function(tree)
                if isinstance(node, ast.Attribute) and node.attr == "sums"}
     assert readers == set()
-    assert _callers("from_key") == {"engine.py:component"}
+    assert _callers("from_key") == {"engine.py:component", "engine.py:component_product"}
     assert "engine.py:descriptor" in _callers("component")
     assert "from_key" not in {called for where, called in _calls_by_function(
         trees["engine.py"]) if where == "descriptor_set"}

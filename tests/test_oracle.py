@@ -363,6 +363,22 @@ class TestConditionalState:
         with pytest.raises(oracle.OracleError):
             oracle.conditional_state(psi, [0], [1])
 
+    @pytest.mark.parametrize("qubits,outcome,message", [
+        ([1, 2], [0], "1 outcome bits for 2 qubits"),
+        ([1], [0, 1], "2 outcome bits for 1 qubits"),
+        ([-1], [0], r"qubits \[-1\] are not distinct qubits of a 3-qubit state"),
+        ([3], [0], r"qubits \[3\] are not distinct"),
+        ([0, 0], [0, 1], r"qubits \[0, 0\] are not distinct"),
+        ([0], [2], r"outcome \[2\] is not a string of bits"),
+        ([0, 1], [1, -1], r"outcome \[1, -1\] is not a string of bits"),
+    ])
+    def test_bad_qubits_or_outcome_refused(self, qubits, outcome, message):
+        """Nothing is zipped short, wrapped onto the last qubit or indexed
+        past the state: each mistake is named."""
+        psi = oracle.apply_circuit(3, [("H", (0,)), ("H", (1,)), ("H", (2,))])
+        with pytest.raises(oracle.OracleError, match=message):
+            oracle.conditional_state(psi, qubits, outcome)
+
 
 class TestBellGate:
     def test_rotates_bell_pair_to_zero(self):

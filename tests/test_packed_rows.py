@@ -130,8 +130,7 @@ def test_signed_string_sets_form_no_product(swap_result, monkeypatch):
     for qubit in (0, 2):
         measured = measure(measured, qubit)
     sets = [measured, evolve_circuit(circuit_with_ancillas(rng, 6))]
-    sets += [DescriptorSet(2, (o.reduced_1, o.reduced_4))
-             for o in swap_result.relative_bell]
+    sets += [o.reduced for o in swap_result.relative_bell]
     assert len(sets) == 6 and all(len(set_.rows) == set_.n for set_ in sets)
     calls = count_calls(monkeypatch, pauli, "sum_mul")
     got = [analyses(set_, seed) for seed, set_ in enumerate(sets)]
@@ -163,8 +162,7 @@ def test_validate_basis_rows_agree_with_the_products(swap_result):
     for state in stabilizer_states(2).values():
         cases.append(state)
         cases += [member for member, _ in generate_equivalent_sets(state)[1]]
-    cases += [DescriptorSet(2, (o.reduced_1, o.reduced_4))
-              for o in swap_result.relative_bell]
+    cases += [o.reduced for o in swap_result.relative_bell]
     broken = {name: descriptor_set(rows) for name, rows in _broken_sets().items()}
     cases += broken.values()
     assert len(cases) == 308
@@ -189,7 +187,10 @@ def _circuit_text(rng: random.Random, n: int) -> str:
 def test_clifford_reports_build_no_sum(tmp_path, monkeypatch, capsys):
     """``run``, ``validate``, ``symmetries``, ``construct``, ``trace`` and
     ``measure-demo`` on Clifford circuits build no ``PauliSum`` through
-    either constructor: every set they read holds its rows alone."""
+    either constructor: every set they read holds its rows alone.
+    ``swap-demo`` and ``chain-demo`` build only their relative descriptors'
+    sums, a context factor one sum per table entry and a product of
+    components none of its own: at most 140 and 77 a report."""
     rng = random.Random(50)
     files = {"bell": "qubits 2\nh 1\ncnot 1 2\n", "zero": "qubits 2\n",
              "six": _circuit_text(rng, 6), "ten": _circuit_text(rng, 10)}
@@ -212,10 +213,13 @@ def test_clifford_reports_build_no_sum(tmp_path, monkeypatch, capsys):
         argv = [str(tmp_path / a) if a.endswith(".dh") else a for a in run.split()]
         assert cli.main(argv) == cli.EXIT_OK, run
         counts[run] = len(built)
-    capsys.readouterr()
     assert counts == dict.fromkeys(counts, 0)
-    # The counter sees the sums a set of sums builds.
-    assert cli.main(["swap-demo"]) == cli.EXIT_OK and built
+    # The counter sees the sums the relative descriptors build.
+    for run, bound in {"swap-demo": 140, "chain-demo": 77}.items():
+        built.clear()
+        assert cli.main([run]) == cli.EXIT_OK, run
+        assert 0 < len(built) <= bound, run
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -12,11 +12,12 @@ from dhsim import pauli
 from dhsim.pauli import (
     I, X, Y, Z,
     ComplexDyadic, DimensionError, PauliSum,
-    inner_products, parse_sum, sum_mul, vacuum_expectation,
+    parse_sum, sum_mul, vacuum_expectation,
 )
 from dhsim.engine import strings_commute
 from conftest import z_projector
 import matrices
+import sumpath
 
 ONE = ComplexDyadic.of(1)
 
@@ -27,7 +28,7 @@ def S(text):
 
 def hs(a, b):
     """Tr(a^dagger b) / 2^n: the (0, 1) entry of ``inner_products``."""
-    return inner_products([a, b]).get((0, 1), ComplexDyadic.of(0))
+    return sumpath.inner_products([a, b]).get((0, 1), ComplexDyadic.of(0))
 
 
 def string(letters, k=0):
@@ -620,7 +621,7 @@ class TestPackedKeysDifferential:
         keep = data.draw(st.sets(st.integers(0, n - 1)))
         assert_same(a.restrict(keep), len(keep), ref_restrict(ra, n, keep))
         extra = data.draw(st.integers(0, 3))
-        assert_same(a.extended(extra), n + extra,
+        assert_same(sumpath.extended(a, extra), n + extra,
                     {ls + (I,) * extra: c for ls, c in ra.items()})
         vac = (sum((c[0] for ls, c in ra.items() if set(ls) <= {I, Z}), Fraction(0)),
                sum((c[1] for ls, c in ra.items() if set(ls) <= {I, Z}), Fraction(0)))
@@ -730,7 +731,7 @@ class TestRememberedTextAndSupport:
         assert a.scale(-1).render() == "-1 * X⊗Z + -1/2 * Y⊗I"
         assert (-a).support() == a.support() == {0, 1}
         assert a.restrict([0]).render() == "1 * X + 1/2 * Y"
-        assert a.extended(1).support() == {0, 1}
+        assert sumpath.extended(a, 1).support() == {0, 1}
         assert PauliSum.zero(2).render() == "0" and not PauliSum.zero(2).support()
 
     def test_text_of_reduced_coefficients(self):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from dhsim import oracle, relative
-from dhsim.pauli import I, X, Y, Z, ComplexDyadic, PauliSum, parse_sum
+from dhsim.pauli import I, X, Y, Z, ComplexDyadic, PauliSum, parse_sum, vacuum_expectation
 from dhsim.engine import (
-    Circuit, DescriptorSet, Gate, add_ancilla, apply_gate, gate_steps, initial_set,
+    Circuit, Gate, add_ancilla, apply_gate, gate_steps, initial_set,
 )
 from dhsim.density import expectation_table, purity_condition, reconstruct_density
 from dhsim.protocols import (
@@ -195,11 +195,11 @@ class TestSwapRelativeBell:
         for o in swap_result.relative_bell:
             want_1 = tuple(parse_sum(t).scale(o.sign_x if w != "z" else 1)
                            for t, w in zip(BELL_PAIR_1, "xyz"))
-            got_1 = (o.reduced_1.qx, o.reduced_1.qy, o.reduced_1.qz)
+            got_1 = tuple(o.reduced.descriptor(0))
             assert got_1 == want_1
             want_4 = tuple(parse_sum(t).scale(o.sign_z if w != "x" else 1)
                            for t, w in zip(BELL_PAIR_4, "xyz"))
-            got_4 = (o.reduced_4.qx, o.reduced_4.qy, o.reduced_4.qz)
+            got_4 = tuple(o.reduced.descriptor(1))
             assert got_4 == want_4
 
     @pytest.mark.parametrize("name,spoil,message", [
@@ -224,7 +224,7 @@ class TestSwapRelativeBell:
 
     def test_reduced_pairs_pure_and_entangled(self, swap_result):
         for o in swap_result.relative_bell:
-            pair = DescriptorSet(2, (o.reduced_1, o.reduced_4))
+            pair = o.reduced
             total, mixed = purity_condition(reconstruct_density(pair, (0, 1)))
             assert total == 3 and not mixed
             table = expectation_table(pair, [0, 1])
@@ -237,7 +237,7 @@ class TestSwapRelativeBell:
         for o in swap_result.relative_bell:
             rem, prob = oracle.conditional_state(psi, [4, 5], list(o.bits))
             assert abs(prob - float(o.probability)) < 1e-12
-            pair = DescriptorSet(2, (o.reduced_1, o.reduced_4))
+            pair = o.reduced
             for (i, j), value in expectation_table(pair, [0, 1]).items():
                 letters = (i, I, I, j)
                 want = oracle.expectation_dense(
@@ -257,10 +257,13 @@ class TestSwapRelativeBell:
 
     def test_pair_level_sum_identity(self, swap_result):
         s = swap_result.final_set
+        conditioned = [relative.relative_descriptor(s, 0, relative.context_factor(
+                           s, relative.RelativeContext.pair_computational((4, 5), o.bits)))
+                       for o in swap_result.relative_bell]
         for w in (X, Y, Z):
             total = PauliSum.zero(6)
-            for o in swap_result.relative_bell:
-                total = total + o.conditioned_1.component(w)
+            for d in conditioned:
+                total = total + d.component(w)
             assert total == s.component(0, w).scale(4)
 
 
@@ -294,8 +297,8 @@ class TestUltimateChainDemo:
 
     def test_chain_blochs_certify_outcomes(self):
         demo = run_ultimate_chain_demo()
-        plus = [v.re for v in demo["conditioned_blochs"]["plus"]]
-        minus = [v.re for v in demo["conditioned_blochs"]["minus"]]
+        plus, minus = ([vacuum_expectation(c).re for c in demo[name]]
+                       for name in ("plus", "minus"))
         assert plus == [0, 0, 1]
         assert minus == [0, 0, -1]
 

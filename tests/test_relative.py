@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -311,6 +312,14 @@ class TestContextValidation:
                 context_factor(s, RelativeContext.bloch(q, 1, 0, 0))
             with pytest.raises(ContextError, match=outside):
                 relative_descriptor(s, q, factor)
+
+    @pytest.mark.parametrize("target,index", [((0,), (5,)), ((0, 1), (X, 4)),
+                                              ((0, 1), (-1, Z))])
+    def test_letter_outside_0_to_3_rejected_at_construction(self, target, index):
+        """A table letter that is not I, X, Y or Z is refused when the
+        context is built, not when its factor is."""
+        with pytest.raises(ContextError, match=rf"bad table index {re.escape(str(index))}"):
+            RelativeContext(target, {index: Fraction(1, 2)})
 
     @pytest.mark.parametrize("bit", [2, -1])
     def test_computational_outcome_must_be_a_bit(self, bit):

@@ -88,7 +88,7 @@ def reference_validate_basis(descs):
     count = len(distinct)
     if count != 16:
         violations.append(f"only {count} of 16 products are distinct")
-    hermitian = all(p.is_hermitian for _, p in products)
+    hermitian = all(sumpath.is_hermitian(p) for _, p in products)
     if not hermitian:
         violations.append("some products are not Hermitian")
     complete = all(_hs_inner(p, p) == ComplexDyadic.of(1) for _, p in products)
@@ -148,7 +148,7 @@ def _basis_cases(bell_set, swap_result):
     cases.append(_with_component(both, 0, Z, PauliSum.zero(2)))
     cases.append(_with_component(bell, 0, X, qx + bell[1].qx))
     for outcome in swap_result.relative_bell:
-        cases.append((outcome.reduced_1, outcome.reduced_4))
+        cases.append(outcome.reduced.descriptors)
     cases.append(controlled_s_conjugated(bell_set))
     cases.append(controlled_s_conjugated(degenerate_set()))
     return cases
@@ -562,7 +562,7 @@ class TestCanonicalSignsMatchesTheRebuiltTableRule:
     def test_on_stabilizer_states_and_their_sign_variants(self, swap_result):
         cases = [v for s in stabilizer_states(2).values() for v in _sign_variants(s)]
         cases += [v for o in swap_result.relative_bell
-                  for v in _sign_variants(DescriptorSet(2, (o.reduced_1, o.reduced_4)))]
+                  for v in _sign_variants(o.reduced)]
         changed = 0
         for set_ in cases:
             got, want = canonical_signs(set_), reference_canonical_signs(set_)
