@@ -98,8 +98,6 @@ def expectation_table(set_: DescriptorSet, qubits: Sequence[int]) -> dict[MultiI
     extended on every other qubit; a qubit may appear in the subset once.
     """
     qubits = check_qubits(set_.n, qubits)
-    if repeated := sorted({q for q in qubits if qubits.count(q) > 1}):
-        raise ValueError(f"qubits {repeated} appear more than once in the subset")
     combos = list(itertools.product((I, X, Y, Z), repeat=len(qubits)))
     index = [I] * set_.n
     strings = []

@@ -7,20 +7,20 @@ is |0...0>, and every physical average is a vacuum expectation of a product
 of descriptor components.
 
 A gate is applied through its conjugation rewrite rule.  For gate V acting
-on operand slots S, the rule expresses V^dagger sigma_{a,i} V (a in S) as a
-sign times a product of letters on S; the new component is that product
+on operand slots S, the rule expresses V^dagger X_a V and V^dagger Z_a V
+(a in S) as signed strings on S; the new component is that string
 evaluated on the *current* descriptor components.  Components of qubits
 outside S never change.  This is exactly the composition order demanded by
 U^dagger sigma U with U = V_k ... V_0, and it is why rewriting the letters
 of the evolved strings in place would be wrong.
 
-A gate kind is one ``_RULES`` entry, one row triple per operand
+A gate kind is one ``_RULES`` entry, two signed strings per operand
 (``GATE_ARITY``).  From |0...0>, q_y = i q_x q_z holds throughout, and a
 Clifford circuit keeps every component one signed Pauli string, so a set
 stores each qubit's q_x and q_z as one packed (key, i-exponent) row, as
 the stabilizer tableau does (``DescriptorSet``).  ``fold`` runs a circuit
-on the rows, one ``_step`` per gate under a flat table of the rules' X
-and Z rows; ``apply_gate`` and ``add_ancilla`` step one set the same way,
+on the rows, one ``_step`` per gate under a flat table of the rules'
+strings; ``apply_gate`` and ``add_ancilla`` step one set the same way,
 and ``evolve_circuit`` and the dependency trace build their set once
 (``descriptor_set``).  A qubit's sums are built only when asked
 (``DescriptorSet.descriptor`` and ``component``), and a set given as
@@ -45,26 +45,18 @@ from .pauli import (
     key_phase, key_support, render_term, slot_key, x_mask,
 )
 
-# Heisenberg rewrite V^dagger sigma V, one form for every kind: per operand
-# position, the rows for X, Y and Z.  A row (sign, ((position, letter), ...))
-# gives the new component as the sign times the ordered product of the named
-# pre-gate components.  Position 0 is the first operand (CNOT control).
-# BELL(a, b) = CNOT(a -> b) followed by H on a: the rotation taking the four
-# Bell states of the pair to the four computational labels (the inverse of
-# the usual H-then-CNOT Bell preparation).
-_RULES = {
-    "H": (((1, ((0, Z),)), (-1, ((0, Y),)), (1, ((0, X),))),),
-    "X": (((1, ((0, X),)), (-1, ((0, Y),)), (-1, ((0, Z),))),),
-    "Y": (((-1, ((0, X),)), (1, ((0, Y),)), (-1, ((0, Z),))),),
-    "Z": (((-1, ((0, X),)), (-1, ((0, Y),)), (1, ((0, Z),))),),
-    "S": (((-1, ((0, Y),)), (1, ((0, X),)), (1, ((0, Z),))),),
-    "CNOT": (((1, ((0, X), (1, X))), (1, ((0, Y), (1, X))), (1, ((0, Z),))),
-             ((1, ((1, X),)), (1, ((0, Z), (1, Y))), (1, ((0, Z), (1, Z))))),
-    "BELL": (((1, ((0, Z),)), (-1, ((0, Y), (1, X))), (1, ((0, X), (1, X)))),
-             ((1, ((1, X),)), (1, ((0, Z), (1, Y))), (1, ((0, Z), (1, Z))))),
-}
-# Gate kind -> number of operands: one row triple per operand position.
-GATE_ARITY = {kind: len(rows) for kind, rows in _RULES.items()}
+# Heisenberg rewrite V^dagger sigma V as the stabilizer tableau writes it:
+# per operand position, the images of its X and Z as signed strings over
+# the operand positions, the letter at position p being that operand's
+# pre-gate component, taken in position order.  Position 0 is the first
+# operand (CNOT control).  BELL(a, b) = CNOT(a -> b) followed by H on a:
+# the rotation taking the four Bell states of the pair to the four
+# computational labels (the inverse of the usual H-then-CNOT preparation).
+_RULES = {"H": ("Z", "X"), "X": ("X", "-Z"), "Y": ("-X", "-Z"), "Z": ("-X", "Z"),
+          "S": ("-Y", "Z"),
+          "CNOT": ("XX", "ZI", "IX", "ZZ"), "BELL": ("ZI", "XX", "IX", "ZZ")}
+# Gate kind -> number of operands: one X and one Z image per operand.
+GATE_ARITY = {kind: len(images) // 2 for kind, images in _RULES.items()}
 
 # A signed string: the (key, k) pair is i**k times the bare string of a
 # packed key, k in 0..3.
@@ -72,21 +64,22 @@ String = tuple[int, int]
 
 # The fold keeps each qubit's q_x and q_z as a packed row (key_x, k_x,
 # key_z, k_z), a component being i**k times the bare string of its key.  Its
-# rules are the X and Z rows of ``_RULES`` in flat form (k, first, rest): the
-# sign as i**k, Y as i q_x q_z, and each factor as the index of its key in
-# the operands' rows joined as one tuple, its i-exponent at the next index.
+# rules are ``_RULES`` in flat form (k, first, rest): the sign, and Y as
+# i q_x q_z, in i**k, and each factor as the index of its key in the
+# operands' rows joined as one tuple, its i-exponent at the next index.
 Row = tuple[int, int, int, int]
-_KEYS = {X: (0,), Y: (0, 2), Z: (2,)}
+_KEYS = {"I": (), "X": (0,), "Y": (0, 2), "Z": (2,)}
 
 
-def _packed_row(sign: int, factors: tuple) -> tuple:
-    keys = [4 * pos + c for pos, letter in factors for c in _KEYS[letter]]
-    return 1 - sign + sum(letter == Y for _, letter in factors), keys[0], tuple(keys[1:])
+def _packed_row(image: str) -> tuple:
+    letters = image.lstrip("-")
+    keys = [4 * pos + c for pos, letter in enumerate(letters) for c in _KEYS[letter]]
+    return 2 * (len(image) - len(letters)) + letters.count("Y"), keys[0], tuple(keys[1:])
 
 
-_PACKED_RULES = {kind: tuple(_packed_row(*x_row) + _packed_row(*z_row)
-                             for x_row, _, z_row in rows)
-                 for kind, rows in _RULES.items()}
+_PACKED_RULES = {kind: tuple(_packed_row(x) + _packed_row(z)
+                             for x, z in zip(images[::2], images[1::2]))
+                 for kind, images in _RULES.items()}
 
 
 class GateError(ValueError):
@@ -120,10 +113,13 @@ class Gate(NamedTuple("Gate", [("kind", str), ("operands", tuple[int, ...])])):
 
 
 def check_qubits(n: int, qubits: Iterable[int], error: type = ValueError) -> list[int]:
-    """The qubits as a list; ``error`` names any outside an n-qubit register."""
+    """The qubits as a list; ``error`` names any repeated or outside an n-qubit register."""
     qubits = list(qubits)
     if outside := [q for q in qubits if not 0 <= q < n]:
         raise error(f"qubits {outside} are outside the {n}-qubit register")
+    if len(set(qubits)) < len(qubits):
+        repeated = sorted({q for q in qubits if qubits.count(q) > 1})
+        raise error(f"qubits {repeated} appear more than once in the subset")
     return qubits
 
 
@@ -414,8 +410,8 @@ def z_kernel(rows: Sequence[Row], qubits: Sequence[int]) -> list[tuple[int, int]
 
 
 def _step(rows: list[Row], gate: Gate, m: int) -> None:
-    """Replace each operand's row, in place, by one tuple under the flat X
-    and Z rows of the gate's rule, read off its operands' rows joined, each
+    """Replace each operand's row, in place, by one tuple under the flat
+    strings of the gate's rule, read off its operands' rows joined, each
     product one ``key_phase`` under the register's x mask m."""
     kind, operands = gate
     old = ()

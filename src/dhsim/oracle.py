@@ -217,6 +217,14 @@ def apply_circuit(n: int, steps, state: np.ndarray | None = None) -> np.ndarray:
     return psi.reshape(shape)
 
 
+def _state_qubits(state: np.ndarray, qubits: list[int]) -> int:
+    """The state's qubit count; OracleError unless ``qubits`` are distinct qubits of it."""
+    n = int(round(np.log2(state.shape[0])))
+    if len(set(qubits)) != len(qubits) or not all(q in range(n) for q in qubits):
+        raise OracleError(f"qubits {qubits} are not distinct qubits of a {n}-qubit state")
+    return n
+
+
 def conditional_state(state: np.ndarray, qubits: list[int],
                       outcome: list[int]) -> tuple[np.ndarray, float]:
     """Project the listed qubits onto a bitstring outcome and renormalize.
@@ -226,11 +234,9 @@ def conditional_state(state: np.ndarray, qubits: list[int],
     repeat or lie outside the state, bits other than 0 and 1, and an
     outcome whose length is not the number of qubits.
     """
-    n = int(round(np.log2(state.shape[0])))
     if len(qubits) != len(outcome):
         raise OracleError(f"{len(outcome)} outcome bits for {len(qubits)} qubits")
-    if len(set(qubits)) != len(qubits) or not all(q in range(n) for q in qubits):
-        raise OracleError(f"qubits {qubits} are not distinct qubits of a {n}-qubit state")
+    n = _state_qubits(state, qubits)
     if not all(bit in (0, 1) for bit in outcome):
         raise OracleError(f"outcome {outcome} is not a string of bits")
     index = [slice(None)] * n
@@ -244,11 +250,9 @@ def conditional_state(state: np.ndarray, qubits: list[int],
 
 
 def reduced_density(state: np.ndarray, qubits: list[int]) -> np.ndarray:
-    """Partial trace of |psi><psi| keeping only the listed qubits."""
-    n = int(round(np.log2(state.shape[0])))
+    """Partial trace of |psi><psi| keeping only the listed distinct qubits."""
     keep = list(qubits)
+    n = _state_qubits(state, keep)
     rest = [q for q in range(n) if q not in keep]
-    psi = state.reshape([2] * n)
-    perm = keep + rest
-    psi = np.transpose(psi, perm).reshape(2 ** len(keep), 2 ** len(rest))
+    psi = state.reshape([2] * n).transpose(keep + rest).reshape(2 ** len(keep), -1)
     return psi @ psi.conj().T

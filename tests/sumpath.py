@@ -4,9 +4,9 @@
 off them with no product formed.  The functions here take a plain tuple
 of ``Descriptor``s instead, multi-term components included (a register
 conjugated by a non-Clifford unitary, say), and form each product with
-``sum_mul``: a gate rewrites its operands through the three rows of
-``engine._RULES`` per operand, and every average is ``vacuum_expectation``
-of a formed product.  They are the tests' reference for the row path, and
+``sum_mul``: a gate rewrites its operands through the three rows per
+operand of its own rule table (``RULES``), and every average is
+``vacuum_expectation`` of a formed product.  They are the tests' reference for the row path, and
 are themselves checked against ``matrices.conjugate`` and the dense
 oracle in ``test_sumpath.py``.  The sum helpers only this path needs
 (``inner_products``, ``is_hermitian`` and ``extended``) are written here
@@ -15,13 +15,31 @@ on the public ``PauliSum`` API: its letter tuples and coefficients.
 
 import itertools
 
-from dhsim import engine, pauli
+from dhsim import pauli
 from dhsim.engine import AddAncilla, Descriptor, check_qubits
 from dhsim.pauli import (
-    I, LETTER_NAMES, ONE, ZERO, DimensionError, PauliSum,
+    I, LETTER_NAMES, ONE, X, Y, Z, ZERO, DimensionError, PauliSum,
     sum_mul, vacuum_expectation,
 )
 from dhsim.uniqueness import _PAIR_KEYS as PAIR_KEYS, COMPONENTS, BasisReport
+
+# Heisenberg rewrite V^dagger sigma V of every gate kind: per operand
+# position, the rows for X, Y and Z.  A row (sign, ((position, letter), ...))
+# gives the new component as the sign times the ordered product of the named
+# pre-gate components, position 0 being the first operand.  A multi-term
+# q_y need not be i q_x q_z, so it keeps a row of its own here, where the
+# engine's rows hold only the images of X and Z.
+RULES = {
+    "H": (((1, ((0, Z),)), (-1, ((0, Y),)), (1, ((0, X),))),),
+    "X": (((1, ((0, X),)), (-1, ((0, Y),)), (-1, ((0, Z),))),),
+    "Y": (((-1, ((0, X),)), (1, ((0, Y),)), (-1, ((0, Z),))),),
+    "Z": (((-1, ((0, X),)), (-1, ((0, Y),)), (1, ((0, Z),))),),
+    "S": (((-1, ((0, Y),)), (1, ((0, X),)), (1, ((0, Z),))),),
+    "CNOT": (((1, ((0, X), (1, X))), (1, ((0, Y), (1, X))), (1, ((0, Z),))),
+             ((1, ((1, X),)), (1, ((0, Z), (1, Y))), (1, ((0, Z), (1, Z))))),
+    "BELL": (((1, ((0, Z),)), (-1, ((0, Y), (1, X))), (1, ((0, X), (1, X)))),
+             ((1, ((1, X),)), (1, ((0, Z), (1, Y))), (1, ((0, Z), (1, Z))))),
+}
 
 
 def inner_products(sums) -> dict:
@@ -64,7 +82,7 @@ def apply_gate(descs, gate) -> tuple[Descriptor, ...]:
     gate.validate_for(len(descs))
     operands = [descs[q] for q in gate.operands]
     out = list(descs)
-    for qubit, rows in zip(gate.operands, engine._RULES[gate.kind]):
+    for qubit, rows in zip(gate.operands, RULES[gate.kind]):
         out[qubit] = Descriptor._make(
             sum_mul(*[operands[pos][letter - 1] for pos, letter in factors]).scale(sign)
             for sign, factors in rows)

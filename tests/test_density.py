@@ -231,6 +231,18 @@ class TestDiagonalProbabilities:
     def test_fresh_single_qubit(self):
         assert diagonal_probabilities(initial_set(1), [0]) == [1, 0]
 
+    @pytest.mark.parametrize("qubits", [[0, 0], [1, 0, 1]])
+    def test_repeated_qubit_refused(self, bell_set, qubits):
+        """A repeated qubit would read one outcome bit twice, giving a
+        2^k-entry distribution of k - 1 qubits ([1/2, 0, 0, 1/2] for
+        [0, 0] on the Bell pair); the diagonal refuses it, in both paths,
+        as the expectation table does."""
+        for call in (diagonal_probabilities, expectation_table):
+            with pytest.raises(ValueError, match=r"qubits \[\d\] appear more than once"):
+                call(bell_set, qubits)
+        with pytest.raises(ValueError, match="appear more than once"):
+            sumpath.diagonal_probabilities(bell_set.descriptors, qubits)
+
     def test_post_measurement_diagonal_unchanged(self):
         from dhsim.relative import measure
         s = apply_gate(initial_set(1), Gate("H", (0,)))

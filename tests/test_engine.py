@@ -291,57 +291,26 @@ class TestPictureEquivalence:
                 assert abs(got - want) < 1e-9
 
 
-# The rule tables as they stood before the single rule form, copied here so
-# the reference below never reads the engine's table.
-_OLD_SINGLE_RULES = {
-    "H": {X: (1, Z), Y: (-1, Y), Z: (1, X)},
-    "X": {X: (1, X), Y: (-1, Y), Z: (-1, Z)},
-    "Y": {X: (-1, X), Y: (1, Y), Z: (-1, Z)},
-    "Z": {X: (-1, X), Y: (-1, Y), Z: (1, Z)},
-    "S": {X: (-1, Y), Y: (1, X), Z: (1, Z)},
-}
-_OLD_TWO_RULES = {
-    "CNOT": {
-        (0, X): (1, ((0, X), (1, X))),
-        (0, Y): (1, ((0, Y), (1, X))),
-        (0, Z): (1, ((0, Z),)),
-        (1, X): (1, ((1, X),)),
-        (1, Y): (1, ((0, Z), (1, Y))),
-        (1, Z): (1, ((0, Z), (1, Z))),
-    },
-    "BELL": {
-        (0, X): (1, ((0, Z),)),
-        (0, Y): (-1, ((0, Y), (1, X))),
-        (0, Z): (1, ((0, X), (1, X))),
-        (1, X): (1, ((1, X),)),
-        (1, Y): (1, ((0, Z), (1, Y))),
-        (1, Z): (1, ((0, Z), (1, Z))),
-    },
-}
-
-
-def reference_apply(old, gate):
-    """One gate by the old per-kind tables, on the pre-gate components of a
-    tuple of descriptors."""
-    descs = list(old)
-    if gate.kind in _OLD_SINGLE_RULES:
-        (q,) = gate.operands
+def dense_rule_apply(descs, gate):
+    """One gate on a tuple of descriptors by rules read off the oracle's
+    gate matrix, sharing no table with the sum path or the engine: each
+    V^dagger sigma V on the bare operands is one signed string, whose letter
+    at position p picks operand p's pre-gate component, the factors taken
+    in position order."""
+    arity = len(gate.operands)
+    u = oracle.gate_matrix(gate.kind, arity, tuple(range(arity)))
+    out = list(descs)
+    for pos, qubit in enumerate(gate.operands):
         new = []
-        for letter in (X, Y, Z):
-            sign, src = _OLD_SINGLE_RULES[gate.kind][letter]
-            new.append(old[q][src - 1].scale(sign))
-        descs[q] = Descriptor(*new)
-    else:
-        for pos, qubit in enumerate(gate.operands):
-            new = []
-            for letter in (X, Y, Z):
-                sign, factors = _OLD_TWO_RULES[gate.kind][pos, letter]
-                product = PauliSum.identity(len(old))
-                for fpos, fletter in factors:
-                    product = product * old[gate.operands[fpos]][fletter - 1]
-                new.append(product.scale(sign))
-            descs[qubit] = Descriptor(*new)
-    return tuple(descs)
+        for w in (X, Y, Z):
+            ((letters, coef),) = matrices.conjugate(u, PauliSum.single(arity, pos, w)).terms()
+            product = PauliSum.identity(len(descs))
+            for q, letter in zip(gate.operands, letters):
+                if letter != I:
+                    product = product * descs[q][letter - 1]
+            new.append(product.scale(coef))
+        out[qubit] = Descriptor(*new)
+    return tuple(out)
 
 
 class TestOneRuleForm:
@@ -372,7 +341,7 @@ class TestOneRuleForm:
         set_ = evolve_circuit(random_circuit(rng, n, 3 * n))
         for _ in range(40):
             gate = random_gate(rng, n)
-            want = reference_apply(set_.descriptors, gate)
+            want = sumpath.apply_gate(set_.descriptors, gate)
             set_ = apply_gate(set_, gate)
             assert set_.descriptors == want
 
@@ -386,7 +355,7 @@ class TestOneRuleForm:
                 operands = tuple(rng.sample(range(4), 2 if kind in TWO_QUBIT_KINDS
                                             else 1))
                 gate = Gate(kind, operands)
-                want = reference_apply(descs, gate)
+                want = dense_rule_apply(descs, gate)
                 descs = sumpath.apply_gate(descs, gate)
                 assert descs == want
 
@@ -401,7 +370,7 @@ class TestOneRuleForm:
         gates += [Gate(kind, ops) for kind in TWO_QUBIT_KINDS
                   for ops in ((0, 3), (3, 0), (2, 0))]
         for gate in gates:
-            assert sumpath.apply_gate(descs, gate) == reference_apply(descs, gate)
+            assert sumpath.apply_gate(descs, gate) == dense_rule_apply(descs, gate)
         # Conditioned on a gate operand, qubit 1's components no longer
         # commute with that operand's, so a two-factor row must take its
         # factors in operand order, not qubit order.
@@ -412,7 +381,7 @@ class TestOneRuleForm:
             for kind in TWO_QUBIT_KINDS:
                 for ops in ((3, 0), (0, 3), (2, 0), (0, 2)):
                     gate = Gate(kind, ops)
-                    assert sumpath.apply_gate(descs, gate) == reference_apply(descs, gate)
+                    assert sumpath.apply_gate(descs, gate) == dense_rule_apply(descs, gate)
 
     def test_history_is_the_circuit_steps(self):
         c = Circuit(1, (Gate("H", (0,)), AddAncilla(), Gate("CNOT", (0, 1))))

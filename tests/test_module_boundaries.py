@@ -29,7 +29,10 @@ method.  A set stores its rows alone, `(n, rows, history)`, and only
 `engine.descriptor_set` builds one past the constructor; a gate is stepped
 on rows by one function, `engine._step`, and no module forms a product of
 sums for a set: `engine` names no `sum_mul`, and `density` and
-`uniqueness` use no `PauliSum` algebra.
+`uniqueness` use no `PauliSum` algebra.  Only `engine` names its rule
+tables (`_RULES`, `_PACKED_RULES`): no other module does, nor the tests'
+sum path, which keeps its own table, and the tests' tableau check of the
+fold names neither, nor the engine's step or string products.
 """
 
 import ast
@@ -38,7 +41,8 @@ import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).parent.parent / "src" / "dhsim"
+TESTS = pathlib.Path(__file__).parent
+SRC = TESTS.parent / "src" / "dhsim"
 MODULES = sorted(SRC.glob("*.py"))
 KEY_FORMAT = re.compile(r"\._terms\b"
                         r"|\b(_pack|_unpack|_CODE|_LETTER_OF_CODE|_BYTE_LETTERS)\b")
@@ -350,3 +354,27 @@ def test_sums_read_only_by_descriptor():
     assert "engine.py:descriptor" in _callers("component")
     assert "from_key" not in {called for where, called in _calls_by_function(
         trees["engine.py"]) if where == "descriptor_set"}
+
+
+RULE_TABLES = {"_RULES", "_PACKED_RULES"}
+
+
+def _names_in(path: pathlib.Path) -> set[str]:
+    return {name for _, name in _names_by_function(ast.parse(path.read_text(encoding="utf-8")))}
+
+
+def test_only_engine_names_its_rule_tables():
+    """A gate's rule is written once, in ``engine``: no other module of
+    ``src``, and not the tests' sum path, names ``_RULES`` or
+    ``_PACKED_RULES``."""
+    paths = [p for p in MODULES if p.name != "engine.py"] + [TESTS / "sumpath.py"]
+    hits = {p.name: found for p in paths if (found := _names_in(p) & RULE_TABLES)}
+    assert hits == {}
+
+
+def test_tableau_names_no_engine_rule_or_product():
+    """The tableau check of the fold stays independent of what it checks:
+    ``tests/tableau.py`` names neither rule table, nor ``_step``,
+    ``key_phase`` or ``string_product``."""
+    assert _names_in(TESTS / "tableau.py") & (
+        RULE_TABLES | {"_step", "key_phase", "string_product"}) == set()

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -398,6 +399,15 @@ class TestReducedDensity:
         psi = oracle.apply_circuit(2, [("H", (0,)), ("CNOT", (0, 1))])
         rho = oracle.reduced_density(psi, [0])
         assert np.allclose(rho, np.eye(2) / 2)
+
+    @pytest.mark.parametrize("qubits", [[-1], [3], [0, 0]])
+    def test_bad_qubits_refused(self, qubits):
+        """A negative, out-of-range or repeated qubit is named, as
+        ``conditional_state`` names it, not left to numpy's transpose."""
+        psi = oracle.apply_circuit(3, [("H", (0,)), ("CNOT", (0, 1))])
+        message = f"qubits {qubits} are not distinct qubits of a 3-qubit state"
+        with pytest.raises(oracle.OracleError, match=re.escape(message)):
+            oracle.reduced_density(psi, qubits)
 
 
 class TestTensorKernel:
